@@ -1109,70 +1109,12 @@ DataId RefBackend::topkIndices(const TensorSpec& x, std::size_t outer,
   return store(std::move(out));
 }
 
-DataId RefBackend::unaryInto(UnaryOp op, const TensorSpec& x, float alpha,
-                             float beta, DataId dst) {
-  if (dst != x.id) return unary(op, x, alpha, beta);
-  KernelTimer t(kernelMs_);
-  auto& v = mutableBuf(dst);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = applyUnary(op, v[i], alpha, beta);
-  }
-  return dst;
-}
-
-DataId RefBackend::binaryInto(BinaryOp op, const TensorSpec& a,
-                              const TensorSpec& b, const Shape& outShape,
-                              DataId dst) {
-  // The in-place contract requires dst to alias the full-output operand;
-  // anything else falls back to the allocating kernel.
-  if (dst != a.id || !(a.shape == outShape)) {
-    return binary(op, a, b, outShape);
-  }
-  KernelTimer t(kernelMs_);
-  auto& av = mutableBuf(dst);
-  const auto& bv = buf(b.id);
-  if (b.shape == outShape) {
-    for (std::size_t i = 0; i < av.size(); ++i) {
-      av[i] = applyBinary(op, av[i], bv[i]);
-    }
-  } else if (b.shape.size() == 1) {
-    const float s = bv[0];
-    for (std::size_t i = 0; i < av.size(); ++i) {
-      av[i] = applyBinary(op, av[i], s);
-    }
-  } else if (broadcastsAsSuffix(b.shape, outShape)) {
-    const std::size_t span = bv.size();
-    for (std::size_t base = 0; base < av.size(); base += span) {
-      for (std::size_t i = 0; i < span; ++i) {
-        av[base + i] = applyBinary(op, av[base + i], bv[i]);
-      }
-    }
-  } else {
-    std::vector<int> coords(static_cast<std::size_t>(outShape.rank()));
-    for (std::size_t i = 0; i < av.size(); ++i) {
-      util::unravelIndex(i, outShape, coords);
-      av[i] = applyBinary(
-          op, av[i], bv[util::broadcastIndex(coords, b.shape, outShape)]);
-    }
-  }
-  return dst;
-}
-
-namespace {
-
-/// How a region input's element maps to the output's flat index. Mirrors
-/// the broadcast paths of RefBackend::binary so fused loads read exactly
-/// the element the standalone kernel would have.
-enum class RegionAccess { kDense, kScalar, kSuffix, kGeneric };
-
 RegionAccess classifyRegionInput(const Shape& s, const Shape& out) {
   if (s == out) return RegionAccess::kDense;
   if (s.size() == 1) return RegionAccess::kScalar;
   if (broadcastsAsSuffix(s, out)) return RegionAccess::kSuffix;
   return RegionAccess::kGeneric;
 }
-
-}  // namespace
 
 DataId RefBackend::fusedRegion(const RegionProgram& program,
                                std::span<const TensorSpec> inputs,
@@ -1192,29 +1134,23 @@ DataId RefBackend::fusedRegion(const RegionProgram& program,
   };
   std::vector<In> ins(inputs.size());
   bool anyGeneric = false;
+  int dstMatches = 0;
+  bool dstDense = false;
   for (std::size_t j = 0; j < inputs.size(); ++j) {
     const auto& v = buf(inputs[j].id);
     ins[j] = {v.data(), v.size(), classifyRegionInput(inputs[j].shape, outShape),
               &inputs[j].shape};
     anyGeneric |= ins[j].mode == RegionAccess::kGeneric;
+    if (dst != 0 && inputs[j].id == dst) {
+      ++dstMatches;
+      dstDense = ins[j].mode == RegionAccess::kDense;
+    }
   }
 
   // In-place only when dst aliases exactly one input and that input is
   // dense: a second spec sharing the id (an alias view) or a broadcast
   // operand would re-read indices the loop already overwrote.
-  bool inPlace = false;
-  if (dst != 0) {
-    int matches = 0;
-    std::size_t di = 0;
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      if (inputs[j].id == dst) {
-        ++matches;
-        di = j;
-      }
-    }
-    inPlace = matches == 1 && ins[di].mode == RegionAccess::kDense;
-  }
-
+  const bool inPlace = dstMatches == 1 && dstDense;
   std::vector<float> fresh;
   float* o;
   if (inPlace) {

@@ -46,10 +46,6 @@ class RefBackend : public Backend {
                 const Shape& outShape) override;
   DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
                float beta) override;
-  DataId unaryInto(UnaryOp op, const TensorSpec& x, float alpha, float beta,
-                   DataId dst) override;
-  DataId binaryInto(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
-                    const Shape& outShape, DataId dst) override;
   bool supportsFusedKernels() const override { return true; }
   bool supportsFusedRegions() const override { return true; }
   /// Single-pass fused elementwise region. Every scalar step goes through
@@ -215,5 +211,11 @@ float applyFusedActivation(FusedActivation act, float v);
 /// binary kernels replace per-element coordinate decoding with a dense
 /// row loop — same scalar op per element, so values are unchanged.
 bool broadcastsAsSuffix(const Shape& s, const Shape& out);
+
+/// How a fused-region input's element maps to the output's flat index.
+/// Mirrors the broadcast paths of RefBackend::binary, so fused loads read
+/// exactly the element the standalone kernel would have.
+enum class RegionAccess { kDense, kScalar, kSuffix, kGeneric };
+RegionAccess classifyRegionInput(const Shape& s, const Shape& out);
 
 }  // namespace tfjs::backends

@@ -97,43 +97,6 @@ DataId PlainCpuBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
   return store(std::move(out));
 }
 
-DataId PlainCpuBackend::unaryInto(UnaryOp op, const TensorSpec& x,
-                                  float alpha, float beta, DataId dst) {
-  if (dst != x.id) return unary(op, x, alpha, beta);
-  KernelTimer t(kernelMs_, "cpu.unary");
-  auto& v = mutableBuf(dst);
-  const auto prog = unaryProgram(op, alpha, beta);
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    v[i] = ScalarVM::run(prog, v[i], 0);
-  }
-  return dst;
-}
-
-DataId PlainCpuBackend::binaryInto(BinaryOp op, const TensorSpec& a,
-                                   const TensorSpec& b, const Shape& outShape,
-                                   DataId dst) {
-  if (dst != a.id || !(a.shape == outShape)) {
-    return binary(op, a, b, outShape);
-  }
-  KernelTimer t(kernelMs_, "cpu.binary");
-  auto& av = mutableBuf(dst);
-  const auto& bv = buf(b.id);
-  const auto prog = binaryProgram(op);
-  if (b.shape == outShape) {
-    for (std::size_t i = 0; i < av.size(); ++i) {
-      av[i] = ScalarVM::run(prog, av[i], bv[i]);
-    }
-  } else {
-    std::vector<int> coords(static_cast<std::size_t>(outShape.rank()));
-    for (std::size_t i = 0; i < av.size(); ++i) {
-      util::unravelIndex(i, outShape, coords);
-      av[i] = ScalarVM::run(
-          prog, av[i], bv[util::broadcastIndex(coords, b.shape, outShape)]);
-    }
-  }
-  return dst;
-}
-
 DataId PlainCpuBackend::matMul(const TensorSpec& a, const TensorSpec& b,
                                bool transposeA, bool transposeB) {
   KernelTimer t(kernelMs_, "cpu.matMul");

@@ -49,15 +49,12 @@ class PlainCpuBackend : public RefBackend {
                 const Shape& outShape) override;
   DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
                float beta) override;
-  // In-place variants still run through the ScalarVM: in-place reuse saves
-  // the allocation, never the interpreted per-element cost this backend
-  // models. (fusedMatMul/fusedConv2d inherit from RefBackend, whose virtual
+  // In-place ops (move-consuming overloads) and fused regions run
+  // RefBackend's compiled region interpreter, not the ScalarVM: the same
+  // scalar formulas, so values match this backend's unary/binary bitwise.
+  // (fusedMatMul/fusedConv2d inherit from RefBackend too, whose virtual
   // matMul/conv2d dispatch lands back here, keeping results bit-identical
   // to this backend's unfused chain.)
-  DataId unaryInto(UnaryOp op, const TensorSpec& x, float alpha, float beta,
-                   DataId dst) override;
-  DataId binaryInto(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
-                    const Shape& outShape, DataId dst) override;
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB) override;
   DataId conv2d(const TensorSpec& x, const TensorSpec& filter,

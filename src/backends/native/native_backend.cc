@@ -113,174 +113,27 @@ void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
   gemm(A, B, C, m, k, n, nullptr, FusedActivation::kNone);
 }
 
-namespace {
-// Shared elementwise cores for the allocating and in-place entry points.
-// `o` may alias `x` (same-index reads before writes are safe), so no
-// __restrict here; each chunk writes a disjoint output range and each
-// element depends only on its own inputs — any partition is bit-identical.
-void binaryLoopSame(BinaryOp op, const float* x, const float* y, float* o,
-                    std::size_t size) {
-  ThreadPool::get().parallelFor(
-      size, kElemGrain, [&](std::size_t begin, std::size_t end) {
-        // Specialize the four arithmetic ops so the loops autovectorize;
-        // the rest fall through to the shared scalar kernel.
-        switch (op) {
-          case BinaryOp::kAdd:
-            for (std::size_t i = begin; i < end; ++i) o[i] = x[i] + y[i];
-            break;
-          case BinaryOp::kSub:
-            for (std::size_t i = begin; i < end; ++i) o[i] = x[i] - y[i];
-            break;
-          case BinaryOp::kMul:
-            for (std::size_t i = begin; i < end; ++i) o[i] = x[i] * y[i];
-            break;
-          case BinaryOp::kDiv:
-            for (std::size_t i = begin; i < end; ++i) o[i] = x[i] / y[i];
-            break;
-          default:
-            for (std::size_t i = begin; i < end; ++i) {
-              o[i] = applyBinary(op, x[i], y[i]);
-            }
-        }
-      });
+DataId NativeBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
+                            float beta) {
+  KernelTimer t(kernelMs_, "native.unary");
+  const RegionInstr instr{.kind = RegionInstr::Kind::kUnary,
+                          .op = static_cast<int>(op),
+                          .a = -1,
+                          .alpha = alpha,
+                          .beta = beta};
+  const TensorSpec* ins[] = {&x};
+  return runRegion({&instr, 1}, ins, x.shape, 0);
 }
-
-// Second operand broadcasts as a contiguous suffix (the per-channel bias
-// against an NHWC tensor is the hot case): one parallel sweep over the
-// leading rows with a dense, autovectorizable inner loop. Applies the same
-// scalar op per element as the reference broadcast path, so values are
-// bit-identical — only the per-element coordinate decoding is gone. `o` may
-// alias `x` for the in-place entry point.
-void binaryLoopSuffix(BinaryOp op, const float* x, const float* y, float* o,
-                      std::size_t rows, std::size_t span) {
-  ThreadPool::get().parallelFor(
-      rows, std::max<std::size_t>(1, kElemGrain / std::max<std::size_t>(span, 1)),
-      [&](std::size_t rb, std::size_t re) {
-        switch (op) {
-          case BinaryOp::kAdd:
-            for (std::size_t r = rb; r < re; ++r) {
-              const float* xr = x + r * span;
-              float* orow = o + r * span;
-              for (std::size_t i = 0; i < span; ++i) orow[i] = xr[i] + y[i];
-            }
-            break;
-          case BinaryOp::kSub:
-            for (std::size_t r = rb; r < re; ++r) {
-              const float* xr = x + r * span;
-              float* orow = o + r * span;
-              for (std::size_t i = 0; i < span; ++i) orow[i] = xr[i] - y[i];
-            }
-            break;
-          case BinaryOp::kMul:
-            for (std::size_t r = rb; r < re; ++r) {
-              const float* xr = x + r * span;
-              float* orow = o + r * span;
-              for (std::size_t i = 0; i < span; ++i) orow[i] = xr[i] * y[i];
-            }
-            break;
-          case BinaryOp::kDiv:
-            for (std::size_t r = rb; r < re; ++r) {
-              const float* xr = x + r * span;
-              float* orow = o + r * span;
-              for (std::size_t i = 0; i < span; ++i) orow[i] = xr[i] / y[i];
-            }
-            break;
-          default:
-            for (std::size_t r = rb; r < re; ++r) {
-              const float* xr = x + r * span;
-              float* orow = o + r * span;
-              for (std::size_t i = 0; i < span; ++i) {
-                orow[i] = applyBinary(op, xr[i], y[i]);
-              }
-            }
-        }
-      });
-}
-
-void unaryLoop(UnaryOp op, const float* in, float* o, std::size_t size,
-               float alpha, float beta) {
-  ThreadPool::get().parallelFor(
-      size, kElemGrain, [&](std::size_t begin, std::size_t end) {
-        switch (op) {
-          case UnaryOp::kRelu:
-            for (std::size_t i = begin; i < end; ++i) {
-              o[i] = in[i] > 0 ? in[i] : 0;
-            }
-            break;
-          case UnaryOp::kRelu6:
-            for (std::size_t i = begin; i < end; ++i) {
-              o[i] = std::min(std::max(in[i], 0.f), 6.f);
-            }
-            break;
-          case UnaryOp::kNeg:
-            for (std::size_t i = begin; i < end; ++i) o[i] = -in[i];
-            break;
-          case UnaryOp::kSquare:
-            for (std::size_t i = begin; i < end; ++i) o[i] = in[i] * in[i];
-            break;
-          case UnaryOp::kAddScalar:
-            for (std::size_t i = begin; i < end; ++i) o[i] = in[i] + alpha;
-            break;
-          case UnaryOp::kMulScalar:
-            for (std::size_t i = begin; i < end; ++i) o[i] = in[i] * alpha;
-            break;
-          default:
-            for (std::size_t i = begin; i < end; ++i) {
-              o[i] = applyUnary(op, in[i], alpha, beta);
-            }
-        }
-      });
-}
-}  // namespace
 
 DataId NativeBackend::binary(BinaryOp op, const TensorSpec& a,
                              const TensorSpec& b, const Shape& outShape) {
   KernelTimer t(kernelMs_, "native.binary");
-  const auto& av = buf(a.id);
-  const auto& bv = buf(b.id);
-  const bool same = a.shape == outShape && b.shape == outShape;
-  if (same) {
-    std::vector<float> out = allocBuffer(outShape.size());
-    binaryLoopSame(op, av.data(), bv.data(), out.data(), out.size());
-    return store(std::move(out));
-  }
-  if (a.shape == outShape && bv.size() > 1 &&
-      broadcastsAsSuffix(b.shape, outShape)) {
-    std::vector<float> out = allocBuffer(outShape.size());
-    binaryLoopSuffix(op, av.data(), bv.data(), out.data(),
-                     out.size() / bv.size(), bv.size());
-    return store(std::move(out));
-  }
-  // Remaining broadcast shapes: delegate to the reference implementation by
-  // re-dispatching (it handles scalar fast paths and generic broadcast).
-  return RefBackend::binary(op, a, b, outShape);
-}
-
-DataId NativeBackend::binaryInto(BinaryOp op, const TensorSpec& a,
-                                 const TensorSpec& b, const Shape& outShape,
-                                 DataId dst) {
-  if (dst != a.id || !(a.shape == outShape)) {
-    return binary(op, a, b, outShape);
-  }
-  if (!(b.shape == outShape)) {
-    const auto& bcast = buf(b.id);
-    if (bcast.size() > 1 && broadcastsAsSuffix(b.shape, outShape)) {
-      KernelTimer t(kernelMs_, "native.binary");
-      auto& av = mutableBuf(dst);
-      binaryLoopSuffix(op, av.data(), bcast.data(), av.data(),
-                       av.size() / bcast.size(), bcast.size());
-      return dst;
-    }
-    // Scalar / remaining broadcast second operands: the serial reference
-    // in-place kernel, matching this backend's own unfused broadcast path
-    // (which also delegates to the reference implementation).
-    return RefBackend::binaryInto(op, a, b, outShape, dst);
-  }
-  KernelTimer t(kernelMs_, "native.binary");
-  auto& av = mutableBuf(dst);
-  const auto& bv = buf(b.id);
-  binaryLoopSame(op, av.data(), bv.data(), av.data(), av.size());
-  return dst;
+  const RegionInstr instr{.kind = RegionInstr::Kind::kBinary,
+                          .op = static_cast<int>(op),
+                          .a = -1,
+                          .b = -2};
+  const TensorSpec* ins[] = {&a, &b};
+  return runRegion({&instr, 1}, ins, outShape, 0);
 }
 
 DataId NativeBackend::fusedRegion(const RegionProgram& program,
@@ -291,47 +144,42 @@ DataId NativeBackend::fusedRegion(const RegionProgram& program,
     throw BackendError("fusedRegion: malformed program");
   }
   KernelTimer t(kernelMs_, "native.fusedRegion");
-  const std::size_t n = outShape.size();
+  std::vector<const TensorSpec*> ins(inputs.size());
+  for (std::size_t j = 0; j < inputs.size(); ++j) ins[j] = &inputs[j];
+  return runRegion(program.instrs, ins, outShape, dst);
+}
 
-  enum class Access { kDense, kScalar, kSuffix, kGeneric };
+DataId NativeBackend::runRegion(std::span<const RegionInstr> instrs,
+                                std::span<const TensorSpec* const> inputs,
+                                const Shape& outShape, DataId dst) {
+  const std::size_t n = outShape.size();
   struct In {
     const float* p;
     std::size_t span;
-    Access mode;
+    RegionAccess mode;
     const Shape* shape;
   };
   std::vector<In> ins(inputs.size());
+  bool anyGeneric = false;
+  int dstMatches = 0;
+  bool dstDense = false;
   for (std::size_t j = 0; j < inputs.size(); ++j) {
-    const auto& v = buf(inputs[j].id);
-    Access mode = Access::kGeneric;
-    if (inputs[j].shape == outShape) {
-      mode = Access::kDense;
-    } else if (v.size() == 1) {
-      mode = Access::kScalar;
-    } else if (broadcastsAsSuffix(inputs[j].shape, outShape)) {
-      mode = Access::kSuffix;
+    const TensorSpec& s = *inputs[j];
+    const auto& v = buf(s.id);
+    ins[j] = {v.data(), v.size(), classifyRegionInput(s.shape, outShape),
+              &s.shape};
+    anyGeneric |= ins[j].mode == RegionAccess::kGeneric;
+    if (dst != 0 && s.id == dst) {
+      ++dstMatches;
+      dstDense = ins[j].mode == RegionAccess::kDense;
     }
-    ins[j] = {v.data(), v.size(), mode, &inputs[j].shape};
   }
-
   // Same in-place guard as the reference kernel: dst must alias exactly one
-  // input, and that input must be dense (each chunk then only overwrites
-  // indices it has already loaded into its block).
-  bool inPlace = false;
-  if (dst != 0) {
-    int matches = 0;
-    std::size_t di = 0;
-    for (std::size_t j = 0; j < inputs.size(); ++j) {
-      if (inputs[j].id == dst) {
-        ++matches;
-        di = j;
-      }
-    }
-    inPlace = matches == 1 && ins[di].mode == Access::kDense;
-  }
-
+  // input, and that input must be dense (each block then only overwrites
+  // indices it has already read).
+  const bool inPlace = dstMatches == 1 && dstDense;
   std::vector<float> fresh;
-  float* o;
+  float* o = nullptr;
   if (inPlace) {
     o = mutableBuf(dst).data();
   } else {
@@ -340,65 +188,80 @@ DataId NativeBackend::fusedRegion(const RegionProgram& program,
   }
 
   // Strip-mined interpretation: each block resolves every input to a row
-  // pointer (dense and block-aligned suffix inputs alias backing storage
-  // directly — zero copies), then every instruction runs as a dense loop
-  // over the block, non-terminal results landing in L1-resident scratch
-  // rows and the terminal storing straight into the output. Per-element op
-  // order is the program order either way, so blocking (and the fixed
-  // parallel partition) cannot change a single bit.
+  // pointer (dense inputs, and long suffixes within one repeat, alias
+  // backing storage directly — zero copies), then every instruction runs
+  // as a dense loop over the block, non-terminal results landing in
+  // L1-resident scratch rows and the terminal storing straight into the
+  // output. Per-element op order is the program order either way, so
+  // blocking (and the fixed parallel partition) cannot change a single bit.
   constexpr std::size_t kBlock = 512;
-  const std::size_t numInstrs = program.instrs.size();
-  const std::size_t numIns = ins.size();
+  const std::size_t numInstrs = instrs.size();
+  const std::size_t numIns = inputs.size();
+  // A lone instruction over dense inputs (the common standalone unary or
+  // binary) needs no scratch rows, so each chunk runs as one long block.
+  const bool allDense = std::all_of(ins.begin(), ins.end(), [](const In& in) {
+    return in.mode == RegionAccess::kDense;
+  });
+  const std::size_t block = numInstrs == 1 && allDense ? kElemGrain : kBlock;
   ThreadPool::get().parallelFor(
       n, kElemGrain, [&](std::size_t begin, std::size_t end) {
-        // Reused per-thread scratch: one row per input that may need
-        // materializing plus one per non-terminal instruction. resize()
-        // only pays on first growth, not per chunk.
+        // Reused per-thread scratch: a two-block row per input (room for a
+        // replicated suffix row) plus one block per non-terminal
+        // instruction. resize() only pays on first growth, not per chunk.
         static thread_local std::vector<float> scratch;
         static thread_local std::vector<const float*> rowPtr;
-        if (scratch.size() < (numIns + numInstrs) * kBlock) {
-          scratch.resize((numIns + numInstrs) * kBlock);
-        }
+        const std::size_t need = (2 * numIns + numInstrs) * kBlock;
+        if (scratch.size() < need) scratch.resize(need);
         if (rowPtr.size() < numIns) rowPtr.resize(numIns);
         float* inRows = scratch.data();
-        float* valRows = scratch.data() + numIns * kBlock;
-        std::vector<int> coords(static_cast<std::size_t>(outShape.rank()));
-        // A scalar broadcasts the same value into every block: fill once.
+        float* valRows = scratch.data() + 2 * numIns * kBlock;
+        std::vector<int> coords(
+            anyGeneric ? static_cast<std::size_t>(outShape.rank()) : 0);
+        // Once per chunk: a scalar fills one row, and a suffix no longer
+        // than a block is replicated span by span into a row of
+        // `rowLen + span` floats, so every block below just points at
+        // `row + b0 % span` instead of re-filling a wrapped copy.
+        const std::size_t rowLen = std::min(kBlock, end - begin);
         for (std::size_t j = 0; j < numIns; ++j) {
-          if (ins[j].mode == Access::kScalar) {
-            float* r = inRows + j * kBlock;
-            std::fill(r, r + kBlock, ins[j].p[0]);
+          const In& in = ins[j];
+          float* r = inRows + 2 * j * kBlock;
+          if (in.mode == RegionAccess::kScalar) {
+            std::fill(r, r + rowLen, in.p[0]);
             rowPtr[j] = r;
+          } else if (in.mode == RegionAccess::kSuffix && in.span <= kBlock) {
+            const std::size_t len = rowLen + in.span;
+            for (std::size_t i = 0; i < len; i += in.span) {
+              std::copy_n(in.p, std::min(in.span, len - i), r + i);
+            }
           }
         }
-        for (std::size_t b0 = begin; b0 < end; b0 += kBlock) {
-          const std::size_t c = std::min(kBlock, end - b0);
+        for (std::size_t b0 = begin; b0 < end; b0 += block) {
+          const std::size_t c = std::min(block, end - b0);
           for (std::size_t j = 0; j < numIns; ++j) {
             const In& in = ins[j];
-            float* r = inRows + j * kBlock;
+            float* r = inRows + 2 * j * kBlock;
             switch (in.mode) {
-              case Access::kDense:
+              case RegionAccess::kDense:
                 rowPtr[j] = in.p + b0;
                 break;
-              case Access::kScalar:
+              case RegionAccess::kScalar:
                 break;  // prefilled above
-              case Access::kSuffix: {
+              case RegionAccess::kSuffix: {
                 const std::size_t off = b0 % in.span;
-                if (off + c <= in.span) {
+                if (in.span <= kBlock) {
+                  rowPtr[j] = r + off;  // into the replicated row
+                } else if (off + c <= in.span) {
                   rowPtr[j] = in.p + off;  // block within one repeat
                 } else {
-                  // Wrap-around fill (a counter, not a per-element modulo —
-                  // spans like a channel count of 8 make div cost dominate).
-                  std::size_t idx = off;
-                  for (std::size_t i = 0; i < c; ++i) {
-                    r[i] = in.p[idx];
-                    if (++idx == in.span) idx = 0;
-                  }
+                  // A span longer than the block wraps at most once.
+                  const std::size_t head = in.span - off;
+                  std::copy_n(in.p + off, head, r);
+                  std::copy_n(in.p, c - head, r + head);
                   rowPtr[j] = r;
                 }
                 break;
               }
-              case Access::kGeneric:
+              case RegionAccess::kGeneric:
                 for (std::size_t i = 0; i < c; ++i) {
                   util::unravelIndex(b0 + i, outShape, coords);
                   r[i] = in.p[util::broadcastIndex(coords, *in.shape,
@@ -414,7 +277,7 @@ DataId NativeBackend::fusedRegion(const RegionProgram& program,
                                valRows + static_cast<std::size_t>(r) * kBlock);
           };
           for (std::size_t k = 0; k < numInstrs; ++k) {
-            const RegionInstr& si = program.instrs[k];
+            const RegionInstr& si = instrs[k];
             const float* A = row(si.a);
             // The terminal (nothing ever references it) stores straight to
             // the output; everything else lands in its scratch row.
@@ -422,7 +285,8 @@ DataId NativeBackend::fusedRegion(const RegionProgram& program,
             switch (si.kind) {
               case RegionInstr::Kind::kUnary: {
                 const auto op = static_cast<UnaryOp>(si.op);
-                // Same specializations (and formulas) as unaryLoop.
+                // Autovectorized forms of the hottest ops; the formulas are
+                // exactly applyUnary's.
                 switch (op) {
                   case UnaryOp::kRelu:
                     for (std::size_t i = 0; i < c; ++i) {
@@ -446,6 +310,16 @@ DataId NativeBackend::fusedRegion(const RegionProgram& program,
                   case UnaryOp::kMulScalar:
                     for (std::size_t i = 0; i < c; ++i) R[i] = A[i] * si.alpha;
                     break;
+                  case UnaryOp::kLeakyRelu:
+                    for (std::size_t i = 0; i < c; ++i) {
+                      R[i] = A[i] >= 0 ? A[i] : si.alpha * A[i];
+                    }
+                    break;
+                  case UnaryOp::kClipByValue:
+                    for (std::size_t i = 0; i < c; ++i) {
+                      R[i] = std::min(std::max(A[i], si.alpha), si.beta);
+                    }
+                    break;
                   default:
                     for (std::size_t i = 0; i < c; ++i) {
                       R[i] = applyUnary(op, A[i], si.alpha, si.beta);
@@ -456,7 +330,7 @@ DataId NativeBackend::fusedRegion(const RegionProgram& program,
               case RegionInstr::Kind::kBinary: {
                 const auto op = static_cast<BinaryOp>(si.op);
                 const float* B = row(si.b);
-                // Same specializations as binaryLoopSame.
+                // Same for the four arithmetic ops (applyBinary's formulas).
                 switch (op) {
                   case BinaryOp::kAdd:
                     for (std::size_t i = 0; i < c; ++i) R[i] = A[i] + B[i];
@@ -490,24 +364,6 @@ DataId NativeBackend::fusedRegion(const RegionProgram& program,
         }
       });
   return inPlace ? dst : store(std::move(fresh));
-}
-
-DataId NativeBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
-                            float beta) {
-  KernelTimer t(kernelMs_, "native.unary");
-  const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(xv.size());
-  unaryLoop(op, xv.data(), out.data(), out.size(), alpha, beta);
-  return store(std::move(out));
-}
-
-DataId NativeBackend::unaryInto(UnaryOp op, const TensorSpec& x, float alpha,
-                                float beta, DataId dst) {
-  if (dst != x.id) return unary(op, x, alpha, beta);
-  KernelTimer t(kernelMs_, "native.unary");
-  auto& v = mutableBuf(dst);
-  unaryLoop(op, v.data(), v.data(), v.size(), alpha, beta);
-  return dst;
 }
 
 DataId NativeBackend::matMul(const TensorSpec& a, const TensorSpec& b,

@@ -45,14 +45,12 @@ class NativeBackend : public RefBackend {
   /// Drops the packed-weight cache entry (if any) along with the buffer.
   void disposeData(DataId id) override;
 
+  /// One-instruction regions through the fusedRegion kernel: native has a
+  /// single elementwise implementation, whatever the broadcast pattern.
   DataId binary(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
                 const Shape& outShape) override;
   DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
                float beta) override;
-  DataId unaryInto(UnaryOp op, const TensorSpec& x, float alpha, float beta,
-                   DataId dst) override;
-  DataId binaryInto(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
-                    const Shape& outShape, DataId dst) override;
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB) override;
   /// Bias + activation applied inside the GEMM tile loop, per column panel
@@ -103,6 +101,10 @@ class NativeBackend : public RefBackend {
                    int n, const float* bias, FusedActivation act);
 
  private:
+  /// The strip-mined region kernel behind unary, binary and fusedRegion.
+  DataId runRegion(std::span<const RegionInstr> instrs,
+                   std::span<const TensorSpec* const> inputs,
+                   const Shape& outShape, DataId dst);
   DataId matMulImpl(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                     bool transposeB, const float* bias, FusedActivation act);
   DataId conv2dImpl(const TensorSpec& x, const TensorSpec& filter,

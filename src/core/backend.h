@@ -214,27 +214,7 @@ class Backend {
   virtual DataId cumsum(const TensorSpec& x, std::size_t outer,
                         std::size_t inner, bool exclusive, bool reverse) = 0;
 
-  // ---- optional fast paths (in-place + fused epilogues) ----------------
-  /// Like unary(), but MAY write the result into the existing buffer `dst`
-  /// (the engine passes dst == x.id after proving sole ownership) and
-  /// return dst. The default ignores the hint and dispatches the allocating
-  /// kernel — callers must handle either outcome by comparing the returned
-  /// id against dst.
-  virtual DataId unaryInto(UnaryOp op, const TensorSpec& x, float alpha,
-                           float beta, DataId dst) {
-    (void)dst;
-    return unary(op, x, alpha, beta);
-  }
-  /// In-place binary. `dst` must alias the operand whose shape equals
-  /// outShape (elementwise same-index reads make that aliasing safe; the
-  /// other operand may broadcast). Default: allocating kernel.
-  virtual DataId binaryInto(BinaryOp op, const TensorSpec& a,
-                            const TensorSpec& b, const Shape& outShape,
-                            DataId dst) {
-    (void)dst;
-    return binary(op, a, b, outShape);
-  }
-
+  // ---- optional fast paths (fused epilogues + fused regions) ----------
   /// True when the backend implements fusedMatMul/fusedConv2d. The ops
   /// layer checks this and otherwise composes the unfused kernel chain
   /// itself (device backends with command queues keep their existing
@@ -268,7 +248,9 @@ class Backend {
   /// one store. `inputs.size() == program.numInputs`; each input broadcasts
   /// to `outShape`. When `dst` is nonzero it aliases a dense input whose
   /// buffer the caller proved safe to overwrite — the kernel MAY write there
-  /// and return dst (same contract as unaryInto/binaryInto). Results must be
+  /// and return dst, or allocate; callers compare the returned id against
+  /// dst. A one-instruction program with dst is how move-consuming ops
+  /// (`relu(Tensor&&)`, `add(Tensor&&, b)`) run in place. Results must be
   /// bit-identical to dispatching the program's ops one at a time.
   virtual DataId fusedRegion(const RegionProgram& program,
                              std::span<const TensorSpec> inputs,

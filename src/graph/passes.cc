@@ -60,11 +60,23 @@ PassOptions PassOptions::fromEnv() {
   while (pos <= s.size()) {
     const std::size_t comma = std::min(s.find(',', pos), s.size());
     const std::string tok = s.substr(pos, comma - pos);
-    if (tok == "fold") o.fold = true;
-    if (tok == "fuse") o.fuse = true;
-    if (tok == "dce") o.dce = true;
-    if (tok == "plan") o.plan = true;
-    if (tok == "fuse_elementwise") o.fuseElementwise = true;
+    if (tok == "fold") {
+      o.fold = true;
+    } else if (tok == "fuse") {
+      o.fuse = true;
+    } else if (tok == "dce") {
+      o.dce = true;
+    } else if (tok == "plan") {
+      o.plan = true;
+    } else if (tok == "fuse_elementwise") {
+      o.fuseElementwise = true;
+    } else {
+      // A typo must not silently switch every pass off.
+      throw InvalidArgumentError(
+          "TFJS_GRAPH_OPT: unknown token '" + tok +
+          "'; valid: 0, off, 1, on, or a comma list of fold, fuse, "
+          "fuse_elementwise, dce, plan");
+    }
     pos = comma + 1;
   }
   return o;

@@ -12,7 +12,8 @@
 // have used.
 //
 // `TFJS_GRAPH_OPT` env toggle: unset/"1"/"on" = all passes; "0"/"off" =
-// none; a comma list ("fold,dce") enables just those passes.
+// none; a comma list ("fold,dce") enables just those passes. Any other
+// token throws InvalidArgumentError naming it.
 #pragma once
 
 #include <cstddef>

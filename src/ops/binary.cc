@@ -43,30 +43,27 @@ Tensor maskedGrad(const Tensor& dy, const Tensor& mask, const Shape& target) {
   return reduceGradTo(mul(dy, cast(mask, DType::f32)), target);
 }
 
-/// In-place fast path for a move-consumed first operand; see
-/// tryUnaryInPlace in unary.cc. Additionally requires that broadcasting
-/// leaves the first operand's shape unchanged (the output must fit exactly
-/// in its buffer).
-Tensor tryBinaryInPlace(const char* name, BinaryOp op, const Tensor& arg,
-                        const Tensor& b, DType outDtype) {
-  // See tryUnaryInPlace: capture takes the allocating, recordable path.
-  if (internal::captureDepth == 0 && E().opObserver() != nullptr) return {};
-  if (!E().canReuseInput(arg)) return {};
-  if (dtypeBytes(outDtype) != dtypeBytes(arg.dtype())) return {};
-  const Shape out = util::broadcastShapes(arg.shape(), b.shape());
-  if (!(arg.shape() == out)) return {};
-  internal::KernelScope k(name);
-  const TensorSpec sa = E().prepareInput(arg);
-  const TensorSpec sb = E().prepareInput(b);
-  const DataId id = E().backend().binaryInto(op, sa, sb, out, sa.id);
-  if (id != sa.id) {
-    Tensor y = E().makeTensorFromDataId(id, out, outDtype);
-    k.notify(y);
-    arg.dispose();
+/// Move-consuming form of a binary op; see `consume` in unary.cc. The
+/// in-place path additionally requires that broadcasting leaves the first
+/// operand's shape unchanged (the output must fit exactly in its buffer).
+template <typename Copying>
+Tensor consume(const char* name, BinaryOp op, Tensor&& a, const Tensor& b,
+               DType outDtype, Copying copying) {
+  const Tensor arg = std::move(a);
+  const RegionProgram program{2,
+                              {{.kind = RegionInstr::Kind::kBinary,
+                                .op = static_cast<int>(op),
+                                .a = -1,
+                                .b = -2}}};
+  const Tensor ins[] = {arg, b};
+  if (Tensor y = internal::tryRegionInPlace(
+          name, program, ins, util::broadcastShapes(arg.shape(), b.shape()),
+          outDtype);
+      y.defined()) {
     return y;
   }
-  Tensor y = E().reuseInputAsOutput(arg, out, outDtype);
-  k.notify(y);
+  Tensor y = copying(arg, b);
+  arg.dispose();
   return y;
 }
 
@@ -167,54 +164,30 @@ Tensor atan2(const Tensor& a, const Tensor& b) {
   return dispatch("atan2", BinaryOp::kAtan2, a, b, DType::f32);
 }
 
-// Move-consuming overloads; a watched first operand falls back to the
-// copying overload (canReuseInput refuses it), which records normally.
+// Move-consuming overloads; when a tape watches either operand they fall
+// back to the copying overload, which records normally.
 
 Tensor add(Tensor&& a, const Tensor& b) {
-  const Tensor arg = std::move(a);
-  if (Tensor y = tryBinaryInPlace("add", BinaryOp::kAdd, arg, b,
-                                  promoteTypes(arg.dtype(), b.dtype()));
-      y.defined()) {
-    return y;
-  }
-  Tensor y = add(arg, b);
-  arg.dispose();
-  return y;
+  const DType dtype = promoteTypes(a.dtype(), b.dtype());
+  return consume("add", BinaryOp::kAdd, std::move(a), b, dtype,
+                 [](const Tensor& x, const Tensor& y) { return add(x, y); });
 }
 
 Tensor sub(Tensor&& a, const Tensor& b) {
-  const Tensor arg = std::move(a);
-  if (Tensor y = tryBinaryInPlace("sub", BinaryOp::kSub, arg, b,
-                                  promoteTypes(arg.dtype(), b.dtype()));
-      y.defined()) {
-    return y;
-  }
-  Tensor y = sub(arg, b);
-  arg.dispose();
-  return y;
+  const DType dtype = promoteTypes(a.dtype(), b.dtype());
+  return consume("sub", BinaryOp::kSub, std::move(a), b, dtype,
+                 [](const Tensor& x, const Tensor& y) { return sub(x, y); });
 }
 
 Tensor mul(Tensor&& a, const Tensor& b) {
-  const Tensor arg = std::move(a);
-  if (Tensor y = tryBinaryInPlace("mul", BinaryOp::kMul, arg, b,
-                                  promoteTypes(arg.dtype(), b.dtype()));
-      y.defined()) {
-    return y;
-  }
-  Tensor y = mul(arg, b);
-  arg.dispose();
-  return y;
+  const DType dtype = promoteTypes(a.dtype(), b.dtype());
+  return consume("mul", BinaryOp::kMul, std::move(a), b, dtype,
+                 [](const Tensor& x, const Tensor& y) { return mul(x, y); });
 }
 
 Tensor div(Tensor&& a, const Tensor& b) {
-  const Tensor arg = std::move(a);
-  if (Tensor y = tryBinaryInPlace("div", BinaryOp::kDiv, arg, b, DType::f32);
-      y.defined()) {
-    return y;
-  }
-  Tensor y = div(arg, b);
-  arg.dispose();
-  return y;
+  return consume("div", BinaryOp::kDiv, std::move(a), b, DType::f32,
+                 [](const Tensor& x, const Tensor& y) { return div(x, y); });
 }
 
 Tensor addScalar(const Tensor& a, float s) { return add(a, scalar(s)); }

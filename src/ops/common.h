@@ -120,6 +120,19 @@ class KernelScope {
   double startUs_;
 };
 
+/// In-place dispatch behind every move-consuming op (`relu(Tensor&&)`,
+/// `add(Tensor&&, b)`, `fusedRegion(program, Tensor&&, rest)`): when the
+/// backend runs fused regions and the engine proves sole ownership of
+/// inputs[0], whose buffer must hold the output exactly (same shape, same
+/// element width), runs `program` with dst = that buffer under an op span
+/// named `name`; the output takes over the storage when the kernel wrote
+/// in place. Returns an undefined Tensor when a check fails — the caller
+/// then runs the allocating op (which records capture and gradients) and
+/// disposes the consumed input.
+Tensor tryRegionInPlace(const char* name, const RegionProgram& program,
+                        std::span<const Tensor> inputs, const Shape& outShape,
+                        DType outDtype);
+
 /// Records a pullback onto the active tape when gradients are being traced
 /// through any of the inputs.
 inline void record(const char* name, std::initializer_list<Tensor> inputs,

@@ -74,10 +74,11 @@ Tensor divScalar(const Tensor& a, float s);
 Tensor powScalar(const Tensor& a, float exponent);
 
 /// Move-consuming overloads: `a` is disposed either way, and when the
-/// engine can prove sole ownership (refcount 1, not kept, not on a tape)
-/// and the output shape/dtype-width match, the kernel writes into `a`'s
-/// buffer in place instead of allocating. Results are bit-identical to the
-/// copying overloads.
+/// backend runs fused regions, the engine can prove sole ownership
+/// (refcount 1, not kept), no tape watches either operand, and the output
+/// shape/dtype-width match, the kernel writes into `a`'s buffer in place
+/// instead of allocating. Results are bit-identical to the copying
+/// overloads.
 Tensor add(Tensor&& a, const Tensor& b);
 Tensor sub(Tensor&& a, const Tensor& b);
 Tensor mul(Tensor&& a, const Tensor& b);

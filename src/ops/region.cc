@@ -6,6 +6,9 @@
 // per element in the original program order, so fused outputs are
 // bit-identical to the unfused chain on the active backend (the
 // bitwise-parity argument is in DESIGN.md "Graph capture & optimization").
+// The same kernel is the in-place path of every move-consuming op: a
+// one-instruction region whose dst is the consumed input's buffer
+// (tryRegionInPlace).
 #include "core/util.h"
 #include "ops/common.h"
 
@@ -174,39 +177,51 @@ Tensor fusedRegion(const RegionProgram& program, Tensor&& first,
   all.reserve(rest.size() + 1);
   all.push_back(arg);
   all.insert(all.end(), rest.begin(), rest.end());
-  // Same sole-ownership gate as tryUnaryInPlace/tryBinaryInPlace; the
-  // backend additionally verifies dst aliases exactly one (dense) input
-  // and otherwise allocates.
-  const bool tryInPlace = E().backend().supportsFusedRegions() &&
-                          !(internal::captureDepth == 0 &&
-                            E().opObserver() != nullptr) &&
-                          E().canReuseInput(arg) &&
-                          dtypeBytes(outDtype) == dtypeBytes(arg.dtype());
-  if (tryInPlace) {
-    validateRegion(program, all.size());
-    const std::vector<Shape> shapes = regionShapes(program, all);
-    const Shape& outShape = shapes.back();
-    if (arg.shape() == outShape) {
-      internal::CaptureFrame frame;
-      internal::KernelScope k("fusedRegion");
-      std::vector<TensorSpec> specs;
-      specs.reserve(all.size());
-      for (const Tensor& t : all) specs.push_back(E().prepareInput(t));
-      const DataId id =
-          E().backend().fusedRegion(program, specs, outShape, specs[0].id);
-      if (id == specs[0].id) {
-        Tensor y = E().reuseInputAsOutput(arg, outShape, outDtype);
-        k.notify(y);
-        return y;
-      }
-      Tensor y = E().makeTensorFromDataId(id, outShape, outDtype);
-      k.notify(y);
-      arg.dispose();
-      return y;
-    }
+  validateRegion(program, all.size());
+  if (Tensor y = internal::tryRegionInPlace(
+          "fusedRegion", program, all, regionShapes(program, all).back(),
+          outDtype);
+      y.defined()) {
+    return y;
   }
   Tensor y = fusedRegion(program, all, outDtype);
   arg.dispose();
+  return y;
+}
+
+Tensor internal::tryRegionInPlace(const char* name,
+                                  const RegionProgram& program,
+                                  std::span<const Tensor> inputs,
+                                  const Shape& outShape, DType outDtype) {
+  const Tensor& arg = inputs[0];
+  // During capture the allocating path records the op; the in-place path
+  // would overwrite an input the recorder may still need to snapshot.
+  if (internal::captureDepth == 0 && E().opObserver() != nullptr) return {};
+  if (!E().backend().supportsFusedRegions()) return {};
+  if (!E().canReuseInput(arg)) return {};
+  // canReuseInput() vets only the consumed input; when a tape watches any
+  // other input, the allocating op must run to record the pullback.
+  if (TapeRecorder* tape = E().tape();
+      tape != nullptr && tape->watched(inputs)) {
+    return {};
+  }
+  if (dtypeBytes(outDtype) != dtypeBytes(arg.dtype())) return {};
+  if (!(arg.shape() == outShape)) return {};
+  internal::KernelScope k(name);
+  std::vector<TensorSpec> specs;
+  specs.reserve(inputs.size());
+  for (const Tensor& t : inputs) specs.push_back(E().prepareInput(t));
+  const DataId dst = specs[0].id;
+  const DataId id = E().backend().fusedRegion(program, specs, outShape, dst);
+  if (id != dst) {
+    // The backend declined the in-place write and allocated.
+    Tensor y = E().makeTensorFromDataId(id, outShape, outDtype);
+    k.notify(y);
+    arg.dispose();
+    return y;
+  }
+  Tensor y = E().reuseInputAsOutput(arg, outShape, outDtype);
+  k.notify(y);
   return y;
 }
 

@@ -21,30 +21,26 @@ Tensor dispatch(const char* name, UnaryOp op, const Tensor& x, float alpha = 0,
   return y;
 }
 
-/// In-place fast path for a move-consumed input: when the engine proves sole
-/// ownership and the element width is unchanged, the kernel overwrites the
-/// input's buffer and the output tensor takes over its storage. Returns an
-/// undefined Tensor when the fast path does not apply (caller falls back to
-/// the allocating op and disposes the consumed input afterwards).
-Tensor tryUnaryInPlace(const char* name, UnaryOp op, const Tensor& arg,
-                       float alpha, float beta, DType outDtype) {
-  // During capture the allocating path records the op; the in-place path
-  // would overwrite an input the recorder may still need to snapshot.
-  if (internal::captureDepth == 0 && E().opObserver() != nullptr) return {};
-  if (!E().canReuseInput(arg)) return {};
-  if (dtypeBytes(outDtype) != dtypeBytes(arg.dtype())) return {};
-  internal::KernelScope k(name);
-  const TensorSpec sx = E().prepareInput(arg);
-  const DataId id = E().backend().unaryInto(op, sx, alpha, beta, sx.id);
-  if (id != sx.id) {
-    // Backend declined the in-place write and allocated.
-    Tensor y = E().makeTensorFromDataId(id, sx.shape, outDtype);
-    k.notify(y);
-    arg.dispose();
+/// Move-consuming form of a unary op: in place through a one-instruction
+/// region when internal::tryRegionInPlace allows it; otherwise the
+/// allocating overload `copying` runs and the consumed input is disposed.
+template <typename Copying>
+Tensor consume(const char* name, UnaryOp op, Tensor&& x, DType outDtype,
+               Copying copying, float alpha = 0, float beta = 0) {
+  const Tensor arg = std::move(x);
+  const RegionProgram program{1,
+                              {{.kind = RegionInstr::Kind::kUnary,
+                                .op = static_cast<int>(op),
+                                .a = -1,
+                                .alpha = alpha,
+                                .beta = beta}}};
+  if (Tensor y = internal::tryRegionInPlace(name, program, {&arg, 1},
+                                            arg.shape(), outDtype);
+      y.defined()) {
     return y;
   }
-  Tensor y = E().reuseInputAsOutput(arg, sx.shape, outDtype);
-  k.notify(y);
+  Tensor y = copying(arg);
+  arg.dispose();
   return y;
 }
 
@@ -289,115 +285,58 @@ Tensor logicalNot(const Tensor& x) {
 }
 
 // Move-consuming overloads. No tape recording is needed on the in-place
-// path: canReuseInput() refuses tensors a tape is watching, so a watched
-// input always takes the copying overload below (which records normally).
+// path: tryRegionInPlace refuses whenever a tape watches an input, so a
+// watched input always takes the copying overload (which records normally).
 
 Tensor neg(Tensor&& x) {
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("neg", UnaryOp::kNeg, arg, 0, 0, arg.dtype());
-      y.defined()) {
-    return y;
-  }
-  Tensor y = neg(arg);
-  arg.dispose();
-  return y;
+  const DType dtype = x.dtype();
+  return consume("neg", UnaryOp::kNeg, std::move(x), dtype,
+                 [](const Tensor& t) { return neg(t); });
 }
 
 Tensor exp(Tensor&& x) {
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("exp", UnaryOp::kExp, arg, 0, 0, DType::f32);
-      y.defined()) {
-    return y;
-  }
-  Tensor y = exp(arg);
-  arg.dispose();
-  return y;
+  return consume("exp", UnaryOp::kExp, std::move(x), DType::f32,
+                 [](const Tensor& t) { return exp(t); });
 }
 
 Tensor sqrt(Tensor&& x) {
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("sqrt", UnaryOp::kSqrt, arg, 0, 0,
-                                 DType::f32);
-      y.defined()) {
-    return y;
-  }
-  Tensor y = sqrt(arg);
-  arg.dispose();
-  return y;
+  return consume("sqrt", UnaryOp::kSqrt, std::move(x), DType::f32,
+                 [](const Tensor& t) { return sqrt(t); });
 }
 
 Tensor square(Tensor&& x) {
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("square", UnaryOp::kSquare, arg, 0, 0,
-                                 arg.dtype());
-      y.defined()) {
-    return y;
-  }
-  Tensor y = square(arg);
-  arg.dispose();
-  return y;
+  const DType dtype = x.dtype();
+  return consume("square", UnaryOp::kSquare, std::move(x), dtype,
+                 [](const Tensor& t) { return square(t); });
 }
 
 Tensor tanh(Tensor&& x) {
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("tanh", UnaryOp::kTanh, arg, 0, 0,
-                                 DType::f32);
-      y.defined()) {
-    return y;
-  }
-  Tensor y = tanh(arg);
-  arg.dispose();
-  return y;
+  return consume("tanh", UnaryOp::kTanh, std::move(x), DType::f32,
+                 [](const Tensor& t) { return tanh(t); });
 }
 
 Tensor relu(Tensor&& x) {
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("relu", UnaryOp::kRelu, arg, 0, 0,
-                                 DType::f32);
-      y.defined()) {
-    return y;
-  }
-  Tensor y = relu(arg);
-  arg.dispose();
-  return y;
+  return consume("relu", UnaryOp::kRelu, std::move(x), DType::f32,
+                 [](const Tensor& t) { return relu(t); });
 }
 
 Tensor relu6(Tensor&& x) {
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("relu6", UnaryOp::kRelu6, arg, 0, 0,
-                                 DType::f32);
-      y.defined()) {
-    return y;
-  }
-  Tensor y = relu6(arg);
-  arg.dispose();
-  return y;
+  return consume("relu6", UnaryOp::kRelu6, std::move(x), DType::f32,
+                 [](const Tensor& t) { return relu6(t); });
 }
 
 Tensor sigmoid(Tensor&& x) {
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("sigmoid", UnaryOp::kSigmoid, arg, 0, 0,
-                                 DType::f32);
-      y.defined()) {
-    return y;
-  }
-  Tensor y = sigmoid(arg);
-  arg.dispose();
-  return y;
+  return consume("sigmoid", UnaryOp::kSigmoid, std::move(x), DType::f32,
+                 [](const Tensor& t) { return sigmoid(t); });
 }
 
 Tensor clipByValue(Tensor&& x, float lo, float hi) {
   TFJS_ARG_CHECK(lo <= hi, "clipByValue requires lo <= hi, got " << lo << ", "
                                                                  << hi);
-  const Tensor arg = std::move(x);
-  if (Tensor y = tryUnaryInPlace("clipByValue", UnaryOp::kClipByValue, arg, lo,
-                                 hi, arg.dtype());
-      y.defined()) {
-    return y;
-  }
-  Tensor y = clipByValue(arg, lo, hi);
-  arg.dispose();
-  return y;
+  const DType dtype = x.dtype();
+  return consume(
+      "clipByValue", UnaryOp::kClipByValue, std::move(x), dtype,
+      [lo, hi](const Tensor& t) { return clipByValue(t, lo, hi); }, lo, hi);
 }
 
 Tensor cast(const Tensor& x, DType dtype) {

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "backends/common/ref_backend.h"
 #include "core/buffer_pool.h"
 #include "core/engine.h"
 #include "core/metrics.h"
@@ -199,29 +202,63 @@ TEST_F(BufferPoolTest, SteadyStateChainHitsPool) {
   x.dispose();
 }
 
-TEST_F(BufferPoolTest, MoveConsumingOpReusesBufferInPlace) {
-  setBackend("native");
+// ------------------------------------------- in-place move-consuming ops
+
+/// The move-consuming overloads on every backend. ref, cpu and native run
+/// them in place as a one-instruction fused region; webgl has no region
+/// kernel, so its move overloads must allocate and still return the right
+/// values.
+class InPlaceTest : public BufferPoolTest,
+                    public ::testing::WithParamInterface<const char*> {
+ protected:
+  void SetUp() override {
+    BufferPoolTest::SetUp();
+    static const bool refRegistered = [] {
+      Engine::get().registerBackend(
+          "ref", [] { return std::make_unique<backends::RefBackend>(); },
+          /*priority=*/0);
+      return true;
+    }();
+    (void)refRegistered;
+    setBackend(GetParam());
+  }
+  bool writesInPlace() const { return std::string(GetParam()) != "webgl"; }
+};
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, InPlaceTest,
+                         ::testing::Values("ref", "cpu", "native", "webgl"),
+                         [](const auto& info) { return info.param; });
+
+TEST_P(InPlaceTest, MoveConsumingOpReusesBufferInPlace) {
   auto& inplace = metrics::Registry::get().counter("engine.inplace_reuses");
   const auto reusesBefore = inplace.value();
-  Tensor a = o::tensor({-2.f, -1.f, 0.f, 1.f, 2.f, 3.f}, Shape{6});
+  Tensor a = o::tensor({-2.f, -1.f, 0.f, 1.f, 2.f, 3.f}, Shape{2, 3});
   const DataId id = a.dataId();
   Tensor y = o::relu(std::move(a));
-  EXPECT_EQ(y.dataId(), id) << "sole owner: relu should write in place";
-  EXPECT_EQ(inplace.value(), reusesBefore + 1);
+  EXPECT_EQ(y.dataId() == id, writesInPlace())
+      << "sole owner: relu should write in place on region backends";
   test::expectValues(y, {0.f, 0.f, 0.f, 1.f, 2.f, 3.f});
 
-  // Binary in-place with a broadcast (scalar) second operand.
+  // Binary in place with a broadcast (scalar) second operand.
   const DataId yId = y.dataId();
   Tensor s = o::scalar(10.f);
   Tensor z = o::add(std::move(y), s);
-  EXPECT_EQ(z.dataId(), yId);
+  EXPECT_EQ(z.dataId() == yId, writesInPlace());
   test::expectValues(z, {10.f, 10.f, 10.f, 11.f, 12.f, 13.f});
-  z.dispose();
+
+  // ... and with a per-channel (suffix) second operand.
+  const DataId zId = z.dataId();
+  Tensor bias = o::tensor({1.f, 2.f, 4.f}, Shape{3});
+  Tensor w = o::sub(std::move(z), bias);
+  EXPECT_EQ(w.dataId() == zId, writesInPlace());
+  test::expectValues(w, {9.f, 8.f, 6.f, 10.f, 10.f, 9.f});
+  EXPECT_EQ(inplace.value(), reusesBefore + (writesInPlace() ? 3 : 0));
+  w.dispose();
+  bias.dispose();
   s.dispose();
 }
 
-TEST_F(BufferPoolTest, SharedTensorRefusesInPlace) {
-  setBackend("native");
+TEST_P(InPlaceTest, SharedTensorRefusesInPlace) {
   Tensor a = o::tensor({1.f, -2.f, 3.f}, Shape{3});
   Tensor alias = a.clone();  // second reference to the same container
   const DataId id = a.dataId();
@@ -233,8 +270,7 @@ TEST_F(BufferPoolTest, SharedTensorRefusesInPlace) {
   alias.dispose();
 }
 
-TEST_F(BufferPoolTest, KeptTensorRefusesInPlace) {
-  setBackend("native");
+TEST_P(InPlaceTest, KeptTensorRefusesInPlace) {
   Tensor a = o::tensor({-1.f, 2.f}, Shape{2});
   a.keep();
   const DataId id = a.dataId();
@@ -244,8 +280,7 @@ TEST_F(BufferPoolTest, KeptTensorRefusesInPlace) {
   y.dispose();
 }
 
-TEST_F(BufferPoolTest, BroadcastGrowthRefusesBinaryInPlace) {
-  setBackend("native");
+TEST_P(InPlaceTest, BroadcastGrowthRefusesBinaryInPlace) {
   // First operand [1,3] broadcasts up to [2,3]: its buffer cannot hold the
   // output, so the move overload must fall back to allocating.
   Tensor a = o::tensor({1.f, 2.f, 3.f}, Shape{1, 3});

@@ -279,6 +279,21 @@ TEST_P(FusionTest, TapedInputRefusesInPlaceButGradsCorrect) {
   test::expectValues(grads[0], {0.f, 0.f, 3.f, 3.f});
   v.dispose();
   grads[0].dispose();
+
+  // The consumed operand is untaped but the other one is watched: the op
+  // must still record, or x's gradient silently drops to zero.
+  auto [v2, grads2] = autodiff::valueAndGrads(
+      [&] {
+        Tensor shift = o::fill(Shape{4}, 5.f);
+        Tensor y = o::mul(std::move(shift), x);
+        Tensor loss = o::sum(y);
+        y.dispose();
+        return loss;
+      },
+      xs);
+  test::expectValues(grads2[0], {5.f, 5.f, 5.f, 5.f});
+  v2.dispose();
+  grads2[0].dispose();
   x.dispose();
 }
 

@@ -462,6 +462,24 @@ TEST(GraphPasses, PassOptionsFromEnv) {
   EXPECT_TRUE(all.fold && all.fuse && all.dce && all.plan &&
               all.fuseElementwise);
 
+  // A typo must fail loudly, naming the bad token and the valid ones,
+  // instead of silently switching every pass off.
+  const std::pair<const char*, const char*> typos[] = {
+      {"fuse-elementwise", "'fuse-elementwise'"},
+      {"fold,dec", "'dec'"},
+      {"fold,,dce", "''"}};
+  for (const auto& [value, quoted] : typos) {
+    ::setenv("TFJS_GRAPH_OPT", value, 1);
+    try {
+      PassOptions::fromEnv();
+      ADD_FAILURE() << "accepted TFJS_GRAPH_OPT=" << value;
+    } catch (const InvalidArgumentError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(quoted), std::string::npos) << msg;
+      EXPECT_NE(msg.find("fuse_elementwise"), std::string::npos) << msg;
+    }
+  }
+
   ::unsetenv("TFJS_GRAPH_OPT");
 }
 

@@ -21,6 +21,7 @@
 #include "backends/native/native_backend.h"
 #include "core/conv_util.h"
 #include "core/thread_pool.h"
+#include "core/util.h"
 
 namespace {
 
@@ -72,9 +73,9 @@ class NativeParityTest : public ::testing::Test {
     const std::vector<float> serial = kernel(native_);
     const std::vector<float> ref = kernel(ref_);
     EXPECT_EQ(parallel.size(), serial.size());
-    EXPECT_EQ(std::memcmp(parallel.data(), serial.data(),
-                          parallel.size() * sizeof(float)),
-              0)
+    EXPECT_TRUE(parallel.empty() ||
+                std::memcmp(parallel.data(), serial.data(),
+                            parallel.size() * sizeof(float)) == 0)
         << "parallel native result differs bitwise from serial native";
     return {parallel, ref};
   }
@@ -214,20 +215,35 @@ TEST_F(NativeParityTest, Pool2dMaxAndAvg) {
 }
 
 TEST_F(NativeParityTest, ElementwiseBinaryOddCount) {
-  // 100003 elements: three full 32K-float chunks plus a ragged one.
-  const std::size_t n = 100003;
-  const Shape shape{static_cast<int>(n)};
-  auto aData = randomData(n, 16);
-  for (auto& v : aData) v += 1.5f;  // positive bases keep kPow finite
-  auto bData = randomData(n, 17);
-  for (auto& v : bData) v += 2.f;  // keep divisors away from zero
-  for (const BinaryOp op :
-       {BinaryOp::kAdd, BinaryOp::kMul, BinaryOp::kDiv, BinaryOp::kPow}) {
-    auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-      return be.read(
-          be.binary(op, put(be, aData, shape), put(be, bData, shape), shape));
-    });
-    expectExactlyEqual(par, ref);
+  // Odd element counts (ragged last 32K-float chunks) over every broadcast
+  // class the native region kernel resolves differently.
+  const std::pair<Shape, Shape> cases[] = {
+      {Shape{100003}, Shape{100003}},  // dense: 3 full chunks + a ragged one
+      {Shape{100003}, Shape{}},        // scalar second operand
+      {Shape{3001, 32}, Shape{32}},    // per-channel suffix, span 32
+      {Shape{2003, 37}, Shape{37}},    // suffix span not dividing a block
+      {Shape{101, 1000}, Shape{1000}},  // suffix longer than a 512 block
+      {Shape{32}, Shape{3001, 32}},    // suffix first operand
+      {Shape{}, Shape{100003}},        // scalar first operand
+      {Shape{317, 1}, Shape{1, 331}},  // generic [N,1] x [1,M]
+      {Shape{0, 32}, Shape{32}},       // zero elements
+  };
+  for (const auto& [aShape, bShape] : cases) {
+    const Shape out = tfjs::util::broadcastShapes(aShape, bShape);
+    auto aData = randomData(aShape.size(), 16);
+    for (auto& v : aData) v += 1.5f;  // positive bases keep kPow finite
+    auto bData = randomData(bShape.size(), 17);
+    for (auto& v : bData) v += 2.f;  // keep divisors away from zero
+    for (const BinaryOp op :
+         {BinaryOp::kAdd, BinaryOp::kMul, BinaryOp::kDiv, BinaryOp::kPow}) {
+      SCOPED_TRACE(aShape.toString() + " op " + bShape.toString());
+      auto [par, ref] = runBoth([&](tfjs::Backend& be) {
+        return be.read(be.binary(op, put(be, aData, aShape),
+                                 put(be, bData, bShape), out));
+      });
+      EXPECT_EQ(par.size(), out.size());
+      expectExactlyEqual(par, ref);
+    }
   }
 }
 
@@ -235,10 +251,12 @@ TEST_F(NativeParityTest, ElementwiseUnaryOddCount) {
   const std::size_t n = 70001;
   const Shape shape{static_cast<int>(n)};
   const auto xData = randomData(n, 18);
-  for (const UnaryOp op : {UnaryOp::kRelu, UnaryOp::kSquare, UnaryOp::kExp,
-                           UnaryOp::kSigmoid, UnaryOp::kTanh}) {
+  // alpha/beta feed the parameterized ops (leakyRelu slope, clip range).
+  for (const UnaryOp op :
+       {UnaryOp::kRelu, UnaryOp::kSquare, UnaryOp::kExp, UnaryOp::kSigmoid,
+        UnaryOp::kTanh, UnaryOp::kLeakyRelu, UnaryOp::kClipByValue}) {
     auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-      return be.read(be.unary(op, put(be, xData, shape), 0, 0));
+      return be.read(be.unary(op, put(be, xData, shape), -0.25f, 0.5f));
     });
     expectExactlyEqual(par, ref);
   }

@@ -2,7 +2,9 @@
 # Builds the threading-sensitive tests under ThreadSanitizer and runs them,
 # then repeats the memory-sensitive subset under AddressSanitizer (the
 # buffer pool hands raw storage between tensors, in-place ops and backend
-# scratch buffers — exactly where lifetime bugs would hide), and finally the
+# scratch buffers — exactly where lifetime bugs would hide; native_parity_test
+# drives the native region kernel, behind every native elementwise op, over
+# its prefilled scratch rows and every broadcast class), and finally the
 # int8 kernels under UndefinedBehaviorSanitizer (narrowing conversions,
 # shifts and overflow in the quantization math).
 # async_test covers the multi-producer EventLoop::postTask path,
@@ -45,9 +47,9 @@ extended_fuzz build-tsan
 
 cmake -B build-asan -S . -DTFJS_SANITIZE=address
 cmake --build build-asan -j --target buffer_pool_test fusion_test \
-  quant_test serving_test graph_fuzz_test
+  quant_test serving_test graph_fuzz_test native_parity_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test'
+  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test'
 extended_fuzz build-asan
 
 cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined

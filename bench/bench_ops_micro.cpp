@@ -155,11 +155,13 @@ int runThreadsSweep(const std::string& jsonPath, int gemmN,
     double gemmMs, addMs;
   };
   std::vector<Point> points;
+  const double gemmFlops = 2.0 * gemmN * gemmN * gemmN;
   std::printf("== native backend intra-op thread sweep ==\n");
   std::printf("hardware_concurrency: %d\n\n", hw);
   char gemmLabel[32];
   std::snprintf(gemmLabel, sizeof gemmLabel, "gemm %dx%d (ms)", gemmN, gemmN);
-  std::printf("%8s %18s %14s\n", "threads", gemmLabel, "add (ms)");
+  std::printf("%8s %18s %10s %14s\n", "threads", gemmLabel, "GFLOP/s",
+              "add (ms)");
   for (int t : counts) {
     tfjs::setNumThreads(t);
     Point p;
@@ -171,7 +173,8 @@ int runThreadsSweep(const std::string& jsonPath, int gemmN,
       tfjs::tidyVoid([&] { o::add(x, y).dataSync(); });
     });
     points.push_back(p);
-    std::printf("%8d %18.2f %14.2f\n", t, p.gemmMs, p.addMs);
+    std::printf("%8d %18.2f %10.1f %14.2f\n", t, p.gemmMs,
+                gemmFlops / (p.gemmMs * 1e6), p.addMs);
   }
   a.dispose();
   b.dispose();
@@ -193,6 +196,7 @@ int runThreadsSweep(const std::string& jsonPath, int gemmN,
     gemmPoints.push(Json::object()
                         .set("threads", p.threads)
                         .set("ms", p.gemmMs)
+                        .set("gflops", gemmFlops / (p.gemmMs * 1e6))
                         .set("speedup_vs_1", gemmBase / p.gemmMs));
     addPoints.push(Json::object()
                        .set("threads", p.threads)

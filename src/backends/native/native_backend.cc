@@ -1,8 +1,10 @@
 #include "backends/native/native_backend.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "core/buffer_pool.h"
 #include "core/engine.h"
@@ -14,10 +16,8 @@ namespace tfjs::backends::native {
 namespace {
 using core::ThreadPool;
 
-// Cache-blocking parameters: the k×n panel of B (kKC*kNC floats) fits in L2;
-// the m×k panel of A (kMC*kKC) in L1-adjacent space. They double as the
-// parallel grain: one GEMM chunk is a kMC-row (or kNC-column) panel, so each
-// worker keeps the original blocked loop structure.
+// GEMM blocking: B is packed kKC rows of k at a time (a kKC x n block sits
+// in L2), and the parallel grain is a kMC-row (or kNC-column) panel of C.
 constexpr int kMC = 64;
 constexpr int kKC = 256;
 constexpr int kNC = 512;
@@ -35,82 +35,298 @@ std::size_t rowsPerChunk(std::size_t scalarsPerRow, std::size_t target) {
                                                                  scalarsPerRow));
 }
 
-/// The blocked GEMM core restricted to rows [rowBegin, rowEnd) and columns
-/// [colBegin, colEnd) of C. For every C element the accumulation over p runs
-/// ascending regardless of how the row/column space is partitioned, so any
-/// tiling of disjoint tiles is bit-identical to the full serial sweep.
-///
-/// When `bias`/`act` request a fused epilogue it runs per column panel right
-/// after the k loop finishes — every C element in the panel is fully
-/// accumulated and still cache-hot. The scalar math is applyBinary(kAdd) /
-/// applyUnary of the matching activation, so the fused result is bitwise the
-/// unfused matMul + add + activation chain.
-void gemmTile(const float* A, const float* B, float* C, int k, int n,
-              int rowBegin, int rowEnd, int colBegin, int colEnd,
-              const float* bias = nullptr,
-              FusedActivation act = FusedActivation::kNone) {
-  for (int j0 = colBegin; j0 < colEnd; j0 += kNC) {
-    const int jMax = std::min(j0 + kNC, colEnd);
-    for (int p0 = 0; p0 < k; p0 += kKC) {
-      const int pMax = std::min(p0 + kKC, k);
-      for (int i0 = rowBegin; i0 < rowEnd; i0 += kMC) {
-        const int iMax = std::min(i0 + kMC, rowEnd);
-        for (int i = i0; i < iMax; ++i) {
-          float* __restrict Crow = C + static_cast<std::size_t>(i) * n;
-          for (int p = p0; p < pMax; ++p) {
-            const float aval = A[static_cast<std::size_t>(i) * k + p];
-            const float* __restrict Brow =
-                B + static_cast<std::size_t>(p) * n;
-            // Inner loop over j autovectorizes to AVX fma.
-            for (int j = j0; j < jMax; ++j) {
-              Crow[j] += aval * Brow[j];
-            }
-          }
-        }
+// ---------------------------------------------------------------- f32 GEMM
+//
+// Goto/BLIS structure: per kKC-deep block of k, B is packed into kc x kNR
+// column panels, and one micro-kernel holds an MR x kNR tile of C in vector
+// registers for the whole block — one load and one store of C per block
+// instead of one per k step. A is read in place (MR rows, stride lda).
+//
+// Bitwise contract: every C element is one multiply-add chain over p
+// ascending that starts from the value already in C, exactly as a scalar
+// `c += a * b` loop computes it (one FMA per step when the target has FMA —
+// this TU builds with -ffp-contract=fast — two roundings otherwise). Blocks,
+// tiles and the parallel partition only decide *when* a chain advances,
+// never its order, so results are bitwise independent of all of them.
+
+// Vector width is fixed at compile time by the target ISA (no runtime
+// dispatch): 16 lanes under AVX-512, 8 under AVX, SSE2's 4 in a portable
+// build. GCC vector extensions give one source for all three.
+#if defined(__AVX512F__)
+constexpr int kLanes = 16;
+#elif defined(__AVX__)
+constexpr int kLanes = 8;
+#else
+constexpr int kLanes = 4;
+#endif
+using Vec = float __attribute__((vector_size(kLanes * sizeof(float))));
+
+/// A tile row is kNV vectors: kNR columns of C per micro-kernel call.
+constexpr int kNV = 2;
+constexpr int kNR = kNV * kLanes;
+/// Tallest tile: kMR * kNV accumulators plus kNV B vectors and a broadcast
+/// fit the register file (32 zmm under AVX-512, 16 ymm/xmm otherwise).
+constexpr int kMR = kLanes == 16 ? 8 : 6;
+/// k block of the small-m path, which reads B in place.
+constexpr int kSmallKC = 16;
+
+inline Vec loadVec(const float* p) {
+  Vec v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline void storeVec(float* p, Vec v) { std::memcpy(p, &v, sizeof v); }
+
+/// The fused epilogue of the last k block: bias (already offset to the
+/// tile's first column, kNR entries readable) then the activation.
+struct Epilogue {
+  const float* bias;
+  FusedActivation act;
+};
+
+/// C[0:MR, 0:kNR] (row stride ldc) += A[0:MR, 0:kc] (row stride lda) *
+/// B[0:kc, 0:kNR] (row stride ldb), then `ep` when non-null. The relu and
+/// relu6 selects are applyUnary's formulas written per lane —
+/// `x > 0 ? x : 0` and std::min(std::max(x, 0.f), 6.f) spelled as
+/// `x < 0 ? 0 : x` then `6 < t ? 6 : t` — so NaN and -0 come out as in the
+/// scalar path. Other activations (sigmoid) go through applyFusedActivation
+/// after the store.
+template <int MR>
+void microKernel(int kc, const float* __restrict A, std::size_t lda,
+                 const float* __restrict B, std::size_t ldb,
+                 float* __restrict C, std::size_t ldc, const Epilogue* ep) {
+  Vec acc[MR][kNV];
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < kNV; ++v) {
+      acc[r][v] = loadVec(C + r * ldc + v * kLanes);
+    }
+  }
+  for (int p = 0; p < kc; ++p) {
+    Vec b[kNV];
+    for (int v = 0; v < kNV; ++v) b[v] = loadVec(B + p * ldb + v * kLanes);
+    for (int r = 0; r < MR; ++r) {
+      const float a = A[r * lda + p];
+      for (int v = 0; v < kNV; ++v) acc[r][v] += a * b[v];
+    }
+  }
+  if (ep != nullptr) {
+    if (ep->bias != nullptr) {
+      for (int v = 0; v < kNV; ++v) {
+        const Vec bv = loadVec(ep->bias + v * kLanes);
+        for (int r = 0; r < MR; ++r) acc[r][v] = acc[r][v] + bv;
       }
     }
-    if (bias != nullptr || act != FusedActivation::kNone) {
-      for (int i = rowBegin; i < rowEnd; ++i) {
-        float* __restrict Crow = C + static_cast<std::size_t>(i) * n;
-        for (int j = j0; j < jMax; ++j) {
-          float v = Crow[j];
-          if (bias != nullptr) v += bias[j];
-          Crow[j] = applyFusedActivation(act, v);
+    const Vec zero = {}, six = zero + 6.f;
+    if (ep->act == FusedActivation::kRelu) {
+      for (auto& row : acc) {
+        for (Vec& x : row) x = x > zero ? x : zero;
+      }
+    } else if (ep->act == FusedActivation::kRelu6) {
+      for (auto& row : acc) {
+        for (Vec& x : row) {
+          const Vec t = x < zero ? zero : x;
+          x = six < t ? six : t;
         }
       }
     }
   }
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < kNV; ++v) {
+      storeVec(C + r * ldc + v * kLanes, acc[r][v]);
+    }
+  }
+  const bool scalarAct = ep != nullptr && ep->act != FusedActivation::kNone &&
+                         ep->act != FusedActivation::kRelu &&
+                         ep->act != FusedActivation::kRelu6;
+  if (scalarAct) {
+    for (int r = 0; r < MR; ++r) {
+      for (int j = 0; j < kNR; ++j) {
+        C[r * ldc + j] = applyFusedActivation(ep->act, C[r * ldc + j]);
+      }
+    }
+  }
+}
+
+using MicroKernelFn = void (*)(int, const float*, std::size_t, const float*,
+                               std::size_t, float*, std::size_t,
+                               const Epilogue*);
+
+/// microKernel<MR> for MR = 1..kMR, indexed by MR - 1 (tail rows of a panel
+/// run the shorter tiles).
+template <std::size_t... I>
+constexpr std::array<MicroKernelFn, sizeof...(I)> microKernels(
+    std::index_sequence<I...>) {
+  return {&microKernel<static_cast<int>(I) + 1>...};
+}
+constexpr auto kMicroKernels = microKernels(std::make_index_sequence<kMR>{});
+
+/// Packs rows [p0, p0 + kc) of op(B), `width` columns wide, into
+/// consecutive kc x kNR panels (columns [j, j + kNR) at dst + j * kc),
+/// zero-filling the columns past `width`. op(B)[p, j] is B[p * ldb + j], or
+/// with `transB` B[j * ldb + p] — packing is where B gets transposed. Either
+/// way the source is read in storage order, one contiguous run at a time.
+void packB(const float* B, bool transB, std::size_t ldb, int width, int p0,
+           int kc, float* dst) {
+  for (int j = 0; j < width; j += kNR) {
+    const int cols = std::min(kNR, width - j);
+    float* panel = dst + static_cast<std::size_t>(j) * kc;
+    if (transB) {
+      for (int c = 0; c < cols; ++c) {
+        const float* src = B + (j + c) * ldb + p0;
+        for (int p = 0; p < kc; ++p) panel[p * kNR + c] = src[p];
+      }
+    }
+    if (cols < kNR) {
+      for (int p = 0; p < kc; ++p) {
+        std::fill(panel + p * kNR + cols, panel + (p + 1) * kNR, 0.f);
+      }
+    }
+  }
+  if (transB) return;
+  for (int p = 0; p < kc; ++p) {
+    const float* src = B + (p0 + p) * ldb;
+    for (int j = 0; j < width; j += kNR) {
+      std::memcpy(dst + static_cast<std::size_t>(j) * kc + p * kNR, src + j,
+                  static_cast<std::size_t>(std::min(kNR, width - j)) *
+                      sizeof(float));
+    }
+  }
+}
+
+/// Runs the micro-kernel over rows [i0, i1) x columns [j0, j1) of C for
+/// k rows [p0, p0 + kc). `panelAt(j)` returns the kc x kNR B panel starting
+/// at column j and its row stride. A partial last column panel computes
+/// into a kNR-wide scratch tile (and bias row) so the kernel never touches
+/// C or the bias past column n.
+template <typename PanelAt>
+void runTiles(const float* A, int k, float* C, int n, int i0, int i1, int j0,
+              int j1, int p0, int kc, const float* bias, FusedActivation act,
+              bool last, PanelAt&& panelAt) {
+  const bool epilogue =
+      last && (bias != nullptr || act != FusedActivation::kNone);
+  for (int j = j0; j < j1; j += kNR) {
+    const int cols = std::min(kNR, j1 - j);
+    const auto [panel, ldb] = panelAt(j);
+    alignas(64) float biasTile[kNR];
+    Epilogue ep{bias != nullptr ? bias + j : nullptr, act};
+    if (cols < kNR && bias != nullptr) {
+      std::copy_n(bias + j, cols, biasTile);
+      std::fill(biasTile + cols, biasTile + kNR, 0.f);
+      ep.bias = biasTile;
+    }
+    for (int i = i0; i < i1; i += kMR) {
+      const int rows = std::min(kMR, i1 - i);
+      const MicroKernelFn kernel = kMicroKernels[rows - 1];
+      const float* a = A + static_cast<std::size_t>(i) * k + p0;
+      float* c = C + static_cast<std::size_t>(i) * n + j;
+      if (cols == kNR) {
+        kernel(kc, a, k, panel, ldb, c, n, epilogue ? &ep : nullptr);
+        continue;
+      }
+      alignas(64) float tile[kMR * kNR];
+      for (int r = 0; r < rows; ++r) {
+        std::copy_n(c + static_cast<std::size_t>(r) * n, cols, tile + r * kNR);
+        std::fill(tile + r * kNR + cols, tile + (r + 1) * kNR, 0.f);
+      }
+      kernel(kc, a, k, panel, ldb, tile, kNR, epilogue ? &ep : nullptr);
+      for (int r = 0; r < rows; ++r) {
+        std::copy_n(tile + r * kNR, cols, c + static_cast<std::size_t>(r) * n);
+      }
+    }
+  }
+}
+
+/// C[m,n] += A[m,k] * op(B) with the optional fused epilogue, where op(B) is
+/// B [k,n] or, when `transB`, the transpose of B stored [n,k].
+void gemmF32(const float* A, const float* B, bool transB, float* C, int m,
+             int k, int n, const float* bias, FusedActivation act) {
+  if (m == 0 || n == 0) return;
+  // Split along whichever axis yields more panels: row panels of kMC for
+  // tall/square C, column panels of kNC when C is short and wide (e.g. the
+  // [spatial, outC] GEMM of a 1x1 conv on a small image).
+  const std::size_t rowPanels = (static_cast<std::size_t>(m) + kMC - 1) / kMC;
+  const std::size_t colPanels = (static_cast<std::size_t>(n) + kNC - 1) / kNC;
+  const auto forEachChunk = [&](auto&& body) {
+    if (rowPanels >= colPanels) {
+      ThreadPool::get().parallelFor(
+          static_cast<std::size_t>(m), kMC,
+          [&](std::size_t begin, std::size_t end) {
+            body(static_cast<int>(begin), static_cast<int>(end), 0, n);
+          });
+    } else {
+      ThreadPool::get().parallelFor(
+          static_cast<std::size_t>(n), kNC,
+          [&](std::size_t begin, std::size_t end) {
+            body(0, m, static_cast<int>(begin), static_cast<int>(end));
+          });
+    }
+  };
+
+  if (m < kMR && !transB && k > 0) {
+    // Fewer rows than one tile: packing B would cost as much as the GEMM
+    // itself, so full panels read B in place (row stride n). Short k blocks
+    // keep the reads streaming: each block sweeps kSmallKC rows of B left to
+    // right. Only a partial last panel is packed (per block, on the stack),
+    // so the kernel never reads past column n. (k == 0 takes the packed
+    // path, whose one empty block offsets no operand pointer: an empty B
+    // may be null.)
+    const int fullEnd = n / kNR * kNR;
+    forEachChunk([&](int i0, int i1, int j0, int j1) {
+      alignas(64) float tail[kSmallKC * kNR];
+      int p0 = 0;
+      do {
+        const int kc = std::min(kSmallKC, k - p0);
+        if (j1 > fullEnd) {
+          packB(B + fullEnd, false, static_cast<std::size_t>(n), n - fullEnd,
+                p0, kc, tail);
+        }
+        runTiles(A, k, C, n, i0, i1, j0, j1, p0, kc, bias, act, p0 + kc == k,
+                 [&](int j) -> std::pair<const float*, std::size_t> {
+                   if (j >= fullEnd) return {tail, kNR};
+                   return {B + static_cast<std::size_t>(p0) * n + j,
+                           static_cast<std::size_t>(n)};
+                 });
+        p0 += kc;
+      } while (p0 < k);
+    });
+    return;
+  }
+
+  // One packed kc-deep block of B at a time (at most kKC x nPad floats),
+  // shared read-only by every chunk of that block. k == 0 still runs one
+  // empty block so the epilogue applies.
+  const int nPad = (n + kNR - 1) / kNR * kNR;
+  std::vector<float> packed = core::BufferPool::get().acquire(
+      static_cast<std::size_t>(std::min(k, kKC)) * nPad);
+  int p0 = 0;
+  do {
+    const int kc = std::min(kKC, k - p0);
+    packB(B, transB, static_cast<std::size_t>(transB ? k : n), n, p0, kc,
+          packed.data());
+    const bool last = p0 + kc == k;
+    forEachChunk([&](int i0, int i1, int j0, int j1) {
+      runTiles(A, k, C, n, i0, i1, j0, j1, p0, kc, bias, act, last,
+               [&](int j) -> std::pair<const float*, std::size_t> {
+                 return {packed.data() + static_cast<std::size_t>(j) * kc,
+                         kNR};
+               });
+    });
+    p0 += kc;
+  } while (p0 < k);
+  core::BufferPool::get().release(std::move(packed));
 }
 }  // namespace
 
 void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
                          int k, int n, const float* bias,
                          FusedActivation act) {
-  // Split along whichever axis yields more panels: row panels of kMC for
-  // tall/square C, column panels of kNC when C is short and wide (e.g. the
-  // [spatial, outC] GEMM of a 1x1 conv on a small image).
-  const std::size_t rowPanels = (static_cast<std::size_t>(m) + kMC - 1) / kMC;
-  const std::size_t colPanels = (static_cast<std::size_t>(n) + kNC - 1) / kNC;
-  if (rowPanels >= colPanels) {
-    ThreadPool::get().parallelFor(
-        static_cast<std::size_t>(m), kMC,
-        [&](std::size_t begin, std::size_t end) {
-          gemmTile(A, B, C, k, n, static_cast<int>(begin),
-                   static_cast<int>(end), 0, n, bias, act);
-        });
-  } else {
-    ThreadPool::get().parallelFor(
-        static_cast<std::size_t>(n), kNC,
-        [&](std::size_t begin, std::size_t end) {
-          gemmTile(A, B, C, k, n, 0, m, static_cast<int>(begin),
-                   static_cast<int>(end), bias, act);
-        });
-  }
+  gemmF32(A, B, false, C, m, k, n, bias, act);
 }
 
 void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
                          int k, int n) {
-  gemm(A, B, C, m, k, n, nullptr, FusedActivation::kNone);
+  gemmF32(A, B, false, C, m, k, n, nullptr, FusedActivation::kNone);
 }
 
 DataId NativeBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
@@ -133,6 +349,15 @@ DataId NativeBackend::binary(BinaryOp op, const TensorSpec& a,
                           .a = -1,
                           .b = -2};
   const TensorSpec* ins[] = {&a, &b};
+  return runRegion({&instr, 1}, ins, outShape, 0);
+}
+
+DataId NativeBackend::select(const TensorSpec& cond, const TensorSpec& a,
+                             const TensorSpec& b, const Shape& outShape) {
+  KernelTimer t(kernelMs_, "native.select");
+  const RegionInstr instr{
+      .kind = RegionInstr::Kind::kSelect, .a = -1, .b = -2, .c = -3};
+  const TensorSpec* ins[] = {&cond, &a, &b};
   return runRegion({&instr, 1}, ins, outShape, 0);
 }
 
@@ -395,10 +620,11 @@ DataId NativeBackend::matMulImpl(const TensorSpec& a, const TensorSpec& b,
   std::vector<float> out =
       allocZeroed(static_cast<std::size_t>(batch) * m * n);
 
-  // Materialize transposed operands once so the GEMM core runs on
-  // contiguous row-major panels (what a native BLAS would do when packing).
-  // The batch loop stays serial; each per-batch GEMM fans out on the pool.
-  std::vector<float> aT, bT;
+  // A transposed operand is materialized row-major once per batch; a
+  // transposed B needs no copy, since packing B's panels reads either
+  // layout. The batch loop stays serial; each per-batch GEMM fans out on
+  // the pool.
+  std::vector<float> aT;
   for (int bi = 0; bi < batch; ++bi) {
     const float* A =
         av.data() + static_cast<std::size_t>(bA == 1 ? 0 : bi) * m * k;
@@ -414,18 +640,8 @@ DataId NativeBackend::matMulImpl(const TensorSpec& a, const TensorSpec& b,
       }
       A = aT.data();
     }
-    if (transposeB) {
-      bT.resize(static_cast<std::size_t>(k) * n);
-      for (int j = 0; j < n; ++j) {
-        for (int p = 0; p < k; ++p) {
-          bT[static_cast<std::size_t>(p) * n + j] =
-              B[static_cast<std::size_t>(j) * k + p];
-        }
-      }
-      B = bT.data();
-    }
-    gemm(A, B, out.data() + static_cast<std::size_t>(bi) * m * n, m, k, n,
-         bias, act);
+    gemmF32(A, B, transposeB, out.data() + static_cast<std::size_t>(bi) * m * n,
+            m, k, n, bias, act);
   }
   return store(std::move(out));
 }

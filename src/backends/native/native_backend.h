@@ -2,12 +2,14 @@
 // the TensorFlow C library and uses AVX on the CPU (paper section 4.2).
 //
 // Instead of binding to an external library we implement the same role from
-// scratch: cache-blocked, vectorization-friendly kernels compiled with
-// -O3 -march=native, parallelised across cores with the shared intra-op
-// thread pool (core/thread_pool.h) — the same two mechanisms (SIMD + an
-// Eigen-style intra-op pool) the TF C library uses. conv2d lowers to
-// im2col + GEMM, the standard native-CPU strategy. Long-tail data-movement
-// kernels inherit the reference implementations.
+// scratch: cache-blocked SIMD kernels compiled with -O3 -march=native,
+// parallelised across cores with the shared intra-op thread pool
+// (core/thread_pool.h) — the same two mechanisms (SIMD + an Eigen-style
+// intra-op pool) the TF C library uses. The f32 GEMM is register-tiled in
+// the Goto/BLIS style (packed B panels, an MR x NR accumulator tile, the
+// bias/activation epilogue applied in registers); conv2d lowers onto it
+// (1x1 directly, others via im2col), as do matMul and fusedMatMul.
+// Long-tail data-movement kernels inherit the reference implementations.
 //
 // Every parallel kernel uses a fixed chunk partition (independent of the
 // thread count), so results are bit-identical to the single-threaded path;
@@ -51,10 +53,12 @@ class NativeBackend : public RefBackend {
                 const Shape& outShape) override;
   DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
                float beta) override;
+  DataId select(const TensorSpec& cond, const TensorSpec& a,
+                const TensorSpec& b, const Shape& outShape) override;
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB) override;
-  /// Bias + activation applied inside the GEMM tile loop, per column panel
-  /// after the full k accumulation — bit-identical to matMul + add + act.
+  /// Bias + activation applied to the GEMM's register tile after the full k
+  /// accumulation — bit-identical to matMul + add + act.
   DataId fusedMatMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                      bool transposeB, const TensorSpec* bias,
                      FusedActivation act) override;
@@ -91,12 +95,17 @@ class NativeBackend : public RefBackend {
                 std::size_t inner) override;
 
   /// Single-matrix GEMM C[m,n] += A[m,k] * B[k,n], parallelised over row or
-  /// column panels on the shared pool; exposed for tests.
+  /// column panels on the shared pool; exposed for tests. Each C element is
+  /// one multiply-add chain over k ascending, starting from its value in C
+  /// (an FMA per step when the target has FMA), so the result is bitwise
+  /// independent of blocking, tiling and the thread count
+  /// (tests/native_gemm_test.cc holds it to a scalar oracle).
   static void gemm(const float* A, const float* B, float* C, int m, int k,
                    int n);
-  /// GEMM with an optional fused epilogue: after the k loop finishes for a
-  /// column panel, adds bias[j] (when non-null) and applies `act` to each
-  /// element of that panel.
+  /// GEMM with an optional fused epilogue: once an element's chain is
+  /// complete, adds bias[j] (when non-null) and applies `act` — the scalar
+  /// formulas of applyBinary(kAdd) and applyUnary, evaluated on the register
+  /// tile before its single store.
   static void gemm(const float* A, const float* B, float* C, int m, int k,
                    int n, const float* bias, FusedActivation act);
 

@@ -1,0 +1,408 @@
+// Bitwise oracle for the native f32 GEMM and everything lowered onto it
+// (matMul, fusedMatMul, 1x1 and im2col convs).
+//
+// The native kernel promises more than closeness: every C element is one
+// ascending-k multiply-add chain that starts from +0, followed by the bias add
+// and the activation's applyUnary formula. The oracle below spells that out
+// one scalar at a time:
+//
+//   c = +0;  for p ascending: c = fma(a_ip, b_pj, c);  v = c + bias[j];
+//   out = applyFusedActivation(act, v)
+//
+// This TU is compiled with the native target's arch flags plus
+// -ffp-contract=off, so the oracle's only fused multiply-adds are the
+// explicit std::fma calls. Without FMA hardware (__FMA__ undefined, e.g. a
+// -DTFJS_NATIVE_ARCH=OFF build) the kernel's a*b+c rounds twice, and so does
+// the oracle. Every comparison is memcmp: tiling, packing, register blocking
+// and the thread count must not change a single bit.
+//
+// The inputs carry NaN, ±0 and ±inf in A and in the bias. A vector max/min
+// with the wrong operand order (NaN and -0 handling differ from
+// std::max(x, 0.f)) or a fused epilogue that reorders the bias add fails
+// here. B stays finite and nonzero, and each output's chain meets at most one
+// non-finite A value: when two NaNs with different payloads (a NaN input and
+// the default NaN of inf - inf) meet in one instruction, which one survives
+// depends on the operand order the compiler picks, which C++ leaves
+// unspecified.
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "backends/common/ref_backend.h"
+#include "backends/native/native_backend.h"
+#include "core/conv_util.h"
+#include "core/thread_pool.h"
+
+namespace {
+
+using tfjs::Conv2DInfo;
+using tfjs::FusedActivation;
+using tfjs::PadMode;
+using tfjs::Shape;
+using tfjs::TensorSpec;
+using tfjs::backends::applyFusedActivation;
+using tfjs::backends::native::NativeBackend;
+using tfjs::core::ThreadPool;
+
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr FusedActivation kActs[] = {FusedActivation::kNone,
+                                     FusedActivation::kRelu,
+                                     FusedActivation::kRelu6,
+                                     FusedActivation::kSigmoid};
+
+float fmaStep(float a, float b, float c) {
+#ifdef __FMA__
+  return std::fma(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+/// Deterministic values in [-2, 2) (LCG), never exactly zero.
+std::vector<float> randomData(std::size_t n, std::uint32_t seed) {
+  std::vector<float> v(n);
+  std::uint32_t s = seed * 2654435761u + 1u;
+  for (std::size_t i = 0; i < n; ++i) {
+    s = s * 1664525u + 1013904223u;
+    const float x =
+        static_cast<float>(s >> 8) / static_cast<float>(1u << 24) * 4.f - 2.f;
+    v[i] = x == 0.f ? 0.5f : x;
+  }
+  return v;
+}
+
+/// A [rows, cols] row-major operand with NaN, ±inf and ±0 planted on a
+/// sparse pattern: some rows go NaN, some saturate to ±inf, many see zeros.
+std::vector<float> specialRows(int rows, int cols, std::uint32_t seed) {
+  std::vector<float> v =
+      randomData(static_cast<std::size_t>(rows) * cols, seed);
+  for (int i = 0; i < rows; ++i) {
+    float* row = v.data() + static_cast<std::size_t>(i) * cols;
+    for (int p = i % 3; p < cols; p += 5) {
+      row[p] = (p + i) % 2 == 0 ? 0.f : -0.f;
+    }
+    const int at = (i * 13 + 5) % cols;
+    switch (i % 7) {
+      case 2: row[at] = kNaN; break;
+      case 4: row[at] = kInf; break;
+      case 5: row[at] = -kInf; break;
+      default: break;
+    }
+  }
+  return v;
+}
+
+/// Bias with every special value present whenever n allows.
+std::vector<float> specialBias(int n) {
+  std::vector<float> v = randomData(static_cast<std::size_t>(n), 99);
+  const float specials[] = {kNaN, kInf, -kInf, 0.f, -0.f};
+  for (int j = 0; j < n; j += 3) {
+    v[static_cast<std::size_t>(j)] = specials[(j / 3) % 5];
+  }
+  return v;
+}
+
+/// The raw accumulation chains of row-major A [m, k] and B [k, n]:
+/// z[i, j] = fma chain over p ascending, from +0.
+std::vector<float> oracleChains(const float* A, const float* B, int m, int k,
+                                int n) {
+  std::vector<float> z(static_cast<std::size_t>(m) * n);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float c = 0.f;
+      for (int p = 0; p < k; ++p) {
+        c = fmaStep(A[static_cast<std::size_t>(i) * k + p],
+                    B[static_cast<std::size_t>(p) * n + j], c);
+      }
+      z[static_cast<std::size_t>(i) * n + j] = c;
+    }
+  }
+  return z;
+}
+
+/// Applies the epilogue to the chains (bias broadcast over rows of width n).
+std::vector<float> oracleEpilogue(const std::vector<float>& z, int n,
+                                  const float* bias, FusedActivation act) {
+  std::vector<float> out(z.size());
+  for (std::size_t e = 0; e < z.size(); ++e) {
+    float v = z[e];
+    if (bias != nullptr) v = v + bias[e % static_cast<std::size_t>(n)];
+    out[e] = applyFusedActivation(act, v);
+  }
+  return out;
+}
+
+std::string hex(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  char s[16];
+  std::snprintf(s, sizeof s, "0x%08x", u);
+  return s;
+}
+
+/// memcmp equality, reporting the first differing element on failure.
+void expectBitwise(const std::vector<float>& got,
+                   const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  if (got.empty() ||
+      std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) == 0) {
+    return;
+  }
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    if (std::memcmp(&got[e], &want[e], sizeof(float)) != 0) {
+      ADD_FAILURE() << what << ": first difference at flat index " << e
+                    << ": got " << got[e] << " (" << hex(got[e])
+                    << "), oracle " << want[e] << " (" << hex(want[e]) << ")";
+      return;
+    }
+  }
+}
+
+std::string caseName(int m, int k, int n, bool bias, FusedActivation act,
+                     int threads) {
+  return "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+         " n=" + std::to_string(n) + (bias ? " bias" : " no-bias") +
+         " act=" + std::to_string(static_cast<int>(act)) +
+         " threads=" + std::to_string(threads);
+}
+
+class NativeGemmTest : public ::testing::Test {
+ protected:
+  void SetUp() override { saved_ = ThreadPool::get().numThreads(); }
+  void TearDown() override { ThreadPool::get().setNumThreads(saved_); }
+
+  TensorSpec put(const std::vector<float>& v, const Shape& shape) {
+    return TensorSpec{native_.write(v, shape), shape, tfjs::DType::f32};
+  }
+
+  NativeBackend native_;
+
+ private:
+  int saved_ = 1;
+};
+
+// The static GEMM core over the full shape grid: tile edges (m around the
+// register tile, n around the 32-column panel), k around the 256-deep k
+// block, and the m=1/n=1 degenerate cases.
+TEST_F(NativeGemmTest, GemmMatchesOracleOnShapeGrid) {
+  const int ms[] = {1, 5, 11, 12, 13, 49, 197};
+  const int ks[] = {1, 27, 255, 256, 257, 1030};
+  const int ns[] = {1, 10, 31, 32, 33, 1000};
+  for (const int m : ms) {
+    for (const int k : ks) {
+      for (const int n : ns) {
+        const auto A = specialRows(m, k, static_cast<std::uint32_t>(m * k));
+        const auto B = randomData(static_cast<std::size_t>(k) * n,
+                                  static_cast<std::uint32_t>(k + n));
+        const auto bias = specialBias(n);
+        const auto z = oracleChains(A.data(), B.data(), m, k, n);
+        for (const bool withBias : {false, true}) {
+          const float* bp = withBias ? bias.data() : nullptr;
+          for (const FusedActivation act : kActs) {
+            const auto want = oracleEpilogue(z, n, bp, act);
+            for (const int threads : {1, 4}) {
+              ThreadPool::get().setNumThreads(threads);
+              std::vector<float> C(static_cast<std::size_t>(m) * n, 0.f);
+              NativeBackend::gemm(A.data(), B.data(), C.data(), m, k, n, bp,
+                                  act);
+              expectBitwise(C, want, caseName(m, k, n, withBias, act, threads));
+              if (HasFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// k = 0: the accumulation is empty, so C keeps its +0 and only the epilogue
+// runs (on both the in-place small-m path and the packed path).
+TEST_F(NativeGemmTest, EmptyReductionStillAppliesEpilogue) {
+  const int n = 33;
+  const auto bias = specialBias(n);
+  for (const int m : {1, 13}) {
+    const std::vector<float> z(static_cast<std::size_t>(m) * n, 0.f);
+    for (const FusedActivation act : kActs) {
+      std::vector<float> C(z.size(), 0.f);
+      NativeBackend::gemm(nullptr, nullptr, C.data(), m, 0, n, bias.data(),
+                          act);
+      expectBitwise(C, oracleEpilogue(z, n, bias.data(), act),
+                    caseName(m, 0, n, true, act, 1));
+    }
+  }
+}
+
+// matMul / fusedMatMul through the backend: every transpose combination,
+// with and without the fused epilogue.
+TEST_F(NativeGemmTest, MatMulTransposesMatchOracle) {
+  const int ms[] = {1, 5, 13, 49};
+  const int ks[] = {1, 27, 257};
+  const int ns[] = {1, 31, 33};
+  for (const int m : ms) {
+    for (const int k : ks) {
+      for (const int n : ns) {
+        const auto aData = specialRows(m, k, 7);  // row-major [m, k]
+        const auto bData = randomData(static_cast<std::size_t>(k) * n, 8);
+        const auto bias = specialBias(n);
+        // Stored layouts: A as [m,k] or [k,m], B as [k,n] or [n,k].
+        std::vector<float> aT(aData.size()), bT(bData.size());
+        for (int i = 0; i < m; ++i) {
+          for (int p = 0; p < k; ++p) {
+            aT[static_cast<std::size_t>(p) * m + i] =
+                aData[static_cast<std::size_t>(i) * k + p];
+          }
+        }
+        for (int p = 0; p < k; ++p) {
+          for (int j = 0; j < n; ++j) {
+            bT[static_cast<std::size_t>(j) * k + p] =
+                bData[static_cast<std::size_t>(p) * n + j];
+          }
+        }
+        const auto z = oracleChains(aData.data(), bData.data(), m, k, n);
+        for (const bool tA : {false, true}) {
+          for (const bool tB : {false, true}) {
+            const TensorSpec a = tA ? put(aT, Shape{1, k, m})
+                                    : put(aData, Shape{1, m, k});
+            const TensorSpec b = tB ? put(bT, Shape{1, n, k})
+                                    : put(bData, Shape{1, k, n});
+            const TensorSpec bs = put(bias, Shape{n});
+            for (const int threads : {1, 4}) {
+              ThreadPool::get().setNumThreads(threads);
+              const std::string tag = caseName(m, k, n, false,
+                                               FusedActivation::kNone,
+                                               threads) +
+                                      " tA=" + std::to_string(tA) +
+                                      " tB=" + std::to_string(tB);
+              expectBitwise(native_.read(native_.matMul(a, b, tA, tB)),
+                            oracleEpilogue(z, n, nullptr,
+                                           FusedActivation::kNone),
+                            "matMul " + tag);
+              for (const FusedActivation act : kActs) {
+                expectBitwise(
+                    native_.read(native_.fusedMatMul(a, b, tA, tB, &bs, act)),
+                    oracleEpilogue(z, n, bias.data(), act),
+                    "fusedMatMul act=" + std::to_string(static_cast<int>(act)) +
+                        " " + tag);
+              }
+              if (HasFailure()) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(NativeGemmTest, BatchedMatMulBroadcastsOperand) {
+  const int batch = 3, m = 13, k = 40, n = 35;
+  const auto aData = specialRows(batch * m, k, 21);  // [3, m, k]
+  const auto bData = randomData(static_cast<std::size_t>(k) * n, 22);
+  std::vector<float> want;
+  for (int bi = 0; bi < batch; ++bi) {
+    const auto z = oracleChains(
+        aData.data() + static_cast<std::size_t>(bi) * m * k, bData.data(), m,
+        k, n);
+    want.insert(want.end(), z.begin(), z.end());
+  }
+  const TensorSpec a = put(aData, Shape{batch, m, k});
+  const TensorSpec b = put(bData, Shape{1, k, n});
+  expectBitwise(native_.read(native_.matMul(a, b, false, false)), want,
+                "batched matMul");
+}
+
+// Convolutions: the 1x1 path is a straight [spatial, inC] x [inC, outC]
+// GEMM; the general path packs im2col rows (zeros in the padding) per chunk
+// and runs the GEMM on each chunk. The oracle builds the same im2col matrix
+// and runs the scalar chains over it.
+TEST_F(NativeGemmTest, ConvPathsMatchOracle) {
+  struct Case {
+    Shape x, f;
+    int stride;
+    PadMode pad;
+  };
+  const Case cases[] = {
+      {Shape{2, 9, 7, 37}, Shape{1, 1, 37, 45}, 1, PadMode::kValid},
+      {Shape{1, 30, 30, 3}, Shape{3, 3, 3, 32}, 2, PadMode::kSame},
+      {Shape{1, 13, 11, 20}, Shape{3, 3, 20, 33}, 1, PadMode::kSame},
+  };
+  for (const Case& cs : cases) {
+    const Conv2DInfo ci =
+        tfjs::conv_util::computeConv2DInfo(cs.x, cs.f, cs.stride, cs.stride,
+                                           cs.pad);
+    // Specials sit on pixels 4 apart in y and x, so no 3x3 window (and
+    // hence no im2col row) holds two of them.
+    auto xData = randomData(cs.x.size(), 31);
+    for (std::size_t e = 0; e < xData.size(); e += 7) {
+      xData[e] = e % 2 == 0 ? 0.f : -0.f;
+    }
+    const float specials[] = {kNaN, kInf, -kInf};
+    for (int b = 0; b < ci.batch; ++b) {
+      for (int y = 1; y < ci.inH; y += 4) {
+        for (int x = 2; x < ci.inW; x += 4) {
+          const std::size_t pixel =
+              (static_cast<std::size_t>(b) * ci.inH + y) * ci.inW + x;
+          xData[pixel * ci.inC + (y + x) % ci.inC] = specials[(y + x) % 3];
+        }
+      }
+    }
+    const auto fData = randomData(cs.f.size(), 32);
+    const auto bias = specialBias(ci.outC);
+    const int patch = ci.filterH * ci.filterW * ci.inC;
+    const int rows = ci.batch * ci.outH * ci.outW;
+    std::vector<float> col(static_cast<std::size_t>(rows) * patch, 0.f);
+    for (int b = 0; b < ci.batch; ++b) {
+      for (int oy = 0; oy < ci.outH; ++oy) {
+        for (int ox = 0; ox < ci.outW; ++ox) {
+          float* dst = col.data() +
+                       ((static_cast<std::size_t>(b) * ci.outH + oy) * ci.outW +
+                        ox) *
+                           patch;
+          for (int fy = 0; fy < ci.filterH; ++fy) {
+            for (int fx = 0; fx < ci.filterW; ++fx) {
+              const int iy = oy * ci.strideH - ci.padTop + fy;
+              const int ix = ox * ci.strideW - ci.padLeft + fx;
+              if (iy < 0 || iy >= ci.inH || ix < 0 || ix >= ci.inW) continue;
+              std::memcpy(
+                  dst + (static_cast<std::size_t>(fy) * ci.filterW + fx) *
+                            ci.inC,
+                  xData.data() +
+                      ((static_cast<std::size_t>(b) * ci.inH + iy) * ci.inW +
+                       ix) *
+                          ci.inC,
+                  static_cast<std::size_t>(ci.inC) * sizeof(float));
+            }
+          }
+        }
+      }
+    }
+    const auto z =
+        oracleChains(col.data(), fData.data(), rows, patch, ci.outC);
+    const TensorSpec x = put(xData, cs.x);
+    const TensorSpec f = put(fData, cs.f);
+    const TensorSpec bs = put(bias, Shape{ci.outC});
+    for (const int threads : {1, 4}) {
+      ThreadPool::get().setNumThreads(threads);
+      const std::string tag = "conv " + cs.x.toString() + " * " +
+                              cs.f.toString() +
+                              " threads=" + std::to_string(threads);
+      expectBitwise(native_.read(native_.conv2d(x, f, ci)),
+                    oracleEpilogue(z, ci.outC, nullptr,
+                                   FusedActivation::kNone),
+                    tag);
+      for (const FusedActivation act : kActs) {
+        expectBitwise(native_.read(native_.fusedConv2d(x, f, ci, &bs, act)),
+                      oracleEpilogue(z, ci.outC, bias.data(), act),
+                      tag + " act=" + std::to_string(static_cast<int>(act)));
+      }
+    }
+  }
+}
+
+}  // namespace

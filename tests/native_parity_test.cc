@@ -4,17 +4,22 @@
 // chunk grain (so ragged last chunks are exercised):
 //  * parallel == serial, bitwise: the fixed chunk partition makes the
 //    multi-threaded result byte-identical to the TFJS_NUM_THREADS=1 path;
-//  * native == ref: elementwise and pooling kernels perform the identical
-//    scalar operations, so values match exactly (float ==). The
-//    multiply-accumulate kernels (GEMM/conv/depthwise/reduce) are compared
-//    within a tight tolerance instead: the native target compiles with
-//    -march=native, which contracts a*b+c into FMA (and reduce's 4-way
-//    accumulator split predates this PR), so last-ulp differences from the
-//    plainly-compiled reference backend are expected and correct. The
-//    determinism guarantee of the thread pool is the *bitwise* one above.
+//  * native == ref: elementwise (unary, binary, select) and pooling kernels
+//    perform the identical scalar operations, so values match exactly
+//    (float ==). The multiply-accumulate kernels (GEMM/conv/depthwise/
+//    reduce) are compared within a tight tolerance instead: under
+//    -march=native the native GEMM's ascending-k chains are FMA steps and
+//    depthwise contracts a*b+c likewise, while the reference backend rounds
+//    the product and the sum separately (and reduce splits its sum over
+//    four accumulators), so last-ulp differences are expected and correct.
+//    The GEMM's own bitwise contract — one ascending-k chain per element,
+//    then bias and activation — is checked against a scalar oracle in
+//    native_gemm_test.cc. The determinism guarantee of the thread pool is
+//    the *bitwise* one above.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "backends/common/ref_backend.h"
@@ -244,6 +249,45 @@ TEST_F(NativeParityTest, ElementwiseBinaryOddCount) {
       EXPECT_EQ(par.size(), out.size());
       expectExactlyEqual(par, ref);
     }
+  }
+}
+
+TEST_F(NativeParityTest, SelectOverBroadcastClasses) {
+  // Shapes of {cond, a, b}: each broadcast class in each operand slot.
+  struct Case {
+    Shape cond, a, b;
+  };
+  const Case cases[] = {
+      {Shape{100003}, Shape{100003}, Shape{100003}},  // dense, ragged chunk
+      {Shape{}, Shape{100003}, Shape{100003}},        // scalar cond
+      {Shape{100003}, Shape{}, Shape{100003}},        // scalar branch
+      {Shape{3001, 32}, Shape{32}, Shape{3001, 32}},  // suffix branch
+      {Shape{37}, Shape{2003, 37}, Shape{}},          // suffix cond
+      {Shape{101, 1000}, Shape{1000}, Shape{1000}},   // suffix > one block
+      {Shape{317, 1}, Shape{1, 331}, Shape{317, 331}},  // generic [N,1]x[1,M]
+      {Shape{1, 331}, Shape{317, 1}, Shape{}},        // generic, scalar b
+      {Shape{0, 32}, Shape{32}, Shape{0, 32}},        // zero elements
+  };
+  for (const Case& cs : cases) {
+    const Shape out = tfjs::util::broadcastShapes(
+        tfjs::util::broadcastShapes(cs.cond, cs.a), cs.b);
+    // Conditions mix nonzero values, +0, -0 (false) and NaN (true).
+    auto condData = randomData(cs.cond.size(), 20);
+    for (std::size_t i = 0; i < condData.size(); ++i) {
+      if (i % 3 == 0) condData[i] = i % 2 == 0 ? 0.f : -0.f;
+      if (i % 11 == 5) condData[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    const auto aData = randomData(cs.a.size(), 21);
+    const auto bData = randomData(cs.b.size(), 22);
+    SCOPED_TRACE(cs.cond.toString() + " ? " + cs.a.toString() + " : " +
+                 cs.b.toString());
+    auto [par, ref] = runBoth([&](tfjs::Backend& be) {
+      return be.read(be.select(put(be, condData, cs.cond),
+                               put(be, aData, cs.a), put(be, bData, cs.b),
+                               out));
+    });
+    EXPECT_EQ(par.size(), out.size());
+    expectExactlyEqual(par, ref);
   }
 }
 

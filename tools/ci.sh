@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local CI: the tier-1 build + test cycle (ROADMAP.md), then the
-# sanitizer legs (tools/run_tsan.sh: TSan, ASan, UBSan over the
+# Full local CI: the tier-1 build + test cycle (ROADMAP.md), a portable
+# leg (-DTFJS_NATIVE_ARCH=OFF: the native kernels at SSE2 width without FMA,
+# checked bitwise against the same oracles), then the sanitizer legs (tools/run_tsan.sh: TSan, ASan, UBSan over the
 # threading/memory/int8-sensitive subset plus the graph differential
 # fuzzer, each followed by a fixed-seed extended fuzzer block). Mirrors
 # what a hosted pipeline would run; each stage fails the script on first
@@ -37,6 +38,13 @@ if [ "$smoke" = 1 ]; then
   cmake --build build -j --target bench_graph_exec
   ./build/bench/bench_graph_exec --smoke
 fi
+
+echo "== portable leg (TFJS_NATIVE_ARCH=OFF) =="
+cmake -B build-portable -S . -DTFJS_NATIVE_ARCH=OFF
+cmake --build build-portable -j --target native_gemm_test native_parity_test \
+  fusion_test
+ctest --test-dir build-portable --output-on-failure \
+  -R 'native_gemm_test|native_parity_test|fusion_test'
 
 echo "== sanitizer legs =="
 tools/run_tsan.sh

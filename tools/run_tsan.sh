@@ -6,7 +6,11 @@
 # drives the native region kernel, behind every native elementwise op, over
 # its prefilled scratch rows and every broadcast class), and finally the
 # int8 kernels under UndefinedBehaviorSanitizer (narrowing conversions,
-# shifts and overflow in the quantization math).
+# shifts and overflow in the quantization math). native_gemm_test runs on
+# every leg: the f32 GEMM's packed B block is written by the calling thread
+# and read by every pool worker (TSan), im2col convs pack B again inside
+# each parallel chunk (TSan, ASan), and partial tail tiles go through
+# padded scratch tiles and bias rows (ASan, UBSan).
 # async_test covers the multi-producer EventLoop::postTask path,
 # serving_test the whole client-threads/scheduler-thread serving stack, and
 # quant_test the quantized kernels whose packed-weight cache is shared
@@ -39,22 +43,22 @@ extended_fuzz() {
 
 cmake -B build-tsan -S . -DTFJS_SANITIZE=thread
 cmake --build build-tsan -j --target thread_pool_test native_parity_test \
-  quant_test trace_test buffer_pool_test async_test serving_test \
-  graph_fuzz_test
+  native_gemm_test quant_test trace_test buffer_pool_test async_test \
+  serving_test graph_fuzz_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'thread_pool_test|native_parity_test|quant_test|trace_test|buffer_pool_test|async_test|serving_test|graph_fuzz_test'
+  -R 'thread_pool_test|native_parity_test|native_gemm_test|quant_test|trace_test|buffer_pool_test|async_test|serving_test|graph_fuzz_test'
 extended_fuzz build-tsan
 
 cmake -B build-asan -S . -DTFJS_SANITIZE=address
 cmake --build build-asan -j --target buffer_pool_test fusion_test \
-  quant_test serving_test graph_fuzz_test native_parity_test
+  quant_test serving_test graph_fuzz_test native_parity_test native_gemm_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test'
+  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test'
 extended_fuzz build-asan
 
 cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined
 cmake --build build-ubsan -j --target quant_test native_parity_test \
-  serving_test graph_fuzz_test
+  native_gemm_test serving_test graph_fuzz_test
 ctest --test-dir build-ubsan --output-on-failure \
-  -R 'quant_test|native_parity_test|serving_test|graph_fuzz_test'
+  -R 'quant_test|native_parity_test|native_gemm_test|serving_test|graph_fuzz_test'
 extended_fuzz build-ubsan

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "backends/common/ref_backend.h"
+#include "backends/webgl/webgl_backend.h"
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "graph/capture.h"
@@ -33,16 +34,27 @@ namespace o = ops;
 using graph::CapturedGraph;
 using graph::PassOptions;
 
-constexpr unsigned kNumSeeds = 80;  // x3 backends (+ bypass legs) > 240 graphs
+constexpr unsigned kNumSeeds = 80;  // x6 backends (+ bypass legs) > 240 graphs
 /// Seeds for the elementwise-chain-heavy mode (long chains, diamonds,
 /// select, mixed broadcast — the fuse_elementwise pass's home turf).
 constexpr unsigned kNumElemSeeds = 50;
 
-void ensureRefRegistered() {
+/// Every backend a case runs on: test_main registers cpu/native/webgl; the
+/// reference backend and the fp16 / unpacked webgl variants are added here.
+constexpr const char* kBackends[] = {"ref",   "cpu",        "native",
+                                     "webgl", "webgl-fp16", "webgl-unpacked"};
+
+void ensureBackendsRegistered() {
   static const bool once = [] {
     Engine::get().registerBackend(
         "ref", [] { return std::make_unique<backends::RefBackend>(); },
         /*priority=*/0);
+    backends::webgl::WebGLOptions fp16;
+    fp16.precision = backends::webgl::TexPrecision::fp16;
+    backends::webgl::registerBackendVariant("webgl-fp16", fp16);
+    backends::webgl::WebGLOptions unpacked;
+    unpacked.packed = false;
+    backends::webgl::registerBackendVariant("webgl-unpacked", unpacked);
     return true;
   }();
   (void)once;
@@ -467,7 +479,7 @@ std::vector<Tensor> buildElemProgram(unsigned seed,
 using ProgramFn = std::vector<Tensor> (*)(unsigned, const std::vector<Tensor>&,
                                           ConstPool&);
 
-/// Runs one seeded case: eager vs captured+optimized on every CPU backend,
+/// Runs one seeded case: eager vs captured+optimized on every backend,
 /// plus a pass-bypass leg on a subset. Returns the number of captured
 /// graphs executed. `elemMode` switches to the elementwise-chain-heavy
 /// generator (same-shape inputs so binaries always pair up).
@@ -502,7 +514,7 @@ int runCase(unsigned seed, bool elemMode = false) {
   pool.planning = false;
 
   const std::size_t liveBefore = memory().numTensors;
-  for (const char* backend : {"ref", "cpu", "native"}) {
+  for (const char* backend : kBackends) {
     setBackend(backend);
     std::vector<Tensor> eager = tidyAll([&] {
       return buildFn(seed, inputs, pool);
@@ -557,7 +569,7 @@ int runCase(unsigned seed, bool elemMode = false) {
 }
 
 TEST(GraphFuzz, EagerVsCapturedBitwiseParity) {
-  ensureRefRegistered();
+  ensureBackendsRegistered();
 
   if (const char* s = std::getenv("TFJS_GRAPH_FUZZ_SEED")) {
     runCase(static_cast<unsigned>(std::atoi(s)));  // single-case replay
@@ -574,7 +586,7 @@ TEST(GraphFuzz, EagerVsCapturedBitwiseParity) {
 }
 
 TEST(GraphFuzz, ElementwiseChainHeavyBitwiseParity) {
-  ensureRefRegistered();
+  ensureBackendsRegistered();
 
   if (const char* s = std::getenv("TFJS_GRAPH_FUZZ_SEED")) {
     runCase(static_cast<unsigned>(std::atoi(s)), /*elemMode=*/true);

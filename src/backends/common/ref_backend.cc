@@ -309,7 +309,8 @@ DataId RefBackend::select(const TensorSpec& cond, const TensorSpec& a,
 }
 
 DataId RefBackend::matMul(const TensorSpec& a, const TensorSpec& b,
-                          bool transposeA, bool transposeB) {
+                          bool transposeA, bool transposeB,
+                          const TensorSpec* bias, FusedActivation act) {
   KernelTimer t(kernelMs_);
   // Inputs are rank-3: [batch, m, k] x [batch, k, n] (batch broadcasts).
   const int bA = a.shape[0], bB = b.shape[0];
@@ -342,11 +343,13 @@ DataId RefBackend::matMul(const TensorSpec& a, const TensorSpec& b,
       }
     }
   }
+  applyEpilogue(out, static_cast<std::size_t>(n), bias, act);
   return store(std::move(out));
 }
 
 DataId RefBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
-                          const Conv2DInfo& ci) {
+                          const Conv2DInfo& ci, const TensorSpec* bias,
+                          FusedActivation act) {
   KernelTimer t(kernelMs_);
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);
@@ -388,6 +391,7 @@ DataId RefBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
       }
     }
   }
+  applyEpilogue(out, static_cast<std::size_t>(ci.outC), bias, act);
   return store(std::move(out));
 }
 
@@ -1198,40 +1202,16 @@ DataId RefBackend::fusedRegion(const RegionProgram& program,
   return inPlace ? dst : store(std::move(fresh));
 }
 
-DataId RefBackend::fusedMatMul(const TensorSpec& a, const TensorSpec& b,
-                               bool transposeA, bool transposeB,
-                               const TensorSpec* bias, FusedActivation act) {
-  // Virtual dispatch: a derived backend's own GEMM produces the product, so
-  // the fused result differs from that backend's unfused chain by nothing —
-  // the epilogue below applies the very same scalar formulas the unfused
-  // add/activation kernels would.
-  const DataId c = matMul(a, b, transposeA, transposeB);
-  const int n = transposeB ? b.shape[1] : b.shape[2];
-  KernelTimer t(kernelMs_);
-  auto& out = mutableBuf(c);
+void RefBackend::applyEpilogue(std::vector<float>& out, std::size_t n,
+                               const TensorSpec* bias,
+                               FusedActivation act) const {
+  if (bias == nullptr && act == FusedActivation::kNone) return;
   const float* bv = bias != nullptr ? buf(bias->id).data() : nullptr;
   for (std::size_t i = 0; i < out.size(); ++i) {
     float v = out[i];
-    if (bv != nullptr) v += bv[i % static_cast<std::size_t>(n)];
+    if (bv != nullptr) v += bv[i % n];
     out[i] = applyFusedActivation(act, v);
   }
-  return c;
-}
-
-DataId RefBackend::fusedConv2d(const TensorSpec& x, const TensorSpec& filter,
-                               const Conv2DInfo& ci, const TensorSpec* bias,
-                               FusedActivation act) {
-  const DataId c = conv2d(x, filter, ci);
-  KernelTimer t(kernelMs_);
-  auto& out = mutableBuf(c);
-  const float* bv = bias != nullptr ? buf(bias->id).data() : nullptr;
-  const auto outC = static_cast<std::size_t>(ci.outC);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    float v = out[i];
-    if (bv != nullptr) v += bv[i % outC];
-    out[i] = applyFusedActivation(act, v);
-  }
-  return c;
 }
 
 // ------------------------------------------------- quantized kernels (int8)
@@ -1260,7 +1240,7 @@ DataId RefBackend::quantizedMatMulFallback(const TensorSpec& a,
   }
   const DataId tmp = store(std::move(wf));
   const TensorSpec bf{tmp, Shape{1, k, n}, DType::f32};
-  const DataId y = fusedMatMul(a, bf, false, false, bias, act);
+  const DataId y = matMul(a, bf, false, false, bias, act);
   disposeData(tmp);
   if (outQ != nullptr) {
     KernelTimer t(kernelMs_);
@@ -1291,7 +1271,7 @@ DataId RefBackend::quantizedConv2dFallback(const TensorSpec& x,
   }
   const DataId tmp = store(std::move(wf));
   const TensorSpec ff{tmp, filter.shape, DType::f32};
-  const DataId y = fusedConv2d(x, ff, ci, bias, act);
+  const DataId y = conv2d(x, ff, ci, bias, act);
   disposeData(tmp);
   if (outQ != nullptr) {
     KernelTimer t(kernelMs_);

@@ -46,8 +46,6 @@ class RefBackend : public Backend {
                 const Shape& outShape) override;
   DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
                float beta) override;
-  bool supportsFusedKernels() const override { return true; }
-  bool supportsFusedRegions() const override { return true; }
   /// Single-pass fused elementwise region. Every scalar step goes through
   /// applyUnary/applyBinary (select: the same `c != 0 ? a : b` as the
   /// standalone kernel), so the fused value at each output element is
@@ -56,21 +54,12 @@ class RefBackend : public Backend {
   DataId fusedRegion(const RegionProgram& program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
-  /// Runs the *virtual* matMul (so a derived backend's own accumulation
-  /// order is used) and applies the bias+activation epilogue in place —
-  /// bit-identical to matMul + add + activation on the same backend.
-  DataId fusedMatMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
-                     bool transposeB, const TensorSpec* bias,
-                     FusedActivation act) override;
-  DataId fusedConv2d(const TensorSpec& x, const TensorSpec& filter,
-                     const Conv2DInfo& info, const TensorSpec* bias,
-                     FusedActivation act) override;
   bool supportsQuantizedKernels() const override { return true; }
   /// Scalar int8 oracle: u8 dynamic per-row activation codes x s8 weight
   /// codes, exact i32 accumulation, shared scalar epilogue
   /// (backends/common/quant_math.h). Derived backends' SIMD kernels must
   /// match it bitwise. Falls back to the dequantized f32 fused path (via the
-  /// virtual fusedMatMul/fusedConv2d) when k could overflow i32, the
+  /// virtual matMul/conv2d) when k could overflow i32, the
   /// activations are non-finite, or the weights are not symmetric.
   DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
                          const QuantParams& wq, const TensorSpec* bias,
@@ -82,9 +71,11 @@ class RefBackend : public Backend {
   DataId select(const TensorSpec& cond, const TensorSpec& a,
                 const TensorSpec& b, const Shape& outShape) override;
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
-                bool transposeB) override;
+                bool transposeB, const TensorSpec* bias,
+                FusedActivation act) override;
   DataId conv2d(const TensorSpec& x, const TensorSpec& filter,
-                const Conv2DInfo& info) override;
+                const Conv2DInfo& info, const TensorSpec* bias,
+                FusedActivation act) override;
   DataId conv2dBackpropInput(const TensorSpec& dy, const TensorSpec& filter,
                              const Conv2DInfo& info) override;
   DataId conv2dBackpropFilter(const TensorSpec& x, const TensorSpec& dy,
@@ -144,8 +135,17 @@ class RefBackend : public Backend {
   std::vector<float>& mutableBuf(DataId id);
   DataId store(std::vector<float> v);
 
+  /// The fused epilogue of matMul/conv2d, run on the accumulated output
+  /// whose channel (innermost) dimension is `n`: out[i] = act(out[i] +
+  /// bias[i % n]) — the scalar formulas of the standalone add and
+  /// activation kernels, in the same order, so a backend that accumulates
+  /// its own way and then calls this stays bit-identical to its own op-by-op
+  /// chain. A no-op without bias and activation.
+  void applyEpilogue(std::vector<float>& out, std::size_t n,
+                     const TensorSpec* bias, FusedActivation act) const;
+
   // Shared f32 fallback of the quantized kernels: dequantizes the weight
-  // codes, dispatches the backend's own (virtual) fused kernel, and
+  // codes, dispatches the backend's own (virtual) matMul/conv2d, and
   // requantizes the result in place when outQ is set. Also the reason a
   // quantized kernel's fallback stays bit-identical across backends that
   // share an f32 GEMM accumulation order.

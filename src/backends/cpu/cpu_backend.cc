@@ -98,7 +98,8 @@ DataId PlainCpuBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
 }
 
 DataId PlainCpuBackend::matMul(const TensorSpec& a, const TensorSpec& b,
-                               bool transposeA, bool transposeB) {
+                               bool transposeA, bool transposeB,
+                               const TensorSpec* bias, FusedActivation act) {
   KernelTimer t(kernelMs_, "cpu.matMul");
   const int bA = a.shape[0], bB = b.shape[0];
   const int m = transposeA ? a.shape[2] : a.shape[1];
@@ -128,11 +129,13 @@ DataId PlainCpuBackend::matMul(const TensorSpec& a, const TensorSpec& b,
       }
     }
   }
+  applyEpilogue(out, static_cast<std::size_t>(n), bias, act);
   return store(std::move(out));
 }
 
 DataId PlainCpuBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
-                               const Conv2DInfo& ci) {
+                               const Conv2DInfo& ci, const TensorSpec* bias,
+                               FusedActivation act) {
   KernelTimer t(kernelMs_, "cpu.conv2d");
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);
@@ -173,6 +176,7 @@ DataId PlainCpuBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
       }
     }
   }
+  applyEpilogue(out, static_cast<std::size_t>(ci.outC), bias, act);
   return store(std::move(out));
 }
 

@@ -52,13 +52,15 @@ class PlainCpuBackend : public RefBackend {
   // In-place ops (move-consuming overloads) and fused regions run
   // RefBackend's compiled region interpreter, not the ScalarVM: the same
   // scalar formulas, so values match this backend's unary/binary bitwise.
-  // (fusedMatMul/fusedConv2d inherit from RefBackend too, whose virtual
-  // matMul/conv2d dispatch lands back here, keeping results bit-identical
-  // to this backend's unfused chain.)
+  // matMul/conv2d accumulate through the ScalarVM, then run RefBackend's
+  // bias/activation epilogue, keeping fused results bit-identical to this
+  // backend's unfused chain.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
-                bool transposeB) override;
+                bool transposeB, const TensorSpec* bias,
+                FusedActivation act) override;
   DataId conv2d(const TensorSpec& x, const TensorSpec& filter,
-                const Conv2DInfo& info) override;
+                const Conv2DInfo& info, const TensorSpec* bias,
+                FusedActivation act) override;
   DataId depthwiseConv2d(const TensorSpec& x, const TensorSpec& filter,
                          const Conv2DInfo& info) override;
   DataId reduce(ReduceOp op, const TensorSpec& x, std::size_t outer,

@@ -592,24 +592,10 @@ DataId NativeBackend::runRegion(std::span<const RegionInstr> instrs,
 }
 
 DataId NativeBackend::matMul(const TensorSpec& a, const TensorSpec& b,
-                             bool transposeA, bool transposeB) {
+                             bool transposeA, bool transposeB,
+                             const TensorSpec* bias, FusedActivation act) {
   KernelTimer t(kernelMs_, "native.matMul");
-  return matMulImpl(a, b, transposeA, transposeB, nullptr,
-                    FusedActivation::kNone);
-}
-
-DataId NativeBackend::fusedMatMul(const TensorSpec& a, const TensorSpec& b,
-                                  bool transposeA, bool transposeB,
-                                  const TensorSpec* bias,
-                                  FusedActivation act) {
-  KernelTimer t(kernelMs_, "native.fusedMatMul");
-  const float* bv = bias != nullptr ? buf(bias->id).data() : nullptr;
-  return matMulImpl(a, b, transposeA, transposeB, bv, act);
-}
-
-DataId NativeBackend::matMulImpl(const TensorSpec& a, const TensorSpec& b,
-                                 bool transposeA, bool transposeB,
-                                 const float* bias, FusedActivation act) {
+  const float* biasv = bias != nullptr ? buf(bias->id).data() : nullptr;
   const int bA = a.shape[0], bB = b.shape[0];
   const int m = transposeA ? a.shape[2] : a.shape[1];
   const int k = transposeA ? a.shape[1] : a.shape[2];
@@ -641,29 +627,16 @@ DataId NativeBackend::matMulImpl(const TensorSpec& a, const TensorSpec& b,
       A = aT.data();
     }
     gemmF32(A, B, transposeB, out.data() + static_cast<std::size_t>(bi) * m * n,
-            m, k, n, bias, act);
+            m, k, n, biasv, act);
   }
   return store(std::move(out));
 }
 
 DataId NativeBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
-                             const Conv2DInfo& ci) {
+                             const Conv2DInfo& ci, const TensorSpec* bias,
+                             FusedActivation act) {
   KernelTimer t(kernelMs_, "native.conv2d");
-  return conv2dImpl(x, filter, ci, nullptr, FusedActivation::kNone);
-}
-
-DataId NativeBackend::fusedConv2d(const TensorSpec& x,
-                                  const TensorSpec& filter,
-                                  const Conv2DInfo& ci, const TensorSpec* bias,
-                                  FusedActivation act) {
-  KernelTimer t(kernelMs_, "native.fusedConv2d");
-  const float* bv = bias != nullptr ? buf(bias->id).data() : nullptr;
-  return conv2dImpl(x, filter, ci, bv, act);
-}
-
-DataId NativeBackend::conv2dImpl(const TensorSpec& x, const TensorSpec& filter,
-                                 const Conv2DInfo& ci, const float* bias,
-                                 FusedActivation act) {
+  const float* biasv = bias != nullptr ? buf(bias->id).data() : nullptr;
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);
   const std::size_t outSpatial =
@@ -681,7 +654,7 @@ DataId NativeBackend::conv2dImpl(const TensorSpec& x, const TensorSpec& filter,
     // row panels parallelise across the pool.
     gemm(xv.data(), fv.data(), out.data(),
          static_cast<int>(static_cast<std::size_t>(ci.batch) * outSpatial),
-         ci.inC, ci.outC, bias, act);
+         ci.inC, ci.outC, biasv, act);
     return store(std::move(out));
   }
 
@@ -726,7 +699,7 @@ DataId NativeBackend::conv2dImpl(const TensorSpec& x, const TensorSpec& filter,
         gemm(col.data(), fv.data(),
              out.data() + rBegin * ci.outW * ci.outC,
              static_cast<int>((rEnd - rBegin) * ci.outW),
-             static_cast<int>(patch), ci.outC, bias, act);
+             static_cast<int>(patch), ci.outC, biasv, act);
         core::BufferPool::get().release(std::move(col));
       });
   return store(std::move(out));

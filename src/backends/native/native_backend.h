@@ -7,8 +7,8 @@
 // (core/thread_pool.h) — the same two mechanisms (SIMD + an Eigen-style
 // intra-op pool) the TF C library uses. The f32 GEMM is register-tiled in
 // the Goto/BLIS style (packed B panels, an MR x NR accumulator tile, the
-// bias/activation epilogue applied in registers); conv2d lowers onto it
-// (1x1 directly, others via im2col), as do matMul and fusedMatMul.
+// bias/activation epilogue applied in registers); matMul and conv2d (1x1
+// directly, others via im2col) both lower onto it, epilogue included.
 // Long-tail data-movement kernels inherit the reference implementations.
 //
 // Every parallel kernel uses a fixed chunk partition (independent of the
@@ -55,18 +55,14 @@ class NativeBackend : public RefBackend {
                float beta) override;
   DataId select(const TensorSpec& cond, const TensorSpec& a,
                 const TensorSpec& b, const Shape& outShape) override;
+  /// matMul and conv2d apply bias + activation to the GEMM's register tile
+  /// after the full k accumulation — bit-identical to matMul + add + act.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
-                bool transposeB) override;
-  /// Bias + activation applied to the GEMM's register tile after the full k
-  /// accumulation — bit-identical to matMul + add + act.
-  DataId fusedMatMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
-                     bool transposeB, const TensorSpec* bias,
-                     FusedActivation act) override;
+                bool transposeB, const TensorSpec* bias,
+                FusedActivation act) override;
   DataId conv2d(const TensorSpec& x, const TensorSpec& filter,
-                const Conv2DInfo& info) override;
-  DataId fusedConv2d(const TensorSpec& x, const TensorSpec& filter,
-                     const Conv2DInfo& info, const TensorSpec* bias,
-                     FusedActivation act) override;
+                const Conv2DInfo& info, const TensorSpec* bias,
+                FusedActivation act) override;
   /// Strip-mined fused-region interpreter: per block of output elements,
   /// inputs load once into dense rows, then each instruction runs as a
   /// dense (autovectorizable) loop over the block, instruction by
@@ -114,11 +110,6 @@ class NativeBackend : public RefBackend {
   DataId runRegion(std::span<const RegionInstr> instrs,
                    std::span<const TensorSpec* const> inputs,
                    const Shape& outShape, DataId dst);
-  DataId matMulImpl(const TensorSpec& a, const TensorSpec& b, bool transposeA,
-                    bool transposeB, const float* bias, FusedActivation act);
-  DataId conv2dImpl(const TensorSpec& x, const TensorSpec& filter,
-                    const Conv2DInfo& info, const float* bias,
-                    FusedActivation act);
 
   /// Returns the cached panel packing of the [k, n] weight codes stored
   /// under `id`, building it on first use. Weight tensors are Variables the

@@ -121,9 +121,12 @@ class ShaderContext {
   /// The browser-specific write: fp16 devices round through half precision
   /// (paper: "in iOS Safari we render to a 16bit ... texture. In both cases
   /// the user code is the same, using the high-level setOutput(value)").
-  void setOutput(float v) {
-    out_[flat_] = fp16_ ? roundTripHalf(v) : v;
-  }
+  void setOutput(float v) { out_[flat_] = stored(v); }
+  /// The value a texture store would hold: the half-precision round trip on
+  /// fp16 devices, identity otherwise. Fused shaders pass every interior
+  /// value through it that the op-by-op chain would have written to a
+  /// texture, which keeps them bit-identical to that chain.
+  float stored(float v) const { return fp16_ ? roundTripHalf(v) : v; }
 
  private:
   friend class ShaderExecutor;

@@ -14,7 +14,28 @@ namespace tfjs::backends::webgl {
 
 namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// The fused epilogue on one accumulated value of output channel `j`; the
+/// bias, when present, is shader input 2. Each interior value goes through
+/// stored() exactly where the op-by-op chain would have written a texture,
+/// so the result is bit-identical to matMul/conv2d + add + activation in
+/// fp16 mode too.
+float epilogue(const ShaderContext& ctx, float acc, int j, bool hasBias,
+               FusedActivation act) {
+  if (!hasBias && act == FusedActivation::kNone) return acc;
+  float v = ctx.stored(acc);
+  if (hasBias) {
+    v = ctx.stored(applyBinary(BinaryOp::kAdd, v,
+                               ctx.getFlat(2, static_cast<std::size_t>(j))));
+  }
+  return applyFusedActivation(act, v);
 }
+
+/// Modeled per-invocation arithmetic of the epilogue.
+double epilogueFlops(bool hasBias, FusedActivation act) {
+  return (hasBias ? 1.0 : 0.0) + (act != FusedActivation::kNone ? 1.0 : 0.0);
+}
+}  // namespace
 
 WebGLBackend::WebGLBackend(WebGLOptions opts)
     : opts_(opts),
@@ -162,8 +183,79 @@ DataId WebGLBackend::select(const TensorSpec& cond, const TensorSpec& a,
   return id;
 }
 
+DataId WebGLBackend::fusedRegion(const RegionProgram& program,
+                                 std::span<const TensorSpec> inputs,
+                                 const Shape& outShape, DataId /*dst*/) {
+  if (program.instrs.empty() ||
+      inputs.size() != static_cast<std::size_t>(program.numInputs)) {
+    throw BackendError("fusedRegion: malformed program");
+  }
+  auto [id, outTex] = makeOutput(outShape);
+  ShaderRun r;
+  r.name = "fusedRegion";
+  r.outputShape = outShape;
+  r.output = outTex;
+  r.squeeze = opts_.squeeze;
+  std::vector<Shape> inShapes;
+  std::vector<char> dense;  // input shape == output shape: flat addressing
+  double indexFlops = 0;
+  for (const TensorSpec& in : inputs) {
+    r.inputs.push_back(input(in));
+    inShapes.push_back(in.shape);
+    dense.push_back(in.shape == outShape);
+    indexFlops += idxOps(in.shape);
+  }
+  // The closure runs on the GPU worker after this call returns, so it owns
+  // copies of the program and the shapes; ins/vals are per-invocation
+  // scratch, rewritten before they are read.
+  r.main = [program, inShapes, dense, oShape = outShape,
+            ins = std::vector<float>(inputs.size()),
+            vals = std::vector<float>(program.instrs.size())](
+               ShaderContext& ctx) mutable {
+    for (std::size_t j = 0; j < ins.size(); ++j) {
+      const std::size_t at =
+          dense[j] != 0
+              ? ctx.outFlat()
+              : util::broadcastIndex(ctx.outputCoords(), inShapes[j], oShape);
+      ins[j] = ctx.getFlat(static_cast<int>(j), at);
+    }
+    const auto arg = [&](int ref) {
+      return ref < 0 ? ins[static_cast<std::size_t>(-1 - ref)]
+                     : vals[static_cast<std::size_t>(ref)];
+    };
+    for (std::size_t k = 0; k < program.instrs.size(); ++k) {
+      const RegionInstr& si = program.instrs[k];
+      float v = 0;
+      switch (si.kind) {
+        case RegionInstr::Kind::kUnary:
+          v = applyUnary(static_cast<UnaryOp>(si.op), arg(si.a), si.alpha,
+                         si.beta);
+          break;
+        case RegionInstr::Kind::kBinary:
+          v = applyBinary(static_cast<BinaryOp>(si.op), arg(si.a), arg(si.b));
+          break;
+        case RegionInstr::Kind::kSelect:
+          v = arg(si.a) != 0 ? arg(si.b) : arg(si.c);
+          break;
+      }
+      vals[k] = ctx.stored(v);
+    }
+    ctx.setOutput(vals.back());
+  };
+  // One dispatch per region; a one-instruction region costs exactly what
+  // the standalone unary/binary shader costs.
+  r.cost.invocations = elemInvocations(outShape.size());
+  r.cost.fetchesPerInvocation = static_cast<double>(inputs.size());
+  r.cost.flopsPerInvocation =
+      static_cast<double>(program.instrs.size()) * (opts_.packed ? 4.0 : 1.0) +
+      indexFlops;
+  run(std::move(r));
+  return id;
+}
+
 DataId WebGLBackend::matMul(const TensorSpec& a, const TensorSpec& b,
-                            bool transposeA, bool transposeB) {
+                            bool transposeA, bool transposeB,
+                            const TensorSpec* bias, FusedActivation act) {
   const int bA = a.shape[0], bB = b.shape[0];
   const int m = transposeA ? a.shape[2] : a.shape[1];
   const int k = transposeA ? a.shape[1] : a.shape[2];
@@ -177,6 +269,8 @@ DataId WebGLBackend::matMul(const TensorSpec& a, const TensorSpec& b,
   r.outputShape = outShape;
   r.output = outTex;
   r.inputs = {input(a), input(b)};
+  const bool hasBias = bias != nullptr;
+  if (hasBias) r.inputs.push_back(input(*bias));
   r.squeeze = opts_.squeeze;
   // The Listing-2 shader: each output value loops over the shared dimension
   // sampling A's row and B's column through the compiled getters.
@@ -195,18 +289,19 @@ DataId WebGLBackend::matMul(const TensorSpec& a, const TensorSpec& b,
       acc += ctx.get(0, std::span<const int>(ac)) *
              ctx.get(1, std::span<const int>(bc));
     }
-    ctx.setOutput(acc);
+    ctx.setOutput(epilogue(ctx, acc, j, hasBias, act));
   };
   r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 2.0 * k * fetchScale();
-  r.cost.flopsPerInvocation = 2.0 * k;
+  r.cost.fetchesPerInvocation = (2.0 * k + (hasBias ? 1 : 0)) * fetchScale();
+  r.cost.flopsPerInvocation = 2.0 * k + epilogueFlops(hasBias, act);
   r.cost.reusable = true;
   run(std::move(r));
   return id;
 }
 
 DataId WebGLBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
-                            const Conv2DInfo& ci) {
+                            const Conv2DInfo& ci, const TensorSpec* bias,
+                            FusedActivation act) {
   const Shape outShape{ci.batch, ci.outH, ci.outW, ci.outC};
   auto [id, outTex] = makeOutput(outShape);
   ShaderRun r;
@@ -214,8 +309,10 @@ DataId WebGLBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
   r.outputShape = outShape;
   r.output = outTex;
   r.inputs = {input(x), input(filter)};
+  const bool hasBias = bias != nullptr;
+  if (hasBias) r.inputs.push_back(input(*bias));
   r.squeeze = opts_.squeeze;
-  r.main = [ci](ShaderContext& ctx) {
+  r.main = [ci, hasBias, act](ShaderContext& ctx) {
     const int b = ctx.coord(0), oy = ctx.coord(1), ox = ctx.coord(2),
               oc = ctx.coord(3);
     float acc = 0;
@@ -233,12 +330,12 @@ DataId WebGLBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
         }
       }
     }
-    ctx.setOutput(acc);
+    ctx.setOutput(epilogue(ctx, acc, oc, hasBias, act));
   };
   const double macs = static_cast<double>(ci.filterH) * ci.filterW * ci.inC;
   r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 2.0 * macs * fetchScale();
-  r.cost.flopsPerInvocation = 2.0 * macs;
+  r.cost.fetchesPerInvocation = (2.0 * macs + (hasBias ? 1 : 0)) * fetchScale();
+  r.cost.flopsPerInvocation = 2.0 * macs + epilogueFlops(hasBias, act);
   r.cost.reusable = true;
   run(std::move(r));
   return id;

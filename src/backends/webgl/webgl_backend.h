@@ -61,10 +61,22 @@ class WebGLBackend : public Backend {
                float beta) override;
   DataId select(const TensorSpec& cond, const TensorSpec& a,
                 const TensorSpec& b, const Shape& outShape) override;
+  /// The Listing-2 shader; bias and activation run before setOutput, each
+  /// interior value rounded as a texture store would round it.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
-                bool transposeB) override;
+                bool transposeB, const TensorSpec* bias,
+                FusedActivation act) override;
   DataId conv2d(const TensorSpec& x, const TensorSpec& filter,
-                const Conv2DInfo& info) override;
+                const Conv2DInfo& info, const TensorSpec* bias,
+                FusedActivation act) override;
+  /// One shader per region: per output element, loads each input once and
+  /// runs the program's scalar steps, storing every interior value through
+  /// the texture rounding the op-by-op chain would apply. Ignores `dst` (a
+  /// shader cannot sample the texture it renders to) and always renders
+  /// to a fresh texture.
+  DataId fusedRegion(const RegionProgram& program,
+                     std::span<const TensorSpec> inputs, const Shape& outShape,
+                     DataId dst) override;
   DataId conv2dBackpropInput(const TensorSpec& dy, const TensorSpec& filter,
                              const Conv2DInfo& info) override;
   DataId conv2dBackpropFilter(const TensorSpec& x, const TensorSpec& dy,

@@ -153,11 +153,19 @@ class Backend {
   virtual DataId select(const TensorSpec& cond, const TensorSpec& a,
                         const TensorSpec& b, const Shape& outShape) = 0;
   /// Batched matmul over rank-3 inputs [batch, m, k] x [batch, k, n]; batch
-  /// dims of size 1 broadcast.
+  /// dims of size 1 broadcast. The fused epilogue is part of the kernel:
+  /// after the full accumulation of an element, adds `bias[j]` (a length-n
+  /// vector, or nullptr) and applies `act`. Results must be bit-identical to
+  /// matMul + broadcast add + activation dispatched op by op on the same
+  /// backend.
   virtual DataId matMul(const TensorSpec& a, const TensorSpec& b,
-                        bool transposeA, bool transposeB) = 0;
+                        bool transposeA, bool transposeB,
+                        const TensorSpec* bias, FusedActivation act) = 0;
+  /// NHWC conv2d with the same fused epilogue contract (`bias` length =
+  /// outC).
   virtual DataId conv2d(const TensorSpec& x, const TensorSpec& filter,
-                        const Conv2DInfo& info) = 0;
+                        const Conv2DInfo& info, const TensorSpec* bias,
+                        FusedActivation act) = 0;
   virtual DataId conv2dBackpropInput(const TensorSpec& dy,
                                      const TensorSpec& filter,
                                      const Conv2DInfo& info) = 0;
@@ -214,35 +222,6 @@ class Backend {
   virtual DataId cumsum(const TensorSpec& x, std::size_t outer,
                         std::size_t inner, bool exclusive, bool reverse) = 0;
 
-  // ---- optional fast paths (fused epilogues + fused regions) ----------
-  /// True when the backend implements fusedMatMul/fusedConv2d. The ops
-  /// layer checks this and otherwise composes the unfused kernel chain
-  /// itself (device backends with command queues keep their existing
-  /// dataflow that way).
-  virtual bool supportsFusedKernels() const { return false; }
-  /// matMul with a fused epilogue: optional bias add (`bias` is a length-n
-  /// vector, or nullptr) followed by `act`. CPU backends apply the epilogue
-  /// while the output tile is still cache-hot; results must be bit-identical
-  /// to matMul + broadcast add + activation on the same backend.
-  virtual DataId fusedMatMul(const TensorSpec& a, const TensorSpec& b,
-                             bool transposeA, bool transposeB,
-                             const TensorSpec* bias, FusedActivation act) {
-    (void)a, (void)b, (void)transposeA, (void)transposeB, (void)bias,
-        (void)act;
-    throw BackendError("fusedMatMul not supported by backend " + name());
-  }
-  /// conv2d with the same fused epilogue contract (`bias` length = outC).
-  virtual DataId fusedConv2d(const TensorSpec& x, const TensorSpec& filter,
-                             const Conv2DInfo& info, const TensorSpec* bias,
-                             FusedActivation act) {
-    (void)x, (void)filter, (void)info, (void)bias, (void)act;
-    throw BackendError("fusedConv2d not supported by backend " + name());
-  }
-
-  /// True when the backend implements fusedRegion(). The ops layer checks
-  /// this and otherwise replays the region op by op through the standalone
-  /// kernels (bit-identical by construction).
-  virtual bool supportsFusedRegions() const { return false; }
   /// Evaluates a fused elementwise region in a single pass over the output:
   /// one load per input element, the program's scalar ops in original order,
   /// one store. `inputs.size() == program.numInputs`; each input broadcasts
@@ -254,10 +233,7 @@ class Backend {
   /// bit-identical to dispatching the program's ops one at a time.
   virtual DataId fusedRegion(const RegionProgram& program,
                              std::span<const TensorSpec> inputs,
-                             const Shape& outShape, DataId dst) {
-    (void)program, (void)inputs, (void)outShape, (void)dst;
-    throw BackendError("fusedRegion not supported by backend " + name());
-  }
+                             const Shape& outShape, DataId dst) = 0;
 
   // ---- quantized kernels (int8 inference path) -------------------------
   /// True when the backend implements quantizedMatMul/quantizedConv2d. The

@@ -47,7 +47,7 @@ void Conv2D::build(const Shape& inputShape) {
 Tensor Conv2D::call(const Tensor& x, bool) {
   return Engine::get().tidy([&] {
     // conv2d -> add -> activation matches the fused kernel's epilogue;
-    // see Dense::call for the fallback/bit-identity contract.
+    // see Dense::call for the bit-identity contract.
     if (auto act = o::fusibleActivation(opts_.activation)) {
       return o::fusedConv2d(x, kernel_.value(),
                             opts_.useBias ? bias_.value() : Tensor(), *act,

@@ -34,9 +34,8 @@ void Dense::build(const Shape& inputShape) {
 Tensor Dense::call(const Tensor& x, bool) {
   return Engine::get().tidy([&] {
     // matMul -> add -> activation is the pattern the fused kernel covers;
-    // route through it when the activation is fusible (bit-identical either
-    // way — fusedMatMul falls back to this composition on backends without
-    // fused kernels).
+    // route through it when the activation is fusible (bit-identical to
+    // this composition on every backend).
     if (auto act = o::fusibleActivation(opts_.activation)) {
       return o::fusedMatMul(x, kernel_.value(),
                             opts_.useBias ? bias_.value() : Tensor(), *act);

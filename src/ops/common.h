@@ -17,8 +17,8 @@ inline Engine& E() { return Engine::get(); }
 // ---- graph-capture recording (src/graph) ---------------------------------
 //
 // Public ops report themselves to the engine's OpObserver so capture(fn)
-// can rebuild the dispatch sequence as IR. Composite ops (softmax, the
-// fused fallbacks, batchNorm's pieces...) must record as ONE node, not as
+// can rebuild the dispatch sequence as IR. Composite ops (softmax,
+// batchNorm's pieces...) must record as ONE node, not as
 // their internals, so every recording site opens a CaptureFrame: only
 // depth-1 events (the outermost public op on this thread) reach the
 // observer; nested dispatches are suppressed.
@@ -122,16 +122,46 @@ class KernelScope {
 
 /// In-place dispatch behind every move-consuming op (`relu(Tensor&&)`,
 /// `add(Tensor&&, b)`, `fusedRegion(program, Tensor&&, rest)`): when the
-/// backend runs fused regions and the engine proves sole ownership of
-/// inputs[0], whose buffer must hold the output exactly (same shape, same
-/// element width), runs `program` with dst = that buffer under an op span
-/// named `name`; the output takes over the storage when the kernel wrote
-/// in place. Returns an undefined Tensor when a check fails — the caller
-/// then runs the allocating op (which records capture and gradients) and
-/// disposes the consumed input.
+/// engine proves sole ownership of inputs[0], whose buffer must hold the
+/// output exactly (same shape, same element width), runs `program` with
+/// dst = that buffer under an op span named `name`; the output takes over
+/// the storage when the kernel wrote in place, and the consumed input is
+/// disposed when the backend allocated instead. Returns an undefined Tensor
+/// when a check fails — the caller then runs the allocating op (which
+/// records capture and gradients) and disposes the consumed input.
 Tensor tryRegionInPlace(const char* name, const RegionProgram& program,
                         std::span<const Tensor> inputs, const Shape& outShape,
                         DType outDtype);
+
+/// Normalizes a rank-2 tensor to rank-3 with batch 1 (alias, free).
+inline Tensor to3d(const Tensor& t) {
+  if (t.rank() == 3) return t.clone();
+  return t.reshape(Shape{1, t.shape()[0], t.shape()[1]});
+}
+
+/// The one kernel dispatch behind matMul and fusedMatMul (the plain op
+/// passes an undefined bias and kNone): shape checks, including the bias's
+/// (rank 1, length n), the backend's matMul with its epilogue, and the
+/// rank-2 view of a rank-2 product. Opens the op span `name`; the caller
+/// holds the CaptureFrame and records capture and gradient.
+Tensor matMulKernel(const char* name, const Tensor& a, const Tensor& b,
+                    bool transposeA, bool transposeB, const Tensor& bias,
+                    FusedActivation act);
+/// The same for conv2d / fusedConv2d (bias length outC).
+Tensor conv2dKernel(const char* name, const Tensor& x, const Tensor& filter,
+                    const Conv2DInfo& info, const Tensor& bias,
+                    FusedActivation act);
+
+/// matMul's transpose-aware adjoints {da, db} for the output gradient dy,
+/// reduced over broadcast batch dims.
+std::vector<Tensor> matMulGrads(const Tensor& a, const Tensor& b,
+                                bool transposeA, bool transposeB,
+                                const Tensor& dy);
+/// conv2d's adjoint kernels.
+Tensor convBackpropInput(const Tensor& dy, const Tensor& filter,
+                         const Conv2DInfo& info);
+Tensor convBackpropFilter(const Tensor& x, const Tensor& dy,
+                          const Conv2DInfo& info);
 
 /// Records a pullback onto the active tape when gradients are being traced
 /// through any of the inputs.

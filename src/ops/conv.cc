@@ -1,6 +1,7 @@
 // Convolutions and pooling. Geometry (SAME/VALID padding, strides,
 // dilations) is resolved here into an explicit Conv2DInfo/Pool2DInfo; the
-// backends only ever see resolved numbers.
+// backends only ever see resolved numbers. conv2d's kernel dispatch and
+// adjoints are shared with fusedConv2d (fused.cc).
 #include "ops/common.h"
 
 namespace tfjs::ops {
@@ -8,10 +9,26 @@ namespace tfjs::ops {
 using internal::E;
 using internal::record;
 
-namespace {
+Tensor internal::conv2dKernel(const char* name, const Tensor& x,
+                              const Tensor& filter, const Conv2DInfo& info,
+                              const Tensor& bias, FusedActivation act) {
+  TFJS_SHAPE_CHECK(
+      !bias.defined() || (bias.rank() == 1 && bias.shape()[0] == info.outC),
+      name << " bias must be rank 1 of length " << info.outC << ", got "
+           << bias.shape().toString());
+  internal::KernelScope k(name);
+  const TensorSpec sx = E().prepareInput(x);
+  const TensorSpec sf = E().prepareInput(filter);
+  TensorSpec sbias;
+  if (bias.defined()) sbias = E().prepareInput(bias);
+  const DataId id = E().backend().conv2d(
+      sx, sf, info, bias.defined() ? &sbias : nullptr, act);
+  return k.wrap(id, Shape{info.batch, info.outH, info.outW, info.outC},
+                DType::f32);
+}
 
-Tensor convBackpropInput(const Tensor& dy, const Tensor& filter,
-                         const Conv2DInfo& info) {
+Tensor internal::convBackpropInput(const Tensor& dy, const Tensor& filter,
+                                   const Conv2DInfo& info) {
   internal::KernelScope k("conv2dBackpropInput");
   const TensorSpec sdy = E().prepareInput(dy);
   const TensorSpec sf = E().prepareInput(filter);
@@ -20,8 +37,8 @@ Tensor convBackpropInput(const Tensor& dy, const Tensor& filter,
                 DType::f32);
 }
 
-Tensor convBackpropFilter(const Tensor& x, const Tensor& dy,
-                          const Conv2DInfo& info) {
+Tensor internal::convBackpropFilter(const Tensor& x, const Tensor& dy,
+                                    const Conv2DInfo& info) {
   internal::KernelScope k("conv2dBackpropFilter");
   const TensorSpec sx = E().prepareInput(x);
   const TensorSpec sdy = E().prepareInput(dy);
@@ -29,6 +46,8 @@ Tensor convBackpropFilter(const Tensor& x, const Tensor& dy,
   return k.wrap(id, Shape{info.filterH, info.filterW, info.inC, info.outC},
                 DType::f32);
 }
+
+namespace {
 
 Tensor dwBackpropInput(const Tensor& dy, const Tensor& filter,
                        const Conv2DInfo& info) {
@@ -64,13 +83,8 @@ Tensor conv2d(const Tensor& x, const Tensor& filter, int strideH, int strideW,
       x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
       /*depthwise=*/false);
   internal::CaptureFrame frame;
-  internal::KernelScope k("conv2d");
-  const TensorSpec sx = E().prepareInput(x);
-  const TensorSpec sf = E().prepareInput(filter);
-  const DataId id = E().backend().conv2d(sx, sf, info);
-  Tensor y =
-      k.wrap(id, Shape{info.batch, info.outH, info.outW, info.outC},
-             DType::f32);
+  Tensor y = internal::conv2dKernel("conv2d", x, filter, info, Tensor{},
+                                    FusedActivation::kNone);
   internal::observeOp(OpId::kConv2d, {x, filter}, y,
                       {static_cast<double>(strideH),
                        static_cast<double>(strideW),
@@ -78,8 +92,8 @@ Tensor conv2d(const Tensor& x, const Tensor& filter, int strideH, int strideW,
                        static_cast<double>(dilationH),
                        static_cast<double>(dilationW)});
   record("conv2d", {x, filter}, y, [x, filter, info](const Tensor& dy) {
-    return std::vector<Tensor>{convBackpropInput(dy, filter, info),
-                               convBackpropFilter(x, dy, info)};
+    return std::vector<Tensor>{internal::convBackpropInput(dy, filter, info),
+                               internal::convBackpropFilter(x, dy, info)};
   });
   return y;
 }

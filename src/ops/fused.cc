@@ -1,43 +1,19 @@
 // Fused matMul/conv2d: bias add + activation folded into the producing
-// kernel on backends that support it (supportsFusedKernels()), mirroring
-// tf.fused.matMul / the upstream fused conv path that Layers' Dense and
-// Conv2D emit. Backends without fused kernels get the equivalent
-// composition of public ops; both paths are bit-identical to the unfused
-// chain on the active backend — the epilogue applies exactly the same
-// scalar formulas after the full accumulation (see DESIGN.md "Memory
-// reuse").
-#include "core/metrics.h"
-#include "core/util.h"
+// kernel, mirroring tf.fused.matMul / the upstream fused conv path that
+// Layers' Dense and Conv2D emit. Every backend runs the epilogue inside its
+// matMul/conv2d kernel (Backend::matMul/conv2d take the bias and the
+// activation), through the same dispatch body as the plain ops; the result
+// is bit-identical to the unfused chain on the active backend — the
+// epilogue applies exactly the same scalar formulas after the full
+// accumulation (see DESIGN.md "Memory reuse").
 #include "ops/common.h"
 
 namespace tfjs::ops {
 
-using internal::E;
 using internal::record;
 using internal::reduceGradTo;
 
 namespace {
-
-/// Normalizes a rank-2 tensor to rank-3 with batch 1 (alias, free).
-Tensor to3d(const Tensor& t) {
-  if (t.rank() == 3) return t.clone();
-  return t.reshape(Shape{1, t.shape()[0], t.shape()[1]});
-}
-
-/// Applies the consumed activation when composing from public ops.
-Tensor applyActivationOp(FusedActivation act, Tensor&& y) {
-  switch (act) {
-    case FusedActivation::kNone:
-      return std::move(y);
-    case FusedActivation::kRelu:
-      return relu(std::move(y));
-    case FusedActivation::kRelu6:
-      return relu6(std::move(y));
-    case FusedActivation::kSigmoid:
-      return sigmoid(std::move(y));
-  }
-  throw InternalError("unknown FusedActivation");
-}
 
 /// dL/d(pre-activation) from dy and the fused output y. Every supported
 /// activation's derivative is expressible from its own output, so the
@@ -58,50 +34,31 @@ Tensor activationGrad(FusedActivation act, const Tensor& dy, const Tensor& y) {
   throw InternalError("unknown FusedActivation");
 }
 
-/// The four transpose-case matMul adjoints (same as matmul.cc) applied to
-/// the pre-activation gradient dt.
-std::pair<Tensor, Tensor> matMulAdjoints(const Tensor& a, const Tensor& b,
-                                         bool transposeA, bool transposeB,
-                                         const Tensor& dt) {
-  Tensor da3, db3;
-  if (!transposeA && !transposeB) {
-    da3 = matMul(dt, b, false, true);
-    db3 = matMul(a, dt, true, false);
-  } else if (!transposeA && transposeB) {
-    da3 = matMul(dt, b, false, false);
-    db3 = matMul(dt, a, true, false);
-  } else if (transposeA && !transposeB) {
-    da3 = matMul(b, dt, false, true);
-    db3 = matMul(a, dt, false, false);
+/// Reports the fused op to a capture observer and records its pullback:
+/// dL/d(pre-activation) from the fused output, then `operandGrads(dt)` for
+/// the two operands and, with a bias, the bias's reduced gradient.
+void finishFused(
+    OpId id, const char* name, const Tensor& x, const Tensor& w,
+    const Tensor& bias, const Tensor& y, FusedActivation act,
+    std::span<const double> attrs,
+    std::function<std::vector<Tensor>(const Tensor&)> operandGrads) {
+  if (bias.defined()) {
+    internal::observeOp(id, {x, w, bias}, y, attrs);
   } else {
-    da3 = matMul(b, dt, true, true);
-    db3 = matMul(dt, a, true, true);
+    internal::observeOp(id, {x, w}, y, attrs);
   }
-  Tensor da = reduceGradTo(da3, a.shape());
-  Tensor db = reduceGradTo(db3, b.shape());
-  da3.dispose();
-  db3.dispose();
-  return {da, db};
-}
-
-Tensor convBackpropInput(const Tensor& dy, const Tensor& filter,
-                         const Conv2DInfo& info) {
-  internal::KernelScope k("conv2dBackpropInput");
-  const TensorSpec sdy = E().prepareInput(dy);
-  const TensorSpec sf = E().prepareInput(filter);
-  const DataId id = E().backend().conv2dBackpropInput(sdy, sf, info);
-  return k.wrap(id, Shape{info.batch, info.inH, info.inW, info.inC},
-                DType::f32);
-}
-
-Tensor convBackpropFilter(const Tensor& x, const Tensor& dy,
-                          const Conv2DInfo& info) {
-  internal::KernelScope k("conv2dBackpropFilter");
-  const TensorSpec sx = E().prepareInput(x);
-  const TensorSpec sdy = E().prepareInput(dy);
-  const DataId id = E().backend().conv2dBackpropFilter(sx, sdy, info);
-  return k.wrap(id, Shape{info.filterH, info.filterW, info.inC, info.outC},
-                DType::f32);
+  const auto pullback = [bias, y, act, operandGrads](const Tensor& dy) {
+    Tensor dt = activationGrad(act, dy, y);
+    std::vector<Tensor> grads = operandGrads(dt);
+    if (bias.defined()) grads.push_back(reduceGradTo(dt, bias.shape()));
+    dt.dispose();
+    return grads;
+  };
+  if (bias.defined()) {
+    record(name, {x, w, bias}, y, pullback);
+  } else {
+    record(name, {x, w}, y, pullback);
+  }
 }
 
 }  // namespace
@@ -116,11 +73,6 @@ std::optional<FusedActivation> fusibleActivation(const std::string& name) {
 
 Tensor fusedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
                    FusedActivation act, bool transposeA, bool transposeB) {
-  TFJS_SHAPE_CHECK(a.rank() == 2 || a.rank() == 3,
-                   "fusedMatMul expects rank 2 or 3 for a, got " << a.rank());
-  TFJS_SHAPE_CHECK(b.rank() == 2 || b.rank() == 3,
-                   "fusedMatMul expects rank 2 or 3 for b, got " << b.rank());
-
   // Int8 weights route to the quantized kernel (inference-only; the
   // transposed cases fall back to dequantized f32 weights).
   if (b.dtype() == DType::i8 && b.quantParams() != nullptr) {
@@ -131,99 +83,18 @@ Tensor fusedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
     return y;
   }
 
-  // One recorded node for either execution strategy below.
   internal::CaptureFrame frame;
-  const auto observe = [&](const Tensor& y) {
-    const std::initializer_list<double> attrs{
-        static_cast<double>(act), static_cast<double>(transposeA),
-        static_cast<double>(transposeB),
-        static_cast<double>(bias.defined())};
-    if (bias.defined()) {
-      internal::observeOp(OpId::kFusedMatMul, {a, b, bias}, y, attrs);
-    } else {
-      internal::observeOp(OpId::kFusedMatMul, {a, b}, y, attrs);
-    }
-  };
-
-  if (!E().backend().supportsFusedKernels()) {
-    // Compose from public ops; each records its own gradient, and the
-    // move-consuming overloads reclaim the intermediates (on the webgl-sim
-    // backend this keeps every intermediate alive until its consumer has
-    // been queued, which a backend-level dispose could not guarantee).
-    Tensor y = matMul(a, b, transposeA, transposeB);
-    if (bias.defined()) y = add(std::move(y), bias);
-    y = applyActivationOp(act, std::move(y));
-    observe(y);
-    return y;
-  }
-
-  static metrics::Counter& fusions =
-      metrics::Registry::get().counter("fusion.matmul");
-  fusions.inc();
-
-  internal::KernelScope k("fusedMatMul");
-  Tensor y;
-  {
-    internal::TapePause pause;
-    Tensor a3 = to3d(a);
-    Tensor b3 = to3d(b);
-    const int kA = transposeA ? a3.shape()[1] : a3.shape()[2];
-    const int kB = transposeB ? b3.shape()[2] : b3.shape()[1];
-    TFJS_SHAPE_CHECK(kA == kB, "fusedMatMul inner dimensions must agree: "
-                                   << a.shape().toString() << " x "
-                                   << b.shape().toString());
-    const int bA = a3.shape()[0], bB = b3.shape()[0];
-    TFJS_SHAPE_CHECK(bA == bB || bA == 1 || bB == 1,
-                     "fusedMatMul batch dims must match or broadcast");
-    const int m = transposeA ? a3.shape()[2] : a3.shape()[1];
-    const int n = transposeB ? b3.shape()[1] : b3.shape()[2];
-    const TensorSpec sa = E().prepareInput(a3);
-    const TensorSpec sb = E().prepareInput(b3);
-    TensorSpec sbias;
-    const TensorSpec* biasPtr = nullptr;
-    if (bias.defined()) {
-      TFJS_SHAPE_CHECK(bias.rank() == 1 && bias.shape()[0] == n,
-                       "fusedMatMul bias must be rank 1 of length "
-                           << n << ", got " << bias.shape().toString());
-      sbias = E().prepareInput(bias);
-      biasPtr = &sbias;
-    }
-    const DataId id =
-        E().backend().fusedMatMul(sa, sb, transposeA, transposeB, biasPtr, act);
-    const Shape out3{std::max(bA, bB), m, n};
-    Tensor y3 = E().makeTensorFromDataId(id, out3, DType::f32);
-    if (a.rank() == 2 && b.rank() == 2) {
-      y = y3.reshape(Shape{m, n});
-      y3.dispose();
-    } else {
-      y = y3;
-    }
-    a3.dispose();
-    b3.dispose();
-  }
-  k.notify(y);
-  observe(y);
-
-  auto gradCore = [a, b, transposeA, transposeB, act, y](const Tensor& dy) {
-    Tensor dt = activationGrad(act, dy, y);
-    auto [da, db] = matMulAdjoints(a, b, transposeA, transposeB, dt);
-    return std::make_tuple(dt, da, db);
-  };
-  if (bias.defined()) {
-    record("fusedMatMul", {a, b, bias}, y,
-           [gradCore, bias](const Tensor& dy) {
-             auto [dt, da, db] = gradCore(dy);
-             Tensor dbias = reduceGradTo(dt, bias.shape());
-             dt.dispose();
-             return std::vector<Tensor>{da, db, dbias};
-           });
-  } else {
-    record("fusedMatMul", {a, b}, y, [gradCore](const Tensor& dy) {
-      auto [dt, da, db] = gradCore(dy);
-      dt.dispose();
-      return std::vector<Tensor>{da, db};
-    });
-  }
+  Tensor y = internal::matMulKernel("fusedMatMul", a, b, transposeA,
+                                    transposeB, bias, act);
+  const double attrs[] = {static_cast<double>(act),
+                          static_cast<double>(transposeA),
+                          static_cast<double>(transposeB),
+                          static_cast<double>(bias.defined())};
+  finishFused(OpId::kFusedMatMul, "fusedMatMul", a, b, bias, y, act, attrs,
+              [a, b, transposeA, transposeB](const Tensor& dt) {
+                return internal::matMulGrads(a, b, transposeA, transposeB,
+                                             dt);
+              });
   return y;
 }
 
@@ -235,74 +106,22 @@ Tensor fusedConv2d(const Tensor& x, const Tensor& filter, const Tensor& bias,
                            dilationH, dilationW);
   }
 
-  // One recorded node for either execution strategy below.
   internal::CaptureFrame frame;
-  const auto observe = [&](const Tensor& y) {
-    const std::initializer_list<double> attrs{
-        static_cast<double>(act), static_cast<double>(bias.defined()),
-        static_cast<double>(strideH), static_cast<double>(strideW),
-        static_cast<double>(pad), static_cast<double>(dilationH),
-        static_cast<double>(dilationW)};
-    if (bias.defined()) {
-      internal::observeOp(OpId::kFusedConv2d, {x, filter, bias}, y, attrs);
-    } else {
-      internal::observeOp(OpId::kFusedConv2d, {x, filter}, y, attrs);
-    }
-  };
-
-  if (!E().backend().supportsFusedKernels()) {
-    Tensor y = conv2d(x, filter, strideH, strideW, pad, dilationH, dilationW);
-    if (bias.defined()) y = add(std::move(y), bias);
-    y = applyActivationOp(act, std::move(y));
-    observe(y);
-    return y;
-  }
-
-  static metrics::Counter& fusions =
-      metrics::Registry::get().counter("fusion.conv2d");
-  fusions.inc();
-
   const Conv2DInfo info = conv_util::computeConv2DInfo(
       x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
       /*depthwise=*/false);
-  internal::KernelScope k("fusedConv2d");
-  const TensorSpec sx = E().prepareInput(x);
-  const TensorSpec sf = E().prepareInput(filter);
-  TensorSpec sbias;
-  const TensorSpec* biasPtr = nullptr;
-  if (bias.defined()) {
-    TFJS_SHAPE_CHECK(bias.rank() == 1 && bias.shape()[0] == info.outC,
-                     "fusedConv2d bias must be rank 1 of length "
-                         << info.outC << ", got " << bias.shape().toString());
-    sbias = E().prepareInput(bias);
-    biasPtr = &sbias;
-  }
-  const DataId id = E().backend().fusedConv2d(sx, sf, info, biasPtr, act);
-  Tensor y = k.wrap(id, Shape{info.batch, info.outH, info.outW, info.outC},
-                    DType::f32);
-  observe(y);
-
-  auto gradCore = [x, filter, info, act, y](const Tensor& dy) {
-    Tensor dt = activationGrad(act, dy, y);
-    Tensor dx = convBackpropInput(dt, filter, info);
-    Tensor df = convBackpropFilter(x, dt, info);
-    return std::make_tuple(dt, dx, df);
-  };
-  if (bias.defined()) {
-    record("fusedConv2d", {x, filter, bias}, y,
-           [gradCore, bias](const Tensor& dy) {
-             auto [dt, dx, df] = gradCore(dy);
-             Tensor dbias = reduceGradTo(dt, bias.shape());
-             dt.dispose();
-             return std::vector<Tensor>{dx, df, dbias};
-           });
-  } else {
-    record("fusedConv2d", {x, filter}, y, [gradCore](const Tensor& dy) {
-      auto [dt, dx, df] = gradCore(dy);
-      dt.dispose();
-      return std::vector<Tensor>{dx, df};
-    });
-  }
+  Tensor y = internal::conv2dKernel("fusedConv2d", x, filter, info, bias, act);
+  const double attrs[] = {
+      static_cast<double>(act),     static_cast<double>(bias.defined()),
+      static_cast<double>(strideH), static_cast<double>(strideW),
+      static_cast<double>(pad),     static_cast<double>(dilationH),
+      static_cast<double>(dilationW)};
+  finishFused(OpId::kFusedConv2d, "fusedConv2d", x, filter, bias, y, act,
+              attrs, [x, filter, info](const Tensor& dt) {
+                return std::vector<Tensor>{
+                    internal::convBackpropInput(dt, filter, info),
+                    internal::convBackpropFilter(x, dt, info)};
+              });
   return y;
 }
 

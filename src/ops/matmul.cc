@@ -1,31 +1,105 @@
 // Matrix multiplication (rank-2 or batched rank-3, mirroring tf.matMul),
-// with the standard four-case transpose gradients.
+// with the standard four-case transpose gradients. The kernel dispatch is
+// shared with fusedMatMul (fused.cc), which passes its bias and activation
+// down to the same Backend::matMul.
+#include <array>
+
 #include "core/util.h"
 #include "ops/common.h"
 
 namespace tfjs::ops {
 
 using internal::E;
+using internal::KernelScope;
 using internal::record;
 using internal::reduceGradTo;
+using internal::TapePause;
+using internal::to3d;
 
-namespace {
+Tensor internal::matMulKernel(const char* name, const Tensor& a,
+                              const Tensor& b, bool transposeA,
+                              bool transposeB, const Tensor& bias,
+                              FusedActivation act) {
+  TFJS_SHAPE_CHECK(a.rank() == 2 || a.rank() == 3,
+                   name << " expects rank 2 or 3 for a, got " << a.rank());
+  TFJS_SHAPE_CHECK(b.rank() == 2 || b.rank() == 3,
+                   name << " expects rank 2 or 3 for b, got " << b.rank());
+  // Every check runs on the rank-3 dims before any tensor is made.
+  const auto dims3 = [](const Tensor& t) {
+    const Shape& s = t.shape();
+    return t.rank() == 3 ? std::array<int, 3>{s[0], s[1], s[2]}
+                         : std::array<int, 3>{1, s[0], s[1]};
+  };
+  const std::array<int, 3> a3s = dims3(a), b3s = dims3(b);
+  const int kA = transposeA ? a3s[1] : a3s[2];
+  const int kB = transposeB ? b3s[2] : b3s[1];
+  TFJS_SHAPE_CHECK(kA == kB, name << " inner dimensions must agree: "
+                                  << a.shape().toString() << " x "
+                                  << b.shape().toString());
+  const int bA = a3s[0], bB = b3s[0];
+  TFJS_SHAPE_CHECK(bA == bB || bA == 1 || bB == 1,
+                   name << " batch dims must match or broadcast");
+  const int m = transposeA ? a3s[2] : a3s[1];
+  const int n = transposeB ? b3s[1] : b3s[2];
+  TFJS_SHAPE_CHECK(
+      !bias.defined() || (bias.rank() == 1 && bias.shape()[0] == n),
+      name << " bias must be rank 1 of length " << n << ", got "
+           << bias.shape().toString());
 
-/// Normalizes a rank-2 tensor to rank-3 with batch 1 (alias, free).
-Tensor to3d(const Tensor& t) {
-  if (t.rank() == 3) return t.clone();
-  return t.reshape(Shape{1, t.shape()[0], t.shape()[1]});
+  KernelScope k(name);
+  Tensor y;
+  {
+    TapePause pause;
+    Tensor a3 = to3d(a);
+    Tensor b3 = to3d(b);
+    const TensorSpec sa = E().prepareInput(a3);
+    const TensorSpec sb = E().prepareInput(b3);
+    TensorSpec sbias;
+    if (bias.defined()) sbias = E().prepareInput(bias);
+    const DataId id = E().backend().matMul(
+        sa, sb, transposeA, transposeB, bias.defined() ? &sbias : nullptr, act);
+    Tensor y3 =
+        E().makeTensorFromDataId(id, Shape{std::max(bA, bB), m, n}, DType::f32);
+    if (a.rank() == 2 && b.rank() == 2) {
+      y = y3.reshape(Shape{m, n});
+      y3.dispose();
+    } else {
+      y = y3;
+    }
+    a3.dispose();
+    b3.dispose();
+  }
+  k.notify(y);
+  return y;
 }
 
-}  // namespace
+std::vector<Tensor> internal::matMulGrads(const Tensor& a, const Tensor& b,
+                                          bool transposeA, bool transposeB,
+                                          const Tensor& dy) {
+  // Standard transpose-aware adjoints, then reduce over broadcast batch.
+  Tensor da3, db3;
+  if (!transposeA && !transposeB) {
+    da3 = matMul(dy, b, false, true);
+    db3 = matMul(a, dy, true, false);
+  } else if (!transposeA && transposeB) {
+    da3 = matMul(dy, b, false, false);
+    db3 = matMul(dy, a, true, false);
+  } else if (transposeA && !transposeB) {
+    da3 = matMul(b, dy, false, true);
+    db3 = matMul(a, dy, false, false);
+  } else {
+    da3 = matMul(b, dy, true, true);
+    db3 = matMul(dy, a, true, true);
+  }
+  Tensor da = reduceGradTo(da3, a.shape());
+  Tensor db = reduceGradTo(db3, b.shape());
+  da3.dispose();
+  db3.dispose();
+  return {da, db};
+}
 
 Tensor matMul(const Tensor& a, const Tensor& b, bool transposeA,
               bool transposeB) {
-  TFJS_SHAPE_CHECK(a.rank() == 2 || a.rank() == 3,
-                   "matMul expects rank 2 or 3 for a, got " << a.rank());
-  TFJS_SHAPE_CHECK(b.rank() == 2 || b.rank() == 3,
-                   "matMul expects rank 2 or 3 for b, got " << b.rank());
-
   // Int8 weights route to the quantized kernel (inference-only; the
   // transposed cases fall back to dequantized f32 weights).
   if (b.dtype() == DType::i8 && b.quantParams() != nullptr) {
@@ -41,62 +115,13 @@ Tensor matMul(const Tensor& a, const Tensor& b, bool transposeA,
   // The frame opens after the delegation above so the quantized op records
   // itself; from here on this op is the recorded node.
   internal::CaptureFrame frame;
-  internal::KernelScope k("matMul");
-  Tensor y;
-  {
-    internal::TapePause pause;
-    Tensor a3 = to3d(a);
-    Tensor b3 = to3d(b);
-    const int kA = transposeA ? a3.shape()[1] : a3.shape()[2];
-    const int kB = transposeB ? b3.shape()[2] : b3.shape()[1];
-    TFJS_SHAPE_CHECK(kA == kB, "matMul inner dimensions must agree: "
-                                   << a.shape().toString() << " x "
-                                   << b.shape().toString());
-    const int bA = a3.shape()[0], bB = b3.shape()[0];
-    TFJS_SHAPE_CHECK(bA == bB || bA == 1 || bB == 1,
-                     "matMul batch dims must match or broadcast");
-    const TensorSpec sa = E().prepareInput(a3);
-    const TensorSpec sb = E().prepareInput(b3);
-    const DataId id = E().backend().matMul(sa, sb, transposeA, transposeB);
-    const int m = transposeA ? a3.shape()[2] : a3.shape()[1];
-    const int n = transposeB ? b3.shape()[1] : b3.shape()[2];
-    const Shape out3{std::max(bA, bB), m, n};
-    Tensor y3 = E().makeTensorFromDataId(id, out3, DType::f32);
-    if (a.rank() == 2 && b.rank() == 2) {
-      y = y3.reshape(Shape{m, n});
-      y3.dispose();
-    } else {
-      y = y3;
-    }
-    a3.dispose();
-    b3.dispose();
-  }
-  k.notify(y);
+  Tensor y = internal::matMulKernel("matMul", a, b, transposeA, transposeB,
+                                    Tensor{}, FusedActivation::kNone);
   internal::observeOp(OpId::kMatMul, {a, b}, y,
                       {static_cast<double>(transposeA),
                        static_cast<double>(transposeB)});
-
   record("matMul", {a, b}, y, [a, b, transposeA, transposeB](const Tensor& dy) {
-    // Standard transpose-aware adjoints, then reduce over broadcast batch.
-    Tensor da3, db3;
-    if (!transposeA && !transposeB) {
-      da3 = matMul(dy, b, false, true);
-      db3 = matMul(a, dy, true, false);
-    } else if (!transposeA && transposeB) {
-      da3 = matMul(dy, b, false, false);
-      db3 = matMul(dy, a, true, false);
-    } else if (transposeA && !transposeB) {
-      da3 = matMul(b, dy, false, true);
-      db3 = matMul(a, dy, false, false);
-    } else {
-      da3 = matMul(b, dy, true, true);
-      db3 = matMul(dy, a, true, true);
-    }
-    Tensor da = reduceGradTo(da3, a.shape());
-    Tensor db = reduceGradTo(db3, b.shape());
-    da3.dispose();
-    db3.dispose();
-    return std::vector<Tensor>{da, db};
+    return internal::matMulGrads(a, b, transposeA, transposeB, dy);
   });
   return y;
 }

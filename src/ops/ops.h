@@ -185,10 +185,10 @@ Tensor avgPool(const Tensor& x, int filterH, int filterW, int strideH,
 std::optional<FusedActivation> fusibleActivation(const std::string& name);
 
 /// matMul + optional bias add (rank-1, length n) + activation epilogue in
-/// one kernel on backends that support it (supportsFusedKernels()), else an
-/// unfused composition of the public ops. Both paths are bit-identical to
-/// matMul -> add -> activation on the active backend, including gradients.
-/// Pass a default-constructed Tensor as `bias` to skip the bias add.
+/// one kernel on every backend, bit-identical to matMul -> add ->
+/// activation on the active backend, including gradients. Throws ShapeError
+/// for any other bias shape. Pass a default-constructed Tensor as `bias` to
+/// skip the bias add.
 Tensor fusedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
                    FusedActivation act, bool transposeA = false,
                    bool transposeB = false);
@@ -201,9 +201,8 @@ Tensor fusedConv2d(const Tensor& x, const Tensor& filter, const Tensor& bias,
 
 /// Evaluates a fused elementwise region (graph-executor fusion): the
 /// program's unary/binary/select steps applied per output element in their
-/// original order, in a single pass on backends with
-/// supportsFusedRegions(), else as the equivalent op-by-op kernel chain.
-/// Both paths are bit-identical to dispatching the ops one at a time.
+/// original order, in a single kernel on every backend, bit-identical to
+/// dispatching the ops one at a time.
 /// The output shape is the broadcast closure of the input shapes under the
 /// program; `outDtype` is the terminal op's recorded result dtype.
 /// Inference-only: no gradient is recorded.

@@ -13,14 +13,9 @@
 namespace tfjs::ops {
 
 using internal::E;
+using internal::to3d;
 
 namespace {
-
-/// Normalizes a rank-2 tensor to rank-3 with batch 1 (alias, free).
-Tensor to3d(const Tensor& t) {
-  if (t.rank() == 3) return t.clone();
-  return t.reshape(Shape{1, t.shape()[0], t.shape()[1]});
-}
 
 float clampCode(float code) {
   return std::min(std::max(code, static_cast<float>(kInt8Min)),

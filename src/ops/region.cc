@@ -1,11 +1,12 @@
 // Fused elementwise regions: the graph executor's fusion pass collapses
 // chains/DAGs of unary/binary/select ops into one kFusedRegion node, and
-// this op evaluates the region — in a single pass over the output on
-// backends with supportsFusedRegions(), or as the equivalent op-by-op
-// kernel chain otherwise. Both paths apply the exact same scalar formulas
-// per element in the original program order, so fused outputs are
-// bit-identical to the unfused chain on the active backend (the
-// bitwise-parity argument is in DESIGN.md "Graph capture & optimization").
+// this op evaluates the region in a single pass over the output through
+// Backend::fusedRegion, which every backend implements (one interpreter
+// loop on ref/cpu, a strip-mined kernel on native, one shader on
+// webgl-sim). Each applies the exact same scalar formulas per element in
+// the original program order, so fused outputs are bit-identical to the
+// unfused chain on the active backend (the bitwise-parity argument is in
+// DESIGN.md "Graph capture & optimization").
 // The same kernel is the in-place path of every move-consuming op: a
 // one-instruction region whose dst is the consumed input's buffer
 // (tryRegionInPlace).
@@ -39,14 +40,13 @@ void validateRegion(const RegionProgram& p, std::size_t numInputs) {
   }
 }
 
-/// Per-instruction result shapes under broadcasting; the terminal one is
-/// the region's output shape. Computed from the actual feed shapes (not the
+/// The region's output shape: the terminal instruction's result shape
+/// under broadcasting. Computed from the actual feed shapes (not the
 /// capture example's), which is what makes replayed regions
 /// shape-polymorphic: for pure elementwise programs, evaluating every
 /// interior value at the final output's coordinates reproduces the op-by-op
 /// chain bit for bit whatever the broadcast pattern.
-std::vector<Shape> regionShapes(const RegionProgram& p,
-                                std::span<const Tensor> inputs) {
+Shape regionOutShape(const RegionProgram& p, std::span<const Tensor> inputs) {
   std::vector<Shape> shapes(p.instrs.size());
   const auto shapeOf = [&](int r) -> const Shape& {
     return r < 0 ? inputs[static_cast<std::size_t>(-1 - r)].shape()
@@ -68,43 +68,7 @@ std::vector<Shape> regionShapes(const RegionProgram& p,
         break;
     }
   }
-  return shapes;
-}
-
-/// Op-by-op fallback for backends without fused-region kernels: dispatches
-/// each instruction to the standalone unary/binary/select kernel — exactly
-/// the chain the fusion pass replaced, so values cannot differ.
-DataId regionFallback(const RegionProgram& p,
-                      std::span<const TensorSpec> inputs,
-                      std::span<const Shape> shapes) {
-  Backend& b = E().backend();
-  std::vector<TensorSpec> interm(p.instrs.size());
-  const auto spec = [&](int r) -> const TensorSpec& {
-    return r < 0 ? inputs[static_cast<std::size_t>(-1 - r)]
-                 : interm[static_cast<std::size_t>(r)];
-  };
-  for (std::size_t k = 0; k < p.instrs.size(); ++k) {
-    const RegionInstr& si = p.instrs[k];
-    DataId id = 0;
-    switch (si.kind) {
-      case RegionInstr::Kind::kUnary:
-        id = b.unary(static_cast<UnaryOp>(si.op), spec(si.a), si.alpha,
-                     si.beta);
-        break;
-      case RegionInstr::Kind::kBinary:
-        id = b.binary(static_cast<BinaryOp>(si.op), spec(si.a), spec(si.b),
-                      shapes[k]);
-        break;
-      case RegionInstr::Kind::kSelect:
-        id = b.select(spec(si.a), spec(si.b), spec(si.c), shapes[k]);
-        break;
-    }
-    interm[k] = {id, shapes[k], DType::f32};
-  }
-  for (std::size_t k = 0; k + 1 < interm.size(); ++k) {
-    b.disposeData(interm[k].id);
-  }
-  return interm.back().id;
+  return shapes.back();
 }
 
 }  // namespace
@@ -156,12 +120,8 @@ Tensor fusedRegion(const RegionProgram& program, std::span<const Tensor> inputs,
   std::vector<TensorSpec> specs;
   specs.reserve(inputs.size());
   for (const Tensor& t : inputs) specs.push_back(E().prepareInput(t));
-  const std::vector<Shape> shapes = regionShapes(program, inputs);
-  const Shape& outShape = shapes.back();
-  const DataId id =
-      E().backend().supportsFusedRegions()
-          ? E().backend().fusedRegion(program, specs, outShape, 0)
-          : regionFallback(program, specs, shapes);
+  const Shape outShape = regionOutShape(program, inputs);
+  const DataId id = E().backend().fusedRegion(program, specs, outShape, 0);
   Tensor y = k.wrap(id, outShape, outDtype);
   {
     const std::vector<double> at = encodeRegionProgram(program);
@@ -179,7 +139,7 @@ Tensor fusedRegion(const RegionProgram& program, Tensor&& first,
   all.insert(all.end(), rest.begin(), rest.end());
   validateRegion(program, all.size());
   if (Tensor y = internal::tryRegionInPlace(
-          "fusedRegion", program, all, regionShapes(program, all).back(),
+          "fusedRegion", program, all, regionOutShape(program, all),
           outDtype);
       y.defined()) {
     return y;
@@ -197,7 +157,6 @@ Tensor internal::tryRegionInPlace(const char* name,
   // During capture the allocating path records the op; the in-place path
   // would overwrite an input the recorder may still need to snapshot.
   if (internal::captureDepth == 0 && E().opObserver() != nullptr) return {};
-  if (!E().backend().supportsFusedRegions()) return {};
   if (!E().canReuseInput(arg)) return {};
   // canReuseInput() vets only the consumed input; when a tape watches any
   // other input, the allocating op must run to record the pullback.
@@ -214,7 +173,8 @@ Tensor internal::tryRegionInPlace(const char* name,
   const DataId dst = specs[0].id;
   const DataId id = E().backend().fusedRegion(program, specs, outShape, dst);
   if (id != dst) {
-    // The backend declined the in-place write and allocated.
+    // The backend declined the in-place write and allocated (webgl-sim
+    // always does: a shader cannot sample the texture it renders to).
     Tensor y = E().makeTensorFromDataId(id, outShape, outDtype);
     k.notify(y);
     arg.dispose();

@@ -1,10 +1,10 @@
 // Fused kernel parity: fusedMatMul / fusedConv2d must be *bit-identical*
-// to the unfused matMul -> add -> activation chain on every CPU backend
-// (the epilogue runs after the full accumulation using the same scalar
-// formulas), including the gradients (activation masks are computed from
-// the fused output). The webgl backend has no fused kernels; there the ops
-// compose from the public ops, which is trivially identical — covered by
-// the WebglComposition tests at the bottom.
+// to the unfused matMul -> add -> activation chain on every backend (the
+// epilogue runs after the full accumulation using the same scalar formulas;
+// on webgl-sim each interior value also takes the texture-store rounding a
+// chain would have applied), including the gradients (activation masks are
+// computed from the fused output). The webgl tests at the bottom check that
+// the fused op and a captured elementwise region each run as one shader.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,8 +13,11 @@
 
 #include "autodiff/tape.h"
 #include "backends/common/ref_backend.h"
+#include "backends/webgl/webgl_backend.h"
 #include "core/engine.h"
-#include "core/metrics.h"
+#include "graph/capture.h"
+#include "graph/executor.h"
+#include "graph/passes.h"
 #include "layers/core_layers.h"
 #include "ops/ops.h"
 #include "tests/test_util.h"
@@ -28,13 +31,17 @@ const FusedActivation kAllActs[] = {
     FusedActivation::kNone, FusedActivation::kRelu, FusedActivation::kRelu6,
     FusedActivation::kSigmoid};
 
-/// Registers the reference backend under its own name so the parity suite
-/// can run on it directly (test_main registers cpu/native/webgl only).
-void ensureRefRegistered() {
+/// Registers the reference backend and an fp16-texture webgl variant so the
+/// parity suite can run on them directly (test_main registers
+/// cpu/native/webgl only).
+void ensureBackendsRegistered() {
   static const bool once = [] {
     Engine::get().registerBackend(
         "ref", [] { return std::make_unique<backends::RefBackend>(); },
         /*priority=*/0);
+    backends::webgl::WebGLOptions fp16;
+    fp16.precision = backends::webgl::TexPrecision::fp16;
+    backends::webgl::registerBackendVariant("webgl-fp16", fp16);
     return true;
   }();
   (void)once;
@@ -80,7 +87,7 @@ Tensor unfusedChain(Tensor y, const Tensor& bias, FusedActivation act) {
 class FusionTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
-    ensureRefRegistered();
+    ensureBackendsRegistered();
     setBackend(GetParam());
   }
 };
@@ -235,16 +242,22 @@ TEST_P(FusionTest, FusedConv2dGradientsBitwiseParity) {
 }
 
 TEST_P(FusionTest, DenseLayerRoutesThroughFusedPath) {
-  auto& fusions = metrics::Registry::get().counter("fusion.matmul");
-  const auto before = fusions.value();
   layers::DenseOptions opts;
   opts.units = 5;
   opts.activation = "relu";
   layers::Dense dense(opts);
   Tensor x = o::randomNormal(Shape{4, 7}, 0, 1, 26);
-  Tensor y = dense.apply(x);
-  EXPECT_EQ(fusions.value(), before + 1)
-      << "Dense with a fusible activation should hit the fused kernel";
+  dense.apply(x).dispose();  // builds the weights outside the profile
+  Tensor y;
+  const ProfileInfo info = profile([&] { y = dense.apply(x); });
+  int fused = 0, composed = 0;
+  for (const auto& k : info.kernels) {
+    fused += k.name == "fusedMatMul";
+    composed += k.name == "add" || k.name == "relu";
+  }
+  EXPECT_EQ(fused, 1)
+      << "Dense with a fusible activation should run the fused kernel";
+  EXPECT_EQ(composed, 0) << "the epilogue must not run as separate ops";
   // Manual composition from the layer's weights, in weights() order
   // (kernel, bias).
   const auto& weights = dense.weights();
@@ -255,6 +268,23 @@ TEST_P(FusionTest, DenseLayerRoutesThroughFusedPath) {
   y.dispose();
   manual.dispose();
   x.dispose();
+}
+
+TEST_P(FusionTest, RejectsMalformedBias) {
+  // The bias must be rank 1 with one entry per output channel; a shape
+  // that would merely broadcast against the output is an error.
+  Tensor a = o::randomNormal(Shape{4, 6}, 0, 1, 30);
+  Tensor b = o::randomNormal(Shape{6, 3}, 0, 1, 31);
+  Tensor scalarBias = o::randomNormal(Shape{1}, 0, 1, 32);
+  EXPECT_THROW(o::fusedMatMul(a, b, scalarBias, FusedActivation::kRelu),
+               ShapeError);
+  Tensor x = o::randomNormal(Shape{1, 5, 5, 2}, 0, 1, 33);
+  Tensor f = o::randomNormal(Shape{3, 3, 2, 4}, 0, 1, 34);
+  Tensor rank2Bias = o::randomNormal(Shape{1, 4}, 0, 1, 35);
+  EXPECT_THROW(o::fusedConv2d(x, f, rank2Bias, FusedActivation::kRelu, 1, 1,
+                              PadMode::kSame),
+               ShapeError);
+  for (Tensor t : {a, b, scalarBias, x, f, rank2Bias}) t.dispose();
 }
 
 TEST_P(FusionTest, TapedInputRefusesInPlaceButGradsCorrect) {
@@ -297,28 +327,65 @@ TEST_P(FusionTest, TapedInputRefusesInPlaceButGradsCorrect) {
   x.dispose();
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCpuBackends, FusionTest,
-                         ::testing::Values("ref", "cpu", "native"));
+INSTANTIATE_TEST_SUITE_P(AllBackends, FusionTest,
+                         ::testing::Values("ref", "cpu", "native", "webgl",
+                                           "webgl-fp16"));
 
-// The webgl backend reports supportsFusedKernels() == false: the fused ops
-// compose from public ops (keeping GPU-queue lifetimes correct) and the
-// fusion counter must not move.
-TEST(FusionWebglTest, ComposesWhenBackendHasNoFusedKernels) {
+/// Shader programs the active webgl backend has executed so far.
+std::uint64_t programsRun() {
+  auto& be = dynamic_cast<backends::webgl::WebGLBackend&>(
+      Engine::get().backend());
+  be.flush();
+  return be.gpuStats().programsRun;
+}
+
+// On webgl-sim the epilogue runs inside the matMul shader: one program
+// where the op-by-op chain would run three.
+TEST(FusionWebglTest, FusedMatMulRunsOneProgram) {
   setBackend("webgl");
-  auto& fusions = metrics::Registry::get().counter("fusion.matmul");
-  const auto before = fusions.value();
   Tensor a = o::randomNormal(Shape{4, 6}, 0, 1, 27);
   Tensor b = o::randomNormal(Shape{6, 3}, 0, 1, 28);
   Tensor bias = o::randomNormal(Shape{3}, 0, 1, 29);
+  const std::uint64_t before = programsRun();
   Tensor fused = o::fusedMatMul(a, b, bias, FusedActivation::kRelu);
+  EXPECT_EQ(programsRun(), before + 1);
   Tensor unfused = unfusedChain(o::matMul(a, b), bias, FusedActivation::kRelu);
   expectBitwiseEqual(fused, unfused);
-  EXPECT_EQ(fusions.value(), before);
-  fused.dispose();
-  unfused.dispose();
-  a.dispose();
-  b.dispose();
-  bias.dispose();
+  for (Tensor t : {fused, unfused, a, b, bias}) t.dispose();
+}
+
+// A captured 12-op elementwise chain fuses into one region, which the
+// webgl-sim backend runs as one shader.
+TEST(FusionWebglTest, CapturedElementwiseChainRunsOneProgram) {
+  setBackend("webgl");
+  Tensor x = o::randomNormal(Shape{4, 64}, 0, 1, 36);
+  Tensor bias = o::randomNormal(Shape{64}, 0, 1, 37);
+  Tensor scale = o::randomNormal(Shape{64}, 0, 0.5f, 38);
+  const auto body = [&](const std::vector<Tensor>& ins) {
+    Tensor t = o::add(ins[0], bias);
+    t = o::relu(std::move(t));
+    t = o::mulScalar(std::move(t), 1.25f);
+    t = o::addScalar(std::move(t), -0.5f);
+    t = o::square(std::move(t));
+    t = o::neg(std::move(t));
+    t = o::relu6(std::move(t));
+    t = o::mul(std::move(t), scale);
+    t = o::sub(std::move(t), bias);
+    t = o::clipByValue(std::move(t), -4.0f, 4.0f);
+    t = o::leakyRelu(std::move(t), 0.1f);
+    t = o::addScalar(std::move(t), 0.25f);
+    return std::vector<Tensor>{t};
+  };
+  std::vector<Tensor> eager = tidyAll([&] { return body({x}); });
+  graph::CapturedGraph cg(graph::capture(body, {x}),
+                          graph::PassOptions::all());
+  cg.run({x})[0].dispose();  // first run sizes the arena
+  const std::uint64_t before = programsRun();
+  std::vector<Tensor> got = cg.run({x});
+  EXPECT_EQ(programsRun(), before + 1);
+  expectBitwiseEqual(eager[0], got[0]);
+  for (Tensor t : {eager[0], got[0], x, bias, scale}) t.dispose();
+  cg.dispose();
 }
 
 }  // namespace

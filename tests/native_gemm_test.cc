@@ -1,5 +1,5 @@
 // Bitwise oracle for the native f32 GEMM and everything lowered onto it
-// (matMul, fusedMatMul, 1x1 and im2col convs).
+// (matMul with and without its epilogue, 1x1 and im2col convs).
 //
 // The native kernel promises more than closeness: every C element is one
 // ascending-k multiply-add chain that starts from +0, followed by the bias add
@@ -239,8 +239,8 @@ TEST_F(NativeGemmTest, EmptyReductionStillAppliesEpilogue) {
   }
 }
 
-// matMul / fusedMatMul through the backend: every transpose combination,
-// with and without the fused epilogue.
+// matMul through the backend: every transpose combination, with and without
+// the fused epilogue.
 TEST_F(NativeGemmTest, MatMulTransposesMatchOracle) {
   const int ms[] = {1, 5, 13, 49};
   const int ks[] = {1, 27, 257};
@@ -280,15 +280,16 @@ TEST_F(NativeGemmTest, MatMulTransposesMatchOracle) {
                                                threads) +
                                       " tA=" + std::to_string(tA) +
                                       " tB=" + std::to_string(tB);
-              expectBitwise(native_.read(native_.matMul(a, b, tA, tB)),
+              expectBitwise(native_.read(native_.matMul(
+                                a, b, tA, tB, nullptr, FusedActivation::kNone)),
                             oracleEpilogue(z, n, nullptr,
                                            FusedActivation::kNone),
                             "matMul " + tag);
               for (const FusedActivation act : kActs) {
                 expectBitwise(
-                    native_.read(native_.fusedMatMul(a, b, tA, tB, &bs, act)),
+                    native_.read(native_.matMul(a, b, tA, tB, &bs, act)),
                     oracleEpilogue(z, n, bias.data(), act),
-                    "fusedMatMul act=" + std::to_string(static_cast<int>(act)) +
+                    "matMul act=" + std::to_string(static_cast<int>(act)) +
                         " " + tag);
               }
               if (HasFailure()) return;
@@ -313,7 +314,8 @@ TEST_F(NativeGemmTest, BatchedMatMulBroadcastsOperand) {
   }
   const TensorSpec a = put(aData, Shape{batch, m, k});
   const TensorSpec b = put(bData, Shape{1, k, n});
-  expectBitwise(native_.read(native_.matMul(a, b, false, false)), want,
+  expectBitwise(native_.read(native_.matMul(a, b, false, false, nullptr,
+                                                FusedActivation::kNone)), want,
                 "batched matMul");
 }
 
@@ -392,12 +394,13 @@ TEST_F(NativeGemmTest, ConvPathsMatchOracle) {
       const std::string tag = "conv " + cs.x.toString() + " * " +
                               cs.f.toString() +
                               " threads=" + std::to_string(threads);
-      expectBitwise(native_.read(native_.conv2d(x, f, ci)),
+      expectBitwise(native_.read(native_.conv2d(x, f, ci, nullptr,
+                                                FusedActivation::kNone)),
                     oracleEpilogue(z, ci.outC, nullptr,
                                    FusedActivation::kNone),
                     tag);
       for (const FusedActivation act : kActs) {
-        expectBitwise(native_.read(native_.fusedConv2d(x, f, ci, &bs, act)),
+        expectBitwise(native_.read(native_.conv2d(x, f, ci, &bs, act)),
                       oracleEpilogue(z, ci.outC, bias.data(), act),
                       tag + " act=" + std::to_string(static_cast<int>(act)));
       }

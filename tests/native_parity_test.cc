@@ -33,6 +33,7 @@ namespace {
 using tfjs::BinaryOp;
 using tfjs::Conv2DInfo;
 using tfjs::DataId;
+using tfjs::FusedActivation;
 using tfjs::PadMode;
 using tfjs::Pool2DInfo;
 using tfjs::PoolMode;
@@ -120,7 +121,8 @@ TEST_F(NativeParityTest, MatMulOddSizes) {
   auto [par, ref] = runBoth([&](tfjs::Backend& be) {
     const TensorSpec a = put(be, aData, Shape{1, m, k});
     const TensorSpec b = put(be, bData, Shape{1, k, n});
-    return be.read(be.matMul(a, b, false, false));
+    return be.read(
+        be.matMul(a, b, false, false, nullptr, FusedActivation::kNone));
   });
   expectFmaClose(par, ref);
 }
@@ -136,7 +138,8 @@ TEST_F(NativeParityTest, MatMulTransposedOperands) {
             put(be, aData, tA ? Shape{1, k, m} : Shape{1, m, k});
         const TensorSpec b =
             put(be, bData, tB ? Shape{1, n, k} : Shape{1, k, n});
-        return be.read(be.matMul(a, b, tA, tB));
+        return be.read(
+            be.matMul(a, b, tA, tB, nullptr, FusedActivation::kNone));
       });
       expectFmaClose(par, ref);
     }
@@ -151,7 +154,8 @@ TEST_F(NativeParityTest, MatMulWideOutputUsesColumnPanels) {
   auto [par, ref] = runBoth([&](tfjs::Backend& be) {
     const TensorSpec a = put(be, aData, Shape{1, m, k});
     const TensorSpec b = put(be, bData, Shape{1, k, n});
-    return be.read(be.matMul(a, b, false, false));
+    return be.read(
+        be.matMul(a, b, false, false, nullptr, FusedActivation::kNone));
   });
   expectFmaClose(par, ref);
 }
@@ -164,7 +168,8 @@ TEST_F(NativeParityTest, Conv2dGeneralPath) {
   const auto xData = randomData(x.size(), 7);
   const auto fData = randomData(f.size(), 8);
   auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-    return be.read(be.conv2d(put(be, xData, x), put(be, fData, f), ci));
+    return be.read(be.conv2d(put(be, xData, x), put(be, fData, f), ci, nullptr,
+                                FusedActivation::kNone));
   });
   expectFmaClose(par, ref);
 }
@@ -176,7 +181,8 @@ TEST_F(NativeParityTest, Conv2dOddStridedDilated) {
   const auto xData = randomData(x.size(), 9);
   const auto fData = randomData(f.size(), 10);
   auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-    return be.read(be.conv2d(put(be, xData, x), put(be, fData, f), ci));
+    return be.read(be.conv2d(put(be, xData, x), put(be, fData, f), ci, nullptr,
+                                FusedActivation::kNone));
   });
   expectFmaClose(par, ref);
 }
@@ -188,7 +194,8 @@ TEST_F(NativeParityTest, Conv2dOneByOneGemmPath) {
   const auto xData = randomData(x.size(), 11);
   const auto fData = randomData(f.size(), 12);
   auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-    return be.read(be.conv2d(put(be, xData, x), put(be, fData, f), ci));
+    return be.read(be.conv2d(put(be, xData, x), put(be, fData, f), ci, nullptr,
+                                FusedActivation::kNone));
   });
   expectFmaClose(par, ref);
 }

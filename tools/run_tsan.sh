@@ -17,8 +17,13 @@
 # across serving sessions (a fresh race surface). graph_fuzz_test runs on
 # every leg: the differential fuzzer's random DAGs reach the capture
 # recorder, every optimization pass (elementwise region fusion included),
-# the arena allocator, and the replay path on all three CPU backends — the
-# widest single net over the graph subsystem. After each leg's ctest, an
+# the arena allocator, and the replay path on the three CPU backends and
+# three webgl-sim configurations — the widest single net over the graph
+# subsystem. fusion_test and webgl_test run on the TSan leg and webgl_test
+# on the ASan leg too: webgl-sim's fused-region and matMul/conv2d epilogue
+# shaders are closures that run on the GPU worker thread after the
+# enqueueing call has returned, so they must own (not borrow) the program,
+# the shapes and the bias texture they read. After each leg's ctest, an
 # extended fixed-seed fuzzer block replays the same seed set on that leg
 # (both fuzz modes — general DAGs and elementwise-chain-heavy), so any
 # divergence or sanitizer report reproduces bit-for-bit on every leg.
@@ -44,16 +49,17 @@ extended_fuzz() {
 cmake -B build-tsan -S . -DTFJS_SANITIZE=thread
 cmake --build build-tsan -j --target thread_pool_test native_parity_test \
   native_gemm_test quant_test trace_test buffer_pool_test async_test \
-  serving_test graph_fuzz_test
+  serving_test graph_fuzz_test fusion_test webgl_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'thread_pool_test|native_parity_test|native_gemm_test|quant_test|trace_test|buffer_pool_test|async_test|serving_test|graph_fuzz_test'
+  -R 'thread_pool_test|native_parity_test|native_gemm_test|quant_test|trace_test|buffer_pool_test|async_test|serving_test|graph_fuzz_test|fusion_test|webgl_test'
 extended_fuzz build-tsan
 
 cmake -B build-asan -S . -DTFJS_SANITIZE=address
 cmake --build build-asan -j --target buffer_pool_test fusion_test \
-  quant_test serving_test graph_fuzz_test native_parity_test native_gemm_test
+  quant_test serving_test graph_fuzz_test native_parity_test native_gemm_test \
+  webgl_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test'
+  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test|webgl_test'
 extended_fuzz build-asan
 
 cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined

@@ -850,15 +850,41 @@ DataId RefBackend::transpose(const TensorSpec& x, std::span<const int> perm,
   const auto& xv = buf(x.id);
   std::vector<float> out = allocBuffer(outShape.size());
   const int rank = outShape.rank();
-  std::vector<int> outCoords(static_cast<std::size_t>(rank));
-  std::vector<int> inCoords(static_cast<std::size_t>(rank));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    util::unravelIndex(i, outShape, outCoords);
-    for (int d = 0; d < rank; ++d) {
-      inCoords[static_cast<std::size_t>(perm[static_cast<std::size_t>(d)])] =
-          outCoords[static_cast<std::size_t>(d)];
+  if (out.empty()) return store(std::move(out));
+  if (rank == 0) {
+    out[0] = xv[0];
+    return store(std::move(out));
+  }
+  // Output axis d walks input axis perm[d]: its input stride is that axis's
+  // row-major stride. An odometer over the outer output axes carries the
+  // input offset along, and the innermost axis is one strided run — no
+  // per-element index decoding.
+  std::vector<std::size_t> inStride(static_cast<std::size_t>(rank));
+  std::size_t s = 1;
+  for (int d = rank - 1; d >= 0; --d) {
+    inStride[static_cast<std::size_t>(d)] = s;
+    s *= static_cast<std::size_t>(x.shape[d]);
+  }
+  std::vector<std::size_t> stride(static_cast<std::size_t>(rank));
+  for (int d = 0; d < rank; ++d) {
+    stride[static_cast<std::size_t>(d)] =
+        inStride[static_cast<std::size_t>(perm[static_cast<std::size_t>(d)])];
+  }
+  const int last = rank - 1;
+  const std::size_t runLen = static_cast<std::size_t>(outShape[last]);
+  const std::size_t runStep = stride[static_cast<std::size_t>(last)];
+  std::vector<int> coord(static_cast<std::size_t>(last), 0);
+  std::size_t src = 0;
+  for (std::size_t i = 0; i < out.size(); i += runLen) {
+    const float* run = xv.data() + src;
+    for (std::size_t j = 0; j < runLen; ++j) out[i + j] = run[j * runStep];
+    for (int d = last - 1; d >= 0; --d) {
+      const auto du = static_cast<std::size_t>(d);
+      src += stride[du];
+      if (++coord[du] < outShape[d]) break;
+      src -= stride[du] * static_cast<std::size_t>(outShape[d]);
+      coord[du] = 0;
     }
-    out[i] = xv[util::ravelIndex(inCoords, x.shape)];
   }
   return store(std::move(out));
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -316,7 +317,169 @@ void gemmF32(const float* A, const float* B, bool transB, float* C, int m,
   } while (p0 < k);
   core::BufferPool::get().release(std::move(packed));
 }
+
+// ----------------------------------------------------- im2col and depthwise
+
+/// The filter columns [first, second) whose taps land inside the input row
+/// for output column ox.
+std::pair<int, int> tapRange(const Conv2DInfo& ci, int ox) {
+  const int ix0 = ox * ci.strideW - ci.padLeft;
+  const int lo = ix0 >= 0 ? 0 : (-ix0 + ci.dilationW - 1) / ci.dilationW;
+  const int hi =
+      ix0 >= ci.inW
+          ? 0
+          : std::min(ci.filterW, (ci.inW - 1 - ix0) / ci.dilationW + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+/// Depthwise taps of PX adjacent output pixels from column ox, filter
+/// columns [fxLo, fxHi) (inside the input row for all PX pixels), CB
+/// kLanes-channel blocks from channel c: the PX x CB accumulators stay in
+/// registers across all taps, and each output vector is stored once.
+/// `xImg` is the batch image.
+template <int PX, int CB>
+void depthwiseGroup(const float* xImg, const float* f, const Conv2DInfo& ci,
+                    int oy, int ox, int fxLo, int fxHi, int c, float* oRow) {
+  const std::ptrdiff_t C = ci.inC;
+  Vec acc[PX][CB] = {};
+  for (int fy = 0; fy < ci.filterH; ++fy) {
+    const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+    if (iy < 0 || iy >= ci.inH) continue;
+    const float* xRow = xImg + static_cast<std::ptrdiff_t>(iy) * ci.inW * C;
+    const float* fRow = f + static_cast<std::ptrdiff_t>(fy) * ci.filterW * C;
+    for (int fx = fxLo; fx < fxHi; ++fx) {
+      Vec fv[CB];
+      for (int b = 0; b < CB; ++b) {
+        fv[b] = loadVec(fRow + fx * C + c + b * kLanes);
+      }
+      const int ix = ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
+      for (int p = 0; p < PX; ++p) {
+        const float* xp = xRow + (ix + p * ci.strideW) * C + c;
+        for (int b = 0; b < CB; ++b) {
+          acc[p][b] += loadVec(xp + b * kLanes) * fv[b];
+        }
+      }
+    }
+  }
+  for (int p = 0; p < PX; ++p) {
+    for (int b = 0; b < CB; ++b) {
+      storeVec(oRow + (ox + p) * C + c + b * kLanes, acc[p][b]);
+    }
+  }
+}
+
+/// Depthwise convolution with channelMult 1 over output rows [rBegin, rEnd)
+/// of the batch×outH space. Per row, interior pixels (every fx tap inside
+/// the input row) go 8, then 4, then 2 at a time; the rest, and pixels
+/// whose taps reach into the padding, run one at a time over their
+/// (clipped) tap range. Each group covers the pixels' whole vectors of
+/// channels, two blocks at a time, then the channels past the last whole
+/// vector one chain each. Every element is the chain acc = +0;
+/// acc += x * f over its in-bounds taps in ascending (fy, fx) order — one
+/// FMA per tap under this TU's contraction, the same chain the
+/// accumulate-into-a-zeroed-output loop computes — so the grouping, the
+/// channel tail and the partition cannot change a bit.
+void depthwiseRows(const float* x, const float* f, const Conv2DInfo& ci,
+                   std::size_t rBegin, std::size_t rEnd, float* out) {
+  const int C = ci.inC;
+  const std::size_t Cs = static_cast<std::size_t>(C);
+  const int cVec = C / kLanes * kLanes;
+  // Output columns [oxLo, oxHi) have every fx tap inside the input row.
+  const int oxLo =
+      std::min(ci.outW, (ci.padLeft + ci.strideW - 1) / ci.strideW);
+  const int lastX = ci.inW - 1 - (ci.filterW - 1) * ci.dilationW + ci.padLeft;
+  const int oxHi = std::max(
+      oxLo, lastX < 0 ? 0 : std::min(ci.outW, lastX / ci.strideW + 1));
+  for (std::size_t r = rBegin; r < rEnd; ++r) {
+    const int b = static_cast<int>(r) / ci.outH;
+    const int oy = static_cast<int>(r) % ci.outH;
+    const float* xImg = x + static_cast<std::size_t>(b) * ci.inH * ci.inW * Cs;
+    float* oRow = out + r * ci.outW * Cs;
+    const auto pixels = [&]<int PX>(int ox, int fxLo, int fxHi) {
+      int c = 0;
+      for (; c + 2 * kLanes <= cVec; c += 2 * kLanes) {
+        depthwiseGroup<PX, 2>(xImg, f, ci, oy, ox, fxLo, fxHi, c, oRow);
+      }
+      if (c < cVec) {
+        depthwiseGroup<PX, 1>(xImg, f, ci, oy, ox, fxLo, fxHi, c, oRow);
+      }
+      for (int p = ox; p < ox + PX; ++p) {
+        for (c = cVec; c < C; ++c) {
+          float acc = 0.f;
+          for (int fy = 0; fy < ci.filterH; ++fy) {
+            const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+            if (iy < 0 || iy >= ci.inH) continue;
+            for (int fx = fxLo; fx < fxHi; ++fx) {
+              const int ix = p * ci.strideW - ci.padLeft + fx * ci.dilationW;
+              acc += xImg[(static_cast<std::size_t>(iy) * ci.inW + ix) * Cs +
+                          c] *
+                     f[(static_cast<std::size_t>(fy) * ci.filterW + fx) * Cs +
+                       c];
+            }
+          }
+          oRow[p * Cs + c] = acc;
+        }
+      }
+    };
+    const auto edge = [&](int ox) {
+      const auto [fxLo, fxHi] = tapRange(ci, ox);
+      pixels.template operator()<1>(ox, fxLo, fxHi);
+    };
+    int ox = 0;
+    for (; ox < oxLo; ++ox) edge(ox);
+    for (; ox + 8 <= oxHi; ox += 8) {
+      pixels.template operator()<8>(ox, 0, ci.filterW);
+    }
+    if (ox + 4 <= oxHi) {
+      pixels.template operator()<4>(ox, 0, ci.filterW);
+      ox += 4;
+    }
+    if (ox + 2 <= oxHi) {
+      pixels.template operator()<2>(ox, 0, ci.filterW);
+      ox += 2;
+    }
+    for (; ox < ci.outW; ++ox) edge(ox);
+  }
+}
 }  // namespace
+
+void NativeBackend::im2col(const float* x, const Conv2DInfo& ci,
+                           std::size_t rBegin, std::size_t rEnd, float* col) {
+  const std::size_t C = static_cast<std::size_t>(ci.inC);
+  const std::size_t rowLen = static_cast<std::size_t>(ci.filterW) * C;
+  float* dst = col;
+  for (std::size_t r = rBegin; r < rEnd; ++r) {
+    const int b = static_cast<int>(r) / ci.outH;
+    const int oy = static_cast<int>(r) % ci.outH;
+    for (int ox = 0; ox < ci.outW; ++ox) {
+      // Taps [fxLo, fxHi) of every filter row land inside the input row.
+      const auto [fxLo, fxHi] = tapRange(ci, ox);
+      const int ix0 = ox * ci.strideW - ci.padLeft;
+      for (int fy = 0; fy < ci.filterH; ++fy, dst += rowLen) {
+        const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+        if (iy < 0 || iy >= ci.inH || fxLo == fxHi) {
+          std::fill(dst, dst + rowLen, 0.f);
+          continue;
+        }
+        std::fill(dst, dst + fxLo * C, 0.f);
+        const float* src =
+            x + ((static_cast<std::size_t>(b) * ci.inH + iy) * ci.inW +
+                 static_cast<std::size_t>(ix0 + fxLo * ci.dilationW)) *
+                    C;
+        if (ci.dilationW == 1) {
+          // Adjacent taps are adjacent pixels: one contiguous run.
+          std::copy_n(src, (fxHi - fxLo) * C, dst + fxLo * C);
+        } else {
+          for (int fx = fxLo; fx < fxHi; ++fx) {
+            std::copy_n(src + (fx - fxLo) * ci.dilationW * C, C,
+                        dst + fx * C);
+          }
+        }
+        std::fill(dst + fxHi * C, dst + rowLen, 0.f);
+      }
+    }
+  }
+}
 
 void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
                          int k, int n, const float* bias,
@@ -669,33 +832,9 @@ DataId NativeBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
       totalRows, grain, [&](std::size_t rBegin, std::size_t rEnd) {
         // Per-chunk im2col scratch comes from the pool too (it is by far
         // the heaviest transient allocation in a conv-heavy model).
-        std::vector<float> col = core::BufferPool::get().acquireFilled(
-            (rEnd - rBegin) * ci.outW * patch, 0.f);
-        for (std::size_t r = rBegin; r < rEnd; ++r) {
-          const int b = static_cast<int>(r) / ci.outH;
-          const int oy = static_cast<int>(r) % ci.outH;
-          float* colRow = col.data() + (r - rBegin) * ci.outW * patch;
-          for (int ox = 0; ox < ci.outW; ++ox) {
-            float* dst = colRow + static_cast<std::size_t>(ox) * patch;
-            for (int fy = 0; fy < ci.filterH; ++fy) {
-              const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
-              if (iy < 0 || iy >= ci.inH) continue;
-              for (int fx = 0; fx < ci.filterW; ++fx) {
-                const int ix =
-                    ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
-                if (ix < 0 || ix >= ci.inW) continue;
-                std::memcpy(
-                    dst + (static_cast<std::size_t>(fy) * ci.filterW + fx) *
-                              ci.inC,
-                    xv.data() + ((static_cast<std::size_t>(b) * ci.inH + iy) *
-                                     ci.inW +
-                                 ix) *
-                                    ci.inC,
-                    static_cast<std::size_t>(ci.inC) * sizeof(float));
-              }
-            }
-          }
-        }
+        std::vector<float> col = core::BufferPool::get().acquire(
+            (rEnd - rBegin) * ci.outW * patch);
+        im2col(xv.data(), ci, rBegin, rEnd, col.data());
         gemm(col.data(), fv.data(),
              out.data() + rBegin * ci.outW * ci.outC,
              static_cast<int>((rEnd - rBegin) * ci.outW),
@@ -712,15 +851,26 @@ DataId NativeBackend::depthwiseConv2d(const TensorSpec& x,
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);
   const int mult = ci.channelMult;
-  std::vector<float> out = allocZeroed(static_cast<std::size_t>(ci.batch) *
-                                       ci.outH * ci.outW * ci.outC);
-  // Sliced over batch×outH output rows; channel-inner loops are contiguous
-  // in NHWC, so they autovectorize within each chunk.
+  const std::size_t outSize =
+      static_cast<std::size_t>(ci.batch) * ci.outH * ci.outW * ci.outC;
+  // Sliced over batch×outH output rows.
   const std::size_t totalRows = static_cast<std::size_t>(ci.batch) * ci.outH;
   const std::size_t grain = rowsPerChunk(
       static_cast<std::size_t>(ci.outW) * ci.filterH * ci.filterW * ci.inC *
           mult,
       1 << 14);
+  if (mult == 1) {
+    std::vector<float> out = allocBuffer(outSize);
+    ThreadPool::get().parallelFor(
+        totalRows, grain, [&](std::size_t rBegin, std::size_t rEnd) {
+          depthwiseRows(xv.data(), fv.data(), ci, rBegin, rEnd, out.data());
+        });
+    return store(std::move(out));
+  }
+  // channelMult > 1: accumulate every tap into the zeroed output, channels
+  // innermost (contiguous in NHWC, so the loop autovectorizes) — per element
+  // the same +0-seeded, ascending-(fy, fx) chain as depthwiseRows.
+  std::vector<float> out = allocZeroed(outSize);
   ThreadPool::get().parallelFor(
       totalRows, grain, [&](std::size_t rBegin, std::size_t rEnd) {
         for (std::size_t r = rBegin; r < rEnd; ++r) {
@@ -745,15 +895,9 @@ DataId NativeBackend::depthwiseConv2d(const TensorSpec& x,
                     fv.data() +
                     (static_cast<std::size_t>(fy) * ci.filterW + fx) *
                         ci.inC * mult;
-                if (mult == 1) {
-                  for (int ic = 0; ic < ci.inC; ++ic) {
-                    oRow[ic] += xRow[ic] * fRow[ic];
-                  }
-                } else {
-                  for (int ic = 0; ic < ci.inC; ++ic) {
-                    for (int q = 0; q < mult; ++q) {
-                      oRow[ic * mult + q] += xRow[ic] * fRow[ic * mult + q];
-                    }
+                for (int ic = 0; ic < ci.inC; ++ic) {
+                  for (int q = 0; q < mult; ++q) {
+                    oRow[ic * mult + q] += xRow[ic] * fRow[ic * mult + q];
                   }
                 }
               }

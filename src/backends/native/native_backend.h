@@ -8,8 +8,12 @@
 // intra-op pool) the TF C library uses. The f32 GEMM is register-tiled in
 // the Goto/BLIS style (packed B panels, an MR x NR accumulator tile, the
 // bias/activation epilogue applied in registers); matMul and conv2d (1x1
-// directly, others via im2col) both lower onto it, epilogue included.
-// Long-tail data-movement kernels inherit the reference implementations.
+// directly, others via im2col) both lower onto it, epilogue included. The
+// int8 GEMM (native_quant.cc) has the same shape: cached packed weight
+// panels, a row-block partition, an MR x 64 i32 register tile and the
+// requantizing epilogue applied from the accumulators. Depthwise conv keeps
+// groups of output pixels in registers across all taps. Long-tail
+// data-movement kernels inherit the reference implementations.
 //
 // Every parallel kernel uses a fixed chunk partition (independent of the
 // thread count), so results are bit-identical to the single-threaded path;
@@ -72,10 +76,14 @@ class NativeBackend : public RefBackend {
   DataId fusedRegion(const RegionProgram& program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
-  /// SIMD int8 GEMM (AVX-512 VNNI / AVX2 / scalar, chosen at compile time).
-  /// All three variants accumulate the same exact i32 values and share the
-  /// scalar epilogue with the reference oracle, so results are bit-identical
-  /// to RefBackend::quantizedMatMul at any thread count.
+  /// SIMD int8 GEMM (AVX-512 VNNI / AVX2 / scalar dot body, chosen at
+  /// compile time) over fixed chunks of whole MR-row blocks: each chunk
+  /// quantizes its rows, then one register-tiled micro-kernel per MR x 64
+  /// output tile runs the full k loop and applies the epilogue from its
+  /// accumulators (masked stores past n, shorter tiles past the last row
+  /// block). All variants accumulate the same exact i32 values and apply
+  /// the reference oracle's epilogue formulas lane by lane, so results are
+  /// bit-identical to RefBackend::quantizedMatMul at any thread count.
   DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
                          const QuantParams& wq, const TensorSpec* bias,
                          FusedActivation act, const OutQuant* outQ) override;
@@ -83,6 +91,13 @@ class NativeBackend : public RefBackend {
                          const Conv2DInfo& info, const QuantParams& wq,
                          const TensorSpec* bias, FusedActivation act,
                          const OutQuant* outQ) override;
+  /// channelMult 1: per output row, interior pixels 8, 4 or 2 at a time
+  /// with their accumulators in registers across every tap, each output
+  /// stored once; the remaining pixels run one at a time over their
+  /// in-bounds taps, and channels past the last whole vector one chain each.
+  /// Every element is acc = +0; acc += x * f over its in-bounds taps in
+  /// ascending (fy, fx) order — one FMA per tap when the target has FMA —
+  /// whatever the blocking or thread count (tests/native_gemm_test.cc).
   DataId depthwiseConv2d(const TensorSpec& x, const TensorSpec& filter,
                          const Conv2DInfo& info) override;
   DataId pool2d(PoolMode mode, const TensorSpec& x,
@@ -106,6 +121,14 @@ class NativeBackend : public RefBackend {
                    int n, const float* bias, FusedActivation act);
 
  private:
+  /// im2col over output rows [rBegin, rEnd) of the batch×outH space: writes
+  /// each output pixel's [filterH, filterW, inC] patch row to `col`
+  /// ((rEnd - rBegin) * outW rows, zeros where a tap falls in the padding),
+  /// copying each filter row's in-bounds taps as one run when dilationW is
+  /// 1. Shared by the f32 and int8 convolutions.
+  static void im2col(const float* x, const Conv2DInfo& ci, std::size_t rBegin,
+                     std::size_t rEnd, float* col);
+
   /// The strip-mined region kernel behind unary, binary and fusedRegion.
   DataId runRegion(std::span<const RegionInstr> instrs,
                    std::span<const TensorSpec* const> inputs,

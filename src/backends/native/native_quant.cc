@@ -1,31 +1,38 @@
 // Int8 quantized GEMM / conv kernels for the native backend.
 //
 // The hot loop is a u8(activations) x s8(weights) dot product with i32
-// accumulators, blocked kRowBlock GEMM rows at a time so each packed weight
-// panel is loaded once per row block instead of once per row. Three
-// compile-time variants:
+// accumulators. Rows are quantized per fixed chunk of whole kTileMR-row
+// blocks (the chunk size depends only on the GEMM shape, never on the
+// thread count), then one micro-kernel per output tile (kTileMR rows x
+// kTileNV weight panels) runs the full k loop in registers and applies the
+// dequantize / bias / activation / requantize epilogue straight from its
+// accumulators; column tails run narrower tiles with masked stores, row
+// tails shorter tiles.
+// Three compile-time variants of the dot body:
 //   * AVX-512 VNNI: weights packed as [nPad/16][kPad/4] panels of 16 columns
-//     x 4 consecutive k values; one _mm512_dpbusd_epi32 does 64 MACs.
+//     x 4 consecutive k values; one _mm512_dpbusd_epi32 does 64 MACs, and a
+//     6 x 64 tile holds 24 zmm accumulators.
 //   * AVX2: weights pre-widened to i16 and packed as [nPad/8][kPad/2] panels
 //     of 8 columns x 2 k values; _mm256_madd_epi16 does 16 MACs. (maddubs is
 //     avoided: its i16 intermediate saturates at 255*127*2 > 32767.)
 //   * scalar: plain loop over row-major codes.
-// Every variant accumulates the same exact integers per row (padding
-// contributes 0 * w = 0, and blocking never reorders a row's own chain).
+// Every variant accumulates the same exact integers per element (padding
+// contributes 0 * w = 0, and tiling never reorders an element's own chain).
 //
 // The float stages around the dot product — the row min/max scan, the row
-// quantizer and the dequantize/bias/activation/requantize epilogue — are
-// vectorized here too (AVX-512F), but each vector lane performs exactly the
-// IEEE operation sequence of the scalar helpers in
-// backends/common/quant_math.h: mul / min / max / cvtps-to-i32 round to
-// nearest-even, and the i32 zero-point correction uses 32-bit wraparound
-// arithmetic whose result provably fits (see kMaxAccumK). This TU is built
-// with -ffp-contract=off (see CMakeLists.txt) so -march=native cannot fuse
-// the epilogue's mul+add into an FMA the reference backend doesn't perform.
-// Results are therefore bit-identical to RefBackend's scalar oracle at any
-// SIMD width and any thread count.
+// quantizer and the epilogue — are vectorized too (AVX-512F, masked tails),
+// but each vector lane performs exactly the IEEE operation sequence of the
+// scalar helpers in backends/common/quant_math.h: mul / min / max /
+// cvtps-to-i32 round to nearest-even, and the i32 zero-point correction uses
+// 32-bit wraparound arithmetic whose result provably fits (see kMaxAccumK).
+// This TU is built with -ffp-contract=off (see CMakeLists.txt) so
+// -march=native cannot fuse the epilogue's mul+add into an FMA the reference
+// backend doesn't perform. Results are therefore bit-identical to
+// RefBackend's scalar oracle at any SIMD width and any thread count.
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 
 #include "backends/common/quant_math.h"
 #include "backends/native/native_backend.h"
@@ -42,22 +49,25 @@ namespace tfjs::backends::native {
 namespace {
 using core::ThreadPool;
 
+// A tile is kTileMR rows x kTileNV panels of kPanelN columns; the
+// accumulators, kTileNV weight vectors and one broadcast fit the register
+// file (32 zmm under VNNI, 16 ymm under AVX2).
 #if defined(__AVX512VNNI__) && defined(__AVX512F__)
 constexpr int kPanelN = 16;  // columns per VNNI register
 constexpr int kPanelK = 4;   // k values per dpbusd quad
+constexpr int kTileMR = 6;
+constexpr int kTileNV = 4;
 #elif defined(__AVX2__)
 constexpr int kPanelN = 8;  // columns per madd_epi16 register
 constexpr int kPanelK = 2;  // k values per i16 pair
+constexpr int kTileMR = 4;
+constexpr int kTileNV = 2;
 #else
 constexpr int kPanelN = 1;
 constexpr int kPanelK = 1;
+constexpr int kTileMR = 4;
+constexpr int kTileNV = 16;
 #endif
-
-/// GEMM rows quantized and multiplied together per weight-panel pass. The
-/// packed weights stream from cache once per block instead of once per row;
-/// each row still owns an independent accumulator chain, so the results are
-/// bitwise identical to row-at-a-time execution.
-constexpr int kRowBlock = 4;
 
 int roundUp(int v, int to) { return (v + to - 1) / to * to; }
 
@@ -80,35 +90,78 @@ bool allFiniteFast(const float* x, std::size_t n) {
 #endif
 }
 
-/// qmath::chooseRowQuant with a SIMD min/max scan. Both seeds are 0 like the
-/// scalar scan, and min/max are exact at any association, so the reduced
-/// range — and hence the derived RowQuant — is identical.
-qmath::RowQuant chooseRowQuantFast(const float* row, int k) {
 #if defined(__AVX512F__)
-  __m512 lov = _mm512_setzero_ps();
-  __m512 hiv = _mm512_setzero_ps();
-  int i = 0;
-  for (; i + 16 <= k; i += 16) {
-    const __m512 v = _mm512_loadu_ps(row + i);
-    lov = _mm512_min_ps(lov, v);
-    hiv = _mm512_max_ps(hiv, v);
+/// Mask of the first `count` lanes (count may exceed 16).
+__mmask16 laneMask(int count) {
+  return count >= 16 ? __mmask16{0xffff}
+                     : static_cast<__mmask16>((1u << count) - 1u);
+}
+#endif
+
+/// qmath::chooseRowQuant for `rows` consecutive rows of A (stride k). The
+/// SIMD path scans each row's min/max — both seeds 0 like the scalar scan,
+/// so the masked tail's zeroed lanes cannot widen the range, and min/max
+/// are exact at any association — then derives 16 rows' parameters at once
+/// with chooseFromMinMax's IEEE steps: the two divisions, the > 0 select,
+/// and lround's round-half-away-from-zero on t = -lo / scale >= 0 spelled
+/// trunc(t) + (t - trunc(t) >= 0.5) (the fraction is exact). The
+/// RowQuants are therefore identical.
+void chooseRowQuants(const float* A, int k, std::size_t rows,
+                     qmath::RowQuant* rqs) {
+#if defined(__AVX512F__)
+  alignas(64) float lo[16], hi[16], scale[16], inv[16];
+  alignas(64) std::int32_t zp[16];
+  const __m512 zero = _mm512_setzero_ps();
+  for (std::size_t r0 = 0; r0 < rows; r0 += 16) {
+    const int count = static_cast<int>(std::min<std::size_t>(16, rows - r0));
+    for (int t = 0; t < count; ++t) {
+      const float* row = A + (r0 + t) * static_cast<std::size_t>(k);
+      __m512 lov = zero, hiv = zero;
+      for (int i = 0; i < k; i += 16) {
+        const __m512 v = _mm512_maskz_loadu_ps(laneMask(k - i), row + i);
+        lov = _mm512_min_ps(lov, v);
+        hiv = _mm512_max_ps(hiv, v);
+      }
+      lo[t] = _mm512_reduce_min_ps(lov);
+      hi[t] = _mm512_reduce_max_ps(hiv);
+    }
+    const __mmask16 m = laneMask(count);
+    const __m512 lov = _mm512_maskz_load_ps(m, lo);
+    __m512 s = _mm512_div_ps(_mm512_sub_ps(_mm512_maskz_load_ps(m, hi), lov),
+                             _mm512_set1_ps(255.f));
+    s = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(s, zero, _CMP_GT_OQ),
+                             _mm512_set1_ps(1.f), s);
+    const __m512 negLo = _mm512_castsi512_ps(
+        _mm512_xor_si512(_mm512_castps_si512(lov),
+                         _mm512_castps_si512(_mm512_set1_ps(-0.f))));
+    const __m512 t = _mm512_div_ps(negLo, s);
+    const __m512 tr =
+        _mm512_roundscale_ps(t, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    __m512i z = _mm512_cvttps_epi32(tr);
+    z = _mm512_mask_add_epi32(
+        z,
+        _mm512_cmp_ps_mask(_mm512_sub_ps(t, tr), _mm512_set1_ps(0.5f),
+                           _CMP_GE_OQ),
+        z, _mm512_set1_epi32(1));
+    z = _mm512_min_epi32(_mm512_max_epi32(z, _mm512_setzero_si512()),
+                         _mm512_set1_epi32(255));
+    _mm512_store_ps(scale, s);
+    _mm512_store_ps(inv, _mm512_div_ps(_mm512_set1_ps(1.f), s));
+    _mm512_store_si512(zp, z);
+    for (int i = 0; i < count; ++i) rqs[r0 + i] = {scale[i], inv[i], zp[i]};
   }
-  float lo = _mm512_reduce_min_ps(lov);
-  float hi = _mm512_reduce_max_ps(hiv);
-  for (; i < k; ++i) {
-    lo = std::min(lo, row[i]);
-    hi = std::max(hi, row[i]);
-  }
-  return qmath::chooseFromMinMax(lo, hi);
 #else
-  return qmath::chooseRowQuant(row, static_cast<std::size_t>(k));
+  for (std::size_t r = 0; r < rows; ++r) {
+    rqs[r] = qmath::chooseRowQuant(A + r * static_cast<std::size_t>(k),
+                                   static_cast<std::size_t>(k));
+  }
 #endif
 }
 
 /// qmath::quantizeRow, SIMD: per lane the exact scalar sequence
 /// mul(invScale) -> clamp in float -> cvtps (round to nearest even) -> +zp.
 /// The clamp guarantees codes land in [0, 255], so the epi32->epi8
-/// truncating narrow equals the scalar u8 cast.
+/// truncating narrow equals the scalar u8 cast. Writes exactly k bytes.
 void quantizeRowFast(const float* row, int k, const qmath::RowQuant& rq,
                      std::uint8_t* q) {
 #if defined(__AVX512F__)
@@ -116,23 +169,54 @@ void quantizeRowFast(const float* row, int k, const qmath::RowQuant& rq,
   const __m512 lov = _mm512_set1_ps(static_cast<float>(-rq.zp));
   const __m512 hiv = _mm512_set1_ps(static_cast<float>(255 - rq.zp));
   const __m512i zpv = _mm512_set1_epi32(rq.zp);
-  int i = 0;
-  for (; i + 16 <= k; i += 16) {
+  for (int i = 0; i < k; i += 16) {
+    const __mmask16 m = laneMask(k - i);
     const __m512 t = _mm512_min_ps(
-        _mm512_max_ps(_mm512_mul_ps(_mm512_loadu_ps(row + i), inv), lov),
+        _mm512_max_ps(_mm512_mul_ps(_mm512_maskz_loadu_ps(m, row + i), inv),
+                      lov),
         hiv);
-    const __m512i c = _mm512_add_epi32(_mm512_cvtps_epi32(t), zpv);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + i),
-                     _mm512_cvtepi32_epi8(c));
+    _mm512_mask_cvtepi32_storeu_epi8(
+        q + i, m, _mm512_add_epi32(_mm512_cvtps_epi32(t), zpv));
   }
-  for (; i < k; ++i) q[i] = qmath::quantizeActivation(row[i], rq);
 #else
   qmath::quantizeRow(row, static_cast<std::size_t>(k), rq, q);
 #endif
 }
 
-/// qmath::quantEpilogue over one output row, SIMD. Lane-exact against the
-/// scalar helper:
+/// Everything the epilogue reads besides each row's RowQuant, built once per
+/// kernel call.
+struct EpilogueArgs {
+  int n;
+  const std::int32_t* colSums;
+  const float* wScale;  ///< per-column weight scale (n entries)
+  const float* bias;    ///< n entries, or null
+  FusedActivation act;
+  const OutQuant* outQ;
+};
+
+#if defined(__AVX512F__)
+/// The epilogue's per-column operands for columns [j, j + 16), masked to the
+/// columns inside n (masked lanes read as 0 and are never stored).
+struct Cols16 {
+  __mmask16 m;
+  __m512i colSums;
+  __m512 wScale, bias;
+};
+
+[[gnu::always_inline]] inline Cols16 loadCols16(const EpilogueArgs& ep,
+                                                int j) {
+  Cols16 c;
+  c.m = laneMask(ep.n - j);
+  c.colSums = _mm512_maskz_loadu_epi32(c.m, ep.colSums + j);
+  c.wScale = _mm512_maskz_loadu_ps(c.m, ep.wScale + j);
+  c.bias = ep.bias != nullptr ? _mm512_maskz_loadu_ps(c.m, ep.bias + j)
+                              : _mm512_setzero_ps();
+  return c;
+}
+
+/// qmath::quantEpilogue on one row's 16 columns, straight from the i32
+/// accumulator register; stores the lanes inside n to dst. Lane-exact
+/// against the scalar helper:
 ///   * centered = acc - zp*colSum in 32-bit wraparound arithmetic — the
 ///     true value fits i32 (kMaxAccumK guard), so the wrap is harmless and
 ///     cvtepi32_ps equals the scalar i64->float conversion;
@@ -140,186 +224,255 @@ void quantizeRowFast(const float* row, int k, const qmath::RowQuant& rq,
 ///     float(centered) * (rq.scale * wScale[j]), then + bias, activation
 ///     via min/max in applyUnary's operand order, then the requantize
 ///     mul/clamp/round. No FMA (this TU: -ffp-contract=off).
-/// kSigmoid is transcendental, so that row falls back to the scalar loop.
-void epilogueRowFast(const std::int32_t* acc, int n,
-                     const qmath::RowQuant& rq, const std::int32_t* colSums,
-                     const float* wScale, const float* bias,
-                     FusedActivation act, const OutQuant* outQ, float* Crow) {
-#if defined(__AVX512F__)
-  if (act != FusedActivation::kSigmoid) {
-    const __m512i zpv = _mm512_set1_epi32(rq.zp);
-    const __m512 sv = _mm512_set1_ps(rq.scale);
-    const __m512 zero = _mm512_setzero_ps();
-    const __m512 six = _mm512_set1_ps(6.f);
-    __m512 oinv = zero, olo = zero, ohi = zero;
-    __m512i ozp = _mm512_setzero_si512();
-    if (outQ != nullptr) {
-      oinv = _mm512_set1_ps(1.f / outQ->scale);
-      olo = _mm512_set1_ps(static_cast<float>(kInt8Min - outQ->zeroPoint));
-      ohi = _mm512_set1_ps(static_cast<float>(kInt8Max - outQ->zeroPoint));
-      ozp = _mm512_set1_epi32(outQ->zeroPoint);
-    }
-    int j = 0;
-    for (; j + 16 <= n; j += 16) {
-      const __m512i accv =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(acc + j));
-      const __m512i csv =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(colSums + j));
-      const __m512i centered =
-          _mm512_sub_epi32(accv, _mm512_mullo_epi32(zpv, csv));
-      __m512 v = _mm512_mul_ps(_mm512_cvtepi32_ps(centered),
-                               _mm512_mul_ps(sv, _mm512_loadu_ps(wScale + j)));
-      if (bias != nullptr) v = _mm512_add_ps(v, _mm512_loadu_ps(bias + j));
-      if (act == FusedActivation::kRelu) {
-        v = _mm512_max_ps(v, zero);  // x > 0 ? x : 0
-      } else if (act == FusedActivation::kRelu6) {
-        v = _mm512_min_ps(six, _mm512_max_ps(zero, v));  // min(max(x,0),6)
-      }
-      if (outQ != nullptr) {
-        const __m512 t = _mm512_min_ps(
-            _mm512_max_ps(_mm512_mul_ps(v, oinv), olo), ohi);
-        v = _mm512_cvtepi32_ps(_mm512_add_epi32(_mm512_cvtps_epi32(t), ozp));
-      }
-      _mm512_storeu_ps(Crow + j, v);
-    }
-    for (; j < n; ++j) {
-      Crow[j] = qmath::quantEpilogue(acc[j], rq, colSums[j], wScale[j], bias,
-                                     j, act, outQ);
-    }
-    return;
+/// kSigmoid is transcendental: this stores its input (dequant + bias), and
+/// sigmoidTail finishes the tile with the scalar helpers. Always inlined, so
+/// the tile's other accumulators stay in registers.
+[[gnu::always_inline]] inline void epilogue16(__m512i acc,
+                                              const qmath::RowQuant& rq,
+                                              const EpilogueArgs& ep,
+                                              const Cols16& c, float* dst) {
+  const __m512i centered = _mm512_sub_epi32(
+      acc, _mm512_mullo_epi32(_mm512_set1_epi32(rq.zp), c.colSums));
+  __m512 v = _mm512_mul_ps(_mm512_cvtepi32_ps(centered),
+                           _mm512_mul_ps(_mm512_set1_ps(rq.scale), c.wScale));
+  if (ep.bias != nullptr) v = _mm512_add_ps(v, c.bias);
+  const __m512 zero = _mm512_setzero_ps();
+  if (ep.act == FusedActivation::kRelu) {
+    v = _mm512_max_ps(v, zero);  // x > 0 ? x : 0
+  } else if (ep.act == FusedActivation::kRelu6) {
+    v = _mm512_min_ps(_mm512_set1_ps(6.f),
+                      _mm512_max_ps(zero, v));  // min(max(x,0),6)
   }
-#endif
-  for (int j = 0; j < n; ++j) {
-    Crow[j] = qmath::quantEpilogue(acc[j], rq, colSums[j], wScale[j], bias, j,
-                                   act, outQ);
+  if (ep.outQ != nullptr && ep.act != FusedActivation::kSigmoid) {
+    const OutQuant& oq = *ep.outQ;
+    const __m512 t = _mm512_min_ps(
+        _mm512_max_ps(_mm512_mul_ps(v, _mm512_set1_ps(1.f / oq.scale)),
+                      _mm512_set1_ps(static_cast<float>(kInt8Min -
+                                                        oq.zeroPoint))),
+        _mm512_set1_ps(static_cast<float>(kInt8Max - oq.zeroPoint)));
+    v = _mm512_cvtepi32_ps(_mm512_add_epi32(
+        _mm512_cvtps_epi32(t), _mm512_set1_epi32(oq.zeroPoint)));
   }
+  _mm512_mask_storeu_ps(dst, c.m, v);
 }
 
-/// Integer dot products of R quantized activation rows (kPad u8 codes each,
-/// zero-padded past k, qStride bytes apart) against every weight column;
-/// writes R x n i32 sums, aStride apart. Each weight panel is loaded once
-/// and reused across the R rows.
-template <int R>
-void dotRows(const PackedQuantWeights& pw, const std::uint8_t* qrows,
-             std::size_t qStride, std::int32_t* acc, std::size_t aStride) {
-#if defined(__AVX512VNNI__) && defined(__AVX512F__)
-  const int kQuads = pw.kPad / kPanelK;
-  for (int j0 = 0; j0 < pw.nPad; j0 += kPanelN) {
-    const std::int8_t* panel =
-        pw.panels.data() +
-        (static_cast<std::size_t>(j0 / kPanelN) * kQuads) * 64;
-    __m512i sum[R];
-    for (int t = 0; t < R; ++t) sum[t] = _mm512_setzero_si512();
-    for (int q = 0; q < kQuads; ++q) {
-      const __m512i wv = _mm512_loadu_si512(panel + q * 64);
-      for (int t = 0; t < R; ++t) {
-        // Broadcast 4 consecutive activation bytes to every lane; each
-        // lane's 4 weight bytes are that lane's column at the same 4 k
-        // positions.
-        std::int32_t aq;
-        std::memcpy(&aq, qrows + t * qStride + q * kPanelK, sizeof(aq));
-        sum[t] = _mm512_dpbusd_epi32(sum[t], _mm512_set1_epi32(aq), wv);
-      }
-    }
-    const int jMax = std::min(j0 + kPanelN, pw.n);
-    for (int t = 0; t < R; ++t) {
-      alignas(64) std::int32_t lane[16];
-      _mm512_store_si512(lane, sum[t]);
-      for (int j = j0; j < jMax; ++j) acc[t * aStride + j] = lane[j - j0];
+/// Finishes a kSigmoid tile of `rows` x `cols` outputs at `out` (row stride
+/// ldo) whose epilogue stored dequant + bias: the activation, then the
+/// optional requantization, per element with the reference's scalar
+/// helpers.
+void sigmoidTail(const EpilogueArgs& ep, int rows, int cols, float* out,
+                 std::size_t ldo) {
+  for (int r = 0; r < rows; ++r) {
+    for (float* o = out + r * ldo; o != out + r * ldo + cols; ++o) {
+      *o = applyFusedActivation(FusedActivation::kSigmoid, *o);
+      if (ep.outQ != nullptr) *o = qmath::requantToInt8(*o, *ep.outQ);
     }
   }
-#elif defined(__AVX2__)
-  const int kPairs = pw.kPad / kPanelK;
-  for (int j0 = 0; j0 < pw.nPad; j0 += kPanelN) {
-    const std::int16_t* panel =
-        pw.panels16.data() +
-        (static_cast<std::size_t>(j0 / kPanelN) * kPairs) * 16;
-    __m256i sum[R];
-    for (int t = 0; t < R; ++t) sum[t] = _mm256_setzero_si256();
-    for (int q = 0; q < kPairs; ++q) {
-      const __m256i wv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(panel + q * 16));
-      for (int t = 0; t < R; ++t) {
-        const std::uint8_t* qr = qrows + t * qStride + q * kPanelK;
-        // i16 lanes [a0, a1] x8; madd pairs them with [w(p), w(p+1)] per
-        // column. 255 * 127 * 2 fits i32, so the pairwise sum is exact.
-        const std::int32_t a0 = qr[0];
-        const std::int32_t a1 = qr[1];
-        const __m256i av = _mm256_set1_epi32(a0 | (a1 << 16));
-        sum[t] = _mm256_add_epi32(sum[t], _mm256_madd_epi16(av, wv));
+}
+#endif
+
+#if defined(__AVX512VNNI__) && defined(__AVX512F__)
+/// acc + the 4-byte dot products of u8 `a` and s8 `w` per i32 lane: the
+/// _mm512_dpbusd_epi32 instruction, spelled in asm because GCC does not tie
+/// the intrinsic's accumulator to its destination register — with a full
+/// tile of accumulators live it copies them around every step, or spills
+/// them. (Taking acc by value keeps the caller's tile array scalarizable.)
+[[gnu::always_inline]] inline __m512i dpbusd(__m512i acc, __m512i a,
+                                             __m512i w) {
+  asm("vpdpbusd %2, %1, %0" : "+v"(acc) : "v"(a), "v"(w));
+  return acc;
+}
+#endif
+
+/// One MR x (NV * kPanelN) output tile at columns [j0, ...): MR quantized
+/// rows (kPad u8 codes each, zero-padded past k, kPad bytes apart) dotted
+/// with NV weight panels over the whole k range, then the epilogue into
+/// `out` (row stride ldo). Columns past n are computed on zero padding and
+/// never stored.
+template <int MR, int NV>
+void quantTile(const PackedQuantWeights& pw, const std::uint8_t* q,
+               const qmath::RowQuant* rqs, const EpilogueArgs& ep, int j0,
+               float* out, std::size_t ldo) {
+  const std::size_t kPad = static_cast<std::size_t>(pw.kPad);
+#if defined(__AVX512VNNI__) && defined(__AVX512F__)
+  // Panel p's quad qd sits at (p * kQuads + qd) * 64.
+  const int kQuads = pw.kPad / kPanelK;
+  const std::int8_t* panel =
+      pw.panels.data() + static_cast<std::size_t>(j0 / kPanelN) * kQuads * 64;
+  __m512i acc[MR][NV];
+  for (auto& row : acc) {
+    for (__m512i& a : row) a = _mm512_setzero_si512();
+  }
+  for (int qd = 0; qd < kQuads; ++qd) {
+    __m512i w[NV];
+    for (int v = 0; v < NV; ++v) {
+      w[v] = _mm512_loadu_si512(
+          panel + (static_cast<std::size_t>(v) * kQuads + qd) * 64);
+    }
+    for (int r = 0; r < MR; ++r) {
+      // Broadcast 4 consecutive activation bytes to every lane; each lane's
+      // 4 weight bytes are that lane's column at the same 4 k positions.
+      std::int32_t aq;
+      std::memcpy(&aq, q + r * kPad + qd * kPanelK, sizeof(aq));
+      const __m512i av = _mm512_set1_epi32(aq);
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = dpbusd(acc[r][v], av, w[v]);
       }
     }
-    const int jMax = std::min(j0 + kPanelN, pw.n);
-    for (int t = 0; t < R; ++t) {
-      alignas(32) std::int32_t lane[8];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lane), sum[t]);
-      for (int j = j0; j < jMax; ++j) acc[t * aStride + j] = lane[j - j0];
+  }
+  for (int v = 0; v < NV; ++v) {
+    const int j = j0 + v * kPanelN;
+    const Cols16 c = loadCols16(ep, j);
+    for (int r = 0; r < MR; ++r) {
+      epilogue16(acc[r][v], rqs[r], ep, c, out + r * ldo + j);
+    }
+  }
+  if (ep.act == FusedActivation::kSigmoid) {
+    sigmoidTail(ep, MR, std::min(NV * kPanelN, ep.n - j0), out + j0, ldo);
+  }
+#else
+  constexpr int kCols = NV * kPanelN;
+  alignas(64) std::int32_t acc[MR][kCols];
+#if defined(__AVX2__)
+  const int kPairs = pw.kPad / kPanelK;
+  const std::int16_t* panel = pw.panels16.data() +
+                              static_cast<std::size_t>(j0 / kPanelN) * kPairs *
+                                  16;
+  __m256i sum[MR][NV];
+  for (auto& row : sum) {
+    for (__m256i& s : row) s = _mm256_setzero_si256();
+  }
+  for (int qd = 0; qd < kPairs; ++qd) {
+    __m256i w[NV];
+    for (int v = 0; v < NV; ++v) {
+      w[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+          panel + (static_cast<std::size_t>(v) * kPairs + qd) * 16));
+    }
+    for (int r = 0; r < MR; ++r) {
+      const std::uint8_t* qr = q + r * kPad + qd * kPanelK;
+      // i16 lanes [a0, a1] x8; madd pairs them with [w(p), w(p+1)] per
+      // column. 255 * 127 * 2 fits i32, so the pairwise sum is exact.
+      const std::int32_t a0 = qr[0];
+      const std::int32_t a1 = qr[1];
+      const __m256i av = _mm256_set1_epi32(a0 | (a1 << 16));
+      for (int v = 0; v < NV; ++v) {
+        sum[r][v] = _mm256_add_epi32(sum[r][v], _mm256_madd_epi16(av, w[v]));
+      }
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    for (int v = 0; v < NV; ++v) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(&acc[r][v * kPanelN]),
+                         sum[r][v]);
     }
   }
 #else
-  for (int t = 0; t < R; ++t) {
-    const std::uint8_t* qrow = qrows + t * qStride;
-    std::int32_t* arow = acc + t * aStride;
-    for (int j = 0; j < pw.n; ++j) arow[j] = 0;
-    for (int p = 0; p < pw.k; ++p) {
-      const std::int32_t a = qrow[p];
-      const std::int8_t* wrow =
-          pw.w8.data() + static_cast<std::size_t>(p) * pw.n;
-      for (int j = 0; j < pw.n; ++j) arow[j] += a * wrow[j];
+  // kPanelN == 1: the NV columns [j0, j0 + NV) all lie inside n.
+  for (auto& row : acc) std::fill(row, row + kCols, 0);
+  for (int p = 0; p < pw.k; ++p) {
+    const std::int8_t* wrow =
+        pw.w8.data() + static_cast<std::size_t>(p) * pw.n + j0;
+    for (int r = 0; r < MR; ++r) {
+      const std::int32_t a = q[r * kPad + p];
+      for (int c = 0; c < kCols; ++c) acc[r][c] += a * wrow[c];
     }
   }
 #endif
-}
-
-/// Serial core over a row range: quantize each f32 row of A, run the integer
-/// dot products (kRowBlock rows per weight-panel pass), and apply the shared
-/// epilogue. Rows are independent, so any partition of the row space
-/// (threads, batching, blocking) is bit-identical.
-void quantRows(const PackedQuantWeights& pw, const QuantParams& wq,
-               const float* A, std::size_t rowBegin, std::size_t rowEnd,
-               const float* bias, FusedActivation act, const OutQuant* outQ,
-               float* out) {
-  const int k = pw.k, n = pw.n;
-  std::vector<float> wScale(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) wScale[j] = wq.scaleFor(j);
-  std::vector<std::uint8_t> qrows(
-      static_cast<std::size_t>(kRowBlock) * pw.kPad, 0);
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(kRowBlock) * n);
-  qmath::RowQuant rqs[kRowBlock];
-  const auto prep = [&](std::size_t row, int t) {
-    const float* Arow = A + row * static_cast<std::size_t>(k);
-    rqs[t] = chooseRowQuantFast(Arow, k);
-    quantizeRowFast(Arow, k, rqs[t],
-                    qrows.data() + static_cast<std::size_t>(t) * pw.kPad);
-    // pad bytes past k stay 0
-  };
-  std::size_t r = rowBegin;
-  for (; r + kRowBlock <= rowEnd; r += kRowBlock) {
-    for (int t = 0; t < kRowBlock; ++t) prep(r + t, t);
-    dotRows<kRowBlock>(pw, qrows.data(), pw.kPad, acc.data(),
-                       static_cast<std::size_t>(n));
-    for (int t = 0; t < kRowBlock; ++t) {
-      epilogueRowFast(acc.data() + static_cast<std::size_t>(t) * n, n, rqs[t],
-                      pw.colSums.data(), wScale.data(), bias, act, outQ,
-                      out + (r + t) * static_cast<std::size_t>(n));
+  const int cols = std::min(kCols, ep.n - j0);
+#if defined(__AVX512F__)
+  for (int c = 0; c < cols; c += 16) {
+    const Cols16 cs = loadCols16(ep, j0 + c);
+    for (int r = 0; r < MR; ++r) {
+      epilogue16(_mm512_maskz_loadu_epi32(cs.m, &acc[r][c]), rqs[r], ep, cs,
+                 out + r * ldo + j0 + c);
     }
   }
-  for (; r < rowEnd; ++r) {
-    prep(r, 0);
-    dotRows<1>(pw, qrows.data(), pw.kPad, acc.data(),
-               static_cast<std::size_t>(n));
-    epilogueRowFast(acc.data(), n, rqs[0], pw.colSums.data(), wScale.data(),
-                    bias, act, outQ, out + r * static_cast<std::size_t>(n));
+  if (ep.act == FusedActivation::kSigmoid) {
+    sigmoidTail(ep, MR, cols, out + j0, ldo);
+  }
+#else
+  for (int r = 0; r < MR; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      const int j = j0 + c;
+      out[r * ldo + j] =
+          qmath::quantEpilogue(acc[r][c], rqs[r], ep.colSums[j], ep.wScale[j],
+                               ep.bias, j, ep.act, ep.outQ);
+    }
+  }
+#endif
+#endif
+}
+
+using QuantTileFn = void (*)(const PackedQuantWeights&, const std::uint8_t*,
+                             const qmath::RowQuant*, const EpilogueArgs&, int,
+                             float*, std::size_t);
+
+/// quantTile<MR, NV> for MR = 1..kTileMR, NV = 1..kTileNV, indexed by
+/// (MR - 1) * kTileNV + NV - 1.
+template <std::size_t... I>
+constexpr std::array<QuantTileFn, sizeof...(I)> quantTiles(
+    std::index_sequence<I...>) {
+  return {&quantTile<static_cast<int>(I) / kTileNV + 1,
+                     static_cast<int>(I) % kTileNV + 1>...};
+}
+constexpr auto kQuantTiles =
+    quantTiles(std::make_index_sequence<kTileMR * kTileNV>{});
+
+/// Serial core over `rows` consecutive rows of A (row stride k), writing
+/// `rows` output rows (stride n): quantize every row, then sweep the weights
+/// one kTileNV-panel strip at a time, each strip across all the rows' tiles,
+/// so the strip's panels stay in L1 while the quantized rows stream past.
+/// Rows are independent, so any partition of the row space (threads,
+/// chunks, tiles) is bit-identical.
+void quantGemmRows(const PackedQuantWeights& pw, const EpilogueArgs& ep,
+                   const float* A, std::size_t rows, float* out) {
+  if (ep.n == 0) return;
+  const std::size_t kPad = static_cast<std::size_t>(pw.kPad);
+  std::vector<std::uint8_t> q(rows * kPad, 0);  // pad bytes past k stay 0
+  std::vector<qmath::RowQuant> rqs(rows);
+  chooseRowQuants(A, pw.k, rows, rqs.data());
+  for (std::size_t r = 0; r < rows; ++r) {
+    quantizeRowFast(A + r * static_cast<std::size_t>(pw.k), pw.k, rqs[r],
+                    q.data() + r * kPad);
+  }
+  const int panels = pw.nPad / kPanelN;
+  for (int p = 0; p < panels; p += kTileNV) {
+    const int nv = std::min(kTileNV, panels - p);
+    for (std::size_t r = 0; r < rows; r += kTileMR) {
+      const int mr = static_cast<int>(
+          std::min<std::size_t>(kTileMR, rows - r));
+      kQuantTiles[static_cast<std::size_t>((mr - 1) * kTileNV + nv - 1)](
+          pw, q.data() + r * kPad, rqs.data() + r, ep, p * kPanelN,
+          out + r * static_cast<std::size_t>(ep.n),
+          static_cast<std::size_t>(ep.n));
+    }
   }
 }
 
-/// Row grain targeting ~256K MACs per chunk — same fixed-partition scheme as
-/// the f32 kernels (independent of thread count).
+/// Rows per parallel chunk: whole kTileMR-row tiles targeting ~kChunkMacs
+/// MACs, so even the widest layers form full tiles and reuse each weight
+/// strip across several of them. A fixed function of the GEMM shape —
+/// never of the thread count — like every native kernel's partition.
+constexpr std::size_t kChunkMacs = std::size_t{1} << 21;
 std::size_t quantGrain(int k, int n) {
   const std::size_t work = std::max<std::size_t>(
       1, static_cast<std::size_t>(k) * static_cast<std::size_t>(n));
-  return std::max<std::size_t>(1, (std::size_t{1} << 18) / work);
+  const std::size_t rows = std::max<std::size_t>(1, kChunkMacs / work);
+  return (rows + kTileMR - 1) / kTileMR * kTileMR;
 }
+
+/// The per-call epilogue inputs: per-column weight scales (built once here,
+/// not per chunk), column sums, bias and activation.
+struct CallEpilogue {
+  std::vector<float> wScale;
+  EpilogueArgs args;
+  CallEpilogue(const PackedQuantWeights& pw, const QuantParams& wq,
+               const float* bias, FusedActivation act, const OutQuant* outQ)
+      : wScale(static_cast<std::size_t>(pw.n)) {
+    for (int j = 0; j < pw.n; ++j) wScale[j] = wq.scaleFor(j);
+    args = {pw.n, pw.colSums.data(), wScale.data(), bias, act, outQ};
+  }
+};
 }  // namespace
 
 std::shared_ptr<const PackedQuantWeights> NativeBackend::packedWeights(
@@ -416,14 +569,16 @@ DataId NativeBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
     const auto& av = buf(a.id);
     if (allFiniteFast(av.data(), av.size()) && quantFastPathOk(wq, k)) {
       auto pw = packedWeights(b.id, k, n);
-      const float* biasv = bias != nullptr ? buf(bias->id).data() : nullptr;
+      const CallEpilogue ep(*pw, wq,
+                            bias != nullptr ? buf(bias->id).data() : nullptr,
+                            act, outQ);
       std::vector<float> out =
           allocBuffer(static_cast<std::size_t>(batch) * m * n);
       const std::size_t rows = static_cast<std::size_t>(batch) * m;
       ThreadPool::get().parallelFor(
           rows, quantGrain(k, n), [&](std::size_t begin, std::size_t end) {
-            quantRows(*pw, wq, av.data(), begin, end, biasv, act, outQ,
-                      out.data());
+            quantGemmRows(*pw, ep.args, av.data() + begin * k, end - begin,
+                          out.data() + begin * n);
           });
       return store(std::move(out));
     }
@@ -450,7 +605,9 @@ DataId NativeBackend::quantizedConv2d(const TensorSpec& x,
     const auto& xv = buf(x.id);
     if (allFiniteFast(xv.data(), xv.size()) && quantFastPathOk(wq, patch)) {
       auto pw = packedWeights(filter.id, patch, n);
-      const float* biasv = bias != nullptr ? buf(bias->id).data() : nullptr;
+      const CallEpilogue ep(*pw, wq,
+                            bias != nullptr ? buf(bias->id).data() : nullptr,
+                            act, outQ);
       const std::size_t outSpatial =
           static_cast<std::size_t>(ci.outH) * ci.outW;
       std::vector<float> out = allocBuffer(
@@ -466,56 +623,29 @@ DataId NativeBackend::quantizedConv2d(const TensorSpec& x,
         ThreadPool::get().parallelFor(
             rows, quantGrain(patch, n),
             [&](std::size_t begin, std::size_t end) {
-              quantRows(*pw, wq, xv.data(), begin, end, biasv, act, outQ,
-                        out.data());
+              quantGemmRows(*pw, ep.args, xv.data() + begin * patch,
+                            end - begin, out.data() + begin * n);
             });
         return store(std::move(out));
       }
 
-      // General path: chunked im2col (zero-filled, same as the f32 conv),
-      // then the quantized GEMM core on the chunk's patch rows. The patch
-      // rows equal the oracle's per-pixel materialization exactly, so the
-      // dynamic row quantization — and hence the output — matches bitwise.
+      // General path: chunked im2col (zeros in the padding, the f32 conv's
+      // helper), then the quantized GEMM core on the chunk's patch rows. The
+      // patch rows equal the oracle's per-pixel materialization exactly, so
+      // the dynamic row quantization — and hence the output — matches
+      // bitwise.
       const std::size_t totalRows =
           static_cast<std::size_t>(ci.batch) * ci.outH;
       const std::size_t grain = std::max<std::size_t>(
           1, quantGrain(patch, n) / std::max(ci.outW, 1));
       ThreadPool::get().parallelFor(
           totalRows, grain, [&](std::size_t rBegin, std::size_t rEnd) {
-            std::vector<float> col = core::BufferPool::get().acquireFilled(
-                (rEnd - rBegin) * ci.outW * patch, 0.f);
-            for (std::size_t r = rBegin; r < rEnd; ++r) {
-              const int b = static_cast<int>(r) / ci.outH;
-              const int oy = static_cast<int>(r) % ci.outH;
-              float* colRow =
-                  col.data() + (r - rBegin) * ci.outW * patch;
-              for (int ox = 0; ox < ci.outW; ++ox) {
-                float* dst = colRow + static_cast<std::size_t>(ox) * patch;
-                for (int fy = 0; fy < ci.filterH; ++fy) {
-                  const int iy =
-                      oy * ci.strideH - ci.padTop + fy * ci.dilationH;
-                  if (iy < 0 || iy >= ci.inH) continue;
-                  for (int fx = 0; fx < ci.filterW; ++fx) {
-                    const int ix =
-                        ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
-                    if (ix < 0 || ix >= ci.inW) continue;
-                    std::memcpy(
-                        dst + (static_cast<std::size_t>(fy) * ci.filterW +
-                               fx) *
-                                  ci.inC,
-                        xv.data() +
-                            ((static_cast<std::size_t>(b) * ci.inH + iy) *
-                                 ci.inW +
-                             ix) *
-                                ci.inC,
-                        static_cast<std::size_t>(ci.inC) * sizeof(float));
-                  }
-                }
-              }
-            }
-            quantRows(*pw, wq, col.data(), 0, (rEnd - rBegin) * ci.outW,
-                      biasv, act, outQ,
-                      out.data() + rBegin * ci.outW * n);
+            const std::size_t rows = (rEnd - rBegin) * ci.outW;
+            std::vector<float> col =
+                core::BufferPool::get().acquire(rows * patch);
+            im2col(xv.data(), ci, rBegin, rEnd, col.data());
+            quantGemmRows(*pw, ep.args, col.data(), rows,
+                          out.data() + rBegin * ci.outW * n);
             core::BufferPool::get().release(std::move(col));
           });
       return store(std::move(out));

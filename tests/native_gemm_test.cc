@@ -1,5 +1,6 @@
 // Bitwise oracle for the native f32 GEMM and everything lowered onto it
-// (matMul with and without its epilogue, 1x1 and im2col convs).
+// (matMul with and without its epilogue, 1x1 and im2col convs), and for the
+// native depthwise convolution.
 //
 // The native kernel promises more than closeness: every C element is one
 // ascending-k multiply-add chain that starts from +0, followed by the bias add
@@ -24,6 +25,15 @@
 // the default NaN of inf - inf) meet in one instruction, which one survives
 // depends on the operand order the compiler picks, which C++ leaves
 // unspecified.
+//
+// Depthwise convolution has its own chain per output element: from +0, one
+// fmaStep per in-bounds tap in ascending (fy, fx) order,
+//
+//   acc = +0;  for (fy, fx) with the tap inside the input:
+//              acc = fmaStep(x[iy, ix, c], f[fy, fx, c, q], acc)
+//
+// whatever the register blocking of output pixels and channels, the edge
+// path for padded pixels, or the thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -403,6 +413,106 @@ TEST_F(NativeGemmTest, ConvPathsMatchOracle) {
         expectBitwise(native_.read(native_.conv2d(x, f, ci, &bs, act)),
                       oracleEpilogue(z, ci.outC, bias.data(), act),
                       tag + " act=" + std::to_string(static_cast<int>(act)));
+      }
+    }
+  }
+}
+
+/// The depthwise chains of NHWC x against an [fH, fW, inC, mult] filter:
+/// per output element, fmaStep over the in-bounds taps in (fy, fx) order.
+std::vector<float> oracleDepthwise(const std::vector<float>& x,
+                                   const std::vector<float>& f,
+                                   const Conv2DInfo& ci) {
+  const int mult = ci.channelMult;
+  std::vector<float> out(static_cast<std::size_t>(ci.batch) * ci.outH *
+                         ci.outW * ci.outC);
+  for (int b = 0; b < ci.batch; ++b) {
+    for (int oy = 0; oy < ci.outH; ++oy) {
+      for (int ox = 0; ox < ci.outW; ++ox) {
+        for (int c = 0; c < ci.inC; ++c) {
+          for (int q = 0; q < mult; ++q) {
+            float acc = 0.f;
+            for (int fy = 0; fy < ci.filterH; ++fy) {
+              const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+              if (iy < 0 || iy >= ci.inH) continue;
+              for (int fx = 0; fx < ci.filterW; ++fx) {
+                const int ix =
+                    ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
+                if (ix < 0 || ix >= ci.inW) continue;
+                acc = fmaStep(
+                    x[((static_cast<std::size_t>(b) * ci.inH + iy) * ci.inW +
+                       ix) *
+                          ci.inC +
+                      c],
+                    f[((static_cast<std::size_t>(fy) * ci.filterW + fx) *
+                           ci.inC +
+                       c) *
+                          mult +
+                      q],
+                    acc);
+              }
+            }
+            out[((static_cast<std::size_t>(b) * ci.outH + oy) * ci.outW +
+                 ox) *
+                    ci.outC +
+                c * mult + q] = acc;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Depthwise: SAME padding on every edge (3x3 and 5x5), stride 2, dilation 2,
+// channel counts around the vector width, channelMult 1 and 2, batch 2. The
+// rows are wide enough for the kernel's 8- and 4-pixel register groups and
+// their leftovers. NaN/±inf sit on input pixels 6 apart in y and x, so no
+// tap window — at most 5 pixels wide, dilated — holds two of them; ±0 are
+// sprinkled everywhere.
+TEST_F(NativeGemmTest, DepthwiseMatchesOracle) {
+  struct Case {
+    int h, w, filter, stride, dilation;
+  };
+  const Case cases[] = {{9, 21, 3, 1, 1},
+                        {10, 23, 3, 2, 1},
+                        {11, 22, 3, 1, 2},
+                        {8, 19, 5, 1, 1}};
+  for (const Case& cs : cases) {
+    for (const int C : {1, 7, 16, 33, 64}) {
+      for (const int mult : {1, 2}) {
+        const Shape xs{2, cs.h, cs.w, C}, fs{cs.filter, cs.filter, C, mult};
+        const Conv2DInfo ci = tfjs::conv_util::computeConv2DInfo(
+            xs, fs, cs.stride, cs.stride, PadMode::kSame, cs.dilation,
+            cs.dilation, /*depthwise=*/true);
+        auto xData = randomData(xs.size(), static_cast<std::uint32_t>(C));
+        for (std::size_t e = 0; e < xData.size(); e += 5) {
+          xData[e] = e % 2 == 0 ? 0.f : -0.f;
+        }
+        const float specials[] = {kNaN, kInf, -kInf};
+        for (int b = 0; b < 2; ++b) {
+          for (int y = 1; y < cs.h; y += 6) {
+            for (int x = 2; x < cs.w; x += 6) {
+              const std::size_t pixel =
+                  (static_cast<std::size_t>(b) * cs.h + y) * cs.w + x;
+              xData[pixel * C + (y + x) % C] = specials[(y + x + b) % 3];
+            }
+          }
+        }
+        const auto fData =
+            randomData(fs.size(), static_cast<std::uint32_t>(C + mult));
+        const auto want = oracleDepthwise(xData, fData, ci);
+        const TensorSpec x = put(xData, xs);
+        const TensorSpec f = put(fData, fs);
+        for (const int threads : {1, 4}) {
+          ThreadPool::get().setNumThreads(threads);
+          expectBitwise(native_.read(native_.depthwiseConv2d(x, f, ci)), want,
+                        "depthwise " + xs.toString() + " * " + fs.toString() +
+                            " stride=" + std::to_string(cs.stride) +
+                            " dilation=" + std::to_string(cs.dilation) +
+                            " threads=" + std::to_string(threads));
+          if (HasFailure()) return;
+        }
       }
     }
   }

@@ -12,10 +12,11 @@
 //    depthwise contracts a*b+c likewise, while the reference backend rounds
 //    the product and the sum separately (and reduce splits its sum over
 //    four accumulators), so last-ulp differences are expected and correct.
-//    The GEMM's own bitwise contract — one ascending-k chain per element,
-//    then bias and activation — is checked against a scalar oracle in
-//    native_gemm_test.cc. The determinism guarantee of the thread pool is
-//    the *bitwise* one above.
+//    Those kernels' own bitwise contracts — the GEMM's one ascending-k chain
+//    per element, then bias and activation, and depthwise's one +0-seeded
+//    FMA chain per element over its in-bounds taps in (fy, fx) order — are
+//    checked against scalar oracles in native_gemm_test.cc. The determinism
+//    guarantee of the thread pool is the *bitwise* one above.
 #include <gtest/gtest.h>
 
 #include <cstring>

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "ops/ops.h"
@@ -401,6 +404,73 @@ TEST_P(OpsTest, Transpose) {
     test::expectValues(o::transpose(x3, std::array<int, 3>{2, 1, 0}),
                        {1, 5, 3, 7, 2, 6, 4, 8});
   });
+}
+
+// Random permutations of ranks 1-5 (size-1 and zero-size dims included)
+// against a naive per-element index oracle: output coordinate d reads input
+// coordinate perm[d].
+TEST_P(OpsTest, TransposeMatchesIndexOracle) {
+  std::uint32_t s = 12345u;
+  const auto next = [&s](std::uint32_t bound) {
+    s = s * 1664525u + 1013904223u;
+    return (s >> 8) % bound;
+  };
+  const int dimChoices[] = {1, 2, 3, 4, 5, 7};
+  for (int trial = 0; trial < 60; ++trial) {
+    const int rank = 1 + static_cast<int>(next(5));
+    std::vector<int> dims(static_cast<std::size_t>(rank));
+    for (int& d : dims) d = dimChoices[next(6)];
+    // One trial in ten has a zero-size dim.
+    if (trial % 10 == 3) dims[next(static_cast<std::uint32_t>(rank))] = 0;
+    std::vector<int> perm(static_cast<std::size_t>(rank));
+    for (int d = 0; d < rank; ++d) perm[static_cast<std::size_t>(d)] = d;
+    for (int d = rank - 1; d > 0; --d) {
+      std::swap(perm[static_cast<std::size_t>(d)],
+                perm[next(static_cast<std::uint32_t>(d + 1))]);
+    }
+    const Shape inShape(dims);
+    std::vector<int> outDims(static_cast<std::size_t>(rank));
+    for (int d = 0; d < rank; ++d) {
+      outDims[static_cast<std::size_t>(d)] =
+          dims[static_cast<std::size_t>(perm[static_cast<std::size_t>(d)])];
+    }
+    const Shape outShape(outDims);
+    std::vector<float> in(inShape.size());
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      in[i] = static_cast<float>(i) + 0.25f;
+    }
+    std::vector<float> want(outShape.size());
+    std::vector<int> oc(static_cast<std::size_t>(rank));
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      std::size_t rest = i;
+      for (int d = rank - 1; d >= 0; --d) {
+        const auto du = static_cast<std::size_t>(d);
+        oc[du] = static_cast<int>(rest % static_cast<std::size_t>(outDims[du]));
+        rest /= static_cast<std::size_t>(outDims[du]);
+      }
+      std::size_t src = 0;
+      for (int a = 0; a < rank; ++a) {
+        // Input axis a is output axis d with perm[d] == a.
+        int coord = 0;
+        for (int d = 0; d < rank; ++d) {
+          if (perm[static_cast<std::size_t>(d)] == a) {
+            coord = oc[static_cast<std::size_t>(d)];
+          }
+        }
+        src = src * static_cast<std::size_t>(
+                        dims[static_cast<std::size_t>(a)]) +
+              static_cast<std::size_t>(coord);
+      }
+      want[i] = in[src];
+    }
+    tidyVoid([&] {
+      Tensor y = o::transpose(o::tensor(in, inShape), perm);
+      test::expectShape(y, outShape);
+      EXPECT_EQ(y.dataSync(), want)
+          << "transpose " << inShape.toString() << " trial " << trial;
+    });
+    if (HasFailure()) return;
+  }
 }
 
 TEST_P(OpsTest, SliceAndNegativeSize) {

@@ -14,7 +14,11 @@
 #include <vector>
 
 #include "backends/common/quant_math.h"
+#include "backends/common/ref_backend.h"
+#include "backends/native/native_backend.h"
+#include "core/conv_util.h"
 #include "core/engine.h"
+#include "core/thread_pool.h"
 #include "ops/ops.h"
 #include "tests/test_util.h"
 
@@ -252,6 +256,198 @@ TEST_F(QuantTest, NaNActivationFallsBackToF32) {
     // Row 1 is clean and still correct.
     EXPECT_FALSE(std::isnan(viaQuant[4]));
   });
+}
+
+// ------------------------------------------- ref<->native parity, tile sweeps
+//
+// The native kernel quantizes rows per chunk of whole MR-row blocks, runs
+// MR x 64-column register tiles (16-column panels, masked stores past n,
+// shorter tiles past the last whole row block) and applies the epilogue from
+// the accumulators. These sweeps call both backends directly and memcmp the
+// results over rows 1..2*MR+1 (MR is 6 on VNNI), n around the panel and tile
+// widths, k around the 4-byte quad packing, and k*n >= 2^18 (the layer sizes
+// that used to run one row per chunk), for every activation with and without
+// requantization, at 1 and 4 threads.
+
+constexpr int kSweepRows = 13;
+constexpr int kSweepNs[] = {1, 15, 16, 17, 63, 64, 65, 1000};
+constexpr int kSweepKs[] = {1, 3, 27, 32, 513};
+constexpr FusedActivation kSweepActs[] = {
+    FusedActivation::kNone, FusedActivation::kRelu, FusedActivation::kRelu6,
+    FusedActivation::kSigmoid};
+
+class QuantTileParityTest : public ::testing::Test {
+ protected:
+  void SetUp() override { saved_ = core::ThreadPool::get().numThreads(); }
+  void TearDown() override { core::ThreadPool::get().setNumThreads(saved_); }
+
+  /// The same tensors on both backends.
+  struct Pair {
+    TensorSpec ref, nat;
+  };
+  Pair put(const std::vector<float>& v, const Shape& shape, DType dtype) {
+    return {TensorSpec{ref_.write(v, shape), shape, dtype},
+            TensorSpec{native_.write(v, shape), shape, dtype}};
+  }
+  void dispose(const Pair& p) {
+    ref_.disposeData(p.ref.id);
+    native_.disposeData(p.nat.id);
+  }
+
+  /// Runs `run(backend, operands)` on the reference backend once and on the
+  /// native backend at 1 and 4 threads, for every activation with and
+  /// without an OutQuant, and memcmps each native result against ref.
+  template <typename Run>
+  void sweepEpilogues(const std::string& what, Run&& run) {
+    const OutQuant oq{0.03f, -4};
+    for (const FusedActivation act : kSweepActs) {
+      for (const OutQuant* outQ : {static_cast<const OutQuant*>(nullptr),
+                                   &oq}) {
+        const DataId r = run(ref_, false, act, outQ);
+        const std::vector<float> want = ref_.read(r);
+        ref_.disposeData(r);
+        for (const int threads : {1, 4}) {
+          core::ThreadPool::get().setNumThreads(threads);
+          const DataId nid = run(native_, true, act, outQ);
+          const std::vector<float> got = native_.read(nid);
+          native_.disposeData(nid);
+          ASSERT_EQ(got.size(), want.size()) << what;
+          ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                   got.size() * sizeof(float)))
+              << what << " act=" << static_cast<int>(act)
+              << (outQ != nullptr ? " requantized" : "")
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+
+  backends::RefBackend ref_;
+  backends::native::NativeBackend native_;
+
+ private:
+  int saved_ = 1;
+};
+
+/// Symmetric per-channel int8 weight codes for a [.., n] weight (stored as
+/// float, like the storage layer holds them) and their QuantParams.
+std::pair<std::vector<float>, QuantParams> int8Weights(std::size_t size, int n,
+                                                       std::uint32_t seed) {
+  std::vector<float> codes = randomData(size, seed);
+  for (float& c : codes) c = std::nearbyint(c * 127.f);
+  QuantParams qp;
+  qp.axis = 1;
+  for (int j = 0; j < n; ++j) {
+    qp.scale.push_back(0.002f + 0.001f * static_cast<float>(j % 7));
+    qp.zeroPoint.push_back(0);
+  }
+  return {codes, qp};
+}
+
+/// Activations with all-zero, all-positive and all-negative rows among the
+/// random ones, so row zero points span 0..255, and rows whose zero point
+/// is an exact half before rounding: range [-(m + 0.5), 254.5 - m] gives
+/// scale 1 and -lo / scale = m + 0.5, which lround takes away from zero.
+std::vector<float> sweepActivations(int rows, int k, std::uint32_t seed) {
+  std::vector<float> a =
+      randomData(static_cast<std::size_t>(rows) * k, seed);
+  for (int r = 0; r < rows; ++r) {
+    float* row = a.data() + static_cast<std::size_t>(r) * k;
+    for (int p = 0; p < k; ++p) {
+      if (r % 5 == 1) row[p] = 0.f;
+      if (r % 5 == 2) row[p] = std::fabs(row[p]);
+      if (r % 5 == 3) row[p] = -std::fabs(row[p]);
+    }
+    if (r % 5 == 4 && k >= 2) {
+      for (int p = 0; p < k; ++p) row[p] = row[p] * 100.f + 100.f;
+      row[0] = -(static_cast<float>(r) + 0.5f);
+      row[k - 1] = 254.5f - static_cast<float>(r);
+    }
+  }
+  return a;
+}
+
+TEST_F(QuantTileParityTest, MatMulMatchesRefAcrossTileEdges) {
+  for (const int k : kSweepKs) {
+    for (const int n : kSweepNs) {
+      const auto [codes, wq] =
+          int8Weights(static_cast<std::size_t>(k) * n, n, k * 31 + n);
+      const Pair w = put(codes, Shape{1, k, n}, DType::i8);
+      const Pair bias = put(randomData(static_cast<std::size_t>(n), n + 3),
+                            Shape{n}, DType::f32);
+      for (int rows = 1; rows <= kSweepRows; ++rows) {
+        const Pair a = put(sweepActivations(rows, k, rows * 7 + k),
+                           Shape{1, rows, k}, DType::f32);
+        const bool withBias = rows % 2 == 0;
+        sweepEpilogues(
+            "quantizedMatMul rows=" + std::to_string(rows) +
+                " k=" + std::to_string(k) + " n=" + std::to_string(n) +
+                (withBias ? " bias" : ""),
+            [&](Backend& be, bool nat, FusedActivation act,
+                const OutQuant* outQ) {
+              return be.quantizedMatMul(
+                  nat ? a.nat : a.ref, nat ? w.nat : w.ref, wq,
+                  withBias ? (nat ? &bias.nat : &bias.ref) : nullptr, act,
+                  outQ);
+            });
+        dispose(a);
+        if (HasFailure()) return;
+      }
+      dispose(w);
+      dispose(bias);
+    }
+  }
+}
+
+TEST_F(QuantTileParityTest, ConvMatchesRefAcrossTileEdges) {
+  // {filter size, inC} per patch length k: 1x1 convs take the direct GEMM
+  // path, 3x3 ones the im2col path (SAME padding on a one-pixel-high input
+  // leaves two of the three filter rows in the padding).
+  struct Filter {
+    int size, inC;
+  };
+  const std::pair<int, Filter> filters[] = {
+      {1, {1, 1}}, {3, {1, 3}}, {27, {3, 3}}, {32, {1, 32}}, {513, {3, 57}}};
+  for (const auto& [k, fs] : filters) {
+    for (const int n : kSweepNs) {
+      const Shape fShape{fs.size, fs.size, fs.inC, n};
+      const auto [codes, wq] = int8Weights(fShape.size(), n, k * 17 + n);
+      const Pair f = put(codes, fShape, DType::i8);
+      const Pair bias = put(randomData(static_cast<std::size_t>(n), n + 5),
+                            Shape{n}, DType::f32);
+      // Output pixels = GEMM rows: a one-row image of width `rows`, then
+      // one strided batch-2 image (2 x 3 x 2 = 12 rows).
+      std::vector<std::pair<Shape, int>> inputs;
+      for (int rows = 1; rows <= kSweepRows; ++rows) {
+        inputs.push_back({Shape{1, 1, rows, fs.inC}, 1});
+      }
+      inputs.push_back({Shape{2, 5, 4, fs.inC}, 2});
+      for (const auto& [xShape, stride] : inputs) {
+        const Conv2DInfo ci = conv_util::computeConv2DInfo(
+            xShape, fShape, stride, stride, PadMode::kSame);
+        const Pair x =
+            put(sweepActivations(static_cast<int>(xShape.size() / fs.inC),
+                                 fs.inC, k + n),
+                xShape, DType::f32);
+        const bool withBias = xShape[2] % 2 == 0;
+        sweepEpilogues(
+            "quantizedConv2d x=" + xShape.toString() +
+                " f=" + fShape.toString() + " stride=" +
+                std::to_string(stride) + (withBias ? " bias" : ""),
+            [&](Backend& be, bool nat, FusedActivation act,
+                const OutQuant* outQ) {
+              return be.quantizedConv2d(
+                  nat ? x.nat : x.ref, nat ? f.nat : f.ref, ci, wq,
+                  withBias ? (nat ? &bias.nat : &bias.ref) : nullptr, act,
+                  outQ);
+            });
+        dispose(x);
+        if (HasFailure()) return;
+      }
+      dispose(f);
+      dispose(bias);
+    }
+  }
 }
 
 // --------------------------------------------------------------- routing

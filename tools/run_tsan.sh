@@ -14,7 +14,9 @@
 # async_test covers the multi-producer EventLoop::postTask path,
 # serving_test the whole client-threads/scheduler-thread serving stack, and
 # quant_test the quantized kernels whose packed-weight cache is shared
-# across serving sessions (a fresh race surface). graph_fuzz_test runs on
+# across serving sessions and whose row-block chunks all read one packed
+# weight matrix from every pool worker (a fresh race surface; its tile
+# sweeps run at 4 threads on every leg, masked tails under ASan too). graph_fuzz_test runs on
 # every leg: the differential fuzzer's random DAGs reach the capture
 # recorder, every optimization pass (elementwise region fusion included),
 # the arena allocator, and the replay path on the three CPU backends and

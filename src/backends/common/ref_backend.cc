@@ -233,81 +233,6 @@ std::vector<float> RefBackend::allocFilled(std::size_t n, float value) {
 
 // ---------------------------------------------------------------- kernels
 
-DataId RefBackend::binary(BinaryOp op, const TensorSpec& a,
-                          const TensorSpec& b, const Shape& outShape) {
-  KernelTimer t(kernelMs_);
-  const auto& av = buf(a.id);
-  const auto& bv = buf(b.id);
-  std::vector<float> out = allocBuffer(outShape.size());
-  if (a.shape == outShape && b.shape == outShape) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = applyBinary(op, av[i], bv[i]);
-    }
-  } else if (b.shape.size() == 1) {  // tensor (op) scalar fast path
-    const float s = bv[0];
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = applyBinary(op, av[i], s);
-    }
-  } else if (a.shape.size() == 1) {
-    const float s = av[0];
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = applyBinary(op, s, bv[i]);
-    }
-  } else if (a.shape == outShape && broadcastsAsSuffix(b.shape, outShape)) {
-    const std::size_t span = bv.size();
-    for (std::size_t base = 0; base < out.size(); base += span) {
-      for (std::size_t i = 0; i < span; ++i) {
-        out[base + i] = applyBinary(op, av[base + i], bv[i]);
-      }
-    }
-  } else if (b.shape == outShape && broadcastsAsSuffix(a.shape, outShape)) {
-    const std::size_t span = av.size();
-    for (std::size_t base = 0; base < out.size(); base += span) {
-      for (std::size_t i = 0; i < span; ++i) {
-        out[base + i] = applyBinary(op, av[i], bv[base + i]);
-      }
-    }
-  } else {
-    std::vector<int> coords(static_cast<std::size_t>(outShape.rank()));
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      util::unravelIndex(i, outShape, coords);
-      const float x = av[util::broadcastIndex(coords, a.shape, outShape)];
-      const float y = bv[util::broadcastIndex(coords, b.shape, outShape)];
-      out[i] = applyBinary(op, x, y);
-    }
-  }
-  return store(std::move(out));
-}
-
-DataId RefBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
-                         float beta) {
-  KernelTimer t(kernelMs_);
-  const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(xv.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = applyUnary(op, xv[i], alpha, beta);
-  }
-  return store(std::move(out));
-}
-
-DataId RefBackend::select(const TensorSpec& cond, const TensorSpec& a,
-                          const TensorSpec& b, const Shape& outShape) {
-  KernelTimer t(kernelMs_);
-  const auto& cv = buf(cond.id);
-  const auto& av = buf(a.id);
-  const auto& bv = buf(b.id);
-  std::vector<float> out = allocBuffer(outShape.size());
-  std::vector<int> coords(static_cast<std::size_t>(outShape.rank()));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    util::unravelIndex(i, outShape, coords);
-    const float c = cv[util::broadcastIndex(coords, cond.shape, outShape)];
-    out[i] = c != 0
-                 ? av[util::broadcastIndex(coords, a.shape, outShape)]
-                 : bv[util::broadcastIndex(coords, b.shape, outShape)];
-  }
-  return store(std::move(out));
-}
-
 DataId RefBackend::matMul(const TensorSpec& a, const TensorSpec& b,
                           bool transposeA, bool transposeB,
                           const TensorSpec* bias, FusedActivation act) {
@@ -1146,13 +1071,10 @@ RegionAccess classifyRegionInput(const Shape& s, const Shape& out) {
   return RegionAccess::kGeneric;
 }
 
-DataId RefBackend::fusedRegion(const RegionProgram& program,
+DataId RefBackend::fusedRegion(std::span<const RegionInstr> program,
                                std::span<const TensorSpec> inputs,
                                const Shape& outShape, DataId dst) {
-  if (program.instrs.empty() ||
-      inputs.size() != static_cast<std::size_t>(program.numInputs)) {
-    throw BackendError("fusedRegion: malformed program");
-  }
+  if (program.empty()) throw BackendError("fusedRegion: empty program");
   KernelTimer t(kernelMs_);
   const std::size_t n = outShape.size();
 
@@ -1192,7 +1114,7 @@ DataId RefBackend::fusedRegion(const RegionProgram& program,
 
   std::vector<int> coords(static_cast<std::size_t>(outShape.rank()));
   std::vector<float> inVals(inputs.size());
-  std::vector<float> vals(program.instrs.size());
+  std::vector<float> vals(program.size());
   for (std::size_t i = 0; i < n; ++i) {
     if (anyGeneric) util::unravelIndex(i, outShape, coords);
     for (std::size_t j = 0; j < ins.size(); ++j) {
@@ -1207,8 +1129,8 @@ DataId RefBackend::fusedRegion(const RegionProgram& program,
       }
     }
     const auto arg = [&](int r) { return r < 0 ? inVals[-1 - r] : vals[r]; };
-    for (std::size_t k = 0; k < program.instrs.size(); ++k) {
-      const RegionInstr& si = program.instrs[k];
+    for (std::size_t k = 0; k < program.size(); ++k) {
+      const RegionInstr& si = program[k];
       switch (si.kind) {
         case RegionInstr::Kind::kUnary:
           vals[k] = applyUnary(static_cast<UnaryOp>(si.op), arg(si.a),

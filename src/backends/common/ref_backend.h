@@ -42,16 +42,12 @@ class RefBackend : public Backend {
   }
 
   // ---- kernels
-  DataId binary(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
-                const Shape& outShape) override;
-  DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
-               float beta) override;
-  /// Single-pass fused elementwise region. Every scalar step goes through
-  /// applyUnary/applyBinary (select: the same `c != 0 ? a : b` as the
-  /// standalone kernel), so the fused value at each output element is
+  /// The elementwise interpreter, one output element at a time. Every
+  /// scalar step goes through applyUnary/applyBinary (select:
+  /// `c != 0 ? a : b`), so the value at each output element is
   /// bit-identical to the op-by-op chain on any backend sharing those
   /// scalar formulas — which is all of them, by construction.
-  DataId fusedRegion(const RegionProgram& program,
+  DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
   bool supportsQuantizedKernels() const override { return true; }
@@ -68,8 +64,6 @@ class RefBackend : public Backend {
                          const Conv2DInfo& info, const QuantParams& wq,
                          const TensorSpec* bias, FusedActivation act,
                          const OutQuant* outQ) override;
-  DataId select(const TensorSpec& cond, const TensorSpec& a,
-                const TensorSpec& b, const Shape& outShape) override;
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB, const TensorSpec* bias,
                 FusedActivation act) override;
@@ -208,13 +202,16 @@ float applyFusedActivation(FusedActivation act, float v);
 /// True when broadcasting `s` against `out` replicates s's elements as a
 /// contiguous trailing block (e.g. a [C] bias against an NHWC tensor):
 /// s, with leading 1s stripped, equals the trailing dims of out. Lets
-/// binary kernels replace per-element coordinate decoding with a dense
+/// region kernels replace per-element coordinate decoding with a dense
 /// row loop — same scalar op per element, so values are unchanged.
 bool broadcastsAsSuffix(const Shape& s, const Shape& out);
 
-/// How a fused-region input's element maps to the output's flat index.
-/// Mirrors the broadcast paths of RefBackend::binary, so fused loads read
-/// exactly the element the standalone kernel would have.
+/// How a region input's element maps to the output's flat index i: dense
+/// (i), scalar (0), a repeated trailing block (i % size) or, otherwise,
+/// util::broadcastIndex of i's coordinates. Each is an exact index
+/// computation, so every class loads the element the naive
+/// unravel/broadcastIndex loop would (tests/ops_test.cc holds each class to
+/// that oracle on every backend).
 enum class RegionAccess { kDense, kScalar, kSuffix, kGeneric };
 RegionAccess classifyRegionInput(const Shape& s, const Shape& out);
 

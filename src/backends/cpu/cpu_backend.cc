@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/engine.h"
-#include "core/util.h"
 
 namespace tfjs::backends::cpu {
 
@@ -18,18 +17,10 @@ float ScalarVM::run(const std::vector<Instr>& program, float x, float y) {
       case Instr::Code::kPushY:
         stack[sp++] = y;
         break;
-      case Instr::Code::kPushConst:
-        stack[sp++] = ins.imm;
-        break;
       case Instr::Code::kBinary: {
         const float b = stack[--sp];
         const float a = stack[--sp];
         stack[sp++] = applyBinary(ins.bop, a, b);
-        break;
-      }
-      case Instr::Code::kUnary: {
-        const float a = stack[--sp];
-        stack[sp++] = applyUnary(ins.uop, a, ins.imm, ins.imm2);
         break;
       }
       case Instr::Code::kRet:
@@ -42,16 +33,8 @@ float ScalarVM::run(const std::vector<Instr>& program, float x, float y) {
 namespace {
 
 std::vector<Instr> binaryProgram(BinaryOp op) {
-  return {Instr{Instr::Code::kPushX, op, UnaryOp::kNeg, 0, 0},
-          Instr{Instr::Code::kPushY, op, UnaryOp::kNeg, 0, 0},
-          Instr{Instr::Code::kBinary, op, UnaryOp::kNeg, 0, 0},
-          Instr{Instr::Code::kRet, op, UnaryOp::kNeg, 0, 0}};
-}
-
-std::vector<Instr> unaryProgram(UnaryOp op, float alpha, float beta) {
-  return {Instr{Instr::Code::kPushX, BinaryOp::kAdd, op, 0, 0},
-          Instr{Instr::Code::kUnary, BinaryOp::kAdd, op, alpha, beta},
-          Instr{Instr::Code::kRet, BinaryOp::kAdd, op, 0, 0}};
+  return {Instr{Instr::Code::kPushX, op}, Instr{Instr::Code::kPushY, op},
+          Instr{Instr::Code::kBinary, op}, Instr{Instr::Code::kRet, op}};
 }
 
 const std::vector<Instr>& macProgram() {
@@ -61,41 +44,6 @@ const std::vector<Instr>& macProgram() {
 }
 
 }  // namespace
-
-DataId PlainCpuBackend::binary(BinaryOp op, const TensorSpec& a,
-                               const TensorSpec& b, const Shape& outShape) {
-  KernelTimer t(kernelMs_, "cpu.binary");
-  const auto& av = buf(a.id);
-  const auto& bv = buf(b.id);
-  const auto prog = binaryProgram(op);
-  std::vector<float> out = allocBuffer(outShape.size());
-  if (a.shape == outShape && b.shape == outShape) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = ScalarVM::run(prog, av[i], bv[i]);
-    }
-  } else {
-    std::vector<int> coords(static_cast<std::size_t>(outShape.rank()));
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      util::unravelIndex(i, outShape, coords);
-      out[i] = ScalarVM::run(
-          prog, av[util::broadcastIndex(coords, a.shape, outShape)],
-          bv[util::broadcastIndex(coords, b.shape, outShape)]);
-    }
-  }
-  return store(std::move(out));
-}
-
-DataId PlainCpuBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
-                              float beta) {
-  KernelTimer t(kernelMs_, "cpu.unary");
-  const auto& xv = buf(x.id);
-  const auto prog = unaryProgram(op, alpha, beta);
-  std::vector<float> out = allocBuffer(xv.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = ScalarVM::run(prog, xv[i], 0);
-  }
-  return store(std::move(out));
-}
 
 DataId PlainCpuBackend::matMul(const TensorSpec& a, const TensorSpec& b,
                                bool transposeA, bool transposeB,

@@ -3,10 +3,11 @@
 // The upstream plain-JS backend executes math as interpreted per-element
 // loops, ~2 orders of magnitude slower than native code (paper Table 1).
 // C++ has no interpreter, so we model that cost mechanism honestly: each
-// scalar operation of a hot kernel executes through a small stack-based
-// bytecode VM (ScalarVM). The work per element is identical to the reference
-// backend — only the dispatch cost differs, exactly the difference between
-// interpreted and compiled numeric code.
+// multiply-accumulate of the hot kernels (matMul, conv2d, depthwise, sum)
+// executes through a small stack-based bytecode VM (ScalarVM). The work per
+// element is identical to the reference backend — only the dispatch cost
+// differs, exactly the difference between interpreted and compiled numeric
+// code.
 #pragma once
 
 #include <cstdint>
@@ -19,18 +20,13 @@ namespace tfjs::backends::cpu {
 /// Bytecode executed once per scalar by the plain backend.
 struct Instr {
   enum class Code : std::uint8_t {
-    kPushX,      ///< push first operand
-    kPushY,      ///< push second operand
-    kPushConst,  ///< push imm
-    kBinary,     ///< pop two, apply bop, push
-    kUnary,      ///< pop one, apply uop(alpha=imm, beta=imm2), push
-    kRet,        ///< pop and return
+    kPushX,   ///< push first operand
+    kPushY,   ///< push second operand
+    kBinary,  ///< pop two, apply bop, push
+    kRet,     ///< pop and return
   };
   Code code = Code::kRet;
   BinaryOp bop = BinaryOp::kAdd;
-  UnaryOp uop = UnaryOp::kNeg;
-  float imm = 0;
-  float imm2 = 0;
 };
 
 /// Interprets a scalar program. Deliberately not inlined so every element
@@ -45,13 +41,8 @@ class PlainCpuBackend : public RefBackend {
  public:
   std::string name() const override { return "cpu"; }
 
-  DataId binary(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
-                const Shape& outShape) override;
-  DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
-               float beta) override;
-  // In-place ops (move-consuming overloads) and fused regions run
-  // RefBackend's compiled region interpreter, not the ScalarVM: the same
-  // scalar formulas, so values match this backend's unary/binary bitwise.
+  // Elementwise ops (standalone, in place and fused) run RefBackend's
+  // region interpreter: compiled scalar formulas, not the ScalarVM.
   // matMul/conv2d accumulate through the ScalarVM, then run RefBackend's
   // bias/activation epilogue, keeping fused results bit-identical to this
   // backend's unfused chain.

@@ -492,54 +492,11 @@ void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
   gemmF32(A, B, false, C, m, k, n, nullptr, FusedActivation::kNone);
 }
 
-DataId NativeBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
-                            float beta) {
-  KernelTimer t(kernelMs_, "native.unary");
-  const RegionInstr instr{.kind = RegionInstr::Kind::kUnary,
-                          .op = static_cast<int>(op),
-                          .a = -1,
-                          .alpha = alpha,
-                          .beta = beta};
-  const TensorSpec* ins[] = {&x};
-  return runRegion({&instr, 1}, ins, x.shape, 0);
-}
-
-DataId NativeBackend::binary(BinaryOp op, const TensorSpec& a,
-                             const TensorSpec& b, const Shape& outShape) {
-  KernelTimer t(kernelMs_, "native.binary");
-  const RegionInstr instr{.kind = RegionInstr::Kind::kBinary,
-                          .op = static_cast<int>(op),
-                          .a = -1,
-                          .b = -2};
-  const TensorSpec* ins[] = {&a, &b};
-  return runRegion({&instr, 1}, ins, outShape, 0);
-}
-
-DataId NativeBackend::select(const TensorSpec& cond, const TensorSpec& a,
-                             const TensorSpec& b, const Shape& outShape) {
-  KernelTimer t(kernelMs_, "native.select");
-  const RegionInstr instr{
-      .kind = RegionInstr::Kind::kSelect, .a = -1, .b = -2, .c = -3};
-  const TensorSpec* ins[] = {&cond, &a, &b};
-  return runRegion({&instr, 1}, ins, outShape, 0);
-}
-
-DataId NativeBackend::fusedRegion(const RegionProgram& program,
+DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
                                   std::span<const TensorSpec> inputs,
                                   const Shape& outShape, DataId dst) {
-  if (program.instrs.empty() ||
-      inputs.size() != static_cast<std::size_t>(program.numInputs)) {
-    throw BackendError("fusedRegion: malformed program");
-  }
+  if (instrs.empty()) throw BackendError("fusedRegion: empty program");
   KernelTimer t(kernelMs_, "native.fusedRegion");
-  std::vector<const TensorSpec*> ins(inputs.size());
-  for (std::size_t j = 0; j < inputs.size(); ++j) ins[j] = &inputs[j];
-  return runRegion(program.instrs, ins, outShape, dst);
-}
-
-DataId NativeBackend::runRegion(std::span<const RegionInstr> instrs,
-                                std::span<const TensorSpec* const> inputs,
-                                const Shape& outShape, DataId dst) {
   const std::size_t n = outShape.size();
   struct In {
     const float* p;
@@ -552,7 +509,7 @@ DataId NativeBackend::runRegion(std::span<const RegionInstr> instrs,
   int dstMatches = 0;
   bool dstDense = false;
   for (std::size_t j = 0; j < inputs.size(); ++j) {
-    const TensorSpec& s = *inputs[j];
+    const TensorSpec& s = inputs[j];
     const auto& v = buf(s.id);
     ins[j] = {v.data(), v.size(), classifyRegionInput(s.shape, outShape),
               &s.shape};

@@ -51,14 +51,6 @@ class NativeBackend : public RefBackend {
   /// Drops the packed-weight cache entry (if any) along with the buffer.
   void disposeData(DataId id) override;
 
-  /// One-instruction regions through the fusedRegion kernel: native has a
-  /// single elementwise implementation, whatever the broadcast pattern.
-  DataId binary(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
-                const Shape& outShape) override;
-  DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
-               float beta) override;
-  DataId select(const TensorSpec& cond, const TensorSpec& a,
-                const TensorSpec& b, const Shape& outShape) override;
   /// matMul and conv2d apply bias + activation to the GEMM's register tile
   /// after the full k accumulation — bit-identical to matMul + add + act.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
@@ -73,7 +65,7 @@ class NativeBackend : public RefBackend {
   /// instruction — the per-element op order is unchanged, so values are
   /// bit-identical to the reference per-element interpreter. Parallelised
   /// with the fixed kElemGrain partition.
-  DataId fusedRegion(const RegionProgram& program,
+  DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
   /// SIMD int8 GEMM (AVX-512 VNNI / AVX2 / scalar dot body, chosen at
@@ -128,11 +120,6 @@ class NativeBackend : public RefBackend {
   /// 1. Shared by the f32 and int8 convolutions.
   static void im2col(const float* x, const Conv2DInfo& ci, std::size_t rBegin,
                      std::size_t rEnd, float* col);
-
-  /// The strip-mined region kernel behind unary, binary and fusedRegion.
-  DataId runRegion(std::span<const RegionInstr> instrs,
-                   std::span<const TensorSpec* const> inputs,
-                   const Shape& outShape, DataId dst);
 
   /// Returns the cached panel packing of the [k, n] weight codes stored
   /// under `id`, building it on first use. Weight tensors are Variables the

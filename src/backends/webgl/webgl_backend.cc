@@ -104,92 +104,10 @@ std::size_t WebGLBackend::memoryBytes() const {
 
 // ------------------------------------------------------------------ kernels
 
-DataId WebGLBackend::binary(BinaryOp op, const TensorSpec& a,
-                            const TensorSpec& b, const Shape& outShape) {
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "binary";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.inputs = {input(a), input(b)};
-  r.squeeze = opts_.squeeze;
-  const bool same = a.shape == outShape && b.shape == outShape;
-  if (same) {
-    r.main = [op](ShaderContext& ctx) {
-      const std::size_t i = ctx.outFlat();
-      ctx.setOutput(applyBinary(op, ctx.getFlat(0, i), ctx.getFlat(1, i)));
-    };
-  } else {
-    const Shape aShape = a.shape, bShape = b.shape, oShape = outShape;
-    r.main = [op, aShape, bShape, oShape](ShaderContext& ctx) {
-      const auto coords = ctx.outputCoords();
-      const float x =
-          ctx.getFlat(0, util::broadcastIndex(coords, aShape, oShape));
-      const float y =
-          ctx.getFlat(1, util::broadcastIndex(coords, bShape, oShape));
-      ctx.setOutput(applyBinary(op, x, y));
-    };
-  }
-  r.cost.invocations = elemInvocations(outShape.size());
-  r.cost.fetchesPerInvocation = 2;
-  r.cost.flopsPerInvocation =
-      (opts_.packed ? 4.0 : 1.0) + idxOps(a.shape) + idxOps(b.shape);
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::unary(UnaryOp op, const TensorSpec& x, float alpha,
-                           float beta) {
-  auto [id, outTex] = makeOutput(x.shape);
-  ShaderRun r;
-  r.name = "unary";
-  r.outputShape = x.shape;
-  r.output = outTex;
-  r.inputs = {input(x)};
-  r.squeeze = opts_.squeeze;
-  r.main = [op, alpha, beta](ShaderContext& ctx) {
-    ctx.setOutput(applyUnary(op, ctx.getFlat(0, ctx.outFlat()), alpha, beta));
-  };
-  r.cost.invocations = elemInvocations(x.shape.size());
-  r.cost.fetchesPerInvocation = 1;
-  r.cost.flopsPerInvocation = (opts_.packed ? 4.0 : 1.0) + idxOps(x.shape);
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::select(const TensorSpec& cond, const TensorSpec& a,
-                            const TensorSpec& b, const Shape& outShape) {
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "select";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.inputs = {input(cond), input(a), input(b)};
-  r.squeeze = opts_.squeeze;
-  const Shape cShape = cond.shape, aShape = a.shape, bShape = b.shape,
-              oShape = outShape;
-  r.main = [cShape, aShape, bShape, oShape](ShaderContext& ctx) {
-    const auto coords = ctx.outputCoords();
-    const float c =
-        ctx.getFlat(0, util::broadcastIndex(coords, cShape, oShape));
-    ctx.setOutput(
-        c != 0 ? ctx.getFlat(1, util::broadcastIndex(coords, aShape, oShape))
-               : ctx.getFlat(2, util::broadcastIndex(coords, bShape, oShape)));
-  };
-  r.cost.invocations = elemInvocations(outShape.size());
-  r.cost.fetchesPerInvocation = 2;  // cond + one branch
-  r.cost.flopsPerInvocation = (opts_.packed ? 4.0 : 1.0) + 3 * idxOps(oShape);
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::fusedRegion(const RegionProgram& program,
+DataId WebGLBackend::fusedRegion(std::span<const RegionInstr> program,
                                  std::span<const TensorSpec> inputs,
                                  const Shape& outShape, DataId /*dst*/) {
-  if (program.instrs.empty() ||
-      inputs.size() != static_cast<std::size_t>(program.numInputs)) {
-    throw BackendError("fusedRegion: malformed program");
-  }
+  if (program.empty()) throw BackendError("fusedRegion: empty program");
   auto [id, outTex] = makeOutput(outShape);
   ShaderRun r;
   r.name = "fusedRegion";
@@ -208,9 +126,10 @@ DataId WebGLBackend::fusedRegion(const RegionProgram& program,
   // The closure runs on the GPU worker after this call returns, so it owns
   // copies of the program and the shapes; ins/vals are per-invocation
   // scratch, rewritten before they are read.
-  r.main = [program, inShapes, dense, oShape = outShape,
+  r.main = [instrs = std::vector<RegionInstr>(program.begin(), program.end()),
+            inShapes, dense, oShape = outShape,
             ins = std::vector<float>(inputs.size()),
-            vals = std::vector<float>(program.instrs.size())](
+            vals = std::vector<float>(program.size())](
                ShaderContext& ctx) mutable {
     for (std::size_t j = 0; j < ins.size(); ++j) {
       const std::size_t at =
@@ -223,8 +142,8 @@ DataId WebGLBackend::fusedRegion(const RegionProgram& program,
       return ref < 0 ? ins[static_cast<std::size_t>(-1 - ref)]
                      : vals[static_cast<std::size_t>(ref)];
     };
-    for (std::size_t k = 0; k < program.instrs.size(); ++k) {
-      const RegionInstr& si = program.instrs[k];
+    for (std::size_t k = 0; k < instrs.size(); ++k) {
+      const RegionInstr& si = instrs[k];
       float v = 0;
       switch (si.kind) {
         case RegionInstr::Kind::kUnary:
@@ -242,12 +161,12 @@ DataId WebGLBackend::fusedRegion(const RegionProgram& program,
     }
     ctx.setOutput(vals.back());
   };
-  // One dispatch per region; a one-instruction region costs exactly what
-  // the standalone unary/binary shader costs.
+  // One dispatch per program: one fetch per input, and per invocation one
+  // ALU op per instruction (four when packed) plus each input's index math.
   r.cost.invocations = elemInvocations(outShape.size());
   r.cost.fetchesPerInvocation = static_cast<double>(inputs.size());
   r.cost.flopsPerInvocation =
-      static_cast<double>(program.instrs.size()) * (opts_.packed ? 4.0 : 1.0) +
+      static_cast<double>(program.size()) * (opts_.packed ? 4.0 : 1.0) +
       indexFlops;
   run(std::move(r));
   return id;

@@ -55,12 +55,6 @@ class WebGLBackend : public Backend {
   }
 
   // ---- kernels
-  DataId binary(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
-                const Shape& outShape) override;
-  DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
-               float beta) override;
-  DataId select(const TensorSpec& cond, const TensorSpec& a,
-                const TensorSpec& b, const Shape& outShape) override;
   /// The Listing-2 shader; bias and activation run before setOutput, each
   /// interior value rounded as a texture store would round it.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
@@ -69,12 +63,13 @@ class WebGLBackend : public Backend {
   DataId conv2d(const TensorSpec& x, const TensorSpec& filter,
                 const Conv2DInfo& info, const TensorSpec* bias,
                 FusedActivation act) override;
-  /// One shader per region: per output element, loads each input once and
-  /// runs the program's scalar steps, storing every interior value through
-  /// the texture rounding the op-by-op chain would apply. Ignores `dst` (a
-  /// shader cannot sample the texture it renders to) and always renders
-  /// to a fresh texture.
-  DataId fusedRegion(const RegionProgram& program,
+  /// One shader per program (the paper's Figure 4 add is a
+  /// one-instruction program): per output element, loads each input once
+  /// and runs the program's scalar steps, storing every interior value
+  /// through the texture rounding the op-by-op chain would apply. Ignores
+  /// `dst` (a shader cannot sample the texture it renders to) and always
+  /// renders to a fresh texture.
+  DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
   DataId conv2dBackpropInput(const TensorSpec& dy, const TensorSpec& filter,

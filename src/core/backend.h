@@ -66,13 +66,13 @@ enum class UnaryOp {
 /// kernel chain.
 enum class FusedActivation { kNone, kRelu, kRelu6, kSigmoid };
 
-/// One scalar step of a fused elementwise region (graph executor fusion).
+/// One scalar step of an elementwise program (Backend::fusedRegion).
 /// Operand references `a`/`b`/`c`: values >= 0 name the result of a prior
 /// instruction in the same program; values < 0 name an external input slot
 /// as `-1 - ref` (so slot 0 is -1, slot 1 is -2, ...). Instructions are the
-/// region's ops in their original capture order — backends must apply the
-/// exact same scalar formulas as the standalone unary/binary/select kernels
-/// so fused outputs stay bit-identical to the op-by-op chain.
+/// ops in their original dispatch order, and every backend applies the same
+/// scalar formulas per step (applyUnary / applyBinary / `c != 0 ? a : b`),
+/// so a fused program stays bit-identical to its ops run one at a time.
 struct RegionInstr {
   enum class Kind { kUnary, kBinary, kSelect };
   Kind kind = Kind::kUnary;
@@ -146,12 +146,6 @@ class Backend {
   virtual std::size_t memoryBytes() const = 0;
 
   // ---- kernels -------------------------------------------------------
-  virtual DataId binary(BinaryOp op, const TensorSpec& a, const TensorSpec& b,
-                        const Shape& outShape) = 0;
-  virtual DataId unary(UnaryOp op, const TensorSpec& x, float alpha,
-                       float beta) = 0;
-  virtual DataId select(const TensorSpec& cond, const TensorSpec& a,
-                        const TensorSpec& b, const Shape& outShape) = 0;
   /// Batched matmul over rank-3 inputs [batch, m, k] x [batch, k, n]; batch
   /// dims of size 1 broadcast. The fused epilogue is part of the kernel:
   /// after the full accumulation of an element, adds `bias[j]` (a length-n
@@ -222,16 +216,19 @@ class Backend {
   virtual DataId cumsum(const TensorSpec& x, std::size_t outer,
                         std::size_t inner, bool exclusive, bool reverse) = 0;
 
-  /// Evaluates a fused elementwise region in a single pass over the output:
-  /// one load per input element, the program's scalar ops in original order,
-  /// one store. `inputs.size() == program.numInputs`; each input broadcasts
-  /// to `outShape`. When `dst` is nonzero it aliases a dense input whose
-  /// buffer the caller proved safe to overwrite — the kernel MAY write there
-  /// and return dst, or allocate; callers compare the returned id against
-  /// dst. A one-instruction program with dst is how move-consuming ops
-  /// (`relu(Tensor&&)`, `add(Tensor&&, b)`) run in place. Results must be
-  /// bit-identical to dispatching the program's ops one at a time.
-  virtual DataId fusedRegion(const RegionProgram& program,
+  /// The one elementwise kernel: evaluates a straight-line program of
+  /// unary/binary/select instructions in a single pass over the output —
+  /// one load per input element, the scalar ops in program order, one
+  /// store. Operand refs `-1 - j` name `inputs[j]`; each input broadcasts
+  /// to `outShape`. Every standalone elementwise op is a one-instruction
+  /// program, and a graph region is a longer one. When `dst` is nonzero it
+  /// aliases a dense input whose buffer the caller proved safe to
+  /// overwrite — the kernel MAY write there and return dst, or allocate;
+  /// callers compare the returned id against dst. A one-instruction program
+  /// with dst is how move-consuming ops (`relu(Tensor&&)`,
+  /// `add(Tensor&&, b)`) run in place. Results must be bit-identical to
+  /// running the program's instructions one at a time.
+  virtual DataId fusedRegion(std::span<const RegionInstr> program,
                              std::span<const TensorSpec> inputs,
                              const Shape& outShape, DataId dst) = 0;
 

@@ -63,15 +63,17 @@ Tensor Tensor::cast(DType target) const {
   if (widening) {
     return engine.makeAlias(*this, i.shape, target);
   }
-  // Narrowing materializes new data on the tensor's own backend.
+  // Narrowing materializes new data on the tensor's own backend: a
+  // one-instruction elementwise program (-> i32: trunc; -> bool: 1.0 where
+  // x != 0).
   Backend* backend = i.container->backend;
   const TensorSpec spec{i.container->dataId, i.shape, i.dtype};
-  DataId out;
-  if (target == DType::i32) {
-    out = backend->unary(UnaryOp::kTrunc, spec, 0, 0);
-  } else {  // -> bool: 1.0 where x != 0
-    out = backend->unary(UnaryOp::kNotZero, spec, 0, 0);
-  }
+  const UnaryOp op =
+      target == DType::i32 ? UnaryOp::kTrunc : UnaryOp::kNotZero;
+  const RegionInstr instr{.kind = RegionInstr::Kind::kUnary,
+                          .op = static_cast<int>(op),
+                          .a = -1};
+  const DataId out = backend->fusedRegion({&instr, 1}, {&spec, 1}, i.shape, 0);
   return engine.makeTensorFromDataId(out, i.shape, target, backend);
 }
 

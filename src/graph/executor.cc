@@ -65,84 +65,6 @@ Shape resolveView(const Shape& target, std::size_t elems) {
   return Shape(std::move(dims));
 }
 
-Tensor replayUnary(const Node& n, const Tensor& x) {
-  const float alpha = static_cast<float>(n.attrs[1]);
-  const float beta = static_cast<float>(n.attrs[2]);
-  switch (static_cast<UnaryOp>(iattr(n, 0))) {
-    case UnaryOp::kNeg: return ops::neg(x);
-    case UnaryOp::kAbs: return ops::abs(x);
-    case UnaryOp::kExp: return ops::exp(x);
-    case UnaryOp::kExpm1: return ops::expm1(x);
-    case UnaryOp::kLog: return ops::log(x);
-    case UnaryOp::kLog1p: return ops::log1p(x);
-    case UnaryOp::kSqrt: return ops::sqrt(x);
-    case UnaryOp::kRsqrt: return ops::rsqrt(x);
-    case UnaryOp::kSquare: return ops::square(x);
-    case UnaryOp::kReciprocal: return ops::reciprocal(x);
-    case UnaryOp::kFloor: return ops::floor(x);
-    case UnaryOp::kCeil: return ops::ceil(x);
-    case UnaryOp::kRound: return ops::round(x);
-    case UnaryOp::kSign: return ops::sign(x);
-    case UnaryOp::kSin: return ops::sin(x);
-    case UnaryOp::kCos: return ops::cos(x);
-    case UnaryOp::kTan: return ops::tan(x);
-    case UnaryOp::kAsin: return ops::asin(x);
-    case UnaryOp::kAcos: return ops::acos(x);
-    case UnaryOp::kAtan: return ops::atan(x);
-    case UnaryOp::kSinh: return ops::sinh(x);
-    case UnaryOp::kCosh: return ops::cosh(x);
-    case UnaryOp::kTanh: return ops::tanh(x);
-    case UnaryOp::kRelu: return ops::relu(x);
-    case UnaryOp::kRelu6: return ops::relu6(x);
-    case UnaryOp::kSigmoid: return ops::sigmoid(x);
-    case UnaryOp::kSoftplus: return ops::softplus(x);
-    case UnaryOp::kElu: return ops::elu(x);
-    case UnaryOp::kSelu: return ops::selu(x);
-    case UnaryOp::kErf: return ops::erf(x);
-    case UnaryOp::kLogicalNot: return ops::logicalNot(x);
-    case UnaryOp::kIsNan: return ops::isNaN(x);
-    case UnaryOp::kIsFinite: return ops::isFinite(x);
-    case UnaryOp::kLeakyRelu: return ops::leakyRelu(x, alpha);
-    case UnaryOp::kClipByValue: return ops::clipByValue(x, alpha, beta);
-    case UnaryOp::kStep: return ops::step(x, alpha);
-    case UnaryOp::kPowScalar: return ops::powScalar(x, alpha);
-    case UnaryOp::kAddScalar: return ops::addScalar(x, alpha);
-    case UnaryOp::kMulScalar: return ops::mulScalar(x, alpha);
-    default:
-      throw UnimplementedError("graph: unary op code " +
-                               std::to_string(iattr(n, 0)) +
-                               " has no replayable public op");
-  }
-}
-
-Tensor replayBinary(const Node& n, const Tensor& a, const Tensor& b) {
-  switch (static_cast<BinaryOp>(iattr(n, 0))) {
-    case BinaryOp::kAdd: return ops::add(a, b);
-    case BinaryOp::kSub: return ops::sub(a, b);
-    case BinaryOp::kMul: return ops::mul(a, b);
-    case BinaryOp::kDiv: return ops::div(a, b);
-    case BinaryOp::kFloorDiv: return ops::floorDiv(a, b);
-    case BinaryOp::kMod: return ops::mod(a, b);
-    case BinaryOp::kPow: return ops::pow(a, b);
-    case BinaryOp::kMaximum: return ops::maximum(a, b);
-    case BinaryOp::kMinimum: return ops::minimum(a, b);
-    case BinaryOp::kSquaredDiff: return ops::squaredDifference(a, b);
-    case BinaryOp::kAtan2: return ops::atan2(a, b);
-    case BinaryOp::kEqual: return ops::equal(a, b);
-    case BinaryOp::kNotEqual: return ops::notEqual(a, b);
-    case BinaryOp::kGreater: return ops::greater(a, b);
-    case BinaryOp::kGreaterEqual: return ops::greaterEqual(a, b);
-    case BinaryOp::kLess: return ops::less(a, b);
-    case BinaryOp::kLessEqual: return ops::lessEqual(a, b);
-    case BinaryOp::kLogicalAnd: return ops::logicalAnd(a, b);
-    case BinaryOp::kLogicalOr: return ops::logicalOr(a, b);
-    case BinaryOp::kLogicalXor: return ops::logicalXor(a, b);
-  }
-  throw UnimplementedError("graph: binary op code " +
-                           std::to_string(iattr(n, 0)) +
-                           " has no replayable public op");
-}
-
 Tensor replayReduce(const Node& n, const Tensor& x) {
   const bool keepDims = n.attrs[1] != 0;
   const std::vector<int> axes = intAttrs(n, 3, n.attrs.size() - 3);
@@ -157,42 +79,6 @@ Tensor replayReduce(const Node& n, const Tensor& x) {
   }
   throw UnimplementedError("graph: reduce op code " +
                            std::to_string(iattr(n, 0)));
-}
-
-/// Move-consuming replay for ops with an in-place public overload. The
-/// planner proved the first input dies at this node, so the handle can be
-/// consumed — the engine then overwrites sole-owner storage in place
-/// (bit-identical: same kernel, different destination buffer). Returns an
-/// undefined Tensor when the op has no move overload.
-Tensor replayMoveFirst(const Node& n, Tensor&& a,
-                       const std::vector<Tensor>& ins) {
-  using ops::OpId;
-  if (n.op == OpId::kUnary) {
-    const float alpha = static_cast<float>(n.attrs[1]);
-    const float beta = static_cast<float>(n.attrs[2]);
-    switch (static_cast<UnaryOp>(iattr(n, 0))) {
-      case UnaryOp::kNeg: return ops::neg(std::move(a));
-      case UnaryOp::kExp: return ops::exp(std::move(a));
-      case UnaryOp::kSqrt: return ops::sqrt(std::move(a));
-      case UnaryOp::kSquare: return ops::square(std::move(a));
-      case UnaryOp::kTanh: return ops::tanh(std::move(a));
-      case UnaryOp::kRelu: return ops::relu(std::move(a));
-      case UnaryOp::kRelu6: return ops::relu6(std::move(a));
-      case UnaryOp::kSigmoid: return ops::sigmoid(std::move(a));
-      case UnaryOp::kClipByValue:
-        return ops::clipByValue(std::move(a), alpha, beta);
-      default: break;
-    }
-  } else if (n.op == OpId::kBinary) {
-    switch (static_cast<BinaryOp>(iattr(n, 0))) {
-      case BinaryOp::kAdd: return ops::add(std::move(a), ins[1]);
-      case BinaryOp::kSub: return ops::sub(std::move(a), ins[1]);
-      case BinaryOp::kMul: return ops::mul(std::move(a), ins[1]);
-      case BinaryOp::kDiv: return ops::div(std::move(a), ins[1]);
-      default: break;
-    }
-  }
-  return Tensor();
 }
 
 }  // namespace
@@ -216,13 +102,12 @@ CapturedGraph::CapturedGraph(Graph g, const PassOptions& opts)
     feedIndex_[static_cast<std::size_t>(optimized_.inputs[k])] =
         static_cast<int>(k);
   }
-  // Decode fused-region programs once; the program is shape-agnostic, so
-  // this is the only "compile" a region ever needs.
-  regionPrograms_.resize(optimized_.nodes.size());
-  for (std::size_t i = 0; i < optimized_.nodes.size(); ++i) {
-    if (optimized_.nodes[i].op == ops::OpId::kFusedRegion) {
-      regionPrograms_[i] = ops::decodeRegionProgram(optimized_.nodes[i].attrs);
-    }
+  // Lower every elementwise node (fused regions and standalone
+  // unary/binary/select alike) to its program once; the program is
+  // shape-agnostic, so this is the only "compile" it ever needs.
+  regionPrograms_.reserve(optimized_.nodes.size());
+  for (const Node& n : optimized_.nodes) {
+    regionPrograms_.push_back(regionProgram(n));
   }
 }
 
@@ -249,11 +134,13 @@ Tensor CapturedGraph::replayNode(const Node& n, const std::vector<Tensor>& ins) 
       return v;
     }
     case OpId::kUnary:
-      return replayUnary(n, ins[0]);
     case OpId::kBinary:
-      return replayBinary(n, ins[0], ins[1]);
     case OpId::kSelect:
-      return ops::where(ins[0], ins[1], ins[2]);
+    case OpId::kFusedRegion:
+      // Rare path (folded-constant evaluation); the executor's run loop
+      // uses the pre-lowered program instead.
+      return ops::fusedRegion(regionProgram(n), std::span<const Tensor>(ins),
+                              n.outDtype);
     case OpId::kMatMul:
       return ops::matMul(ins[0], ins[1], n.attrs[0] != 0, n.attrs[1] != 0);
     case OpId::kFusedMatMul: {
@@ -331,11 +218,6 @@ Tensor CapturedGraph::replayNode(const Node& n, const std::vector<Tensor>& ins) 
       }
       return ops::pad(ins[0], paddings, static_cast<float>(n.attrs[0]));
     }
-    case OpId::kFusedRegion:
-      // Rare path (captured replays of an already-optimized graph); the
-      // executor's own run loop uses the pre-decoded program instead.
-      return ops::fusedRegion(ops::decodeRegionProgram(n.attrs),
-                              std::span<const Tensor>(ins), n.outDtype);
     case OpId::kCast:
       return ops::cast(ins[0], static_cast<DType>(iattr(n, 0)));
     case OpId::kQuantize:
@@ -511,49 +393,35 @@ std::vector<Tensor> CapturedGraph::run(const std::vector<Tensor>& feeds) {
           for (int in : n.inputs) {
             ins.push_back(vals[static_cast<std::size_t>(in)]);
           }
+          const RegionProgram& program = regionPrograms_[i];
+          if (program.instrs.empty()) {
+            vals[i] = replayNode(n, ins);
+            break;
+          }
           // Liveness-driven in-place: when the planner says input 0 dies
           // here (sole use, intermediate — never a feed, constant, or
           // alias whose storage outlives its handle count), hand its
-          // handle to a move-consuming overload so the kernel can
+          // handle to the move-consuming fusedRegion so the kernel can
           // overwrite the buffer instead of cycling it through the arena.
           // Eager can't do this: its intermediates stay live to scope end.
-          Tensor moved;
-          if ((n.op == ops::OpId::kUnary || n.op == ops::OpId::kBinary ||
-               n.op == ops::OpId::kFusedRegion) &&
-              !n.inputs.empty()) {
-            const int in0 = n.inputs[0];
-            const Node& src =
-                optimized_.nodes[static_cast<std::size_t>(in0)];
-            const bool dies =
-                plan_.lastUse[static_cast<std::size_t>(in0)] ==
-                    static_cast<int>(i) &&
-                std::count(n.inputs.begin(), n.inputs.end(), in0) == 1 &&
-                src.op != ops::OpId::kInput && src.op != ops::OpId::kConst;
-            if (dies) {
-              if (n.op == ops::OpId::kFusedRegion) {
-                // The move overload always produces a value (it falls back
-                // to the allocating path itself when reuse is unsafe).
-                moved = ops::fusedRegion(
-                    regionPrograms_[i],
-                    std::move(vals[static_cast<std::size_t>(in0)]),
-                    std::span<const Tensor>(ins).subspan(1), n.outDtype);
-              } else {
-                moved = replayMoveFirst(
-                    n, std::move(vals[static_cast<std::size_t>(in0)]), ins);
-              }
-              if (moved.defined()) {
-                vals[static_cast<std::size_t>(in0)] = Tensor();
-              }
-            }
+          const auto in0 = static_cast<std::size_t>(n.inputs[0]);
+          const ops::OpId srcOp = optimized_.nodes[in0].op;
+          const bool dies =
+              plan_.lastUse[in0] == static_cast<int>(i) &&
+              std::count(n.inputs.begin(), n.inputs.end(), n.inputs[0]) ==
+                  1 &&
+              srcOp != ops::OpId::kInput && srcOp != ops::OpId::kConst;
+          if (dies) {
+            // The move overload always produces a value (it falls back to
+            // the allocating path itself when reuse is unsafe).
+            vals[i] = ops::fusedRegion(program, std::move(vals[in0]),
+                                       std::span<const Tensor>(ins).subspan(1),
+                                       n.outDtype);
+            vals[in0] = Tensor();
+          } else {
+            vals[i] = ops::fusedRegion(program, std::span<const Tensor>(ins),
+                                       n.outDtype);
           }
-          if (!moved.defined()) {
-            moved = n.op == ops::OpId::kFusedRegion
-                        ? ops::fusedRegion(regionPrograms_[i],
-                                           std::span<const Tensor>(ins),
-                                           n.outDtype)
-                        : replayNode(n, ins);
-          }
-          vals[i] = moved;
         }
       }
       // Planned eager disposal: a value goes back to the arena right after

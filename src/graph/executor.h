@@ -99,9 +99,9 @@ class CapturedGraph {
   };
   std::map<std::string, ArenaEntry> arenas_;
   std::list<std::string> lru_;
-  /// Pre-decoded RegionProgram per optimized kFusedRegion node (empty
-  /// instrs otherwise): compiled once, reused across every backend and
-  /// feed shape — the program is shape-agnostic by construction.
+  /// regionProgram() of each optimized node (empty instrs for non-
+  /// elementwise ops): lowered once, reused across every backend and feed
+  /// shape — the program is shape-agnostic by construction.
   std::vector<RegionProgram> regionPrograms_;
   /// One-entry cache for the steady-state case: repeated runs with the same
   /// backend and feed shape-class skip the arena map lookup.

@@ -234,14 +234,43 @@ namespace {
 bool isElementwise(const Node& n) {
   switch (n.op) {
     case ops::OpId::kUnary:
-      return n.attrs.size() >= 4;
+      return n.attrs.size() >= 4 && n.inputs.size() == 1;
     case ops::OpId::kBinary:
-      return n.attrs.size() >= 2;
+      return n.attrs.size() >= 2 && n.inputs.size() == 2;
     case ops::OpId::kSelect:
       return n.inputs.size() == 3;
     default:
       return false;
   }
+}
+
+/// Lowers an elementwise node to its instruction; `operandOf(k)` is the
+/// operand ref of the node's k-th input.
+template <typename OperandOf>
+RegionInstr elementwiseInstr(const Node& n, OperandOf operandOf) {
+  RegionInstr si;
+  switch (n.op) {
+    case ops::OpId::kUnary:
+      si.kind = RegionInstr::Kind::kUnary;
+      si.op = static_cast<int>(n.attrs[0]);
+      si.alpha = static_cast<float>(n.attrs[1]);
+      si.beta = static_cast<float>(n.attrs[2]);
+      si.a = operandOf(0);
+      break;
+    case ops::OpId::kBinary:
+      si.kind = RegionInstr::Kind::kBinary;
+      si.op = static_cast<int>(n.attrs[0]);
+      si.a = operandOf(0);
+      si.b = operandOf(1);
+      break;
+    default:  // kSelect
+      si.kind = RegionInstr::Kind::kSelect;
+      si.a = operandOf(0);
+      si.b = operandOf(1);
+      si.c = operandOf(2);
+      break;
+  }
+  return si;
 }
 
 /// Largest region a single node may absorb. Caps compile time and the
@@ -250,6 +279,15 @@ bool isElementwise(const Node& n) {
 constexpr std::size_t kMaxRegionOps = 64;
 
 }  // namespace
+
+RegionProgram regionProgram(const Node& n) {
+  if (n.op == ops::OpId::kFusedRegion) {
+    return ops::decodeRegionProgram(n.attrs);
+  }
+  if (!isElementwise(n)) return {};
+  return {static_cast<int>(n.inputs.size()),
+          {elementwiseInstr(n, [](int k) { return -1 - k; })}};
+}
 
 Graph fuseElementwise(const Graph& g) {
   trace::Span span("graph", "fuse_elementwise");
@@ -323,30 +361,10 @@ Graph fuseElementwise(const Graph& g) {
     };
     for (int m : members) {
       const Node& n = out.nodes[static_cast<std::size_t>(m)];
-      RegionInstr si;
-      switch (n.op) {
-        case ops::OpId::kUnary:
-          si.kind = RegionInstr::Kind::kUnary;
-          si.op = static_cast<int>(n.attrs[0]);
-          si.alpha = static_cast<float>(n.attrs[1]);
-          si.beta = static_cast<float>(n.attrs[2]);
-          si.a = operand(n.inputs[0]);
-          break;
-        case ops::OpId::kBinary:
-          si.kind = RegionInstr::Kind::kBinary;
-          si.op = static_cast<int>(n.attrs[0]);
-          si.a = operand(n.inputs[0]);
-          si.b = operand(n.inputs[1]);
-          break;
-        default:  // kSelect
-          si.kind = RegionInstr::Kind::kSelect;
-          si.a = operand(n.inputs[0]);
-          si.b = operand(n.inputs[1]);
-          si.c = operand(n.inputs[2]);
-          break;
-      }
       instrIndex[m] = static_cast<int>(program.instrs.size());
-      program.instrs.push_back(si);
+      program.instrs.push_back(elementwiseInstr(n, [&](int k) {
+        return operand(n.inputs[static_cast<std::size_t>(k)]);
+      }));
     }
     program.numInputs = static_cast<int>(externals.size());
 

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/backend.h"
 #include "graph/ir.h"
 
 namespace tfjs::graph {
@@ -65,6 +66,12 @@ Graph fuse(const Graph& g);
 /// bit-identical to the op-by-op chain: the backends evaluate the same
 /// scalar formulas per element in the same order (see DESIGN.md).
 Graph fuseElementwise(const Graph& g);
+
+/// The elementwise program a node runs: the decoded program of a
+/// kFusedRegion node; for a standalone kUnary / kBinary / kSelect node, its
+/// one instruction over input slots in input order (the instruction
+/// fuseElementwise would emit for it); an empty program for every other op.
+RegionProgram regionProgram(const Node& n);
 
 /// Drops nodes no graph output depends on (kInput placeholders always
 /// survive — feed order is part of the graph's signature). Ids are

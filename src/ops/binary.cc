@@ -5,23 +5,28 @@
 
 namespace tfjs::ops {
 
-using internal::E;
 using internal::record;
 using internal::reduceGradTo;
 
 namespace {
 
-/// Dispatches a binary kernel with broadcasting; outDtype defaults to the
+RegionInstr binaryInstr(BinaryOp op) {
+  return {.kind = RegionInstr::Kind::kBinary,
+          .op = static_cast<int>(op),
+          .a = -1,
+          .b = -2};
+}
+
+/// Dispatches a binary op with broadcasting; outDtype defaults to the
 /// promoted input dtype.
 Tensor dispatch(const char* name, BinaryOp op, const Tensor& a,
                 const Tensor& b, DType outDtype) {
   internal::CaptureFrame frame;
-  internal::KernelScope k(name);
-  const TensorSpec sa = E().prepareInput(a);
-  const TensorSpec sb = E().prepareInput(b);
-  const Shape out = util::broadcastShapes(sa.shape, sb.shape);
-  const DataId id = E().backend().binary(op, sa, sb, out);
-  Tensor y = k.wrap(id, out, outDtype);
+  const RegionInstr instr = binaryInstr(op);
+  const Tensor ins[] = {a, b};
+  Tensor y = internal::elementwiseKernel(
+      name, {&instr, 1}, ins, util::broadcastShapes(a.shape(), b.shape()),
+      outDtype);
   internal::observeOp(OpId::kBinary, {a, b}, y,
                       {static_cast<double>(op),
                        static_cast<double>(outDtype)});
@@ -50,15 +55,11 @@ template <typename Copying>
 Tensor consume(const char* name, BinaryOp op, Tensor&& a, const Tensor& b,
                DType outDtype, Copying copying) {
   const Tensor arg = std::move(a);
-  const RegionProgram program{2,
-                              {{.kind = RegionInstr::Kind::kBinary,
-                                .op = static_cast<int>(op),
-                                .a = -1,
-                                .b = -2}}};
+  const RegionInstr instr = binaryInstr(op);
   const Tensor ins[] = {arg, b};
   if (Tensor y = internal::tryRegionInPlace(
-          name, program, ins, util::broadcastShapes(arg.shape(), b.shape()),
-          outDtype);
+          name, {&instr, 1}, ins,
+          util::broadcastShapes(arg.shape(), b.shape()), outDtype);
       y.defined()) {
     return y;
   }
@@ -225,14 +226,14 @@ Tensor logicalXor(const Tensor& a, const Tensor& b) {
 
 Tensor where(const Tensor& cond, const Tensor& a, const Tensor& b) {
   internal::CaptureFrame frame;
-  internal::KernelScope k("where");
-  const TensorSpec sc = E().prepareInput(cond);
-  const TensorSpec sa = E().prepareInput(a);
-  const TensorSpec sb = E().prepareInput(b);
-  Shape out = util::broadcastShapes(util::broadcastShapes(sc.shape, sa.shape),
-                                    sb.shape);
-  const DataId id = E().backend().select(sc, sa, sb, out);
-  Tensor y = k.wrap(id, out, promoteTypes(a.dtype(), b.dtype()));
+  const RegionInstr instr{
+      .kind = RegionInstr::Kind::kSelect, .a = -1, .b = -2, .c = -3};
+  const Tensor ins[] = {cond, a, b};
+  Tensor y = internal::elementwiseKernel(
+      "where", {&instr, 1}, ins,
+      util::broadcastShapes(util::broadcastShapes(cond.shape(), a.shape()),
+                            b.shape()),
+      promoteTypes(a.dtype(), b.dtype()));
   internal::observeOp(OpId::kSelect, {cond, a, b}, y);
   record("where", {a, b}, y, [cond, a, b](const Tensor& dy) {
     Tensor zero = zerosLike(dy);

@@ -120,16 +120,27 @@ class KernelScope {
   double startUs_;
 };
 
+/// The one elementwise dispatch behind every unary, binary and select op,
+/// fusedRegion and the in-place path: runs `program` over `inputs` as a
+/// single Backend::fusedRegion call under the op span `name` and wraps the
+/// result as `outShape`/`outDtype`. With `inPlace`, dst is inputs[0]'s
+/// buffer, which the caller proved safe to overwrite: the output takes over
+/// that storage when the kernel wrote there, and inputs[0] is disposed when
+/// the backend allocated instead. The caller holds the CaptureFrame and
+/// records capture and gradients.
+Tensor elementwiseKernel(const char* name, std::span<const RegionInstr> program,
+                         std::span<const Tensor> inputs, const Shape& outShape,
+                         DType outDtype, bool inPlace = false);
+
 /// In-place dispatch behind every move-consuming op (`relu(Tensor&&)`,
 /// `add(Tensor&&, b)`, `fusedRegion(program, Tensor&&, rest)`): when the
 /// engine proves sole ownership of inputs[0], whose buffer must hold the
-/// output exactly (same shape, same element width), runs `program` with
-/// dst = that buffer under an op span named `name`; the output takes over
-/// the storage when the kernel wrote in place, and the consumed input is
-/// disposed when the backend allocated instead. Returns an undefined Tensor
-/// when a check fails — the caller then runs the allocating op (which
-/// records capture and gradients) and disposes the consumed input.
-Tensor tryRegionInPlace(const char* name, const RegionProgram& program,
+/// output exactly (same shape, same element width), runs `program` through
+/// elementwiseKernel in place under an op span named `name`. Returns an
+/// undefined Tensor when a check fails — the caller then runs the
+/// allocating op (which records capture and gradients) and disposes the
+/// consumed input.
+Tensor tryRegionInPlace(const char* name, std::span<const RegionInstr> program,
                         std::span<const Tensor> inputs, const Shape& outShape,
                         DType outDtype);
 

@@ -1,15 +1,16 @@
-// Fused elementwise regions: the graph executor's fusion pass collapses
-// chains/DAGs of unary/binary/select ops into one kFusedRegion node, and
-// this op evaluates the region in a single pass over the output through
-// Backend::fusedRegion, which every backend implements (one interpreter
-// loop on ref/cpu, a strip-mined kernel on native, one shader on
-// webgl-sim). Each applies the exact same scalar formulas per element in
-// the original program order, so fused outputs are bit-identical to the
+// Elementwise programs: every unary, binary and select op is a
+// one-instruction RegionProgram, and the graph executor's fusion pass
+// collapses chains/DAGs of them into one kFusedRegion node. Both run
+// through elementwiseKernel, a single Backend::fusedRegion call (one
+// interpreter loop on ref/cpu, a strip-mined kernel on native, one shader
+// on webgl-sim). Each backend applies the exact same scalar formulas per
+// element in program order, so fused outputs are bit-identical to the
 // unfused chain on the active backend (the bitwise-parity argument is in
 // DESIGN.md "Graph capture & optimization").
-// The same kernel is the in-place path of every move-consuming op: a
-// one-instruction region whose dst is the consumed input's buffer
-// (tryRegionInPlace).
+// The same kernel is the in-place path of every move-consuming op: the
+// program runs with dst = the consumed input's buffer (tryRegionInPlace).
+#include <array>
+
 #include "core/util.h"
 #include "ops/common.h"
 
@@ -116,14 +117,10 @@ Tensor fusedRegion(const RegionProgram& program, std::span<const Tensor> inputs,
                    DType outDtype) {
   validateRegion(program, inputs.size());
   internal::CaptureFrame frame;
-  internal::KernelScope k("fusedRegion");
-  std::vector<TensorSpec> specs;
-  specs.reserve(inputs.size());
-  for (const Tensor& t : inputs) specs.push_back(E().prepareInput(t));
-  const Shape outShape = regionOutShape(program, inputs);
-  const DataId id = E().backend().fusedRegion(program, specs, outShape, 0);
-  Tensor y = k.wrap(id, outShape, outDtype);
-  {
+  Tensor y = internal::elementwiseKernel("fusedRegion", program.instrs, inputs,
+                                         regionOutShape(program, inputs),
+                                         outDtype);
+  if (internal::observing()) {
     const std::vector<double> at = encodeRegionProgram(program);
     internal::observeOp(OpId::kFusedRegion, inputs, y, at);
   }
@@ -139,7 +136,7 @@ Tensor fusedRegion(const RegionProgram& program, Tensor&& first,
   all.insert(all.end(), rest.begin(), rest.end());
   validateRegion(program, all.size());
   if (Tensor y = internal::tryRegionInPlace(
-          "fusedRegion", program, all, regionOutShape(program, all),
+          "fusedRegion", program.instrs, all, regionOutShape(program, all),
           outDtype);
       y.defined()) {
     return y;
@@ -149,8 +146,38 @@ Tensor fusedRegion(const RegionProgram& program, Tensor&& first,
   return y;
 }
 
+Tensor internal::elementwiseKernel(const char* name,
+                                   std::span<const RegionInstr> program,
+                                   std::span<const Tensor> inputs,
+                                   const Shape& outShape, DType outDtype,
+                                   bool inPlace) {
+  KernelScope k(name);
+  // Standalone ops have at most three inputs: their specs stay off the heap.
+  std::array<TensorSpec, 3> few;
+  std::vector<TensorSpec> many;
+  if (inputs.size() > few.size()) many.resize(inputs.size());
+  const std::span<TensorSpec> specs =
+      many.empty() ? std::span<TensorSpec>(few).first(inputs.size())
+                   : std::span<TensorSpec>(many);
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    specs[j] = E().prepareInput(inputs[j]);
+  }
+  const DataId dst = inPlace ? specs[0].id : 0;
+  const DataId id = E().backend().fusedRegion(program, specs, outShape, dst);
+  if (inPlace && id == dst) {
+    Tensor y = E().reuseInputAsOutput(inputs[0], outShape, outDtype);
+    k.notify(y);
+    return y;
+  }
+  Tensor y = k.wrap(id, outShape, outDtype);
+  // The backend declined the in-place write and allocated (webgl-sim
+  // always does: a shader cannot sample the texture it renders to).
+  if (inPlace) inputs[0].dispose();
+  return y;
+}
+
 Tensor internal::tryRegionInPlace(const char* name,
-                                  const RegionProgram& program,
+                                  std::span<const RegionInstr> program,
                                   std::span<const Tensor> inputs,
                                   const Shape& outShape, DType outDtype) {
   const Tensor& arg = inputs[0];
@@ -166,23 +193,8 @@ Tensor internal::tryRegionInPlace(const char* name,
   }
   if (dtypeBytes(outDtype) != dtypeBytes(arg.dtype())) return {};
   if (!(arg.shape() == outShape)) return {};
-  internal::KernelScope k(name);
-  std::vector<TensorSpec> specs;
-  specs.reserve(inputs.size());
-  for (const Tensor& t : inputs) specs.push_back(E().prepareInput(t));
-  const DataId dst = specs[0].id;
-  const DataId id = E().backend().fusedRegion(program, specs, outShape, dst);
-  if (id != dst) {
-    // The backend declined the in-place write and allocated (webgl-sim
-    // always does: a shader cannot sample the texture it renders to).
-    Tensor y = E().makeTensorFromDataId(id, outShape, outDtype);
-    k.notify(y);
-    arg.dispose();
-    return y;
-  }
-  Tensor y = E().reuseInputAsOutput(arg, outShape, outDtype);
-  k.notify(y);
-  return y;
+  return elementwiseKernel(name, program, inputs, outShape, outDtype,
+                           /*inPlace=*/true);
 }
 
 }  // namespace tfjs::ops

@@ -3,38 +3,39 @@
 
 namespace tfjs::ops {
 
-using internal::E;
 using internal::record;
 
 namespace {
 
+RegionInstr unaryInstr(UnaryOp op, float alpha, float beta) {
+  return {.kind = RegionInstr::Kind::kUnary,
+          .op = static_cast<int>(op),
+          .a = -1,
+          .alpha = alpha,
+          .beta = beta};
+}
+
 Tensor dispatch(const char* name, UnaryOp op, const Tensor& x, float alpha = 0,
                 float beta = 0, DType outDtype = DType::f32) {
   internal::CaptureFrame frame;
-  internal::KernelScope k(name);
-  const TensorSpec sx = E().prepareInput(x);
-  const DataId id = E().backend().unary(op, sx, alpha, beta);
-  Tensor y = k.wrap(id, sx.shape, outDtype);
+  const RegionInstr instr = unaryInstr(op, alpha, beta);
+  Tensor y = internal::elementwiseKernel(name, {&instr, 1}, {&x, 1},
+                                         x.shape(), outDtype);
   internal::observeOp(OpId::kUnary, {x}, y,
                       {static_cast<double>(op), alpha, beta,
                        static_cast<double>(outDtype)});
   return y;
 }
 
-/// Move-consuming form of a unary op: in place through a one-instruction
-/// region when internal::tryRegionInPlace allows it; otherwise the
-/// allocating overload `copying` runs and the consumed input is disposed.
+/// Move-consuming form of a unary op: in place through
+/// internal::tryRegionInPlace when it allows it; otherwise the allocating
+/// overload `copying` runs and the consumed input is disposed.
 template <typename Copying>
 Tensor consume(const char* name, UnaryOp op, Tensor&& x, DType outDtype,
                Copying copying, float alpha = 0, float beta = 0) {
   const Tensor arg = std::move(x);
-  const RegionProgram program{1,
-                              {{.kind = RegionInstr::Kind::kUnary,
-                                .op = static_cast<int>(op),
-                                .a = -1,
-                                .alpha = alpha,
-                                .beta = beta}}};
-  if (Tensor y = internal::tryRegionInPlace(name, program, {&arg, 1},
+  const RegionInstr instr = unaryInstr(op, alpha, beta);
+  if (Tensor y = internal::tryRegionInPlace(name, {&instr, 1}, {&arg, 1},
                                             arg.shape(), outDtype);
       y.defined()) {
     return y;

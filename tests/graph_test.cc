@@ -763,6 +763,44 @@ TEST(GraphExec, FusedRegionBitwiseOnAllBackends) {
   for (Tensor t : {b, x}) t.dispose();
 }
 
+TEST(GraphExec, SingletonElementwiseNodesReplayInPlace) {
+  // A transpose between every elementwise op keeps fuseElementwise from
+  // forming a region, so abs, log and maximum each replay as a standalone
+  // one-instruction program. Each one's first input is an intermediate
+  // that dies there, so the executor hands it to the move-consuming
+  // fusedRegion and the kernel overwrites it in place — three in-place
+  // reuses per run, at outputs bitwise equal to eager.
+  ensureRefRegistered();
+  setBackend("cpu");
+  Tensor x = o::randomNormal(Shape{4, 6}, 0, 1, 151);
+  Tensor c = o::randomNormal(Shape{6, 4}, 0, 1, 152);
+  auto fn = [&](const std::vector<Tensor>& ins) {
+    Tensor a = o::abs(o::transpose(ins[0]));
+    Tensor l = o::log(o::transpose(a));
+    return std::vector<Tensor>{o::maximum(o::transpose(l), c)};
+  };
+
+  const std::uint64_t r0 = counterValue("graph.fused_regions");
+  for (const char* backend : {"ref", "cpu", "native"}) {
+    setBackend(backend);
+    Tensor eager = tidy([&] { return fn({x})[0]; });
+    CapturedGraph cg(graph::capture(fn, {x}), PassOptions::all());
+    std::vector<Tensor> cold = cg.run({x});
+    const std::uint64_t before = counterValue("engine.inplace_reuses");
+    std::vector<Tensor> warm = cg.run({x});
+    EXPECT_EQ(counterValue("engine.inplace_reuses") - before, 3u) << backend;
+    expectBitwiseEqual(cold[0], eager);
+    expectBitwiseEqual(warm[0], eager);
+    cold[0].dispose();
+    warm[0].dispose();
+    cg.dispose();
+    eager.dispose();
+  }
+  EXPECT_EQ(counterValue("graph.fused_regions"), r0);
+  setBackend("cpu");
+  for (Tensor t : {x, c}) t.dispose();
+}
+
 TEST(GraphExec, ShapeClassReusesPlanAcrossBatchSizes) {
   setBackend("cpu");
   Tensor w = o::randomNormal(Shape{6}, 0, 0.5f, 151);

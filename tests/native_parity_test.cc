@@ -4,8 +4,9 @@
 // chunk grain (so ragged last chunks are exercised):
 //  * parallel == serial, bitwise: the fixed chunk partition makes the
 //    multi-threaded result byte-identical to the TFJS_NUM_THREADS=1 path;
-//  * native == ref: elementwise (unary, binary, select) and pooling kernels
-//    perform the identical scalar operations, so values match exactly
+//  * native == ref: elementwise (one-instruction unary, binary and select
+//    programs through fusedRegion) and pooling kernels perform the
+//    identical scalar operations, so values match exactly
 //    (float ==). The multiply-accumulate kernels (GEMM/conv/depthwise/
 //    reduce) are compared within a tight tolerance instead: under
 //    -march=native the native GEMM's ascending-k chains are FMA steps and
@@ -39,6 +40,7 @@ using tfjs::PadMode;
 using tfjs::Pool2DInfo;
 using tfjs::PoolMode;
 using tfjs::ReduceOp;
+using tfjs::RegionInstr;
 using tfjs::Shape;
 using tfjs::TensorSpec;
 using tfjs::UnaryOp;
@@ -251,8 +253,13 @@ TEST_F(NativeParityTest, ElementwiseBinaryOddCount) {
          {BinaryOp::kAdd, BinaryOp::kMul, BinaryOp::kDiv, BinaryOp::kPow}) {
       SCOPED_TRACE(aShape.toString() + " op " + bShape.toString());
       auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-        return be.read(be.binary(op, put(be, aData, aShape),
-                                 put(be, bData, bShape), out));
+        const RegionInstr instr{.kind = RegionInstr::Kind::kBinary,
+                                .op = static_cast<int>(op),
+                                .a = -1,
+                                .b = -2};
+        const TensorSpec ins[] = {put(be, aData, aShape),
+                                  put(be, bData, bShape)};
+        return be.read(be.fusedRegion({&instr, 1}, ins, out, 0));
       });
       EXPECT_EQ(par.size(), out.size());
       expectExactlyEqual(par, ref);
@@ -290,9 +297,11 @@ TEST_F(NativeParityTest, SelectOverBroadcastClasses) {
     SCOPED_TRACE(cs.cond.toString() + " ? " + cs.a.toString() + " : " +
                  cs.b.toString());
     auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-      return be.read(be.select(put(be, condData, cs.cond),
-                               put(be, aData, cs.a), put(be, bData, cs.b),
-                               out));
+      const RegionInstr instr{
+          .kind = RegionInstr::Kind::kSelect, .a = -1, .b = -2, .c = -3};
+      const TensorSpec ins[] = {put(be, condData, cs.cond),
+                                put(be, aData, cs.a), put(be, bData, cs.b)};
+      return be.read(be.fusedRegion({&instr, 1}, ins, out, 0));
     });
     EXPECT_EQ(par.size(), out.size());
     expectExactlyEqual(par, ref);
@@ -308,7 +317,13 @@ TEST_F(NativeParityTest, ElementwiseUnaryOddCount) {
        {UnaryOp::kRelu, UnaryOp::kSquare, UnaryOp::kExp, UnaryOp::kSigmoid,
         UnaryOp::kTanh, UnaryOp::kLeakyRelu, UnaryOp::kClipByValue}) {
     auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-      return be.read(be.unary(op, put(be, xData, shape), -0.25f, 0.5f));
+      const RegionInstr instr{.kind = RegionInstr::Kind::kUnary,
+                              .op = static_cast<int>(op),
+                              .a = -1,
+                              .alpha = -0.25f,
+                              .beta = 0.5f};
+      const TensorSpec x = put(be, xData, shape);
+      return be.read(be.fusedRegion({&instr, 1}, {&x, 1}, shape, 0));
     });
     expectExactlyEqual(par, ref);
   }

@@ -4,12 +4,18 @@
 // testing infrastructure enforces across browsers.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "backends/common/ref_backend.h"
+#include "backends/webgl/webgl_backend.h"
 #include "core/engine.h"
+#include "core/util.h"
 #include "ops/ops.h"
 #include "tests/test_util.h"
 
@@ -733,6 +739,195 @@ TEST_P(OpsTest, OperatorOverloads) {
     test::expectValues(a * b, {12, 32});
     test::expectValues(a / b, {3, 2});
   });
+}
+
+// ------------------------------------------ one-instruction region oracle
+//
+// Every elementwise op is a one-instruction program through
+// Backend::fusedRegion, whose kernels resolve each input to a dense,
+// scalar, suffix or generic access path. These tests hold every path to
+// the naive per-element oracle — unravel the output index, broadcastIndex
+// into each input, apply the scalar formula — bit for bit, for every
+// UnaryOp and BinaryOp code and for select.
+
+/// test_main registers cpu/native/webgl; the reference backend and the
+/// unpacked webgl variant are added here.
+void ensureOracleBackendsRegistered() {
+  static const bool once = [] {
+    Engine::get().registerBackend(
+        "ref", [] { return std::make_unique<backends::RefBackend>(); },
+        /*priority=*/0);
+    backends::webgl::WebGLOptions unpacked;
+    unpacked.packed = false;
+    backends::webgl::registerBackendVariant("webgl-unpacked", unpacked);
+    return true;
+  }();
+  (void)once;
+}
+
+/// Deterministic values in [lo, hi] (LCG), with exact zeros of both signs
+/// mixed in so comparisons, sign, step and the logical ops see them.
+std::vector<float> oracleData(const Shape& s, std::uint32_t seed, float lo,
+                              float hi) {
+  std::vector<float> v(s.size());
+  std::uint32_t x = seed * 2654435761u + 7u;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    x = x * 1664525u + 1013904223u;
+    v[i] = lo + (hi - lo) * static_cast<float>(x >> 8) /
+                    static_cast<float>(1u << 24);
+    if (i % 7 == 3) v[i] = i % 2 == 0 ? 0.f : -0.f;
+  }
+  return v;
+}
+
+struct OracleInput {
+  Shape shape;
+  std::vector<float> data;
+};
+
+/// The naive oracle's load: input `in`'s element for flat output index i.
+float oracleLoad(const OracleInput& in, const Shape& out, std::size_t i) {
+  std::vector<int> coords(static_cast<std::size_t>(out.rank()));
+  util::unravelIndex(i, out, coords);
+  return in.data[util::broadcastIndex(coords, in.shape, out)];
+}
+
+class RegionOracleTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    ensureOracleBackendsRegistered();
+    setBackend(GetParam());
+  }
+
+  /// Runs `instr` over `inputs` on the active backend and checks every
+  /// output element bitwise against `oracle(i)` (two NaNs compare equal:
+  /// their payloads are not part of any op's contract).
+  template <typename Oracle>
+  void expectMatchesOracle(const RegionInstr& instr,
+                           const std::vector<OracleInput>& inputs,
+                           const Shape& out, Oracle oracle) {
+    Backend& be = Engine::get().backend();
+    std::vector<TensorSpec> specs;
+    for (const OracleInput& in : inputs) {
+      specs.push_back({be.write(in.data, in.shape), in.shape, DType::f32});
+    }
+    const DataId id = be.fusedRegion({&instr, 1}, specs, out, 0);
+    const std::vector<float> got = be.read(id);
+    be.disposeData(id);
+    for (const TensorSpec& s : specs) be.disposeData(s.id);
+    ASSERT_EQ(got.size(), out.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const float want = oracle(i);
+      if (std::isnan(got[i]) && std::isnan(want)) continue;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(want))
+          << "flat index " << i << ": got " << got[i] << ", want " << want;
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, RegionOracleTest,
+                         ::testing::Values("ref", "cpu", "native", "webgl",
+                                           "webgl-unpacked"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::erase(name, '-');
+                           return name;
+                         });
+
+TEST_P(RegionOracleTest, EveryUnaryOpCode) {
+  for (const Shape& shape :
+       {Shape{3, 5}, Shape{}, Shape{700}, Shape{0}, Shape{4, 0, 2}}) {
+    const OracleInput x{shape, oracleData(shape, 1, -3.f, 3.f)};
+    for (int op = 0; op <= static_cast<int>(UnaryOp::kMulScalar); ++op) {
+      SCOPED_TRACE("unary op " + std::to_string(op) + " over " +
+                   shape.toString());
+      // alpha/beta parameterize leakyRelu, clip, step, pow, add and mul.
+      const RegionInstr instr{.kind = RegionInstr::Kind::kUnary,
+                              .op = op,
+                              .a = -1,
+                              .alpha = -0.25f,
+                              .beta = 0.5f};
+      expectMatchesOracle(instr, {x}, shape, [&](std::size_t i) {
+        return backends::applyUnary(static_cast<UnaryOp>(op),
+                                    oracleLoad(x, shape, i), -0.25f, 0.5f);
+      });
+    }
+  }
+}
+
+TEST_P(RegionOracleTest, EveryBinaryOpCodeOverBroadcastClasses) {
+  const std::pair<Shape, Shape> cases[] = {
+      {Shape{3, 5}, Shape{3, 5}},        // dense
+      {Shape{3, 5}, Shape{}},            // scalar second operand
+      {Shape{}, Shape{3, 5}},            // scalar first operand
+      {Shape{1, 1}, Shape{2, 3, 5}},     // size-1, rank-2 scalar
+      {Shape{4, 3, 5}, Shape{5}},        // suffix [C] bias
+      {Shape{3, 5}, Shape{4, 3, 5}},     // suffix first operand
+      {Shape{2, 1, 5}, Shape{1, 5}},     // suffix with leading 1s
+      {Shape{3, 700}, Shape{700}},       // suffix longer than a 512 block
+      {Shape{600, 3}, Shape{3}},         // short suffix over many blocks
+      {Shape{3, 1}, Shape{1, 5}},        // generic [N,1] x [1,M]
+      {Shape{2, 3, 1}, Shape{3, 4}},     // generic, rank mismatch
+      {Shape{4, 1, 5}, Shape{4, 3, 5}},  // generic middle broadcast
+      {Shape{0, 5}, Shape{5}},           // zero-size suffix
+      {Shape{0, 5}, Shape{0, 5}},        // zero-size dense
+      {Shape{3, 0}, Shape{}},            // zero-size scalar
+      {Shape{0, 1}, Shape{1, 4}},        // zero-size generic
+  };
+  for (const auto& [aShape, bShape] : cases) {
+    const Shape out = util::broadcastShapes(aShape, bShape);
+    const OracleInput a{aShape, oracleData(aShape, 2, -3.f, 3.f)};
+    const OracleInput b{bShape, oracleData(bShape, 3, -2.f, 2.f)};
+    for (int op = 0; op <= static_cast<int>(BinaryOp::kLogicalXor); ++op) {
+      SCOPED_TRACE("binary op " + std::to_string(op) + ": " +
+                   aShape.toString() + " x " + bShape.toString());
+      const RegionInstr instr{
+          .kind = RegionInstr::Kind::kBinary, .op = op, .a = -1, .b = -2};
+      expectMatchesOracle(instr, {a, b}, out, [&](std::size_t i) {
+        return backends::applyBinary(static_cast<BinaryOp>(op),
+                                     oracleLoad(a, out, i),
+                                     oracleLoad(b, out, i));
+      });
+    }
+  }
+}
+
+TEST_P(RegionOracleTest, SelectOverBroadcastClasses) {
+  struct Case {
+    Shape cond, a, b;
+  };
+  const Case cases[] = {
+      {Shape{3, 5}, Shape{3, 5}, Shape{3, 5}},        // dense
+      {Shape{}, Shape{3, 5}, Shape{3, 5}},            // scalar cond
+      {Shape{3, 5}, Shape{}, Shape{3, 5}},            // scalar branch
+      {Shape{4, 3, 5}, Shape{5}, Shape{4, 3, 5}},     // suffix branch
+      {Shape{5}, Shape{4, 3, 5}, Shape{}},            // suffix cond
+      {Shape{3, 700}, Shape{700}, Shape{700}},        // suffix > one block
+      {Shape{3, 1}, Shape{1, 5}, Shape{3, 5}},        // generic
+      {Shape{1, 5}, Shape{3, 1}, Shape{}},            // generic, scalar b
+      {Shape{0, 5}, Shape{5}, Shape{0, 5}},           // zero-size
+  };
+  for (const Case& cs : cases) {
+    const Shape out =
+        util::broadcastShapes(util::broadcastShapes(cs.cond, cs.a), cs.b);
+    // Conditions mix nonzero values, +0, -0 (false) and NaN (true).
+    OracleInput c{cs.cond, oracleData(cs.cond, 4, -1.f, 1.f)};
+    for (std::size_t i = 0; i < c.data.size(); ++i) {
+      if (i % 3 == 0) c.data[i] = i % 2 == 0 ? 0.f : -0.f;
+      if (i % 5 == 1) c.data[i] = std::numeric_limits<float>::quiet_NaN();
+    }
+    const OracleInput a{cs.a, oracleData(cs.a, 5, -3.f, 3.f)};
+    const OracleInput b{cs.b, oracleData(cs.b, 6, -3.f, 3.f)};
+    SCOPED_TRACE(cs.cond.toString() + " ? " + cs.a.toString() + " : " +
+                 cs.b.toString());
+    const RegionInstr instr{
+        .kind = RegionInstr::Kind::kSelect, .a = -1, .b = -2, .c = -3};
+    expectMatchesOracle(instr, {c, a, b}, out, [&](std::size_t i) {
+      return oracleLoad(c, out, i) != 0 ? oracleLoad(a, out, i)
+                                        : oracleLoad(b, out, i);
+    });
+  }
 }
 
 }  // namespace

@@ -25,7 +25,11 @@
 # on the ASan leg too: webgl-sim's fused-region and matMul/conv2d epilogue
 # shaders are closures that run on the GPU worker thread after the
 # enqueueing call has returned, so they must own (not borrow) the program,
-# the shapes and the bias texture they read. After each leg's ctest, an
+# the shapes and the bias texture they read. graph_test and
+# graph_executor_test run on the ASan leg: every captured elementwise node
+# whose first input dies there (standalone or fused) replays in place,
+# handing that input's buffer to the region kernel as its destination.
+# After each leg's ctest, an
 # extended fixed-seed fuzzer block replays the same seed set on that leg
 # (both fuzz modes — general DAGs and elementwise-chain-heavy), so any
 # divergence or sanitizer report reproduces bit-for-bit on every leg.
@@ -59,9 +63,9 @@ extended_fuzz build-tsan
 cmake -B build-asan -S . -DTFJS_SANITIZE=address
 cmake --build build-asan -j --target buffer_pool_test fusion_test \
   quant_test serving_test graph_fuzz_test native_parity_test native_gemm_test \
-  webgl_test
+  webgl_test graph_test graph_executor_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test|webgl_test'
+  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test|webgl_test|graph_test|graph_executor_test'
 extended_fuzz build-asan
 
 cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined

@@ -17,20 +17,22 @@
 // goes through BufferPool::acquire, so `misses + bypasses` is exactly the
 // number of operator-new float allocations.
 //
-// Emits BENCH_alloc.json at the repo root.
+// The gate checks time too: baseline and optimized passes are sampled
+// interleaved, and the optimized median may not exceed the baseline median
+// by more than the baseline's interquartile range.
+//
+// Emits BENCH_alloc.json in the working directory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
-#include <chrono>
-#include <cstring>
 #include <vector>
 
 #include "backends/register.h"
+#include "bench/harness.h"
 #include "core/buffer_pool.h"
 #include "core/engine.h"
 #include "core/metrics.h"
-#include "json_out.h"
 #include "layers/conv_layers.h"
 #include "layers/core_layers.h"
 #include "ops/ops.h"
@@ -175,31 +177,52 @@ std::uint64_t allocsDuring(Fn&& fn) {
   return (after.misses - before.misses) + (after.bypasses - before.bypasses);
 }
 
-template <typename Fn>
-double medianPassMs(Fn&& fn, int repeats) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(repeats));
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
+/// Median and interquartile range of one pass's timing samples.
+struct Band {
+  double median = 0, iqr = 0;
+};
+
+Band band(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  const std::size_t n = samples.size();
+  return {samples[n / 2], samples[3 * n / 4] - samples[n / 4]};
 }
 
-bool bitIdentical(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
+/// One workload's A/B result. The optimized pass must allocate >= 50% less
+/// at bit-identical output, and its median time may not exceed the
+/// baseline's median by more than the baseline's IQR.
+struct Result {
+  std::uint64_t allocsBase = 0, allocsOpt = 0;
+  std::vector<float> outBase, outOpt;
+  std::vector<double> msBase, msOpt;
 
-double reductionPct(std::uint64_t base, std::uint64_t opt) {
-  return base == 0 ? 0.0
-                   : 100.0 * (1.0 - static_cast<double>(opt) /
-                                        static_cast<double>(base));
-}
+  double reduction() const {
+    return tfjs::bench::reductionPct(allocsBase, allocsOpt);
+  }
+  bool identical() const {
+    return tfjs::bench::bitIdentical(outBase, outOpt);
+  }
+  bool pass() const {
+    const Band b = band(msBase), o = band(msOpt);
+    return reduction() >= 50.0 && identical() && o.median <= b.median + b.iqr;
+  }
+
+  tfjs::io::Json json(const char* workload) const {
+    const Band b = band(msBase), o = band(msOpt);
+    tfjs::io::Json j;
+    j["workload"] = workload;
+    j["allocs_baseline"] = allocsBase;
+    j["allocs_optimized"] = allocsOpt;
+    j["alloc_reduction_pct"] = reduction();
+    j["ms_baseline"] = b.median;
+    j["ms_baseline_iqr"] = b.iqr;
+    j["ms_optimized"] = o.median;
+    j["ms_optimized_iqr"] = o.iqr;
+    j["bit_identical"] = identical();
+    j["pass"] = pass();
+    return j;
+  }
+};
 
 // ------------------------------------------------- google-benchmark mirrors
 
@@ -233,7 +256,7 @@ int main(int argc, char** argv) {
 
   tfjs::setBackend("native");
   auto& pool = BufferPool::get();
-  constexpr int kRepeats = 9;
+  constexpr int kSamples = 21;
 
   Tensor cx = o::randomNormal(tfjs::Shape{256, 256}, 0, 1, 1);
   Tensor one = o::scalar(1.f), c = o::scalar(0.001f), m = o::scalar(0.9995f);
@@ -243,88 +266,75 @@ int main(int argc, char** argv) {
   modelFused(mx, stack);
 
   // Baseline: pool off, allocate-per-op idiom, unfused composition.
-  pool.setEnabled(false);
-  chainBaseline(cx, one, c, m);  // warm thread pool / page cache
-  modelUnfused(mx, stack);
-  std::vector<float> chainOutBase, modelOutBase;
-  const std::uint64_t chainAllocsBase =
-      allocsDuring([&] { chainOutBase = chainBaseline(cx, one, c, m); });
-  const std::uint64_t modelAllocsBase =
-      allocsDuring([&] { modelOutBase = modelUnfused(mx, stack); });
-  const double chainMsBase =
-      medianPassMs([&] { chainBaseline(cx, one, c, m); }, kRepeats);
-  const double modelMsBase =
-      medianPassMs([&] { modelUnfused(mx, stack); }, kRepeats);
-
+  const auto chainBase = [&] { return chainBaseline(cx, one, c, m); };
+  const auto modelBase = [&] { return modelUnfused(mx, stack); };
   // Optimized: pool on, move-consuming chain, fused layer path.
+  const auto chainOpt = [&] { return chainOptimized(cx, one, c, m); };
+  const auto modelOpt = [&] { return modelFused(mx, stack); };
+
+  Result chain, model;
+  pool.setEnabled(false);
+  chainBase();  // warm thread pool / page cache
+  modelBase();
+  chain.allocsBase = allocsDuring([&] { chain.outBase = chainBase(); });
+  model.allocsBase = allocsDuring([&] { model.outBase = modelBase(); });
+
   pool.setEnabled(true);
   auto& inplace = tfjs::metrics::Registry::get().counter(
       "engine.inplace_reuses");
   for (int i = 0; i < 3; ++i) {  // warm the pool buckets
-    chainOptimized(cx, one, c, m);
-    modelFused(mx, stack);
+    chainOpt();
+    modelOpt();
   }
   const auto inplaceBefore = inplace.value();
-  std::vector<float> chainOutOpt, modelOutOpt;
-  const std::uint64_t chainAllocsOpt =
-      allocsDuring([&] { chainOutOpt = chainOptimized(cx, one, c, m); });
-  const std::uint64_t modelAllocsOpt =
-      allocsDuring([&] { modelOutOpt = modelFused(mx, stack); });
+  chain.allocsOpt = allocsDuring([&] { chain.outOpt = chainOpt(); });
+  model.allocsOpt = allocsDuring([&] { model.outOpt = modelOpt(); });
   const std::uint64_t inplaceReuses = inplace.value() - inplaceBefore;
-  const double chainMsOpt =
-      medianPassMs([&] { chainOptimized(cx, one, c, m); }, kRepeats);
-  const double modelMsOpt =
-      medianPassMs([&] { modelFused(mx, stack); }, kRepeats);
 
-  const bool chainIdentical = bitIdentical(chainOutBase, chainOutOpt);
-  const bool modelIdentical = bitIdentical(modelOutBase, modelOutOpt);
-  const double chainReduction = reductionPct(chainAllocsBase, chainAllocsOpt);
-  const double modelReduction = reductionPct(modelAllocsBase, modelAllocsOpt);
+  // Interleaved timing: load on the machine perturbs both sides alike.
+  // Disabling the pool empties it, so every optimized sample follows an
+  // untimed pass that refills the buckets.
+  using tfjs::bench::passMs;
+  for (int r = 0; r < kSamples; ++r) {
+    pool.setEnabled(false);
+    chain.msBase.push_back(passMs(chainBase));
+    model.msBase.push_back(passMs(modelBase));
+    pool.setEnabled(true);
+    chainOpt();
+    modelOpt();
+    chain.msOpt.push_back(passMs(chainOpt));
+    model.msOpt.push_back(passMs(modelOpt));
+  }
 
   for (Tensor t : {cx, one, c, m, mx}) t.dispose();
 
-  std::printf("\nchain: %llu -> %llu allocs (-%.1f%%), %.3f -> %.3f ms\n"
-              "model: %llu -> %llu allocs (-%.1f%%), %.3f -> %.3f ms\n"
-              "in-place takeovers per optimized pass: %llu\n"
-              "outputs bit-identical: chain=%s model=%s\n",
-              static_cast<unsigned long long>(chainAllocsBase),
-              static_cast<unsigned long long>(chainAllocsOpt), chainReduction,
-              chainMsBase, chainMsOpt,
-              static_cast<unsigned long long>(modelAllocsBase),
-              static_cast<unsigned long long>(modelAllocsOpt), modelReduction,
-              modelMsBase, modelMsOpt,
-              static_cast<unsigned long long>(inplaceReuses),
-              chainIdentical ? "yes" : "NO", modelIdentical ? "yes" : "NO");
+  const auto report = [](const char* name, const Result& r) {
+    const Band b = band(r.msBase), opt = band(r.msOpt);
+    std::printf("%s: %llu -> %llu allocs (-%.1f%%), median %.3f (IQR %.3f)"
+                " -> %.3f (IQR %.3f) ms, bit-identical: %s\n",
+                name, static_cast<unsigned long long>(r.allocsBase),
+                static_cast<unsigned long long>(r.allocsOpt), r.reduction(),
+                b.median, b.iqr, opt.median, opt.iqr,
+                r.identical() ? "yes" : "NO");
+  };
+  report("chain", chain);
+  report("model", model);
+  std::printf("in-place takeovers per optimized pass: %llu\n",
+              static_cast<unsigned long long>(inplaceReuses));
 
-  tfjs::bench::Json doc = tfjs::bench::Json::object();
-  doc.set("bench", "alloc_reuse");
-  doc.set("backend", "native");
-  tfjs::bench::Json chain = tfjs::bench::Json::object();
-  chain.set("workload", "~50-op elementwise chain, 256x256");
-  chain.set("allocs_baseline", static_cast<double>(chainAllocsBase));
-  chain.set("allocs_optimized", static_cast<double>(chainAllocsOpt));
-  chain.set("alloc_reduction_pct", chainReduction);
-  chain.set("ms_baseline", chainMsBase);
-  chain.set("ms_optimized", chainMsOpt);
-  chain.set("bit_identical", tfjs::bench::Json::boolean(chainIdentical));
-  doc.set("chain", std::move(chain));
-  tfjs::bench::Json model = tfjs::bench::Json::object();
-  model.set("workload",
-            "2x conv1x1(64)+relu, GAP, dense(128)+relu, dense(10)+sigmoid");
-  model.set("allocs_baseline", static_cast<double>(modelAllocsBase));
-  model.set("allocs_optimized", static_cast<double>(modelAllocsOpt));
-  model.set("alloc_reduction_pct", modelReduction);
-  model.set("ms_baseline", modelMsBase);
-  model.set("ms_optimized", modelMsOpt);
-  model.set("bit_identical", tfjs::bench::Json::boolean(modelIdentical));
-  doc.set("model", std::move(model));
-  doc.set("inplace_reuses_per_pass", static_cast<double>(inplaceReuses));
-  doc.set("samples", kRepeats);
-  doc.writeFile("BENCH_alloc.json");
+  tfjs::io::Json doc;
+  doc["bench"] = "alloc_reuse";
+  doc["backend"] = "native";
+  doc["chain"] = chain.json("~50-op elementwise chain, 256x256");
+  doc["model"] = model.json(
+      "2x conv1x1(64)+relu, GAP, dense(128)+relu, dense(10)+sigmoid");
+  doc["inplace_reuses_per_pass"] = inplaceReuses;
+  doc["samples"] = kSamples;
+  tfjs::bench::writeBench(std::move(doc), "BENCH_alloc.json");
 
-  const bool pass = chainReduction >= 50.0 && modelReduction >= 50.0 &&
-                    chainIdentical && modelIdentical;
-  std::printf("gate (>=50%% fewer allocs, bit-identical): %s\n",
+  const bool pass = chain.pass() && model.pass();
+  std::printf("gate (>=50%% fewer allocs, bit-identical, optimized median <="
+              " baseline median + IQR): %s\n",
               pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -24,22 +24,21 @@
 //
 // `--smoke` runs the same gates at reduced timing repeats (for CI legs).
 //
-// Emits BENCH_graph.json at the repo root.
+// Emits BENCH_graph.json in the working directory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "backends/register.h"
+#include "bench/harness.h"
 #include "core/buffer_pool.h"
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "graph/capture.h"
 #include "graph/executor.h"
-#include "json_out.h"
 #include "models/mobilenet.h"
 #include "ops/ops.h"
 
@@ -76,17 +75,6 @@ std::uint64_t poolAllocsDuring(Fn&& fn) {
          (counterValue("pool.arena_misses") - arenaMissBefore);
 }
 
-/// One timing sample: per-pass ms over `inner` back-to-back passes.
-/// Sub-millisecond passes need batching — a single pass is within
-/// scheduler-jitter range of the clock.
-template <typename Fn>
-double batchPassMs(Fn&& fn, int inner) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < inner; ++i) fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count() / inner;
-}
-
 /// Times two workloads interleaved (A,B,A,B,...) and reports each one's
 /// minimum batch time. Interleaving means external load (this is a shared
 /// 1-core box) perturbs both the same way; the min is the quiet-machine
@@ -96,22 +84,14 @@ std::pair<double, double> minPassMsInterleaved(FnA&& a, FnB&& b, int repeats,
                                                int inner) {
   double minA = 1e300, minB = 1e300;
   for (int r = 0; r < repeats; ++r) {
-    minA = std::min(minA, batchPassMs(a, inner));
-    minB = std::min(minB, batchPassMs(b, inner));
+    minA = std::min(minA, tfjs::bench::passMs(a, inner));
+    minB = std::min(minB, tfjs::bench::passMs(b, inner));
   }
   return {minA, minB};
 }
 
-bool bitIdentical(const std::vector<float>& a, const std::vector<float>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
-double reductionPct(std::uint64_t base, std::uint64_t opt) {
-  return base == 0 ? 0.0
-                   : 100.0 * (1.0 - static_cast<double>(opt) /
-                                        static_cast<double>(base));
-}
+using tfjs::bench::bitIdentical;
+using tfjs::bench::reductionPct;
 
 struct Harness {
   std::unique_ptr<tfjs::layers::Sequential> model;
@@ -326,35 +306,35 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(planRecompiles),
       polyIdentical ? "yes" : "NO");
 
-  tfjs::bench::Json doc = tfjs::bench::Json::object();
-  doc.set("bench", "graph_exec");
-  doc.set("backend", "native");
-  doc.set("workload", "MobileNetV1 alpha=0.125 32x32 BN, batch 1");
-  doc.set("ms_eager", msEager);
-  doc.set("ms_captured", msCaptured);
-  doc.set("speedup", speedup);
-  doc.set("pool_allocs_eager", static_cast<double>(allocsEager));
-  doc.set("pool_allocs_captured", static_cast<double>(allocsCaptured));
-  doc.set("alloc_reduction_pct", reduction);
-  doc.set("nodes_captured", static_cast<double>(nodesOriginal));
-  doc.set("nodes_optimized", static_cast<double>(nodesOptimized));
-  doc.set("folded_nodes", static_cast<double>(counterValue("graph.folded_nodes")));
-  doc.set("fused_nodes", static_cast<double>(counterValue("graph.fused_nodes")));
-  doc.set("dce_removed", static_cast<double>(counterValue("graph.dce_removed")));
-  doc.set("bit_identical", tfjs::bench::Json::boolean(identical));
-  doc.set("ms_chain_unfused", msChainUnfused);
-  doc.set("ms_chain_fused", msChainFused);
-  doc.set("chain_speedup", chainSpeedup);
-  doc.set("chain_bit_identical", tfjs::bench::Json::boolean(chainIdentical));
-  doc.set("fused_regions", static_cast<double>(counterValue("graph.fused_regions")));
-  doc.set("region_ops", static_cast<double>(counterValue("graph.region_ops")));
-  doc.set("plan_compiles", static_cast<double>(counterValue("graph.plan_compiles")));
-  doc.set("plan_recompiles_batch_sweep", static_cast<double>(planRecompiles));
-  doc.set("arena_evictions", static_cast<double>(counterValue("pool.arena_evictions")));
-  doc.set("poly_bit_identical", tfjs::bench::Json::boolean(polyIdentical));
-  doc.set("samples", kRepeats);
-  doc.set("smoke", tfjs::bench::Json::boolean(smoke));
-  doc.writeFile("BENCH_graph.json");
+  tfjs::io::Json doc;
+  doc["bench"] = "graph_exec";
+  doc["backend"] = "native";
+  doc["workload"] = "MobileNetV1 alpha=0.125 32x32 BN, batch 1";
+  doc["ms_eager"] = msEager;
+  doc["ms_captured"] = msCaptured;
+  doc["speedup"] = speedup;
+  doc["pool_allocs_eager"] = allocsEager;
+  doc["pool_allocs_captured"] = allocsCaptured;
+  doc["alloc_reduction_pct"] = reduction;
+  doc["nodes_captured"] = nodesOriginal;
+  doc["nodes_optimized"] = nodesOptimized;
+  doc["bit_identical"] = identical;
+  doc["ms_chain_unfused"] = msChainUnfused;
+  doc["ms_chain_fused"] = msChainFused;
+  doc["chain_speedup"] = chainSpeedup;
+  doc["chain_bit_identical"] = chainIdentical;
+  doc["plan_recompiles_batch_sweep"] = planRecompiles;
+  doc["poly_bit_identical"] = polyIdentical;
+  doc["folded_nodes"] = counterValue("graph.folded_nodes");
+  doc["fused_nodes"] = counterValue("graph.fused_nodes");
+  doc["dce_removed"] = counterValue("graph.dce_removed");
+  doc["fused_regions"] = counterValue("graph.fused_regions");
+  doc["region_ops"] = counterValue("graph.region_ops");
+  doc["plan_compiles"] = counterValue("graph.plan_compiles");
+  doc["arena_evictions"] = counterValue("pool.arena_evictions");
+  doc["samples"] = kRepeats;
+  doc["smoke"] = smoke;
+  tfjs::bench::writeBench(std::move(doc), "BENCH_graph.json");
 
   const bool mobilenetPass = speedup >= 1.2 && reduction >= 90.0 && identical;
   const bool chainPass = chainSpeedup >= 1.5 && chainIdentical;

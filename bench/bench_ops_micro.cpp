@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "backends/register.h"
-#include "bench/json_out.h"
+#include "bench/harness.h"
 #include "core/engine.h"
 #include "ops/ops.h"
 
@@ -104,29 +104,6 @@ void BM_Softmax(benchmark::State& state) {
 BENCHMARK(BM_Softmax)->ArgsProduct({{0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
-// Native-backend GEMM at explicit thread counts — the scaling curve in
-// google-benchmark form (the JSON sweep below is the scripted equivalent).
-void BM_MatMulNativeThreads(benchmark::State& state) {
-  tfjs::setBackend("native");
-  tfjs::setNumThreads(static_cast<int>(state.range(0)));
-  const int n = static_cast<int>(state.range(1));
-  tfjs::Tensor a = o::randomNormal(tfjs::Shape{n, n}, 0, 1, 1);
-  tfjs::Tensor b = o::randomNormal(tfjs::Shape{n, n}, 0, 1, 2);
-  for (auto _ : state) {
-    tfjs::Tensor c = o::matMul(a, b);
-    c.dataSync();
-    c.dispose();
-  }
-  state.counters["GFLOP/s"] = benchmark::Counter(
-      2.0 * n * n * n * static_cast<double>(state.iterations()) / 1e9,
-      benchmark::Counter::kIsRate);
-  a.dispose();
-  b.dispose();
-}
-BENCHMARK(BM_MatMulNativeThreads)
-    ->ArgsProduct({{1, 2, 4}, {256, 1024}})
-    ->Unit(benchmark::kMillisecond);
-
 // ------------------------------------------------------- threads sweep mode
 
 /// Average wall ms of `runs` timed calls of f (after one warm-up).
@@ -181,37 +158,33 @@ int runThreadsSweep(const std::string& jsonPath, int gemmN,
   x.dispose();
   y.dispose();
 
-  using tfjs::bench::Json;
-  Json machine = Json::object();
-  machine.set("hardware_concurrency", hw);
-  machine.set("runs_per_point", runs);
-  Json gemm = Json::object();
-  gemm.set("m", gemmN).set("k", gemmN).set("n", gemmN);
-  Json add = Json::object();
-  add.set("elems", static_cast<double>(addElems));
-  Json gemmPoints = Json::array(), addPoints = Json::array();
+  tfjs::io::Json doc;
+  doc["bench"] = "bench_ops_micro --threads-sweep";
+  doc["backend"] = "native";
+  doc["runs_per_point"] = runs;
+  tfjs::io::Json& gemm = doc["gemm"];
+  gemm["m"] = gemm["k"] = gemm["n"] = gemmN;
+  tfjs::io::Json& add = doc["add_same_shape"];
+  add["elems"] = addElems;
+  tfjs::io::JsonArray gemmPoints, addPoints;
   const double gemmBase = points.front().gemmMs;
   const double addBase = points.front().addMs;
   for (const Point& p : points) {
-    gemmPoints.push(Json::object()
-                        .set("threads", p.threads)
-                        .set("ms", p.gemmMs)
-                        .set("gflops", gemmFlops / (p.gemmMs * 1e6))
-                        .set("speedup_vs_1", gemmBase / p.gemmMs));
-    addPoints.push(Json::object()
-                       .set("threads", p.threads)
-                       .set("ms", p.addMs)
-                       .set("speedup_vs_1", addBase / p.addMs));
+    tfjs::io::Json g;
+    g["threads"] = p.threads;
+    g["ms"] = p.gemmMs;
+    g["gflops"] = gemmFlops / (p.gemmMs * 1e6);
+    g["speedup_vs_1"] = gemmBase / p.gemmMs;
+    gemmPoints.push_back(std::move(g));
+    tfjs::io::Json a;
+    a["threads"] = p.threads;
+    a["ms"] = p.addMs;
+    a["speedup_vs_1"] = addBase / p.addMs;
+    addPoints.push_back(std::move(a));
   }
-  gemm.set("points", std::move(gemmPoints));
-  add.set("points", std::move(addPoints));
-  Json doc = Json::object();
-  doc.set("bench", "bench_ops_micro --threads-sweep");
-  doc.set("backend", "native");
-  doc.set("machine", std::move(machine));
-  doc.set("gemm", std::move(gemm));
-  doc.set("add_same_shape", std::move(add));
-  if (!doc.writeFile(jsonPath)) return 1;
+  gemm["points"] = std::move(gemmPoints);
+  add["points"] = std::move(addPoints);
+  if (!tfjs::bench::writeBench(std::move(doc), jsonPath)) return 1;
   std::printf("\nwrote %s\n", jsonPath.c_str());
   return 0;
 }

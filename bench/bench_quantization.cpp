@@ -19,14 +19,12 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <thread>
 
 #include "backends/register.h"
-#include "bench/json_out.h"
+#include "bench/harness.h"
 #include "core/engine.h"
 #include "data/synthetic.h"
 #include "io/model_io.h"
-#include "layers/core_layers.h"
 #include "layers/quantize.h"
 #include "models/mobilenet.h"
 #include "ops/ops.h"
@@ -135,32 +133,15 @@ ExecResult execCompare(std::unique_ptr<Sequential> f32Model,
   return r;
 }
 
-std::unique_ptr<Sequential> buildTower() {
-  auto m = std::make_unique<Sequential>("tower");
-  for (int i = 0; i < 32; ++i) {
-    tfjs::layers::DenseOptions d;
-    d.units = 32;
-    d.activation = "relu";
-    d.name = "fc" + std::to_string(i);
-    m->add(std::make_shared<tfjs::layers::Dense>(d));
-  }
-  tfjs::layers::DenseOptions head;
-  head.units = 10;
-  head.activation = "softmax";
-  head.name = "head";
-  m->add(std::make_shared<tfjs::layers::Dense>(head));
-  return m;
-}
-
-tfjs::bench::Json execJson(const char* workload, const ExecResult& r) {
-  tfjs::bench::Json j = tfjs::bench::Json::object();
-  j.set("workload", workload);
-  j.set("f32_ms", r.f32Ms);
-  j.set("int8_ms", r.int8Ms);
-  j.set("speedup", r.speedup());
-  j.set("max_abs_output_err", r.maxAbsErr);
-  j.set("top1_agreement", r.top1Agree);
-  j.set("kernels_quantized", r.kernelsQuantized);
+tfjs::io::Json execJson(const char* workload, const ExecResult& r) {
+  tfjs::io::Json j;
+  j["workload"] = workload;
+  j["f32_ms"] = r.f32Ms;
+  j["int8_ms"] = r.int8Ms;
+  j["speedup"] = r.speedup();
+  j["max_abs_output_err"] = r.maxAbsErr;
+  j["top1_agreement"] = r.top1Agree;
+  j["kernels_quantized"] = r.kernelsQuantized;
   return j;
 }
 
@@ -179,13 +160,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  tfjs::bench::Json doc = tfjs::bench::Json::object();
-  doc.set("bench", "quantization");
-  doc.set("backend", "native");
-  tfjs::bench::Json machine = tfjs::bench::Json::object();
-  machine.set("hardware_concurrency",
-              static_cast<int>(std::thread::hardware_concurrency()));
-  doc.set("machine", std::move(machine));
+  tfjs::io::Json doc;
+  doc["bench"] = "quantization";
+  doc["backend"] = "native";
 
   // ---------------------------------------------------------- transport
   tfjs::models::MobileNetOptions mn;
@@ -201,7 +178,7 @@ int main(int argc, char** argv) {
   std::printf("%-10s %14s %8s %16s %16s\n", "format", "weight bytes",
               "shards", "max |error|", "top-1 agreement");
 
-  tfjs::bench::Json transport = tfjs::bench::Json::array();
+  tfjs::io::JsonArray transport;
   using tfjs::io::Quantization;
   for (Quantization q : {Quantization::kNone, Quantization::kUint16,
                          Quantization::kUint8, Quantization::kInt8}) {
@@ -228,17 +205,16 @@ int main(int argc, char** argv) {
                 tfjs::io::quantizationName(q),
                 artifacts.weights.totalBytes(),
                 artifacts.weights.shards.size(), maxErr, agree * 100);
-    tfjs::bench::Json row = tfjs::bench::Json::object();
-    row.set("format", tfjs::io::quantizationName(q));
-    row.set("weight_bytes", static_cast<double>(
-                                artifacts.weights.totalBytes()));
-    row.set("shards", static_cast<int>(artifacts.weights.shards.size()));
-    row.set("max_weight_err", maxErr);
-    row.set("top1_agreement", agree);
-    transport.push(std::move(row));
+    tfjs::io::Json row;
+    row["format"] = tfjs::io::quantizationName(q);
+    row["weight_bytes"] = artifacts.weights.totalBytes();
+    row["shards"] = artifacts.weights.shards.size();
+    row["max_weight_err"] = maxErr;
+    row["top1_agreement"] = agree;
+    transport.push_back(std::move(row));
     loaded->dispose();
   }
-  doc.set("transport", std::move(transport));
+  doc["transport"] = std::move(transport);
   model->dispose();
 
   // ---------------------------------------------------------- execution
@@ -272,30 +248,27 @@ int main(int argc, char** argv) {
   report("mobilenet_0.25_32", smallRes);
 
   const ExecResult towerRes =
-      execCompare(buildTower(), buildTower(), Shape{1, 32}, 200, 0, 0);
+      execCompare(tfjs::bench::buildTower(), tfjs::bench::buildTower(),
+                  Shape{1, 32}, 200, 0, 0);
   report("mlp_tower_32x32", towerRes);
 
-  tfjs::bench::Json exec = tfjs::bench::Json::object();
-  exec.set("methodology",
-           "wall ms of predict+dataSync averaged after warm-up, single "
-           "input, same machine as BENCH_table1 (its native f32 row is the "
-           "reference)");
-  exec.set("mobilenet_224", execJson("MobileNet v1 1.0_224", gate));
-  exec.set("mobilenet_0.25_32",
-           execJson("MobileNet v1 0.25_32, 10 classes", smallRes));
-  exec.set("tower", execJson("MLP tower 32 wide x 32 deep", towerRes));
-  doc.set("execution", std::move(exec));
+  tfjs::io::Json& exec = doc["execution"];
+  exec["methodology"] =
+      "wall ms of predict+dataSync averaged after warm-up, single input, "
+      "same machine as BENCH_table1 (its native f32 row is the reference)";
+  exec["mobilenet_224"] = execJson("MobileNet v1 1.0_224", gate);
+  exec["mobilenet_0.25_32"] =
+      execJson("MobileNet v1 0.25_32, 10 classes", smallRes);
+  exec["tower"] = execJson("MLP tower 32 wide x 32 deep", towerRes);
 
   const bool pass = gate.speedup() >= 2.0 && gate.top1Agree >= 0.99;
-  tfjs::bench::Json gateJson = tfjs::bench::Json::object();
-  gateJson.set("criterion",
-               "int8 mobilenet_1.0_224 >= 2x f32 wall, top-1 agreement >= "
-               "99% vs f32");
-  gateJson.set("speedup", gate.speedup());
-  gateJson.set("top1_agreement", gate.top1Agree);
-  gateJson.set("pass", tfjs::bench::Json::boolean(pass));
-  doc.set("gate", std::move(gateJson));
-  doc.writeFile("BENCH_quant.json");
+  tfjs::io::Json& gateJson = doc["gate"];
+  gateJson["criterion"] =
+      "int8 mobilenet_1.0_224 >= 2x f32 wall, top-1 agreement >= 99% vs f32";
+  gateJson["speedup"] = gate.speedup();
+  gateJson["top1_agreement"] = gate.top1Agree;
+  gateJson["pass"] = pass;
+  tfjs::bench::writeBench(std::move(doc), "BENCH_quant.json");
 
   std::printf("\nShape check: int8 shrinks the bundle ~4x like uint8 AND "
               "executes >= 2x faster than f32 (the paper's transport-only "

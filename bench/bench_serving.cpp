@@ -4,39 +4,22 @@
 // per-request outputs bit-identical to a direct single-example forward
 // pass (batching changes scheduling, never results).
 //
-// Two workloads on the native backend:
-//  * tower — a deep, narrow MLP (32 wide, 32 layers; the ranking-tower
-//    shape that dominates production serving). At batch 1 every matMul is
-//    a GEMV and per-op dispatch overhead is comparable to compute: the
-//    regime dynamic batching targets, and the workload the gate runs on.
-//  * mobilenet — MobileNet v1 0.25_32. Its convs present a large GEMM
-//    row count (batch x spatial positions) even for one example, so a
-//    single request already saturates the core: batching is measured and
-//    reported, but roughly throughput-neutral here by design. Reported for
-//    honesty, not gated.
+// Workload: the MLP tower (bench/harness.h) on the native backend. At batch
+// 1 every matMul is a GEMV and per-op dispatch overhead is comparable to
+// compute: the regime dynamic batching targets. Saturation is a closed
+// firehose (blocking submits against the bounded queue), unbatched vs
+// batched. Open-loop serving (Poisson arrivals, rate ladders, latency
+// percentiles) is perfbench's serve_tower workload.
 //
-// Two measurements per workload:
-//  * saturation — a closed firehose (blocking submits against the bounded
-//    queue) measures peak sustainable throughput, unbatched vs batched;
-//  * open-loop sweep (tower only) — a generator submits at fixed offered
-//    rates (tryInfer: overload is shed, not queued forever) and records
-//    achieved throughput, p50/p99 latency, shed rate and mean batch size.
-//
-// Emits BENCH_serving.json at the repo root.
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
+// Emits BENCH_serving.json in the working directory.
 #include <chrono>
 #include <cstdio>
 #include <random>
-#include <thread>
 #include <vector>
 
 #include "backends/register.h"
+#include "bench/harness.h"
 #include "core/engine.h"
-#include "json_out.h"
-#include "layers/core_layers.h"
-#include "models/mobilenet.h"
 #include "serving/server.h"
 
 using tfjs::Shape;
@@ -47,39 +30,7 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-struct Workload {
-  const char* name;
-  Shape example;
-  std::unique_ptr<tfjs::layers::Sequential> (*build)();
-};
-
-std::unique_ptr<tfjs::layers::Sequential> buildTower() {
-  auto m = std::make_unique<tfjs::layers::Sequential>("tower");
-  for (int i = 0; i < 32; ++i) {
-    tfjs::layers::DenseOptions d;
-    d.units = 32;
-    d.activation = "relu";
-    d.name = "fc" + std::to_string(i);
-    m->add(std::make_shared<tfjs::layers::Dense>(d));
-  }
-  tfjs::layers::DenseOptions head;
-  head.units = 10;
-  head.activation = "softmax";
-  head.name = "head";
-  m->add(std::make_shared<tfjs::layers::Dense>(head));
-  return m;
-}
-
-std::unique_ptr<tfjs::layers::Sequential> buildMobileNet() {
-  tfjs::models::MobileNetOptions opts;
-  opts.alpha = 0.25f;
-  opts.inputSize = 32;
-  opts.numClasses = 10;
-  return tfjs::models::buildMobileNetV1(opts);
-}
-
-const Workload kTower{"tower", Shape{32}, buildTower};
-const Workload kMobileNet{"mobilenet", Shape{32, 32, 3}, buildMobileNet};
+const Shape kExample{32};  // one tower input
 
 ServerOptions serverOpts(int maxBatch) {
   ServerOptions opts;
@@ -90,24 +41,17 @@ ServerOptions serverOpts(int maxBatch) {
   return opts;
 }
 
-std::vector<std::vector<float>> makeInputs(const Workload& w, int n) {
+std::vector<std::vector<float>> makeInputs(int n) {
   std::mt19937 rng(42);
   std::uniform_real_distribution<float> dist(-1.f, 1.f);
   std::vector<std::vector<float>> inputs;
   inputs.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    std::vector<float> v(w.example.size());
+    std::vector<float> v(kExample.size());
     for (auto& x : v) x = dist(rng);
     inputs.push_back(std::move(v));
   }
   return inputs;
-}
-
-double percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const auto idx = static_cast<std::size_t>(
-      p * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
 }
 
 // ----------------------------------------------------------- saturation
@@ -121,11 +65,11 @@ struct SaturationResult {
 /// Peak sustainable throughput: `total` blocking submits against the
 /// bounded queue keep the scheduler saturated; elapsed time to the last
 /// completion is the denominator.
-SaturationResult saturate(const Workload& w, int maxBatch, int total,
+SaturationResult saturate(int maxBatch, int total,
                           const std::vector<std::vector<float>>& inputs) {
-  InferenceServer server(w.build(), serverOpts(maxBatch));
+  InferenceServer server(tfjs::bench::buildTower(), serverOpts(maxBatch));
   auto session = server.createSession("firehose");
-  session->inferSync(inputs[0], w.example);  // build weights, warm caches
+  session->inferSync(inputs[0], kExample);  // build weights, warm caches
 
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(static_cast<std::size_t>(total));
@@ -133,7 +77,7 @@ SaturationResult saturate(const Workload& w, int maxBatch, int total,
   for (int i = 0; i < total; ++i) {
     futures.push_back(
         session->infer(inputs[static_cast<std::size_t>(i) % inputs.size()],
-                       w.example));
+                       kExample));
   }
   for (auto& f : futures) f.get();
   const double elapsedS =
@@ -147,75 +91,17 @@ SaturationResult saturate(const Workload& w, int maxBatch, int total,
   return r;
 }
 
-// -------------------------------------------------------- open-loop sweep
-
-struct SweepPoint {
-  double offeredRps = 0;
-  double achievedRps = 0;
-  double p50Ms = 0, p99Ms = 0;
-  double shedPct = 0;
-  double meanBatch = 0;
-};
-
-/// Open-loop generator: submits at a fixed rate for `durationS` regardless
-/// of completions (tryInfer sheds when the bounded queue is full), then
-/// waits for the accepted tail and reports the latency distribution.
-SweepPoint sweepPoint(const Workload& w, int maxBatch, double offeredRps,
-                      double durationS,
-                      const std::vector<std::vector<float>>& inputs) {
-  InferenceServer server(w.build(), serverOpts(maxBatch));
-  auto session = server.createSession("open-loop");
-  session->inferSync(inputs[0], w.example);
-
-  const auto period = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(1.0 / offeredRps));
-  const int total = static_cast<int>(offeredRps * durationS);
-  std::vector<std::future<InferenceResult>> futures;
-  futures.reserve(static_cast<std::size_t>(total));
-  int shed = 0;
-  const auto t0 = Clock::now();
-  auto next = t0;
-  for (int i = 0; i < total; ++i) {
-    std::this_thread::sleep_until(next);
-    next += period;
-    auto fut = session->tryInfer(
-        inputs[static_cast<std::size_t>(i) % inputs.size()], w.example);
-    if (fut) {
-      futures.push_back(std::move(*fut));
-    } else {
-      ++shed;
-    }
-  }
-  std::vector<double> latencies;
-  latencies.reserve(futures.size());
-  for (auto& f : futures) latencies.push_back(f.get().totalMs);
-  const double elapsedS =
-      std::chrono::duration<double>(Clock::now() - t0).count();
-  server.stop();
-
-  std::sort(latencies.begin(), latencies.end());
-  SweepPoint p;
-  p.offeredRps = offeredRps;
-  p.achievedRps = static_cast<double>(latencies.size()) / elapsedS;
-  p.p50Ms = percentile(latencies, 0.50);
-  p.p99Ms = percentile(latencies, 0.99);
-  p.shedPct = 100.0 * shed / std::max(total, 1);
-  p.meanBatch = server.stats().meanBatchSize();
-  return p;
-}
-
 // ------------------------------------------------------------ bit-identity
 
 /// Batched results must match a direct [1,...] forward pass exactly.
-bool verifyBitIdentical(const Workload& w,
-                        const std::vector<std::vector<float>>& inputs) {
+bool verifyBitIdentical(const std::vector<std::vector<float>>& inputs) {
   ServerOptions opts = serverOpts(8);
   opts.batchDelayMs = 50;  // force coalescing
-  InferenceServer server(w.build(), opts);
+  InferenceServer server(tfjs::bench::buildTower(), opts);
   auto session = server.createSession("verify");
   std::vector<std::future<InferenceResult>> futures;
   for (const auto& in : inputs) {
-    futures.push_back(session->infer(in, w.example));
+    futures.push_back(session->infer(in, kExample));
   }
   std::vector<InferenceResult> results;
   for (auto& f : futures) results.push_back(f.get());
@@ -224,10 +110,8 @@ bool verifyBitIdentical(const Workload& w,
   tfjs::setBackend("native");
   bool identical = true;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    std::vector<int> dims{1};
-    for (int d : w.example.dims()) dims.push_back(d);
     tfjs::Tensor x =
-        tfjs::Engine::get().makeTensorFromHost(inputs[i], Shape(dims));
+        tfjs::Engine::get().makeTensorFromHost(inputs[i], Shape{1, 32});
     tfjs::Tensor y = server.model().predict(x);
     identical = identical && y.dataSync() == results[i].values;
     x.dispose();
@@ -236,125 +120,38 @@ bool verifyBitIdentical(const Workload& w,
   return identical;
 }
 
-// ------------------------------------------------- google-benchmark mirror
-
-void BM_ServingSingleRequest(benchmark::State& state) {
-  InferenceServer server(kTower.build(), serverOpts(1));
-  auto session = server.createSession();
-  const auto inputs = makeInputs(kTower, 1);
-  session->inferSync(inputs[0], kTower.example);
-  for (auto _ : state) session->inferSync(inputs[0], kTower.example);
-  server.stop();
-}
-BENCHMARK(BM_ServingSingleRequest)->Unit(benchmark::kMicrosecond);
-
-tfjs::bench::Json saturationJson(const SaturationResult& unbatched,
-                                 const SaturationResult& batched,
-                                 int requests) {
-  tfjs::bench::Json sat = tfjs::bench::Json::object();
-  sat.set("unbatched_rps", unbatched.rps);
-  sat.set("batched_rps", batched.rps);
-  sat.set("speedup", unbatched.rps > 0 ? batched.rps / unbatched.rps : 0);
-  sat.set("batched_mean_batch", batched.meanBatch);
-  sat.set("batched_max_batch", batched.maxBatch);
-  sat.set("requests", requests);
-  return sat;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   tfjs::backends::registerAll();
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
 
   constexpr int kBatched = 8;
-  constexpr int kSaturationRequests = 512;
+  constexpr int kRequests = 512;
 
-  // ------------------------------------------------ tower (gate workload)
-  const auto towerInputs = makeInputs(kTower, 16);
-  const bool towerIdentical = verifyBitIdentical(kTower, towerInputs);
-  const SaturationResult towerUnbatched =
-      saturate(kTower, /*maxBatch=*/1, kSaturationRequests, towerInputs);
-  const SaturationResult towerBatched =
-      saturate(kTower, kBatched, kSaturationRequests, towerInputs);
-  const double speedup =
-      towerUnbatched.rps > 0 ? towerBatched.rps / towerUnbatched.rps : 0;
-  std::printf("\ntower saturation: unbatched %.0f req/s, batched %.0f req/s "
-              "(%.2fx, mean batch %.1f, max %d)\n",
-              towerUnbatched.rps, towerBatched.rps, speedup,
-              towerBatched.meanBatch, towerBatched.maxBatch);
+  const auto inputs = makeInputs(16);
+  const bool identical = verifyBitIdentical(inputs);
+  const SaturationResult unbatched = saturate(/*maxBatch=*/1, kRequests, inputs);
+  const SaturationResult batched = saturate(kBatched, kRequests, inputs);
+  const double speedup = unbatched.rps > 0 ? batched.rps / unbatched.rps : 0;
+  std::printf("tower saturation: unbatched %.0f req/s, batched %.0f req/s "
+              "(%.2fx, mean batch %.1f, max %d), bit-identical: %s\n",
+              unbatched.rps, batched.rps, speedup, batched.meanBatch,
+              batched.maxBatch, identical ? "yes" : "NO");
 
-  // Offered loads bracket the unbatched capacity: below it both configs
-  // keep up; above it only batching can absorb the offered rate.
-  const std::vector<double> loadFactors{0.5, 1.0, 2.0, 3.0};
-  const double sweepDurationS = 1.5;
-  tfjs::bench::Json sweep = tfjs::bench::Json::array();
-  std::printf("%-10s %-12s %-14s %-10s %-10s %-8s %-8s\n", "config",
-              "offered/s", "achieved/s", "p50 ms", "p99 ms", "shed %",
-              "batch");
-  for (const int maxBatch : {1, kBatched}) {
-    for (const double factor : loadFactors) {
-      const double offered = towerUnbatched.rps * factor;
-      const SweepPoint p =
-          sweepPoint(kTower, maxBatch, offered, sweepDurationS, towerInputs);
-      std::printf("%-10s %-12.0f %-14.0f %-10.3f %-10.3f %-8.1f %-8.1f\n",
-                  maxBatch == 1 ? "unbatched" : "batched", p.offeredRps,
-                  p.achievedRps, p.p50Ms, p.p99Ms, p.shedPct, p.meanBatch);
-      tfjs::bench::Json row = tfjs::bench::Json::object();
-      row.set("config", maxBatch == 1 ? "unbatched" : "batched");
-      row.set("max_batch", maxBatch);
-      row.set("offered_rps", p.offeredRps);
-      row.set("achieved_rps", p.achievedRps);
-      row.set("p50_ms", p.p50Ms);
-      row.set("p99_ms", p.p99Ms);
-      row.set("shed_pct", p.shedPct);
-      row.set("mean_batch", p.meanBatch);
-      sweep.push(std::move(row));
-    }
-  }
+  tfjs::io::Json doc;
+  doc["bench"] = "serving";
+  doc["backend"] = "native";
+  doc["workload"] = "MLP tower 32x32 wide/deep, 10 classes";
+  doc["requests"] = kRequests;
+  doc["unbatched_rps"] = unbatched.rps;
+  doc["batched_rps"] = batched.rps;
+  doc["speedup"] = speedup;
+  doc["batched_mean_batch"] = batched.meanBatch;
+  doc["batched_max_batch"] = batched.maxBatch;
+  doc["bit_identical"] = identical;
+  tfjs::bench::writeBench(std::move(doc), "BENCH_serving.json");
 
-  // ------------------------------------------- mobilenet (reported only)
-  const auto mobileInputs = makeInputs(kMobileNet, 16);
-  const bool mobileIdentical = verifyBitIdentical(kMobileNet, mobileInputs);
-  const SaturationResult mobileUnbatched =
-      saturate(kMobileNet, /*maxBatch=*/1, 256, mobileInputs);
-  const SaturationResult mobileBatched =
-      saturate(kMobileNet, kBatched, 256, mobileInputs);
-  std::printf("mobilenet saturation: unbatched %.0f req/s, batched %.0f "
-              "req/s (%.2fx; conv GEMMs saturate the core at batch 1)\n",
-              mobileUnbatched.rps, mobileBatched.rps,
-              mobileUnbatched.rps > 0
-                  ? mobileBatched.rps / mobileUnbatched.rps
-                  : 0);
-
-  tfjs::bench::Json doc = tfjs::bench::Json::object();
-  doc.set("bench", "serving");
-  doc.set("backend", "native");
-  tfjs::bench::Json machine = tfjs::bench::Json::object();
-  machine.set("hardware_concurrency",
-              static_cast<int>(std::thread::hardware_concurrency()));
-  doc.set("machine", std::move(machine));
-  tfjs::bench::Json tower = tfjs::bench::Json::object();
-  tower.set("workload", "MLP tower 32x32 wide/deep, 10 classes");
-  tower.set("saturation", saturationJson(towerUnbatched, towerBatched,
-                                         kSaturationRequests));
-  tower.set("open_loop_sweep", std::move(sweep));
-  tower.set("bit_identical", tfjs::bench::Json::boolean(towerIdentical));
-  doc.set("tower", std::move(tower));
-  tfjs::bench::Json mobile = tfjs::bench::Json::object();
-  mobile.set("workload", "MobileNet v1 0.25_32, 10 classes");
-  mobile.set("saturation",
-             saturationJson(mobileUnbatched, mobileBatched, 256));
-  mobile.set("bit_identical", tfjs::bench::Json::boolean(mobileIdentical));
-  mobile.set("note", "conv workloads saturate one core at batch 1 (GEMM "
-                     "rows = spatial positions); batching is latency/"
-                     "fairness-neutral here, gated on the tower workload");
-  doc.set("mobilenet", std::move(mobile));
-  doc.writeFile("BENCH_serving.json");
-
-  const bool pass = speedup >= 2.0 && towerBatched.meanBatch >= 4.0 &&
-                    towerIdentical && mobileIdentical;
+  const bool pass = speedup >= 2.0 && batched.meanBatch >= 4.0 && identical;
   std::printf("gate (tower batched >= 2x unbatched at mean batch >= 4, "
               "bit-identical): %s\n",
               pass ? "PASS" : "FAIL");

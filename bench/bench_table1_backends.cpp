@@ -16,18 +16,15 @@
 // Flags: --alpha <f> --size <n> --runs <n> (defaults 1.0 / 224 / paper-style
 // averaging with fewer repeats on the slow simulated paths), plus
 // --json <path> (default BENCH_table1.json; run from the repo root so the
-// file lands there). The native row is additionally swept at
-// 1/2/4/hardware_concurrency intra-op threads and recorded in the JSON.
-#include <algorithm>
+// file lands there). The native backend's intra-op thread scaling is
+// bench_ops_micro --threads-sweep (BENCH_threads.json).
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <string>
-#include <thread>
 
 #include "backends/register.h"
 #include "backends/webgl/webgl_backend.h"
-#include "bench/json_out.h"
+#include "bench/harness.h"
 #include "core/engine.h"
 #include "models/mobilenet.h"
 #include "ops/ops.h"
@@ -145,51 +142,23 @@ int main(int argc, char** argv) {
           ? "HOLDS"
           : "VIOLATED");
 
-  // The native row again, at each intra-op thread count.
-  const unsigned hwRaw = std::thread::hardware_concurrency();
-  const int hw = hwRaw == 0 ? 1 : static_cast<int>(hwRaw);
-  std::printf("\n== native backend vs intra-op threads ==\n");
-  struct SweepPoint {
-    int threads;
-    double ms;
-  };
-  std::vector<SweepPoint> sweep;
-  for (int t : std::set<int>{1, 2, 4, hw}) {
-    tfjs::setNumThreads(t);
-    Row r = runBackend("native", "native", mn, fastRuns, /*modeled=*/false);
-    sweep.push_back({t, r.ms});
-    std::printf("  %2d threads: %10.2f ms (%.2fx vs 1 thread)\n", t, r.ms,
-                sweep.front().ms / r.ms);
-  }
-
-  using tfjs::bench::Json;
-  Json jRows = Json::array();
+  tfjs::io::JsonArray jRows;
   for (const auto& r : rows) {
-    jRows.push(Json::object()
-                   .set("label", r.label)
-                   .set("ms", r.ms)
-                   .set("speedup_vs_plain", base / r.ms)
-                   .set("basis", r.basis));
+    tfjs::io::Json row;
+    row["label"] = r.label;
+    row["ms"] = r.ms;
+    row["speedup_vs_plain"] = base / r.ms;
+    row["basis"] = r.basis;
+    jRows.push_back(std::move(row));
   }
-  Json jSweep = Json::array();
-  for (const auto& p : sweep) {
-    jSweep.push(Json::object()
-                    .set("threads", p.threads)
-                    .set("ms", p.ms)
-                    .set("speedup_vs_1", sweep.front().ms / p.ms));
-  }
-  Json doc = Json::object();
-  doc.set("bench", "bench_table1_backends");
-  doc.set("model", Json::object()
-                       .set("name", "mobilenet_v1")
-                       .set("alpha", mn.alpha)
-                       .set("input_size", mn.inputSize)
-                       .set("gflops", tfjs::models::mobileNetV1Flops(mn) / 1e9));
-  doc.set("machine",
-          Json::object().set("hardware_concurrency", hw));
-  doc.set("rows", std::move(jRows));
-  doc.set("native_threads_sweep", std::move(jSweep));
-  if (!doc.writeFile(jsonPath)) return 1;
+  tfjs::io::Json doc;
+  doc["bench"] = "bench_table1_backends";
+  doc["model"]["name"] = "mobilenet_v1";
+  doc["model"]["alpha"] = mn.alpha;
+  doc["model"]["input_size"] = mn.inputSize;
+  doc["model"]["gflops"] = tfjs::models::mobileNetV1Flops(mn) / 1e9;
+  doc["rows"] = std::move(jRows);
+  if (!tfjs::bench::writeBench(std::move(doc), jsonPath)) return 1;
   std::printf("\nwrote %s\n", jsonPath.c_str());
   return 0;
 }

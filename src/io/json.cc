@@ -1,6 +1,7 @@
 #include "io/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -46,13 +47,15 @@ void dumpValue(const Json& j, std::ostream& os, int indent, int depth) {
     os << (j.asBool() ? "true" : "false");
   } else if (j.isNumber()) {
     const double d = j.asDouble();
-    if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    if (!std::isfinite(d)) {
+      os << "null";  // JSON has no NaN or infinity
+    } else if (d == std::floor(d) && std::fabs(d) < 1e15) {
       os << static_cast<long long>(d);
     } else {
-      std::ostringstream tmp;
-      tmp.precision(17);
-      tmp << d;
-      os << tmp.str();
+      // Shortest text that parses back to the same double.
+      char buf[32];
+      const auto res = std::to_chars(buf, buf + sizeof(buf), d);
+      os.write(buf, res.ptr - buf);
     }
   } else if (j.isString()) {
     dumpString(j.asString(), os);

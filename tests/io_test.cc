@@ -3,8 +3,10 @@
 // round trips, and the converter's training-op pruning.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 
 #include "core/engine.h"
 #include "io/converter.h"
@@ -58,6 +60,21 @@ TEST_F(IoTest, JsonPrettyPrint) {
   const std::string pretty = j.dump(2);
   EXPECT_NE(pretty.find("\n"), std::string::npos);
   EXPECT_EQ(io::Json::parse(pretty).dump(), j.dump());
+}
+
+TEST_F(IoTest, JsonNonFiniteAndShortestNumbers) {
+  io::Json j;
+  j["nan"] = std::nan("");
+  j["inf"] = std::numeric_limits<double>::infinity();
+  j["ninf"] = -std::numeric_limits<double>::infinity();
+  j["tenth"] = 0.1;
+  const std::string text = j.dump(2);
+  EXPECT_NE(text.find("\"tenth\": 0.1\n"), std::string::npos) << text;
+  const io::Json back = io::Json::parse(text);
+  EXPECT_TRUE(back.at("nan").isNull());
+  EXPECT_TRUE(back.at("inf").isNull());
+  EXPECT_TRUE(back.at("ninf").isNull());
+  EXPECT_EQ(back.at("tenth").asDouble(), 0.1);
 }
 
 // ---------------------------------------------------------------- weights

@@ -10,13 +10,24 @@
 # error.
 #
 # Usage: tools/ci.sh [--smoke]   (from the repo root)
-#   --smoke   additionally run the graph-exec bench gates at reduced
-#             timing repeats (bench_graph_exec --smoke): MobileNet >=1.2x,
-#             elementwise chain >=1.5x fused vs unfused, zero plan
-#             re-instantiations across a batch-size sweep — all at
-#             bit-identical outputs. Wall-clock thresholds on a loaded CI
-#             box are noisy; the bit-identical and zero-recompile gates
-#             are the stable part.
+#   --smoke   additionally run every bench gate, each failing through its
+#             exit code:
+#               bench_graph_exec --smoke  MobileNet >=1.2x with >=90% fewer
+#                 pool allocations, elementwise chain >=1.5x fused vs
+#                 unfused, zero plan re-instantiations across a batch-size
+#                 sweep;
+#               bench_alloc_reuse  >=50% fewer allocations, optimized median
+#                 time within the baseline's median + IQR;
+#               bench_serving  batched tower >=2x unbatched at mean batch
+#                 >=4;
+#               bench_quantization --fast  int8 MobileNet 1.0_224 >=2x f32
+#                 at >=99% top-1 agreement;
+#             all at bit-identical outputs. They run in build/, so the
+#             BENCH_*.json files they write never overwrite the committed
+#             ones, and --benchmark_filter='^$' skips the google-benchmark
+#             mirrors. Wall-clock thresholds on a loaded CI box are noisy;
+#             the bit-identical and allocation-count gates are the stable
+#             part.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,8 +48,13 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 if [ "$smoke" = 1 ]; then
   echo "== bench gates (smoke) =="
-  cmake --build build -j --target bench_graph_exec
-  ./build/bench/bench_graph_exec --smoke
+  (
+    cd build
+    ./bench/bench_graph_exec --smoke --benchmark_filter='^$'
+    ./bench/bench_alloc_reuse --benchmark_filter='^$'
+    ./bench/bench_serving
+    ./bench/bench_quantization --fast
+  )
 fi
 
 echo "== portable leg (TFJS_NATIVE_ARCH=OFF) =="

@@ -4,8 +4,13 @@
 #include <array>
 #include <cstring>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <utility>
+
+#if defined(__AVX512F__) || defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 #include "core/buffer_pool.h"
 #include "core/engine.h"
@@ -79,6 +84,59 @@ inline Vec loadVec(const float* p) {
 
 inline void storeVec(float* p, Vec v) { std::memcpy(p, &v, sizeof v); }
 
+// Lanes [0, n) of a vector, n in [0, kLanes], for the right edge of a
+// partial tile: the masked forms read and write nothing past p[n - 1].
+#if defined(__AVX2__) && !defined(__AVX512F__)
+inline __m256i laneMask(int n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+#endif
+
+/// Lanes [0, n) loaded from p, zeros above.
+inline Vec loadPartial(const float* p, int n) {
+#if defined(__AVX512F__)
+  return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1), p);
+#elif defined(__AVX2__)
+  return _mm256_maskload_ps(p, laneMask(n));
+#else
+  Vec v = {};
+  for (int i = 0; i < n; ++i) v[i] = p[i];
+  return v;
+#endif
+}
+
+/// loadVec when n == kLanes, loadPartial when 0 < n < kLanes, zeros when
+/// n == 0 (p is then never dereferenced).
+inline Vec loadLanes(const float* p, int n) {
+  return n == kLanes ? loadVec(p) : n > 0 ? loadPartial(p, n) : Vec{};
+}
+
+/// Stores lanes [0, n) of v to p.
+inline void storePartial(float* p, Vec v, int n) {
+#if defined(__AVX512F__)
+  _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << n) - 1), v);
+#elif defined(__AVX2__)
+  _mm256_maskstore_ps(p, laneMask(n), v);
+#else
+  for (int i = 0; i < n; ++i) p[i] = v[i];
+#endif
+}
+
+/// dst[0, n) = src[0, n) (or zeros when src is null) in whole vectors and
+/// one masked one: no library call for the short runs of a thin im2col.
+inline void copyRun(float* dst, const float* src, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    storeVec(dst + i, src != nullptr ? loadVec(src + i) : Vec{});
+  }
+  if (i < n) {
+    const int rest = static_cast<int>(n - i);
+    storePartial(dst + i, src != nullptr ? loadPartial(src + i, rest) : Vec{},
+                 rest);
+  }
+}
+
 /// The fused epilogue of the last k block: bias (already offset to the
 /// tile's first column, kNR entries readable) then the activation.
 struct Epilogue {
@@ -86,28 +144,36 @@ struct Epilogue {
   FusedActivation act;
 };
 
-/// C[0:MR, 0:kNR] (row stride ldc) += A[0:MR, 0:kc] (row stride lda) *
-/// B[0:kc, 0:kNR] (row stride ldb), then `ep` when non-null. The relu and
-/// relu6 selects are applyUnary's formulas written per lane —
-/// `x > 0 ? x : 0` and std::min(std::max(x, 0.f), 6.f) spelled as
-/// `x < 0 ? 0 : x` then `6 < t ? 6 : t` — so NaN and -0 come out as in the
-/// scalar path. Other activations (sigmoid) go through applyFusedActivation
-/// after the store.
-template <int MR>
+/// C[0:MR, 0:cols] (row stride ldc) += A[0:MR, 0:kc] * B[0:kc, 0:cols],
+/// then `ep` when non-null. B is a panel kNR columns wide (row stride ldb),
+/// zero-padded past `cols` (1..kNR); C is only read and written below
+/// `cols`. A is stored [MR, kc] with row stride lda, or with TransA its
+/// transpose, [kc, MR] with row stride lda. The relu and relu6 selects are
+/// applyUnary's formulas written per lane — `x > 0 ? x : 0` and
+/// std::min(std::max(x, 0.f), 6.f) spelled as `x < 0 ? 0 : x` then
+/// `6 < t ? 6 : t` — so NaN and -0 come out as in the scalar path. Other
+/// activations (sigmoid) go through applyFusedActivation after the store.
+template <int MR, bool TransA>
 void microKernel(int kc, const float* __restrict A, std::size_t lda,
                  const float* __restrict B, std::size_t ldb,
-                 float* __restrict C, std::size_t ldc, const Epilogue* ep) {
+                 float* __restrict C, std::size_t ldc, int cols,
+                 const Epilogue* ep) {
+  // Lanes of C in each of the row's kNV vectors.
+  int lanes[kNV];
+  for (int v = 0; v < kNV; ++v) {
+    lanes[v] = std::clamp(cols - v * kLanes, 0, kLanes);
+  }
   Vec acc[MR][kNV];
   for (int r = 0; r < MR; ++r) {
     for (int v = 0; v < kNV; ++v) {
-      acc[r][v] = loadVec(C + r * ldc + v * kLanes);
+      acc[r][v] = loadLanes(C + r * ldc + v * kLanes, lanes[v]);
     }
   }
   for (int p = 0; p < kc; ++p) {
     Vec b[kNV];
     for (int v = 0; v < kNV; ++v) b[v] = loadVec(B + p * ldb + v * kLanes);
     for (int r = 0; r < MR; ++r) {
-      const float a = A[r * lda + p];
+      const float a = TransA ? A[p * lda + r] : A[r * lda + p];
       for (int v = 0; v < kNV; ++v) acc[r][v] += a * b[v];
     }
   }
@@ -134,7 +200,12 @@ void microKernel(int kc, const float* __restrict A, std::size_t lda,
   }
   for (int r = 0; r < MR; ++r) {
     for (int v = 0; v < kNV; ++v) {
-      storeVec(C + r * ldc + v * kLanes, acc[r][v]);
+      float* c = C + r * ldc + v * kLanes;
+      if (lanes[v] == kLanes) {
+        storeVec(c, acc[r][v]);
+      } else if (lanes[v] > 0) {
+        storePartial(c, acc[r][v], lanes[v]);
+      }
     }
   }
   const bool scalarAct = ep != nullptr && ep->act != FusedActivation::kNone &&
@@ -142,7 +213,7 @@ void microKernel(int kc, const float* __restrict A, std::size_t lda,
                          ep->act != FusedActivation::kRelu6;
   if (scalarAct) {
     for (int r = 0; r < MR; ++r) {
-      for (int j = 0; j < kNR; ++j) {
+      for (int j = 0; j < cols; ++j) {
         C[r * ldc + j] = applyFusedActivation(ep->act, C[r * ldc + j]);
       }
     }
@@ -150,17 +221,20 @@ void microKernel(int kc, const float* __restrict A, std::size_t lda,
 }
 
 using MicroKernelFn = void (*)(int, const float*, std::size_t, const float*,
-                               std::size_t, float*, std::size_t,
+                               std::size_t, float*, std::size_t, int,
                                const Epilogue*);
 
-/// microKernel<MR> for MR = 1..kMR, indexed by MR - 1 (tail rows of a panel
-/// run the shorter tiles).
-template <std::size_t... I>
+/// microKernel<MR, TransA> for MR = 1..kMR, indexed by MR - 1 (tail rows of
+/// a panel run the shorter tiles).
+template <bool TransA, std::size_t... I>
 constexpr std::array<MicroKernelFn, sizeof...(I)> microKernels(
     std::index_sequence<I...>) {
-  return {&microKernel<static_cast<int>(I) + 1>...};
+  return {&microKernel<static_cast<int>(I) + 1, TransA>...};
 }
-constexpr auto kMicroKernels = microKernels(std::make_index_sequence<kMR>{});
+/// Indexed by [transA][MR - 1].
+constexpr std::array<std::array<MicroKernelFn, kMR>, 2> kMicroKernels = {
+    microKernels<false>(std::make_index_sequence<kMR>{}),
+    microKernels<true>(std::make_index_sequence<kMR>{})};
 
 /// Packs rows [p0, p0 + kc) of op(B), `width` columns wide, into
 /// consecutive kc x kNR panels (columns [j, j + kNR) at dst + j * kc),
@@ -169,41 +243,48 @@ constexpr auto kMicroKernels = microKernels(std::make_index_sequence<kMR>{});
 /// way the source is read in storage order, one contiguous run at a time.
 void packB(const float* B, bool transB, std::size_t ldb, int width, int p0,
            int kc, float* dst) {
-  for (int j = 0; j < width; j += kNR) {
-    const int cols = std::min(kNR, width - j);
-    float* panel = dst + static_cast<std::size_t>(j) * kc;
-    if (transB) {
+  if (transB) {
+    for (int j = 0; j < width; j += kNR) {
+      const int cols = std::min(kNR, width - j);
+      float* panel = dst + static_cast<std::size_t>(j) * kc;
       for (int c = 0; c < cols; ++c) {
         const float* src = B + (j + c) * ldb + p0;
         for (int p = 0; p < kc; ++p) panel[p * kNR + c] = src[p];
       }
-    }
-    if (cols < kNR) {
-      for (int p = 0; p < kc; ++p) {
-        std::fill(panel + p * kNR + cols, panel + (p + 1) * kNR, 0.f);
+      if (cols < kNR) {
+        for (int p = 0; p < kc; ++p) {
+          std::fill(panel + p * kNR + cols, panel + (p + 1) * kNR, 0.f);
+        }
       }
     }
+    return;
   }
-  if (transB) return;
+  // Row by row in whole vectors, masked past width: no library call per
+  // row, which would dominate packing a narrow B (the dy of a filter
+  // gradient: thousands of rows of a few vectors each).
   for (int p = 0; p < kc; ++p) {
     const float* src = B + (p0 + p) * ldb;
     for (int j = 0; j < width; j += kNR) {
-      std::memcpy(dst + static_cast<std::size_t>(j) * kc + p * kNR, src + j,
-                  static_cast<std::size_t>(std::min(kNR, width - j)) *
-                      sizeof(float));
+      float* d = dst + static_cast<std::size_t>(j) * kc + p * kNR;
+      for (int v = 0; v < kNV; ++v) {
+        const int lanes = std::clamp(width - j - v * kLanes, 0, kLanes);
+        storeVec(d + v * kLanes, loadLanes(src + j + v * kLanes, lanes));
+      }
     }
   }
 }
 
 /// Runs the micro-kernel over rows [i0, i1) x columns [j0, j1) of C for
-/// k rows [p0, p0 + kc). `panelAt(j)` returns the kc x kNR B panel starting
-/// at column j and its row stride. A partial last column panel computes
-/// into a kNR-wide scratch tile (and bias row) so the kernel never touches
-/// C or the bias past column n.
+/// k rows [p0, p0 + kc); A is [m, k] with row stride lda, or with `transA`
+/// [k, m] with row stride lda. `panelAt(j)` returns the kc x kNR B panel
+/// starting at column j and its row stride. On a partial last column panel
+/// the kernel masks its C accesses at column n, and reads a zero-padded
+/// copy of the bias.
 template <typename PanelAt>
-void runTiles(const float* A, int k, float* C, int n, int i0, int i1, int j0,
-              int j1, int p0, int kc, const float* bias, FusedActivation act,
-              bool last, PanelAt&& panelAt) {
+void runTiles(const float* A, bool transA, std::size_t lda, float* C, int n,
+              int i0, int i1, int j0, int j1, int p0, int kc,
+              const float* bias, FusedActivation act, bool last,
+              PanelAt&& panelAt) {
   const bool epilogue =
       last && (bias != nullptr || act != FusedActivation::kNone);
   for (int j = j0; j < j1; j += kNR) {
@@ -218,31 +299,25 @@ void runTiles(const float* A, int k, float* C, int n, int i0, int i1, int j0,
     }
     for (int i = i0; i < i1; i += kMR) {
       const int rows = std::min(kMR, i1 - i);
-      const MicroKernelFn kernel = kMicroKernels[rows - 1];
-      const float* a = A + static_cast<std::size_t>(i) * k + p0;
-      float* c = C + static_cast<std::size_t>(i) * n + j;
-      if (cols == kNR) {
-        kernel(kc, a, k, panel, ldb, c, n, epilogue ? &ep : nullptr);
-        continue;
-      }
-      alignas(64) float tile[kMR * kNR];
-      for (int r = 0; r < rows; ++r) {
-        std::copy_n(c + static_cast<std::size_t>(r) * n, cols, tile + r * kNR);
-        std::fill(tile + r * kNR + cols, tile + (r + 1) * kNR, 0.f);
-      }
-      kernel(kc, a, k, panel, ldb, tile, kNR, epilogue ? &ep : nullptr);
-      for (int r = 0; r < rows; ++r) {
-        std::copy_n(tile + r * kNR, cols, c + static_cast<std::size_t>(r) * n);
-      }
+      const MicroKernelFn kernel = kMicroKernels[transA][rows - 1];
+      const float* a = transA ? A + static_cast<std::size_t>(p0) * lda + i
+                              : A + static_cast<std::size_t>(i) * lda + p0;
+      kernel(kc, a, lda, panel, ldb, C + static_cast<std::size_t>(i) * n + j,
+             n, cols, epilogue ? &ep : nullptr);
     }
   }
 }
 
-/// C[m,n] += A[m,k] * op(B) with the optional fused epilogue, where op(B) is
-/// B [k,n] or, when `transB`, the transpose of B stored [n,k].
-void gemmF32(const float* A, const float* B, bool transB, float* C, int m,
-             int k, int n, const float* bias, FusedActivation act) {
+/// C[m,n] += op(A) * op(B) with the optional fused epilogue, where op(A) is
+/// A [m,k] or, when `transA`, the transpose of A stored [k,m], and op(B) is
+/// B [k,n] or, when `transB`, the transpose of B stored [n,k]. Neither
+/// transpose copies: the micro-kernel reads A either way, and packing B's
+/// panels reads either layout.
+void gemmF32(const float* A, bool transA, const float* B, bool transB,
+             float* C, int m, int k, int n, const float* bias,
+             FusedActivation act) {
   if (m == 0 || n == 0) return;
+  const std::size_t lda = static_cast<std::size_t>(transA ? m : k);
   // Split along whichever axis yields more panels: row panels of kMC for
   // tall/square C, column panels of kNC when C is short and wide (e.g. the
   // [spatial, outC] GEMM of a 1x1 conv on a small image).
@@ -282,7 +357,8 @@ void gemmF32(const float* A, const float* B, bool transB, float* C, int m,
           packB(B + fullEnd, false, static_cast<std::size_t>(n), n - fullEnd,
                 p0, kc, tail);
         }
-        runTiles(A, k, C, n, i0, i1, j0, j1, p0, kc, bias, act, p0 + kc == k,
+        runTiles(A, transA, lda, C, n, i0, i1, j0, j1, p0, kc, bias, act,
+                 p0 + kc == k,
                  [&](int j) -> std::pair<const float*, std::size_t> {
                    if (j >= fullEnd) return {tail, kNR};
                    return {B + static_cast<std::size_t>(p0) * n + j,
@@ -307,7 +383,7 @@ void gemmF32(const float* A, const float* B, bool transB, float* C, int m,
           packed.data());
     const bool last = p0 + kc == k;
     forEachChunk([&](int i0, int i1, int j0, int j1) {
-      runTiles(A, k, C, n, i0, i1, j0, j1, p0, kc, bias, act, last,
+      runTiles(A, transA, lda, C, n, i0, i1, j0, j1, p0, kc, bias, act, last,
                [&](int j) -> std::pair<const float*, std::size_t> {
                  return {packed.data() + static_cast<std::size_t>(j) * kc,
                          kNR};
@@ -441,55 +517,125 @@ void depthwiseRows(const float* x, const float* f, const Conv2DInfo& ci,
     for (; ox < ci.outW; ++ox) edge(ox);
   }
 }
+
+// ---------------------------------------------------------------- backward
+
+/// The output positions [first, second) of an axis whose tap at `offset`
+/// (filter index times dilation) lands inside the input: 0 <= o * stride -
+/// pad + offset < in, with o in [0, out).
+std::pair<int, int> outputRange(int in, int out, int stride, int pad,
+                                int offset) {
+  const int lo =
+      std::min(out, pad > offset ? (pad - offset + stride - 1) / stride : 0);
+  const int last = in - 1 + pad - offset;
+  const int hi = last < 0 ? 0 : std::min(out, last / stride + 1);
+  return {lo, std::max(lo, hi)};
+}
+
+/// The input positions [first, second) of a pooling window starting at
+/// output position o.
+std::pair<int, int> windowRange(int o, int stride, int pad, int filter,
+                                int in) {
+  const int start = o * stride - pad;
+  const int lo = std::max(0, start);
+  return {lo, std::max(lo, std::min(in, start + filter))};
+}
+
+/// The inverse of im2col, accumulating: for output rows [oy0, oy1) of image
+/// b, each output pixel's [filterH, filterW, inC] row of `dcol` adds into
+/// the input pixels its in-bounds taps read, pixels in ascending (oy, ox)
+/// order. Padding taps are dropped.
+void col2imAdd(const float* __restrict dcol, const Conv2DInfo& ci,
+               std::size_t b, int oy0, int oy1, float* __restrict dx) {
+  const std::size_t C = static_cast<std::size_t>(ci.inC);
+  const std::size_t rowLen = static_cast<std::size_t>(ci.filterW) * C;
+  for (int oy = oy0; oy < oy1; ++oy) {
+    for (int ox = 0; ox < ci.outW; ++ox) {
+      const auto [fxLo, fxHi] = tapRange(ci, ox);
+      const int ix0 = ox * ci.strideW - ci.padLeft;
+      for (int fy = 0; fy < ci.filterH; ++fy, dcol += rowLen) {
+        const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+        if (iy < 0 || iy >= ci.inH || fxLo == fxHi) continue;
+        const std::size_t ix = static_cast<std::size_t>(ix0) +
+                               fxLo * static_cast<std::size_t>(ci.dilationW);
+        float* dst = dx + ((b * ci.inH + iy) * ci.inW + ix) * C;
+        const float* src = dcol + fxLo * C;
+        if (ci.dilationW == 1) {
+          // Adjacent taps are adjacent pixels: one contiguous run.
+          const std::size_t len = (fxHi - fxLo) * C;
+          for (std::size_t i = 0; i < len; ++i) dst[i] += src[i];
+        } else {
+          for (int fx = fxLo; fx < fxHi; ++fx) {
+            float* d = dst + (fx - fxLo) * ci.dilationW * C;
+            const float* s = src + (fx - fxLo) * C;
+            for (std::size_t c = 0; c < C; ++c) d[c] += s[c];
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void NativeBackend::im2col(const float* x, const Conv2DInfo& ci,
                            std::size_t rBegin, std::size_t rEnd, float* col) {
   const std::size_t C = static_cast<std::size_t>(ci.inC);
   const std::size_t rowLen = static_cast<std::size_t>(ci.filterW) * C;
-  float* dst = col;
+  const std::size_t patch = static_cast<std::size_t>(ci.filterH) * rowLen;
+  // Each filter row of an output row reads one input row. Copied once into
+  // a zero-bordered row of the `span` columns any tap reads, it gives every
+  // pixel's taps at a fixed stride: one branch-free run per (pixel, fy)
+  // even at the edges, which is what keeps thin (small inC) convs cheap.
+  // SAME and VALID pad by less than the filter's extent, so the row
+  // starts inside the span.
+  const int span =
+      (ci.outW - 1) * ci.strideW + (ci.filterW - 1) * ci.dilationW + 1;
+  TFJS_CHECK(ci.padLeft < span);
+  const int inCols = std::min(span - ci.padLeft, ci.inW);
+  std::vector<float> padded =
+      core::BufferPool::get().acquireFilled(static_cast<std::size_t>(span) * C,
+                                            0.f);
+  float* inRow = padded.data() + ci.padLeft * C;
   for (std::size_t r = rBegin; r < rEnd; ++r) {
-    const int b = static_cast<int>(r) / ci.outH;
-    const int oy = static_cast<int>(r) % ci.outH;
-    for (int ox = 0; ox < ci.outW; ++ox) {
-      // Taps [fxLo, fxHi) of every filter row land inside the input row.
-      const auto [fxLo, fxHi] = tapRange(ci, ox);
-      const int ix0 = ox * ci.strideW - ci.padLeft;
-      for (int fy = 0; fy < ci.filterH; ++fy, dst += rowLen) {
-        const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
-        if (iy < 0 || iy >= ci.inH || fxLo == fxHi) {
-          std::fill(dst, dst + rowLen, 0.f);
-          continue;
+    const std::size_t b = r / ci.outH;
+    const int oy = static_cast<int>(r % ci.outH);
+    float* out = col + (r - rBegin) * ci.outW * patch;
+    for (int fy = 0; fy < ci.filterH; ++fy) {
+      float* dst = out + fy * rowLen;
+      const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+      if (iy < 0 || iy >= ci.inH) {
+        for (int ox = 0; ox < ci.outW; ++ox) {
+          copyRun(dst + ox * patch, nullptr, rowLen);
         }
-        std::fill(dst, dst + fxLo * C, 0.f);
-        const float* src =
-            x + ((static_cast<std::size_t>(b) * ci.inH + iy) * ci.inW +
-                 static_cast<std::size_t>(ix0 + fxLo * ci.dilationW)) *
-                    C;
+        continue;
+      }
+      copyRun(inRow, x + (b * ci.inH + iy) * ci.inW * C, inCols * C);
+      for (int ox = 0; ox < ci.outW; ++ox) {
+        const float* src = padded.data() + ox * ci.strideW * C;
         if (ci.dilationW == 1) {
           // Adjacent taps are adjacent pixels: one contiguous run.
-          std::copy_n(src, (fxHi - fxLo) * C, dst + fxLo * C);
+          copyRun(dst + ox * patch, src, rowLen);
         } else {
-          for (int fx = fxLo; fx < fxHi; ++fx) {
-            std::copy_n(src + (fx - fxLo) * ci.dilationW * C, C,
-                        dst + fx * C);
+          for (int fx = 0; fx < ci.filterW; ++fx) {
+            copyRun(dst + ox * patch + fx * C, src + fx * ci.dilationW * C, C);
           }
         }
-        std::fill(dst + fxHi * C, dst + rowLen, 0.f);
       }
     }
   }
+  core::BufferPool::get().release(std::move(padded));
 }
 
 void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
                          int k, int n, const float* bias,
                          FusedActivation act) {
-  gemmF32(A, B, false, C, m, k, n, bias, act);
+  gemmF32(A, false, B, false, C, m, k, n, bias, act);
 }
 
 void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
                          int k, int n) {
-  gemmF32(A, B, false, C, m, k, n, nullptr, FusedActivation::kNone);
+  gemmF32(A, false, B, false, C, m, k, n, nullptr, FusedActivation::kNone);
 }
 
 DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
@@ -675,7 +821,14 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
               case RegionInstr::Kind::kBinary: {
                 const auto op = static_cast<BinaryOp>(si.op);
                 const float* B = row(si.b);
-                // Same for the four arithmetic ops (applyBinary's formulas).
+                // Same for the four arithmetic ops and the comparisons and
+                // logical ops (applyBinary's formulas; the logical ones
+                // evaluate both operands, which cannot change a value).
+                const auto compare = [&](auto pred) {
+                  for (std::size_t i = 0; i < c; ++i) {
+                    R[i] = pred(A[i], B[i]) ? 1.f : 0.f;
+                  }
+                };
                 switch (op) {
                   case BinaryOp::kAdd:
                     for (std::size_t i = 0; i < c; ++i) R[i] = A[i] + B[i];
@@ -688,6 +841,39 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
                     break;
                   case BinaryOp::kDiv:
                     for (std::size_t i = 0; i < c; ++i) R[i] = A[i] / B[i];
+                    break;
+                  case BinaryOp::kEqual:
+                    compare(std::equal_to<float>{});
+                    break;
+                  case BinaryOp::kNotEqual:
+                    compare(std::not_equal_to<float>{});
+                    break;
+                  case BinaryOp::kGreater:
+                    compare(std::greater<float>{});
+                    break;
+                  case BinaryOp::kGreaterEqual:
+                    compare(std::greater_equal<float>{});
+                    break;
+                  case BinaryOp::kLess:
+                    compare(std::less<float>{});
+                    break;
+                  case BinaryOp::kLessEqual:
+                    compare(std::less_equal<float>{});
+                    break;
+                  case BinaryOp::kLogicalAnd:
+                    compare([](float a, float b) {
+                      return (a != 0) & (b != 0);
+                    });
+                    break;
+                  case BinaryOp::kLogicalOr:
+                    compare([](float a, float b) {
+                      return (a != 0) | (b != 0);
+                    });
+                    break;
+                  case BinaryOp::kLogicalXor:
+                    compare([](float a, float b) {
+                      return (a != 0) != (b != 0);
+                    });
                     break;
                   default:
                     for (std::size_t i = 0; i < c; ++i) {
@@ -726,28 +912,16 @@ DataId NativeBackend::matMul(const TensorSpec& a, const TensorSpec& b,
   std::vector<float> out =
       allocZeroed(static_cast<std::size_t>(batch) * m * n);
 
-  // A transposed operand is materialized row-major once per batch; a
-  // transposed B needs no copy, since packing B's panels reads either
-  // layout. The batch loop stays serial; each per-batch GEMM fans out on
-  // the pool.
-  std::vector<float> aT;
+  // Neither transposed operand is copied (gemmF32 reads both layouts). The
+  // batch loop stays serial; each per-batch GEMM fans out on the pool.
   for (int bi = 0; bi < batch; ++bi) {
     const float* A =
         av.data() + static_cast<std::size_t>(bA == 1 ? 0 : bi) * m * k;
     const float* B =
         bv.data() + static_cast<std::size_t>(bB == 1 ? 0 : bi) * k * n;
-    if (transposeA) {
-      aT.resize(static_cast<std::size_t>(m) * k);
-      for (int p = 0; p < k; ++p) {
-        for (int i = 0; i < m; ++i) {
-          aT[static_cast<std::size_t>(i) * k + p] =
-              A[static_cast<std::size_t>(p) * m + i];
-        }
-      }
-      A = aT.data();
-    }
-    gemmF32(A, B, transposeB, out.data() + static_cast<std::size_t>(bi) * m * n,
-            m, k, n, biasv, act);
+    gemmF32(A, transposeA, B, transposeB,
+            out.data() + static_cast<std::size_t>(bi) * m * n, m, k, n, biasv,
+            act);
   }
   return store(std::move(out));
 }
@@ -915,6 +1089,305 @@ DataId NativeBackend::pool2d(PoolMode mode, const TensorSpec& x,
         }
       });
   return store(std::move(out));
+}
+
+DataId NativeBackend::conv2dBackpropInput(const TensorSpec& dy,
+                                          const TensorSpec& filter,
+                                          const Conv2DInfo& ci) {
+  KernelTimer t(kernelMs_, "native.conv2dBackpropInput");
+  const auto& dyv = buf(dy.id);
+  const auto& fv = buf(filter.id);
+  const std::size_t patch =
+      static_cast<std::size_t>(ci.filterH) * ci.filterW * ci.inC;
+  const std::size_t outC = static_cast<std::size_t>(ci.outC);
+  std::vector<float> dx = allocZeroed(static_cast<std::size_t>(ci.batch) *
+                                      ci.inH * ci.inW * ci.inC);
+  // One chunk per image (images write disjoint parts of dX); within an
+  // image, fixed chunks of output rows bound the dcol scratch.
+  const int rowsPer = static_cast<int>(std::min<std::size_t>(
+      ci.outH, rowsPerChunk(static_cast<std::size_t>(ci.outW) * patch,
+                            1 << 16)));
+  ThreadPool::get().parallelFor(
+      static_cast<std::size_t>(ci.batch), 1,
+      [&](std::size_t bBegin, std::size_t bEnd) {
+        std::vector<float> dcol = core::BufferPool::get().acquire(
+            static_cast<std::size_t>(rowsPer) * ci.outW * patch);
+        for (std::size_t b = bBegin; b < bEnd; ++b) {
+          for (int oy0 = 0; oy0 < ci.outH; oy0 += rowsPer) {
+            const int oy1 = std::min(ci.outH, oy0 + rowsPer);
+            const std::size_t pixels =
+                static_cast<std::size_t>(oy1 - oy0) * ci.outW;
+            std::fill_n(dcol.data(), pixels * patch, 0.f);
+            // dcol = dy · Wᵀ: W is stored [patch, outC], read transposed.
+            gemmF32(dyv.data() + ((b * ci.outH + oy0) * ci.outW) * outC,
+                    false, fv.data(), /*transB=*/true, dcol.data(),
+                    static_cast<int>(pixels), ci.outC,
+                    static_cast<int>(patch), nullptr, FusedActivation::kNone);
+            col2imAdd(dcol.data(), ci, b, oy0, oy1, dx.data());
+          }
+        }
+        core::BufferPool::get().release(std::move(dcol));
+      });
+  return store(std::move(dx));
+}
+
+DataId NativeBackend::conv2dBackpropFilter(const TensorSpec& x,
+                                           const TensorSpec& dy,
+                                           const Conv2DInfo& ci) {
+  KernelTimer t(kernelMs_, "native.conv2dBackpropFilter");
+  const auto& xv = buf(x.id);
+  const auto& dyv = buf(dy.id);
+  const std::size_t patch =
+      static_cast<std::size_t>(ci.filterH) * ci.filterW * ci.inC;
+  const std::size_t outC = static_cast<std::size_t>(ci.outC);
+  const std::size_t outW = static_cast<std::size_t>(ci.outW);
+  const std::size_t totalRows = static_cast<std::size_t>(ci.batch) * ci.outH;
+  const std::size_t grain =
+      std::min(totalRows, rowsPerChunk(outW * patch, 1 << 16));
+  // dW [patch, outC] += colᵀ · dy, one chunk of output rows after another:
+  // each GEMM reads its col chunk transposed in place and continues the
+  // chains the previous chunk left in dW, so the chunking never changes a
+  // bit. The reduction runs serially; each chunk's GEMM fans out over its
+  // own panels.
+  std::vector<float> dw = allocZeroed(patch * outC);
+  std::vector<float> col =
+      core::BufferPool::get().acquire(grain * outW * patch);
+  for (std::size_t r0 = 0; r0 < totalRows; r0 += grain) {
+    const std::size_t r1 = std::min(totalRows, r0 + grain);
+    const std::size_t pixels = (r1 - r0) * outW;
+    im2col(xv.data(), ci, r0, r1, col.data());
+    gemmF32(col.data(), /*transA=*/true, dyv.data() + r0 * outW * outC, false,
+            dw.data(), static_cast<int>(patch), static_cast<int>(pixels),
+            ci.outC, nullptr, FusedActivation::kNone);
+  }
+  core::BufferPool::get().release(std::move(col));
+  return store(std::move(dw));
+}
+
+DataId NativeBackend::depthwiseConv2dBackpropInput(const TensorSpec& dy,
+                                                   const TensorSpec& filter,
+                                                   const Conv2DInfo& ci) {
+  KernelTimer t(kernelMs_, "native.depthwiseConv2dBackpropInput");
+  const auto& dyv = buf(dy.id);
+  const auto& fv = buf(filter.id);
+  const int mult = ci.channelMult;
+  const std::size_t C = static_cast<std::size_t>(ci.inC);
+  const std::size_t outC = static_cast<std::size_t>(ci.outC);
+  const std::size_t taps = static_cast<std::size_t>(ci.filterH) * ci.filterW;
+  const std::size_t dxSize =
+      static_cast<std::size_t>(ci.batch) * ci.inH * ci.inW * C;
+  // Sliced over batch×inH input rows; each row is gathered whole.
+  const std::size_t totalRows = static_cast<std::size_t>(ci.batch) * ci.inH;
+  const std::size_t grain = rowsPerChunk(
+      static_cast<std::size_t>(ci.inW) * taps * outC, 1 << 14);
+  // Per input row, filter rows in descending fy (ascending oy), then per
+  // pixel filter columns in descending fx (ascending ox), each contribution
+  // a dense loop over channels.
+  std::vector<float> dx = allocZeroed(dxSize);
+  ThreadPool::get().parallelFor(
+      totalRows, grain, [&](std::size_t rBegin, std::size_t rEnd) {
+        for (std::size_t r = rBegin; r < rEnd; ++r) {
+          const std::size_t b = r / ci.inH;
+          const int iy = static_cast<int>(r % ci.inH);
+          for (int fy = ci.filterH - 1; fy >= 0; --fy) {
+            const int ty = iy + ci.padTop - fy * ci.dilationH;
+            if (ty < 0 || ty % ci.strideH != 0 || ty / ci.strideH >= ci.outH) {
+              continue;
+            }
+            const float* gRow =
+                dyv.data() + (b * ci.outH + ty / ci.strideH) * ci.outW * outC;
+            const float* wRow = fv.data() + fy * ci.filterW * outC;
+            for (int ix = 0; ix < ci.inW; ++ix) {
+              float* __restrict d = dx.data() + (r * ci.inW + ix) * C;
+              for (int fx = ci.filterW - 1; fx >= 0; --fx) {
+                const int tx = ix + ci.padLeft - fx * ci.dilationW;
+                if (tx < 0 || tx % ci.strideW != 0 ||
+                    tx / ci.strideW >= ci.outW) {
+                  continue;
+                }
+                const float* __restrict g = gRow + tx / ci.strideW * outC;
+                const float* __restrict w = wRow + fx * outC;
+                if (mult == 1) {
+                  for (std::size_t c = 0; c < C; ++c) d[c] += g[c] * w[c];
+                } else {
+                  for (std::size_t c = 0; c < C; ++c) {
+                    for (int q = 0; q < mult; ++q) {
+                      d[c] += g[c * mult + q] * w[c * mult + q];
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      });
+  return store(std::move(dx));
+}
+
+DataId NativeBackend::depthwiseConv2dBackpropFilter(const TensorSpec& x,
+                                                    const TensorSpec& dy,
+                                                    const Conv2DInfo& ci) {
+  KernelTimer t(kernelMs_, "native.depthwiseConv2dBackpropFilter");
+  const auto& xv = buf(x.id);
+  const auto& dyv = buf(dy.id);
+  const int mult = ci.channelMult;
+  const std::size_t C = static_cast<std::size_t>(ci.inC);
+  const std::size_t outC = static_cast<std::size_t>(ci.outC);
+  const std::size_t taps = static_cast<std::size_t>(ci.filterH) * ci.filterW;
+  std::vector<float> df = allocZeroed(taps * outC);
+  // One chunk per filter tap: every tap's chains run over the whole batch in
+  // ascending (b, oy, ox), each contribution a dense loop over channels.
+  ThreadPool::get().parallelFor(
+      taps, 1, [&](std::size_t tBegin, std::size_t tEnd) {
+        for (std::size_t tap = tBegin; tap < tEnd; ++tap) {
+          const int fy = static_cast<int>(tap) / ci.filterW;
+          const int fx = static_cast<int>(tap) % ci.filterW;
+          const auto [oxLo, oxHi] = outputRange(
+              ci.inW, ci.outW, ci.strideW, ci.padLeft, fx * ci.dilationW);
+          if (oxLo == oxHi) continue;  // the tap never lands in the input
+          float* __restrict dfRow = df.data() + tap * outC;
+          for (int b = 0; b < ci.batch; ++b) {
+            for (int oy = 0; oy < ci.outH; ++oy) {
+              const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+              if (iy < 0 || iy >= ci.inH) continue;
+              for (int ox = oxLo; ox < oxHi; ++ox) {
+                const int ix = ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
+                const float* __restrict xp =
+                    xv.data() +
+                    ((static_cast<std::size_t>(b) * ci.inH + iy) * ci.inW +
+                     ix) *
+                        C;
+                const float* __restrict gp =
+                    dyv.data() +
+                    ((static_cast<std::size_t>(b) * ci.outH + oy) * ci.outW +
+                     ox) *
+                        outC;
+                if (mult == 1) {
+                  for (std::size_t c = 0; c < C; ++c) dfRow[c] += xp[c] * gp[c];
+                } else {
+                  for (std::size_t c = 0; c < C; ++c) {
+                    for (int q = 0; q < mult; ++q) {
+                      dfRow[c * mult + q] += xp[c] * gp[c * mult + q];
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      });
+  return store(std::move(df));
+}
+
+DataId NativeBackend::maxPoolBackprop(const TensorSpec& dy,
+                                      const TensorSpec& x,
+                                      const Pool2DInfo& pi) {
+  KernelTimer t(kernelMs_, "native.maxPoolBackprop");
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const auto& dyv = buf(dy.id);
+  const auto& xv = buf(x.id);
+  const std::size_t C = static_cast<std::size_t>(pi.channels);
+  const std::size_t inImage = static_cast<std::size_t>(pi.inH) * pi.inW * C;
+  std::vector<float> dx =
+      allocZeroed(static_cast<std::size_t>(pi.batch) * inImage);
+  // One chunk per image: windows overlap only within an image, and each
+  // image's windows run in RefBackend's (oy, ox) order.
+  ThreadPool::get().parallelFor(
+      static_cast<std::size_t>(pi.batch), 1,
+      [&](std::size_t bBegin, std::size_t bEnd) {
+        std::vector<float> bestRow(C);
+        std::vector<std::int32_t> argRow(C);
+        std::vector<std::size_t> tapOffset(
+            static_cast<std::size_t>(pi.filterH) * pi.filterW);
+        float* __restrict best = bestRow.data();
+        std::int32_t* __restrict arg = argRow.data();
+        for (std::size_t b = bBegin; b < bEnd; ++b) {
+          const float* xImg = xv.data() + b * inImage;
+          float* dxImg = dx.data() + b * inImage;
+          const float* g = dyv.data() + b * pi.outH * pi.outW * C;
+          for (int oy = 0; oy < pi.outH; ++oy) {
+            const auto [yLo, yHi] =
+                windowRange(oy, pi.strideH, pi.padTop, pi.filterH, pi.inH);
+            for (int ox = 0; ox < pi.outW; ++ox, g += C) {
+              const auto [xLo, xHi] =
+                  windowRange(ox, pi.strideW, pi.padLeft, pi.filterW, pi.inW);
+              // The first strictly greater value wins, taps in (fy, fx)
+              // order: NaN never compares greater, and an all -inf window
+              // keeps arg -1.
+              std::fill_n(best, C, -kInf);
+              std::fill_n(arg, C, -1);
+              std::int32_t tap = 0;
+              for (int iy = yLo; iy < yHi; ++iy) {
+                for (int ix = xLo; ix < xHi; ++ix, ++tap) {
+                  const std::size_t off =
+                      (static_cast<std::size_t>(iy) * pi.inW + ix) * C;
+                  tapOffset[tap] = off;
+                  const float* __restrict xp = xImg + off;
+                  for (std::size_t c = 0; c < C; ++c) {
+                    const bool gt = xp[c] > best[c];
+                    best[c] = gt ? xp[c] : best[c];
+                    arg[c] = gt ? tap : arg[c];
+                  }
+                }
+              }
+              // Route dy to each channel's argmax tap as dense rows: the
+              // other taps add +0, which leaves every dX value as it is
+              // (dX starts at +0 and only ever has values added, so it is
+              // never -0).
+              for (std::int32_t t = 0; t < tap; ++t) {
+                float* __restrict d = dxImg + tapOffset[t];
+                for (std::size_t c = 0; c < C; ++c) {
+                  d[c] += arg[c] == t ? g[c] : 0.f;
+                }
+              }
+            }
+          }
+        }
+      });
+  return store(std::move(dx));
+}
+
+DataId NativeBackend::avgPoolBackprop(const TensorSpec& dy,
+                                      const Pool2DInfo& pi) {
+  KernelTimer t(kernelMs_, "native.avgPoolBackprop");
+  const auto& dyv = buf(dy.id);
+  const std::size_t C = static_cast<std::size_t>(pi.channels);
+  const std::size_t inImage = static_cast<std::size_t>(pi.inH) * pi.inW * C;
+  std::vector<float> dx =
+      allocZeroed(static_cast<std::size_t>(pi.batch) * inImage);
+  // Partitioned by image, as maxPoolBackprop.
+  ThreadPool::get().parallelFor(
+      static_cast<std::size_t>(pi.batch), 1,
+      [&](std::size_t bBegin, std::size_t bEnd) {
+        std::vector<float> shareRow(C);
+        float* __restrict share = shareRow.data();
+        for (std::size_t b = bBegin; b < bEnd; ++b) {
+          float* dxImg = dx.data() + b * inImage;
+          const float* g = dyv.data() + b * pi.outH * pi.outW * C;
+          for (int oy = 0; oy < pi.outH; ++oy) {
+            const auto [yLo, yHi] =
+                windowRange(oy, pi.strideH, pi.padTop, pi.filterH, pi.inH);
+            for (int ox = 0; ox < pi.outW; ++ox, g += C) {
+              const auto [xLo, xHi] =
+                  windowRange(ox, pi.strideW, pi.padLeft, pi.filterW, pi.inW);
+              // The in-bounds cell count: the forward average's divisor.
+              const int count = (yHi - yLo) * (xHi - xLo);
+              if (count == 0) continue;
+              for (std::size_t c = 0; c < C; ++c) {
+                share[c] = g[c] / static_cast<float>(count);
+              }
+              for (int iy = yLo; iy < yHi; ++iy) {
+                for (int ix = xLo; ix < xHi; ++ix) {
+                  float* __restrict d =
+                      dxImg + (static_cast<std::size_t>(iy) * pi.inW + ix) * C;
+                  for (std::size_t c = 0; c < C; ++c) d[c] += share[c];
+                }
+              }
+            }
+          }
+        }
+      });
+  return store(std::move(dx));
 }
 
 DataId NativeBackend::reduce(ReduceOp op, const TensorSpec& x,

@@ -12,8 +12,11 @@
 // int8 GEMM (native_quant.cc) has the same shape: cached packed weight
 // panels, a row-block partition, an MR x 64 i32 register tile and the
 // requantizing epilogue applied from the accumulators. Depthwise conv keeps
-// groups of output pixels in registers across all taps. Long-tail
-// data-movement kernels inherit the reference implementations.
+// groups of output pixels in registers across all taps. The backward
+// kernels lower the same way: conv backprop onto the GEMM (over im2col rows
+// for the filter, then a col2im scatter-add for the input), depthwise and
+// pooling backprop onto dense channel rows. Long-tail data-movement kernels inherit the reference
+// implementations.
 //
 // Every parallel kernel uses a fixed chunk partition (independent of the
 // thread count), so results are bit-identical to the single-threaded path;
@@ -94,6 +97,47 @@ class NativeBackend : public RefBackend {
                          const Conv2DInfo& info) override;
   DataId pool2d(PoolMode mode, const TensorSpec& x,
                 const Pool2DInfo& info) override;
+
+  // Backward kernels. Each is bit-identical at any thread count (one chunk
+  // per image, per filter tap or per input row, each run serially);
+  // tests/native_gemm_test.cc holds them to per-element oracles.
+
+  /// dX = col2im(dy · Wᵀ): per image, fixed chunks of output rows run the
+  /// GEMM (W read transposed in place) into a bounded dcol scratch, which is
+  /// then scatter-added into dX in ascending (oy, ox) order. Each dcol
+  /// element is one ascending-oc chain from +0; each dX element is +0 plus
+  /// the dcol values that reach it, in (oy, ox) order.
+  DataId conv2dBackpropInput(const TensorSpec& dy, const TensorSpec& filter,
+                             const Conv2DInfo& info) override;
+  /// dW = colᵀ · dy over fixed chunks of output rows (bounded im2col
+  /// scratch, read transposed in place), each chunk's GEMM continuing the
+  /// previous one's chains: every dW element is one chain over all output
+  /// pixels in ascending order, from +0, padding taps included as zeros.
+  DataId conv2dBackpropFilter(const TensorSpec& x, const TensorSpec& dy,
+                              const Conv2DInfo& info) override;
+  /// Gathers per input row, a dense channel row per contributing tap: each
+  /// element is +0, then one multiply-add per (contributing output pixel
+  /// ascending, channel multiplier q ascending).
+  DataId depthwiseConv2dBackpropInput(const TensorSpec& dy,
+                                      const TensorSpec& filter,
+                                      const Conv2DInfo& info) override;
+  /// One chunk per filter tap, a dense channel row per output pixel. Each
+  /// element is +0, then one multiply-add per output pixel (b, oy, ox)
+  /// ascending whose tap lands inside the input.
+  DataId depthwiseConv2dBackpropFilter(const TensorSpec& x,
+                                       const TensorSpec& dy,
+                                       const Conv2DInfo& info) override;
+  /// Dense channel rows per window: a branch-free argmax (first strict >,
+  /// so NaN is never picked and an all -inf window routes nothing), then
+  /// one add per channel. Every dX element sums in RefBackend's (oy, ox)
+  /// order, so the result is bitwise RefBackend's.
+  DataId maxPoolBackprop(const TensorSpec& dy, const TensorSpec& x,
+                         const Pool2DInfo& info) override;
+  /// dy / count as a channel row, added to every in-bounds tap in (oy, ox)
+  /// order: bitwise RefBackend's.
+  DataId avgPoolBackprop(const TensorSpec& dy,
+                         const Pool2DInfo& info) override;
+
   DataId reduce(ReduceOp op, const TensorSpec& x, std::size_t outer,
                 std::size_t inner) override;
 

@@ -164,15 +164,25 @@ Tensor conv2dKernel(const char* name, const Tensor& x, const Tensor& filter,
                     FusedActivation act);
 
 /// matMul's transpose-aware adjoints {da, db} for the output gradient dy,
-/// reduced over broadcast batch dims.
+/// reduced over broadcast batch dims. An operand whose `need` flag is false
+/// gets an undefined tensor and costs no kernel.
 std::vector<Tensor> matMulGrads(const Tensor& a, const Tensor& b,
                                 bool transposeA, bool transposeB,
-                                const Tensor& dy);
-/// conv2d's adjoint kernels.
-Tensor convBackpropInput(const Tensor& dy, const Tensor& filter,
-                         const Conv2DInfo& info);
-Tensor convBackpropFilter(const Tensor& x, const Tensor& dy,
-                          const Conv2DInfo& info);
+                                const Tensor& dy, bool needA, bool needB);
+/// conv2d's adjoints {dx, dfilter} for the output gradient dy; an operand
+/// whose `need` flag is false gets an undefined tensor and costs no kernel.
+std::vector<Tensor> convGrads(const Tensor& x, const Tensor& filter,
+                              const Conv2DInfo& info, const Tensor& dy,
+                              bool needX, bool needF);
+
+/// Whether the active tape watches `t`. A pullback captures this for each
+/// operand when its op records, and returns an undefined gradient (which
+/// the tape skips) for an operand nothing differentiates — the input batch
+/// of a model's first layer, say.
+inline bool watched(const Tensor& t) {
+  TapeRecorder* tape = E().tape();
+  return tape != nullptr && tape->watched(std::span<const Tensor>(&t, 1));
+}
 
 /// Records a pullback onto the active tape when gradients are being traced
 /// through any of the inputs.

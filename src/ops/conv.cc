@@ -27,8 +27,10 @@ Tensor internal::conv2dKernel(const char* name, const Tensor& x,
                 DType::f32);
 }
 
-Tensor internal::convBackpropInput(const Tensor& dy, const Tensor& filter,
-                                   const Conv2DInfo& info) {
+namespace {
+
+Tensor convBackpropInput(const Tensor& dy, const Tensor& filter,
+                         const Conv2DInfo& info) {
   internal::KernelScope k("conv2dBackpropInput");
   const TensorSpec sdy = E().prepareInput(dy);
   const TensorSpec sf = E().prepareInput(filter);
@@ -37,8 +39,8 @@ Tensor internal::convBackpropInput(const Tensor& dy, const Tensor& filter,
                 DType::f32);
 }
 
-Tensor internal::convBackpropFilter(const Tensor& x, const Tensor& dy,
-                                    const Conv2DInfo& info) {
+Tensor convBackpropFilter(const Tensor& x, const Tensor& dy,
+                          const Conv2DInfo& info) {
   internal::KernelScope k("conv2dBackpropFilter");
   const TensorSpec sx = E().prepareInput(x);
   const TensorSpec sdy = E().prepareInput(dy);
@@ -46,8 +48,6 @@ Tensor internal::convBackpropFilter(const Tensor& x, const Tensor& dy,
   return k.wrap(id, Shape{info.filterH, info.filterW, info.inC, info.outC},
                 DType::f32);
 }
-
-namespace {
 
 Tensor dwBackpropInput(const Tensor& dy, const Tensor& filter,
                        const Conv2DInfo& info) {
@@ -72,6 +72,14 @@ Tensor dwBackpropFilter(const Tensor& x, const Tensor& dy,
 
 }  // namespace
 
+std::vector<Tensor> internal::convGrads(const Tensor& x, const Tensor& filter,
+                                        const Conv2DInfo& info,
+                                        const Tensor& dy, bool needX,
+                                        bool needF) {
+  return {needX ? convBackpropInput(dy, filter, info) : Tensor{},
+          needF ? convBackpropFilter(x, dy, info) : Tensor{}};
+}
+
 Tensor conv2d(const Tensor& x, const Tensor& filter, int strideH, int strideW,
               PadMode pad, int dilationH, int dilationW) {
   // Int8 filters route to the quantized kernel (inference-only).
@@ -91,10 +99,11 @@ Tensor conv2d(const Tensor& x, const Tensor& filter, int strideH, int strideW,
                        static_cast<double>(pad),
                        static_cast<double>(dilationH),
                        static_cast<double>(dilationW)});
-  record("conv2d", {x, filter}, y, [x, filter, info](const Tensor& dy) {
-    return std::vector<Tensor>{internal::convBackpropInput(dy, filter, info),
-                               internal::convBackpropFilter(x, dy, info)};
-  });
+  record("conv2d", {x, filter}, y,
+         [x, filter, info, needX = internal::watched(x),
+          needF = internal::watched(filter)](const Tensor& dy) {
+           return internal::convGrads(x, filter, info, dy, needX, needF);
+         });
   return y;
 }
 
@@ -128,9 +137,11 @@ Tensor depthwiseConv2d(const Tensor& x, const Tensor& filter, int strideH,
                        static_cast<double>(dilationH),
                        static_cast<double>(dilationW)});
   record("depthwiseConv2d", {x, filter}, y,
-         [x, filter, info](const Tensor& dy) {
-           return std::vector<Tensor>{dwBackpropInput(dy, filter, info),
-                                      dwBackpropFilter(x, dy, info)};
+         [x, filter, info, needX = internal::watched(x),
+          needF = internal::watched(filter)](const Tensor& dy) {
+           return std::vector<Tensor>{
+               needX ? dwBackpropInput(dy, filter, info) : Tensor{},
+               needF ? dwBackpropFilter(x, dy, info) : Tensor{}};
          });
   return y;
 }

@@ -91,9 +91,10 @@ Tensor fusedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
                           static_cast<double>(transposeB),
                           static_cast<double>(bias.defined())};
   finishFused(OpId::kFusedMatMul, "fusedMatMul", a, b, bias, y, act, attrs,
-              [a, b, transposeA, transposeB](const Tensor& dt) {
+              [a, b, transposeA, transposeB, needA = internal::watched(a),
+               needB = internal::watched(b)](const Tensor& dt) {
                 return internal::matMulGrads(a, b, transposeA, transposeB,
-                                             dt);
+                                             dt, needA, needB);
               });
   return y;
 }
@@ -117,10 +118,10 @@ Tensor fusedConv2d(const Tensor& x, const Tensor& filter, const Tensor& bias,
       static_cast<double>(pad),     static_cast<double>(dilationH),
       static_cast<double>(dilationW)};
   finishFused(OpId::kFusedConv2d, "fusedConv2d", x, filter, bias, y, act,
-              attrs, [x, filter, info](const Tensor& dt) {
-                return std::vector<Tensor>{
-                    internal::convBackpropInput(dt, filter, info),
-                    internal::convBackpropFilter(x, dt, info)};
+              attrs,
+              [x, filter, info, needX = internal::watched(x),
+               needF = internal::watched(filter)](const Tensor& dt) {
+                return internal::convGrads(x, filter, info, dt, needX, needF);
               });
   return y;
 }

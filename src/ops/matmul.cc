@@ -75,26 +75,25 @@ Tensor internal::matMulKernel(const char* name, const Tensor& a,
 
 std::vector<Tensor> internal::matMulGrads(const Tensor& a, const Tensor& b,
                                           bool transposeA, bool transposeB,
-                                          const Tensor& dy) {
-  // Standard transpose-aware adjoints, then reduce over broadcast batch.
-  Tensor da3, db3;
-  if (!transposeA && !transposeB) {
-    da3 = matMul(dy, b, false, true);
-    db3 = matMul(a, dy, true, false);
-  } else if (!transposeA && transposeB) {
-    da3 = matMul(dy, b, false, false);
-    db3 = matMul(dy, a, true, false);
-  } else if (transposeA && !transposeB) {
-    da3 = matMul(b, dy, false, true);
-    db3 = matMul(a, dy, false, false);
-  } else {
-    da3 = matMul(b, dy, true, true);
-    db3 = matMul(dy, a, true, true);
+                                          const Tensor& dy, bool needA,
+                                          bool needB) {
+  // Standard transpose-aware adjoints, each reduced over broadcast batch.
+  const auto adjoint = [](const Tensor& l, const Tensor& r, bool tl, bool tr,
+                          const Shape& target) {
+    Tensor g3 = matMul(l, r, tl, tr);
+    Tensor g = reduceGradTo(g3, target);
+    g3.dispose();
+    return g;
+  };
+  Tensor da, db;
+  if (needA) {
+    da = transposeA ? adjoint(b, dy, transposeB, true, a.shape())
+                    : adjoint(dy, b, false, !transposeB, a.shape());
   }
-  Tensor da = reduceGradTo(da3, a.shape());
-  Tensor db = reduceGradTo(db3, b.shape());
-  da3.dispose();
-  db3.dispose();
+  if (needB) {
+    db = transposeB ? adjoint(dy, a, true, transposeA, b.shape())
+                    : adjoint(a, dy, !transposeA, false, b.shape());
+  }
   return {da, db};
 }
 
@@ -120,9 +119,12 @@ Tensor matMul(const Tensor& a, const Tensor& b, bool transposeA,
   internal::observeOp(OpId::kMatMul, {a, b}, y,
                       {static_cast<double>(transposeA),
                        static_cast<double>(transposeB)});
-  record("matMul", {a, b}, y, [a, b, transposeA, transposeB](const Tensor& dy) {
-    return internal::matMulGrads(a, b, transposeA, transposeB, dy);
-  });
+  record("matMul", {a, b}, y,
+         [a, b, transposeA, transposeB, needA = internal::watched(a),
+          needB = internal::watched(b)](const Tensor& dy) {
+           return internal::matMulGrads(a, b, transposeA, transposeB, dy,
+                                        needA, needB);
+         });
   return y;
 }
 

@@ -3,7 +3,11 @@
 // and optimizers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "autodiff/optimizers.h"
 #include "autodiff/tape.h"
@@ -262,6 +266,167 @@ TEST_P(AutodiffTest, VariableGrads) {
   for (auto& [v, g] : result.grads) g.dispose();
   w.dispose();
   b.dispose();
+}
+
+// ------------------------------------------- native backward kernels
+
+/// Deterministic values in [-1, 1) (LCG), identical on every backend.
+std::vector<float> lcgValues(std::size_t n, std::uint32_t seed) {
+  std::vector<float> v(n);
+  std::uint32_t s = seed * 2654435761u + 1u;
+  for (float& x : v) {
+    s = s * 1664525u + 1013904223u;
+    x = static_cast<float>(s >> 8) / static_cast<float>(1u << 24) * 2.f - 1.f;
+  }
+  return v;
+}
+
+/// An op of the input x and a weight w (which pooling ignores).
+using BinaryOpFn = std::function<Tensor(const Tensor&, const Tensor&)>;
+
+/// Gradients of sum(op(x, w)^2) w.r.t. x and w on `backend`.
+std::vector<std::vector<float>> squaredLossGrads(const char* backend,
+                                                 const BinaryOpFn& op,
+                                                 const Shape& xs,
+                                                 const Shape& ws) {
+  setBackend(backend);
+  Tensor x = o::tensor(lcgValues(xs.size(), 1), xs);
+  Tensor w = o::tensor(lcgValues(ws.size(), 2), ws);
+  const std::array<Tensor, 2> in{x, w};
+  std::vector<Tensor> gs = ad::grads(
+      [&](std::span<const Tensor> t) {
+        return o::sum(o::square(op(t[0], t[1])));
+      },
+      in);
+  std::vector<std::vector<float>> out;
+  for (Tensor& g : gs) {
+    out.push_back(g.dataSync());
+    g.dispose();
+  }
+  x.dispose();
+  w.dispose();
+  return out;
+}
+
+// Strided, dilated and padded conv, depthwise and pooling gradients on
+// native (GEMM-lowered and register-tiled backward kernels) against the cpu
+// backend (the reference backward loops), within rounding: native chains
+// are FMA steps, the reference rounds products and sums separately.
+TEST(NativeBackwardKernels, GradientsMatchCpuBackend) {
+  struct Case {
+    const char* name;
+    Shape x, w;
+    BinaryOpFn op;
+  };
+  const Case cases[] = {
+      {"conv2d stride 2 same", Shape{2, 9, 9, 3}, Shape{3, 3, 3, 5},
+       [](const Tensor& x, const Tensor& w) {
+         return o::conv2d(x, w, 2, 2, PadMode::kSame);
+       }},
+      {"conv2d dilation 2 valid", Shape{2, 9, 10, 4}, Shape{3, 3, 4, 6},
+       [](const Tensor& x, const Tensor& w) {
+         return o::conv2d(x, w, 1, 1, PadMode::kValid, 2, 2);
+       }},
+      {"fusedConv2d relu stride 2 valid", Shape{2, 10, 9, 3},
+       Shape{3, 3, 3, 7},
+       [](const Tensor& x, const Tensor& w) {
+         return o::fusedConv2d(x, w, Tensor{}, FusedActivation::kRelu, 2, 2,
+                               PadMode::kValid);
+       }},
+      {"depthwise stride 2 mult 2 same", Shape{2, 9, 9, 4},
+       Shape{3, 3, 4, 2},
+       [](const Tensor& x, const Tensor& w) {
+         return o::depthwiseConv2d(x, w, 2, 2, PadMode::kSame);
+       }},
+      {"depthwise dilation 2 same", Shape{2, 8, 9, 5}, Shape{3, 3, 5, 1},
+       [](const Tensor& x, const Tensor& w) {
+         return o::depthwiseConv2d(x, w, 1, 1, PadMode::kSame, 2, 2);
+       }},
+      {"maxPool 3x3 stride 2 same", Shape{2, 9, 9, 4}, Shape{1},
+       [](const Tensor& x, const Tensor&) {
+         return o::maxPool(x, 3, 3, 2, 2, PadMode::kSame);
+       }},
+      {"avgPool 3x3 stride 1 same", Shape{2, 7, 8, 3}, Shape{1},
+       [](const Tensor& x, const Tensor&) {
+         return o::avgPool(x, 3, 3, 1, 1, PadMode::kSame);
+       }},
+  };
+  for (const Case& cs : cases) {
+    const auto native = squaredLossGrads("native", cs.op, cs.x, cs.w);
+    const auto cpu = squaredLossGrads("cpu", cs.op, cs.x, cs.w);
+    for (std::size_t g = 0; g < native.size(); ++g) {
+      ASSERT_EQ(native[g].size(), cpu[g].size()) << cs.name;
+      for (std::size_t i = 0; i < native[g].size(); ++i) {
+        const float scale =
+            std::max({1.f, std::abs(native[g][i]), std::abs(cpu[g][i])});
+        EXPECT_NEAR(native[g][i], cpu[g][i], 1e-4f * scale)
+            << cs.name << ": gradient " << g << " at flat index " << i;
+      }
+    }
+  }
+}
+
+/// Kernels named `name` in a profile.
+std::size_t countKernels(const ProfileInfo& info, const std::string& name) {
+  return static_cast<std::size_t>(std::count_if(
+      info.kernels.begin(), info.kernels.end(),
+      [&](const ProfileInfo::KernelRecord& k) { return k.name == name; }));
+}
+
+// A conv whose input nothing differentiates (a model's image batch) runs no
+// input-gradient kernel, and its filter gradient is bitwise the one computed
+// with the input watched too.
+TEST(NativeBackwardKernels, UnwatchedConvInputRunsNoInputGradient) {
+  setBackend("native");
+  struct Case {
+    const char* inputKernel;
+    const char* filterKernel;
+    Shape w;
+    BinaryOpFn op;
+  };
+  const Case cases[] = {
+      {"conv2dBackpropInput", "conv2dBackpropFilter", Shape{3, 3, 3, 4},
+       [](const Tensor& x, const Tensor& w) {
+         return o::conv2d(x, w, 1, 1, PadMode::kSame);
+       }},
+      {"conv2dBackpropInput", "conv2dBackpropFilter", Shape{3, 3, 3, 4},
+       [](const Tensor& x, const Tensor& w) {
+         return o::fusedConv2d(x, w, Tensor{}, FusedActivation::kRelu, 1, 1,
+                               PadMode::kSame);
+       }},
+      {"depthwiseConv2dBackpropInput", "depthwiseConv2dBackpropFilter",
+       Shape{3, 3, 3, 2},
+       [](const Tensor& x, const Tensor& w) {
+         return o::depthwiseConv2d(x, w, 1, 1, PadMode::kSame);
+       }},
+  };
+  const Shape xs{2, 6, 7, 3};
+  for (const Case& cs : cases) {
+    Tensor x = o::tensor(lcgValues(xs.size(), 3), xs);
+    Tensor w = o::tensor(lcgValues(cs.w.size(), 4), cs.w);
+    const auto loss = [&](const Tensor& in, const Tensor& filter) {
+      return o::sum(o::square(cs.op(in, filter)));
+    };
+    const std::array<Tensor, 2> both{x, w};
+    std::vector<Tensor> gBoth = ad::grads(
+        [&](std::span<const Tensor> t) { return loss(t[0], t[1]); }, both);
+    Tensor gW;
+    const ProfileInfo info = profile([&] {
+      gW = ad::grad([&](const Tensor& filter) { return loss(x, filter); }, w);
+    });
+    EXPECT_EQ(countKernels(info, cs.inputKernel), 0u) << cs.inputKernel;
+    EXPECT_EQ(countKernels(info, cs.filterKernel), 1u) << cs.filterKernel;
+    const auto got = gW.dataSync();
+    const auto want = gBoth[1].dataSync();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << cs.filterKernel << " differs from the both-watched gradient";
+    for (Tensor& g : gBoth) g.dispose();
+    gW.dispose();
+    x.dispose();
+    w.dispose();
+  }
 }
 
 // ------------------------------------------------------------- optimizers

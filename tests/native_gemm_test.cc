@@ -34,6 +34,11 @@
 //
 // whatever the register blocking of output pixels and channels, the edge
 // path for padded pixels, or the thread count.
+//
+// The backward kernels are held the same way: conv backprop to the chains
+// of colᵀ · dy (dW) and to col2im of dy · Wᵀ (dX), depthwise backprop to
+// one fmaStep chain per element in output-pixel order, and pool backprop
+// to RefBackend itself (it performs the reference's exact adds).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -329,6 +334,42 @@ TEST_F(NativeGemmTest, BatchedMatMulBroadcastsOperand) {
                 "batched matMul");
 }
 
+/// The im2col matrix of NHWC x: one [filterH, filterW, inC] row per output
+/// pixel (b, oy, ox), zeros where a tap falls in the padding.
+std::vector<float> oracleIm2col(const std::vector<float>& x,
+                                const Conv2DInfo& ci) {
+  const std::size_t patch =
+      static_cast<std::size_t>(ci.filterH) * ci.filterW * ci.inC;
+  std::vector<float> col(
+      static_cast<std::size_t>(ci.batch) * ci.outH * ci.outW * patch, 0.f);
+  for (int b = 0; b < ci.batch; ++b) {
+    for (int oy = 0; oy < ci.outH; ++oy) {
+      for (int ox = 0; ox < ci.outW; ++ox) {
+        float* dst =
+            col.data() +
+            ((static_cast<std::size_t>(b) * ci.outH + oy) * ci.outW + ox) *
+                patch;
+        for (int fy = 0; fy < ci.filterH; ++fy) {
+          for (int fx = 0; fx < ci.filterW; ++fx) {
+            const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+            const int ix = ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
+            if (iy < 0 || iy >= ci.inH || ix < 0 || ix >= ci.inW) continue;
+            std::memcpy(
+                dst + (static_cast<std::size_t>(fy) * ci.filterW + fx) *
+                          ci.inC,
+                x.data() +
+                    ((static_cast<std::size_t>(b) * ci.inH + iy) * ci.inW +
+                     ix) *
+                        ci.inC,
+                static_cast<std::size_t>(ci.inC) * sizeof(float));
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
+
 // Convolutions: the 1x1 path is a straight [spatial, inC] x [inC, outC]
 // GEMM; the general path packs im2col rows (zeros in the padding) per chunk
 // and runs the GEMM on each chunk. The oracle builds the same im2col matrix
@@ -366,36 +407,10 @@ TEST_F(NativeGemmTest, ConvPathsMatchOracle) {
     }
     const auto fData = randomData(cs.f.size(), 32);
     const auto bias = specialBias(ci.outC);
-    const int patch = ci.filterH * ci.filterW * ci.inC;
-    const int rows = ci.batch * ci.outH * ci.outW;
-    std::vector<float> col(static_cast<std::size_t>(rows) * patch, 0.f);
-    for (int b = 0; b < ci.batch; ++b) {
-      for (int oy = 0; oy < ci.outH; ++oy) {
-        for (int ox = 0; ox < ci.outW; ++ox) {
-          float* dst = col.data() +
-                       ((static_cast<std::size_t>(b) * ci.outH + oy) * ci.outW +
-                        ox) *
-                           patch;
-          for (int fy = 0; fy < ci.filterH; ++fy) {
-            for (int fx = 0; fx < ci.filterW; ++fx) {
-              const int iy = oy * ci.strideH - ci.padTop + fy;
-              const int ix = ox * ci.strideW - ci.padLeft + fx;
-              if (iy < 0 || iy >= ci.inH || ix < 0 || ix >= ci.inW) continue;
-              std::memcpy(
-                  dst + (static_cast<std::size_t>(fy) * ci.filterW + fx) *
-                            ci.inC,
-                  xData.data() +
-                      ((static_cast<std::size_t>(b) * ci.inH + iy) * ci.inW +
-                       ix) *
-                          ci.inC,
-                  static_cast<std::size_t>(ci.inC) * sizeof(float));
-            }
-          }
-        }
-      }
-    }
     const auto z =
-        oracleChains(col.data(), fData.data(), rows, patch, ci.outC);
+        oracleChains(oracleIm2col(xData, ci).data(), fData.data(),
+                     ci.batch * ci.outH * ci.outW,
+                     ci.filterH * ci.filterW * ci.inC, ci.outC);
     const TensorSpec x = put(xData, cs.x);
     const TensorSpec f = put(fData, cs.f);
     const TensorSpec bs = put(bias, Shape{ci.outC});
@@ -513,6 +528,280 @@ TEST_F(NativeGemmTest, DepthwiseMatchesOracle) {
                             " threads=" + std::to_string(threads));
           if (HasFailure()) return;
         }
+      }
+    }
+  }
+}
+
+/// Plants ±0 on every `every`-th element (the sign of a zero survives a
+/// chain only when its steps run in the promised order).
+std::vector<float> withZeros(std::vector<float> v, std::size_t every) {
+  for (std::size_t e = 0; e < v.size(); e += every) {
+    v[e] = e % 2 == 0 ? 0.f : -0.f;
+  }
+  return v;
+}
+
+std::string convTag(const char* what, const Shape& x, const Shape& f,
+                    int stride, int dilation, PadMode pad, int threads) {
+  return std::string(what) + " " + x.toString() + " * " + f.toString() +
+         " stride=" + std::to_string(stride) +
+         " dilation=" + std::to_string(dilation) +
+         (pad == PadMode::kSame ? " same" : " valid") +
+         " threads=" + std::to_string(threads);
+}
+
+// Conv backprop. dW is colᵀ · dy: per element one chain over every output
+// pixel (b, oy, ox) ascending, from +0, padding taps included as zeros. dX
+// scatters dcol = dy · Wᵀ (one ascending-oc chain per element, from +0)
+// back over the taps: each input element is +0 plus its contributions in
+// ascending (oy, ox) order. Strides 1 and 2, dilation 2, SAME and VALID, a
+// 1x1 conv, and channel counts around the register tile and the 32-column
+// panel (in 1, 3, 17, 33; out 1, 16, 17, 33), batch 2.
+TEST_F(NativeGemmTest, ConvBackpropMatchesOracle) {
+  struct Case {
+    Shape x, f;
+    int stride, dilation;
+    PadMode pad;
+  };
+  const Case cases[] = {
+      {Shape{2, 9, 11, 3}, Shape{3, 3, 3, 16}, 1, 1, PadMode::kSame},
+      {Shape{2, 10, 9, 17}, Shape{3, 3, 17, 33}, 2, 1, PadMode::kSame},
+      {Shape{2, 11, 12, 1}, Shape{3, 3, 1, 33}, 1, 2, PadMode::kSame},
+      {Shape{2, 12, 10, 3}, Shape{5, 5, 3, 1}, 2, 1, PadMode::kValid},
+      {Shape{2, 9, 9, 17}, Shape{3, 3, 17, 16}, 1, 2, PadMode::kValid},
+      {Shape{2, 6, 5, 33}, Shape{1, 1, 33, 17}, 1, 1, PadMode::kValid},
+  };
+  for (const Case& cs : cases) {
+    const Conv2DInfo ci = tfjs::conv_util::computeConv2DInfo(
+        cs.x, cs.f, cs.stride, cs.stride, cs.pad, cs.dilation, cs.dilation);
+    const Shape ys{ci.batch, ci.outH, ci.outW, ci.outC};
+    const auto xData = withZeros(randomData(cs.x.size(), 41), 7);
+    const auto dyData = withZeros(randomData(ys.size(), 42), 5);
+    const auto fData = randomData(cs.f.size(), 43);
+    const std::size_t patch =
+        static_cast<std::size_t>(ci.filterH) * ci.filterW * ci.inC;
+    const std::size_t outC = static_cast<std::size_t>(ci.outC);
+    const std::size_t rows =
+        static_cast<std::size_t>(ci.batch) * ci.outH * ci.outW;
+
+    const auto col = oracleIm2col(xData, ci);
+    std::vector<float> wantDw(patch * outC);
+    for (std::size_t p = 0; p < patch; ++p) {
+      for (std::size_t oc = 0; oc < outC; ++oc) {
+        float c = 0.f;
+        for (std::size_t r = 0; r < rows; ++r) {
+          c = fmaStep(col[r * patch + p], dyData[r * outC + oc], c);
+        }
+        wantDw[p * outC + oc] = c;
+      }
+    }
+
+    std::vector<float> wT(fData.size());
+    for (std::size_t p = 0; p < patch; ++p) {
+      for (std::size_t oc = 0; oc < outC; ++oc) {
+        wT[oc * patch + p] = fData[p * outC + oc];
+      }
+    }
+    const auto dcol =
+        oracleChains(dyData.data(), wT.data(), static_cast<int>(rows),
+                     ci.outC, static_cast<int>(patch));
+    std::vector<float> wantDx(cs.x.size(), 0.f);
+    for (int b = 0; b < ci.batch; ++b) {
+      for (int oy = 0; oy < ci.outH; ++oy) {
+        for (int ox = 0; ox < ci.outW; ++ox) {
+          const std::size_t r =
+              (static_cast<std::size_t>(b) * ci.outH + oy) * ci.outW + ox;
+          for (int fy = 0; fy < ci.filterH; ++fy) {
+            for (int fx = 0; fx < ci.filterW; ++fx) {
+              const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+              const int ix = ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
+              if (iy < 0 || iy >= ci.inH || ix < 0 || ix >= ci.inW) continue;
+              for (int ic = 0; ic < ci.inC; ++ic) {
+                float& d = wantDx[((static_cast<std::size_t>(b) * ci.inH + iy) *
+                                       ci.inW +
+                                   ix) *
+                                      ci.inC +
+                                  ic];
+                d = d + dcol[r * patch +
+                             (static_cast<std::size_t>(fy) * ci.filterW + fx) *
+                                 ci.inC +
+                             ic];
+              }
+            }
+          }
+        }
+      }
+    }
+
+    const TensorSpec x = put(xData, cs.x);
+    const TensorSpec dy = put(dyData, ys);
+    const TensorSpec f = put(fData, cs.f);
+    for (const int threads : {1, 4}) {
+      ThreadPool::get().setNumThreads(threads);
+      expectBitwise(native_.read(native_.conv2dBackpropFilter(x, dy, ci)),
+                    wantDw,
+                    convTag("conv2dBackpropFilter", cs.x, cs.f, cs.stride,
+                            cs.dilation, cs.pad, threads));
+      expectBitwise(native_.read(native_.conv2dBackpropInput(dy, f, ci)),
+                    wantDx,
+                    convTag("conv2dBackpropInput", cs.x, cs.f, cs.stride,
+                            cs.dilation, cs.pad, threads));
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// Depthwise backprop. dX per input element: +0, then one fmaStep per
+// contributing output pixel (oy, ox) ascending and, within it, channel
+// multiplier q ascending. dF per element: +0, then one fmaStep per output
+// pixel (b, oy, ox) ascending whose tap lands inside the input. Both are
+// written below in scatter form, which visits each element's steps in that
+// order. Shapes as the forward test plus VALID cases at stride 1 and 2 and
+// with dilation 2, whose windows reach past every edge of dy as seen from
+// dX; channel counts around the vector width.
+TEST_F(NativeGemmTest, DepthwiseBackpropMatchesOracle) {
+  struct Case {
+    int h, w, filter, stride, dilation;
+    PadMode pad;
+  };
+  const Case cases[] = {{9, 21, 3, 1, 1, PadMode::kSame},
+                        {10, 23, 3, 2, 1, PadMode::kSame},
+                        {11, 22, 3, 1, 2, PadMode::kSame},
+                        {8, 19, 5, 1, 1, PadMode::kSame},
+                        {11, 13, 3, 2, 1, PadMode::kValid},
+                        {9, 21, 3, 1, 1, PadMode::kValid},
+                        {11, 22, 3, 1, 2, PadMode::kValid}};
+  for (const Case& cs : cases) {
+    for (const int C : {1, 7, 16, 33, 64}) {
+      for (const int mult : {1, 2}) {
+        const Shape xs{2, cs.h, cs.w, C}, fs{cs.filter, cs.filter, C, mult};
+        const Conv2DInfo ci = tfjs::conv_util::computeConv2DInfo(
+            xs, fs, cs.stride, cs.stride, cs.pad, cs.dilation, cs.dilation,
+            /*depthwise=*/true);
+        const Shape ys{ci.batch, ci.outH, ci.outW, ci.outC};
+        const auto xData =
+            withZeros(randomData(xs.size(), static_cast<std::uint32_t>(C)), 5);
+        const auto dyData = withZeros(
+            randomData(ys.size(), static_cast<std::uint32_t>(C + 50)), 7);
+        const auto fData =
+            randomData(fs.size(), static_cast<std::uint32_t>(C + mult));
+        std::vector<float> wantDx(xs.size(), 0.f), wantDf(fs.size(), 0.f);
+        for (int b = 0; b < ci.batch; ++b) {
+          for (int oy = 0; oy < ci.outH; ++oy) {
+            for (int ox = 0; ox < ci.outW; ++ox) {
+              for (int fy = 0; fy < ci.filterH; ++fy) {
+                const int iy =
+                    oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+                if (iy < 0 || iy >= ci.inH) continue;
+                for (int fx = 0; fx < ci.filterW; ++fx) {
+                  const int ix =
+                      ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
+                  if (ix < 0 || ix >= ci.inW) continue;
+                  const std::size_t xi =
+                      ((static_cast<std::size_t>(b) * ci.inH + iy) * ci.inW +
+                       ix) *
+                      C;
+                  const std::size_t gi =
+                      ((static_cast<std::size_t>(b) * ci.outH + oy) *
+                           ci.outW +
+                       ox) *
+                      ci.outC;
+                  const std::size_t fi =
+                      (static_cast<std::size_t>(fy) * ci.filterW + fx) *
+                      ci.outC;
+                  for (int c = 0; c < C; ++c) {
+                    for (int q = 0; q < mult; ++q) {
+                      const std::size_t j =
+                          static_cast<std::size_t>(c) * mult + q;
+                      float& dx = wantDx[xi + c];
+                      float& df = wantDf[fi + j];
+                      dx = fmaStep(dyData[gi + j], fData[fi + j], dx);
+                      df = fmaStep(xData[xi + c], dyData[gi + j], df);
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+        const TensorSpec x = put(xData, xs);
+        const TensorSpec dy = put(dyData, ys);
+        const TensorSpec f = put(fData, fs);
+        for (const int threads : {1, 4}) {
+          ThreadPool::get().setNumThreads(threads);
+          expectBitwise(
+              native_.read(native_.depthwiseConv2dBackpropInput(dy, f, ci)),
+              wantDx,
+              convTag("depthwiseConv2dBackpropInput", xs, fs, cs.stride,
+                      cs.dilation, cs.pad, threads));
+          expectBitwise(
+              native_.read(native_.depthwiseConv2dBackpropFilter(x, dy, ci)),
+              wantDf,
+              convTag("depthwiseConv2dBackpropFilter", xs, fs, cs.stride,
+                      cs.dilation, cs.pad, threads));
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// Pool backprop: bitwise RefBackend — the same argmax (first strictly
+// greater value, taps in (fy, fx) order) and the same adds into each input
+// element in (oy, ox) order. Overlapping windows (stride < filter), SAME
+// padding on every edge, ties (inputs on a half-integer grid), NaN inputs,
+// and windows that are all -inf (max routes nothing there).
+TEST_F(NativeGemmTest, PoolBackpropMatchesReference) {
+  struct Case {
+    int h, w, filter, stride;
+    PadMode pad;
+  };
+  const Case cases[] = {{9, 11, 3, 1, PadMode::kSame},
+                        {10, 13, 3, 2, PadMode::kSame},
+                        {8, 8, 2, 2, PadMode::kValid},
+                        {7, 12, 4, 3, PadMode::kSame},
+                        {11, 9, 3, 2, PadMode::kValid}};
+  tfjs::backends::RefBackend ref;
+  for (const Case& cs : cases) {
+    for (const int C : {1, 5, 16, 33}) {
+      const Shape xs{2, cs.h, cs.w, C};
+      const tfjs::Pool2DInfo pi = tfjs::conv_util::computePool2DInfo(
+          xs, cs.filter, cs.filter, cs.stride, cs.stride, cs.pad);
+      const Shape ys{pi.batch, pi.outH, pi.outW, pi.channels};
+      std::vector<float> xData = randomData(xs.size(), 61);
+      for (float& v : xData) v = std::floor(v * 2.f) / 2.f;  // ties
+      for (std::size_t e = 3; e < xData.size(); e += 17) xData[e] = kNaN;
+      // Image 1, even channels: a 5x5 block of -inf, so every window
+      // inside it (filters up to 4) has nothing but -inf.
+      for (int y = 1; y < 6; ++y) {
+        for (int x = 1; x < 6; ++x) {
+          for (int c = 0; c < C; c += 2) {
+            xData[((static_cast<std::size_t>(1) * cs.h + y) * cs.w + x) * C +
+                  c] = -kInf;
+          }
+        }
+      }
+      const auto dyData = randomData(ys.size(), 62);
+      const auto wantMax = ref.read(ref.maxPoolBackprop(
+          TensorSpec{ref.write(dyData, ys), ys, tfjs::DType::f32},
+          TensorSpec{ref.write(xData, xs), xs, tfjs::DType::f32}, pi));
+      const auto wantAvg = ref.read(ref.avgPoolBackprop(
+          TensorSpec{ref.write(dyData, ys), ys, tfjs::DType::f32}, pi));
+      const TensorSpec x = put(xData, xs);
+      const TensorSpec dy = put(dyData, ys);
+      for (const int threads : {1, 4}) {
+        ThreadPool::get().setNumThreads(threads);
+        const std::string tag =
+            xs.toString() + " filter=" + std::to_string(cs.filter) +
+            " stride=" + std::to_string(cs.stride) +
+            (cs.pad == PadMode::kSame ? " same" : " valid") +
+            " threads=" + std::to_string(threads);
+        expectBitwise(native_.read(native_.maxPoolBackprop(dy, x, pi)),
+                      wantMax, "maxPoolBackprop " + tag);
+        expectBitwise(native_.read(native_.avgPoolBackprop(dy, pi)), wantAvg,
+                      "avgPoolBackprop " + tag);
+        if (HasFailure()) return;
       }
     }
   }

@@ -9,8 +9,11 @@
 # shifts and overflow in the quantization math). native_gemm_test runs on
 # every leg: the f32 GEMM's packed B block is written by the calling thread
 # and read by every pool worker (TSan), im2col convs pack B again inside
-# each parallel chunk (TSan, ASan), and partial tail tiles go through
-# padded scratch tiles and bias rows (ASan, UBSan).
+# each parallel chunk (TSan, ASan), partial tail tiles use masked loads and
+# stores and a padded bias row (ASan, UBSan), and the backward kernels
+# borrow im2col/col2im scratch per chunk (ASan). autodiff_test runs on the
+# ASan leg: it drives those backward kernels through the tape, whose
+# pullbacks now skip the gradients of unwatched operands.
 # async_test covers the multi-producer EventLoop::postTask path,
 # serving_test the whole client-threads/scheduler-thread serving stack, and
 # quant_test the quantized kernels whose packed-weight cache is shared
@@ -63,9 +66,9 @@ extended_fuzz build-tsan
 cmake -B build-asan -S . -DTFJS_SANITIZE=address
 cmake --build build-asan -j --target buffer_pool_test fusion_test \
   quant_test serving_test graph_fuzz_test native_parity_test native_gemm_test \
-  webgl_test graph_test graph_executor_test
+  webgl_test graph_test graph_executor_test autodiff_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test|webgl_test|graph_test|graph_executor_test'
+  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test|webgl_test|graph_test|graph_executor_test|autodiff_test'
 extended_fuzz build-asan
 
 cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined

@@ -417,7 +417,9 @@ DataId RefBackend::conv2dBackpropFilter(const TensorSpec& x,
 
 DataId RefBackend::depthwiseConv2d(const TensorSpec& x,
                                    const TensorSpec& filter,
-                                   const Conv2DInfo& ci) {
+                                   const Conv2DInfo& ci,
+                                   const TensorSpec* bias,
+                                   FusedActivation act) {
   KernelTimer t(kernelMs_);
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);
@@ -458,6 +460,7 @@ DataId RefBackend::depthwiseConv2d(const TensorSpec& x,
       }
     }
   }
+  applyEpilogue(out, static_cast<std::size_t>(ci.outC), bias, act);
   return store(std::move(out));
 }
 

@@ -75,7 +75,8 @@ class RefBackend : public Backend {
   DataId conv2dBackpropFilter(const TensorSpec& x, const TensorSpec& dy,
                               const Conv2DInfo& info) override;
   DataId depthwiseConv2d(const TensorSpec& x, const TensorSpec& filter,
-                         const Conv2DInfo& info) override;
+                         const Conv2DInfo& info, const TensorSpec* bias,
+                         FusedActivation act) override;
   DataId depthwiseConv2dBackpropInput(const TensorSpec& dy,
                                       const TensorSpec& filter,
                                       const Conv2DInfo& info) override;
@@ -129,12 +130,12 @@ class RefBackend : public Backend {
   std::vector<float>& mutableBuf(DataId id);
   DataId store(std::vector<float> v);
 
-  /// The fused epilogue of matMul/conv2d, run on the accumulated output
-  /// whose channel (innermost) dimension is `n`: out[i] = act(out[i] +
-  /// bias[i % n]) — the scalar formulas of the standalone add and
-  /// activation kernels, in the same order, so a backend that accumulates
-  /// its own way and then calls this stays bit-identical to its own op-by-op
-  /// chain. A no-op without bias and activation.
+  /// The fused epilogue of matMul/conv2d/depthwiseConv2d, run on the
+  /// accumulated output whose channel (innermost) dimension is `n`:
+  /// out[i] = act(out[i] + bias[i % n]) — the scalar formulas of the
+  /// standalone add and activation kernels, in the same order, so a backend
+  /// that accumulates its own way and then calls this stays bit-identical
+  /// to its own op-by-op chain. A no-op without bias and activation.
   void applyEpilogue(std::vector<float>& out, std::size_t n,
                      const TensorSpec* bias, FusedActivation act) const;
 

@@ -130,7 +130,9 @@ DataId PlainCpuBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
 
 DataId PlainCpuBackend::depthwiseConv2d(const TensorSpec& x,
                                         const TensorSpec& filter,
-                                        const Conv2DInfo& ci) {
+                                        const Conv2DInfo& ci,
+                                        const TensorSpec* bias,
+                                        FusedActivation act) {
   KernelTimer t(kernelMs_, "cpu.depthwiseConv2d");
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);
@@ -174,6 +176,7 @@ DataId PlainCpuBackend::depthwiseConv2d(const TensorSpec& x,
       }
     }
   }
+  applyEpilogue(out, static_cast<std::size_t>(ci.outC), bias, act);
   return store(std::move(out));
 }
 

@@ -43,9 +43,9 @@ class PlainCpuBackend : public RefBackend {
 
   // Elementwise ops (standalone, in place and fused) run RefBackend's
   // region interpreter: compiled scalar formulas, not the ScalarVM.
-  // matMul/conv2d accumulate through the ScalarVM, then run RefBackend's
-  // bias/activation epilogue, keeping fused results bit-identical to this
-  // backend's unfused chain.
+  // matMul/conv2d/depthwiseConv2d accumulate through the ScalarVM, then run
+  // RefBackend's bias/activation epilogue, keeping fused results
+  // bit-identical to this backend's unfused chain.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB, const TensorSpec* bias,
                 FusedActivation act) override;
@@ -53,7 +53,8 @@ class PlainCpuBackend : public RefBackend {
                 const Conv2DInfo& info, const TensorSpec* bias,
                 FusedActivation act) override;
   DataId depthwiseConv2d(const TensorSpec& x, const TensorSpec& filter,
-                         const Conv2DInfo& info) override;
+                         const Conv2DInfo& info, const TensorSpec* bias,
+                         FusedActivation act) override;
   DataId reduce(ReduceOp op, const TensorSpec& x, std::size_t outer,
                 std::size_t inner) override;
 };

@@ -8,7 +8,7 @@
 #include <limits>
 #include <utility>
 
-#if defined(__AVX512F__) || defined(__AVX2__)
+#if defined(__SSE__)
 #include <immintrin.h>
 #endif
 
@@ -49,11 +49,14 @@ std::size_t rowsPerChunk(std::size_t scalarsPerRow, std::size_t target) {
 // instead of one per k step. A is read in place (MR rows, stride lda).
 //
 // Bitwise contract: every C element is one multiply-add chain over p
-// ascending that starts from the value already in C, exactly as a scalar
-// `c += a * b` loop computes it (one FMA per step when the target has FMA —
-// this TU builds with -ffp-contract=fast — two roundings otherwise). Blocks,
-// tiles and the parallel partition only decide *when* a chain advances,
-// never its order, so results are bitwise independent of all of them.
+// ascending, exactly as a scalar `c += a * b` loop computes it (one FMA per
+// step when the target has FMA — this TU builds with -ffp-contract=fast —
+// two roundings otherwise). An accumulating GEMM starts each chain from the
+// value already in C; an overwriting one (the forward matMul and conv2d)
+// starts it from +0 in registers and never reads C, which is the chain a
+// zeroed C gives without the zero-fill pass or the reload. Blocks, tiles
+// and the parallel partition only decide *when* a chain advances, never its
+// order, so results are bitwise independent of all of them.
 
 // Vector width is fixed at compile time by the target ISA (no runtime
 // dispatch): 16 lanes under AVX-512, 8 under AVX, SSE2's 4 in a portable
@@ -137,36 +140,100 @@ inline void copyRun(float* dst, const float* src, std::size_t n) {
   }
 }
 
-/// The fused epilogue of the last k block: bias (already offset to the
-/// tile's first column, kNR entries readable) then the activation.
+/// `a > b ? a : b` per lane. x86's max instruction is exactly this select
+/// (it returns its second operand when the compare is false: NaN or equal
+/// zeros), so it is one instruction where the generic select is a compare
+/// and a blend.
+inline Vec selectMax(Vec a, Vec b) {
+#if defined(__AVX512F__)
+  return Vec(_mm512_max_ps(__m512(a), __m512(b)));
+#elif defined(__AVX__)
+  return Vec(_mm256_max_ps(__m256(a), __m256(b)));
+#elif defined(__SSE__)
+  return Vec(_mm_max_ps(__m128(a), __m128(b)));
+#else
+  return a > b ? a : b;
+#endif
+}
+
+/// `a < b ? a : b` per lane, x86's min instruction likewise.
+inline Vec selectMin(Vec a, Vec b) {
+#if defined(__AVX512F__)
+  return Vec(_mm512_min_ps(__m512(a), __m512(b)));
+#elif defined(__AVX__)
+  return Vec(_mm256_min_ps(__m256(a), __m256(b)));
+#elif defined(__SSE__)
+  return Vec(_mm_min_ps(__m128(a), __m128(b)));
+#else
+  return a < b ? a : b;
+#endif
+}
+
+/// The register half of a fused epilogue on an R x C tile of finished
+/// chains whose column j holds channels [j * kLanes, (j + 1) * kLanes) of
+/// `bias` (null for none): `x + bias`, then the relu or relu6 select. The
+/// selects are applyUnary's formulas written per lane — `x > 0 ? x : 0`,
+/// and std::min(std::max(x, 0.f), 6.f) spelled `0 > x ? 0 : x` then
+/// `6 < t ? 6 : t` — so NaN and -0 come out as in the scalar path. Any
+/// other activation (sigmoid) is left to applyFusedActivation after the
+/// store (see storedActivation).
+template <int R, int C>
+inline void epilogueTile(Vec (&acc)[R][C], const float* bias,
+                         FusedActivation act) {
+  if (bias != nullptr) {
+    for (int j = 0; j < C; ++j) {
+      const Vec bv = loadVec(bias + j * kLanes);
+      for (int i = 0; i < R; ++i) acc[i][j] = acc[i][j] + bv;
+    }
+  }
+  const Vec zero = {}, six = zero + 6.f;
+  if (act == FusedActivation::kRelu) {
+    for (auto& row : acc) {
+      for (Vec& x : row) x = selectMax(x, zero);
+    }
+  } else if (act == FusedActivation::kRelu6) {
+    for (auto& row : acc) {
+      for (Vec& x : row) x = selectMin(six, selectMax(zero, x));
+    }
+  }
+}
+
+/// Whether `act` runs on stored values (applyFusedActivation) rather than
+/// in epilogueTile's registers.
+inline bool storedActivation(FusedActivation act) {
+  return act == FusedActivation::kSigmoid;
+}
+
+/// A fused epilogue: bias, then the activation. The GEMM's runs on its last
+/// k block, with the bias already offset to the tile's first column (kNR
+/// entries readable); the depthwise kernel's indexes the bias by channel.
 struct Epilogue {
   const float* bias;
   FusedActivation act;
 };
 
-/// C[0:MR, 0:cols] (row stride ldc) += A[0:MR, 0:kc] * B[0:kc, 0:cols],
-/// then `ep` when non-null. B is a panel kNR columns wide (row stride ldb),
-/// zero-padded past `cols` (1..kNR); C is only read and written below
-/// `cols`. A is stored [MR, kc] with row stride lda, or with TransA its
-/// transpose, [kc, MR] with row stride lda. The relu and relu6 selects are
-/// applyUnary's formulas written per lane — `x > 0 ? x : 0` and
-/// std::min(std::max(x, 0.f), 6.f) spelled as `x < 0 ? 0 : x` then
-/// `6 < t ? 6 : t` — so NaN and -0 come out as in the scalar path. Other
-/// activations (sigmoid) go through applyFusedActivation after the store.
+/// C[0:MR, 0:cols] (row stride ldc) = (`loadC` ? C : +0) + A[0:MR, 0:kc] *
+/// B[0:kc, 0:cols], then `ep` when non-null (epilogueTile on the registers).
+/// B is a panel kNR columns wide (row stride ldb), zero-padded past `cols`
+/// (1..kNR); C is only read and written below `cols`, and read not at all
+/// without `loadC`. A is stored [MR, kc] with row stride lda, or with
+/// TransA its transpose, [kc, MR] with row stride lda.
 template <int MR, bool TransA>
 void microKernel(int kc, const float* __restrict A, std::size_t lda,
                  const float* __restrict B, std::size_t ldb,
-                 float* __restrict C, std::size_t ldc, int cols,
+                 float* __restrict C, std::size_t ldc, int cols, bool loadC,
                  const Epilogue* ep) {
   // Lanes of C in each of the row's kNV vectors.
   int lanes[kNV];
   for (int v = 0; v < kNV; ++v) {
     lanes[v] = std::clamp(cols - v * kLanes, 0, kLanes);
   }
-  Vec acc[MR][kNV];
-  for (int r = 0; r < MR; ++r) {
-    for (int v = 0; v < kNV; ++v) {
-      acc[r][v] = loadLanes(C + r * ldc + v * kLanes, lanes[v]);
+  Vec acc[MR][kNV] = {};
+  if (loadC) {
+    for (int r = 0; r < MR; ++r) {
+      for (int v = 0; v < kNV; ++v) {
+        acc[r][v] = loadLanes(C + r * ldc + v * kLanes, lanes[v]);
+      }
     }
   }
   for (int p = 0; p < kc; ++p) {
@@ -177,27 +244,7 @@ void microKernel(int kc, const float* __restrict A, std::size_t lda,
       for (int v = 0; v < kNV; ++v) acc[r][v] += a * b[v];
     }
   }
-  if (ep != nullptr) {
-    if (ep->bias != nullptr) {
-      for (int v = 0; v < kNV; ++v) {
-        const Vec bv = loadVec(ep->bias + v * kLanes);
-        for (int r = 0; r < MR; ++r) acc[r][v] = acc[r][v] + bv;
-      }
-    }
-    const Vec zero = {}, six = zero + 6.f;
-    if (ep->act == FusedActivation::kRelu) {
-      for (auto& row : acc) {
-        for (Vec& x : row) x = x > zero ? x : zero;
-      }
-    } else if (ep->act == FusedActivation::kRelu6) {
-      for (auto& row : acc) {
-        for (Vec& x : row) {
-          const Vec t = x < zero ? zero : x;
-          x = six < t ? six : t;
-        }
-      }
-    }
-  }
+  if (ep != nullptr) epilogueTile(acc, ep->bias, ep->act);
   for (int r = 0; r < MR; ++r) {
     for (int v = 0; v < kNV; ++v) {
       float* c = C + r * ldc + v * kLanes;
@@ -208,10 +255,7 @@ void microKernel(int kc, const float* __restrict A, std::size_t lda,
       }
     }
   }
-  const bool scalarAct = ep != nullptr && ep->act != FusedActivation::kNone &&
-                         ep->act != FusedActivation::kRelu &&
-                         ep->act != FusedActivation::kRelu6;
-  if (scalarAct) {
+  if (ep != nullptr && storedActivation(ep->act)) {
     for (int r = 0; r < MR; ++r) {
       for (int j = 0; j < cols; ++j) {
         C[r * ldc + j] = applyFusedActivation(ep->act, C[r * ldc + j]);
@@ -221,7 +265,7 @@ void microKernel(int kc, const float* __restrict A, std::size_t lda,
 }
 
 using MicroKernelFn = void (*)(int, const float*, std::size_t, const float*,
-                               std::size_t, float*, std::size_t, int,
+                               std::size_t, float*, std::size_t, int, bool,
                                const Epilogue*);
 
 /// microKernel<MR, TransA> for MR = 1..kMR, indexed by MR - 1 (tail rows of
@@ -277,13 +321,14 @@ void packB(const float* B, bool transB, std::size_t ldb, int width, int p0,
 /// Runs the micro-kernel over rows [i0, i1) x columns [j0, j1) of C for
 /// k rows [p0, p0 + kc); A is [m, k] with row stride lda, or with `transA`
 /// [k, m] with row stride lda. `panelAt(j)` returns the kc x kNR B panel
-/// starting at column j and its row stride. On a partial last column panel
-/// the kernel masks its C accesses at column n, and reads a zero-padded
-/// copy of the bias.
+/// starting at column j and its row stride. The tiles continue the chains
+/// in C when `loadC`, and start them from +0 otherwise. On a partial last
+/// column panel the kernel masks its C accesses at column n, and reads a
+/// zero-padded copy of the bias.
 template <typename PanelAt>
 void runTiles(const float* A, bool transA, std::size_t lda, float* C, int n,
               int i0, int i1, int j0, int j1, int p0, int kc,
-              const float* bias, FusedActivation act, bool last,
+              const float* bias, FusedActivation act, bool loadC, bool last,
               PanelAt&& panelAt) {
   const bool epilogue =
       last && (bias != nullptr || act != FusedActivation::kNone);
@@ -303,21 +348,28 @@ void runTiles(const float* A, bool transA, std::size_t lda, float* C, int n,
       const float* a = transA ? A + static_cast<std::size_t>(p0) * lda + i
                               : A + static_cast<std::size_t>(i) * lda + p0;
       kernel(kc, a, lda, panel, ldb, C + static_cast<std::size_t>(i) * n + j,
-             n, cols, epilogue ? &ep : nullptr);
+             n, cols, loadC, epilogue ? &ep : nullptr);
     }
   }
 }
 
-/// C[m,n] += op(A) * op(B) with the optional fused epilogue, where op(A) is
-/// A [m,k] or, when `transA`, the transpose of A stored [k,m], and op(B) is
-/// B [k,n] or, when `transB`, the transpose of B stored [n,k]. Neither
+/// Whether a GEMM continues the chains already in C or overwrites C.
+enum class GemmOut { kAccumulate, kOverwrite };
+
+/// C[m,n] (+)= op(A) * op(B) with the optional fused epilogue, where op(A)
+/// is A [m,k] or, when `transA`, the transpose of A stored [k,m], and op(B)
+/// is B [k,n] or, when `transB`, the transpose of B stored [n,k]. Neither
 /// transpose copies: the micro-kernel reads A either way, and packing B's
-/// panels reads either layout.
+/// panels reads either layout. With kOverwrite the first k block starts its
+/// chains from +0 and C is written before it is ever read, so C may hold
+/// anything on entry.
 void gemmF32(const float* A, bool transA, const float* B, bool transB,
              float* C, int m, int k, int n, const float* bias,
-             FusedActivation act) {
+             FusedActivation act, GemmOut mode) {
   if (m == 0 || n == 0) return;
   const std::size_t lda = static_cast<std::size_t>(transA ? m : k);
+  // Whether the first k block reads C; every later block continues it.
+  const bool loadFirst = mode == GemmOut::kAccumulate;
   // Split along whichever axis yields more panels: row panels of kMC for
   // tall/square C, column panels of kNC when C is short and wide (e.g. the
   // [spatial, outC] GEMM of a 1x1 conv on a small image).
@@ -358,7 +410,7 @@ void gemmF32(const float* A, bool transA, const float* B, bool transB,
                 p0, kc, tail);
         }
         runTiles(A, transA, lda, C, n, i0, i1, j0, j1, p0, kc, bias, act,
-                 p0 + kc == k,
+                 loadFirst || p0 > 0, p0 + kc == k,
                  [&](int j) -> std::pair<const float*, std::size_t> {
                    if (j >= fullEnd) return {tail, kNR};
                    return {B + static_cast<std::size_t>(p0) * n + j,
@@ -383,7 +435,8 @@ void gemmF32(const float* A, bool transA, const float* B, bool transB,
           packed.data());
     const bool last = p0 + kc == k;
     forEachChunk([&](int i0, int i1, int j0, int j1) {
-      runTiles(A, transA, lda, C, n, i0, i1, j0, j1, p0, kc, bias, act, last,
+      runTiles(A, transA, lda, C, n, i0, i1, j0, j1, p0, kc, bias, act,
+               loadFirst || p0 > 0, last,
                [&](int j) -> std::pair<const float*, std::size_t> {
                  return {packed.data() + static_cast<std::size_t>(j) * kc,
                          kNR};
@@ -411,11 +464,13 @@ std::pair<int, int> tapRange(const Conv2DInfo& ci, int ox) {
 /// Depthwise taps of PX adjacent output pixels from column ox, filter
 /// columns [fxLo, fxHi) (inside the input row for all PX pixels), CB
 /// kLanes-channel blocks from channel c: the PX x CB accumulators stay in
-/// registers across all taps, and each output vector is stored once.
-/// `xImg` is the batch image.
+/// registers across all taps, take `ep`'s epilogueTile there, and each
+/// output vector is stored once. `xImg` is the batch image; `ep.bias`, when
+/// non-null, is indexed by channel.
 template <int PX, int CB>
 void depthwiseGroup(const float* xImg, const float* f, const Conv2DInfo& ci,
-                    int oy, int ox, int fxLo, int fxHi, int c, float* oRow) {
+                    int oy, int ox, int fxLo, int fxHi, int c,
+                    const Epilogue& ep, float* oRow) {
   const std::ptrdiff_t C = ci.inC;
   Vec acc[PX][CB] = {};
   for (int fy = 0; fy < ci.filterH; ++fy) {
@@ -437,11 +492,18 @@ void depthwiseGroup(const float* xImg, const float* f, const Conv2DInfo& ci,
       }
     }
   }
+  epilogueTile(acc, ep.bias != nullptr ? ep.bias + c : nullptr, ep.act);
   for (int p = 0; p < PX; ++p) {
     for (int b = 0; b < CB; ++b) {
       storeVec(oRow + (ox + p) * C + c + b * kLanes, acc[p][b]);
     }
   }
+}
+
+/// The fused epilogue's scalar formulas on one finished value of channel
+/// c: the tails of the register epilogues.
+inline float epilogueScalar(float v, const Epilogue& ep, std::size_t c) {
+  return applyFusedActivation(ep.act, ep.bias != nullptr ? v + ep.bias[c] : v);
 }
 
 /// Depthwise convolution with channelMult 1 over output rows [rBegin, rEnd)
@@ -454,9 +516,12 @@ void depthwiseGroup(const float* xImg, const float* f, const Conv2DInfo& ci,
 /// acc += x * f over its in-bounds taps in ascending (fy, fx) order — one
 /// FMA per tap under this TU's contraction, the same chain the
 /// accumulate-into-a-zeroed-output loop computes — so the grouping, the
-/// channel tail and the partition cannot change a bit.
+/// channel tail and the partition cannot change a bit. The finished chain
+/// takes `ep` (bias, then activation) before its one store: in registers
+/// in the groups, by the scalar formulas in the tail.
 void depthwiseRows(const float* x, const float* f, const Conv2DInfo& ci,
-                   std::size_t rBegin, std::size_t rEnd, float* out) {
+                   const Epilogue& ep, std::size_t rBegin, std::size_t rEnd,
+                   float* out) {
   const int C = ci.inC;
   const std::size_t Cs = static_cast<std::size_t>(C);
   const int cVec = C / kLanes * kLanes;
@@ -474,12 +539,16 @@ void depthwiseRows(const float* x, const float* f, const Conv2DInfo& ci,
     const auto pixels = [&]<int PX>(int ox, int fxLo, int fxHi) {
       int c = 0;
       for (; c + 2 * kLanes <= cVec; c += 2 * kLanes) {
-        depthwiseGroup<PX, 2>(xImg, f, ci, oy, ox, fxLo, fxHi, c, oRow);
+        depthwiseGroup<PX, 2>(xImg, f, ci, oy, ox, fxLo, fxHi, c, ep, oRow);
       }
       if (c < cVec) {
-        depthwiseGroup<PX, 1>(xImg, f, ci, oy, ox, fxLo, fxHi, c, oRow);
+        depthwiseGroup<PX, 1>(xImg, f, ci, oy, ox, fxLo, fxHi, c, ep, oRow);
       }
       for (int p = ox; p < ox + PX; ++p) {
+        if (storedActivation(ep.act)) {
+          float* o = oRow + p * Cs;
+          for (c = 0; c < cVec; ++c) o[c] = applyFusedActivation(ep.act, o[c]);
+        }
         for (c = cVec; c < C; ++c) {
           float acc = 0.f;
           for (int fy = 0; fy < ci.filterH; ++fy) {
@@ -493,7 +562,7 @@ void depthwiseRows(const float* x, const float* f, const Conv2DInfo& ci,
                        c];
             }
           }
-          oRow[p * Cs + c] = acc;
+          oRow[p * Cs + c] = epilogueScalar(acc, ep, c);
         }
       }
     };
@@ -630,12 +699,13 @@ void NativeBackend::im2col(const float* x, const Conv2DInfo& ci,
 void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
                          int k, int n, const float* bias,
                          FusedActivation act) {
-  gemmF32(A, false, B, false, C, m, k, n, bias, act);
+  gemmF32(A, false, B, false, C, m, k, n, bias, act, GemmOut::kAccumulate);
 }
 
 void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
                          int k, int n) {
-  gemmF32(A, false, B, false, C, m, k, n, nullptr, FusedActivation::kNone);
+  gemmF32(A, false, B, false, C, m, k, n, nullptr, FusedActivation::kNone,
+          GemmOut::kAccumulate);
 }
 
 DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
@@ -909,8 +979,9 @@ DataId NativeBackend::matMul(const TensorSpec& a, const TensorSpec& b,
   const int batch = std::max(bA, bB);
   const auto& av = buf(a.id);
   const auto& bv = buf(b.id);
+  // Every element is written by its GEMM's first k block: no zero-fill.
   std::vector<float> out =
-      allocZeroed(static_cast<std::size_t>(batch) * m * n);
+      allocBuffer(static_cast<std::size_t>(batch) * m * n);
 
   // Neither transposed operand is copied (gemmF32 reads both layouts). The
   // batch loop stays serial; each per-batch GEMM fans out on the pool.
@@ -921,7 +992,7 @@ DataId NativeBackend::matMul(const TensorSpec& a, const TensorSpec& b,
         bv.data() + static_cast<std::size_t>(bB == 1 ? 0 : bi) * k * n;
     gemmF32(A, transposeA, B, transposeB,
             out.data() + static_cast<std::size_t>(bi) * m * n, m, k, n, biasv,
-            act);
+            act, GemmOut::kOverwrite);
   }
   return store(std::move(out));
 }
@@ -937,7 +1008,8 @@ DataId NativeBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
       static_cast<std::size_t>(ci.outH) * ci.outW;
   const std::size_t patch =
       static_cast<std::size_t>(ci.filterH) * ci.filterW * ci.inC;
-  std::vector<float> out = allocZeroed(static_cast<std::size_t>(ci.batch) *
+  // Both paths below overwrite every output element: no zero-fill.
+  std::vector<float> out = allocBuffer(static_cast<std::size_t>(ci.batch) *
                                        outSpatial * ci.outC);
 
   if (ci.filterH == 1 && ci.filterW == 1 && ci.strideH == 1 &&
@@ -946,9 +1018,9 @@ DataId NativeBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
     // dominant op in MobileNet. Input and output are contiguous across the
     // batch, so all batches fold into one [batch*spatial, inC] GEMM whose
     // row panels parallelise across the pool.
-    gemm(xv.data(), fv.data(), out.data(),
-         static_cast<int>(static_cast<std::size_t>(ci.batch) * outSpatial),
-         ci.inC, ci.outC, biasv, act);
+    gemmF32(xv.data(), false, fv.data(), false, out.data(),
+            static_cast<int>(static_cast<std::size_t>(ci.batch) * outSpatial),
+            ci.inC, ci.outC, biasv, act, GemmOut::kOverwrite);
     return store(std::move(out));
   }
 
@@ -966,10 +1038,11 @@ DataId NativeBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
         std::vector<float> col = core::BufferPool::get().acquire(
             (rEnd - rBegin) * ci.outW * patch);
         im2col(xv.data(), ci, rBegin, rEnd, col.data());
-        gemm(col.data(), fv.data(),
-             out.data() + rBegin * ci.outW * ci.outC,
-             static_cast<int>((rEnd - rBegin) * ci.outW),
-             static_cast<int>(patch), ci.outC, biasv, act);
+        gemmF32(col.data(), false, fv.data(), false,
+                out.data() + rBegin * ci.outW * ci.outC,
+                static_cast<int>((rEnd - rBegin) * ci.outW),
+                static_cast<int>(patch), ci.outC, biasv, act,
+                GemmOut::kOverwrite);
         core::BufferPool::get().release(std::move(col));
       });
   return store(std::move(out));
@@ -977,10 +1050,13 @@ DataId NativeBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
 
 DataId NativeBackend::depthwiseConv2d(const TensorSpec& x,
                                       const TensorSpec& filter,
-                                      const Conv2DInfo& ci) {
+                                      const Conv2DInfo& ci,
+                                      const TensorSpec* bias,
+                                      FusedActivation act) {
   KernelTimer t(kernelMs_, "native.depthwiseConv2d");
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);
+  const Epilogue ep{bias != nullptr ? buf(bias->id).data() : nullptr, act};
   const int mult = ci.channelMult;
   const std::size_t outSize =
       static_cast<std::size_t>(ci.batch) * ci.outH * ci.outW * ci.outC;
@@ -994,13 +1070,15 @@ DataId NativeBackend::depthwiseConv2d(const TensorSpec& x,
     std::vector<float> out = allocBuffer(outSize);
     ThreadPool::get().parallelFor(
         totalRows, grain, [&](std::size_t rBegin, std::size_t rEnd) {
-          depthwiseRows(xv.data(), fv.data(), ci, rBegin, rEnd, out.data());
+          depthwiseRows(xv.data(), fv.data(), ci, ep, rBegin, rEnd,
+                        out.data());
         });
     return store(std::move(out));
   }
   // channelMult > 1: accumulate every tap into the zeroed output, channels
   // innermost (contiguous in NHWC, so the loop autovectorizes) — per element
-  // the same +0-seeded, ascending-(fy, fx) chain as depthwiseRows.
+  // the same +0-seeded, ascending-(fy, fx) chain as depthwiseRows — then
+  // run the epilogue over each finished pixel.
   std::vector<float> out = allocZeroed(outSize);
   ThreadPool::get().parallelFor(
       totalRows, grain, [&](std::size_t rBegin, std::size_t rEnd) {
@@ -1033,6 +1111,11 @@ DataId NativeBackend::depthwiseConv2d(const TensorSpec& x,
                 }
               }
             }
+            if (ep.bias != nullptr || act != FusedActivation::kNone) {
+              for (int c = 0; c < ci.outC; ++c) {
+                oRow[c] = epilogueScalar(oRow[c], ep, c);
+              }
+            }
           }
         }
       });
@@ -1044,46 +1127,49 @@ DataId NativeBackend::pool2d(PoolMode mode, const TensorSpec& x,
   KernelTimer t(kernelMs_, "native.pool2d");
   constexpr float kInf = std::numeric_limits<float>::infinity();
   const auto& xv = buf(x.id);
+  const std::size_t C = static_cast<std::size_t>(pi.channels);
   std::vector<float> out = allocBuffer(static_cast<std::size_t>(pi.batch) *
-                                       pi.outH * pi.outW * pi.channels);
-  // Per-window logic matches RefBackend::pool2d element-for-element; only
-  // the batch×outH outer space is sliced across the pool.
+                                       pi.outH * pi.outW * C);
+  const bool isMax = mode == PoolMode::kMax;
+  // Sliced over batch×outH output rows. Each window folds its in-bounds
+  // taps, in RefBackend's (fy, fx) order, into the output pixel's channel
+  // row as dense loops: max as std::max's `acc < v ? v : acc` (NaN never
+  // replaces acc, and an all -inf or empty window stays -inf), avg as a sum
+  // divided by the in-bounds count — RefBackend's formulas per element.
   const std::size_t totalRows = static_cast<std::size_t>(pi.batch) * pi.outH;
   const std::size_t grain = rowsPerChunk(
-      static_cast<std::size_t>(pi.outW) * pi.channels * pi.filterH *
-          pi.filterW,
+      static_cast<std::size_t>(pi.outW) * C * pi.filterH * pi.filterW,
       1 << 14);
   ThreadPool::get().parallelFor(
       totalRows, grain, [&](std::size_t rBegin, std::size_t rEnd) {
         for (std::size_t r = rBegin; r < rEnd; ++r) {
-          const int b = static_cast<int>(r) / pi.outH;
-          const int oy = static_cast<int>(r) % pi.outH;
+          const std::size_t b = r / pi.outH;
+          const int oy = static_cast<int>(r % pi.outH);
+          const float* xImg =
+              xv.data() + b * pi.inH * static_cast<std::size_t>(pi.inW) * C;
+          const auto [yLo, yHi] =
+              windowRange(oy, pi.strideH, pi.padTop, pi.filterH, pi.inH);
           for (int ox = 0; ox < pi.outW; ++ox) {
-            for (int c = 0; c < pi.channels; ++c) {
-              float acc = mode == PoolMode::kMax ? -kInf : 0.f;
-              int count = 0;
-              for (int fy = 0; fy < pi.filterH; ++fy) {
-                const int iy = oy * pi.strideH - pi.padTop + fy;
-                if (iy < 0 || iy >= pi.inH) continue;
-                for (int fx = 0; fx < pi.filterW; ++fx) {
-                  const int ix = ox * pi.strideW - pi.padLeft + fx;
-                  if (ix < 0 || ix >= pi.inW) continue;
-                  const float v =
-                      xv[((static_cast<std::size_t>(b) * pi.inH + iy) *
-                              pi.inW +
-                          ix) *
-                             pi.channels +
-                         c];
-                  if (mode == PoolMode::kMax) {
-                    acc = std::max(acc, v);
-                  } else {
-                    acc += v;
+            const auto [xLo, xHi] =
+                windowRange(ox, pi.strideW, pi.padLeft, pi.filterW, pi.inW);
+            float* __restrict o = out.data() + (r * pi.outW + ox) * C;
+            std::fill_n(o, C, isMax ? -kInf : 0.f);
+            for (int iy = yLo; iy < yHi; ++iy) {
+              for (int ix = xLo; ix < xHi; ++ix) {
+                const float* __restrict xp =
+                    xImg + (static_cast<std::size_t>(iy) * pi.inW + ix) * C;
+                if (isMax) {
+                  for (std::size_t c = 0; c < C; ++c) {
+                    o[c] = o[c] < xp[c] ? xp[c] : o[c];
                   }
-                  ++count;
+                } else {
+                  for (std::size_t c = 0; c < C; ++c) o[c] += xp[c];
                 }
               }
-              out[(r * pi.outW + ox) * pi.channels + c] =
-                  mode == PoolMode::kMax ? acc : acc / std::max(count, 1);
+            }
+            if (!isMax) {
+              const int count = std::max((yHi - yLo) * (xHi - xLo), 1);
+              for (std::size_t c = 0; c < C; ++c) o[c] = o[c] / count;
             }
           }
         }
@@ -1122,7 +1208,8 @@ DataId NativeBackend::conv2dBackpropInput(const TensorSpec& dy,
             gemmF32(dyv.data() + ((b * ci.outH + oy0) * ci.outW) * outC,
                     false, fv.data(), /*transB=*/true, dcol.data(),
                     static_cast<int>(pixels), ci.outC,
-                    static_cast<int>(patch), nullptr, FusedActivation::kNone);
+                    static_cast<int>(patch), nullptr, FusedActivation::kNone,
+                    GemmOut::kAccumulate);
             col2imAdd(dcol.data(), ci, b, oy0, oy1, dx.data());
           }
         }
@@ -1158,7 +1245,7 @@ DataId NativeBackend::conv2dBackpropFilter(const TensorSpec& x,
     im2col(xv.data(), ci, r0, r1, col.data());
     gemmF32(col.data(), /*transA=*/true, dyv.data() + r0 * outW * outC, false,
             dw.data(), static_cast<int>(patch), static_cast<int>(pixels),
-            ci.outC, nullptr, FusedActivation::kNone);
+            ci.outC, nullptr, FusedActivation::kNone, GemmOut::kAccumulate);
   }
   core::BufferPool::get().release(std::move(col));
   return store(std::move(dw));

@@ -12,7 +12,9 @@
 // int8 GEMM (native_quant.cc) has the same shape: cached packed weight
 // panels, a row-block partition, an MR x 64 i32 register tile and the
 // requantizing epilogue applied from the accumulators. Depthwise conv keeps
-// groups of output pixels in registers across all taps. The backward
+// groups of output pixels in registers across all taps and applies its
+// bias/activation epilogue there too, so each forward activation is written
+// once. The backward
 // kernels lower the same way: conv backprop onto the GEMM (over im2col rows
 // for the filter, then a col2im scatter-add for the input), depthwise and
 // pooling backprop onto dense channel rows. Long-tail data-movement kernels inherit the reference
@@ -56,6 +58,8 @@ class NativeBackend : public RefBackend {
 
   /// matMul and conv2d apply bias + activation to the GEMM's register tile
   /// after the full k accumulation — bit-identical to matMul + add + act.
+  /// Their GEMMs overwrite the output (each chain starts from +0 in
+  /// registers), so the output buffer is never zero-filled or reloaded.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB, const TensorSpec* bias,
                 FusedActivation act) override;
@@ -93,8 +97,18 @@ class NativeBackend : public RefBackend {
   /// Every element is acc = +0; acc += x * f over its in-bounds taps in
   /// ascending (fy, fx) order — one FMA per tap when the target has FMA —
   /// whatever the blocking or thread count (tests/native_gemm_test.cc).
+  /// The epilogue (acc + bias[c], then the relu/relu6 select, the GEMM
+  /// micro-kernel's formulas) runs on those registers before the single
+  /// store; sigmoid runs on the stored value. channelMult > 1 accumulates
+  /// each pixel into the zeroed output and then runs the same formulas on
+  /// it. Either way the result is bit-identical to depthwise + add + act.
   DataId depthwiseConv2d(const TensorSpec& x, const TensorSpec& filter,
-                         const Conv2DInfo& info) override;
+                         const Conv2DInfo& info, const TensorSpec* bias,
+                         FusedActivation act) override;
+  /// Dense channel rows per window, folded into the output pixel's row:
+  /// max as `acc < v ? v : acc` (std::max's NaN behaviour), avg as a sum
+  /// over the in-bounds taps divided by their count, taps in RefBackend's
+  /// order — bitwise RefBackend's.
   DataId pool2d(PoolMode mode, const TensorSpec& x,
                 const Pool2DInfo& info) override;
 

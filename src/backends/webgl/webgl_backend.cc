@@ -18,8 +18,8 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 /// The fused epilogue on one accumulated value of output channel `j`; the
 /// bias, when present, is shader input 2. Each interior value goes through
 /// stored() exactly where the op-by-op chain would have written a texture,
-/// so the result is bit-identical to matMul/conv2d + add + activation in
-/// fp16 mode too.
+/// so the result is bit-identical to matMul/conv2d/depthwiseConv2d + add +
+/// activation in fp16 mode too.
 float epilogue(const ShaderContext& ctx, float acc, int j, bool hasBias,
                FusedActivation act) {
   if (!hasBias && act == FusedActivation::kNone) return acc;
@@ -348,7 +348,9 @@ DataId WebGLBackend::conv2dBackpropFilter(const TensorSpec& x,
 
 DataId WebGLBackend::depthwiseConv2d(const TensorSpec& x,
                                      const TensorSpec& filter,
-                                     const Conv2DInfo& ci) {
+                                     const Conv2DInfo& ci,
+                                     const TensorSpec* bias,
+                                     FusedActivation act) {
   const Shape outShape{ci.batch, ci.outH, ci.outW, ci.outC};
   auto [id, outTex] = makeOutput(outShape);
   ShaderRun r;
@@ -356,8 +358,10 @@ DataId WebGLBackend::depthwiseConv2d(const TensorSpec& x,
   r.outputShape = outShape;
   r.output = outTex;
   r.inputs = {input(x), input(filter)};
+  const bool hasBias = bias != nullptr;
+  if (hasBias) r.inputs.push_back(input(*bias));
   r.squeeze = opts_.squeeze;
-  r.main = [ci](ShaderContext& ctx) {
+  r.main = [ci, hasBias, act](ShaderContext& ctx) {
     const int b = ctx.coord(0), oy = ctx.coord(1), ox = ctx.coord(2),
               oc = ctx.coord(3);
     const int ic = oc / ci.channelMult;
@@ -375,12 +379,12 @@ DataId WebGLBackend::depthwiseConv2d(const TensorSpec& x,
                ctx.get(1, std::span<const int>(fc));
       }
     }
-    ctx.setOutput(acc);
+    ctx.setOutput(epilogue(ctx, acc, oc, hasBias, act));
   };
   const double macs = static_cast<double>(ci.filterH) * ci.filterW;
   r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 2.0 * macs * fetchScale();
-  r.cost.flopsPerInvocation = 2.0 * macs;
+  r.cost.fetchesPerInvocation = (2.0 * macs + (hasBias ? 1 : 0)) * fetchScale();
+  r.cost.flopsPerInvocation = 2.0 * macs + epilogueFlops(hasBias, act);
   r.cost.reusable = true;
   run(std::move(r));
   return id;

@@ -77,7 +77,8 @@ class WebGLBackend : public Backend {
   DataId conv2dBackpropFilter(const TensorSpec& x, const TensorSpec& dy,
                               const Conv2DInfo& info) override;
   DataId depthwiseConv2d(const TensorSpec& x, const TensorSpec& filter,
-                         const Conv2DInfo& info) override;
+                         const Conv2DInfo& info, const TensorSpec* bias,
+                         FusedActivation act) override;
   DataId depthwiseConv2dBackpropInput(const TensorSpec& dy,
                                       const TensorSpec& filter,
                                       const Conv2DInfo& info) override;

@@ -166,8 +166,13 @@ class Backend {
   virtual DataId conv2dBackpropFilter(const TensorSpec& x,
                                       const TensorSpec& dy,
                                       const Conv2DInfo& info) = 0;
+  /// NHWC depthwise conv2d with the same fused epilogue contract as conv2d
+  /// (`bias` length = outC = inC * channelMult): bit-identical to
+  /// depthwiseConv2d + broadcast add + activation dispatched op by op.
   virtual DataId depthwiseConv2d(const TensorSpec& x, const TensorSpec& filter,
-                                 const Conv2DInfo& info) = 0;
+                                 const Conv2DInfo& info,
+                                 const TensorSpec* bias,
+                                 FusedActivation act) = 0;
   virtual DataId depthwiseConv2dBackpropInput(const TensorSpec& dy,
                                               const TensorSpec& filter,
                                               const Conv2DInfo& info) = 0;

@@ -184,6 +184,13 @@ Tensor CapturedGraph::replayNode(const Node& n, const std::vector<Tensor>& ins) 
       return ops::depthwiseConv2d(ins[0], ins[1], iattr(n, 0), iattr(n, 1),
                                   static_cast<PadMode>(iattr(n, 2)),
                                   iattr(n, 3), iattr(n, 4));
+    case OpId::kFusedDepthwiseConv2d: {
+      const bool hasBias = n.attrs[1] != 0;
+      return ops::fusedDepthwiseConv2d(
+          ins[0], ins[1], hasBias ? ins[2] : Tensor(),
+          static_cast<FusedActivation>(iattr(n, 0)), iattr(n, 2), iattr(n, 3),
+          static_cast<PadMode>(iattr(n, 4)), iattr(n, 5), iattr(n, 6));
+    }
     case OpId::kPool: {
       const PoolMode mode = static_cast<PoolMode>(iattr(n, 0));
       if (mode == PoolMode::kMax) {

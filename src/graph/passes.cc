@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -139,21 +140,52 @@ bool isAdd(const Node& n) {
          n.outDtype == DType::f32;
 }
 
-/// Builds the fused node for base (kMatMul/kConv2d) with an optional bias.
+/// The fused op of a base op (kMatMul/kConv2d/kDepthwiseConv2d); nullopt
+/// when `op` is not one.
+std::optional<ops::OpId> fusedOf(ops::OpId op) {
+  switch (op) {
+    case ops::OpId::kMatMul: return ops::OpId::kFusedMatMul;
+    case ops::OpId::kConv2d: return ops::OpId::kFusedConv2d;
+    case ops::OpId::kDepthwiseConv2d: return ops::OpId::kFusedDepthwiseConv2d;
+    default: return std::nullopt;
+  }
+}
+
+/// The output channel count of base op `n` (the length its bias must have),
+/// read off its weight operand's shape: n of a [k, n] matMul operand, outC
+/// of a conv filter, inC * channelMult of a depthwise filter. -1 when that
+/// shape is unknown. Imported graphs carry shapes on their weights only, so
+/// this is what lets their bias adds fuse.
+int baseChannels(const Graph& g, const Node& n) {
+  const Shape& w = g.nodes[static_cast<std::size_t>(n.inputs[1])].outShape;
+  const int r = w.rank();
+  switch (n.op) {
+    case ops::OpId::kMatMul:
+      if (r < 2) return -1;
+      return n.attrs[1] != 0 ? w[r - 2] : w[r - 1];
+    case ops::OpId::kConv2d:
+      return r == 4 ? w[3] : -1;
+    case ops::OpId::kDepthwiseConv2d:
+      return r == 4 ? w[2] * w[3] : -1;
+    default:
+      return -1;
+  }
+}
+
+/// Builds the fused node for a base op with an optional bias.
 Node makeFused(const Node& base, int biasId, FusedActivation act) {
   Node f;
   f.inputs = base.inputs;
   const bool hasBias = biasId >= 0;
   if (hasBias) f.inputs.push_back(biasId);
+  f.op = *fusedOf(base.op);
   if (base.op == ops::OpId::kMatMul) {
-    f.op = ops::OpId::kFusedMatMul;
     // kMatMul attrs {tA, tB} -> kFusedMatMul {act, tA, tB, hasBias}.
     f.attrs = {static_cast<double>(act), base.attrs[0], base.attrs[1],
                hasBias ? 1.0 : 0.0};
   } else {
-    f.op = ops::OpId::kFusedConv2d;
-    // kConv2d attrs {sH, sW, pad, dH, dW} -> {act, hasBias, sH, sW, pad,
-    // dH, dW}.
+    // kConv2d / kDepthwiseConv2d attrs {sH, sW, pad, dH, dW} -> {act,
+    // hasBias, sH, sW, pad, dH, dW}.
     f.attrs = {static_cast<double>(act), hasBias ? 1.0 : 0.0, base.attrs[0],
                base.attrs[1], base.attrs[2], base.attrs[3], base.attrs[4]};
   }
@@ -177,13 +209,22 @@ Graph fuse(const Graph& g) {
            !isOutput[static_cast<std::size_t>(id)];
   };
   auto isBase = [&](const Node& n) {
-    return (n.op == ops::OpId::kMatMul || n.op == ops::OpId::kConv2d) &&
-           n.outDtype == DType::f32;
+    return fusedOf(n.op).has_value() && n.outDtype == DType::f32;
   };
-  auto biasMatches = [&](const Node& bias, const Node& result) {
+  // A fused node with no activation yet: its act attr (attrs[0]) can still
+  // absorb one.
+  auto takesActivation = [&](const Node& n) {
+    return (n.op == ops::OpId::kFusedMatMul ||
+            n.op == ops::OpId::kFusedConv2d ||
+            n.op == ops::OpId::kFusedDepthwiseConv2d) &&
+           static_cast<int>(n.attrs[0]) ==
+               static_cast<int>(FusedActivation::kNone);
+  };
+  // A rank-1 bias with one entry per output channel: adding it leaves the
+  // base's shape as it is, whether or not the graph records that shape.
+  auto biasMatches = [&](const Node& bias, const Node& base) {
     return bias.outDtype == DType::f32 && bias.outShape.rank() == 1 &&
-           result.outShape.rank() >= 1 &&
-           bias.outShape[0] == result.outShape[result.outShape.rank() - 1];
+           bias.outShape[0] == baseChannels(out, base);
   };
 
   for (std::size_t i = 0; i < out.nodes.size(); ++i) {
@@ -194,7 +235,8 @@ Graph fuse(const Graph& g) {
       // add(base, bias) with base first only: the fused kernel computes
       // base + bias, and add is commutative but we stay conservative.
       if (isBase(base) && absorbable(m) &&
-          biasMatches(out.nodes[static_cast<std::size_t>(n.inputs[1])], n) &&
+          biasMatches(out.nodes[static_cast<std::size_t>(n.inputs[1])],
+                      base) &&
           base.outShape == n.outShape) {
         out.nodes[i] = makeFused(base, n.inputs[1], FusedActivation::kNone);
         fusedCounter().inc();
@@ -209,12 +251,7 @@ Graph fuse(const Graph& g) {
     if (isBase(prev)) {
       out.nodes[i] = makeFused(prev, /*biasId=*/-1, act);
       fusedCounter().inc();
-    } else if ((prev.op == ops::OpId::kFusedMatMul &&
-                static_cast<int>(prev.attrs[0]) ==
-                    static_cast<int>(FusedActivation::kNone)) ||
-               (prev.op == ops::OpId::kFusedConv2d &&
-                static_cast<int>(prev.attrs[0]) ==
-                    static_cast<int>(FusedActivation::kNone))) {
+    } else if (takesActivation(prev)) {
       // act(fused-with-no-act): absorb the epilogue into the fused node.
       Node f = prev;
       f.attrs[0] = static_cast<double>(act);

@@ -108,6 +108,12 @@ void DepthwiseConv2D::build(const Shape& inputShape) {
 
 Tensor DepthwiseConv2D::call(const Tensor& x, bool) {
   return Engine::get().tidy([&] {
+    // As Conv2D::call: the fused kernel's epilogue is the add + activation.
+    if (auto act = o::fusibleActivation(opts_.activation)) {
+      return o::fusedDepthwiseConv2d(
+          x, kernel_.value(), opts_.useBias ? bias_.value() : Tensor(), *act,
+          opts_.strideH, opts_.strideW, padModeFromName(opts_.padding));
+    }
     Tensor y = o::depthwiseConv2d(x, kernel_.value(), opts_.strideH,
                                   opts_.strideW,
                                   padModeFromName(opts_.padding));

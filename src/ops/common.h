@@ -162,6 +162,11 @@ Tensor matMulKernel(const char* name, const Tensor& a, const Tensor& b,
 Tensor conv2dKernel(const char* name, const Tensor& x, const Tensor& filter,
                     const Conv2DInfo& info, const Tensor& bias,
                     FusedActivation act);
+/// The same for depthwiseConv2d / fusedDepthwiseConv2d (bias length outC);
+/// both open the op span "depthwiseConv2d".
+Tensor depthwiseKernel(const Tensor& x, const Tensor& filter,
+                       const Conv2DInfo& info, const Tensor& bias,
+                       FusedActivation act);
 
 /// matMul's transpose-aware adjoints {da, db} for the output gradient dy,
 /// reduced over broadcast batch dims. An operand whose `need` flag is false
@@ -174,6 +179,10 @@ std::vector<Tensor> matMulGrads(const Tensor& a, const Tensor& b,
 std::vector<Tensor> convGrads(const Tensor& x, const Tensor& filter,
                               const Conv2DInfo& info, const Tensor& dy,
                               bool needX, bool needF);
+/// The same for depthwiseConv2d.
+std::vector<Tensor> depthwiseGrads(const Tensor& x, const Tensor& filter,
+                                   const Conv2DInfo& info, const Tensor& dy,
+                                   bool needX, bool needF);
 
 /// Whether the active tape watches `t`. A pullback captures this for each
 /// operand when its op records, and returns an undefined gradient (which

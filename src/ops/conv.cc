@@ -1,7 +1,8 @@
 // Convolutions and pooling. Geometry (SAME/VALID padding, strides,
 // dilations) is resolved here into an explicit Conv2DInfo/Pool2DInfo; the
-// backends only ever see resolved numbers. conv2d's kernel dispatch and
-// adjoints are shared with fusedConv2d (fused.cc).
+// backends only ever see resolved numbers. conv2d's and depthwiseConv2d's
+// kernel dispatch and adjoints are shared with fusedConv2d and
+// fusedDepthwiseConv2d (fused.cc).
 #include "ops/common.h"
 
 namespace tfjs::ops {
@@ -22,6 +23,26 @@ Tensor internal::conv2dKernel(const char* name, const Tensor& x,
   TensorSpec sbias;
   if (bias.defined()) sbias = E().prepareInput(bias);
   const DataId id = E().backend().conv2d(
+      sx, sf, info, bias.defined() ? &sbias : nullptr, act);
+  return k.wrap(id, Shape{info.batch, info.outH, info.outW, info.outC},
+                DType::f32);
+}
+
+Tensor internal::depthwiseKernel(const Tensor& x, const Tensor& filter,
+                                 const Conv2DInfo& info, const Tensor& bias,
+                                 FusedActivation act) {
+  TFJS_SHAPE_CHECK(
+      !bias.defined() || (bias.rank() == 1 && bias.shape()[0] == info.outC),
+      "depthwiseConv2d bias must be rank 1 of length "
+          << info.outC << ", got " << bias.shape().toString());
+  // One span name for the plain and the fused op: the epilogue is part of
+  // the depthwise kernel, as profiles and per-layer breakdowns see it.
+  internal::KernelScope k("depthwiseConv2d");
+  const TensorSpec sx = E().prepareInput(x);
+  const TensorSpec sf = E().prepareInput(filter);
+  TensorSpec sbias;
+  if (bias.defined()) sbias = E().prepareInput(bias);
+  const DataId id = E().backend().depthwiseConv2d(
       sx, sf, info, bias.defined() ? &sbias : nullptr, act);
   return k.wrap(id, Shape{info.batch, info.outH, info.outW, info.outC},
                 DType::f32);
@@ -80,6 +101,15 @@ std::vector<Tensor> internal::convGrads(const Tensor& x, const Tensor& filter,
           needF ? convBackpropFilter(x, dy, info) : Tensor{}};
 }
 
+std::vector<Tensor> internal::depthwiseGrads(const Tensor& x,
+                                             const Tensor& filter,
+                                             const Conv2DInfo& info,
+                                             const Tensor& dy, bool needX,
+                                             bool needF) {
+  return {needX ? dwBackpropInput(dy, filter, info) : Tensor{},
+          needF ? dwBackpropFilter(x, dy, info) : Tensor{}};
+}
+
 Tensor conv2d(const Tensor& x, const Tensor& filter, int strideH, int strideW,
               PadMode pad, int dilationH, int dilationW) {
   // Int8 filters route to the quantized kernel (inference-only).
@@ -123,13 +153,8 @@ Tensor depthwiseConv2d(const Tensor& x, const Tensor& filter, int strideH,
       x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
       /*depthwise=*/true);
   internal::CaptureFrame frame;
-  internal::KernelScope k("depthwiseConv2d");
-  const TensorSpec sx = E().prepareInput(x);
-  const TensorSpec sf = E().prepareInput(filter);
-  const DataId id = E().backend().depthwiseConv2d(sx, sf, info);
-  Tensor y =
-      k.wrap(id, Shape{info.batch, info.outH, info.outW, info.outC},
-             DType::f32);
+  Tensor y = internal::depthwiseKernel(x, filter, info, Tensor{},
+                                       FusedActivation::kNone);
   internal::observeOp(OpId::kDepthwiseConv2d, {x, filter}, y,
                       {static_cast<double>(strideH),
                        static_cast<double>(strideW),
@@ -139,9 +164,7 @@ Tensor depthwiseConv2d(const Tensor& x, const Tensor& filter, int strideH,
   record("depthwiseConv2d", {x, filter}, y,
          [x, filter, info, needX = internal::watched(x),
           needF = internal::watched(filter)](const Tensor& dy) {
-           return std::vector<Tensor>{
-               needX ? dwBackpropInput(dy, filter, info) : Tensor{},
-               needF ? dwBackpropFilter(x, dy, info) : Tensor{}};
+           return internal::depthwiseGrads(x, filter, info, dy, needX, needF);
          });
   return y;
 }

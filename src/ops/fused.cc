@@ -1,11 +1,12 @@
-// Fused matMul/conv2d: bias add + activation folded into the producing
-// kernel, mirroring tf.fused.matMul / the upstream fused conv path that
-// Layers' Dense and Conv2D emit. Every backend runs the epilogue inside its
-// matMul/conv2d kernel (Backend::matMul/conv2d take the bias and the
-// activation), through the same dispatch body as the plain ops; the result
-// is bit-identical to the unfused chain on the active backend — the
-// epilogue applies exactly the same scalar formulas after the full
-// accumulation (see DESIGN.md "Memory reuse").
+// Fused matMul/conv2d/depthwiseConv2d: bias add + activation folded into
+// the producing kernel, mirroring tf.fused.matMul / the upstream fused conv
+// paths that Layers' Dense, Conv2D and DepthwiseConv2D emit. Every backend
+// runs the epilogue inside its matMul/conv2d/depthwiseConv2d kernel (the
+// Backend virtuals take the bias and the activation), through the same
+// dispatch body as the plain ops; the result is bit-identical to the
+// unfused chain on the active backend — the epilogue applies exactly the
+// same scalar formulas after the full accumulation (see DESIGN.md "Memory
+// reuse").
 #include "ops/common.h"
 
 namespace tfjs::ops {
@@ -122,6 +123,38 @@ Tensor fusedConv2d(const Tensor& x, const Tensor& filter, const Tensor& bias,
               [x, filter, info, needX = internal::watched(x),
                needF = internal::watched(filter)](const Tensor& dt) {
                 return internal::convGrads(x, filter, info, dt, needX, needF);
+              });
+  return y;
+}
+
+Tensor fusedDepthwiseConv2d(const Tensor& x, const Tensor& filter,
+                            const Tensor& bias, FusedActivation act,
+                            int strideH, int strideW, PadMode pad,
+                            int dilationH, int dilationW) {
+  if (filter.dtype() == DType::i8 && filter.quantParams() != nullptr) {
+    Tensor ff = dequantize(filter);
+    Tensor y = fusedDepthwiseConv2d(x, ff, bias, act, strideH, strideW, pad,
+                                    dilationH, dilationW);
+    ff.dispose();
+    return y;
+  }
+
+  internal::CaptureFrame frame;
+  const Conv2DInfo info = conv_util::computeConv2DInfo(
+      x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
+      /*depthwise=*/true);
+  Tensor y = internal::depthwiseKernel(x, filter, info, bias, act);
+  const double attrs[] = {
+      static_cast<double>(act),     static_cast<double>(bias.defined()),
+      static_cast<double>(strideH), static_cast<double>(strideW),
+      static_cast<double>(pad),     static_cast<double>(dilationH),
+      static_cast<double>(dilationW)};
+  finishFused(OpId::kFusedDepthwiseConv2d, "fusedDepthwiseConv2d", x, filter,
+              bias, y, act, attrs,
+              [x, filter, info, needX = internal::watched(x),
+               needF = internal::watched(filter)](const Tensor& dt) {
+                return internal::depthwiseGrads(x, filter, info, dt, needX,
+                                                 needF);
               });
   return y;
 }

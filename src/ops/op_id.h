@@ -20,6 +20,8 @@
 //   kQuantConv2d  {act, hasBias, hasOutQ, outScale, outZeroPoint,
 //                  sH, sW, pad, dH, dW}
 //   kDepthwiseConv2d {sH, sW, pad, dH, dW}
+//   kFusedDepthwiseConv2d {act, hasBias, sH, sW, pad, dH, dW}
+//                                                     inputs: x, f[, bias]
 //   kPool         {PoolMode code, kH, kW, sH, sW, pad}
 //   kReduce       {ReduceOp code, keepDims, out DType code, axes...}
 //   kArg          {ArgOp code, axis}
@@ -73,6 +75,7 @@ enum class OpId : int {
   kQuantize = 23,
   kDequantize = 24,
   kFusedRegion = 25,  ///< compiled elementwise region (single-pass loop)
+  kFusedDepthwiseConv2d = 26,
 };
 
 /// Stable lowercase name, used by Graph::toString() golden dumps.
@@ -104,6 +107,7 @@ inline const char* opIdName(OpId id) {
     case OpId::kQuantize: return "quantize";
     case OpId::kDequantize: return "dequantize";
     case OpId::kFusedRegion: return "fusedRegion";
+    case OpId::kFusedDepthwiseConv2d: return "fusedDepthwiseConv2d";
   }
   return "?";
 }

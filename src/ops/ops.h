@@ -199,6 +199,14 @@ Tensor fusedConv2d(const Tensor& x, const Tensor& filter, const Tensor& bias,
                    FusedActivation act, int strideH, int strideW, PadMode pad,
                    int dilationH = 1, int dilationW = 1);
 
+/// depthwiseConv2d + optional bias add (rank-1, length inC * channelMult) +
+/// activation epilogue; same contract as fusedMatMul. An int8 filter is
+/// dequantized first, as depthwiseConv2d does.
+Tensor fusedDepthwiseConv2d(const Tensor& x, const Tensor& filter,
+                            const Tensor& bias, FusedActivation act,
+                            int strideH, int strideW, PadMode pad,
+                            int dilationH = 1, int dilationW = 1);
+
 /// Evaluates a fused elementwise region (graph-executor fusion): the
 /// program's unary/binary/select steps applied per output element in their
 /// original order, in a single kernel on every backend, bit-identical to

@@ -1,10 +1,11 @@
-// Fused kernel parity: fusedMatMul / fusedConv2d must be *bit-identical*
-// to the unfused matMul -> add -> activation chain on every backend (the
-// epilogue runs after the full accumulation using the same scalar formulas;
-// on webgl-sim each interior value also takes the texture-store rounding a
-// chain would have applied), including the gradients (activation masks are
-// computed from the fused output). The webgl tests at the bottom check that
-// the fused op and a captured elementwise region each run as one shader.
+// Fused kernel parity: fusedMatMul / fusedConv2d / fusedDepthwiseConv2d
+// must be *bit-identical* to the unfused producer -> add -> activation
+// chain on every backend (the epilogue runs after the full accumulation
+// using the same scalar formulas; on webgl-sim each interior value also
+// takes the texture-store rounding a chain would have applied), including
+// the gradients (activation masks are computed from the fused output). The
+// webgl tests at the bottom check that the fused ops and a captured
+// elementwise region each run as one shader.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "graph/capture.h"
 #include "graph/executor.h"
 #include "graph/passes.h"
+#include "layers/conv_layers.h"
 #include "layers/core_layers.h"
 #include "ops/ops.h"
 #include "tests/test_util.h"
@@ -31,9 +33,9 @@ const FusedActivation kAllActs[] = {
     FusedActivation::kNone, FusedActivation::kRelu, FusedActivation::kRelu6,
     FusedActivation::kSigmoid};
 
-/// Registers the reference backend and an fp16-texture webgl variant so the
-/// parity suite can run on them directly (test_main registers
-/// cpu/native/webgl only).
+/// Registers the reference backend and the fp16-texture and unpacked webgl
+/// variants so the parity suite can run on them directly (test_main
+/// registers cpu/native/webgl only).
 void ensureBackendsRegistered() {
   static const bool once = [] {
     Engine::get().registerBackend(
@@ -42,6 +44,9 @@ void ensureBackendsRegistered() {
     backends::webgl::WebGLOptions fp16;
     fp16.precision = backends::webgl::TexPrecision::fp16;
     backends::webgl::registerBackendVariant("webgl-fp16", fp16);
+    backends::webgl::WebGLOptions unpacked;
+    unpacked.packed = false;
+    backends::webgl::registerBackendVariant("webgl-unpacked", unpacked);
     return true;
   }();
   (void)once;
@@ -166,6 +171,47 @@ TEST_P(FusionTest, FusedConv2dBitwiseParity) {
   }
 }
 
+TEST_P(FusionTest, FusedDepthwiseConv2dBitwiseParity) {
+  // Channel counts below one vector, at one and two (16 and 32 on AVX-512,
+  // whole multiples of 8 and 4 elsewhere) and past them with a tail (17,
+  // 37); channelMult 1 and 2; stride 2; rows wide enough for the native
+  // kernel's 8-, 4- and 2-pixel register groups and its padded edges.
+  struct Config {
+    Shape x, f;
+    int stride;
+    PadMode pad;
+  };
+  const Config configs[] = {
+      {Shape{2, 9, 21, 3}, Shape{3, 3, 3, 1}, 1, PadMode::kSame},
+      {Shape{1, 8, 23, 17}, Shape{3, 3, 17, 1}, 2, PadMode::kSame},
+      {Shape{1, 7, 19, 32}, Shape{3, 3, 32, 1}, 1, PadMode::kValid},
+      {Shape{1, 6, 14, 37}, Shape{3, 3, 37, 1}, 1, PadMode::kSame},
+      {Shape{1, 9, 11, 5}, Shape{3, 3, 5, 2}, 2, PadMode::kSame},
+      {Shape{1, 6, 10, 16}, Shape{5, 5, 16, 2}, 1, PadMode::kSame},
+  };
+  for (const auto& cfg : configs) {
+    Tensor x = o::randomNormal(cfg.x, 0, 2, 40);
+    Tensor f = o::randomNormal(cfg.f, 0, 1, 41);
+    Tensor bias = o::randomNormal(Shape{cfg.f[2] * cfg.f[3]}, 0, 1, 42);
+    for (const bool useBias : {false, true}) {
+      for (const FusedActivation act : kAllActs) {
+        const Tensor biasArg = useBias ? bias : Tensor();
+        Tensor fused = o::fusedDepthwiseConv2d(x, f, biasArg, act, cfg.stride,
+                                               cfg.stride, cfg.pad);
+        Tensor unfused = unfusedChain(
+            o::depthwiseConv2d(x, f, cfg.stride, cfg.stride, cfg.pad),
+            biasArg, act);
+        expectBitwiseEqual(fused, unfused);
+        fused.dispose();
+        unfused.dispose();
+      }
+    }
+    x.dispose();
+    f.dispose();
+    bias.dispose();
+  }
+}
+
 TEST_P(FusionTest, FusedMatMulGradientsBitwiseParity) {
   Tensor a = o::randomNormal(Shape{6, 8}, 0, 1, 20);
   Tensor b = o::randomNormal(Shape{8, 4}, 0, 1, 21);
@@ -241,6 +287,77 @@ TEST_P(FusionTest, FusedConv2dGradientsBitwiseParity) {
   bias.dispose();
 }
 
+TEST_P(FusionTest, FusedDepthwiseConv2dGradientsBitwiseParity) {
+  for (const int mult : {1, 2}) {
+    Tensor x = o::randomNormal(Shape{1, 7, 6, 3}, 0, 2, 43);
+    Tensor f = o::randomNormal(Shape{3, 3, 3, mult}, 0, 1, 44);
+    Tensor bias = o::randomNormal(Shape{3 * mult}, 0, 1, 45);
+    const Tensor xs[] = {x, f, bias};
+    for (const FusedActivation act : kAllActs) {
+      auto [fv, fg] = autodiff::valueAndGrads(
+          [&] {
+            Tensor y = o::fusedDepthwiseConv2d(x, f, bias, act, 2, 2,
+                                               PadMode::kSame);
+            Tensor loss = o::sum(y);
+            y.dispose();
+            return loss;
+          },
+          xs);
+      auto [uv, ug] = autodiff::valueAndGrads(
+          [&] {
+            Tensor y = unfusedChain(
+                o::depthwiseConv2d(x, f, 2, 2, PadMode::kSame), bias, act);
+            Tensor loss = o::sum(y);
+            y.dispose();
+            return loss;
+          },
+          xs);
+      expectBitwiseEqual(fv, uv);
+      ASSERT_EQ(fg.size(), ug.size());
+      for (std::size_t i = 0; i < fg.size(); ++i) {
+        expectBitwiseEqual(fg[i], ug[i]);
+        fg[i].dispose();
+        ug[i].dispose();
+      }
+      fv.dispose();
+      uv.dispose();
+    }
+    x.dispose();
+    f.dispose();
+    bias.dispose();
+  }
+}
+
+TEST_P(FusionTest, DepthwiseLayerRoutesThroughFusedPath) {
+  layers::DepthwiseConv2DOptions opts;
+  opts.padding = "same";
+  opts.activation = "relu6";
+  layers::DepthwiseConv2D depthwise(opts);
+  Tensor x = o::randomNormal(Shape{1, 9, 10, 4}, 0, 4, 46);
+  depthwise.apply(x).dispose();  // builds the weights outside the profile
+  // A nonzero bias, so the epilogue's add is visible in the values.
+  const auto& weights = depthwise.weights();
+  ASSERT_EQ(weights.size(), 2u);
+  weights[1].assign(o::randomNormal(Shape{4}, 0, 1, 47));
+  Tensor y;
+  const ProfileInfo info = profile([&] { y = depthwise.apply(x); });
+  int kernels = 0, composed = 0;
+  for (const auto& k : info.kernels) {
+    kernels += k.name == "depthwiseConv2d";
+    composed += k.name == "add" || k.name == "relu6";
+  }
+  EXPECT_EQ(kernels, 1);
+  EXPECT_EQ(composed, 0) << "the epilogue must not run as separate ops";
+  // Manual composition from the layer's weights (depthwise kernel, bias).
+  Tensor manual = unfusedChain(
+      o::depthwiseConv2d(x, weights[0].value(), 1, 1, PadMode::kSame),
+      weights[1].value(), FusedActivation::kRelu6);
+  expectBitwiseEqual(y, manual);
+  y.dispose();
+  manual.dispose();
+  x.dispose();
+}
+
 TEST_P(FusionTest, DenseLayerRoutesThroughFusedPath) {
   layers::DenseOptions opts;
   opts.units = 5;
@@ -284,7 +401,16 @@ TEST_P(FusionTest, RejectsMalformedBias) {
   EXPECT_THROW(o::fusedConv2d(x, f, rank2Bias, FusedActivation::kRelu, 1, 1,
                               PadMode::kSame),
                ShapeError);
-  for (Tensor t : {a, b, scalarBias, x, f, rank2Bias}) t.dispose();
+  // Depthwise: 2 channels x multiplier 2 need a bias of length 4.
+  Tensor df = o::randomNormal(Shape{3, 3, 2, 2}, 0, 1, 48);
+  Tensor shortBias = o::randomNormal(Shape{2}, 0, 1, 49);
+  EXPECT_THROW(o::fusedDepthwiseConv2d(x, df, shortBias,
+                                       FusedActivation::kRelu6, 1, 1,
+                                       PadMode::kSame),
+               ShapeError);
+  for (Tensor t : {a, b, scalarBias, x, f, rank2Bias, df, shortBias}) {
+    t.dispose();
+  }
 }
 
 TEST_P(FusionTest, TapedInputRefusesInPlaceButGradsCorrect) {
@@ -329,7 +455,7 @@ TEST_P(FusionTest, TapedInputRefusesInPlaceButGradsCorrect) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FusionTest,
                          ::testing::Values("ref", "cpu", "native", "webgl",
-                                           "webgl-fp16"));
+                                           "webgl-fp16", "webgl-unpacked"));
 
 /// Shader programs the active webgl backend has executed so far.
 std::uint64_t programsRun() {
@@ -352,6 +478,23 @@ TEST(FusionWebglTest, FusedMatMulRunsOneProgram) {
   Tensor unfused = unfusedChain(o::matMul(a, b), bias, FusedActivation::kRelu);
   expectBitwiseEqual(fused, unfused);
   for (Tensor t : {fused, unfused, a, b, bias}) t.dispose();
+}
+
+// The depthwise epilogue runs inside the depthwise shader too.
+TEST(FusionWebglTest, FusedDepthwiseRunsOneProgram) {
+  setBackend("webgl");
+  Tensor x = o::randomNormal(Shape{1, 6, 7, 5}, 0, 2, 50);
+  Tensor f = o::randomNormal(Shape{3, 3, 5, 1}, 0, 1, 51);
+  Tensor bias = o::randomNormal(Shape{5}, 0, 1, 52);
+  const std::uint64_t before = programsRun();
+  Tensor fused = o::fusedDepthwiseConv2d(x, f, bias, FusedActivation::kRelu6,
+                                         1, 1, PadMode::kSame);
+  EXPECT_EQ(programsRun(), before + 1);
+  Tensor unfused =
+      unfusedChain(o::depthwiseConv2d(x, f, 1, 1, PadMode::kSame), bias,
+                   FusedActivation::kRelu6);
+  expectBitwiseEqual(fused, unfused);
+  for (Tensor t : {fused, unfused, x, f, bias}) t.dispose();
 }
 
 // A captured 12-op elementwise chain fuses into one region, which the

@@ -1,11 +1,11 @@
 // Differential fuzz harness for the graph capture + optimizing executor
 // (DESIGN.md "Graph capture & optimization"): seeded random DAGs — mixed
-// shapes and ranks, broadcast edges, dense/conv chains, int8-quantized
-// weights, folds, fusable patterns — each run eagerly and as a captured,
-// fully-optimized graph on every CPU backend (ref / cpu / native). The two
-// paths must agree BITWISE: the executor replays through the public ops
-// layer and the passes are required to preserve every rounding step, so
-// memcmp is the oracle, not a tolerance.
+// shapes and ranks, broadcast edges, dense/conv/depthwise chains,
+// int8-quantized weights, folds, fusable patterns — each run eagerly and as
+// a captured, fully-optimized graph on every CPU backend (ref / cpu /
+// native). The two paths must agree BITWISE: the executor replays through
+// the public ops layer and the passes are required to preserve every
+// rounding step, so memcmp is the oracle, not a tolerance.
 //
 // Failures print the case seed; replay one case in isolation with
 //   TFJS_GRAPH_FUZZ_SEED=<seed> ./graph_fuzz_test
@@ -135,7 +135,7 @@ std::vector<Tensor> buildProgram(unsigned seed,
   };
 
   for (int step = 0; step < nSteps; ++step) {
-    const unsigned kind = rng() % 13;
+    const unsigned kind = rng() % 14;
     switch (kind) {
       case 0: {  // unary chain link
         pushUnary(vals[static_cast<std::size_t>(pickWhere(rng, vals, any))]);
@@ -330,6 +330,50 @@ std::vector<Tensor> buildProgram(unsigned seed,
         vals.push_back(o::reshape(y, Shape{1, static_cast<int>(y.shape().size())}));
         break;
       }
+      case 12: {  // depthwise block: the unfused chain or the fused op
+        const int vi = pickWhere(rng, vals, [](const Tensor& t) {
+          return t.shape().rank() == 2 && t.shape()[0] >= 3 &&
+                 t.shape()[1] >= 3 && t.shape().size() <= 256;
+        });
+        if (vi < 0) break;
+        const Tensor& v = vals[static_cast<std::size_t>(vi)];
+        const int h = v.shape()[0], w = v.shape()[1];
+        // Channel counts below, at and past a vector width, and a multiplier
+        // of 1 or 2.
+        const int channels[] = {1, 3, 8, 17};
+        const int c = channels[rng() % 4];
+        const int mult = 1 + static_cast<int>(rng() % 2);
+        const int stride = 1 + static_cast<int>(rng() % 2);
+        const PadMode pad = rng() % 2 == 0 ? PadMode::kSame : PadMode::kValid;
+        // A broadcast product spreads the values over c distinct channels.
+        Tensor x4 = o::mul(o::reshape(v, Shape{1, h, w, 1}),
+                           pool.take(Shape{c}));
+        const bool int8Filter = rng() % 4 == 0;
+        Tensor f = pool.take(Shape{3, 3, c, mult}, int8Filter);
+        const bool useBias = rng() % 2 == 0;
+        Tensor bias = useBias ? pool.take(Shape{c * mult}) : Tensor();
+        const FusedActivation acts[] = {
+            FusedActivation::kNone, FusedActivation::kRelu,
+            FusedActivation::kRelu6, FusedActivation::kSigmoid};
+        const FusedActivation act = acts[rng() % 4];
+        Tensor y;
+        if (rng() % 3 == 0) {
+          y = o::fusedDepthwiseConv2d(x4, f, bias, act, stride, stride, pad);
+        } else {
+          // What the fuse pass must absorb into one fused node.
+          y = o::depthwiseConv2d(x4, f, stride, stride, pad);
+          if (useBias) y = o::add(y, bias);
+          switch (act) {
+            case FusedActivation::kRelu: y = o::relu(y); break;
+            case FusedActivation::kRelu6: y = o::relu6(y); break;
+            case FusedActivation::kSigmoid: y = o::sigmoid(y); break;
+            case FusedActivation::kNone: break;
+          }
+        }
+        vals.push_back(
+            o::reshape(y, Shape{1, static_cast<int>(y.shape().size())}));
+        break;
+      }
     }
   }
 
@@ -479,6 +523,10 @@ std::vector<Tensor> buildElemProgram(unsigned seed,
 using ProgramFn = std::vector<Tensor> (*)(unsigned, const std::vector<Tensor>&,
                                           ConstPool&);
 
+/// Fused depthwise nodes in the optimized graphs run so far: the fused op
+/// captured directly, or the unfused chain the fuse pass absorbed.
+int fusedDepthwiseNodes = 0;
+
 /// Runs one seeded case: eager vs captured+optimized on every backend,
 /// plus a pass-bypass leg on a subset. Returns the number of captured
 /// graphs executed. `elemMode` switches to the elementwise-chain-heavy
@@ -530,6 +578,9 @@ int runCase(unsigned seed, bool elemMode = false) {
     std::vector<Tensor> got = cg.run(inputs);
     std::vector<Tensor> warm = cg.run(inputs);  // arena-backed second run
     ++graphsRun;
+    for (const graph::Node& n : cg.optimized().nodes) {
+      fusedDepthwiseNodes += n.op == ops::OpId::kFusedDepthwiseConv2d;
+    }
 
     EXPECT_EQ(eager.size(), got.size()) << "seed=" << seed;
     for (std::size_t i = 0; i < eager.size() && i < got.size(); ++i) {
@@ -577,12 +628,15 @@ TEST(GraphFuzz, EagerVsCapturedBitwiseParity) {
   }
 
   int graphs = 0;
+  const int depthwise0 = fusedDepthwiseNodes;
   for (unsigned seed = 1; seed <= kNumSeeds; ++seed) {
     graphs += runCase(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // The harness's own coverage bar: >240 captured graphs per ctest run.
   EXPECT_GE(graphs, 240);
+  // ...and the depthwise block must actually reach the executor fused.
+  EXPECT_GE(fusedDepthwiseNodes - depthwise0, 30);
 }
 
 TEST(GraphFuzz, ElementwiseChainHeavyBitwiseParity) {

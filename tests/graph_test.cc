@@ -307,6 +307,39 @@ TEST(GraphPasses, FuseDeclinesMultiUseAndOutputIntermediates) {
   g2.nodes[2].outShape = Shape{2, 4};
   Graph fused2 = graph::fuse(g2);
   EXPECT_EQ(fused2.nodes[4].op, OpId::kBinary);
+
+  // A length-1 addend broadcasts, but is not one entry per channel.
+  Graph g3 = fuseFixture();
+  g3.nodes[2].outShape = Shape{1};
+  EXPECT_EQ(graph::fuse(g3).nodes[4].op, OpId::kBinary);
+}
+
+TEST(GraphPasses, FuseAbsorbsDepthwiseBiasAndActivation) {
+  // relu6(depthwiseConv2d(x, f) + b), the chain a converted graph and an
+  // unfused capture both produce: one fused depthwise node after dce.
+  Graph g;
+  g.nodes.push_back(inputNode(Shape{1, 5, 5, 3}));
+  g.nodes.push_back(constNode(Shape{3, 3, 3, 1}));
+  g.nodes.push_back(constNode(Shape{3}));
+  g.nodes.push_back(opNode(OpId::kDepthwiseConv2d, {0, 1},
+                           {1, 1, static_cast<double>(PadMode::kSame), 1, 1},
+                           Shape{1, 5, 5, 3}));
+  g.nodes.push_back(
+      opNode(OpId::kBinary, {3, 2}, {kAddCode, kF32Code}, Shape{1, 5, 5, 3}));
+  g.nodes.push_back(opNode(
+      OpId::kUnary, {4},
+      {static_cast<double>(UnaryOp::kRelu6), 0, 0, kF32Code},
+      Shape{1, 5, 5, 3}));
+  g.inputs = {0};
+  g.outputs = {5};
+  EXPECT_EQ(graph::dce(graph::fuse(g)).toString(),
+            "graph(1 inputs, 4 nodes, 1 outputs)\n"
+            "%0 = input -> float32[1,5,5,3]\n"
+            "%1 = const -> float32[3,3,3,1]\n"
+            "%2 = const -> float32[3]\n"
+            "%3 = fusedDepthwiseConv2d(%0, %1, %2) {2,1,1,1,1,1,1} -> "
+            "float32[1,5,5,3]\n"
+            "outputs: %3\n");
 }
 
 /// mulScalar(relu(x + y), 2) with y broadcasting from the leaves: the whole
@@ -875,6 +908,42 @@ TEST(GraphExec, ArenaCacheEvictsLeastRecentShapeClass) {
 }
 
 // ---- io::GraphExecutor regression ---------------------------------------
+
+TEST(GraphExec, ConvertedDepthwiseBiasRelu6RunsAsOneKernel) {
+  setBackend("native");
+  // A converter-style MobileNet block tail: DepthwiseConv2dNative, BiasAdd,
+  // Relu6. The fuse pass folds the last two into the depthwise kernel.
+  io::GraphDef def;
+  Tensor f = o::randomNormal(Shape{3, 3, 4, 1}, 0, 1, 134);
+  Tensor b = o::randomNormal(Shape{4}, 0, 1, 135);
+  io::Json attrs;
+  attrs["strides"] =
+      io::Json(io::JsonArray{io::Json(1), io::Json(2), io::Json(2),
+                             io::Json(1)});
+  attrs["padding"] = "SAME";
+  def.nodes.push_back({"x", "Placeholder", {}, Tensor(), io::Json()});
+  def.nodes.push_back({"f", "VariableV2", {}, f, io::Json()});
+  def.nodes.push_back({"b", "VariableV2", {}, b, io::Json()});
+  def.nodes.push_back({"dw", "DepthwiseConv2dNative", {"x", "f"}, Tensor(),
+                       attrs});
+  def.nodes.push_back({"biased", "BiasAdd", {"dw", "b"}, Tensor(), io::Json()});
+  def.nodes.push_back({"out", "Relu6", {"biased"}, Tensor(), io::Json()});
+  def.outputs = {"out"};
+  io::GraphExecutor exec(std::move(def));
+
+  Tensor x = o::randomNormal(Shape{1, 9, 9, 4}, 0, 3, 136);
+  exec.execute({{"x", x}}).dispose();  // compiles and folds outside profile
+  Tensor got;
+  const ProfileInfo info = profile([&] { got = exec.execute({{"x", x}}); });
+  std::string names;
+  for (const auto& k : info.kernels) names += k.name + " ";
+  EXPECT_EQ(names, "depthwiseConv2d ");
+  Tensor expected =
+      o::relu6(o::add(o::depthwiseConv2d(x, f, 2, 2, PadMode::kSame), b));
+  expectBitwiseEqual(got, expected);
+  for (Tensor t : {x, got, expected, f, b}) t.dispose();
+  setBackend("cpu");
+}
 
 TEST(GraphExec, ImportedGraphDecodesWeightsOnce) {
   setBackend("native");

@@ -37,10 +37,11 @@
 //
 // The backward kernels are held the same way: conv backprop to the chains
 // of colᵀ · dy (dW) and to col2im of dy · Wᵀ (dX), depthwise backprop to
-// one fmaStep chain per element in output-pixel order, and pool backprop
-// to RefBackend itself (it performs the reference's exact adds).
+// one fmaStep chain per element in output-pixel order, and pooling and its
+// backprop to RefBackend itself (it performs the reference's exact ops).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -51,6 +52,7 @@
 
 #include "backends/common/ref_backend.h"
 #include "backends/native/native_backend.h"
+#include "core/buffer_pool.h"
 #include "core/conv_util.h"
 #include "core/thread_pool.h"
 
@@ -433,6 +435,112 @@ TEST_F(NativeGemmTest, ConvPathsMatchOracle) {
   }
 }
 
+/// Parks NaN-filled buffers in the pool bucket that serves an n-element
+/// request, so the next allocations of that size start out as NaN.
+void poisonPool(std::size_t n) {
+  for (int i = 0; i < 4; ++i) {
+    tfjs::core::BufferPool::get().release(
+        std::vector<float>(std::bit_ceil(n), kNaN));
+  }
+}
+
+// Forward matMul and conv2d overwrite their output: each chain starts from
+// +0 in registers, and no tile reads C before writing it. Every output is
+// allocated from a pool bucket full of NaN and must still equal the
+// zeroed-C oracle bit for bit — on the 1x1 and im2col conv paths, the
+// small-m path (m < the register tile's rows), several k blocks (k > 256),
+// k = 0 with a bias, and partial column panels (n not a multiple of the
+// tile width).
+TEST_F(NativeGemmTest, OutputsIgnorePoisonedPoolBuffers) {
+  auto& pool = tfjs::core::BufferPool::get();
+  const bool wasEnabled = pool.enabled();
+  pool.setEnabled(true);
+  const auto expectFromPoison = [&](const auto& run,
+                                    const std::vector<float>& want,
+                                    const std::string& what) {
+    poisonPool(want.size());
+    const std::uint64_t hits = pool.stats().hits;
+    const std::vector<float> got = native_.read(run());
+    EXPECT_GT(pool.stats().hits, hits) << what << ": output not pooled";
+    expectBitwise(got, want, what);
+  };
+
+  struct MatMulCase {
+    int m, k, n;
+  };
+  const MatMulCase mm[] = {{3, 40, 70}, {13, 600, 70}, {11, 0, 45},
+                           {2, 0, 33}, {40, 27, 1}};
+  struct ConvCase {
+    Shape x, f;
+    PadMode pad;
+  };
+  const ConvCase convs[] = {
+      {Shape{1, 5, 7, 37}, Shape{1, 1, 37, 45}, PadMode::kValid},
+      {Shape{1, 9, 8, 5}, Shape{3, 3, 5, 33}, PadMode::kSame},
+      {Shape{2, 6, 5, 40}, Shape{3, 3, 40, 7}, PadMode::kSame},
+  };
+  for (const int threads : {1, 4}) {
+    ThreadPool::get().setNumThreads(threads);
+    const std::string t = " threads=" + std::to_string(threads);
+    for (const MatMulCase& c : mm) {
+      const auto aData = specialRows(c.m, std::max(c.k, 1), 71);
+      const auto bData =
+          randomData(static_cast<std::size_t>(c.k) * c.n, 72);
+      const auto bias = specialBias(c.n);
+      const std::vector<float> aUsed(
+          aData.begin(),
+          aData.begin() + static_cast<std::ptrdiff_t>(c.m) * c.k);
+      const auto z = oracleChains(aUsed.data(), bData.data(), c.m, c.k, c.n);
+      const TensorSpec a = put(aUsed, Shape{1, c.m, c.k});
+      const TensorSpec b = put(bData, Shape{1, c.k, c.n});
+      const TensorSpec bs = put(bias, Shape{c.n});
+      for (const FusedActivation act : kActs) {
+        expectFromPoison(
+            [&] { return native_.matMul(a, b, false, false, &bs, act); },
+            oracleEpilogue(z, c.n, bias.data(), act),
+            "matMul " + caseName(c.m, c.k, c.n, true, act, threads));
+      }
+      expectFromPoison(
+          [&] {
+            return native_.matMul(a, b, false, false, nullptr,
+                                  FusedActivation::kNone);
+          },
+          z, "matMul " + caseName(c.m, c.k, c.n, false,
+                                  FusedActivation::kNone, threads));
+      if (HasFailure()) break;
+    }
+    for (const ConvCase& c : convs) {
+      const Conv2DInfo ci =
+          tfjs::conv_util::computeConv2DInfo(c.x, c.f, 1, 1, c.pad);
+      const auto xData = randomData(c.x.size(), 73);
+      const auto fData = randomData(c.f.size(), 74);
+      const auto bias = specialBias(ci.outC);
+      const auto z = oracleChains(oracleIm2col(xData, ci).data(), fData.data(),
+                                  ci.batch * ci.outH * ci.outW,
+                                  ci.filterH * ci.filterW * ci.inC, ci.outC);
+      const TensorSpec x = put(xData, c.x);
+      const TensorSpec f = put(fData, c.f);
+      const TensorSpec bs = put(bias, Shape{ci.outC});
+      const std::string tag = c.x.toString() + " * " + c.f.toString() + t;
+      expectFromPoison(
+          [&] {
+            return native_.conv2d(x, f, ci, nullptr, FusedActivation::kNone);
+          },
+          z, "conv2d " + tag);
+      for (const FusedActivation act : kActs) {
+        expectFromPoison(
+            [&] { return native_.conv2d(x, f, ci, &bs, act); },
+            oracleEpilogue(z, ci.outC, bias.data(), act),
+            "fusedConv2d act=" + std::to_string(static_cast<int>(act)) + " " +
+                tag);
+      }
+      if (HasFailure()) break;
+    }
+    if (HasFailure()) break;
+  }
+  pool.setEnabled(wasEnabled);
+}
+
 /// The depthwise chains of NHWC x against an [fH, fW, inC, mult] filter:
 /// per output element, fmaStep over the in-bounds taps in (fy, fx) order.
 std::vector<float> oracleDepthwise(const std::vector<float>& x,
@@ -521,7 +629,9 @@ TEST_F(NativeGemmTest, DepthwiseMatchesOracle) {
         const TensorSpec f = put(fData, fs);
         for (const int threads : {1, 4}) {
           ThreadPool::get().setNumThreads(threads);
-          expectBitwise(native_.read(native_.depthwiseConv2d(x, f, ci)), want,
+          expectBitwise(native_.read(native_.depthwiseConv2d(
+                            x, f, ci, nullptr, FusedActivation::kNone)),
+                        want,
                         "depthwise " + xs.toString() + " * " + fs.toString() +
                             " stride=" + std::to_string(cs.stride) +
                             " dilation=" + std::to_string(cs.dilation) +
@@ -747,41 +857,85 @@ TEST_F(NativeGemmTest, DepthwiseBackpropMatchesOracle) {
   }
 }
 
+/// Pooling geometries: overlapping windows (stride < filter), SAME padding
+/// on every edge, and VALID.
+struct PoolCase {
+  int h, w, filter, stride;
+  PadMode pad;
+};
+constexpr PoolCase kPoolCases[] = {{9, 11, 3, 1, PadMode::kSame},
+                                   {10, 13, 3, 2, PadMode::kSame},
+                                   {8, 8, 2, 2, PadMode::kValid},
+                                   {7, 12, 4, 3, PadMode::kSame},
+                                   {11, 9, 3, 2, PadMode::kValid}};
+
+/// A [2, h, w, C] pooling input: values on a half-integer grid (ties), NaN
+/// every 17th element, and in image 1's even channels a 5x5 block of -inf,
+/// so every window inside it (filters up to 4) holds nothing but -inf.
+std::vector<float> poolInput(const PoolCase& cs, int C) {
+  std::vector<float> x = randomData(
+      static_cast<std::size_t>(2) * cs.h * cs.w * C, 61);
+  for (float& v : x) v = std::floor(v * 2.f) / 2.f;
+  for (std::size_t e = 3; e < x.size(); e += 17) x[e] = kNaN;
+  for (int y = 1; y < 6; ++y) {
+    for (int xx = 1; xx < 6; ++xx) {
+      for (int c = 0; c < C; c += 2) {
+        x[((static_cast<std::size_t>(1) * cs.h + y) * cs.w + xx) * C + c] =
+            -kInf;
+      }
+    }
+  }
+  return x;
+}
+
+std::string poolTag(const Shape& xs, const PoolCase& cs, int threads) {
+  return xs.toString() + " filter=" + std::to_string(cs.filter) +
+         " stride=" + std::to_string(cs.stride) +
+         (cs.pad == PadMode::kSame ? " same" : " valid") +
+         " threads=" + std::to_string(threads);
+}
+
+// Forward pooling: bitwise RefBackend — max keeps `acc < v ? v : acc`
+// (std::max: a NaN tap never replaces the running max, an all -inf window
+// stays -inf) and avg divides the in-order sum by the in-bounds count.
+TEST_F(NativeGemmTest, Pool2dMatchesReference) {
+  tfjs::backends::RefBackend ref;
+  for (const PoolCase& cs : kPoolCases) {
+    for (const int C : {1, 5, 16, 33}) {
+      const Shape xs{2, cs.h, cs.w, C};
+      const tfjs::Pool2DInfo pi = tfjs::conv_util::computePool2DInfo(
+          xs, cs.filter, cs.filter, cs.stride, cs.stride, cs.pad);
+      const std::vector<float> xData = poolInput(cs, C);
+      const TensorSpec xr{ref.write(xData, xs), xs, tfjs::DType::f32};
+      const auto wantMax = ref.read(ref.pool2d(tfjs::PoolMode::kMax, xr, pi));
+      const auto wantAvg = ref.read(ref.pool2d(tfjs::PoolMode::kAvg, xr, pi));
+      const TensorSpec x = put(xData, xs);
+      for (const int threads : {1, 4}) {
+        ThreadPool::get().setNumThreads(threads);
+        const std::string tag = poolTag(xs, cs, threads);
+        expectBitwise(native_.read(native_.pool2d(tfjs::PoolMode::kMax, x, pi)),
+                      wantMax, "maxPool " + tag);
+        expectBitwise(native_.read(native_.pool2d(tfjs::PoolMode::kAvg, x, pi)),
+                      wantAvg, "avgPool " + tag);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
 // Pool backprop: bitwise RefBackend — the same argmax (first strictly
 // greater value, taps in (fy, fx) order) and the same adds into each input
-// element in (oy, ox) order. Overlapping windows (stride < filter), SAME
-// padding on every edge, ties (inputs on a half-integer grid), NaN inputs,
-// and windows that are all -inf (max routes nothing there).
+// element in (oy, ox) order, over poolInput's ties, NaN and all -inf
+// windows (max routes nothing there).
 TEST_F(NativeGemmTest, PoolBackpropMatchesReference) {
-  struct Case {
-    int h, w, filter, stride;
-    PadMode pad;
-  };
-  const Case cases[] = {{9, 11, 3, 1, PadMode::kSame},
-                        {10, 13, 3, 2, PadMode::kSame},
-                        {8, 8, 2, 2, PadMode::kValid},
-                        {7, 12, 4, 3, PadMode::kSame},
-                        {11, 9, 3, 2, PadMode::kValid}};
   tfjs::backends::RefBackend ref;
-  for (const Case& cs : cases) {
+  for (const PoolCase& cs : kPoolCases) {
     for (const int C : {1, 5, 16, 33}) {
       const Shape xs{2, cs.h, cs.w, C};
       const tfjs::Pool2DInfo pi = tfjs::conv_util::computePool2DInfo(
           xs, cs.filter, cs.filter, cs.stride, cs.stride, cs.pad);
       const Shape ys{pi.batch, pi.outH, pi.outW, pi.channels};
-      std::vector<float> xData = randomData(xs.size(), 61);
-      for (float& v : xData) v = std::floor(v * 2.f) / 2.f;  // ties
-      for (std::size_t e = 3; e < xData.size(); e += 17) xData[e] = kNaN;
-      // Image 1, even channels: a 5x5 block of -inf, so every window
-      // inside it (filters up to 4) has nothing but -inf.
-      for (int y = 1; y < 6; ++y) {
-        for (int x = 1; x < 6; ++x) {
-          for (int c = 0; c < C; c += 2) {
-            xData[((static_cast<std::size_t>(1) * cs.h + y) * cs.w + x) * C +
-                  c] = -kInf;
-          }
-        }
-      }
+      const std::vector<float> xData = poolInput(cs, C);
       const auto dyData = randomData(ys.size(), 62);
       const auto wantMax = ref.read(ref.maxPoolBackprop(
           TensorSpec{ref.write(dyData, ys), ys, tfjs::DType::f32},
@@ -792,11 +946,7 @@ TEST_F(NativeGemmTest, PoolBackpropMatchesReference) {
       const TensorSpec dy = put(dyData, ys);
       for (const int threads : {1, 4}) {
         ThreadPool::get().setNumThreads(threads);
-        const std::string tag =
-            xs.toString() + " filter=" + std::to_string(cs.filter) +
-            " stride=" + std::to_string(cs.stride) +
-            (cs.pad == PadMode::kSame ? " same" : " valid") +
-            " threads=" + std::to_string(threads);
+        const std::string tag = poolTag(xs, cs, threads);
         expectBitwise(native_.read(native_.maxPoolBackprop(dy, x, pi)),
                       wantMax, "maxPoolBackprop " + tag);
         expectBitwise(native_.read(native_.avgPoolBackprop(dy, pi)), wantAvg,

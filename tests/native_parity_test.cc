@@ -211,7 +211,8 @@ TEST_F(NativeParityTest, DepthwiseConv2d) {
   const auto fData = randomData(f.size(), 14);
   auto [par, ref] = runBoth([&](tfjs::Backend& be) {
     return be.read(
-        be.depthwiseConv2d(put(be, xData, x), put(be, fData, f), ci));
+        be.depthwiseConv2d(put(be, xData, x), put(be, fData, f), ci, nullptr,
+                           FusedActivation::kNone));
   });
   expectFmaClose(par, ref);
 }

@@ -2,8 +2,10 @@
 # Full local CI: the tier-1 build + test cycle (ROADMAP.md), a portable
 # leg (-DTFJS_NATIVE_ARCH=OFF: the native f32 kernels at SSE2 width without
 # FMA and the scalar int8 variant, checked bitwise against the same
-# oracles, ops_test's per-element region oracle included, and autodiff_test
-# holding the native backward kernels to the cpu backend), then the
+# oracles, ops_test's per-element region oracle included, autodiff_test
+# holding the native backward kernels to the cpu backend, and the graph
+# differential fuzzer replaying the SSE2 kernels' fused epilogues, the
+# depthwise one included, against eager), then the
 # sanitizer legs (tools/run_tsan.sh: TSan, ASan, UBSan over the
 # threading/memory/int8-sensitive subset plus the graph differential
 # fuzzer, each followed by a fixed-seed extended fuzzer block). Mirrors
@@ -61,9 +63,9 @@ fi
 echo "== portable leg (TFJS_NATIVE_ARCH=OFF) =="
 cmake -B build-portable -S . -DTFJS_NATIVE_ARCH=OFF
 cmake --build build-portable -j --target native_gemm_test native_parity_test \
-  fusion_test quant_test ops_test autodiff_test
+  fusion_test quant_test ops_test autodiff_test graph_fuzz_test
 ctest --test-dir build-portable --output-on-failure \
-  -R 'native_gemm_test|native_parity_test|fusion_test|quant_test|ops_test|autodiff_test'
+  -R 'native_gemm_test|native_parity_test|fusion_test|quant_test|ops_test|autodiff_test|graph_fuzz_test'
 
 echo "== sanitizer legs =="
 tools/run_tsan.sh

@@ -24,11 +24,12 @@
 # recorder, every optimization pass (elementwise region fusion included),
 # the arena allocator, and the replay path on the three CPU backends and
 # three webgl-sim configurations — the widest single net over the graph
-# subsystem. fusion_test and webgl_test run on the TSan leg and webgl_test
-# on the ASan leg too: webgl-sim's fused-region and matMul/conv2d epilogue
-# shaders are closures that run on the GPU worker thread after the
-# enqueueing call has returned, so they must own (not borrow) the program,
-# the shapes and the bias texture they read. graph_test and
+# subsystem. fusion_test and webgl_test run on the TSan and ASan legs:
+# webgl-sim's fused-region and matMul/conv2d/depthwise epilogue shaders are
+# closures that run on the GPU worker thread after the enqueueing call has
+# returned, so they must own (not borrow) the program, the shapes and the
+# bias texture they read; on native, fusion_test's depthwise cases drive
+# the register epilogue's bias loads over channel tails (ASan). graph_test and
 # graph_executor_test run on the ASan leg: every captured elementwise node
 # whose first input dies there (standalone or fused) replays in place,
 # handing that input's buffer to the region kernel as its destination.

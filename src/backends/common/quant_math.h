@@ -1,7 +1,7 @@
 // Scalar quantization math shared by the reference oracle and the native
 // SIMD kernels. Both backends call these exact functions for everything that
 // is not the integer dot product itself — row quantization, zero-point
-// correction, the f32 epilogue and int8 requantization — and the integer
+// correction and the f32 epilogue — and the integer
 // accumulation is exact under any ordering, so ref and native results are
 // bitwise identical by construction (DESIGN.md "Quantized execution").
 #pragma once
@@ -117,27 +117,13 @@ inline float dequantAcc(std::int32_t acc, const RowQuant& rq,
   return static_cast<float>(centered) * (rq.scale * wScale);
 }
 
-/// Requantizes an epilogue result to int8 codes (returned as the float the
-/// storage layer holds): round(clamp(y * (1/scale), -127 - zp, 127 - zp))
-/// + zp. Same mul / clamp-in-float / round-to-nearest-even recipe as
-/// quantizeActivation, for the same SIMD-exactness reason.
-inline float requantToInt8(float v, const OutQuant& oq) {
-  const float inv = 1.f / oq.scale;
-  const float t =
-      std::min(std::max(v * inv, static_cast<float>(kInt8Min - oq.zeroPoint)),
-               static_cast<float>(kInt8Max - oq.zeroPoint));
-  return static_cast<float>(static_cast<std::int32_t>(std::nearbyintf(t)) +
-                            oq.zeroPoint);
-}
-
 /// Full scalar epilogue of a quantized GEMM output element.
 inline float quantEpilogue(std::int32_t acc, const RowQuant& rq,
                            std::int32_t colSum, float wScale, const float* bias,
-                           int j, FusedActivation act, const OutQuant* outQ) {
+                           int j, FusedActivation act) {
   float v = dequantAcc(acc, rq, colSum, wScale);
   if (bias != nullptr) v += bias[j];
-  v = applyFusedActivation(act, v);
-  return outQ != nullptr ? requantToInt8(v, *outQ) : v;
+  return applyFusedActivation(act, v);
 }
 
 }  // namespace tfjs::backends::qmath

@@ -1171,33 +1171,27 @@ bool RefBackend::quantFastPathOk(const QuantParams& wq, int k) {
   return wq.symmetric() && k <= qmath::kMaxAccumK;
 }
 
+DataId RefBackend::dequantizedWeights(const TensorSpec& w,
+                                      const QuantParams& wq) {
+  KernelTimer t(kernelMs_);
+  const std::size_t n = static_cast<std::size_t>(w.shape[w.shape.rank() - 1]);
+  const auto& wv = buf(w.id);
+  std::vector<float> wf = allocBuffer(wv.size());
+  for (std::size_t i = 0; i < wv.size(); ++i) {
+    const std::size_t j = i % n;
+    wf[i] = (wv[i] - static_cast<float>(wq.zeroPointFor(j))) * wq.scaleFor(j);
+  }
+  return store(std::move(wf));
+}
+
 DataId RefBackend::quantizedMatMulFallback(const TensorSpec& a,
                                            const TensorSpec& b,
                                            const QuantParams& wq,
                                            const TensorSpec* bias,
-                                           FusedActivation act,
-                                           const OutQuant* outQ) {
-  const int k = b.shape[1], n = b.shape[2];
-  std::vector<float> wf;
-  {
-    KernelTimer t(kernelMs_);
-    const auto& bv = buf(b.id);
-    wf = allocBuffer(bv.size());
-    for (std::size_t i = 0; i < bv.size(); ++i) {
-      const std::size_t j = i % static_cast<std::size_t>(n);
-      wf[i] = (bv[i] - static_cast<float>(wq.zeroPointFor(j))) *
-              wq.scaleFor(j);
-    }
-  }
-  const DataId tmp = store(std::move(wf));
-  const TensorSpec bf{tmp, Shape{1, k, n}, DType::f32};
+                                           FusedActivation act) {
+  const TensorSpec bf{dequantizedWeights(b, wq), b.shape, DType::f32};
   const DataId y = matMul(a, bf, false, false, bias, act);
-  disposeData(tmp);
-  if (outQ != nullptr) {
-    KernelTimer t(kernelMs_);
-    auto& yv = mutableBuf(y);
-    for (float& v : yv) v = qmath::requantToInt8(v, *outQ);
-  }
+  disposeData(bf.id);
   return y;
 }
 
@@ -1206,36 +1200,18 @@ DataId RefBackend::quantizedConv2dFallback(const TensorSpec& x,
                                            const Conv2DInfo& ci,
                                            const QuantParams& wq,
                                            const TensorSpec* bias,
-                                           FusedActivation act,
-                                           const OutQuant* outQ) {
-  const int n = ci.outC;
-  std::vector<float> wf;
-  {
-    KernelTimer t(kernelMs_);
-    const auto& fv = buf(filter.id);
-    wf = allocBuffer(fv.size());
-    for (std::size_t i = 0; i < fv.size(); ++i) {
-      const std::size_t j = i % static_cast<std::size_t>(n);
-      wf[i] = (fv[i] - static_cast<float>(wq.zeroPointFor(j))) *
-              wq.scaleFor(j);
-    }
-  }
-  const DataId tmp = store(std::move(wf));
-  const TensorSpec ff{tmp, filter.shape, DType::f32};
+                                           FusedActivation act) {
+  const TensorSpec ff{dequantizedWeights(filter, wq), filter.shape,
+                      DType::f32};
   const DataId y = conv2d(x, ff, ci, bias, act);
-  disposeData(tmp);
-  if (outQ != nullptr) {
-    KernelTimer t(kernelMs_);
-    auto& yv = mutableBuf(y);
-    for (float& v : yv) v = qmath::requantToInt8(v, *outQ);
-  }
+  disposeData(ff.id);
   return y;
 }
 
 DataId RefBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
                                    const QuantParams& wq,
-                                   const TensorSpec* bias, FusedActivation act,
-                                   const OutQuant* outQ) {
+                                   const TensorSpec* bias,
+                                   FusedActivation act) {
   wq.validate();
   const int batch = a.shape[0];
   const int m = a.shape[1], k = a.shape[2];
@@ -1277,21 +1253,21 @@ DataId RefBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
                          w8[static_cast<std::size_t>(p) * n + j]);
             }
             Crow[j] = qmath::quantEpilogue(acc, rq, cs[j], wq.scaleFor(j),
-                                           biasv, j, act, outQ);
+                                           biasv, j, act);
           }
         }
       }
       return store(std::move(out));
     }
   }
-  return quantizedMatMulFallback(a, b, wq, bias, act, outQ);
+  return quantizedMatMulFallback(a, b, wq, bias, act);
 }
 
 DataId RefBackend::quantizedConv2d(const TensorSpec& x,
                                    const TensorSpec& filter,
                                    const Conv2DInfo& ci, const QuantParams& wq,
-                                   const TensorSpec* bias, FusedActivation act,
-                                   const OutQuant* outQ) {
+                                   const TensorSpec* bias,
+                                   FusedActivation act) {
   wq.validate();
   const int patch = ci.filterH * ci.filterW * ci.inC;
   const int n = ci.outC;
@@ -1357,7 +1333,7 @@ DataId RefBackend::quantizedConv2d(const TensorSpec& x,
                            w8[static_cast<std::size_t>(p) * n + oc]);
               }
               oRow[oc] = qmath::quantEpilogue(acc, rq, cs[oc], wq.scaleFor(oc),
-                                              biasv, oc, act, outQ);
+                                              biasv, oc, act);
             }
           }
         }
@@ -1365,7 +1341,7 @@ DataId RefBackend::quantizedConv2d(const TensorSpec& x,
       return store(std::move(out));
     }
   }
-  return quantizedConv2dFallback(x, filter, ci, wq, bias, act, outQ);
+  return quantizedConv2dFallback(x, filter, ci, wq, bias, act);
 }
 
 DataId RefBackend::cumsum(const TensorSpec& x, std::size_t outer,

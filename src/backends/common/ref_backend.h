@@ -50,7 +50,6 @@ class RefBackend : public Backend {
   DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
-  bool supportsQuantizedKernels() const override { return true; }
   /// Scalar int8 oracle: u8 dynamic per-row activation codes x s8 weight
   /// codes, exact i32 accumulation, shared scalar epilogue
   /// (backends/common/quant_math.h). Derived backends' SIMD kernels must
@@ -59,11 +58,11 @@ class RefBackend : public Backend {
   /// activations are non-finite, or the weights are not symmetric.
   DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
                          const QuantParams& wq, const TensorSpec* bias,
-                         FusedActivation act, const OutQuant* outQ) override;
+                         FusedActivation act) override;
   DataId quantizedConv2d(const TensorSpec& x, const TensorSpec& filter,
                          const Conv2DInfo& info, const QuantParams& wq,
-                         const TensorSpec* bias, FusedActivation act,
-                         const OutQuant* outQ) override;
+                         const TensorSpec* bias,
+                         FusedActivation act) override;
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB, const TensorSpec* bias,
                 FusedActivation act) override;
@@ -140,17 +139,17 @@ class RefBackend : public Backend {
                      const TensorSpec* bias, FusedActivation act) const;
 
   // Shared f32 fallback of the quantized kernels: dequantizes the weight
-  // codes, dispatches the backend's own (virtual) matMul/conv2d, and
-  // requantizes the result in place when outQ is set. Also the reason a
-  // quantized kernel's fallback stays bit-identical across backends that
-  // share an f32 GEMM accumulation order.
+  // codes (channel = last axis) and dispatches the backend's own (virtual)
+  // matMul/conv2d with the epilogue. Also the reason a quantized kernel's
+  // fallback stays bit-identical across backends that share an f32 GEMM
+  // accumulation order.
+  DataId dequantizedWeights(const TensorSpec& w, const QuantParams& wq);
   DataId quantizedMatMulFallback(const TensorSpec& a, const TensorSpec& b,
                                  const QuantParams& wq, const TensorSpec* bias,
-                                 FusedActivation act, const OutQuant* outQ);
+                                 FusedActivation act);
   DataId quantizedConv2dFallback(const TensorSpec& x, const TensorSpec& filter,
                                  const Conv2DInfo& info, const QuantParams& wq,
-                                 const TensorSpec* bias, FusedActivation act,
-                                 const OutQuant* outQ);
+                                 const TensorSpec* bias, FusedActivation act);
   /// True when the quantized fast path applies: symmetric weights and an
   /// inner dimension short enough for exact i32 accumulation.
   static bool quantFastPathOk(const QuantParams& wq, int k);

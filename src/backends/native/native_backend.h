@@ -11,7 +11,7 @@
 // directly, others via im2col) both lower onto it, epilogue included. The
 // int8 GEMM (native_quant.cc) has the same shape: cached packed weight
 // panels, a row-block partition, an MR x 64 i32 register tile and the
-// requantizing epilogue applied from the accumulators. Depthwise conv keeps
+// dequantizing epilogue applied from the accumulators. Depthwise conv keeps
 // groups of output pixels in registers across all taps and applies its
 // bias/activation epilogue there too, so each forward activation is written
 // once. The backward
@@ -85,11 +85,11 @@ class NativeBackend : public RefBackend {
   /// bit-identical to RefBackend::quantizedMatMul at any thread count.
   DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
                          const QuantParams& wq, const TensorSpec* bias,
-                         FusedActivation act, const OutQuant* outQ) override;
+                         FusedActivation act) override;
   DataId quantizedConv2d(const TensorSpec& x, const TensorSpec& filter,
                          const Conv2DInfo& info, const QuantParams& wq,
-                         const TensorSpec* bias, FusedActivation act,
-                         const OutQuant* outQ) override;
+                         const TensorSpec* bias,
+                         FusedActivation act) override;
   /// channelMult 1: per output row, interior pixels 8, 4 or 2 at a time
   /// with their accumulators in registers across every tap, each output
   /// stored once; the remaining pixels run one at a time over their

@@ -5,7 +5,7 @@
 // blocks (the chunk size depends only on the GEMM shape, never on the
 // thread count), then one micro-kernel per output tile (kTileMR rows x
 // kTileNV weight panels) runs the full k loop in registers and applies the
-// dequantize / bias / activation / requantize epilogue straight from its
+// dequantize / bias / activation epilogue straight from its
 // accumulators; column tails run narrower tiles with masked stores, row
 // tails shorter tiles.
 // Three compile-time variants of the dot body:
@@ -191,7 +191,6 @@ struct EpilogueArgs {
   const float* wScale;  ///< per-column weight scale (n entries)
   const float* bias;    ///< n entries, or null
   FusedActivation act;
-  const OutQuant* outQ;
 };
 
 #if defined(__AVX512F__)
@@ -222,8 +221,8 @@ struct Cols16 {
 ///     cvtepi32_ps equals the scalar i64->float conversion;
 ///   * the float chain mirrors dequantAcc's association exactly:
 ///     float(centered) * (rq.scale * wScale[j]), then + bias, activation
-///     via min/max in applyUnary's operand order, then the requantize
-///     mul/clamp/round. No FMA (this TU: -ffp-contract=off).
+///     via min/max in applyUnary's operand order. No FMA (this TU:
+///     -ffp-contract=off).
 /// kSigmoid is transcendental: this stores its input (dequant + bias), and
 /// sigmoidTail finishes the tile with the scalar helpers. Always inlined, so
 /// the tile's other accumulators stay in registers.
@@ -243,29 +242,16 @@ struct Cols16 {
     v = _mm512_min_ps(_mm512_set1_ps(6.f),
                       _mm512_max_ps(zero, v));  // min(max(x,0),6)
   }
-  if (ep.outQ != nullptr && ep.act != FusedActivation::kSigmoid) {
-    const OutQuant& oq = *ep.outQ;
-    const __m512 t = _mm512_min_ps(
-        _mm512_max_ps(_mm512_mul_ps(v, _mm512_set1_ps(1.f / oq.scale)),
-                      _mm512_set1_ps(static_cast<float>(kInt8Min -
-                                                        oq.zeroPoint))),
-        _mm512_set1_ps(static_cast<float>(kInt8Max - oq.zeroPoint)));
-    v = _mm512_cvtepi32_ps(_mm512_add_epi32(
-        _mm512_cvtps_epi32(t), _mm512_set1_epi32(oq.zeroPoint)));
-  }
   _mm512_mask_storeu_ps(dst, c.m, v);
 }
 
 /// Finishes a kSigmoid tile of `rows` x `cols` outputs at `out` (row stride
-/// ldo) whose epilogue stored dequant + bias: the activation, then the
-/// optional requantization, per element with the reference's scalar
-/// helpers.
-void sigmoidTail(const EpilogueArgs& ep, int rows, int cols, float* out,
-                 std::size_t ldo) {
+/// ldo) whose epilogue stored dequant + bias: the activation, per element
+/// with the reference's scalar helper.
+void sigmoidTail(int rows, int cols, float* out, std::size_t ldo) {
   for (int r = 0; r < rows; ++r) {
     for (float* o = out + r * ldo; o != out + r * ldo + cols; ++o) {
       *o = applyFusedActivation(FusedActivation::kSigmoid, *o);
-      if (ep.outQ != nullptr) *o = qmath::requantToInt8(*o, *ep.outQ);
     }
   }
 }
@@ -328,7 +314,7 @@ void quantTile(const PackedQuantWeights& pw, const std::uint8_t* q,
     }
   }
   if (ep.act == FusedActivation::kSigmoid) {
-    sigmoidTail(ep, MR, std::min(NV * kPanelN, ep.n - j0), out + j0, ldo);
+    sigmoidTail(MR, std::min(NV * kPanelN, ep.n - j0), out + j0, ldo);
   }
 #else
   constexpr int kCols = NV * kPanelN;
@@ -388,7 +374,7 @@ void quantTile(const PackedQuantWeights& pw, const std::uint8_t* q,
     }
   }
   if (ep.act == FusedActivation::kSigmoid) {
-    sigmoidTail(ep, MR, cols, out + j0, ldo);
+    sigmoidTail(MR, cols, out + j0, ldo);
   }
 #else
   for (int r = 0; r < MR; ++r) {
@@ -396,7 +382,7 @@ void quantTile(const PackedQuantWeights& pw, const std::uint8_t* q,
       const int j = j0 + c;
       out[r * ldo + j] =
           qmath::quantEpilogue(acc[r][c], rqs[r], ep.colSums[j], ep.wScale[j],
-                               ep.bias, j, ep.act, ep.outQ);
+                               ep.bias, j, ep.act);
     }
   }
 #endif
@@ -467,10 +453,10 @@ struct CallEpilogue {
   std::vector<float> wScale;
   EpilogueArgs args;
   CallEpilogue(const PackedQuantWeights& pw, const QuantParams& wq,
-               const float* bias, FusedActivation act, const OutQuant* outQ)
+               const float* bias, FusedActivation act)
       : wScale(static_cast<std::size_t>(pw.n)) {
     for (int j = 0; j < pw.n; ++j) wScale[j] = wq.scaleFor(j);
-    args = {pw.n, pw.colSums.data(), wScale.data(), bias, act, outQ};
+    args = {pw.n, pw.colSums.data(), wScale.data(), bias, act};
   }
 };
 }  // namespace
@@ -552,8 +538,7 @@ void NativeBackend::disposeData(DataId id) {
 DataId NativeBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
                                       const QuantParams& wq,
                                       const TensorSpec* bias,
-                                      FusedActivation act,
-                                      const OutQuant* outQ) {
+                                      FusedActivation act) {
   wq.validate();
   const int batch = a.shape[0];
   const int m = a.shape[1], k = a.shape[2];
@@ -571,7 +556,7 @@ DataId NativeBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
       auto pw = packedWeights(b.id, k, n);
       const CallEpilogue ep(*pw, wq,
                             bias != nullptr ? buf(bias->id).data() : nullptr,
-                            act, outQ);
+                            act);
       std::vector<float> out =
           allocBuffer(static_cast<std::size_t>(batch) * m * n);
       const std::size_t rows = static_cast<std::size_t>(batch) * m;
@@ -583,7 +568,7 @@ DataId NativeBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
       return store(std::move(out));
     }
   }
-  return quantizedMatMulFallback(a, b, wq, bias, act, outQ);
+  return quantizedMatMulFallback(a, b, wq, bias, act);
 }
 
 DataId NativeBackend::quantizedConv2d(const TensorSpec& x,
@@ -591,8 +576,7 @@ DataId NativeBackend::quantizedConv2d(const TensorSpec& x,
                                       const Conv2DInfo& ci,
                                       const QuantParams& wq,
                                       const TensorSpec* bias,
-                                      FusedActivation act,
-                                      const OutQuant* outQ) {
+                                      FusedActivation act) {
   wq.validate();
   const int patch = ci.filterH * ci.filterW * ci.inC;
   const int n = ci.outC;
@@ -607,7 +591,7 @@ DataId NativeBackend::quantizedConv2d(const TensorSpec& x,
       auto pw = packedWeights(filter.id, patch, n);
       const CallEpilogue ep(*pw, wq,
                             bias != nullptr ? buf(bias->id).data() : nullptr,
-                            act, outQ);
+                            act);
       const std::size_t outSpatial =
           static_cast<std::size_t>(ci.outH) * ci.outW;
       std::vector<float> out = allocBuffer(
@@ -651,7 +635,7 @@ DataId NativeBackend::quantizedConv2d(const TensorSpec& x,
       return store(std::move(out));
     }
   }
-  return quantizedConv2dFallback(x, filter, ci, wq, bias, act, outQ);
+  return quantizedConv2dFallback(x, filter, ci, wq, bias, act);
 }
 
 }  // namespace tfjs::backends::native

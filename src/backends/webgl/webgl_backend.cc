@@ -260,6 +260,63 @@ DataId WebGLBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
   return id;
 }
 
+DataId WebGLBackend::dequantizeWeights(const TensorSpec& w,
+                                       const QuantParams& wq) {
+  wq.validate();
+  // One parameter per channel (the last axis), or one for the tensor.
+  const Shape params =
+      wq.perChannel() ? Shape{w.shape[w.shape.rank() - 1]} : Shape{};
+  TFJS_ARG_CHECK(wq.channels() == params.size(),
+                 "quantized weights need one scale per output channel");
+  // `codes op params` as one region shader over the weight shape.
+  const auto binary = [&](BinaryOp op, DataId codes,
+                          std::span<const float> values) {
+    const DataId p = write(values, params);
+    const RegionInstr instr{.kind = RegionInstr::Kind::kBinary,
+                            .op = static_cast<int>(op),
+                            .a = -1,
+                            .b = -2};
+    const TensorSpec ins[] = {{codes, w.shape, DType::f32},
+                              {p, params, DType::f32}};
+    const DataId y = fusedRegion({&instr, 1}, ins, w.shape, 0);
+    disposeData(p);
+    return y;
+  };
+  DataId centered = w.id;
+  if (!wq.symmetric()) {
+    // ops::dequantize adds -zp per tensor; IEEE defines x - zp as exactly
+    // x + (-zp), so one subtraction serves both cases.
+    const std::vector<float> zps(wq.zeroPoint.begin(), wq.zeroPoint.end());
+    centered = binary(BinaryOp::kSub, w.id, zps);
+  }
+  const DataId y = binary(BinaryOp::kMul, centered, wq.scale);
+  if (centered != w.id) disposeData(centered);
+  return y;
+}
+
+DataId WebGLBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
+                                     const QuantParams& wq,
+                                     const TensorSpec* bias,
+                                     FusedActivation act) {
+  const TensorSpec wf{dequantizeWeights(b, wq), b.shape, DType::f32};
+  const DataId y = matMul(a, wf, false, false, bias, act);
+  disposeData(wf.id);
+  return y;
+}
+
+DataId WebGLBackend::quantizedConv2d(const TensorSpec& x,
+                                     const TensorSpec& filter,
+                                     const Conv2DInfo& info,
+                                     const QuantParams& wq,
+                                     const TensorSpec* bias,
+                                     FusedActivation act) {
+  const TensorSpec ff{dequantizeWeights(filter, wq), filter.shape,
+                      DType::f32};
+  const DataId y = conv2d(x, ff, info, bias, act);
+  disposeData(ff.id);
+  return y;
+}
+
 DataId WebGLBackend::conv2dBackpropInput(const TensorSpec& dy,
                                          const TensorSpec& filter,
                                          const Conv2DInfo& ci) {

@@ -72,6 +72,16 @@ class WebGLBackend : public Backend {
   DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
+  /// No int8 shader: the weight codes are dequantized on the device
+  /// (dequantizeWeights) and the fused matMul/conv2d shader runs on them, so
+  /// the result equals fusedMatMul/fusedConv2d on ops::dequantize(weights).
+  DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
+                         const QuantParams& wq, const TensorSpec* bias,
+                         FusedActivation act) override;
+  DataId quantizedConv2d(const TensorSpec& x, const TensorSpec& filter,
+                         const Conv2DInfo& info, const QuantParams& wq,
+                         const TensorSpec* bias,
+                         FusedActivation act) override;
   DataId conv2dBackpropInput(const TensorSpec& dy, const TensorSpec& filter,
                              const Conv2DInfo& info) override;
   DataId conv2dBackpropFilter(const TensorSpec& x, const TensorSpec& dy,
@@ -150,6 +160,11 @@ class WebGLBackend : public Backend {
       const Shape& logical);
   ShaderRun::Input input(const TensorSpec& spec) const;
   DataId run(ShaderRun run);
+  /// f32 weights from the int8 codes `w` through the region shaders
+  /// ops::dequantize dispatches: `codes - zp` (asymmetric only), then
+  /// `* scale`, each against an uploaded row of per-channel parameters
+  /// (last axis) or a per-tensor scalar. The caller disposes the result.
+  DataId dequantizeWeights(const TensorSpec& w, const QuantParams& wq);
 
   WebGLOptions opts_;
   TextureManager textures_;

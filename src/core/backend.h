@@ -238,37 +238,27 @@ class Backend {
                              const Shape& outShape, DataId dst) = 0;
 
   // ---- quantized kernels (int8 inference path) -------------------------
-  /// True when the backend implements quantizedMatMul/quantizedConv2d. The
-  /// ops layer checks this and otherwise dequantizes the weights and runs
-  /// the f32 path (device backends keep their existing dataflow that way).
-  virtual bool supportsQuantizedKernels() const { return false; }
   /// matMul against int8 weights: `a` is f32 [batch, m, k]; `b` holds int8
   /// codes [1, k, n] whose per-channel (or per-tensor) parameters are `wq`.
   /// Activations are quantized dynamically per GEMM row inside the kernel
   /// (u8 codes, i32 accumulators); the bias + activation epilogue runs on
-  /// the dequantized f32 value per output panel. Output is f32, or int8
-  /// codes requantized with `outQ` when non-null. Kernels fall back to the
-  /// dequantized f32 fused path when k would overflow the i32 accumulator
-  /// or `a` contains non-finite values; every backend must compute
-  /// bit-identical results for the same inputs (shared scalar epilogue +
-  /// exact integer accumulation).
+  /// the dequantized f32 value per output panel. Output is f32. A backend
+  /// with no int8 kernel, and an int8 kernel whose k would overflow the i32
+  /// accumulator or whose `a` holds non-finite values, dequantizes the
+  /// weights and runs its own fused matMul instead. Every backend must
+  /// compute bit-identical results for the same inputs on the int8 path
+  /// (shared scalar epilogue + exact integer accumulation), and its fused
+  /// f32 contract on the dequantized one.
   virtual DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
                                  const QuantParams& wq, const TensorSpec* bias,
-                                 FusedActivation act, const OutQuant* outQ) {
-    (void)a, (void)b, (void)wq, (void)bias, (void)act, (void)outQ;
-    throw BackendError("quantizedMatMul not supported by backend " + name());
-  }
+                                 FusedActivation act) = 0;
   /// conv2d against an int8 HWIO filter, same contract as quantizedMatMul
   /// (GEMM rows are im2col patch rows; padding quantizes exactly to the
   /// row's zero point).
   virtual DataId quantizedConv2d(const TensorSpec& x, const TensorSpec& filter,
                                  const Conv2DInfo& info, const QuantParams& wq,
-                                 const TensorSpec* bias, FusedActivation act,
-                                 const OutQuant* outQ) {
-    (void)x, (void)filter, (void)info, (void)wq, (void)bias, (void)act,
-        (void)outQ;
-    throw BackendError("quantizedConv2d not supported by backend " + name());
-  }
+                                 const TensorSpec* bias,
+                                 FusedActivation act) = 0;
 
   /// Smallest additive constant guaranteed distinguishable from zero in the
   /// backend's arithmetic. The WebGL-sim backend returns a larger value on

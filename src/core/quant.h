@@ -74,12 +74,4 @@ struct QuantParams {
 
 using QuantParamsPtr = std::shared_ptr<const QuantParams>;
 
-/// Requested output quantization of a quantized kernel: when present the
-/// kernel requantizes its f32 epilogue result to int8 codes
-/// clamp(round(y / scale) + zeroPoint, -127, 127) inside the panel.
-struct OutQuant {
-  float scale = 1.f;
-  std::int32_t zeroPoint = 0;
-};
-
 }  // namespace tfjs

@@ -81,6 +81,28 @@ Tensor replayReduce(const Node& n, const Tensor& x) {
                            std::to_string(iattr(n, 0)));
 }
 
+/// A producer node's epilogue, read from the {act, hasBias} attrs at
+/// `actAt`; `plain` (neither set) replays under the plain op's name.
+struct Epilogue {
+  Tensor bias;
+  FusedActivation act;
+  bool plain;
+};
+
+Epilogue epilogue(const Node& n, std::size_t actAt,
+                  const std::vector<Tensor>& ins) {
+  if (n.attrs.size() != actAt + 2) {
+    throw InvalidArgumentError(std::string("graph: ") + ops::opIdName(n.op) +
+                               " node needs " + std::to_string(actAt + 2) +
+                               " attrs, got " +
+                               std::to_string(n.attrs.size()));
+  }
+  const bool hasBias = n.attrs[actAt + 1] != 0;
+  const auto act = static_cast<FusedActivation>(iattr(n, actAt));
+  return {hasBias ? ins[2] : Tensor(), act,
+          !hasBias && act == FusedActivation::kNone};
+}
+
 }  // namespace
 
 CapturedGraph::CapturedGraph(Graph g, const PassOptions& opts)
@@ -141,55 +163,25 @@ Tensor CapturedGraph::replayNode(const Node& n, const std::vector<Tensor>& ins) 
       // uses the pre-lowered program instead.
       return ops::fusedRegion(regionProgram(n), std::span<const Tensor>(ins),
                               n.outDtype);
-    case OpId::kMatMul:
-      return ops::matMul(ins[0], ins[1], n.attrs[0] != 0, n.attrs[1] != 0);
-    case OpId::kFusedMatMul: {
-      const bool hasBias = n.attrs[3] != 0;
-      return ops::fusedMatMul(ins[0], ins[1], hasBias ? ins[2] : Tensor(),
-                              static_cast<FusedActivation>(iattr(n, 0)),
-                              n.attrs[1] != 0, n.attrs[2] != 0);
+    case OpId::kMatMul: {
+      const Epilogue ep = epilogue(n, 2, ins);
+      return ops::internal::fusedMatMul(ep.plain ? "matMul" : "fusedMatMul",
+                                        ins[0], ins[1], ep.bias, ep.act,
+                                        n.attrs[0] != 0, n.attrs[1] != 0);
     }
-    case OpId::kQuantMatMul: {
-      const bool hasBias = n.attrs[1] != 0;
-      OutQuant outQ{static_cast<float>(n.attrs[3]), iattr(n, 4)};
-      return ops::quantizedMatMul(ins[0], ins[1],
-                                  hasBias ? ins[2] : Tensor(),
-                                  static_cast<FusedActivation>(iattr(n, 0)),
-                                  n.attrs[2] != 0 ? &outQ : nullptr);
+    case OpId::kConv2d: {
+      const Epilogue ep = epilogue(n, 5, ins);
+      return ops::internal::fusedConv2d(
+          ep.plain ? "conv2d" : "fusedConv2d", ins[0], ins[1], ep.bias, ep.act,
+          iattr(n, 0), iattr(n, 1), static_cast<PadMode>(iattr(n, 2)),
+          iattr(n, 3), iattr(n, 4));
     }
-    case OpId::kConv2d:
-      return ops::conv2d(ins[0], ins[1], iattr(n, 0), iattr(n, 1),
-                         static_cast<PadMode>(iattr(n, 2)), iattr(n, 3),
-                         iattr(n, 4));
-    case OpId::kFusedConv2d: {
-      const bool hasBias = n.attrs[1] != 0;
-      return ops::fusedConv2d(ins[0], ins[1], hasBias ? ins[2] : Tensor(),
-                              static_cast<FusedActivation>(iattr(n, 0)),
-                              iattr(n, 2), iattr(n, 3),
-                              static_cast<PadMode>(iattr(n, 4)), iattr(n, 5),
-                              iattr(n, 6));
-    }
-    case OpId::kQuantConv2d: {
-      const bool hasBias = n.attrs[1] != 0;
-      OutQuant outQ{static_cast<float>(n.attrs[3]), iattr(n, 4)};
-      return ops::quantizedConv2d(ins[0], ins[1],
-                                  hasBias ? ins[2] : Tensor(),
-                                  static_cast<FusedActivation>(iattr(n, 0)),
-                                  iattr(n, 5), iattr(n, 6),
-                                  static_cast<PadMode>(iattr(n, 7)),
-                                  iattr(n, 8), iattr(n, 9),
-                                  n.attrs[2] != 0 ? &outQ : nullptr);
-    }
-    case OpId::kDepthwiseConv2d:
-      return ops::depthwiseConv2d(ins[0], ins[1], iattr(n, 0), iattr(n, 1),
-                                  static_cast<PadMode>(iattr(n, 2)),
-                                  iattr(n, 3), iattr(n, 4));
-    case OpId::kFusedDepthwiseConv2d: {
-      const bool hasBias = n.attrs[1] != 0;
-      return ops::fusedDepthwiseConv2d(
-          ins[0], ins[1], hasBias ? ins[2] : Tensor(),
-          static_cast<FusedActivation>(iattr(n, 0)), iattr(n, 2), iattr(n, 3),
-          static_cast<PadMode>(iattr(n, 4)), iattr(n, 5), iattr(n, 6));
+    case OpId::kDepthwiseConv2d: {
+      const Epilogue ep = epilogue(n, 5, ins);
+      return ops::internal::fusedDepthwiseConv2d(
+          ep.plain ? "depthwiseConv2d" : "fusedDepthwiseConv2d", ins[0],
+          ins[1], ep.bias, ep.act, iattr(n, 0), iattr(n, 1),
+          static_cast<PadMode>(iattr(n, 2)), iattr(n, 3), iattr(n, 4));
     }
     case OpId::kPool: {
       const PoolMode mode = static_cast<PoolMode>(iattr(n, 0));

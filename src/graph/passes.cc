@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <optional>
 #include <set>
 #include <sstream>
 
@@ -140,22 +139,24 @@ bool isAdd(const Node& n) {
          n.outDtype == DType::f32;
 }
 
-/// The fused op of a base op (kMatMul/kConv2d/kDepthwiseConv2d); nullopt
-/// when `op` is not one.
-std::optional<ops::OpId> fusedOf(ops::OpId op) {
-  switch (op) {
-    case ops::OpId::kMatMul: return ops::OpId::kFusedMatMul;
-    case ops::OpId::kConv2d: return ops::OpId::kFusedConv2d;
-    case ops::OpId::kDepthwiseConv2d: return ops::OpId::kFusedDepthwiseConv2d;
-    default: return std::nullopt;
+/// Index of a producer node's `act` attr — its layout ends in {act,
+/// hasBias} (ops/op_id.h) — or 0 when `n` is not a well-formed producer.
+std::size_t actAttr(const Node& n) {
+  std::size_t at = 0;
+  switch (n.op) {
+    case ops::OpId::kMatMul: at = 2; break;
+    case ops::OpId::kConv2d:
+    case ops::OpId::kDepthwiseConv2d: at = 5; break;
+    default: return 0;
   }
+  return n.attrs.size() == at + 2 ? at : 0;
 }
 
-/// The output channel count of base op `n` (the length its bias must have),
-/// read off its weight operand's shape: n of a [k, n] matMul operand, outC
-/// of a conv filter, inC * channelMult of a depthwise filter. -1 when that
-/// shape is unknown. Imported graphs carry shapes on their weights only, so
-/// this is what lets their bias adds fuse.
+/// The output channel count of producer `n` (the length its bias must
+/// have), read off its weight operand's shape: n of a [k, n] matMul
+/// operand, outC of a conv filter, inC * channelMult of a depthwise filter.
+/// -1 when that shape is unknown. Imported graphs carry shapes on their
+/// weights only, so this is what lets their bias adds fuse.
 int baseChannels(const Graph& g, const Node& n) {
   const Shape& w = g.nodes[static_cast<std::size_t>(n.inputs[1])].outShape;
   const int r = w.rank();
@@ -172,28 +173,6 @@ int baseChannels(const Graph& g, const Node& n) {
   }
 }
 
-/// Builds the fused node for a base op with an optional bias.
-Node makeFused(const Node& base, int biasId, FusedActivation act) {
-  Node f;
-  f.inputs = base.inputs;
-  const bool hasBias = biasId >= 0;
-  if (hasBias) f.inputs.push_back(biasId);
-  f.op = *fusedOf(base.op);
-  if (base.op == ops::OpId::kMatMul) {
-    // kMatMul attrs {tA, tB} -> kFusedMatMul {act, tA, tB, hasBias}.
-    f.attrs = {static_cast<double>(act), base.attrs[0], base.attrs[1],
-               hasBias ? 1.0 : 0.0};
-  } else {
-    // kConv2d / kDepthwiseConv2d attrs {sH, sW, pad, dH, dW} -> {act,
-    // hasBias, sH, sW, pad, dH, dW}.
-    f.attrs = {static_cast<double>(act), hasBias ? 1.0 : 0.0, base.attrs[0],
-               base.attrs[1], base.attrs[2], base.attrs[3], base.attrs[4]};
-  }
-  f.outShape = base.outShape;
-  f.outDtype = base.outDtype;
-  return f;
-}
-
 }  // namespace
 
 Graph fuse(const Graph& g) {
@@ -208,17 +187,17 @@ Graph fuse(const Graph& g) {
     return uses[static_cast<std::size_t>(id)] == 1 &&
            !isOutput[static_cast<std::size_t>(id)];
   };
-  auto isBase = [&](const Node& n) {
-    return fusedOf(n.op).has_value() && n.outDtype == DType::f32;
-  };
-  // A fused node with no activation yet: its act attr (attrs[0]) can still
-  // absorb one.
-  auto takesActivation = [&](const Node& n) {
-    return (n.op == ops::OpId::kFusedMatMul ||
-            n.op == ops::OpId::kFusedConv2d ||
-            n.op == ops::OpId::kFusedDepthwiseConv2d) &&
-           static_cast<int>(n.attrs[0]) ==
-               static_cast<int>(FusedActivation::kNone);
+  // The `act` attr index of a producer whose epilogue can still take an
+  // activation, else 0. The kernel applies bias then activation, so
+  // neither may follow an activation already absorbed. Int8 weights
+  // qualify too: the quantized epilogue uses the same scalar formulas on
+  // the dequantized value.
+  auto openAct = [&](const Node& n) -> std::size_t {
+    const std::size_t at = actAttr(n);
+    const bool open = at != 0 && n.outDtype == DType::f32 &&
+                      static_cast<int>(n.attrs[at]) ==
+                          static_cast<int>(FusedActivation::kNone);
+    return open ? at : 0;
   };
   // A rank-1 bias with one entry per output channel: adding it leaves the
   // base's shape as it is, whether or not the graph records that shape.
@@ -227,18 +206,26 @@ Graph fuse(const Graph& g) {
            bias.outShape[0] == baseChannels(out, base);
   };
 
+  // An absorbing producer moves to the absorbed node's slot (its bias input
+  // may be defined after the producer) and takes that node's name; dce
+  // drops the orphaned original.
   for (std::size_t i = 0; i < out.nodes.size(); ++i) {
-    const Node n = out.nodes[i];  // copy: the slot may be overwritten below
+    const Node& n = out.nodes[i];
     if (isAdd(n) && n.inputs.size() == 2) {
       const int m = n.inputs[0];
       const Node& base = out.nodes[static_cast<std::size_t>(m)];
+      const std::size_t at = openAct(base);
       // add(base, bias) with base first only: the fused kernel computes
       // base + bias, and add is commutative but we stay conservative.
-      if (isBase(base) && absorbable(m) &&
+      if (at != 0 && base.attrs[at + 1] == 0 && absorbable(m) &&
           biasMatches(out.nodes[static_cast<std::size_t>(n.inputs[1])],
                       base) &&
           base.outShape == n.outShape) {
-        out.nodes[i] = makeFused(base, n.inputs[1], FusedActivation::kNone);
+        Node f = base;
+        f.inputs.push_back(n.inputs[1]);
+        f.attrs[at + 1] = 1;
+        f.name = n.name;
+        out.nodes[i] = std::move(f);
         fusedCounter().inc();
       }
       continue;
@@ -246,20 +233,15 @@ Graph fuse(const Graph& g) {
     const FusedActivation act = fusableActivation(n);
     if (act == FusedActivation::kNone || n.inputs.size() != 1) continue;
     const int m = n.inputs[0];
-    const Node& prev = out.nodes[static_cast<std::size_t>(m)];
-    if (!absorbable(m)) continue;
-    if (isBase(prev)) {
-      out.nodes[i] = makeFused(prev, /*biasId=*/-1, act);
-      fusedCounter().inc();
-    } else if (takesActivation(prev)) {
-      // act(fused-with-no-act): absorb the epilogue into the fused node.
-      Node f = prev;
-      f.attrs[0] = static_cast<double>(act);
-      f.outShape = n.outShape;
-      f.outDtype = n.outDtype;
-      out.nodes[i] = std::move(f);
-      fusedCounter().inc();
-    }
+    const std::size_t at = openAct(out.nodes[static_cast<std::size_t>(m)]);
+    if (at == 0 || !absorbable(m)) continue;
+    Node f = out.nodes[static_cast<std::size_t>(m)];
+    f.attrs[at] = static_cast<double>(act);
+    f.outShape = n.outShape;
+    f.outDtype = n.outDtype;
+    f.name = n.name;
+    out.nodes[i] = std::move(f);
+    fusedCounter().inc();
   }
   return out;
 }

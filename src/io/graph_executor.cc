@@ -107,8 +107,9 @@ struct Importer {
     } else if (op == "Conv2D" || op == "DepthwiseConv2dNative") {
       const auto [sH, sW] = spatialStrides(node.attrs);
       n.op = op == "Conv2D" ? OpId::kConv2d : OpId::kDepthwiseConv2d;
+      // {sH, sW, pad, dH, dW, act, hasBias}: no epilogue until fuse.
       n.attrs = {static_cast<double>(sH), static_cast<double>(sW),
-                 static_cast<double>(padAttr(node.attrs)), 1, 1};
+                 static_cast<double>(padAttr(node.attrs)), 1, 1, 0, 0};
       n.inputs = {in(0), in(1)};
     } else if (op == "MaxPool" || op == "AvgPool") {
       const auto [sH, sW] = spatialStrides(node.attrs);
@@ -154,7 +155,7 @@ struct Importer {
       const bool tB = node.attrs.has("transpose_b") &&
                       node.attrs.at("transpose_b").asBool();
       n.op = OpId::kMatMul;
-      n.attrs = {tA ? 1.0 : 0.0, tB ? 1.0 : 0.0};
+      n.attrs = {tA ? 1.0 : 0.0, tB ? 1.0 : 0.0, 0, 0};
       n.inputs = {in(0), in(1)};
     } else if (op == "Mean") {
       n.op = OpId::kReduce;

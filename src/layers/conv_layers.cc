@@ -48,15 +48,13 @@ Tensor Conv2D::call(const Tensor& x, bool) {
   return Engine::get().tidy([&] {
     // conv2d -> add -> activation matches the fused kernel's epilogue;
     // see Dense::call for the bit-identity contract.
-    if (auto act = o::fusibleActivation(opts_.activation)) {
-      return o::fusedConv2d(x, kernel_.value(),
-                            opts_.useBias ? bias_.value() : Tensor(), *act,
-                            opts_.strideH, opts_.strideW,
-                            padModeFromName(opts_.padding));
-    }
-    Tensor y = o::conv2d(x, kernel_.value(), opts_.strideH, opts_.strideW,
-                         padModeFromName(opts_.padding));
-    if (opts_.useBias) y = o::add(y, bias_.value());
+    const auto act = o::fusibleActivation(opts_.activation);
+    Tensor y = o::fusedConv2d(x, kernel_.value(),
+                              opts_.useBias ? bias_.value() : Tensor(),
+                              act.value_or(FusedActivation::kNone),
+                              opts_.strideH, opts_.strideW,
+                              padModeFromName(opts_.padding));
+    if (act) return y;
     return activation_(y);
   });
 }
@@ -109,15 +107,12 @@ void DepthwiseConv2D::build(const Shape& inputShape) {
 Tensor DepthwiseConv2D::call(const Tensor& x, bool) {
   return Engine::get().tidy([&] {
     // As Conv2D::call: the fused kernel's epilogue is the add + activation.
-    if (auto act = o::fusibleActivation(opts_.activation)) {
-      return o::fusedDepthwiseConv2d(
-          x, kernel_.value(), opts_.useBias ? bias_.value() : Tensor(), *act,
-          opts_.strideH, opts_.strideW, padModeFromName(opts_.padding));
-    }
-    Tensor y = o::depthwiseConv2d(x, kernel_.value(), opts_.strideH,
-                                  opts_.strideW,
-                                  padModeFromName(opts_.padding));
-    if (opts_.useBias) y = o::add(y, bias_.value());
+    const auto act = o::fusibleActivation(opts_.activation);
+    Tensor y = o::fusedDepthwiseConv2d(
+        x, kernel_.value(), opts_.useBias ? bias_.value() : Tensor(),
+        act.value_or(FusedActivation::kNone), opts_.strideH, opts_.strideW,
+        padModeFromName(opts_.padding));
+    if (act) return y;
     return activation_(y);
   });
 }

@@ -33,15 +33,14 @@ void Dense::build(const Shape& inputShape) {
 
 Tensor Dense::call(const Tensor& x, bool) {
   return Engine::get().tidy([&] {
-    // matMul -> add -> activation is the pattern the fused kernel covers;
-    // route through it when the activation is fusible (bit-identical to
-    // this composition on every backend).
-    if (auto act = o::fusibleActivation(opts_.activation)) {
-      return o::fusedMatMul(x, kernel_.value(),
-                            opts_.useBias ? bias_.value() : Tensor(), *act);
-    }
-    Tensor y = o::matMul(x, kernel_.value());
-    if (opts_.useBias) y = o::add(y, bias_.value());
+    // matMul -> add -> activation is the fused kernel's epilogue (bit-
+    // identical to that composition on every backend); an activation the
+    // epilogue does not cover runs after it.
+    const auto act = o::fusibleActivation(opts_.activation);
+    Tensor y = o::fusedMatMul(x, kernel_.value(),
+                              opts_.useBias ? bias_.value() : Tensor(),
+                              act.value_or(FusedActivation::kNone));
+    if (act) return y;
     return activation_(y);
   });
 }

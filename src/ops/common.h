@@ -2,6 +2,7 @@
 // profiler/debug notification, and gradient-tape recording.
 #pragma once
 
+#include <array>
 #include <initializer_list>
 #include <vector>
 
@@ -150,23 +151,48 @@ inline Tensor to3d(const Tensor& t) {
   return t.reshape(Shape{1, t.shape()[0], t.shape()[1]});
 }
 
-/// The one kernel dispatch behind matMul and fusedMatMul (the plain op
-/// passes an undefined bias and kNone): shape checks, including the bias's
-/// (rank 1, length n), the backend's matMul with its epilogue, and the
-/// rank-2 view of a rank-2 product. Opens the op span `name`; the caller
-/// holds the CaptureFrame and records capture and gradient.
-Tensor matMulKernel(const char* name, const Tensor& a, const Tensor& b,
-                    bool transposeA, bool transposeB, const Tensor& bias,
-                    FusedActivation act);
-/// The same for conv2d / fusedConv2d (bias length outC).
-Tensor conv2dKernel(const char* name, const Tensor& x, const Tensor& filter,
-                    const Conv2DInfo& info, const Tensor& bias,
-                    FusedActivation act);
-/// The same for depthwiseConv2d / fusedDepthwiseConv2d (bias length outC);
-/// both open the op span "depthwiseConv2d".
-Tensor depthwiseKernel(const Tensor& x, const Tensor& filter,
-                       const Conv2DInfo& info, const Tensor& bias,
-                       FusedActivation act);
+/// The one op body behind each producer kernel (fused.cc). matMul, conv2d
+/// and depthwiseConv2d call it with an undefined bias and kNone, the fused
+/// ops with theirs, and the graph executor with a node's epilogue; `name`
+/// is the caller's op span and tape name (depthwise opens the span
+/// "depthwiseConv2d" under either name). Routes int8 weights (quantized op,
+/// or dequantize first), checks every shape before any tensor is made, runs
+/// the backend kernel with its epilogue, and records one graph node and the
+/// pullback.
+Tensor fusedMatMul(const char* name, const Tensor& a, const Tensor& b,
+                   const Tensor& bias, FusedActivation act, bool transposeA,
+                   bool transposeB);
+Tensor fusedConv2d(const char* name, const Tensor& x, const Tensor& filter,
+                   const Tensor& bias, FusedActivation act, int strideH,
+                   int strideW, PadMode pad, int dilationH, int dilationW);
+Tensor fusedDepthwiseConv2d(const char* name, const Tensor& x,
+                            const Tensor& filter, const Tensor& bias,
+                            FusedActivation act, int strideH, int strideW,
+                            PadMode pad, int dilationH, int dilationW);
+
+/// Throws ShapeError unless `bias` is undefined or rank 1 with one entry
+/// per output channel.
+inline void checkBias(const char* name, const Tensor& bias, int channels) {
+  TFJS_SHAPE_CHECK(
+      !bias.defined() || (bias.rank() == 1 && bias.shape()[0] == channels),
+      name << " bias must be rank 1 of length " << channels << ", got "
+           << bias.shape().toString());
+}
+
+/// The leading attrs of a kConv2d / kDepthwiseConv2d node.
+inline std::array<double, 5> convLayout(int strideH, int strideW, PadMode pad,
+                                        int dilationH, int dilationW) {
+  return {static_cast<double>(strideH), static_cast<double>(strideW),
+          static_cast<double>(pad), static_cast<double>(dilationH),
+          static_cast<double>(dilationW)};
+}
+
+/// Reports a producer op (any epilogue, any weight dtype) to a capture
+/// observer as one node: inputs {x, w[, bias]}, attrs `layout` then
+/// {act, hasBias} (see ops/op_id.h).
+void observeProducer(OpId id, const Tensor& x, const Tensor& w,
+                     const Tensor& bias, const Tensor& y, FusedActivation act,
+                     std::span<const double> layout);
 
 /// matMul's transpose-aware adjoints {da, db} for the output gradient dy,
 /// reduced over broadcast batch dims. An operand whose `need` flag is false

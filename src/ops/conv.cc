@@ -1,52 +1,14 @@
 // Convolutions and pooling. Geometry (SAME/VALID padding, strides,
 // dilations) is resolved here into an explicit Conv2DInfo/Pool2DInfo; the
-// backends only ever see resolved numbers. conv2d's and depthwiseConv2d's
-// kernel dispatch and adjoints are shared with fusedConv2d and
-// fusedDepthwiseConv2d (fused.cc).
+// backends only ever see resolved numbers. conv2d and depthwiseConv2d are
+// the bodies of fusedConv2d and fusedDepthwiseConv2d (fused.cc) with no bias
+// and no activation; their adjoints live here.
 #include "ops/common.h"
 
 namespace tfjs::ops {
 
 using internal::E;
 using internal::record;
-
-Tensor internal::conv2dKernel(const char* name, const Tensor& x,
-                              const Tensor& filter, const Conv2DInfo& info,
-                              const Tensor& bias, FusedActivation act) {
-  TFJS_SHAPE_CHECK(
-      !bias.defined() || (bias.rank() == 1 && bias.shape()[0] == info.outC),
-      name << " bias must be rank 1 of length " << info.outC << ", got "
-           << bias.shape().toString());
-  internal::KernelScope k(name);
-  const TensorSpec sx = E().prepareInput(x);
-  const TensorSpec sf = E().prepareInput(filter);
-  TensorSpec sbias;
-  if (bias.defined()) sbias = E().prepareInput(bias);
-  const DataId id = E().backend().conv2d(
-      sx, sf, info, bias.defined() ? &sbias : nullptr, act);
-  return k.wrap(id, Shape{info.batch, info.outH, info.outW, info.outC},
-                DType::f32);
-}
-
-Tensor internal::depthwiseKernel(const Tensor& x, const Tensor& filter,
-                                 const Conv2DInfo& info, const Tensor& bias,
-                                 FusedActivation act) {
-  TFJS_SHAPE_CHECK(
-      !bias.defined() || (bias.rank() == 1 && bias.shape()[0] == info.outC),
-      "depthwiseConv2d bias must be rank 1 of length "
-          << info.outC << ", got " << bias.shape().toString());
-  // One span name for the plain and the fused op: the epilogue is part of
-  // the depthwise kernel, as profiles and per-layer breakdowns see it.
-  internal::KernelScope k("depthwiseConv2d");
-  const TensorSpec sx = E().prepareInput(x);
-  const TensorSpec sf = E().prepareInput(filter);
-  TensorSpec sbias;
-  if (bias.defined()) sbias = E().prepareInput(bias);
-  const DataId id = E().backend().depthwiseConv2d(
-      sx, sf, info, bias.defined() ? &sbias : nullptr, act);
-  return k.wrap(id, Shape{info.batch, info.outH, info.outW, info.outC},
-                DType::f32);
-}
 
 namespace {
 
@@ -112,61 +74,18 @@ std::vector<Tensor> internal::depthwiseGrads(const Tensor& x,
 
 Tensor conv2d(const Tensor& x, const Tensor& filter, int strideH, int strideW,
               PadMode pad, int dilationH, int dilationW) {
-  // Int8 filters route to the quantized kernel (inference-only).
-  if (filter.dtype() == DType::i8 && filter.quantParams() != nullptr) {
-    return quantizedConv2d(x, filter, Tensor{}, FusedActivation::kNone,
-                           strideH, strideW, pad, dilationH, dilationW);
-  }
-  const Conv2DInfo info = conv_util::computeConv2DInfo(
-      x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
-      /*depthwise=*/false);
-  internal::CaptureFrame frame;
-  Tensor y = internal::conv2dKernel("conv2d", x, filter, info, Tensor{},
-                                    FusedActivation::kNone);
-  internal::observeOp(OpId::kConv2d, {x, filter}, y,
-                      {static_cast<double>(strideH),
-                       static_cast<double>(strideW),
-                       static_cast<double>(pad),
-                       static_cast<double>(dilationH),
-                       static_cast<double>(dilationW)});
-  record("conv2d", {x, filter}, y,
-         [x, filter, info, needX = internal::watched(x),
-          needF = internal::watched(filter)](const Tensor& dy) {
-           return internal::convGrads(x, filter, info, dy, needX, needF);
-         });
-  return y;
+  return internal::fusedConv2d("conv2d", x, filter, Tensor{},
+                               FusedActivation::kNone, strideH, strideW, pad,
+                               dilationH, dilationW);
 }
 
 Tensor depthwiseConv2d(const Tensor& x, const Tensor& filter, int strideH,
                        int strideW, PadMode pad, int dilationH,
                        int dilationW) {
-  // Depthwise filters are not quantized (their per-channel reuse is too low
-  // to pay for the codec); an int8 filter is dequantized up front.
-  if (filter.dtype() == DType::i8 && filter.quantParams() != nullptr) {
-    Tensor ff = dequantize(filter);
-    Tensor y = depthwiseConv2d(x, ff, strideH, strideW, pad, dilationH,
-                               dilationW);
-    ff.dispose();
-    return y;
-  }
-  const Conv2DInfo info = conv_util::computeConv2DInfo(
-      x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
-      /*depthwise=*/true);
-  internal::CaptureFrame frame;
-  Tensor y = internal::depthwiseKernel(x, filter, info, Tensor{},
-                                       FusedActivation::kNone);
-  internal::observeOp(OpId::kDepthwiseConv2d, {x, filter}, y,
-                      {static_cast<double>(strideH),
-                       static_cast<double>(strideW),
-                       static_cast<double>(pad),
-                       static_cast<double>(dilationH),
-                       static_cast<double>(dilationW)});
-  record("depthwiseConv2d", {x, filter}, y,
-         [x, filter, info, needX = internal::watched(x),
-          needF = internal::watched(filter)](const Tensor& dy) {
-           return internal::depthwiseGrads(x, filter, info, dy, needX, needF);
-         });
-  return y;
+  return internal::fusedDepthwiseConv2d("depthwiseConv2d", x, filter,
+                                        Tensor{}, FusedActivation::kNone,
+                                        strideH, strideW, pad, dilationH,
+                                        dilationW);
 }
 
 Tensor separableConv2d(const Tensor& x, const Tensor& depthwiseFilter,

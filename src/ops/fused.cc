@@ -1,28 +1,38 @@
-// Fused matMul/conv2d/depthwiseConv2d: bias add + activation folded into
-// the producing kernel, mirroring tf.fused.matMul / the upstream fused conv
-// paths that Layers' Dense, Conv2D and DepthwiseConv2D emit. Every backend
-// runs the epilogue inside its matMul/conv2d/depthwiseConv2d kernel (the
-// Backend virtuals take the bias and the activation), through the same
-// dispatch body as the plain ops; the result is bit-identical to the
-// unfused chain on the active backend — the epilogue applies exactly the
-// same scalar formulas after the full accumulation (see DESIGN.md "Memory
-// reuse").
+// The producer ops: matMul, conv2d and depthwiseConv2d with an optional bias
+// add + activation epilogue, mirroring tf.fused.matMul / the upstream fused
+// conv paths that Layers' Dense, Conv2D and DepthwiseConv2D emit. One body
+// per producer kernel serves the plain op (no bias, kNone), the fused op and
+// the graph executor; it routes int8 weights, runs the backend kernel with
+// its epilogue, records one graph node (attrs ending in {act, hasBias}) and
+// the pullback. The int8 ops quantizedMatMul/quantizedConv2d share its
+// kernel dispatch and record the same node, without a pullback. Every
+// backend runs the epilogue inside its matMul/conv2d/depthwiseConv2d
+// kernel; the result is bit-identical to the unfused chain on the active
+// backend — the epilogue applies exactly the same scalar formulas after the
+// full accumulation (see DESIGN.md "Memory reuse").
+#include <array>
+
 #include "ops/common.h"
 
 namespace tfjs::ops {
 
+using internal::E;
 using internal::record;
 using internal::reduceGradTo;
+using internal::to3d;
 
 namespace {
 
-/// dL/d(pre-activation) from dy and the fused output y. Every supported
-/// activation's derivative is expressible from its own output, so the
-/// pre-activation values never need to be materialized.
+bool int8Weights(const Tensor& w) {
+  return w.dtype() == DType::i8 && w.quantParams() != nullptr;
+}
+
+/// dL/d(pre-activation) from dy and the fused output y for an activation
+/// other than kNone. Every supported activation's derivative is expressible
+/// from its own output, so the pre-activation values never need to be
+/// materialized.
 Tensor activationGrad(FusedActivation act, const Tensor& dy, const Tensor& y) {
   switch (act) {
-    case FusedActivation::kNone:
-      return dy.clone();
     case FusedActivation::kRelu:
       return mul(dy, cast(greater(y, scalar(0)), DType::f32));
     case FusedActivation::kRelu6:
@@ -31,28 +41,31 @@ Tensor activationGrad(FusedActivation act, const Tensor& dy, const Tensor& y) {
                           DType::f32));
     case FusedActivation::kSigmoid:
       return mul(dy, mul(y, sub(scalar(1), y)));
+    case FusedActivation::kNone:
+      break;
   }
-  throw InternalError("unknown FusedActivation");
+  throw InternalError("no activation gradient for this FusedActivation");
 }
 
-/// Reports the fused op to a capture observer and records its pullback:
-/// dL/d(pre-activation) from the fused output, then `operandGrads(dt)` for
-/// the two operands and, with a bias, the bias's reduced gradient.
-void finishFused(
-    OpId id, const char* name, const Tensor& x, const Tensor& w,
-    const Tensor& bias, const Tensor& y, FusedActivation act,
-    std::span<const double> attrs,
-    std::function<std::vector<Tensor>(const Tensor&)> operandGrads) {
-  if (bias.defined()) {
-    internal::observeOp(id, {x, w, bias}, y, attrs);
-  } else {
-    internal::observeOp(id, {x, w}, y, attrs);
-  }
-  const auto pullback = [bias, y, act, operandGrads](const Tensor& dy) {
-    Tensor dt = activationGrad(act, dy, y);
+/// Reports the producer op to a capture observer and records its pullback
+/// under `name`: dL/d(pre-activation) from the output, then
+/// `operandGrads(dt)` for the two operands and, with a bias, the bias's
+/// reduced gradient. Builds no closure when no tape is recording (every
+/// plain matMul and conv2d runs through here).
+template <typename OperandGrads>
+void finishFused(OpId id, const char* name, const Tensor& x, const Tensor& w,
+                 const Tensor& bias, const Tensor& y, FusedActivation act,
+                 std::span<const double> layout, OperandGrads operandGrads) {
+  internal::observeProducer(id, x, w, bias, y, act, layout);
+  if (E().tape() == nullptr) return;
+  const auto pullback = [bias, y, act,
+                         operandGrads = std::move(operandGrads)](
+                            const Tensor& dy) {
+    const bool plain = act == FusedActivation::kNone;
+    Tensor dt = plain ? dy : activationGrad(act, dy, y);
     std::vector<Tensor> grads = operandGrads(dt);
     if (bias.defined()) grads.push_back(reduceGradTo(dt, bias.shape()));
-    dt.dispose();
+    if (!plain) dt.dispose();
     return grads;
   };
   if (bias.defined()) {
@@ -62,7 +75,98 @@ void finishFused(
   }
 }
 
+/// The matMul kernel dispatch of the f32 and the int8 op: checks ranks,
+/// inner and batch dims and the bias (rank 1, length n) before any tensor
+/// is made, views both operands as rank 3, runs `kernel(sa, sb, biasSpec)`
+/// under the op span `name` and returns the [batch, m, n] product, rank 2
+/// for rank-2 operands.
+template <typename Kernel>
+Tensor matMulDispatch(const char* name, const Tensor& a, const Tensor& b,
+                      bool transposeA, bool transposeB, const Tensor& bias,
+                      Kernel kernel) {
+  TFJS_SHAPE_CHECK(a.rank() == 2 || a.rank() == 3,
+                   name << " expects rank 2 or 3 for a, got " << a.rank());
+  TFJS_SHAPE_CHECK(b.rank() == 2 || b.rank() == 3,
+                   name << " expects rank 2 or 3 for b, got " << b.rank());
+  // Every check runs on the rank-3 dims before any tensor is made.
+  const auto dims3 = [](const Tensor& t) {
+    const Shape& s = t.shape();
+    return t.rank() == 3 ? std::array<int, 3>{s[0], s[1], s[2]}
+                         : std::array<int, 3>{1, s[0], s[1]};
+  };
+  const std::array<int, 3> a3s = dims3(a), b3s = dims3(b);
+  const int kA = transposeA ? a3s[1] : a3s[2];
+  const int kB = transposeB ? b3s[2] : b3s[1];
+  TFJS_SHAPE_CHECK(kA == kB, name << " inner dimensions must agree: "
+                                  << a.shape().toString() << " x "
+                                  << b.shape().toString());
+  const int bA = a3s[0], bB = b3s[0];
+  TFJS_SHAPE_CHECK(bA == bB || bA == 1 || bB == 1,
+                   name << " batch dims must match or broadcast");
+  const int m = transposeA ? a3s[2] : a3s[1];
+  const int n = transposeB ? b3s[1] : b3s[2];
+  internal::checkBias(name, bias, n);
+
+  internal::KernelScope k(name);
+  Tensor y;
+  {
+    internal::TapePause pause;
+    Tensor a3 = to3d(a);
+    Tensor b3 = to3d(b);
+    const TensorSpec sa = E().prepareInput(a3);
+    const TensorSpec sb = E().prepareInput(b3);
+    TensorSpec sbias;
+    if (bias.defined()) sbias = E().prepareInput(bias);
+    const DataId id = kernel(sa, sb, bias.defined() ? &sbias : nullptr);
+    Tensor y3 =
+        E().makeTensorFromDataId(id, Shape{std::max(bA, bB), m, n}, DType::f32);
+    if (a.rank() == 2 && b.rank() == 2) {
+      y = y3.reshape(Shape{m, n});
+      y3.dispose();
+    } else {
+      y = y3;
+    }
+    a3.dispose();
+    b3.dispose();
+  }
+  k.notify(y);
+  return y;
+}
+
+/// The conv kernel dispatch of conv2d, depthwiseConv2d and the int8 conv:
+/// checks the bias (rank 1, length outC), runs `kernel(sx, sf, biasSpec)`
+/// under the op span `name` and wraps the NHWC output.
+template <typename Kernel>
+Tensor convDispatch(const char* name, const Tensor& x, const Tensor& filter,
+                    const Tensor& bias, const Conv2DInfo& info,
+                    Kernel kernel) {
+  internal::checkBias(name, bias, info.outC);
+  internal::KernelScope k(name);
+  const TensorSpec sx = E().prepareInput(x);
+  const TensorSpec sf = E().prepareInput(filter);
+  TensorSpec sbias;
+  if (bias.defined()) sbias = E().prepareInput(bias);
+  return k.wrap(kernel(sx, sf, bias.defined() ? &sbias : nullptr),
+                Shape{info.batch, info.outH, info.outW, info.outC},
+                DType::f32);
+}
+
 }  // namespace
+
+void internal::observeProducer(OpId id, const Tensor& x, const Tensor& w,
+                               const Tensor& bias, const Tensor& y,
+                               FusedActivation act,
+                               std::span<const double> layout) {
+  if (!observing()) return;
+  std::vector<double> attrs(layout.begin(), layout.end());
+  attrs.push_back(static_cast<double>(act));
+  attrs.push_back(bias.defined() ? 1.0 : 0.0);
+  if (bias.defined()) {
+    observeOp(id, {x, w, bias}, y, attrs);
+  } else {
+    observeOp(id, {x, w}, y, attrs);
+  }
+}
 
 std::optional<FusedActivation> fusibleActivation(const std::string& name) {
   if (name.empty() || name == "linear") return FusedActivation::kNone;
@@ -72,90 +176,169 @@ std::optional<FusedActivation> fusibleActivation(const std::string& name) {
   return std::nullopt;
 }
 
-Tensor fusedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
-                   FusedActivation act, bool transposeA, bool transposeB) {
+Tensor internal::fusedMatMul(const char* name, const Tensor& a,
+                             const Tensor& b, const Tensor& bias,
+                             FusedActivation act, bool transposeA,
+                             bool transposeB) {
   // Int8 weights route to the quantized kernel (inference-only; the
   // transposed cases fall back to dequantized f32 weights).
-  if (b.dtype() == DType::i8 && b.quantParams() != nullptr) {
+  if (int8Weights(b)) {
     if (!transposeA && !transposeB) return quantizedMatMul(a, b, bias, act);
     Tensor bf = dequantize(b);
-    Tensor y = fusedMatMul(a, bf, bias, act, transposeA, transposeB);
+    Tensor y = fusedMatMul(name, a, bf, bias, act, transposeA, transposeB);
     bf.dispose();
     return y;
   }
 
-  internal::CaptureFrame frame;
-  Tensor y = internal::matMulKernel("fusedMatMul", a, b, transposeA,
-                                    transposeB, bias, act);
-  const double attrs[] = {static_cast<double>(act),
-                          static_cast<double>(transposeA),
-                          static_cast<double>(transposeB),
-                          static_cast<double>(bias.defined())};
-  finishFused(OpId::kFusedMatMul, "fusedMatMul", a, b, bias, y, act, attrs,
-              [a, b, transposeA, transposeB, needA = internal::watched(a),
-               needB = internal::watched(b)](const Tensor& dt) {
-                return internal::matMulGrads(a, b, transposeA, transposeB,
-                                             dt, needA, needB);
+  // The frame opens after the int8 routing so the quantized op records
+  // itself; from here on this op is the recorded node.
+  CaptureFrame frame;
+  Tensor y = matMulDispatch(
+      name, a, b, transposeA, transposeB, bias,
+      [&](const TensorSpec& sa, const TensorSpec& sb, const TensorSpec* sbias) {
+        return E().backend().matMul(sa, sb, transposeA, transposeB, sbias,
+                                    act);
+      });
+  const double layout[] = {static_cast<double>(transposeA),
+                           static_cast<double>(transposeB)};
+  finishFused(OpId::kMatMul, name, a, b, bias, y, act, layout,
+              [a, b, transposeA, transposeB, needA = watched(a),
+               needB = watched(b)](const Tensor& dt) {
+                return matMulGrads(a, b, transposeA, transposeB, dt, needA,
+                                   needB);
               });
   return y;
+}
+
+Tensor internal::fusedConv2d(const char* name, const Tensor& x,
+                             const Tensor& filter, const Tensor& bias,
+                             FusedActivation act, int strideH, int strideW,
+                             PadMode pad, int dilationH, int dilationW) {
+  if (int8Weights(filter)) {
+    return quantizedConv2d(x, filter, bias, act, strideH, strideW, pad,
+                           dilationH, dilationW);
+  }
+
+  const Conv2DInfo info = conv_util::computeConv2DInfo(
+      x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
+      /*depthwise=*/false);
+  CaptureFrame frame;
+  Tensor y = convDispatch(
+      name, x, filter, bias, info,
+      [&](const TensorSpec& sx, const TensorSpec& sf, const TensorSpec* sbias) {
+        return E().backend().conv2d(sx, sf, info, sbias, act);
+      });
+  finishFused(OpId::kConv2d, name, x, filter, bias, y, act,
+              convLayout(strideH, strideW, pad, dilationH, dilationW),
+              [x, filter, info, needX = watched(x),
+               needF = watched(filter)](const Tensor& dt) {
+                return convGrads(x, filter, info, dt, needX, needF);
+              });
+  return y;
+}
+
+Tensor internal::fusedDepthwiseConv2d(const char* name, const Tensor& x,
+                                      const Tensor& filter, const Tensor& bias,
+                                      FusedActivation act, int strideH,
+                                      int strideW, PadMode pad, int dilationH,
+                                      int dilationW) {
+  // Depthwise filters are not quantized (their per-channel reuse is too low
+  // to pay for the codec); an int8 filter is dequantized up front.
+  if (int8Weights(filter)) {
+    Tensor ff = dequantize(filter);
+    Tensor y = fusedDepthwiseConv2d(name, x, ff, bias, act, strideH, strideW,
+                                    pad, dilationH, dilationW);
+    ff.dispose();
+    return y;
+  }
+
+  const Conv2DInfo info = conv_util::computeConv2DInfo(
+      x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
+      /*depthwise=*/true);
+  CaptureFrame frame;
+  // One span name for the plain and the fused op: the epilogue is part of
+  // the depthwise kernel, as profiles and per-layer breakdowns see it.
+  Tensor y = convDispatch(
+      "depthwiseConv2d", x, filter, bias, info,
+      [&](const TensorSpec& sx, const TensorSpec& sf, const TensorSpec* sbias) {
+        return E().backend().depthwiseConv2d(sx, sf, info, sbias, act);
+      });
+  finishFused(OpId::kDepthwiseConv2d, name, x, filter, bias, y, act,
+              convLayout(strideH, strideW, pad, dilationH, dilationW),
+              [x, filter, info, needX = watched(x),
+               needF = watched(filter)](const Tensor& dt) {
+                return depthwiseGrads(x, filter, info, dt, needX, needF);
+              });
+  return y;
+}
+
+Tensor fusedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
+                   FusedActivation act, bool transposeA, bool transposeB) {
+  return internal::fusedMatMul("fusedMatMul", a, b, bias, act, transposeA,
+                               transposeB);
 }
 
 Tensor fusedConv2d(const Tensor& x, const Tensor& filter, const Tensor& bias,
                    FusedActivation act, int strideH, int strideW, PadMode pad,
                    int dilationH, int dilationW) {
-  if (filter.dtype() == DType::i8 && filter.quantParams() != nullptr) {
-    return quantizedConv2d(x, filter, bias, act, strideH, strideW, pad,
-                           dilationH, dilationW);
-  }
-
-  internal::CaptureFrame frame;
-  const Conv2DInfo info = conv_util::computeConv2DInfo(
-      x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
-      /*depthwise=*/false);
-  Tensor y = internal::conv2dKernel("fusedConv2d", x, filter, info, bias, act);
-  const double attrs[] = {
-      static_cast<double>(act),     static_cast<double>(bias.defined()),
-      static_cast<double>(strideH), static_cast<double>(strideW),
-      static_cast<double>(pad),     static_cast<double>(dilationH),
-      static_cast<double>(dilationW)};
-  finishFused(OpId::kFusedConv2d, "fusedConv2d", x, filter, bias, y, act,
-              attrs,
-              [x, filter, info, needX = internal::watched(x),
-               needF = internal::watched(filter)](const Tensor& dt) {
-                return internal::convGrads(x, filter, info, dt, needX, needF);
-              });
-  return y;
+  return internal::fusedConv2d("fusedConv2d", x, filter, bias, act, strideH,
+                               strideW, pad, dilationH, dilationW);
 }
 
 Tensor fusedDepthwiseConv2d(const Tensor& x, const Tensor& filter,
                             const Tensor& bias, FusedActivation act,
                             int strideH, int strideW, PadMode pad,
                             int dilationH, int dilationW) {
-  if (filter.dtype() == DType::i8 && filter.quantParams() != nullptr) {
-    Tensor ff = dequantize(filter);
-    Tensor y = fusedDepthwiseConv2d(x, ff, bias, act, strideH, strideW, pad,
-                                    dilationH, dilationW);
-    ff.dispose();
-    return y;
-  }
+  return internal::fusedDepthwiseConv2d("fusedDepthwiseConv2d", x, filter,
+                                        bias, act, strideH, strideW, pad,
+                                        dilationH, dilationW);
+}
 
+Tensor quantizedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
+                       FusedActivation act) {
+  TFJS_ARG_CHECK(a.dtype() == DType::f32,
+                 "quantizedMatMul expects f32 activations, got "
+                     << dtypeName(a.dtype()));
+  TFJS_ARG_CHECK(int8Weights(b),
+                 "quantizedMatMul expects int8 weights with attached "
+                 "quantization parameters");
+  TFJS_SHAPE_CHECK(b.rank() != 3 || b.shape()[0] == 1,
+                   "quantizedMatMul weights cannot be batched");
   internal::CaptureFrame frame;
+  Tensor y = matMulDispatch(
+      "quantizedMatMul", a, b, false, false, bias,
+      [&](const TensorSpec& sa, const TensorSpec& sb, const TensorSpec* sbias) {
+        return E().backend().quantizedMatMul(sa, sb, *b.quantParams(), sbias,
+                                             act);
+      });
+  const double layout[] = {0, 0};  // {transposeA, transposeB}
+  internal::observeProducer(OpId::kMatMul, a, b, bias, y, act, layout);
+  return y;
+}
+
+Tensor quantizedConv2d(const Tensor& x, const Tensor& filter,
+                       const Tensor& bias, FusedActivation act, int strideH,
+                       int strideW, PadMode pad, int dilationH,
+                       int dilationW) {
+  TFJS_ARG_CHECK(x.dtype() == DType::f32,
+                 "quantizedConv2d expects f32 activations, got "
+                     << dtypeName(x.dtype()));
+  TFJS_ARG_CHECK(int8Weights(filter),
+                 "quantizedConv2d expects an int8 filter with attached "
+                 "quantization parameters");
   const Conv2DInfo info = conv_util::computeConv2DInfo(
       x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
-      /*depthwise=*/true);
-  Tensor y = internal::depthwiseKernel(x, filter, info, bias, act);
-  const double attrs[] = {
-      static_cast<double>(act),     static_cast<double>(bias.defined()),
-      static_cast<double>(strideH), static_cast<double>(strideW),
-      static_cast<double>(pad),     static_cast<double>(dilationH),
-      static_cast<double>(dilationW)};
-  finishFused(OpId::kFusedDepthwiseConv2d, "fusedDepthwiseConv2d", x, filter,
-              bias, y, act, attrs,
-              [x, filter, info, needX = internal::watched(x),
-               needF = internal::watched(filter)](const Tensor& dt) {
-                return internal::depthwiseGrads(x, filter, info, dt, needX,
-                                                 needF);
-              });
+      /*depthwise=*/false);
+  internal::CaptureFrame frame;
+  Tensor y = convDispatch(
+      "quantizedConv2d", x, filter, bias, info,
+      [&](const TensorSpec& sx, const TensorSpec& sf, const TensorSpec* sbias) {
+        return E().backend().quantizedConv2d(sx, sf, info,
+                                             *filter.quantParams(), sbias, act);
+      });
+  internal::observeProducer(
+      OpId::kConv2d, x, filter, bias, y, act,
+      internal::convLayout(strideH, strideW, pad, dilationH, dilationW));
   return y;
 }
 

@@ -12,16 +12,15 @@
 //   kUnary        {UnaryOp code, alpha, beta, out DType code}
 //   kBinary       {BinaryOp code, out DType code}
 //   kSelect       {}                                  inputs: cond, a, b
-//   kMatMul       {tA, tB}
-//   kFusedMatMul  {act, tA, tB, hasBias}              inputs: a, b[, bias]
-//   kQuantMatMul  {act, hasBias, hasOutQ, outScale, outZeroPoint}
-//   kConv2d       {sH, sW, pad, dH, dW}
-//   kFusedConv2d  {act, hasBias, sH, sW, pad, dH, dW} inputs: x, f[, bias]
-//   kQuantConv2d  {act, hasBias, hasOutQ, outScale, outZeroPoint,
-//                  sH, sW, pad, dH, dW}
-//   kDepthwiseConv2d {sH, sW, pad, dH, dW}
-//   kFusedDepthwiseConv2d {act, hasBias, sH, sW, pad, dH, dW}
+//   kMatMul       {tA, tB, act, hasBias}              inputs: a, b[, bias]
+//   kConv2d       {sH, sW, pad, dH, dW, act, hasBias} inputs: x, f[, bias]
+//   kDepthwiseConv2d {sH, sW, pad, dH, dW, act, hasBias}
 //                                                     inputs: x, f[, bias]
+//                 The producer nodes: act is the FusedActivation epilogue,
+//                 hasBias says whether the bias input is present. An int8
+//                 weight input replays through the quantized kernel, as
+//                 eager routes it. Ids 7, 8, 10, 11 and 26 (the former
+//                 fused and quantized twins) are retired; never reuse them.
 //   kPool         {PoolMode code, kH, kW, sH, sW, pad}
 //   kReduce       {ReduceOp code, keepDims, out DType code, axes...}
 //   kArg          {ArgOp code, axis}
@@ -56,11 +55,7 @@ enum class OpId : int {
   kBinary = 4,
   kSelect = 5,
   kMatMul = 6,
-  kFusedMatMul = 7,
-  kQuantMatMul = 8,
   kConv2d = 9,
-  kFusedConv2d = 10,
-  kQuantConv2d = 11,
   kDepthwiseConv2d = 12,
   kPool = 13,
   kReduce = 14,
@@ -75,7 +70,6 @@ enum class OpId : int {
   kQuantize = 23,
   kDequantize = 24,
   kFusedRegion = 25,  ///< compiled elementwise region (single-pass loop)
-  kFusedDepthwiseConv2d = 26,
 };
 
 /// Stable lowercase name, used by Graph::toString() golden dumps.
@@ -88,11 +82,7 @@ inline const char* opIdName(OpId id) {
     case OpId::kBinary: return "binary";
     case OpId::kSelect: return "select";
     case OpId::kMatMul: return "matMul";
-    case OpId::kFusedMatMul: return "fusedMatMul";
-    case OpId::kQuantMatMul: return "quantMatMul";
     case OpId::kConv2d: return "conv2d";
-    case OpId::kFusedConv2d: return "fusedConv2d";
-    case OpId::kQuantConv2d: return "quantConv2d";
     case OpId::kDepthwiseConv2d: return "depthwiseConv2d";
     case OpId::kPool: return "pool";
     case OpId::kReduce: return "reduce";
@@ -107,7 +97,6 @@ inline const char* opIdName(OpId id) {
     case OpId::kQuantize: return "quantize";
     case OpId::kDequantize: return "dequantize";
     case OpId::kFusedRegion: return "fusedRegion";
-    case OpId::kFusedDepthwiseConv2d: return "fusedDepthwiseConv2d";
   }
   return "?";
 }

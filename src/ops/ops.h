@@ -153,6 +153,8 @@ Tensor clipByValue(Tensor&& x, float lo, float hi);
 
 /// Matrix product. Rank-2 inputs multiply directly; rank-3 inputs are
 /// treated as batched with broadcasting batch dims, mirroring tf.matMul.
+/// fusedMatMul with no bias and no activation (one op body, one graph node;
+/// an int8 `b` routes to quantizedMatMul).
 Tensor matMul(const Tensor& a, const Tensor& b, bool transposeA = false,
               bool transposeB = false);
 /// Dot product of two 1-D tensors.
@@ -161,9 +163,11 @@ Tensor outerProduct(const Tensor& a, const Tensor& b);
 
 // ----------------------------------------------------------- convolutions
 
-/// 2-D convolution over NHWC input with HWIO filter.
+/// 2-D convolution over NHWC input with HWIO filter: fusedConv2d with no
+/// bias and no activation (an int8 filter routes to quantizedConv2d).
 Tensor conv2d(const Tensor& x, const Tensor& filter, int strideH, int strideW,
               PadMode pad, int dilationH = 1, int dilationW = 1);
+/// fusedDepthwiseConv2d with no bias and no activation.
 Tensor depthwiseConv2d(const Tensor& x, const Tensor& filter, int strideH,
                        int strideW, PadMode pad, int dilationH = 1,
                        int dilationW = 1);
@@ -246,21 +250,20 @@ Tensor dequantize(const Tensor& q);
 
 /// matMul of an f32 activation against int8 weights with a fused bias +
 /// activation epilogue. Activations are quantized dynamically per GEMM row
-/// inside the kernel (u8 codes, i32 accumulators); output is f32, or int8
-/// codes requantized with `outQ` when non-null. Backends without quantized
-/// kernels (and kernels hitting a fallback condition — see core/backend.h)
-/// compute the dequantized f32 fused path instead. Inference-only: no
-/// gradient is recorded. fusedMatMul / matMul route here automatically when
-/// their weight argument is an int8 tensor.
+/// inside the kernel (u8 codes, i32 accumulators); the output is f32.
+/// Backends without int8 kernels (and kernels hitting a fallback condition
+/// — see core/backend.h) compute the dequantized f32 fused path instead.
+/// Inference-only: no gradient is recorded. Records the same graph node as
+/// the f32 op; fusedMatMul / matMul route here automatically when their
+/// weight argument is an int8 tensor.
 Tensor quantizedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
-                       FusedActivation act = FusedActivation::kNone,
-                       const OutQuant* outQ = nullptr);
+                       FusedActivation act = FusedActivation::kNone);
 
 /// conv2d against an int8 HWIO filter; same contract as quantizedMatMul.
 Tensor quantizedConv2d(const Tensor& x, const Tensor& filter,
                        const Tensor& bias, FusedActivation act, int strideH,
                        int strideW, PadMode pad, int dilationH = 1,
-                       int dilationW = 1, const OutQuant* outQ = nullptr);
+                       int dilationW = 1);
 
 // -------------------------------------------------------------- reductions
 

@@ -30,12 +30,6 @@ Shape batchShape(const Shape& example, int n) {
   return Shape(std::move(dims));
 }
 
-int nextPowerOfTwo(int n) {
-  int p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 metrics::Gauge& queueDepthGauge() {
   static metrics::Gauge& g =
       metrics::Registry::get().gauge("serving.queue_depth");
@@ -108,7 +102,6 @@ InferenceServer::Stats InferenceServer::stats() const {
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
-  s.paddedRows = paddedRows_.load(std::memory_order_relaxed);
   s.maxBatchSize = maxBatchSize_.load(std::memory_order_relaxed);
   const std::uint64_t served = served_.load(std::memory_order_relaxed);
   s.inFlightAtSnapshot = s.requests > served ? s.requests - served : 0;
@@ -170,10 +163,6 @@ void InferenceServer::schedulerMain() {
     }
   }
 
-  const auto sameShape = [](const internal::Request& a, const Shape& s) {
-    return a.exampleShape == s;
-  };
-
   while (true) {
     if (pending_.empty()) {
       auto r = queue_.popFor(std::chrono::milliseconds(20));
@@ -194,7 +183,7 @@ void InferenceServer::schedulerMain() {
     auto countMates = [&] {
       return std::count_if(pending_.begin(), pending_.end(),
                            [&](const internal::Request& p) {
-                             return sameShape(p, shape);
+                             return p.exampleShape == shape;
                            });
     };
     while (countMates() < opts_.maxBatch) {
@@ -204,46 +193,39 @@ void InferenceServer::schedulerMain() {
     }
     queueDepthGauge().set(static_cast<std::int64_t>(queue_.size()));
 
-    // Extract up to maxBatch shape-mates, preserving arrival order; other
-    // shapes stay deferred and lead the next batch.
-    std::vector<internal::Request> group;
-    group.reserve(static_cast<std::size_t>(opts_.maxBatch));
-    for (auto it = pending_.begin();
-         it != pending_.end() &&
-         group.size() < static_cast<std::size_t>(opts_.maxBatch);) {
-      if (sameShape(*it, shape)) {
-        group.push_back(std::move(*it));
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    // Other shapes stay deferred and lead the next batch.
+    std::vector<internal::Request> group = takeShapeMates(shape);
     runBatch(group);
   }
 
   // Closed and drained: anything still deferred is served before exit.
   while (!pending_.empty()) {
-    const Shape shape = pending_.front().exampleShape;
-    std::vector<internal::Request> group;
-    for (auto it = pending_.begin();
-         it != pending_.end() &&
-         group.size() < static_cast<std::size_t>(opts_.maxBatch);) {
-      if (it->exampleShape == shape) {
-        group.push_back(std::move(*it));
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::vector<internal::Request> group =
+        takeShapeMates(pending_.front().exampleShape);
     runBatch(group);
   }
+}
+
+std::vector<internal::Request> InferenceServer::takeShapeMates(
+    const Shape& shape) {
+  std::vector<internal::Request> group;
+  group.reserve(static_cast<std::size_t>(opts_.maxBatch));
+  for (auto it = pending_.begin();
+       it != pending_.end() &&
+       group.size() < static_cast<std::size_t>(opts_.maxBatch);) {
+    if (it->exampleShape == shape) {
+      group.push_back(std::move(*it));
+      it = pending_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  return group;
 }
 
 void InferenceServer::runBatch(std::vector<internal::Request>& group) {
   static metrics::Counter& batchesCounter =
       metrics::Registry::get().counter("serving.batches");
-  static metrics::Counter& paddedCounter =
-      metrics::Registry::get().counter("serving.padded_rows");
   static metrics::Histogram& batchSizeHist =
       metrics::Registry::get().histogram("serving.batch_size");
   static metrics::Histogram& queueHist =
@@ -254,12 +236,6 @@ void InferenceServer::runBatch(std::vector<internal::Request>& group) {
   const auto formed = Clock::now();
   const int batch = static_cast<int>(group.size());
   const Shape& example = group.front().exampleShape;
-
-  int padRows = 0;
-  if (opts_.padToPowerOfTwo) {
-    padRows = std::min(nextPowerOfTwo(batch), opts_.maxBatch) - batch;
-    if (padRows < 0) padRows = 0;
-  }
 
   Engine& engine = Engine::get();
   // One tensor per request, concatenated along the batch axis — the batch
@@ -272,16 +248,10 @@ void InferenceServer::runBatch(std::vector<internal::Request>& group) {
   Tensor batched;
   Tensor out;
   try {
-    inputs.reserve(static_cast<std::size_t>(batch) + (padRows > 0 ? 1 : 0));
+    inputs.reserve(static_cast<std::size_t>(batch));
     for (auto& req : group) {
       inputs.push_back(
           engine.makeTensorFromHost(req.input, batchShape(example, 1)));
-    }
-    if (padRows > 0) {
-      inputs.push_back(o::zeros(batchShape(example, padRows)));
-      paddedRows_.fetch_add(static_cast<std::uint64_t>(padRows),
-                            std::memory_order_relaxed);
-      paddedCounter.inc(static_cast<std::uint64_t>(padRows));
     }
     batched = inputs.size() == 1 ? inputs.front() : o::concat(inputs, 0);
 
@@ -294,7 +264,7 @@ void InferenceServer::runBatch(std::vector<internal::Request>& group) {
       std::vector<int> begin(static_cast<std::size_t>(out.rank()), 0);
       begin[0] = i;
       InferenceResult res;
-      if (batch + padRows == 1) {
+      if (batch == 1) {
         // Single-request pass: the output is already this request's result;
         // skipping the slice keeps the unbatched path allocation-minimal.
         res.values = out.dataSync();
@@ -305,7 +275,6 @@ void InferenceServer::runBatch(std::vector<internal::Request>& group) {
       }
       res.shape = exampleOut;
       res.batchSize = batch;
-      res.batchPadding = padRows;
       res.queueMs = msBetween(group[static_cast<std::size_t>(i)].submitted,
                               formed);
       res.totalMs = msBetween(group[static_cast<std::size_t>(i)].submitted,

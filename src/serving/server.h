@@ -26,9 +26,7 @@
 // Batching policy: requests are bucketed by example shape (no cross-shape
 // padding — a [32,32,3] image never pays for a [224,224,3] neighbour). The
 // scheduler takes the oldest request, lingers up to batchDelayMs for
-// shape-mates (up to maxBatch), optionally zero-pads the batch dimension up
-// to the next power of two (padToPowerOfTwo — bucketed batch sizes keep
-// downstream kernel shapes canonical), runs one forward pass, and slices.
+// shape-mates (up to maxBatch), runs one forward pass, and slices.
 // Backpressure: the queue is bounded; Session::infer blocks when it is
 // full, Session::tryInfer sheds load instead.
 #pragma once
@@ -60,10 +58,6 @@ struct ServerOptions {
   double batchDelayMs = 1.0;
   /// Bound of the MPSC request queue (the backpressure knob).
   std::size_t queueCapacity = 256;
-  /// Zero-pad the batch dimension up to the next power of two (<= maxBatch)
-  /// so kernels see canonical batch sizes; padded rows are dropped before
-  /// results are returned.
-  bool padToPowerOfTwo = false;
   /// When set, each completion is posted to this loop as a task (the
   /// promise resolves on the loop thread). Null fulfills promises directly
   /// on the scheduler thread.
@@ -75,7 +69,6 @@ struct InferenceResult {
   std::vector<float> values;  ///< output values of this request's example
   Shape shape;                ///< per-example output shape (leading dim 1)
   int batchSize = 0;          ///< real requests in the shared forward pass
-  int batchPadding = 0;       ///< zero rows appended by padToPowerOfTwo
   double queueMs = 0;         ///< submit -> batch formation
   double totalMs = 0;         ///< submit -> result ready
 };
@@ -168,7 +161,6 @@ class InferenceServer {
     std::uint64_t rejected = 0;  ///< shed by tryInfer on a full queue
     std::uint64_t batches = 0;   ///< forward passes executed
     std::uint64_t failed = 0;    ///< promises rejected by a failed batch
-    std::uint64_t paddedRows = 0;
     int maxBatchSize = 0;
     double meanBatchSize() const {
       const std::uint64_t ok = requests - inFlightAtSnapshot - failed;
@@ -187,6 +179,9 @@ class InferenceServer {
                                       bool blocking, bool& accepted);
 
   void schedulerMain();
+  /// Moves up to maxBatch deferred requests whose example shape is `shape`
+  /// out of pending_, in arrival order; other shapes stay deferred.
+  std::vector<internal::Request> takeShapeMates(const Shape& shape);
   void runBatch(std::vector<internal::Request>& group);
   void fulfill(internal::Request& req, InferenceResult result);
   /// Rejects every not-yet-fulfilled promise in the group with `err`.
@@ -207,7 +202,6 @@ class InferenceServer {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> paddedRows_{0};
   std::atomic<int> maxBatchSize_{0};
   std::atomic<int> nextSessionId_{1};
 };

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -385,6 +386,110 @@ TEST_P(FusionTest, DenseLayerRoutesThroughFusedPath) {
   y.dispose();
   manual.dispose();
   x.dispose();
+}
+
+// A layer whose activation has no epilogue form (tanh here) still runs its
+// bias inside the producer's epilogue and applies the activation after it:
+// the profile shows the producer kernel and tanh with no add, and the
+// output and every gradient equal the op-by-op producer -> add -> tanh
+// chain bit for bit.
+TEST_P(FusionTest, NonFusibleActivationRidesBiasEpilogue) {
+  struct Case {
+    std::unique_ptr<layers::Layer> layer;
+    const char* kernel;  ///< the producer's op span
+    Shape x;
+    std::function<Tensor(const Tensor& x, const Tensor& w)> producer;
+  };
+  std::vector<Case> cases;
+  {
+    layers::DenseOptions opts;
+    opts.units = 5;
+    opts.activation = "tanh";
+    cases.push_back({std::make_unique<layers::Dense>(opts), "fusedMatMul",
+                     Shape{4, 7},
+                     [](const Tensor& x, const Tensor& w) {
+                       return o::matMul(x, w);
+                     }});
+  }
+  {
+    layers::Conv2DOptions opts;
+    opts.filters = 3;
+    opts.padding = "same";
+    opts.activation = "tanh";
+    cases.push_back({std::make_unique<layers::Conv2D>(opts), "fusedConv2d",
+                     Shape{1, 6, 5, 2},
+                     [](const Tensor& x, const Tensor& w) {
+                       return o::conv2d(x, w, 1, 1, PadMode::kSame);
+                     }});
+  }
+  {
+    layers::DepthwiseConv2DOptions opts;
+    opts.depthMultiplier = 2;
+    opts.padding = "same";
+    opts.activation = "tanh";
+    cases.push_back({std::make_unique<layers::DepthwiseConv2D>(opts),
+                     "depthwiseConv2d", Shape{1, 6, 5, 3},
+                     [](const Tensor& x, const Tensor& w) {
+                       return o::depthwiseConv2d(x, w, 1, 1, PadMode::kSame);
+                     }});
+  }
+  std::uint32_t seed = 60;
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.kernel);
+    Tensor x = o::randomNormal(c.x, 0, 1, seed++);
+    c.layer->apply(x).dispose();  // builds the weights outside the profile
+    const auto& weights = c.layer->weights();
+    ASSERT_EQ(weights.size(), 2u);
+    // A nonzero bias, so the epilogue's add is visible in the values.
+    weights[1].assign(o::randomNormal(weights[1].value().shape(), 0, 1,
+                                      seed++));
+    const Tensor w = weights[0].value();
+    const Tensor b = weights[1].value();
+
+    Tensor y;
+    const ProfileInfo info = profile([&] { y = c.layer->apply(x); });
+    int producer = 0, adds = 0, tanhs = 0;
+    for (const auto& k : info.kernels) {
+      producer += k.name == c.kernel;
+      adds += k.name == "add";
+      tanhs += k.name == "tanh";
+    }
+    EXPECT_EQ(producer, 1);
+    EXPECT_EQ(adds, 0) << "the bias must ride the producer's epilogue";
+    EXPECT_EQ(tanhs, 1);
+    y.dispose();
+
+    const Tensor xs[] = {x, w, b};
+    auto [lv, lg] = autodiff::valueAndGrads(
+        [&] {
+          Tensor out = c.layer->apply(x);
+          Tensor loss = o::sum(o::mul(out, out));
+          out.dispose();
+          return loss;
+        },
+        xs);
+    auto [uv, ug] = autodiff::valueAndGrads(
+        [&] {
+          Tensor out = o::tanh(o::add(c.producer(x, w), b));
+          Tensor loss = o::sum(o::mul(out, out));
+          out.dispose();
+          return loss;
+        },
+        xs);
+    expectBitwiseEqual(lv, uv);
+    ASSERT_EQ(lg.size(), ug.size());
+    for (std::size_t i = 0; i < lg.size(); ++i) {
+      expectBitwiseEqual(lg[i], ug[i]);
+      lg[i].dispose();
+      ug[i].dispose();
+    }
+    Tensor layerOut = c.layer->apply(x);
+    Tensor chainOut = Engine::get().tidy(
+        [&] { return o::tanh(o::add(c.producer(x, w), b)); });
+    expectBitwiseEqual(layerOut, chainOut);
+    for (Tensor t : {lv, uv, layerOut, chainOut, x}) t.dispose();
+    c.layer->dispose();
+  }
 }
 
 TEST_P(FusionTest, RejectsMalformedBias) {

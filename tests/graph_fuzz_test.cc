@@ -523,7 +523,8 @@ std::vector<Tensor> buildElemProgram(unsigned seed,
 using ProgramFn = std::vector<Tensor> (*)(unsigned, const std::vector<Tensor>&,
                                           ConstPool&);
 
-/// Fused depthwise nodes in the optimized graphs run so far: the fused op
+/// Fused depthwise nodes in the optimized graphs run so far (a
+/// kDepthwiseConv2d node with an activation or a bias): the fused op
 /// captured directly, or the unfused chain the fuse pass absorbed.
 int fusedDepthwiseNodes = 0;
 
@@ -579,7 +580,9 @@ int runCase(unsigned seed, bool elemMode = false) {
     std::vector<Tensor> warm = cg.run(inputs);  // arena-backed second run
     ++graphsRun;
     for (const graph::Node& n : cg.optimized().nodes) {
-      fusedDepthwiseNodes += n.op == ops::OpId::kFusedDepthwiseConv2d;
+      // {sH, sW, pad, dH, dW, act, hasBias}
+      fusedDepthwiseNodes += n.op == ops::OpId::kDepthwiseConv2d &&
+                             (n.attrs[5] != 0 || n.attrs[6] != 0);
     }
 
     EXPECT_EQ(eager.size(), got.size()) << "seed=" << seed;

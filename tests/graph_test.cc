@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -259,7 +260,8 @@ Graph fuseFixture() {
   g.nodes.push_back(inputNode(Shape{2, 3}));
   g.nodes.push_back(constNode(Shape{3, 4}));
   g.nodes.push_back(constNode(Shape{4}));
-  g.nodes.push_back(opNode(OpId::kMatMul, {0, 1}, {0, 0}, Shape{2, 4}));
+  // {tA, tB, act, hasBias}
+  g.nodes.push_back(opNode(OpId::kMatMul, {0, 1}, {0, 0, 0, 0}, Shape{2, 4}));
   g.nodes.push_back(
       opNode(OpId::kBinary, {3, 2}, {kAddCode, kF32Code}, Shape{2, 4}));
   g.nodes.push_back(
@@ -271,16 +273,16 @@ Graph fuseFixture() {
 
 TEST(GraphPasses, FuseGolden) {
   Graph fused = graph::fuse(fuseFixture());
-  // The add absorbs the matMul as a bias epilogue, then the relu absorbs
-  // the act=kNone fused node; dead intermediates remain for dce.
+  // The add absorbs the matMul, setting hasBias; then the relu absorbs that
+  // act=kNone node, setting act. Dead intermediates remain for dce.
   EXPECT_EQ(fused.toString(),
             "graph(1 inputs, 6 nodes, 1 outputs)\n"
             "%0 = input -> float32[2,3]\n"
             "%1 = const -> float32[3,4]\n"
             "%2 = const -> float32[4]\n"
-            "%3 = matMul(%0, %1) {0,0} -> float32[2,4]\n"
-            "%4 = fusedMatMul(%0, %1, %2) {0,0,0,1} -> float32[2,4]\n"
-            "%5 = fusedMatMul(%0, %1, %2) {1,0,0,1} -> float32[2,4]\n"
+            "%3 = matMul(%0, %1) {0,0,0,0} -> float32[2,4]\n"
+            "%4 = matMul(%0, %1, %2) {0,0,0,1} -> float32[2,4]\n"
+            "%5 = matMul(%0, %1, %2) {0,0,1,1} -> float32[2,4]\n"
             "outputs: %5\n");
 
   Graph swept = graph::dce(fused);
@@ -289,7 +291,7 @@ TEST(GraphPasses, FuseGolden) {
             "%0 = input -> float32[2,3]\n"
             "%1 = const -> float32[3,4]\n"
             "%2 = const -> float32[4]\n"
-            "%3 = fusedMatMul(%0, %1, %2) {1,0,0,1} -> float32[2,4]\n"
+            "%3 = matMul(%0, %1, %2) {0,0,1,1} -> float32[2,4]\n"
             "outputs: %3\n");
 }
 
@@ -321,9 +323,10 @@ TEST(GraphPasses, FuseAbsorbsDepthwiseBiasAndActivation) {
   g.nodes.push_back(inputNode(Shape{1, 5, 5, 3}));
   g.nodes.push_back(constNode(Shape{3, 3, 3, 1}));
   g.nodes.push_back(constNode(Shape{3}));
-  g.nodes.push_back(opNode(OpId::kDepthwiseConv2d, {0, 1},
-                           {1, 1, static_cast<double>(PadMode::kSame), 1, 1},
-                           Shape{1, 5, 5, 3}));
+  g.nodes.push_back(
+      opNode(OpId::kDepthwiseConv2d, {0, 1},
+             {1, 1, static_cast<double>(PadMode::kSame), 1, 1, 0, 0},
+             Shape{1, 5, 5, 3}));
   g.nodes.push_back(
       opNode(OpId::kBinary, {3, 2}, {kAddCode, kF32Code}, Shape{1, 5, 5, 3}));
   g.nodes.push_back(opNode(
@@ -337,7 +340,7 @@ TEST(GraphPasses, FuseAbsorbsDepthwiseBiasAndActivation) {
             "%0 = input -> float32[1,5,5,3]\n"
             "%1 = const -> float32[3,3,3,1]\n"
             "%2 = const -> float32[3]\n"
-            "%3 = fusedDepthwiseConv2d(%0, %1, %2) {2,1,1,1,1,1,1} -> "
+            "%3 = depthwiseConv2d(%0, %1, %2) {1,1,1,1,1,2,1} -> "
             "float32[1,5,5,3]\n"
             "outputs: %3\n");
 }
@@ -626,6 +629,143 @@ TEST(GraphExec, Int8RoutedWeightsStayBitwise) {
   }
   setBackend("cpu");
   for (Tensor t : {w, w8, b, x}) t.dispose();
+}
+
+/// The one non-placeholder, non-view node of `g`, or null when there are
+/// none or several.
+const Node* soleProducer(const Graph& g) {
+  const Node* found = nullptr;
+  for (const Node& n : g.nodes) {
+    if (n.op == OpId::kInput || n.op == OpId::kConst ||
+        n.op == OpId::kAlias) {
+      continue;
+    }
+    if (found != nullptr) return nullptr;
+    found = &n;
+  }
+  return found;
+}
+
+TEST(GraphExec, ProducerOpsCaptureAsOneNodeEach) {
+  // Plain, fused and quantized producer ops all record their kernel's one
+  // node: the op's layout followed by {act, hasBias}. An int8 weight is a
+  // property of the weight input, and replay routes it to the quantized
+  // kernel as eager does.
+  ensureRefRegistered();
+  setBackend("cpu");
+  Tensor xm = o::randomNormal(Shape{3, 5}, 0, 1, 81);
+  Tensor wm = o::randomNormal(Shape{5, 4}, 0, 1, 82);
+  Tensor bm = o::randomNormal(Shape{4}, 0, 1, 83);
+  Tensor xc = o::randomNormal(Shape{1, 6, 6, 3}, 0, 1, 84);
+  Tensor wc = o::randomNormal(Shape{3, 3, 3, 4}, 0, 1, 85);
+  Tensor bc = o::randomNormal(Shape{4}, 0, 1, 86);
+  Tensor wd = o::randomNormal(Shape{3, 3, 3, 2}, 0, 1, 87);
+  Tensor bd = o::randomNormal(Shape{6}, 0, 1, 88);
+  Tensor wm8 = o::quantizePerChannel(wm);
+  Tensor wc8 = o::quantizePerChannel(wc);
+  using Act = FusedActivation;
+  const auto code = [](auto v) { return static_cast<double>(v); };
+  const double same = code(PadMode::kSame), valid = code(PadMode::kValid);
+  struct Case {
+    const char* what;
+    Tensor x;
+    std::function<Tensor(const Tensor&)> op;
+    OpId id;
+    std::vector<double> attrs;
+  };
+  const Case cases[] = {
+      {"matMul", xm, [&](const Tensor& x) { return o::matMul(x, wm); },
+       OpId::kMatMul, {0, 0, 0, 0}},
+      {"fusedMatMul", xm,
+       [&](const Tensor& x) { return o::fusedMatMul(x, wm, bm, Act::kRelu); },
+       OpId::kMatMul, {0, 0, code(Act::kRelu), 1}},
+      {"quantizedMatMul", xm,
+       [&](const Tensor& x) {
+         return o::quantizedMatMul(x, wm8, bm, Act::kSigmoid);
+       },
+       OpId::kMatMul, {0, 0, code(Act::kSigmoid), 1}},
+      {"matMul, int8 weights", xm,
+       [&](const Tensor& x) { return o::matMul(x, wm8); }, OpId::kMatMul,
+       {0, 0, 0, 0}},
+      {"conv2d", xc,
+       [&](const Tensor& x) { return o::conv2d(x, wc, 2, 2, PadMode::kSame); },
+       OpId::kConv2d, {2, 2, same, 1, 1, 0, 0}},
+      {"fusedConv2d", xc,
+       [&](const Tensor& x) {
+         return o::fusedConv2d(x, wc, bc, Act::kRelu6, 1, 1, PadMode::kSame);
+       },
+       OpId::kConv2d, {1, 1, same, 1, 1, code(Act::kRelu6), 1}},
+      {"quantizedConv2d", xc,
+       [&](const Tensor& x) {
+         return o::quantizedConv2d(x, wc8, Tensor(), Act::kRelu, 1, 1,
+                                   PadMode::kValid);
+       },
+       OpId::kConv2d, {1, 1, valid, 1, 1, code(Act::kRelu), 0}},
+      {"depthwiseConv2d", xc,
+       [&](const Tensor& x) {
+         return o::depthwiseConv2d(x, wd, 1, 1, PadMode::kSame);
+       },
+       OpId::kDepthwiseConv2d, {1, 1, same, 1, 1, 0, 0}},
+      {"fusedDepthwiseConv2d", xc,
+       [&](const Tensor& x) {
+         return o::fusedDepthwiseConv2d(x, wd, bd, Act::kRelu6, 2, 2,
+                                        PadMode::kSame);
+       },
+       OpId::kDepthwiseConv2d, {2, 2, same, 1, 1, code(Act::kRelu6), 1}},
+  };
+  const char* const backends[] = {"ref", "cpu", "native", "webgl"};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const auto fn = [&](const std::vector<Tensor>& ins) {
+      return std::vector<Tensor>{c.op(ins[0])};
+    };
+    setBackend("cpu");
+    const Graph g = graph::dce(graph::capture(fn, {c.x}));
+    const Node* n = soleProducer(g);
+    ASSERT_NE(n, nullptr) << g.toString();
+    EXPECT_EQ(n->op, c.id) << g.toString();
+    EXPECT_EQ(n->attrs, c.attrs) << g.toString();
+    EXPECT_EQ(n->inputs.size(), c.attrs.back() != 0 ? 3u : 2u);
+    for (const char* backend : backends) {
+      SCOPED_TRACE(backend);
+      setBackend(backend);
+      Tensor eager = tidy([&] { return c.op(c.x); });
+      CapturedGraph cg(graph::capture(fn, {c.x}), PassOptions::all());
+      std::vector<Tensor> out = cg.run({c.x});
+      expectBitwiseEqual(out[0], eager);
+      out[0].dispose();
+      cg.dispose();
+      eager.dispose();
+    }
+  }
+
+  // An int8 producer absorbs its bias add and activation like an f32 one:
+  // the quantized epilogue runs the same scalar formulas on the
+  // dequantized value, so the fused node stays bitwise equal.
+  const auto chain = [&](const std::vector<Tensor>& ins) {
+    return std::vector<Tensor>{o::relu(o::add(
+        o::quantizedConv2d(ins[0], wc8, Tensor(), Act::kNone, 1, 1,
+                           PadMode::kSame),
+        bc))};
+  };
+  for (const char* backend : backends) {
+    SCOPED_TRACE(backend);
+    setBackend(backend);
+    Tensor eager = tidy([&] { return chain({xc})[0]; });
+    CapturedGraph cg(graph::capture(chain, {xc}), PassOptions::all());
+    const Node* n = soleProducer(cg.optimized());
+    ASSERT_NE(n, nullptr) << cg.optimized().toString();
+    EXPECT_EQ(n->op, OpId::kConv2d);
+    EXPECT_EQ(n->attrs, (std::vector<double>{1, 1, same, 1, 1,
+                                             code(Act::kRelu), 1}));
+    std::vector<Tensor> out = cg.run({xc});
+    expectBitwiseEqual(out[0], eager);
+    out[0].dispose();
+    cg.dispose();
+    eager.dispose();
+  }
+  setBackend("cpu");
+  for (Tensor t : {xm, wm, bm, xc, wc, bc, wd, bd, wm8, wc8}) t.dispose();
 }
 
 TEST(GraphExec, FoldedConstantsMaterializeOncePerBackend) {

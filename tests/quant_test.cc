@@ -11,11 +11,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "backends/common/quant_math.h"
 #include "backends/common/ref_backend.h"
 #include "backends/native/native_backend.h"
+#include "backends/webgl/webgl_backend.h"
 #include "core/conv_util.h"
 #include "core/engine.h"
 #include "core/thread_pool.h"
@@ -112,12 +114,11 @@ TEST_F(QuantTest, DeadChannelScaleZeroProducesExactZeros) {
 
 // ------------------------------------------------------- ref<->native parity
 
-/// Runs f32-out and requantized-i8-out quantizedMatMul on the active
-/// backend; returns {f32 values, i8 codes}.
-std::pair<std::vector<float>, std::vector<float>> matMulOn(
-    const char* backend, int m, int k, int n, FusedActivation act) {
+/// Runs quantizedMatMul on the given backend; returns its values.
+std::vector<float> matMulOn(const char* backend, int m, int k, int n,
+                            FusedActivation act) {
   setBackend(backend);
-  std::pair<std::vector<float>, std::vector<float>> out;
+  std::vector<float> out;
   tidyVoid([&] {
     Tensor a = o::tensor(randomData(static_cast<std::size_t>(m) * k, 5),
                          Shape{m, k});
@@ -126,11 +127,7 @@ std::pair<std::vector<float>, std::vector<float>> matMulOn(
     Tensor bias = o::tensor(randomData(static_cast<std::size_t>(n), 9),
                             Shape{n});
     Tensor q = o::quantizePerChannel(w);
-    out.first = o::quantizedMatMul(a, q, bias, act).dataSync();
-    const OutQuant oq{0.05f, 3};
-    Tensor y8 = o::quantizedMatMul(a, q, bias, act, &oq);
-    EXPECT_EQ(y8.dtype(), DType::i8);
-    out.second = y8.dataSync();
+    out = o::quantizedMatMul(a, q, bias, act).dataSync();
   });
   return out;
 }
@@ -141,24 +138,21 @@ TEST_F(QuantTest, RefNativeMatMulParityOddK) {
   for (int k : {1, 13, 17, 67}) {
     const auto ref = matMulOn("cpu", 3, k, 21, FusedActivation::kRelu);
     const auto nat = matMulOn("native", 3, k, 21, FusedActivation::kRelu);
-    expectBitwiseEqual(ref.first, nat.first);
-    expectBitwiseEqual(ref.second, nat.second);
+    expectBitwiseEqual(ref, nat);
   }
 }
 
 TEST_F(QuantTest, RefNativeMatMulParityWiderThanPanels) {
   const auto ref = matMulOn("cpu", 5, 40, 50, FusedActivation::kNone);
   const auto nat = matMulOn("native", 5, 40, 50, FusedActivation::kNone);
-  expectBitwiseEqual(ref.first, nat.first);
-  expectBitwiseEqual(ref.second, nat.second);
+  expectBitwiseEqual(ref, nat);
 }
 
 /// Conv analogue of matMulOn: NHWC input against a quantized HWIO filter.
-std::pair<std::vector<float>, std::vector<float>> convOn(
-    const char* backend, int size, int inC, int outC, int kernel, int stride,
-    PadMode pad) {
+std::vector<float> convOn(const char* backend, int size, int inC, int outC,
+                          int kernel, int stride, PadMode pad) {
   setBackend(backend);
-  std::pair<std::vector<float>, std::vector<float>> out;
+  std::vector<float> out;
   tidyVoid([&] {
     const std::size_t xN = static_cast<std::size_t>(size) * size * inC;
     const std::size_t fN =
@@ -169,14 +163,9 @@ std::pair<std::vector<float>, std::vector<float>> convOn(
     Tensor bias = o::tensor(randomData(static_cast<std::size_t>(outC), 25),
                             Shape{outC});
     Tensor q = o::quantizePerChannel(f);
-    out.first = o::quantizedConv2d(x, q, bias, FusedActivation::kRelu6,
-                                   stride, stride, pad)
-                    .dataSync();
-    const OutQuant oq{0.04f, -5};
-    Tensor y8 = o::quantizedConv2d(x, q, bias, FusedActivation::kRelu6,
-                                   stride, stride, pad, 1, 1, &oq);
-    EXPECT_EQ(y8.dtype(), DType::i8);
-    out.second = y8.dataSync();
+    out = o::quantizedConv2d(x, q, bias, FusedActivation::kRelu6, stride,
+                             stride, pad)
+              .dataSync();
   });
   return out;
 }
@@ -186,16 +175,14 @@ TEST_F(QuantTest, RefNativeConvParity3x3Strided) {
   // point; 9x9 spatial does not divide the parallel chunking evenly.
   const auto ref = convOn("cpu", 9, 6, 8, 3, 2, PadMode::kSame);
   const auto nat = convOn("native", 9, 6, 8, 3, 2, PadMode::kSame);
-  expectBitwiseEqual(ref.first, nat.first);
-  expectBitwiseEqual(ref.second, nat.second);
+  expectBitwiseEqual(ref, nat);
 }
 
 TEST_F(QuantTest, RefNativeConvParity1x1) {
   // 1x1 stride-1 exercises the native backend's im2col-free fast path.
   const auto ref = convOn("cpu", 7, 5, 19, 1, 1, PadMode::kValid);
   const auto nat = convOn("native", 7, 5, 19, 1, 1, PadMode::kValid);
-  expectBitwiseEqual(ref.first, nat.first);
-  expectBitwiseEqual(ref.second, nat.second);
+  expectBitwiseEqual(ref, nat);
 }
 
 // ------------------------------------------------------------ approximation
@@ -266,8 +253,8 @@ TEST_F(QuantTest, NaNActivationFallsBackToF32) {
 // the accumulators. These sweeps call both backends directly and memcmp the
 // results over rows 1..2*MR+1 (MR is 6 on VNNI), n around the panel and tile
 // widths, k around the 4-byte quad packing, and k*n >= 2^18 (the layer sizes
-// that used to run one row per chunk), for every activation with and without
-// requantization, at 1 and 4 threads.
+// that used to run one row per chunk), for every activation, at 1 and 4
+// threads.
 
 constexpr int kSweepRows = 13;
 constexpr int kSweepNs[] = {1, 15, 16, 17, 63, 64, 65, 1000};
@@ -295,29 +282,24 @@ class QuantTileParityTest : public ::testing::Test {
   }
 
   /// Runs `run(backend, operands)` on the reference backend once and on the
-  /// native backend at 1 and 4 threads, for every activation with and
-  /// without an OutQuant, and memcmps each native result against ref.
+  /// native backend at 1 and 4 threads, for every activation, and memcmps
+  /// each native result against ref.
   template <typename Run>
   void sweepEpilogues(const std::string& what, Run&& run) {
-    const OutQuant oq{0.03f, -4};
     for (const FusedActivation act : kSweepActs) {
-      for (const OutQuant* outQ : {static_cast<const OutQuant*>(nullptr),
-                                   &oq}) {
-        const DataId r = run(ref_, false, act, outQ);
-        const std::vector<float> want = ref_.read(r);
-        ref_.disposeData(r);
-        for (const int threads : {1, 4}) {
-          core::ThreadPool::get().setNumThreads(threads);
-          const DataId nid = run(native_, true, act, outQ);
-          const std::vector<float> got = native_.read(nid);
-          native_.disposeData(nid);
-          ASSERT_EQ(got.size(), want.size()) << what;
-          ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
-                                   got.size() * sizeof(float)))
-              << what << " act=" << static_cast<int>(act)
-              << (outQ != nullptr ? " requantized" : "")
-              << " threads=" << threads;
-        }
+      const DataId r = run(ref_, false, act);
+      const std::vector<float> want = ref_.read(r);
+      ref_.disposeData(r);
+      for (const int threads : {1, 4}) {
+        core::ThreadPool::get().setNumThreads(threads);
+        const DataId nid = run(native_, true, act);
+        const std::vector<float> got = native_.read(nid);
+        native_.disposeData(nid);
+        ASSERT_EQ(got.size(), want.size()) << what;
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 got.size() * sizeof(float)))
+            << what << " act=" << static_cast<int>(act)
+            << " threads=" << threads;
       }
     }
   }
@@ -383,12 +365,10 @@ TEST_F(QuantTileParityTest, MatMulMatchesRefAcrossTileEdges) {
             "quantizedMatMul rows=" + std::to_string(rows) +
                 " k=" + std::to_string(k) + " n=" + std::to_string(n) +
                 (withBias ? " bias" : ""),
-            [&](Backend& be, bool nat, FusedActivation act,
-                const OutQuant* outQ) {
+            [&](Backend& be, bool nat, FusedActivation act) {
               return be.quantizedMatMul(
                   nat ? a.nat : a.ref, nat ? w.nat : w.ref, wq,
-                  withBias ? (nat ? &bias.nat : &bias.ref) : nullptr, act,
-                  outQ);
+                  withBias ? (nat ? &bias.nat : &bias.ref) : nullptr, act);
             });
         dispose(a);
         if (HasFailure()) return;
@@ -434,12 +414,10 @@ TEST_F(QuantTileParityTest, ConvMatchesRefAcrossTileEdges) {
             "quantizedConv2d x=" + xShape.toString() +
                 " f=" + fShape.toString() + " stride=" +
                 std::to_string(stride) + (withBias ? " bias" : ""),
-            [&](Backend& be, bool nat, FusedActivation act,
-                const OutQuant* outQ) {
+            [&](Backend& be, bool nat, FusedActivation act) {
               return be.quantizedConv2d(
                   nat ? x.nat : x.ref, nat ? f.nat : f.ref, ci, wq,
-                  withBias ? (nat ? &bias.nat : &bias.ref) : nullptr, act,
-                  outQ);
+                  withBias ? (nat ? &bias.nat : &bias.ref) : nullptr, act);
             });
         dispose(x);
         if (HasFailure()) return;
@@ -449,6 +427,82 @@ TEST_F(QuantTileParityTest, ConvMatchesRefAcrossTileEdges) {
     }
   }
 }
+
+// ------------------------------------------------------ webgl-sim kernels
+//
+// webgl-sim has no int8 shader: its quantized kernels dequantize the codes
+// on the device with the region shaders ops::dequantize dispatches, then
+// run the fused f32 shader — bitwise fusedMatMul/fusedConv2d on
+// dequantize(q), fp16 texture rounding and unpacked layouts included.
+
+void ensureWebglVariantsRegistered() {
+  static const bool once = [] {
+    backends::webgl::WebGLOptions fp16;
+    fp16.precision = backends::webgl::TexPrecision::fp16;
+    backends::webgl::registerBackendVariant("webgl-fp16", fp16);
+    backends::webgl::WebGLOptions unpacked;
+    unpacked.packed = false;
+    backends::webgl::registerBackendVariant("webgl-unpacked", unpacked);
+    return true;
+  }();
+  (void)once;
+}
+
+class QuantWebglTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    ensureWebglVariantsRegistered();
+    setBackend(GetParam());
+  }
+};
+
+/// The int8 weight encodings the kernels must dequantize: symmetric and
+/// asymmetric per channel (last axis), and per tensor with a zero point.
+std::vector<Tensor> int8Encodings(const Tensor& w) {
+  Tensor perChannel = o::quantizePerChannel(w);
+  Tensor asymmetric = o::tensor(perChannel.dataSync(), w.shape(), DType::i8);
+  auto qp = std::make_shared<QuantParams>(*perChannel.quantParams());
+  for (std::size_t c = 0; c < qp->zeroPoint.size(); ++c) {
+    qp->zeroPoint[c] = static_cast<std::int32_t>(c % 5) - 2;
+  }
+  asymmetric.setQuantParams(std::move(qp));
+  return {perChannel, asymmetric, o::quantize(w, 0.01f, 5)};
+}
+
+TEST_P(QuantWebglTest, QuantizedKernelsEqualFusedOnDequantizedWeights) {
+  tidyVoid([] {
+    Tensor a = o::tensor(randomData(5 * 12, 71), Shape{5, 12});
+    Tensor w = o::tensor(randomData(12 * 6, 73), Shape{12, 6});
+    Tensor x = o::tensor(randomData(7 * 7 * 4, 75), Shape{1, 7, 7, 4});
+    Tensor f = o::tensor(randomData(3 * 3 * 4 * 6, 77), Shape{3, 3, 4, 6});
+    Tensor bias = o::tensor(randomData(6, 79), Shape{6});
+    const std::vector<Tensor> ws = int8Encodings(w);
+    const std::vector<Tensor> fs = int8Encodings(f);
+    for (std::size_t e = 0; e < ws.size(); ++e) {
+      Tensor wf = o::dequantize(ws[e]);
+      Tensor ff = o::dequantize(fs[e]);
+      for (const Tensor& b : {Tensor(), bias}) {
+        for (const FusedActivation act : kSweepActs) {
+          SCOPED_TRACE("encoding " + std::to_string(e) + " act " +
+                       std::to_string(static_cast<int>(act)) +
+                       (b.defined() ? " bias" : ""));
+          expectBitwiseEqual(
+              o::quantizedMatMul(a, ws[e], b, act).dataSync(),
+              o::fusedMatMul(a, wf, b, act).dataSync());
+          expectBitwiseEqual(
+              o::quantizedConv2d(x, fs[e], b, act, 2, 2, PadMode::kSame)
+                  .dataSync(),
+              o::fusedConv2d(x, ff, b, act, 2, 2, PadMode::kSame)
+                  .dataSync());
+        }
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Webgl, QuantWebglTest,
+                         ::testing::Values("webgl", "webgl-fp16",
+                                           "webgl-unpacked"));
 
 // --------------------------------------------------------------- routing
 

@@ -188,37 +188,6 @@ TEST(ServingTest, BatchedOutputsBitIdenticalToUnbatched) {
   }
 }
 
-TEST(ServingTest, PaddedBatchesStayBitIdentical) {
-  ServerOptions opts;
-  opts.backend = "native";
-  opts.maxBatch = 8;
-  opts.batchDelayMs = 50;
-  opts.padToPowerOfTwo = true;
-  InferenceServer server(makeMlp(), opts);
-  auto session = server.createSession();
-
-  // 3 requests -> padded to a 4-row forward pass.
-  std::vector<std::vector<float>> inputs;
-  std::vector<std::future<InferenceResult>> futures;
-  for (int i = 0; i < 3; ++i) {
-    inputs.push_back(randomInput(4, 200 + static_cast<std::uint32_t>(i)));
-    futures.push_back(session->infer(inputs.back(), Shape{4}));
-  }
-  std::vector<InferenceResult> results;
-  for (auto& f : futures) results.push_back(f.get());
-  server.stop();
-
-  setBackend("native");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].values,
-              directPredict(server.model(), inputs[i], Shape{4}));
-    if (results[i].batchSize == 3) {
-      EXPECT_EQ(results[i].batchPadding, 1);
-    }
-  }
-  EXPECT_GE(server.stats().paddedRows, 0u);
-}
-
 TEST(ServingTest, TwoSessionsShareWeightsBitIdenticalToSequential) {
   models::MobileNetOptions mopts;
   mopts.alpha = 0.25f;

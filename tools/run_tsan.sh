@@ -33,7 +33,10 @@
 # graph_executor_test run on the ASan leg: every captured elementwise node
 # whose first input dies there (standalone or fused) replays in place,
 # handing that input's buffer to the region kernel as its destination.
-# After each leg's ctest, an
+# fusion_test, graph_test and graph_executor_test also run on the UBSan leg:
+# producer nodes carry their epilogue as {act, hasBias} attrs that replay
+# casts back into FusedActivation and PadMode, which the sanitizer's enum
+# check watches. After each leg's ctest, an
 # extended fixed-seed fuzzer block replays the same seed set on that leg
 # (both fuzz modes — general DAGs and elementwise-chain-heavy), so any
 # divergence or sanitizer report reproduces bit-for-bit on every leg.
@@ -74,7 +77,8 @@ extended_fuzz build-asan
 
 cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined
 cmake --build build-ubsan -j --target quant_test native_parity_test \
-  native_gemm_test serving_test graph_fuzz_test
+  native_gemm_test serving_test graph_fuzz_test fusion_test graph_test \
+  graph_executor_test
 ctest --test-dir build-ubsan --output-on-failure \
-  -R 'quant_test|native_parity_test|native_gemm_test|serving_test|graph_fuzz_test'
+  -R 'quant_test|native_parity_test|native_gemm_test|serving_test|graph_fuzz_test|fusion_test|graph_test|graph_executor_test'
 extended_fuzz build-ubsan

@@ -772,113 +772,104 @@ DataId RefBackend::arg(ArgOp op, const TensorSpec& x, std::size_t outer,
   return store(std::move(out));
 }
 
-DataId RefBackend::transpose(const TensorSpec& x, std::span<const int> perm,
-                             const Shape& outShape) {
-  KernelTimer t(kernelMs_);
-  const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(outShape.size());
-  const int rank = outShape.rank();
-  if (out.empty()) return store(std::move(out));
-  if (rank == 0) {
-    out[0] = xv[0];
-    return store(std::move(out));
-  }
-  // Output axis d walks input axis perm[d]: its input stride is that axis's
-  // row-major stride. An odometer over the outer output axes carries the
-  // input offset along, and the innermost axis is one strided run — no
-  // per-element index decoding.
-  std::vector<std::size_t> inStride(static_cast<std::size_t>(rank));
-  std::size_t s = 1;
-  for (int d = rank - 1; d >= 0; --d) {
-    inStride[static_cast<std::size_t>(d)] = s;
-    s *= static_cast<std::size_t>(x.shape[d]);
-  }
-  std::vector<std::size_t> stride(static_cast<std::size_t>(rank));
-  for (int d = 0; d < rank; ++d) {
-    stride[static_cast<std::size_t>(d)] =
-        inStride[static_cast<std::size_t>(perm[static_cast<std::size_t>(d)])];
-  }
-  const int last = rank - 1;
-  const std::size_t runLen = static_cast<std::size_t>(outShape[last]);
-  const std::size_t runStep = stride[static_cast<std::size_t>(last)];
-  std::vector<int> coord(static_cast<std::size_t>(last), 0);
-  std::size_t src = 0;
-  for (std::size_t i = 0; i < out.size(); i += runLen) {
-    const float* run = xv.data() + src;
-    for (std::size_t j = 0; j < runLen; ++j) out[i + j] = run[j * runStep];
-    for (int d = last - 1; d >= 0; --d) {
-      const auto du = static_cast<std::size_t>(d);
-      src += stride[du];
-      if (++coord[du] < outShape[d]) break;
-      src -= stride[du] * static_cast<std::size_t>(outShape[d]);
-      coord[du] = 0;
-    }
-  }
-  return store(std::move(out));
-}
+namespace {
+/// One axis of a copyStrided piece as the odometer walks it: `len` output
+/// elements `outStride` apart, reading input coordinates from `start` by
+/// `step` (wrapping at `wrap`) `inStride` apart; now at `pos`, element `count`.
+struct CopyWalk {
+  std::ptrdiff_t len, wrap, start, step, inStride, outStride, pos, count;
+};
+}  // namespace
 
-DataId RefBackend::slice(const TensorSpec& x, std::span<const int> begin,
-                         const Shape& outShape) {
+DataId RefBackend::copyStrided(std::span<const TensorSpec> inputs,
+                               std::span<const CopyAxis> axes,
+                               const Shape& outShape, float fillValue) {
   KernelTimer t(kernelMs_);
-  const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(outShape.size());
-  const int rank = outShape.rank();
-  std::vector<int> coords(static_cast<std::size_t>(rank));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    util::unravelIndex(i, outShape, coords);
-    std::vector<int> src(coords.begin(), coords.end());
-    for (int d = 0; d < rank; ++d) {
-      src[static_cast<std::size_t>(d)] += begin[static_cast<std::size_t>(d)];
-    }
-    out[i] = xv[util::ravelIndex(src, x.shape)];
+  const std::vector<int>& outDims = outShape.dims();
+  const std::size_t rank = outDims.size();
+  std::size_t covered = 0;
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    std::size_t box = 1;
+    for (const CopyAxis& a : axes.subspan(j * rank, rank)) box *= a.extent;
+    covered += box;
   }
-  return store(std::move(out));
-}
-
-DataId RefBackend::concat(std::span<const TensorSpec> xs, int axis,
-                          const Shape& outShape) {
-  KernelTimer t(kernelMs_);
-  // View each input as [outer, innerI]; outputs interleave the inner blocks.
-  std::size_t outer = 1;
-  for (int d = 0; d < axis; ++d) outer *= static_cast<std::size_t>(outShape[d]);
-  std::vector<float> out = allocBuffer(outShape.size());
-  std::vector<std::size_t> inners(xs.size());
-  std::size_t innerTotal = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    std::size_t inner = 1;
-    for (int d = axis; d < xs[i].shape.rank(); ++d) {
-      inner *= static_cast<std::size_t>(xs[i].shape[d]);
+  std::vector<float> out = covered == outShape.size()
+                               ? allocBuffer(outShape.size())
+                               : allocFilled(outShape.size(), fillValue);
+  std::vector<CopyWalk> walks;  // innermost first
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    const std::vector<int>& inDims = inputs[j].shape.dims();
+    // Unit axes only move the base offsets. An axis merges into the walk
+    // inside it when that walk is whole, runs the same way and stays
+    // contiguous on both sides, so a concat or a row slice is one run.
+    walks.clear();
+    std::ptrdiff_t src = 0, dst = 0, outStride = 1, volume = 1;
+    for (std::size_t d = rank; d-- > 0;) {
+      const CopyAxis& a = axes[j * rank + d];
+      const auto inAxis = static_cast<std::size_t>(a.inAxis);
+      std::ptrdiff_t inStride = 1;
+      for (std::size_t i = inAxis + 1; i < inDims.size(); ++i) {
+        inStride *= inDims[i];
+      }
+      const CopyWalk w{a.extent, inDims[inAxis], a.start, a.step,
+                       inStride, outStride, a.start, 0};
+      outStride *= outDims[d];
+      src += w.start * w.inStride;
+      dst += a.offset * w.outStride;
+      volume *= w.len;
+      CopyWalk* i = walks.empty() ? nullptr : &walks.back();
+      if (w.len == 1) continue;
+      if (i && i->len == i->wrap && i->step == w.step &&
+                 i->start == (i->step > 0 ? 0 : i->wrap - 1) &&
+                 w.inStride == i->inStride * i->wrap &&
+                 w.outStride == i->outStride * i->len) {
+        const std::ptrdiff_t start = w.start * i->wrap + i->start;
+        *i = {w.len * i->len, w.wrap * i->wrap, start, w.step, i->inStride,
+              i->outStride, start, 0};
+      } else {
+        walks.push_back(w);
+      }
     }
-    inners[i] = inner;
-    innerTotal += inner;
-  }
-  for (std::size_t o = 0; o < outer; ++o) {
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const auto& xv = buf(xs[i].id);
-      std::copy_n(xv.data() + o * inners[i], inners[i],
-                  out.data() + o * innerTotal + offset);
-      offset += inners[i];
+    if (volume == 0) continue;
+    if (walks.empty()) walks.push_back({1, 1, 0, 1, 1, 1, 0, 0});
+    const float* in = buf(inputs[j].id).data();
+    const CopyWalk& inner = walks.front();
+    for (std::size_t i = 0; i != walks.size();) {
+      // The innermost walk, as runs between its wraps.
+      std::ptrdiff_t o = dst;
+      for (std::ptrdiff_t left = inner.len, c = inner.start; left > 0;
+           c = inner.step > 0 ? 0 : inner.wrap - 1) {
+        const std::ptrdiff_t run =
+            std::min(left, inner.step > 0 ? inner.wrap - c : c + 1);
+        const float* r = in + src + (c - inner.start) * inner.inStride;
+        if (inner.step * inner.inStride == 1 && inner.outStride == 1) {
+          std::copy_n(r, run, out.data() + o);
+        } else {
+          for (std::ptrdiff_t e = 0; e < run; ++e) {
+            out[static_cast<std::size_t>(o + e * inner.outStride)] =
+                r[e * inner.step * inner.inStride];
+          }
+        }
+        o += run * inner.outStride;
+        left -= run;
+      }
+      // The odometer over the outer walks carries both offsets along.
+      for (i = 1; i < walks.size(); ++i) {
+        CopyWalk& w = walks[i];
+        std::ptrdiff_t next = w.start;
+        if (++w.count < w.len) {
+          next = w.pos + w.step;
+          next = next == w.wrap ? 0 : next < 0 ? w.wrap - 1 : next;
+          dst += w.outStride;
+        } else {
+          w.count = 0;
+          dst -= (w.len - 1) * w.outStride;
+        }
+        src += (next - w.pos) * w.inStride;
+        w.pos = next;
+        if (w.count != 0) break;
+      }
     }
-  }
-  return store(std::move(out));
-}
-
-DataId RefBackend::pad(const TensorSpec& x,
-                       std::span<const std::pair<int, int>> paddings,
-                       float constantValue, const Shape& outShape) {
-  KernelTimer t(kernelMs_);
-  const auto& xv = buf(x.id);
-  std::vector<float> out = allocFilled(outShape.size(), constantValue);
-  const int rank = outShape.rank();
-  std::vector<int> coords(static_cast<std::size_t>(rank));
-  for (std::size_t i = 0; i < xv.size(); ++i) {
-    util::unravelIndex(i, x.shape, coords);
-    for (int d = 0; d < rank; ++d) {
-      coords[static_cast<std::size_t>(d)] +=
-          paddings[static_cast<std::size_t>(d)].first;
-    }
-    out[util::ravelIndex(coords, outShape)] = xv[i];
   }
   return store(std::move(out));
 }
@@ -905,47 +896,6 @@ DataId RefBackend::gather(const TensorSpec& x, const TensorSpec& indices,
       std::copy_n(xv.data() + (o * axisDim + idx) * inner, inner,
                   out.data() + (o * iv.size() + j) * inner);
     }
-  }
-  return store(std::move(out));
-}
-
-DataId RefBackend::tile(const TensorSpec& x, std::span<const int> reps,
-                        const Shape& outShape) {
-  KernelTimer t(kernelMs_);
-  const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(outShape.size());
-  const int rank = outShape.rank();
-  std::vector<int> coords(static_cast<std::size_t>(rank));
-  std::vector<int> src(static_cast<std::size_t>(rank));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    util::unravelIndex(i, outShape, coords);
-    for (int d = 0; d < rank; ++d) {
-      src[static_cast<std::size_t>(d)] =
-          coords[static_cast<std::size_t>(d)] % x.shape[d];
-    }
-    out[i] = xv[util::ravelIndex(src, x.shape)];
-  }
-  (void)reps;
-  return store(std::move(out));
-}
-
-DataId RefBackend::reverse(const TensorSpec& x, std::span<const int> axes) {
-  KernelTimer t(kernelMs_);
-  const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(xv.size());
-  const int rank = x.shape.rank();
-  std::vector<int> coords(static_cast<std::size_t>(rank));
-  std::vector<bool> flip(static_cast<std::size_t>(rank), false);
-  for (int a : axes) flip[static_cast<std::size_t>(a)] = true;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    util::unravelIndex(i, x.shape, coords);
-    for (int d = 0; d < rank; ++d) {
-      if (flip[static_cast<std::size_t>(d)]) {
-        coords[static_cast<std::size_t>(d)] =
-            x.shape[d] - 1 - coords[static_cast<std::size_t>(d)];
-      }
-    }
-    out[util::ravelIndex(coords, x.shape)] = xv[i];
   }
   return store(std::move(out));
 }
@@ -1011,11 +961,6 @@ DataId RefBackend::oneHot(const TensorSpec& indices, int depth, float onValue,
     }
   }
   return store(std::move(out));
-}
-
-DataId RefBackend::fill(std::size_t n, float value) {
-  KernelTimer t(kernelMs_);
-  return store(allocFilled(n, value));
 }
 
 namespace {

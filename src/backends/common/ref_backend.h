@@ -92,25 +92,17 @@ class RefBackend : public Backend {
                 std::size_t inner) override;
   DataId arg(ArgOp op, const TensorSpec& x, std::size_t outer,
              std::size_t inner) override;
-  DataId transpose(const TensorSpec& x, std::span<const int> perm,
-                   const Shape& outShape) override;
-  DataId slice(const TensorSpec& x, std::span<const int> begin,
-               const Shape& outShape) override;
-  DataId concat(std::span<const TensorSpec> xs, int axis,
-                const Shape& outShape) override;
-  DataId pad(const TensorSpec& x,
-             std::span<const std::pair<int, int>> paddings,
-             float constantValue, const Shape& outShape) override;
   DataId gather(const TensorSpec& x, const TensorSpec& indices, int axis,
                 const Shape& outShape) override;
-  DataId tile(const TensorSpec& x, std::span<const int> reps,
-              const Shape& outShape) override;
-  DataId reverse(const TensorSpec& x, std::span<const int> axes) override;
   DataId resizeBilinear(const TensorSpec& x, int newH, int newW,
                         bool alignCorners) override;
   DataId oneHot(const TensorSpec& indices, int depth, float onValue,
                 float offValue) override;
-  DataId fill(std::size_t n, float value) override;
+  /// An odometer over each piece's merged axes; the innermost one is copied
+  /// as runs between wraps, with copy_n where it reads forward at stride 1.
+  DataId copyStrided(std::span<const TensorSpec> inputs,
+                     std::span<const CopyAxis> axes, const Shape& outShape,
+                     float fillValue) override;
   DataId topkValues(const TensorSpec& x, std::size_t outer, std::size_t inner,
                     int k) override;
   DataId topkIndices(const TensorSpec& x, std::size_t outer,

@@ -790,132 +790,60 @@ DataId WebGLBackend::arg(ArgOp op, const TensorSpec& x, std::size_t outer,
   return id;
 }
 
-DataId WebGLBackend::transpose(const TensorSpec& x, std::span<const int> perm,
-                               const Shape& outShape) {
+DataId WebGLBackend::copyStrided(std::span<const TensorSpec> inputs,
+                                 std::span<const CopyAxis> axes,
+                                 const Shape& outShape, float fillValue) {
   auto [id, outTex] = makeOutput(outShape);
   ShaderRun r;
-  r.name = "transpose";
+  r.name = "copyStrided";
   r.outputShape = outShape;
   r.output = outTex;
-  r.inputs = {input(x)};
   r.squeeze = opts_.squeeze;
-  const std::vector<int> p(perm.begin(), perm.end());
-  const int rank = outShape.rank();
-  r.main = [p, rank](ShaderContext& ctx) {
-    std::array<int, 8> inCoords{};
-    for (int d = 0; d < rank; ++d) {
-      inCoords[static_cast<std::size_t>(p[static_cast<std::size_t>(d)])] =
-          ctx.coord(d);
+  const std::size_t rank = static_cast<std::size_t>(outShape.rank());
+  std::vector<int> wraps;  // the input extent each box axis wraps at
+  std::size_t covered = 0;
+  int fetchOps = 0;
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    r.inputs.push_back(input(inputs[j]));
+    std::size_t box = 1;
+    for (const CopyAxis& a : axes.subspan(j * rank, rank)) {
+      wraps.push_back(inputs[j].shape[a.inAxis]);
+      box *= a.extent;
     }
-    ctx.setOutput(ctx.get(
-        0, std::span<const int>(inCoords.data(),
-                                static_cast<std::size_t>(rank))));
-  };
-  r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 1;
-  r.cost.flopsPerInvocation = idxOps(x.shape);
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::slice(const TensorSpec& x, std::span<const int> begin,
-                           const Shape& outShape) {
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "slice";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.inputs = {input(x)};
-  r.squeeze = opts_.squeeze;
-  const std::vector<int> b(begin.begin(), begin.end());
-  const int rank = outShape.rank();
-  r.main = [b, rank](ShaderContext& ctx) {
-    std::array<int, 8> c{};
-    for (int d = 0; d < rank; ++d) {
-      c[static_cast<std::size_t>(d)] =
-          ctx.coord(d) + b[static_cast<std::size_t>(d)];
-    }
-    ctx.setOutput(ctx.get(
-        0, std::span<const int>(c.data(), static_cast<std::size_t>(rank))));
-  };
-  r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 1;
-  r.cost.flopsPerInvocation = idxOps(x.shape);
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::concat(std::span<const TensorSpec> xs, int axis,
-                            const Shape& outShape) {
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "concat";
-  r.outputShape = outShape;
-  r.output = outTex;
-  std::vector<int> axisOffsets;
-  int offset = 0;
-  for (const auto& spec : xs) {
-    r.inputs.push_back(input(spec));
-    axisOffsets.push_back(offset);
-    offset += spec.shape[axis];
+    covered += box;
+    fetchOps = std::max(fetchOps, idxOps(inputs[j].shape));
   }
-  r.squeeze = opts_.squeeze;
-  const int rank = outShape.rank();
-  const int nInputs = static_cast<int>(xs.size());
-  r.main = [axisOffsets, axis, rank, nInputs](ShaderContext& ctx) {
-    const int pos = ctx.coord(axis);
-    int which = nInputs - 1;
-    for (int i = 1; i < nInputs; ++i) {
-      if (pos < axisOffsets[static_cast<std::size_t>(i)]) {
-        which = i - 1;
-        break;
+  r.main = [ax = std::vector<CopyAxis>(axes.begin(), axes.end()), wraps, rank,
+            pieces = inputs.size(), fillValue](ShaderContext& ctx) {
+    std::array<int, 8> c{};
+    for (std::size_t j = 0; j < pieces; ++j) {
+      std::size_t d = 0;
+      for (; d < rank; ++d) {
+        const CopyAxis& a = ax[j * rank + d];
+        const int k = ctx.coord(static_cast<int>(d)) - a.offset;
+        if (k < 0 || k >= a.extent) break;
+        const int n = wraps[j * rank + d];
+        int v = a.start + a.step * k;
+        if (v < 0 || v >= n) v = (v % n + n) % n;  // a wrapping read (tile)
+        c[static_cast<std::size_t>(a.inAxis)] = v;
       }
-    }
-    std::array<int, 8> c{};
-    for (int d = 0; d < rank; ++d) c[static_cast<std::size_t>(d)] = ctx.coord(d);
-    c[static_cast<std::size_t>(axis)] -=
-        axisOffsets[static_cast<std::size_t>(which)];
-    ctx.setOutput(ctx.get(
-        which,
-        std::span<const int>(c.data(), static_cast<std::size_t>(rank))));
-  };
-  r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 1;
-  r.cost.flopsPerInvocation = idxOps(outShape) + nInputs;
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::pad(const TensorSpec& x,
-                         std::span<const std::pair<int, int>> paddings,
-                         float constantValue, const Shape& outShape) {
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "pad";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.inputs = {input(x)};
-  r.squeeze = opts_.squeeze;
-  const std::vector<std::pair<int, int>> pads(paddings.begin(),
-                                              paddings.end());
-  const Shape xShape = x.shape;
-  const int rank = outShape.rank();
-  r.main = [pads, xShape, constantValue, rank](ShaderContext& ctx) {
-    std::array<int, 8> c{};
-    for (int d = 0; d < rank; ++d) {
-      const int v = ctx.coord(d) - pads[static_cast<std::size_t>(d)].first;
-      if (v < 0 || v >= xShape[d]) {
-        ctx.setOutput(constantValue);
+      if (d == rank) {
+        ctx.setOutput(ctx.get(static_cast<int>(j), {c.data(), rank}));
         return;
       }
-      c[static_cast<std::size_t>(d)] = v;
     }
-    ctx.setOutput(ctx.get(
-        0, std::span<const int>(c.data(), static_cast<std::size_t>(rank))));
+    ctx.setOutput(fillValue);
   };
-  r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 1;
-  r.cost.flopsPerInvocation = idxOps(xShape) + rank;
+  // One sampler fetch per covered element, one compare per extra piece to
+  // pick its box, and a bounds test per axis when some elements take the
+  // fill value. With no pieces nothing is fetched and, like any elementwise
+  // program, four values are written per packed texel.
+  const auto pieces = static_cast<int>(inputs.size());
+  r.cost.invocations =
+      pieces == 0 ? elemInvocations(outShape.size()) : outShape.size();
+  r.cost.fetchesPerInvocation = std::min(pieces, 1);
+  r.cost.flopsPerInvocation = fetchOps + std::max(pieces - 1, 0) +
+                              (covered < outShape.size() ? rank : 0);
   run(std::move(r));
   return id;
 }
@@ -931,9 +859,7 @@ DataId WebGLBackend::gather(const TensorSpec& x, const TensorSpec& indices,
   r.squeeze = opts_.squeeze;
   const Shape xShape = x.shape;
   const int rank = xShape.rank();
-  const int nIndices = static_cast<int>(indices.shape.size());
-  r.main = [xShape, axis, rank, nIndices](ShaderContext& ctx) {
-    (void)nIndices;
+  r.main = [axis, rank](ShaderContext& ctx) {
     std::array<int, 8> c{};
     for (int d = 0; d < rank; ++d) c[static_cast<std::size_t>(d)] = ctx.coord(d);
     const auto idx = static_cast<int>(
@@ -949,68 +875,9 @@ DataId WebGLBackend::gather(const TensorSpec& x, const TensorSpec& indices,
   return id;
 }
 
-DataId WebGLBackend::tile(const TensorSpec& x, std::span<const int> reps,
-                          const Shape& outShape) {
-  (void)reps;
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "tile";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.inputs = {input(x)};
-  r.squeeze = opts_.squeeze;
-  const Shape xShape = x.shape;
-  const int rank = outShape.rank();
-  r.main = [xShape, rank](ShaderContext& ctx) {
-    std::array<int, 8> c{};
-    for (int d = 0; d < rank; ++d) {
-      c[static_cast<std::size_t>(d)] = ctx.coord(d) % xShape[d];
-    }
-    ctx.setOutput(ctx.get(
-        0, std::span<const int>(c.data(), static_cast<std::size_t>(rank))));
-  };
-  r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 1;
-  r.cost.flopsPerInvocation = idxOps(xShape) + rank;
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::reverse(const TensorSpec& x, std::span<const int> axes) {
-  const Shape outShape = x.shape;
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "reverse";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.inputs = {input(x)};
-  r.squeeze = opts_.squeeze;
-  const Shape xShape = x.shape;
-  const int rank = outShape.rank();
-  std::array<bool, 8> flip{};
-  for (int a : axes) flip[static_cast<std::size_t>(a)] = true;
-  r.main = [xShape, rank, flip](ShaderContext& ctx) {
-    std::array<int, 8> c{};
-    for (int d = 0; d < rank; ++d) {
-      c[static_cast<std::size_t>(d)] =
-          flip[static_cast<std::size_t>(d)] ? xShape[d] - 1 - ctx.coord(d)
-                                            : ctx.coord(d);
-    }
-    ctx.setOutput(ctx.get(
-        0, std::span<const int>(c.data(), static_cast<std::size_t>(rank))));
-  };
-  r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation = 1;
-  r.cost.flopsPerInvocation = idxOps(xShape) + rank;
-  run(std::move(r));
-  return id;
-}
-
 DataId WebGLBackend::resizeBilinear(const TensorSpec& x, int newH, int newW,
                                     bool alignCorners) {
-  const int batch = x.shape[0], inH = x.shape[1], inW = x.shape[2],
-            c = x.shape[3];
-  (void)batch;
+  const int inH = x.shape[1], inW = x.shape[2], c = x.shape[3];
   const Shape outShape{x.shape[0], newH, newW, c};
   auto [id, outTex] = makeOutput(outShape);
   ShaderRun r;
@@ -1074,22 +941,6 @@ DataId WebGLBackend::oneHot(const TensorSpec& indices, int depth,
   r.cost.invocations = outShape.size();
   r.cost.fetchesPerInvocation = 1;
   r.cost.flopsPerInvocation = 2;
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::fill(std::size_t n, float value) {
-  const Shape outShape{static_cast<int>(n)};
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "fill";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.squeeze = opts_.squeeze;
-  r.main = [value](ShaderContext& ctx) { ctx.setOutput(value); };
-  r.cost.invocations = elemInvocations(n);
-  r.cost.fetchesPerInvocation = 0;
-  r.cost.flopsPerInvocation = 1;
   run(std::move(r));
   return id;
 }

@@ -17,7 +17,6 @@
 #include <ostream>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/conv_util.h"
@@ -92,6 +91,20 @@ struct RegionInstr {
 struct RegionProgram {
   int numInputs = 0;
   std::vector<RegionInstr> instrs;
+};
+
+/// How one output axis of a Backend::copyStrided piece reads its input: the
+/// box covers output coordinates [offset, offset + extent) on this axis, and
+/// its k-th element reads input axis `inAxis` at coordinate
+/// (start + step * k) mod n, where n is that input axis's extent and
+/// 0 <= start < n — the wrap is what tiles. A piece's inAxis values are a
+/// permutation of its input's axes.
+struct CopyAxis {
+  int inAxis = 0;
+  int start = 0;
+  int step = 1;  ///< +1 or -1
+  int offset = 0;
+  int extent = 0;
 };
 
 enum class ReduceOp { kSum, kMean, kProd, kMax, kMin, kAny, kAll };
@@ -191,25 +204,12 @@ class Backend {
   /// Index of max/min over the trailing `inner` elements, as float values.
   virtual DataId arg(ArgOp op, const TensorSpec& x, std::size_t outer,
                      std::size_t inner) = 0;
-  virtual DataId transpose(const TensorSpec& x, std::span<const int> perm,
-                           const Shape& outShape) = 0;
-  virtual DataId slice(const TensorSpec& x, std::span<const int> begin,
-                       const Shape& outShape) = 0;
-  virtual DataId concat(std::span<const TensorSpec> xs, int axis,
-                        const Shape& outShape) = 0;
-  virtual DataId pad(const TensorSpec& x,
-                     std::span<const std::pair<int, int>> paddings,
-                     float constantValue, const Shape& outShape) = 0;
   virtual DataId gather(const TensorSpec& x, const TensorSpec& indices,
                         int axis, const Shape& outShape) = 0;
-  virtual DataId tile(const TensorSpec& x, std::span<const int> reps,
-                      const Shape& outShape) = 0;
-  virtual DataId reverse(const TensorSpec& x, std::span<const int> axes) = 0;
   virtual DataId resizeBilinear(const TensorSpec& x, int newH, int newW,
                                 bool alignCorners) = 0;
   virtual DataId oneHot(const TensorSpec& indices, int depth, float onValue,
                         float offValue) = 0;
-  virtual DataId fill(std::size_t n, float value) = 0;
   /// Top-k values (sorted descending) of each trailing `inner` segment of x
   /// viewed as [outer, inner]; output is [outer, k].
   virtual DataId topkValues(const TensorSpec& x, std::size_t outer,
@@ -220,6 +220,15 @@ class Backend {
   /// Prefix sum along the trailing `inner` dimension of [outer, inner].
   virtual DataId cumsum(const TensorSpec& x, std::size_t outer,
                         std::size_t inner, bool exclusive, bool reverse) = 0;
+
+  /// The one data-movement kernel. Builds `outShape` from pieces: input j
+  /// is piece j, and `axes[j * rank + d]` (rank = outShape.rank()) says how
+  /// output axis d of its box reads it. Output elements no box covers take
+  /// `fillValue`; boxes never overlap. transpose, slice, concat, pad, tile,
+  /// reverse and fill are all this kernel (a fill has no pieces).
+  virtual DataId copyStrided(std::span<const TensorSpec> inputs,
+                             std::span<const CopyAxis> axes,
+                             const Shape& outShape, float fillValue) = 0;
 
   /// The one elementwise kernel: evaluates a straight-line program of
   /// unary/binary/select instructions in a single pass over the output —

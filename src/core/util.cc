@@ -50,16 +50,6 @@ void unravelIndex(std::size_t flat, const Shape& shape,
   }
 }
 
-std::size_t ravelIndex(std::span<const int> coords, const Shape& shape) {
-  TFJS_CHECK(static_cast<int>(coords.size()) == shape.rank());
-  std::size_t flat = 0;
-  for (int i = 0; i < shape.rank(); ++i) {
-    flat = flat * static_cast<std::size_t>(shape[i]) +
-           static_cast<std::size_t>(coords[static_cast<std::size_t>(i)]);
-  }
-  return flat;
-}
-
 std::size_t broadcastIndex(std::span<const int> outCoords,
                            const Shape& inShape, const Shape& outShape) {
   const int pad = outShape.rank() - inShape.rank();

@@ -24,9 +24,6 @@ std::vector<int> broadcastedAxes(const Shape& inShape, const Shape& outShape);
 /// Converts a flat row-major index into per-axis coordinates.
 void unravelIndex(std::size_t flat, const Shape& shape, std::span<int> coords);
 
-/// Converts per-axis coordinates into a flat row-major index.
-std::size_t ravelIndex(std::span<const int> coords, const Shape& shape);
-
 /// Flat index into `inShape` for the element that broadcasting maps to the
 /// given coordinates of the (larger) broadcast result.
 std::size_t broadcastIndex(std::span<const int> outCoords, const Shape& inShape,

@@ -77,9 +77,9 @@ inline void observeOp(OpId id, std::initializer_list<Tensor> inputs,
 /// relaxed atomic load) so Engine::notifyKernel can emit an "op" span
 /// covering input preparation + backend dispatch.
 ///
-///   KernelScope k("transpose");
-///   const DataId id = E().backend().transpose(...);
-///   return k.wrap(id, outShape, x.dtype());
+///   KernelScope k("oneHot");
+///   const DataId id = E().backend().oneHot(...);
+///   return k.wrap(id, outShape, DType::f32);
 ///
 /// Composite ops that build their output from sub-ops use notify(y) instead
 /// of wrap(); the sub-ops' own spans are recorded too, so profile() reports
@@ -144,6 +144,13 @@ Tensor elementwiseKernel(const char* name, std::span<const RegionInstr> program,
 Tensor tryRegionInPlace(const char* name, std::span<const RegionInstr> program,
                         std::span<const Tensor> inputs, const Shape& outShape,
                         DType outDtype);
+
+/// The one data-movement dispatch (transpose, slice, concat, pad, tile,
+/// reverse, fill): Backend::copyStrided over `xs` as its pieces under the op
+/// span `name`. The caller records capture and gradients.
+Tensor copyKernel(const char* name, std::span<const Tensor> xs,
+                  std::span<const CopyAxis> axes, const Shape& outShape,
+                  DType dtype, float fillValue = 0);
 
 /// Normalizes a rank-2 tensor to rank-3 with batch 1 (alias, free).
 inline Tensor to3d(const Tensor& t) {
@@ -221,13 +228,17 @@ inline bool watched(const Tensor& t) {
 
 /// Records a pullback onto the active tape when gradients are being traced
 /// through any of the inputs.
-inline void record(const char* name, std::initializer_list<Tensor> inputs,
+inline void record(const char* name, std::span<const Tensor> inputs,
                    const Tensor& output, GradFunc grad) {
   TapeRecorder* tape = E().tape();
-  if (tape == nullptr) return;
-  std::vector<Tensor> ins(inputs);
-  if (!tape->watched(ins)) return;
-  tape->record(name, ins, output, std::move(grad));
+  if (tape != nullptr && tape->watched(inputs)) {
+    tape->record(name, inputs, output, std::move(grad));
+  }
+}
+inline void record(const char* name, std::initializer_list<Tensor> inputs,
+                   const Tensor& output, GradFunc grad) {
+  record(name, std::span<const Tensor>(inputs.begin(), inputs.size()), output,
+         std::move(grad));
 }
 
 /// Sums `dy` over the axes that broadcasting expanded, then reshapes to

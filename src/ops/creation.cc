@@ -42,9 +42,8 @@ Tensor scalar(float value, DType dtype) {
 }
 
 Tensor fill(const Shape& shape, float value, DType dtype) {
-  internal::KernelScope k("fill");
-  const DataId id = E().backend().fill(shape.size(), value);
-  return k.wrap(id, shape, dtype);
+  // A copy with no pieces: every element takes the fill value.
+  return internal::copyKernel("fill", {}, {}, shape, dtype, value);
 }
 
 Tensor zeros(const Shape& shape, DType dtype) { return fill(shape, 0, dtype); }

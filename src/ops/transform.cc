@@ -10,6 +10,18 @@ namespace tfjs::ops {
 using internal::E;
 using internal::record;
 
+Tensor internal::copyKernel(const char* name, std::span<const Tensor> xs,
+                            std::span<const CopyAxis> axes,
+                            const Shape& outShape, DType dtype,
+                            float fillValue) {
+  KernelScope k(name);
+  std::vector<TensorSpec> specs;
+  specs.reserve(xs.size());
+  for (const Tensor& x : xs) specs.push_back(E().prepareInput(x));
+  return k.wrap(E().backend().copyStrided(specs, axes, outShape, fillValue),
+                outShape, dtype);
+}
+
 Tensor reshape(const Tensor& x, const Shape& shape) {
   // Resolve a single -1 ("infer this dimension").
   std::vector<int> dims = shape.dims();
@@ -50,15 +62,15 @@ Tensor transpose(const Tensor& x, std::span<const int> permIn) {
                    "transpose perm length " << perm.size()
                        << " != rank " << x.rank());
   std::vector<int> outDims(perm.size());
+  std::vector<CopyAxis> axes;
   for (std::size_t i = 0; i < perm.size(); ++i) {
     outDims[i] = x.shape()[perm[i]];
+    axes.push_back({.inAxis = perm[i], .extent = outDims[i]});
   }
   const Shape outShape(outDims);
   internal::CaptureFrame frame;
-  internal::KernelScope k("transpose");
-  const TensorSpec sx = E().prepareInput(x);
-  const DataId id = E().backend().transpose(sx, perm, outShape);
-  Tensor y = k.wrap(id, outShape, x.dtype());
+  Tensor y = internal::copyKernel("transpose", {&x, 1}, axes, outShape,
+                                  x.dtype());
   if (internal::observing()) {
     std::vector<double> attrs;
     for (int p : perm) attrs.push_back(static_cast<double>(p));
@@ -80,43 +92,31 @@ Tensor slice(const Tensor& x, std::span<const int> begin,
                        static_cast<int>(size.size()) == x.rank(),
                    "slice begin/size must match rank " << x.rank());
   std::vector<int> outDims(size.begin(), size.end());
+  std::vector<CopyAxis> axes;
   for (int d = 0; d < x.rank(); ++d) {
-    if (outDims[static_cast<std::size_t>(d)] == -1) {
-      outDims[static_cast<std::size_t>(d)] =
-          x.shape()[d] - begin[static_cast<std::size_t>(d)];
-    }
-    TFJS_SHAPE_CHECK(
-        begin[static_cast<std::size_t>(d)] >= 0 &&
-            begin[static_cast<std::size_t>(d)] +
-                    outDims[static_cast<std::size_t>(d)] <=
-                x.shape()[d],
-        "slice out of bounds on axis " << d << " for shape "
-                                       << x.shape().toString());
+    const auto du = static_cast<std::size_t>(d);
+    if (outDims[du] == -1) outDims[du] = x.shape()[d] - begin[du];
+    TFJS_SHAPE_CHECK(begin[du] >= 0 && begin[du] + outDims[du] <= x.shape()[d],
+                     "slice out of bounds on axis " << d << " for shape "
+                                                    << x.shape().toString());
+    axes.push_back({.inAxis = d, .start = begin[du], .extent = outDims[du]});
   }
   const Shape outShape(outDims);
   internal::CaptureFrame frame;
-  internal::KernelScope k("slice");
-  const TensorSpec sx = E().prepareInput(x);
-  const DataId id = E().backend().slice(sx, begin, outShape);
-  Tensor y = k.wrap(id, outShape, x.dtype());
+  Tensor y = internal::copyKernel("slice", {&x, 1}, axes, outShape, x.dtype());
   if (internal::observing()) {
     // Record begin + the resolved sizes (a -1 size means "to the end").
     std::vector<double> attrs;
     for (int b : begin) attrs.push_back(static_cast<double>(b));
-    for (int d = 0; d < x.rank(); ++d) {
-      attrs.push_back(static_cast<double>(outDims[static_cast<std::size_t>(d)]));
-    }
+    for (int n : outDims) attrs.push_back(static_cast<double>(n));
     internal::observeOp(OpId::kSlice, {x}, y, attrs);
   }
   const std::vector<int> beginV(begin.begin(), begin.end());
   record("slice", {x}, y, [x, beginV](const Tensor& dy) {
-    std::vector<std::pair<int, int>> pads(
-        static_cast<std::size_t>(x.rank()));
+    std::vector<std::pair<int, int>> pads;
     for (int d = 0; d < x.rank(); ++d) {
-      pads[static_cast<std::size_t>(d)] = {
-          beginV[static_cast<std::size_t>(d)],
-          x.shape()[d] - beginV[static_cast<std::size_t>(d)] -
-              dy.shape()[d]};
+      const int b = beginV[static_cast<std::size_t>(d)];
+      pads.emplace_back(b, x.shape()[d] - b - dy.shape()[d]);
     }
     return std::vector<Tensor>{pad(dy, pads, 0)};
   });
@@ -130,51 +130,45 @@ Tensor concat(std::span<const Tensor> xs, int axis) {
   TFJS_SHAPE_CHECK(norm >= 0 && norm < rank,
                    "concat axis " << axis << " out of range for rank "
                                   << rank);
-  internal::CaptureFrame frame;
-  internal::KernelScope k("concat");
+  // One piece per input, each landing at its running offset on `axis`.
   std::vector<int> outDims = xs[0].shape().dims();
-  std::vector<TensorSpec> specs;
-  specs.reserve(xs.size());
-  specs.push_back(E().prepareInput(xs[0]));
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    TFJS_SHAPE_CHECK(xs[i].rank() == rank, "concat rank mismatch");
+  outDims[static_cast<std::size_t>(norm)] = 0;
+  std::vector<CopyAxis> axes;
+  axes.reserve(xs.size() * static_cast<std::size_t>(rank));
+  for (const Tensor& x : xs) {
+    TFJS_SHAPE_CHECK(x.rank() == rank, "concat rank mismatch");
     for (int d = 0; d < rank; ++d) {
-      if (d == norm) continue;
       TFJS_SHAPE_CHECK(
-          xs[i].shape()[d] == outDims[static_cast<std::size_t>(d)],
+          d == norm || x.shape()[d] == outDims[static_cast<std::size_t>(d)],
           "concat shape mismatch on axis " << d);
+      axes.push_back(
+          {.inAxis = d,
+           .offset = d == norm ? outDims[static_cast<std::size_t>(d)] : 0,
+           .extent = x.shape()[d]});
     }
-    outDims[static_cast<std::size_t>(norm)] += xs[i].shape()[norm];
-    specs.push_back(E().prepareInput(xs[i]));
+    outDims[static_cast<std::size_t>(norm)] += x.shape()[norm];
   }
   const Shape outShape(outDims);
-  const DataId id = E().backend().concat(specs, norm, outShape);
-  Tensor y = k.wrap(id, outShape, xs[0].dtype());
+  internal::CaptureFrame frame;
+  Tensor y = internal::copyKernel("concat", xs, axes, outShape, xs[0].dtype());
   {
     const double axisAttr[] = {static_cast<double>(norm)};
     internal::observeOp(OpId::kConcat, xs, y, axisAttr);
   }
 
-  if (TapeRecorder* tape = E().tape()) {
-    std::vector<Tensor> ins(xs.begin(), xs.end());
-    if (tape->watched(ins)) {
-      std::vector<int> sizes;
-      for (const auto& t : xs) sizes.push_back(t.shape()[norm]);
-      tape->record("concat", ins, y, [sizes, norm, rank](const Tensor& dy) {
-        std::vector<Tensor> grads;
-        int offset = 0;
-        for (int s : sizes) {
-          std::vector<int> begin(static_cast<std::size_t>(rank), 0);
-          std::vector<int> size = dy.shape().dims();
-          begin[static_cast<std::size_t>(norm)] = offset;
-          size[static_cast<std::size_t>(norm)] = s;
-          grads.push_back(slice(dy, begin, size));
-          offset += s;
-        }
-        return grads;
-      });
+  std::vector<int> sizes;
+  for (const Tensor& x : xs) sizes.push_back(x.shape()[norm]);
+  record("concat", xs, y, [sizes, norm, rank](const Tensor& dy) {
+    std::vector<Tensor> grads;
+    std::vector<int> begin(static_cast<std::size_t>(rank), 0);
+    std::vector<int> size = dy.shape().dims();
+    for (int s : sizes) {
+      size[static_cast<std::size_t>(norm)] = s;
+      grads.push_back(slice(dy, begin, size));
+      begin[static_cast<std::size_t>(norm)] += s;
     }
-  }
+    return grads;
+  });
   return y;
 }
 
@@ -230,17 +224,17 @@ Tensor pad(const Tensor& x, std::span<const std::pair<int, int>> paddings,
   TFJS_SHAPE_CHECK(static_cast<int>(paddings.size()) == x.rank(),
                    "pad expects one (before, after) pair per axis");
   std::vector<int> outDims = x.shape().dims();
+  std::vector<CopyAxis> axes;
   for (int d = 0; d < x.rank(); ++d) {
     const auto& [before, after] = paddings[static_cast<std::size_t>(d)];
     TFJS_ARG_CHECK(before >= 0 && after >= 0, "pad amounts must be >= 0");
     outDims[static_cast<std::size_t>(d)] += before + after;
+    axes.push_back({.inAxis = d, .offset = before, .extent = x.shape()[d]});
   }
   const Shape outShape(outDims);
   internal::CaptureFrame frame;
-  internal::KernelScope k("pad");
-  const TensorSpec sx = E().prepareInput(x);
-  const DataId id = E().backend().pad(sx, paddings, constantValue, outShape);
-  Tensor y = k.wrap(id, outShape, x.dtype());
+  Tensor y = internal::copyKernel("pad", {&x, 1}, axes, outShape, x.dtype(),
+                                  constantValue);
   if (internal::observing()) {
     std::vector<double> attrs{static_cast<double>(constantValue)};
     for (const auto& [before, after] : paddings) {
@@ -252,12 +246,9 @@ Tensor pad(const Tensor& x, std::span<const std::pair<int, int>> paddings,
   const std::vector<std::pair<int, int>> padsV(paddings.begin(),
                                                paddings.end());
   record("pad", {x}, y, [x, padsV](const Tensor& dy) {
-    std::vector<int> begin, size;
-    for (int d = 0; d < x.rank(); ++d) {
-      begin.push_back(padsV[static_cast<std::size_t>(d)].first);
-      size.push_back(x.shape()[d]);
-    }
-    return std::vector<Tensor>{slice(dy, begin, size)};
+    std::vector<int> begin;
+    for (const auto& p : padsV) begin.push_back(p.first);
+    return std::vector<Tensor>{slice(dy, begin, x.shape().dims())};
   });
   return y;
 }
@@ -275,50 +266,76 @@ Tensor gather(const Tensor& x, const Tensor& indices, int axis) {
   const TensorSpec si = E().prepareInput(indices);
   const DataId id = E().backend().gather(sx, si, norm, outShape);
   Tensor y = k.wrap(id, outShape, x.dtype());
-  if (norm == 0) {
-    // Scatter-add adjoint expressed as a one-hot matmul (axis 0 only — the
-    // embedding-lookup case): dx = oneHot(indices)^T · dy. The indices are
-    // a recorded input (so they stay alive for backward) with no gradient.
-    record("gather", {x, indices}, y, [x, indices](const Tensor& dy) {
-      internal::TapePause pause;
-      const int axisDim = x.shape()[0];
-      const int inner = static_cast<int>(x.size()) / std::max(axisDim, 1);
-      Tensor hot = oneHot(indices, axisDim);  // [n, axisDim]
-      Tensor dy2d = dy.reshape(
-          Shape{static_cast<int>(indices.size()), inner});
-      Tensor dx2d = matMul(hot, dy2d, /*transposeA=*/true);
-      Tensor dx = dx2d.reshape(x.shape());
-      hot.dispose();
-      dy2d.dispose();
-      dx2d.dispose();
-      return std::vector<Tensor>{dx, Tensor()};  // indices: no gradient
-    });
-  }
+  // Scatter-add adjoint expressed as a one-hot matmul on the gathered axis
+  // moved to the front: dx = oneHot(indices)^T · dy, then the axis moves
+  // back. The indices are a recorded input (so they stay alive for
+  // backward) with no gradient.
+  record("gather", {x, indices}, y, [x, indices, norm](const Tensor& dy) {
+    internal::TapePause pause;
+    std::vector<int> toFront{norm}, fromFront;
+    for (int d = 0; d < x.rank(); ++d) {
+      if (d != norm) toFront.push_back(d);
+      fromFront.push_back(d < norm ? d + 1 : d == norm ? 0 : d);
+    }
+    const auto moved = [norm](const Tensor& t, std::span<const int> perm) {
+      return norm == 0 ? t.clone() : transpose(t, perm);
+    };
+    const int axisDim = x.shape()[norm];
+    const int inner = static_cast<int>(x.size()) / std::max(axisDim, 1);
+    Tensor hot = oneHot(indices, axisDim);  // [n, axisDim]
+    Tensor dyFront = moved(dy, toFront);
+    Tensor dy2d =
+        dyFront.reshape(Shape{static_cast<int>(indices.size()), inner});
+    Tensor dx2d = matMul(hot, dy2d, /*transposeA=*/true);
+    std::vector<int> frontDims = dyFront.shape().dims();
+    frontDims[0] = axisDim;
+    Tensor dxFront = dx2d.reshape(Shape(frontDims));
+    Tensor dx = moved(dxFront, fromFront);
+    for (Tensor* t : {&hot, &dyFront, &dy2d, &dx2d, &dxFront}) t->dispose();
+    return std::vector<Tensor>{dx, Tensor()};  // indices: no gradient
+  });
   return y;
 }
 
 Tensor tile(const Tensor& x, std::span<const int> reps) {
   TFJS_SHAPE_CHECK(static_cast<int>(reps.size()) == x.rank(),
                    "tile expects one repetition count per axis");
+  // Each output axis reads its input axis forward, wrapping at its extent.
   std::vector<int> outDims = x.shape().dims();
+  std::vector<CopyAxis> axes;
+  std::vector<int> blockDims, repAxes;
   for (int d = 0; d < x.rank(); ++d) {
-    TFJS_ARG_CHECK(reps[static_cast<std::size_t>(d)] >= 1,
-                   "tile reps must be >= 1");
-    outDims[static_cast<std::size_t>(d)] *= reps[static_cast<std::size_t>(d)];
+    const int r = reps[static_cast<std::size_t>(d)];
+    TFJS_ARG_CHECK(r >= 1, "tile reps must be >= 1");
+    outDims[static_cast<std::size_t>(d)] *= r;
+    axes.push_back({.inAxis = d, .extent = r * x.shape()[d]});
+    blockDims.insert(blockDims.end(), {r, x.shape()[d]});
+    repAxes.push_back(2 * d);
   }
   const Shape outShape(outDims);
-  internal::KernelScope k("tile");
-  const TensorSpec sx = E().prepareInput(x);
-  const DataId id = E().backend().tile(sx, reps, outShape);
-  return k.wrap(id, outShape, x.dtype());
+  Tensor y = internal::copyKernel("tile", {&x, 1}, axes, outShape, x.dtype());
+  // dy viewed as [r0, x0, r1, x1, ...]: every repetition adds into dx.
+  record("tile", {x}, y, [blockDims, repAxes](const Tensor& dy) {
+    Tensor blocks = dy.reshape(Shape(blockDims));
+    Tensor dx = sum(blocks, repAxes);
+    blocks.dispose();
+    return std::vector<Tensor>{dx};
+  });
+  return y;
 }
 
 Tensor reverse(const Tensor& x, std::span<const int> axes) {
   const std::vector<int> norm = util::normalizeAxes(axes, x.rank());
-  internal::KernelScope k("reverse");
-  const TensorSpec sx = E().prepareInput(x);
-  const DataId id = E().backend().reverse(sx, norm);
-  Tensor y = k.wrap(id, x.shape(), x.dtype());
+  std::vector<CopyAxis> box;
+  for (int d = 0; d < x.rank(); ++d) {
+    const bool back = std::find(norm.begin(), norm.end(), d) != norm.end();
+    box.push_back({.inAxis = d,
+                   .start = back ? x.shape()[d] - 1 : 0,
+                   .step = back ? -1 : 1,
+                   .extent = x.shape()[d]});
+  }
+  Tensor y = internal::copyKernel("reverse", {&x, 1}, box, x.shape(),
+                                  x.dtype());
   record("reverse", {x}, y, [norm](const Tensor& dy) {
     return std::vector<Tensor>{reverse(dy, norm)};
   });

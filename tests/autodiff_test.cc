@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <vector>
 
 #include "autodiff/optimizers.h"
 #include "autodiff/tape.h"
@@ -210,6 +211,67 @@ TEST_P(AutodiffTest, NativeControlFlowInTracedFunction) {
   test::expectValues(g, {32});  // d(t^4)/dt = 4 t^3 = 32
   g.dispose();
   x.dispose();
+}
+
+// tile's adjoint adds every repetition's dy back into dx.
+TEST_P(AutodiffTest, GradOfTileSumsRepetitions) {
+  tidyVoid([] {
+    Tensor x = o::tensor({1, 2, 3, 4}, Shape{2, 2});
+    test::expectValues(ad::grad(
+                           [](const Tensor& t) {
+                             return o::sum(
+                                 o::tile(t, std::array<int, 2>{1, 2}));
+                           },
+                           x),
+                       {2, 2, 2, 2});
+    // Weighted: x [1, 2] tiled [2, 3] against w = 0..11, so dx[j] sums the
+    // six w entries of column parity j.
+    Tensor row = o::tensor({1, 2}, Shape{1, 2});
+    Tensor w = o::range(0, 12).reshape(Shape{2, 6});
+    Tensor g = ad::grad(
+        [&w](const Tensor& t) {
+          return o::sum(o::mul(o::tile(t, std::array<int, 2>{2, 3}), w));
+        },
+        row);
+    test::expectShape(g, Shape{1, 2});
+    test::expectValues(g, {30, 36});
+  });
+}
+
+// gather on a non-leading axis: dx[a, c, b] sums dy[a, k, b] over every k
+// with indices[k] == c.
+TEST_P(AutodiffTest, GradOfGatherOnInnerAxis) {
+  tidyVoid([] {
+    Tensor x = o::tensor({1, 2, 3, 4}, Shape{2, 2});
+    Tensor idx = o::tensor({0, 1, 1}, Shape{3}, DType::i32);
+    test::expectValues(ad::grad(
+                           [&idx](const Tensor& t) {
+                             return o::sum(o::gather(t, idx, 1));
+                           },
+                           x),
+                       {1, 2, 1, 2});
+
+    const int picks[] = {2, 0, 2, 1};
+    Tensor x3 = o::range(0, 12).reshape(Shape{2, 3, 2});
+    Tensor idx3 = o::tensor({2, 0, 2, 1}, Shape{4}, DType::i32);
+    Tensor w = o::range(0, 16).reshape(Shape{2, 4, 2});
+    Tensor g = ad::grad(
+        [&](const Tensor& t) {
+          return o::sum(o::mul(o::gather(t, idx3, -2), w));
+        },
+        x3);
+    std::vector<float> want(12, 0.f);
+    for (int a = 0; a < 2; ++a) {
+      for (int k = 0; k < 4; ++k) {
+        for (int b = 0; b < 2; ++b) {
+          want[static_cast<std::size_t>((a * 3 + picks[k]) * 2 + b)] +=
+              static_cast<float>((a * 4 + k) * 2 + b);
+        }
+      }
+    }
+    test::expectShape(g, Shape{2, 3, 2});
+    test::expectValues(g, want);
+  });
 }
 
 TEST_P(AutodiffTest, DisconnectedInputGetsZeros) {

@@ -7,8 +7,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -410,73 +412,6 @@ TEST_P(OpsTest, Transpose) {
     test::expectValues(o::transpose(x3, std::array<int, 3>{2, 1, 0}),
                        {1, 5, 3, 7, 2, 6, 4, 8});
   });
-}
-
-// Random permutations of ranks 1-5 (size-1 and zero-size dims included)
-// against a naive per-element index oracle: output coordinate d reads input
-// coordinate perm[d].
-TEST_P(OpsTest, TransposeMatchesIndexOracle) {
-  std::uint32_t s = 12345u;
-  const auto next = [&s](std::uint32_t bound) {
-    s = s * 1664525u + 1013904223u;
-    return (s >> 8) % bound;
-  };
-  const int dimChoices[] = {1, 2, 3, 4, 5, 7};
-  for (int trial = 0; trial < 60; ++trial) {
-    const int rank = 1 + static_cast<int>(next(5));
-    std::vector<int> dims(static_cast<std::size_t>(rank));
-    for (int& d : dims) d = dimChoices[next(6)];
-    // One trial in ten has a zero-size dim.
-    if (trial % 10 == 3) dims[next(static_cast<std::uint32_t>(rank))] = 0;
-    std::vector<int> perm(static_cast<std::size_t>(rank));
-    for (int d = 0; d < rank; ++d) perm[static_cast<std::size_t>(d)] = d;
-    for (int d = rank - 1; d > 0; --d) {
-      std::swap(perm[static_cast<std::size_t>(d)],
-                perm[next(static_cast<std::uint32_t>(d + 1))]);
-    }
-    const Shape inShape(dims);
-    std::vector<int> outDims(static_cast<std::size_t>(rank));
-    for (int d = 0; d < rank; ++d) {
-      outDims[static_cast<std::size_t>(d)] =
-          dims[static_cast<std::size_t>(perm[static_cast<std::size_t>(d)])];
-    }
-    const Shape outShape(outDims);
-    std::vector<float> in(inShape.size());
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      in[i] = static_cast<float>(i) + 0.25f;
-    }
-    std::vector<float> want(outShape.size());
-    std::vector<int> oc(static_cast<std::size_t>(rank));
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      std::size_t rest = i;
-      for (int d = rank - 1; d >= 0; --d) {
-        const auto du = static_cast<std::size_t>(d);
-        oc[du] = static_cast<int>(rest % static_cast<std::size_t>(outDims[du]));
-        rest /= static_cast<std::size_t>(outDims[du]);
-      }
-      std::size_t src = 0;
-      for (int a = 0; a < rank; ++a) {
-        // Input axis a is output axis d with perm[d] == a.
-        int coord = 0;
-        for (int d = 0; d < rank; ++d) {
-          if (perm[static_cast<std::size_t>(d)] == a) {
-            coord = oc[static_cast<std::size_t>(d)];
-          }
-        }
-        src = src * static_cast<std::size_t>(
-                        dims[static_cast<std::size_t>(a)]) +
-              static_cast<std::size_t>(coord);
-      }
-      want[i] = in[src];
-    }
-    tidyVoid([&] {
-      Tensor y = o::transpose(o::tensor(in, inShape), perm);
-      test::expectShape(y, outShape);
-      EXPECT_EQ(y.dataSync(), want)
-          << "transpose " << inShape.toString() << " trial " << trial;
-    });
-    if (HasFailure()) return;
-  }
 }
 
 TEST_P(OpsTest, SliceAndNegativeSize) {
@@ -927,6 +862,215 @@ TEST_P(RegionOracleTest, SelectOverBroadcastClasses) {
       return oracleLoad(c, out, i) != 0 ? oracleLoad(a, out, i)
                                         : oracleLoad(b, out, i);
     });
+  }
+}
+
+
+// ------------------------------------------------- data-movement oracle
+//
+// transpose, slice, concat, pad, tile, reverse and fill are all one
+// Backend::copyStrided call. This test holds each to a naive per-element
+// loop over the output — unravel the output index, find the input element
+// (or the fill value) that lands there, ravel its coordinates — bit for
+// bit, over random ranks 0-5 with size-1 and zero-size dims.
+
+/// Row-major coordinates of flat index i in `dims`.
+std::vector<int> unravelCoords(std::size_t i, const std::vector<int>& dims) {
+  std::vector<int> c(dims.size());
+  for (std::size_t d = dims.size(); d-- > 0;) {
+    const auto n = static_cast<std::size_t>(dims[d]);
+    c[d] = static_cast<int>(i % n);
+    i /= n;
+  }
+  return c;
+}
+
+std::size_t ravelCoords(const std::vector<int>& c,
+                        const std::vector<int>& dims) {
+  std::size_t flat = 0;
+  for (std::size_t d = 0; d < dims.size(); ++d) {
+    flat = flat * static_cast<std::size_t>(dims[d]) +
+           static_cast<std::size_t>(c[d]);
+  }
+  return flat;
+}
+
+TEST_P(RegionOracleTest, DataMovementMatchesIndexOracle) {
+  std::uint32_t seed = 12345u;
+  const auto next = [&seed](int bound) {
+    seed = seed * 1664525u + 1013904223u;
+    return static_cast<int>((seed >> 8) % static_cast<std::uint32_t>(bound));
+  };
+  const char* const kOps[] = {"transpose", "slice", "concat", "pad",
+                              "tile",      "reverse", "fill"};
+  for (int trial = 0; trial < 210; ++trial) {
+    const std::string op = kOps[trial % 7];
+    // concat needs an axis; every other op also runs rank 0.
+    const int rank = op == "concat" ? 1 + next(5) : next(6);
+    const auto r = static_cast<std::size_t>(rank);
+    std::vector<int> dims(r);
+    for (int& d : dims) d = 1 + next(5);
+    // One trial in five has a zero-size dim.
+    if (rank > 0 && trial % 5 == 1) {
+      dims[static_cast<std::size_t>(next(rank))] = 0;
+    }
+
+    std::vector<std::vector<int>> inDims{dims};
+    std::vector<int> outDims = dims;
+    const float fillValue = -1.5f - static_cast<float>(trial);
+    // Maps output coordinates to (input, its coordinates); -1 = fill value.
+    std::function<int(const std::vector<int>&, std::vector<int>&)> source;
+    std::function<Tensor(const std::vector<Tensor>&)> run;
+
+    if (op == "transpose") {
+      std::vector<int> perm(r);
+      for (int d = 0; d < rank; ++d) perm[static_cast<std::size_t>(d)] = d;
+      for (int d = rank - 1; d > 0; --d) {
+        std::swap(perm[static_cast<std::size_t>(d)],
+                  perm[static_cast<std::size_t>(next(d + 1))]);
+      }
+      for (std::size_t d = 0; d < r; ++d) {
+        outDims[d] = dims[static_cast<std::size_t>(perm[d])];
+      }
+      source = [perm, r](const std::vector<int>& out, std::vector<int>& in) {
+        for (std::size_t d = 0; d < r; ++d) {
+          in[static_cast<std::size_t>(perm[d])] = out[d];
+        }
+        return 0;
+      };
+      run = [perm](const std::vector<Tensor>& xs) {
+        return o::transpose(xs[0], perm);
+      };
+    } else if (op == "slice") {
+      std::vector<int> begin(r), size(r);
+      for (std::size_t d = 0; d < r; ++d) {  // empty only on a zero dim
+        begin[d] = dims[d] == 0 ? 0 : next(dims[d]);
+        size[d] = dims[d] == 0 ? 0 : 1 + next(dims[d] - begin[d]);
+      }
+      outDims = size;
+      source = [begin, r](const std::vector<int>& out, std::vector<int>& in) {
+        for (std::size_t d = 0; d < r; ++d) in[d] = out[d] + begin[d];
+        return 0;
+      };
+      run = [begin, size](const std::vector<Tensor>& xs) {
+        return o::slice(xs[0], begin, size);
+      };
+    } else if (op == "concat") {
+      const int axis = next(rank);
+      const auto a = static_cast<std::size_t>(axis);
+      inDims.clear();
+      outDims[a] = 0;
+      for (int j = 0, n = 2 + next(2); j < n; ++j) {
+        inDims.push_back(dims);
+        inDims.back()[a] = next(4);
+        outDims[a] += inDims.back()[a];
+      }
+      source = [inDims, a](const std::vector<int>& out, std::vector<int>& in) {
+        in = out;
+        for (std::size_t j = 0;; ++j) {
+          if (in[a] < inDims[j][a]) return static_cast<int>(j);
+          in[a] -= inDims[j][a];
+        }
+      };
+      run = [axis](const std::vector<Tensor>& xs) {
+        return o::concat(xs, axis);
+      };
+    } else if (op == "pad") {
+      std::vector<std::pair<int, int>> pads(r);
+      for (std::size_t d = 0; d < r; ++d) {
+        pads[d] = {next(3), next(3)};
+        outDims[d] += pads[d].first + pads[d].second;
+      }
+      source = [pads, dims, r](const std::vector<int>& out,
+                               std::vector<int>& in) {
+        for (std::size_t d = 0; d < r; ++d) {
+          in[d] = out[d] - pads[d].first;
+          if (in[d] < 0 || in[d] >= dims[d]) return -1;
+        }
+        return 0;
+      };
+      run = [pads, fillValue](const std::vector<Tensor>& xs) {
+        return o::pad(xs[0], pads, fillValue);
+      };
+    } else if (op == "tile") {
+      std::vector<int> reps(r);
+      for (std::size_t d = 0; d < r; ++d) {
+        reps[d] = 1 + next(3);
+        outDims[d] *= reps[d];
+      }
+      source = [dims, r](const std::vector<int>& out, std::vector<int>& in) {
+        for (std::size_t d = 0; d < r; ++d) in[d] = out[d] % dims[d];
+        return 0;
+      };
+      run = [reps](const std::vector<Tensor>& xs) {
+        return o::tile(xs[0], reps);
+      };
+    } else if (op == "reverse") {
+      // Each axis flips with probability 1/2, named by a positive or a
+      // negative index.
+      std::vector<int> axes;
+      std::vector<bool> flip(r, false);
+      for (int d = 0; d < rank; ++d) {
+        if (next(2) == 0) continue;
+        flip[static_cast<std::size_t>(d)] = true;
+        axes.push_back(next(2) == 0 ? d : d - rank);
+      }
+      source = [flip, dims, r](const std::vector<int>& out,
+                               std::vector<int>& in) {
+        for (std::size_t d = 0; d < r; ++d) {
+          in[d] = flip[d] ? dims[d] - 1 - out[d] : out[d];
+        }
+        return 0;
+      };
+      run = [axes](const std::vector<Tensor>& xs) {
+        return o::reverse(xs[0], axes);
+      };
+    } else {
+      inDims.clear();
+      source = [](const std::vector<int>&, std::vector<int>&) { return -1; };
+      run = [outDims, fillValue](const std::vector<Tensor>&) {
+        return o::fill(Shape(outDims), fillValue);
+      };
+    }
+
+    // Distinct values per input, with negative zeros mixed in so a copy
+    // that went through arithmetic would show.
+    std::vector<std::vector<float>> data;
+    for (std::size_t j = 0; j < inDims.size(); ++j) {
+      std::vector<float> v(Shape(inDims[j]).size());
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        v[i] = i % 5 == 2 ? -0.f
+                          : static_cast<float>(j * 1000 + i) + 0.25f;
+      }
+      data.push_back(std::move(v));
+    }
+    std::vector<float> want(Shape(outDims).size());
+    std::vector<int> in(r);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const int j = source(unravelCoords(i, outDims), in);
+      want[i] = j < 0 ? fillValue
+                      : data[static_cast<std::size_t>(j)][ravelCoords(
+                            in, inDims[static_cast<std::size_t>(j)])];
+    }
+
+    tidyVoid([&] {
+      std::vector<Tensor> xs;
+      for (std::size_t j = 0; j < inDims.size(); ++j) {
+        xs.push_back(o::tensor(data[j], Shape(inDims[j])));
+      }
+      const Tensor y = run(xs);
+      test::expectShape(y, Shape(outDims));
+      const std::vector<float> got = y.dataSync();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(want[i]))
+            << op << " of " << Shape(inDims.empty() ? outDims : inDims[0])
+                                   .toString()
+            << " trial " << trial << " flat index " << i;
+      }
+    });
+    if (HasFailure()) return;
   }
 }
 

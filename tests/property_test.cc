@@ -319,15 +319,15 @@ TEST_P(ReduceShapeTest, SumMatchesManualAccumulation) {
   std::vector<float> manual(sv.size(), 0.f);
   for (std::size_t i = 0; i < xv.size(); ++i) {
     util::unravelIndex(i, shape, coords);
-    std::vector<int> out;
+    // Row-major index of the coordinates without the reduced axis (a kept
+    // size-1 axis adds nothing to it).
+    std::size_t out = 0;
     for (int d = 0; d < 3; ++d) {
-      if (d == norm) {
-        if (keepDims) out.push_back(0);
-        continue;
-      }
-      out.push_back(coords[static_cast<std::size_t>(d)]);
+      if (d == norm) continue;
+      out = out * static_cast<std::size_t>(shape[d]) +
+            static_cast<std::size_t>(coords[static_cast<std::size_t>(d)]);
     }
-    manual[util::ravelIndex(out, s.shape())] += xv[i];
+    manual[out] += xv[i];
   }
   for (std::size_t i = 0; i < sv.size(); ++i) {
     EXPECT_NEAR(sv[i], manual[i], 1e-4f);

@@ -36,7 +36,10 @@
 # fusion_test, graph_test and graph_executor_test also run on the UBSan leg:
 # producer nodes carry their epilogue as {act, hasBias} attrs that replay
 # casts back into FusedActivation and PadMode, which the sanitizer's enum
-# check watches. After each leg's ctest, an
+# check watches. ops_test runs on the ASan and UBSan legs: its data-movement
+# oracle drives Backend::copyStrided, whose odometer does signed step and
+# offset arithmetic (reversed and wrapping walks) over raw buffer pointers,
+# on every backend. After each leg's ctest, an
 # extended fixed-seed fuzzer block replays the same seed set on that leg
 # (both fuzz modes — general DAGs and elementwise-chain-heavy), so any
 # divergence or sanitizer report reproduces bit-for-bit on every leg.
@@ -70,15 +73,15 @@ extended_fuzz build-tsan
 cmake -B build-asan -S . -DTFJS_SANITIZE=address
 cmake --build build-asan -j --target buffer_pool_test fusion_test \
   quant_test serving_test graph_fuzz_test native_parity_test native_gemm_test \
-  webgl_test graph_test graph_executor_test autodiff_test
+  webgl_test graph_test graph_executor_test autodiff_test ops_test
 ctest --test-dir build-asan --output-on-failure \
-  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test|webgl_test|graph_test|graph_executor_test|autodiff_test'
+  -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test|webgl_test|graph_test|graph_executor_test|autodiff_test|ops_test'
 extended_fuzz build-asan
 
 cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined
 cmake --build build-ubsan -j --target quant_test native_parity_test \
   native_gemm_test serving_test graph_fuzz_test fusion_test graph_test \
-  graph_executor_test
+  graph_executor_test ops_test
 ctest --test-dir build-ubsan --output-on-failure \
-  -R 'quant_test|native_parity_test|native_gemm_test|serving_test|graph_fuzz_test|fusion_test|graph_test|graph_executor_test'
+  -R 'quant_test|native_parity_test|native_gemm_test|serving_test|graph_fuzz_test|fusion_test|graph_test|graph_executor_test|ops_test'
 extended_fuzz build-ubsan

@@ -1,6 +1,7 @@
 #include "autodiff/optimizers.h"
 
 #include <cmath>
+#include <initializer_list>
 
 #include "ops/ops.h"
 
@@ -39,12 +40,45 @@ bool Optimizer::hasSlot(const Variable& v, const std::string& slotName) const {
          !it->second.isDisposed();
 }
 
+// Every update below computes each state tensor (slot or variable) as one
+// elementwise region, one kernel per state tensor. A region runs the same
+// scalar steps as the equivalent op-by-op chain, in its order, so the
+// values are bitwise that chain's on every backend (see
+// Backend::fusedRegion; OptimizerTest.UpdatesMatchOpChainBitwise).
+namespace {
+
+using I = RegionInstr;
+constexpr int in0 = I::input(0), in1 = I::input(1), in2 = I::input(2),
+              in3 = I::input(3), in4 = I::input(4);
+
+Tensor region(std::vector<RegionInstr> instrs,
+              std::initializer_list<Tensor> inputs) {
+  const RegionProgram program{static_cast<int>(inputs.size()),
+                              std::move(instrs)};
+  return o::fusedRegion(program,
+                        std::span<const Tensor>(inputs.begin(), inputs.size()));
+}
+
+/// v - g * lr, on inputs {v, g}.
+std::vector<RegionInstr> descent(float lr) {
+  return {I::unary(UnaryOp::kMulScalar, in1, lr),
+          I::binary(BinaryOp::kSub, in0, 0)};
+}
+
+/// a * decay + square(g) * (1 - decay), on inputs {a, g}.
+std::vector<RegionInstr> decayedSquare(float decay) {
+  return {I::unary(UnaryOp::kMulScalar, in0, decay),
+          I::unary(UnaryOp::kSquare, in1),
+          I::unary(UnaryOp::kMulScalar, 1, 1.0f - decay),
+          I::binary(BinaryOp::kAdd, 0, 2)};
+}
+
+}  // namespace
+
 void SGDOptimizer::applyGradients(
     std::span<const std::pair<Variable, Tensor>> grads) {
   for (const auto& [v, g] : grads) {
-    Tensor next = Engine::get().tidy(
-        [&] { return o::sub(v.value(), o::mulScalar(g, lr_)); });
-    v.assign(next);
+    v.assign(region(descent(lr_), {v.value(), g}));
   }
 }
 
@@ -52,11 +86,11 @@ void MomentumOptimizer::applyGradients(
     std::span<const std::pair<Variable, Tensor>> grads) {
   for (const auto& [v, g] : grads) {
     if (!hasSlot(v, "m")) setSlot(v, "m", o::zerosLike(v.value()));
-    Tensor& m = slot(v, "m");
-    Tensor newM = Engine::get().tidy(
-        [&] { return o::add(o::mulScalar(m, momentum_), g); });
-    Tensor next = Engine::get().tidy(
-        [&] { return o::sub(v.value(), o::mulScalar(newM, lr_)); });
+    // m * momentum + g
+    Tensor newM = region({I::unary(UnaryOp::kMulScalar, in0, momentum_),
+                          I::binary(BinaryOp::kAdd, 0, in1)},
+                         {slot(v, "m"), g});
+    Tensor next = region(descent(lr_), {v.value(), newM});
     setSlot(v, "m", newM);
     v.assign(next);
   }
@@ -66,15 +100,14 @@ void RMSPropOptimizer::applyGradients(
     std::span<const std::pair<Variable, Tensor>> grads) {
   for (const auto& [v, g] : grads) {
     if (!hasSlot(v, "ms")) setSlot(v, "ms", o::zerosLike(v.value()));
-    Tensor& ms = slot(v, "ms");
-    Tensor newMs = Engine::get().tidy([&] {
-      return o::add(o::mulScalar(ms, decay_),
-                    o::mulScalar(o::square(g), 1.0f - decay_));
-    });
-    Tensor next = Engine::get().tidy([&] {
-      Tensor denom = o::sqrt(o::addScalar(newMs, eps_));
-      return o::sub(v.value(), o::div(o::mulScalar(g, lr_), denom));
-    });
+    Tensor newMs = region(decayedSquare(decay_), {slot(v, "ms"), g});
+    // v - g * lr / sqrt(ms + eps)
+    Tensor next = region({I::unary(UnaryOp::kAddScalar, in2, eps_),
+                          I::unary(UnaryOp::kSqrt, 0),
+                          I::unary(UnaryOp::kMulScalar, in1, lr_),
+                          I::binary(BinaryOp::kDiv, 2, 1),
+                          I::binary(BinaryOp::kSub, in0, 3)},
+                         {v.value(), g, newMs});
     setSlot(v, "ms", newMs);
     v.assign(next);
   }
@@ -85,29 +118,32 @@ void AdamOptimizer::applyGradients(
   ++step_;
   const float correction1 = 1.0f - std::pow(beta1_, static_cast<float>(step_));
   const float correction2 = 1.0f - std::pow(beta2_, static_cast<float>(step_));
+  // The bias corrections divide, so they are inputs (x / c is not x * 1/c).
+  Tensor c1 = o::scalar(correction1), c2 = o::scalar(correction2);
   for (const auto& [v, g] : grads) {
     if (!hasSlot(v, "m")) setSlot(v, "m", o::zerosLike(v.value()));
     if (!hasSlot(v, "v")) setSlot(v, "v", o::zerosLike(v.value()));
-    Tensor& m = slot(v, "m");
-    Tensor& vv = slot(v, "v");
-    Tensor newM = Engine::get().tidy([&] {
-      return o::add(o::mulScalar(m, beta1_), o::mulScalar(g, 1.0f - beta1_));
-    });
-    Tensor newV = Engine::get().tidy([&] {
-      return o::add(o::mulScalar(vv, beta2_),
-                    o::mulScalar(o::square(g), 1.0f - beta2_));
-    });
-    Tensor next = Engine::get().tidy([&] {
-      Tensor mHat = o::divScalar(newM, correction1);
-      Tensor vHat = o::divScalar(newV, correction2);
-      return o::sub(v.value(),
-                    o::div(o::mulScalar(mHat, lr_),
-                           o::addScalar(o::sqrt(vHat), eps_)));
-    });
+    // m * beta1 + g * (1 - beta1)
+    Tensor newM = region({I::unary(UnaryOp::kMulScalar, in0, beta1_),
+                          I::unary(UnaryOp::kMulScalar, in1, 1.0f - beta1_),
+                          I::binary(BinaryOp::kAdd, 0, 1)},
+                         {slot(v, "m"), g});
+    Tensor newV = region(decayedSquare(beta2_), {slot(v, "v"), g});
+    // v - (m / c1) * lr / (sqrt(v / c2) + eps)
+    Tensor next = region({I::binary(BinaryOp::kDiv, in1, in3),
+                          I::binary(BinaryOp::kDiv, in2, in4),
+                          I::unary(UnaryOp::kMulScalar, 0, lr_),
+                          I::unary(UnaryOp::kSqrt, 1),
+                          I::unary(UnaryOp::kAddScalar, 3, eps_),
+                          I::binary(BinaryOp::kDiv, 2, 4),
+                          I::binary(BinaryOp::kSub, in0, 5)},
+                         {v.value(), newM, newV, c1, c2});
     setSlot(v, "m", newM);
     setSlot(v, "v", newV);
     v.assign(next);
   }
+  c1.dispose();
+  c2.dispose();
 }
 
 void AdagradOptimizer::applyGradients(
@@ -116,13 +152,17 @@ void AdagradOptimizer::applyGradients(
     if (!hasSlot(v, "acc")) {
       setSlot(v, "acc", o::fill(v.value().shape(), initial_));
     }
-    Tensor& acc = slot(v, "acc");
-    Tensor newAcc =
-        Engine::get().tidy([&] { return o::add(acc, o::square(g)); });
-    Tensor next = Engine::get().tidy([&] {
-      return o::sub(v.value(), o::div(o::mulScalar(g, lr_),
-                                      o::addScalar(o::sqrt(newAcc), 1e-7f)));
-    });
+    // acc + square(g)
+    Tensor newAcc = region({I::unary(UnaryOp::kSquare, in1),
+                            I::binary(BinaryOp::kAdd, in0, 0)},
+                           {slot(v, "acc"), g});
+    // v - g * lr / (sqrt(acc) + 1e-7)
+    Tensor next = region({I::unary(UnaryOp::kMulScalar, in1, lr_),
+                          I::unary(UnaryOp::kSqrt, in2),
+                          I::unary(UnaryOp::kAddScalar, 1, 1e-7f),
+                          I::binary(BinaryOp::kDiv, 0, 2),
+                          I::binary(BinaryOp::kSub, in0, 3)},
+                         {v.value(), g, newAcc});
     setSlot(v, "acc", newAcc);
     v.assign(next);
   }

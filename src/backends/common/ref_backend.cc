@@ -695,61 +695,65 @@ DataId RefBackend::avgPoolBackprop(const TensorSpec& dy,
 }
 
 DataId RefBackend::reduce(ReduceOp op, const TensorSpec& x, std::size_t outer,
-                          std::size_t inner) {
+                          std::size_t n, std::size_t inner) {
   KernelTimer t(kernelMs_);
   const auto& xv = buf(x.id);
-  TFJS_CHECK(xv.size() == outer * inner);
-  std::vector<float> out = allocBuffer(outer);
+  TFJS_CHECK(xv.size() == outer * n * inner);
+  std::vector<float> out = allocBuffer(outer * inner);
   for (std::size_t o = 0; o < outer; ++o) {
-    const float* row = xv.data() + o * inner;
-    float acc;
-    switch (op) {
-      case ReduceOp::kSum:
-      case ReduceOp::kMean: {
-        acc = 0;
-        for (std::size_t i = 0; i < inner; ++i) acc += row[i];
-        if (op == ReduceOp::kMean) acc /= static_cast<float>(inner);
-        break;
-      }
-      case ReduceOp::kProd: {
-        acc = 1;
-        for (std::size_t i = 0; i < inner; ++i) acc *= row[i];
-        break;
-      }
-      case ReduceOp::kMax: {
-        acc = -kInf;
-        for (std::size_t i = 0; i < inner; ++i) acc = std::max(acc, row[i]);
-        break;
-      }
-      case ReduceOp::kMin: {
-        acc = kInf;
-        for (std::size_t i = 0; i < inner; ++i) acc = std::min(acc, row[i]);
-        break;
-      }
-      case ReduceOp::kAny: {
-        acc = 0;
-        for (std::size_t i = 0; i < inner; ++i) {
-          if (row[i] != 0) {
-            acc = 1;
-            break;
-          }
+    for (std::size_t j = 0; j < inner; ++j) {
+      // The middle axis of [outer, n, inner], `inner` apart.
+      const float* col = xv.data() + o * n * inner + j;
+      const auto at = [&](std::size_t i) { return col[i * inner]; };
+      float acc;
+      switch (op) {
+        case ReduceOp::kSum:
+        case ReduceOp::kMean: {
+          acc = 0;
+          for (std::size_t i = 0; i < n; ++i) acc += at(i);
+          if (op == ReduceOp::kMean) acc /= static_cast<float>(n);
+          break;
         }
-        break;
-      }
-      case ReduceOp::kAll: {
-        acc = 1;
-        for (std::size_t i = 0; i < inner; ++i) {
-          if (row[i] == 0) {
-            acc = 0;
-            break;
-          }
+        case ReduceOp::kProd: {
+          acc = 1;
+          for (std::size_t i = 0; i < n; ++i) acc *= at(i);
+          break;
         }
-        break;
+        case ReduceOp::kMax: {
+          acc = -kInf;
+          for (std::size_t i = 0; i < n; ++i) acc = std::max(acc, at(i));
+          break;
+        }
+        case ReduceOp::kMin: {
+          acc = kInf;
+          for (std::size_t i = 0; i < n; ++i) acc = std::min(acc, at(i));
+          break;
+        }
+        case ReduceOp::kAny: {
+          acc = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (at(i) != 0) {
+              acc = 1;
+              break;
+            }
+          }
+          break;
+        }
+        case ReduceOp::kAll: {
+          acc = 1;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (at(i) == 0) {
+              acc = 0;
+              break;
+            }
+          }
+          break;
+        }
+        default:
+          throw InternalError("Unhandled ReduceOp");
       }
-      default:
-        throw InternalError("Unhandled ReduceOp");
+      out[o * inner + j] = acc;
     }
-    out[o] = acc;
   }
   return store(std::move(out));
 }

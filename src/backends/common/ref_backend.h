@@ -89,7 +89,7 @@ class RefBackend : public Backend {
   DataId avgPoolBackprop(const TensorSpec& dy,
                          const Pool2DInfo& info) override;
   DataId reduce(ReduceOp op, const TensorSpec& x, std::size_t outer,
-                std::size_t inner) override;
+                std::size_t n, std::size_t inner) override;
   DataId arg(ArgOp op, const TensorSpec& x, std::size_t outer,
              std::size_t inner) override;
   DataId gather(const TensorSpec& x, const TensorSpec& indices, int axis,

@@ -181,23 +181,27 @@ DataId PlainCpuBackend::depthwiseConv2d(const TensorSpec& x,
 }
 
 DataId PlainCpuBackend::reduce(ReduceOp op, const TensorSpec& x,
-                               std::size_t outer, std::size_t inner) {
+                               std::size_t outer, std::size_t n,
+                               std::size_t inner) {
   KernelTimer t(kernelMs_, "cpu.reduce");
   const auto& xv = buf(x.id);
   // Sum-like reductions pay per-element interpreted adds; min/max/any/all
   // reuse the reference path (they are not hot in the paper's workloads).
   if (op != ReduceOp::kSum && op != ReduceOp::kMean) {
-    return RefBackend::reduce(op, x, outer, inner);
+    return RefBackend::reduce(op, x, outer, n, inner);
   }
   static const std::vector<Instr> prog = binaryProgram(BinaryOp::kAdd);
-  std::vector<float> out = allocBuffer(outer);
+  std::vector<float> out = allocBuffer(outer * inner);
   for (std::size_t o = 0; o < outer; ++o) {
-    const float* row = xv.data() + o * inner;
-    float acc = 0;
-    for (std::size_t i = 0; i < inner; ++i) {
-      acc = ScalarVM::run(prog, acc, row[i]);
+    for (std::size_t j = 0; j < inner; ++j) {
+      const float* col = xv.data() + o * n * inner + j;
+      float acc = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        acc = ScalarVM::run(prog, acc, col[i * inner]);
+      }
+      out[o * inner + j] =
+          op == ReduceOp::kMean ? acc / static_cast<float>(n) : acc;
     }
-    out[o] = op == ReduceOp::kMean ? acc / static_cast<float>(inner) : acc;
   }
   return store(std::move(out));
 }

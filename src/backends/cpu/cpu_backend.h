@@ -56,7 +56,7 @@ class PlainCpuBackend : public RefBackend {
                          const Conv2DInfo& info, const TensorSpec* bias,
                          FusedActivation act) override;
   DataId reduce(ReduceOp op, const TensorSpec& x, std::size_t outer,
-                std::size_t inner) override;
+                std::size_t n, std::size_t inner) override;
 };
 
 /// Registers the "cpu" backend with the engine (lowest priority — the

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -166,6 +168,24 @@ inline Vec selectMin(Vec a, Vec b) {
   return Vec(_mm_min_ps(__m128(a), __m128(b)));
 #else
   return a < b ? a : b;
+#endif
+}
+
+/// Per-lane square root. The x86 instructions are correctly rounded (and
+/// give NaN below -0), so they equal std::sqrt, which GCC will not
+/// vectorize while sqrt may set errno.
+inline Vec sqrtVec(Vec a) {
+#if defined(__AVX512F__)
+  // All lanes through the zero-masking form: GCC 12 flags the unmasked
+  // one's placeholder operand as maybe-uninitialized.
+  return Vec(_mm512_maskz_sqrt_ps(static_cast<__mmask16>(0xFFFF), __m512(a)));
+#elif defined(__AVX__)
+  return Vec(_mm256_sqrt_ps(__m256(a)));
+#elif defined(__SSE__)
+  return Vec(_mm_sqrt_ps(__m128(a)));
+#else
+  for (int i = 0; i < kLanes; ++i) a[i] = std::sqrt(a[i]);
+  return a;
 #endif
 }
 
@@ -881,6 +901,25 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
                       R[i] = std::min(std::max(A[i], si.alpha), si.beta);
                     }
                     break;
+                  case UnaryOp::kStep: {
+                    const float atZero = si.alpha;
+                    for (std::size_t i = 0; i < c; ++i) {
+                      R[i] = A[i] > 0 ? 1.f : (A[i] < 0 ? 0.f : atZero);
+                    }
+                    break;
+                  }
+                  case UnaryOp::kSqrt:
+                  case UnaryOp::kRsqrt: {
+                    // rsqrt is 1 / sqrt(x), two correctly rounded steps.
+                    const bool recip = op == UnaryOp::kRsqrt;
+                    std::size_t i = 0;
+                    for (; i + kLanes <= c; i += kLanes) {
+                      const Vec r = sqrtVec(loadVec(A + i));
+                      storeVec(R + i, recip ? 1.f / r : r);
+                    }
+                    for (; i < c; ++i) R[i] = applyUnary(op, A[i], 0, 0);
+                    break;
+                  }
                   default:
                     for (std::size_t i = 0; i < c; ++i) {
                       R[i] = applyUnary(op, A[i], si.alpha, si.beta);
@@ -1370,24 +1409,37 @@ DataId NativeBackend::maxPoolBackprop(const TensorSpec& dy,
                                       const TensorSpec& x,
                                       const Pool2DInfo& pi) {
   KernelTimer t(kernelMs_, "native.maxPoolBackprop");
-  constexpr float kInf = std::numeric_limits<float>::infinity();
+  using IVec =
+      std::int32_t __attribute__((vector_size(kLanes * sizeof(std::int32_t))));
   const auto& dyv = buf(dy.id);
   const auto& xv = buf(x.id);
   const std::size_t C = static_cast<std::size_t>(pi.channels);
   const std::size_t inImage = static_cast<std::size_t>(pi.inH) * pi.inW * C;
-  std::vector<float> dx =
-      allocZeroed(static_cast<std::size_t>(pi.batch) * inImage);
+  // When the windows neither overlap nor miss a cell (filter <= stride,
+  // and their clipped extents add up to the input's), every dX element
+  // gets exactly one contribution: RefBackend's +0 + dy at the argmax tap
+  // (which turns a -0 gradient into +0), +0 at the others. Those are
+  // written once, with no zero-fill and no read-back.
+  const auto covered = [](int outN, int stride, int pad, int filter, int in) {
+    int cells = 0;
+    for (int o = 0; o < outN; ++o) {
+      const auto [lo, hi] = windowRange(o, stride, pad, filter, in);
+      cells += hi - lo;
+    }
+    return filter <= stride && cells == in;
+  };
+  const bool tiled =
+      covered(pi.outH, pi.strideH, pi.padTop, pi.filterH, pi.inH) &&
+      covered(pi.outW, pi.strideW, pi.padLeft, pi.filterW, pi.inW);
+  const std::size_t total = static_cast<std::size_t>(pi.batch) * inImage;
+  std::vector<float> dx = tiled ? allocBuffer(total) : allocZeroed(total);
   // One chunk per image: windows overlap only within an image, and each
   // image's windows run in RefBackend's (oy, ox) order.
   ThreadPool::get().parallelFor(
       static_cast<std::size_t>(pi.batch), 1,
       [&](std::size_t bBegin, std::size_t bEnd) {
-        std::vector<float> bestRow(C);
-        std::vector<std::int32_t> argRow(C);
         std::vector<std::size_t> tapOffset(
             static_cast<std::size_t>(pi.filterH) * pi.filterW);
-        float* __restrict best = bestRow.data();
-        std::int32_t* __restrict arg = argRow.data();
         for (std::size_t b = bBegin; b < bEnd; ++b) {
           const float* xImg = xv.data() + b * inImage;
           float* dxImg = dx.data() + b * inImage;
@@ -1398,33 +1450,41 @@ DataId NativeBackend::maxPoolBackprop(const TensorSpec& dy,
             for (int ox = 0; ox < pi.outW; ++ox, g += C) {
               const auto [xLo, xHi] =
                   windowRange(ox, pi.strideW, pi.padLeft, pi.filterW, pi.inW);
-              // The first strictly greater value wins, taps in (fy, fx)
-              // order: NaN never compares greater, and an all -inf window
-              // keeps arg -1.
-              std::fill_n(best, C, -kInf);
-              std::fill_n(arg, C, -1);
-              std::int32_t tap = 0;
+              std::int32_t taps = 0;
               for (int iy = yLo; iy < yHi; ++iy) {
-                for (int ix = xLo; ix < xHi; ++ix, ++tap) {
-                  const std::size_t off =
+                for (int ix = xLo; ix < xHi; ++ix) {
+                  tapOffset[static_cast<std::size_t>(taps++)] =
                       (static_cast<std::size_t>(iy) * pi.inW + ix) * C;
-                  tapOffset[tap] = off;
-                  const float* __restrict xp = xImg + off;
-                  for (std::size_t c = 0; c < C; ++c) {
-                    const bool gt = xp[c] > best[c];
-                    best[c] = gt ? xp[c] : best[c];
-                    arg[c] = gt ? tap : arg[c];
-                  }
                 }
               }
-              // Route dy to each channel's argmax tap as dense rows: the
-              // other taps add +0, which leaves every dX value as it is
-              // (dX starts at +0 and only ever has values added, so it is
-              // never -0).
-              for (std::int32_t t = 0; t < tap; ++t) {
-                float* __restrict d = dxImg + tapOffset[t];
-                for (std::size_t c = 0; c < C; ++c) {
-                  d[c] += arg[c] == t ? g[c] : 0.f;
+              // A vector of channels at a time, its best value and argmax
+              // tap held in registers. The first strictly greater value
+              // wins, taps in (fy, fx) order: NaN never compares greater,
+              // and an all -inf window keeps arg -1 and routes nothing.
+              for (std::size_t c0 = 0; c0 < C; c0 += kLanes) {
+                const int lanes =
+                    static_cast<int>(std::min<std::size_t>(kLanes, C - c0));
+                Vec best = Vec{} - std::numeric_limits<float>::infinity();
+                IVec arg = IVec{} - 1;
+                for (std::int32_t tap = 0; tap < taps; ++tap) {
+                  const Vec v = loadLanes(xImg + tapOffset[tap] + c0, lanes);
+                  const IVec gt = v > best;
+                  best = gt ? v : best;
+                  arg = gt ? IVec{} + tap : arg;
+                }
+                const Vec gv = loadLanes(g + c0, lanes);
+                const Vec routed = tiled ? Vec{} + gv : gv;
+                for (std::int32_t tap = 0; tap < taps; ++tap) {
+                  float* d = dxImg + tapOffset[tap] + c0;
+                  Vec v = arg == IVec{} + tap ? routed : Vec{};
+                  // Overlapping windows add dy, or +0 (which leaves dX as
+                  // it is: it starts at +0 and is never -0), in order.
+                  if (!tiled) v = loadLanes(d, lanes) + v;
+                  if (lanes == kLanes) {
+                    storeVec(d, v);
+                  } else {
+                    storePartial(d, v, lanes);
+                  }
                 }
               }
             }
@@ -1478,33 +1538,76 @@ DataId NativeBackend::avgPoolBackprop(const TensorSpec& dy,
 }
 
 DataId NativeBackend::reduce(ReduceOp op, const TensorSpec& x,
-                             std::size_t outer, std::size_t inner) {
+                             std::size_t outer, std::size_t n,
+                             std::size_t inner) {
   KernelTimer t(kernelMs_, "native.reduce");
   if (op != ReduceOp::kSum && op != ReduceOp::kMean) {
-    return RefBackend::reduce(op, x, outer, inner);
+    return RefBackend::reduce(op, x, outer, n, inner);
   }
   const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(outer);
-  // Parallel over output rows only; each row's accumulation stays serial
-  // (4-way split), so the parallel result is bit-identical to 1 thread.
-  ThreadPool::get().parallelFor(
-      outer, rowsPerChunk(inner, 1 << 14),
-      [&](std::size_t oBegin, std::size_t oEnd) {
-        for (std::size_t o = oBegin; o < oEnd; ++o) {
-          const float* __restrict row = xv.data() + o * inner;
-          // Four parallel accumulators break the dependency chain for SIMD.
-          float acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-          std::size_t i = 0;
-          for (; i + 4 <= inner; i += 4) {
-            acc0 += row[i];
-            acc1 += row[i + 1];
-            acc2 += row[i + 2];
-            acc3 += row[i + 3];
+  std::vector<float> out = allocBuffer(outer * inner);
+  const float count = static_cast<float>(n);
+  // Every output element is one chain over the middle index i, split over
+  // four accumulators by i mod 4 (which breaks the dependency chain), then
+  // summed acc0 + acc1 + acc2 + acc3 and finished with the tail in order.
+  // The parallel partition only groups whole outputs, so the result is
+  // bitwise the same at any thread count.
+  if (inner == 1) {
+    // Row sums, parallel over rows.
+    ThreadPool::get().parallelFor(
+        outer, rowsPerChunk(n, 1 << 14),
+        [&](std::size_t oBegin, std::size_t oEnd) {
+          for (std::size_t o = oBegin; o < oEnd; ++o) {
+            const float* __restrict row = xv.data() + o * n;
+            float acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
+            std::size_t i = 0;
+            for (; i + 4 <= n; i += 4) {
+              acc0 += row[i];
+              acc1 += row[i + 1];
+              acc2 += row[i + 2];
+              acc3 += row[i + 3];
+            }
+            float acc = acc0 + acc1 + acc2 + acc3;
+            for (; i < n; ++i) acc += row[i];
+            out[o] = op == ReduceOp::kMean ? acc / count : acc;
           }
-          float acc = acc0 + acc1 + acc2 + acc3;
-          for (; i < inner; ++i) acc += row[i];
-          out[o] =
-              op == ReduceOp::kMean ? acc / static_cast<float>(inner) : acc;
+        });
+    return store(std::move(out));
+  }
+  // Column sums: the same split per lane, a vector of kLanes adjacent
+  // columns at a time, parallel over (outer row, column block) units.
+  const std::size_t blocks = (inner + kLanes - 1) / kLanes;
+  ThreadPool::get().parallelFor(
+      outer * blocks, rowsPerChunk(n * kLanes, 1 << 14),
+      [&](std::size_t uBegin, std::size_t uEnd) {
+        for (std::size_t u = uBegin; u < uEnd; ++u) {
+          const std::size_t o = u / blocks, j = u % blocks * kLanes;
+          const int lanes =
+              static_cast<int>(std::min<std::size_t>(kLanes, inner - j));
+          const float* col = xv.data() + o * n * inner + j;
+          const auto sum = [&](auto load) {
+            Vec acc0 = {}, acc1 = {}, acc2 = {}, acc3 = {};
+            std::size_t i = 0;
+            for (; i + 4 <= n; i += 4) {
+              acc0 += load(col + i * inner);
+              acc1 += load(col + (i + 1) * inner);
+              acc2 += load(col + (i + 2) * inner);
+              acc3 += load(col + (i + 3) * inner);
+            }
+            Vec acc = acc0 + acc1 + acc2 + acc3;
+            for (; i < n; ++i) acc += load(col + i * inner);
+            return op == ReduceOp::kMean ? acc / count : acc;
+          };
+          float* dst = out.data() + o * inner + j;
+          if (lanes == kLanes) {
+            storeVec(dst, sum([](const float* p) { return loadVec(p); }));
+          } else {
+            storePartial(dst,
+                         sum([lanes](const float* p) {
+                           return loadPartial(p, lanes);
+                         }),
+                         lanes);
+          }
         }
       });
   return store(std::move(out));

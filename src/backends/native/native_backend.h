@@ -141,10 +141,11 @@ class NativeBackend : public RefBackend {
   DataId depthwiseConv2dBackpropFilter(const TensorSpec& x,
                                        const TensorSpec& dy,
                                        const Conv2DInfo& info) override;
-  /// Dense channel rows per window: a branch-free argmax (first strict >,
-  /// so NaN is never picked and an all -inf window routes nothing), then
-  /// one add per channel. Every dX element sums in RefBackend's (oy, ox)
-  /// order, so the result is bitwise RefBackend's.
+  /// Per window, a vector of channels at a time: a branch-free argmax in
+  /// registers (first strict >, so NaN is never picked and an all -inf
+  /// window routes nothing), then one add per channel. Every dX element
+  /// sums in RefBackend's (oy, ox) order, so the result is bitwise
+  /// RefBackend's; windows that tile the input write each element once.
   DataId maxPoolBackprop(const TensorSpec& dy, const TensorSpec& x,
                          const Pool2DInfo& info) override;
   /// dy / count as a channel row, added to every in-bounds tap in (oy, ox)
@@ -152,8 +153,11 @@ class NativeBackend : public RefBackend {
   DataId avgPoolBackprop(const TensorSpec& dy,
                          const Pool2DInfo& info) override;
 
+  /// sum and mean: four accumulators split by middle index mod 4, as row
+  /// sums when inner is 1 and per lane of a column vector otherwise, the
+  /// same chain either way; the other ops are RefBackend's.
   DataId reduce(ReduceOp op, const TensorSpec& x, std::size_t outer,
-                std::size_t inner) override;
+                std::size_t n, std::size_t inner) override;
 
   /// Single-matrix GEMM C[m,n] += A[m,k] * B[k,n], parallelised over row or
   /// column panels on the shared pool; exposed for tests. Each C element is

@@ -688,8 +688,9 @@ DataId WebGLBackend::avgPoolBackprop(const TensorSpec& dy,
 }
 
 DataId WebGLBackend::reduce(ReduceOp op, const TensorSpec& x,
-                            std::size_t outer, std::size_t inner) {
-  const Shape outShape{static_cast<int>(outer)};
+                            std::size_t outer, std::size_t n,
+                            std::size_t inner) {
+  const Shape outShape{static_cast<int>(outer * inner)};
   auto [id, outTex] = makeOutput(outShape);
   ShaderRun r;
   r.name = "reduce";
@@ -697,40 +698,41 @@ DataId WebGLBackend::reduce(ReduceOp op, const TensorSpec& x,
   r.output = outTex;
   r.inputs = {input(x)};
   r.squeeze = opts_.squeeze;
-  r.main = [op, inner](ShaderContext& ctx) {
-    const std::size_t base = ctx.outFlat() * inner;
+  r.main = [op, n, inner](ShaderContext& ctx) {
+    // Output (o, j) folds the middle axis of [outer, n, inner].
+    const std::size_t flat = ctx.outFlat();
+    const std::size_t base = (flat / inner) * n * inner + flat % inner;
+    const auto at = [&](std::size_t i) {
+      return ctx.getFlat(0, base + i * inner);
+    };
     float acc;
     switch (op) {
       case ReduceOp::kSum:
       case ReduceOp::kMean: {
         acc = 0;
-        for (std::size_t i = 0; i < inner; ++i) acc += ctx.getFlat(0, base + i);
-        if (op == ReduceOp::kMean) acc /= static_cast<float>(inner);
+        for (std::size_t i = 0; i < n; ++i) acc += at(i);
+        if (op == ReduceOp::kMean) acc /= static_cast<float>(n);
         break;
       }
       case ReduceOp::kProd: {
         acc = 1;
-        for (std::size_t i = 0; i < inner; ++i) acc *= ctx.getFlat(0, base + i);
+        for (std::size_t i = 0; i < n; ++i) acc *= at(i);
         break;
       }
       case ReduceOp::kMax: {
         acc = -kInf;
-        for (std::size_t i = 0; i < inner; ++i) {
-          acc = std::max(acc, ctx.getFlat(0, base + i));
-        }
+        for (std::size_t i = 0; i < n; ++i) acc = std::max(acc, at(i));
         break;
       }
       case ReduceOp::kMin: {
         acc = kInf;
-        for (std::size_t i = 0; i < inner; ++i) {
-          acc = std::min(acc, ctx.getFlat(0, base + i));
-        }
+        for (std::size_t i = 0; i < n; ++i) acc = std::min(acc, at(i));
         break;
       }
       case ReduceOp::kAny: {
         acc = 0;
-        for (std::size_t i = 0; i < inner; ++i) {
-          if (ctx.getFlat(0, base + i) != 0) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (at(i) != 0) {
             acc = 1;
             break;
           }
@@ -739,8 +741,8 @@ DataId WebGLBackend::reduce(ReduceOp op, const TensorSpec& x,
       }
       case ReduceOp::kAll: {
         acc = 1;
-        for (std::size_t i = 0; i < inner; ++i) {
-          if (ctx.getFlat(0, base + i) == 0) {
+        for (std::size_t i = 0; i < n; ++i) {
+          if (at(i) == 0) {
             acc = 0;
             break;
           }
@@ -752,9 +754,9 @@ DataId WebGLBackend::reduce(ReduceOp op, const TensorSpec& x,
     }
     ctx.setOutput(acc);
   };
-  r.cost.invocations = outer;
-  r.cost.fetchesPerInvocation = static_cast<double>(inner) * fetchScale();
-  r.cost.flopsPerInvocation = static_cast<double>(inner);
+  r.cost.invocations = outer * inner;
+  r.cost.fetchesPerInvocation = static_cast<double>(n) * fetchScale();
+  r.cost.flopsPerInvocation = static_cast<double>(n);
   run(std::move(r));
   return id;
 }

@@ -81,6 +81,16 @@ struct RegionInstr {
   int c = 0;       ///< third operand (kSelect only)
   float alpha = 0; ///< unary parameter
   float beta = 0;  ///< unary parameter
+
+  /// The operand ref of external input slot j.
+  static constexpr int input(int j) { return -1 - j; }
+  static constexpr RegionInstr unary(UnaryOp op, int a, float alpha = 0) {
+    return {.kind = Kind::kUnary, .op = static_cast<int>(op), .a = a,
+            .alpha = alpha};
+  }
+  static constexpr RegionInstr binary(BinaryOp op, int a, int b) {
+    return {.kind = Kind::kBinary, .op = static_cast<int>(op), .a = a, .b = b};
+  }
 };
 
 /// A straight-line elementwise program over `numInputs` external tensors.
@@ -198,9 +208,13 @@ class Backend {
                                  const Pool2DInfo& info) = 0;
   virtual DataId avgPoolBackprop(const TensorSpec& dy,
                                  const Pool2DInfo& info) = 0;
-  /// Reduces the trailing `inner` elements of x viewed as [outer, inner].
+  /// Reduces the middle axis of x viewed as [outer, n, inner]; the result
+  /// is [outer, inner]. Each output element folds its n inputs in
+  /// ascending order of the middle index, so the view is bitwise the same
+  /// reduce as transposing the middle axis last (inner = 1). An empty
+  /// middle axis (n = 0) gives the op's identity (mean: 0 / 0).
   virtual DataId reduce(ReduceOp op, const TensorSpec& x, std::size_t outer,
-                        std::size_t inner) = 0;
+                        std::size_t n, std::size_t inner) = 0;
   /// Index of max/min over the trailing `inner` elements, as float values.
   virtual DataId arg(ArgOp op, const TensorSpec& x, std::size_t outer,
                      std::size_t inner) = 0;

@@ -11,6 +11,8 @@
 // backend — the epilogue applies exactly the same scalar formulas after the
 // full accumulation (see DESIGN.md "Memory reuse").
 #include <array>
+#include <initializer_list>
+#include <vector>
 
 #include "ops/common.h"
 
@@ -30,17 +32,39 @@ bool int8Weights(const Tensor& w) {
 /// dL/d(pre-activation) from dy and the fused output y for an activation
 /// other than kNone. Every supported activation's derivative is expressible
 /// from its own output, so the pre-activation values never need to be
-/// materialized.
+/// materialized. Each is one region (relu: dy * (y > 0), relu6:
+/// dy * ((y > 0) && (y < 6)), sigmoid: dy * (y * (1 - y))), bitwise the
+/// same values as those ops dispatched one at a time.
 Tensor activationGrad(FusedActivation act, const Tensor& dy, const Tensor& y) {
+  using I = RegionInstr;
+  constexpr int kDy = I::input(0), kY = I::input(1), kC0 = I::input(2),
+                kC1 = I::input(3);
+  const auto region = [&](std::vector<RegionInstr> instrs,
+                          std::initializer_list<float> constants) {
+    std::vector<Tensor> inputs{dy, y};
+    for (float c : constants) inputs.push_back(scalar(c));
+    const RegionProgram program{static_cast<int>(inputs.size()),
+                                std::move(instrs)};
+    Tensor dt = fusedRegion(program, inputs);
+    for (std::size_t j = 2; j < inputs.size(); ++j) inputs[j].dispose();
+    return dt;
+  };
   switch (act) {
     case FusedActivation::kRelu:
-      return mul(dy, cast(greater(y, scalar(0)), DType::f32));
+      return region({I::binary(BinaryOp::kGreater, kY, kC0),
+                     I::binary(BinaryOp::kMul, kDy, 0)},
+                    {0.f});
     case FusedActivation::kRelu6:
-      return mul(dy, cast(logicalAnd(greater(y, scalar(0)),
-                                     less(y, scalar(6))),
-                          DType::f32));
+      return region({I::binary(BinaryOp::kGreater, kY, kC0),
+                     I::binary(BinaryOp::kLess, kY, kC1),
+                     I::binary(BinaryOp::kLogicalAnd, 0, 1),
+                     I::binary(BinaryOp::kMul, kDy, 2)},
+                    {0.f, 6.f});
     case FusedActivation::kSigmoid:
-      return mul(dy, mul(y, sub(scalar(1), y)));
+      return region({I::binary(BinaryOp::kSub, kC0, kY),
+                     I::binary(BinaryOp::kMul, kY, 0),
+                     I::binary(BinaryOp::kMul, kDy, 1)},
+                    {1.f});
     case FusedActivation::kNone:
       break;
   }

@@ -1,7 +1,8 @@
-// Reductions. Internally the input is transposed (if needed) so the reduced
-// axes are trailing, viewed as [outer, inner], and handed to the backend's
-// reduce kernel. The internal steps run with the tape paused; each public op
-// records one composite gradient.
+// Reductions. The input is viewed as [outer, n, inner] with the reduced axes
+// as the middle block and handed to the backend's reduce kernel as is; only
+// reduced axes that are not one contiguous block (unit axes aside) are
+// transposed last first. The internal steps run with the tape paused; each
+// public op records one composite gradient.
 #include <algorithm>
 #include <array>
 
@@ -30,49 +31,64 @@ Tensor reduceGradTo(const Tensor& dy, const Shape& target) {
 namespace {
 
 struct ReducePlan {
-  Tensor prepared;     ///< input with reduce axes trailing (may alias x)
-  std::size_t outer = 1, inner = 1;
+  Tensor prepared;     ///< x, or x transposed with the reduce axes last
+  std::size_t outer = 1, n = 1, inner = 1;  ///< prepared as [outer, n, inner]
   Shape outShape;      ///< result shape (respecting keepDims)
-  Shape keepShape;     ///< result shape with keepDims=true (for gradients)
   std::vector<int> axes;
 };
 
-ReducePlan plan(const Tensor& x, std::span<const int> axesIn, bool keepDims) {
+/// Views x as [outer, n, inner] with the reduce axes as the middle block.
+/// Axes of extent 1 never move an element, so only the others must be
+/// contiguous; otherwise (or when `middleOk` is false and a kept axis of
+/// extent > 1 follows the block) x is transposed to [kept..., reduced...]
+/// and inner is 1. Either way each output folds the same elements in the
+/// same order: row-major over the reduce axes.
+ReducePlan plan(const Tensor& x, std::span<const int> axesIn, bool keepDims,
+                bool middleOk) {
   ReducePlan p;
-  std::vector<int> allAxes;
+  const int rank = x.rank();
   if (axesIn.empty()) {
-    for (int i = 0; i < x.rank(); ++i) allAxes.push_back(i);
+    for (int i = 0; i < rank; ++i) p.axes.push_back(i);
   } else {
-    allAxes = util::normalizeAxes(axesIn, x.rank());
+    p.axes = util::normalizeAxes(axesIn, rank);
   }
-  p.axes = allAxes;
-  p.outShape = util::reducedShape(x.shape(), allAxes, keepDims);
-  p.keepShape = util::reducedShape(x.shape(), allAxes, /*keepDims=*/true);
-
-  // Are the reduce axes already trailing?
-  bool trailing = true;
-  for (std::size_t i = 0; i < allAxes.size(); ++i) {
-    if (allAxes[i] != x.rank() - static_cast<int>(allAxes.size()) +
-                          static_cast<int>(i)) {
-      trailing = false;
-      break;
+  p.outShape = util::reducedShape(x.shape(), p.axes, keepDims);
+  const std::vector<int>& dims = x.shape().dims();
+  std::vector<bool> reduced(static_cast<std::size_t>(rank), false);
+  for (int a : p.axes) reduced[static_cast<std::size_t>(a)] = true;
+  // The block spans the first to the last reduce axis of extent != 1.
+  int first = rank, last = -1;
+  for (int d = 0; d < rank; ++d) {
+    if (reduced[static_cast<std::size_t>(d)] &&
+        dims[static_cast<std::size_t>(d)] != 1) {
+      first = std::min(first, d);
+      last = d;
     }
   }
-  if (trailing) {
+  bool view = true;
+  for (int d = 0; d < rank; ++d) {
+    const auto u = static_cast<std::size_t>(d);
+    if (reduced[u]) {
+      p.n *= static_cast<std::size_t>(dims[u]);
+    } else if (d < first) {
+      p.outer *= static_cast<std::size_t>(dims[u]);
+    } else {
+      p.inner *= static_cast<std::size_t>(dims[u]);
+      if (dims[u] != 1 && (d < last || !middleOk)) view = false;
+    }
+  }
+  if (view) {
     p.prepared = x.clone();
-  } else {
-    std::vector<int> perm;
-    for (int i = 0; i < x.rank(); ++i) {
-      if (std::find(allAxes.begin(), allAxes.end(), i) == allAxes.end()) {
-        perm.push_back(i);
-      }
-    }
-    for (int a : allAxes) perm.push_back(a);
-    p.prepared = transpose(x, perm);
+    return p;
   }
-  for (int a : allAxes) p.inner *= static_cast<std::size_t>(x.shape()[a]);
-  p.outer = x.size() / std::max<std::size_t>(p.inner, 1);
-  if (p.inner == 0) p.inner = 1;  // reducing an empty-dim tensor
+  std::vector<int> perm;
+  for (int d = 0; d < rank; ++d) {
+    if (!reduced[static_cast<std::size_t>(d)]) perm.push_back(d);
+  }
+  perm.insert(perm.end(), p.axes.begin(), p.axes.end());
+  p.prepared = transpose(x, perm);
+  p.outer *= p.inner;
+  p.inner = 1;
   return p;
 }
 
@@ -81,11 +97,11 @@ Tensor dispatchReduce(const char* name, ReduceOp op, const Tensor& x,
   internal::CaptureFrame frame;
   internal::KernelScope k(name);
   internal::TapePause pause;
-  ReducePlan p = plan(x, axes, keepDims);
+  ReducePlan p = plan(x, axes, keepDims, /*middleOk=*/true);
   const TensorSpec spec = E().prepareInput(p.prepared);
-  const DataId id = E().backend().reduce(op, spec, p.outer, p.inner);
+  const DataId id = E().backend().reduce(op, spec, p.outer, p.n, p.inner);
   Tensor flat = E().makeTensorFromDataId(
-      id, Shape{static_cast<int>(p.outer)}, dtype);
+      id, Shape{static_cast<int>(p.outer * p.inner)}, dtype);
   Tensor y = flat.reshape(p.outShape);
   flat.dispose();
   p.prepared.dispose();
@@ -218,9 +234,11 @@ Tensor dispatchArg(const char* name, ArgOp op, const Tensor& x, int axis) {
                    name << ": axis " << axis << " out of range for rank "
                         << x.rank());
   const std::array<int, 1> axes{norm};
-  ReducePlan p = plan(x, axes, /*keepDims=*/false);
+  ReducePlan p = plan(x, axes, /*keepDims=*/false, /*middleOk=*/false);
+  TFJS_SHAPE_CHECK(p.n > 0 || p.outer == 0,
+                   name << ": axis " << axis << " is empty");
   const TensorSpec spec = E().prepareInput(p.prepared);
-  const DataId id = E().backend().arg(op, spec, p.outer, p.inner);
+  const DataId id = E().backend().arg(op, spec, p.outer, p.n);
   Tensor flat = E().makeTensorFromDataId(
       id, Shape{static_cast<int>(p.outer)}, DType::i32);
   Tensor y = flat.reshape(p.outShape);

@@ -8,10 +8,16 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "autodiff/optimizers.h"
 #include "autodiff/tape.h"
+#include "backends/common/ref_backend.h"
+#include "backends/webgl/webgl_backend.h"
+#include "core/engine.h"
 #include "ops/ops.h"
 #include "tests/test_util.h"
 
@@ -553,6 +559,204 @@ TEST_F(OptimizerTest, MinimizeDoesNotLeak) {
   EXPECT_EQ(memory().numTensors, before.numTensors);
   EXPECT_EQ(memory().numBytes, before.numBytes);
   x.dispose();
+}
+
+/// An optimizer with its slots readable.
+template <class Opt>
+struct Exposed : Opt {
+  using Opt::Opt;
+  using Opt::slot;
+};
+
+/// The op-by-op update chain an optimizer's regions must match bit for
+/// bit, run by the test itself: returns the new parameter and replaces
+/// the chain's slots.
+using Slots = std::map<std::string, Tensor>;
+using Chain = std::function<Tensor(const Tensor& v, const Tensor& g,
+                                   Slots& slots, int step)>;
+
+void replaceSlot(Slots& slots, const std::string& name, const Tensor& t) {
+  Tensor& s = slots[name];
+  if (s.defined()) s.dispose();
+  t.keep();
+  s = t;
+}
+
+Tensor slotOr(Slots& slots, const std::string& name,
+              const std::function<Tensor()>& init) {
+  if (!slots.count(name)) replaceSlot(slots, name, init());
+  return slots[name];
+}
+
+/// Runs `opt` and `chain` side by side for six steps on a [3, 5] and a
+/// scalar variable, with gradients that mix negatives and zeros of both
+/// signs, and compares every parameter and slot with memcmp after each.
+template <class Opt>
+void expectUpdatesMatchChain(const std::string& tag, Exposed<Opt>& opt,
+                             const std::vector<std::string>& slotNames,
+                             const Chain& chain) {
+  const std::vector<Shape> shapes{Shape{3, 5}, Shape{}};
+  std::vector<Variable> vars;
+  std::vector<Tensor> chainVars;
+  std::vector<Slots> chainSlots(shapes.size());
+  std::uint32_t seed = 99;
+  const auto values = [&seed](const Shape& s, float scale) {
+    std::vector<float> v(s.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      seed = seed * 1664525u + 1013904223u;
+      v[i] = scale * (static_cast<float>(seed >> 8) / (1u << 24) * 2 - 1);
+      if (seed % 5 == 0) v[i] = seed % 2 == 0 ? 0.f : -0.f;
+    }
+    return v;
+  };
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    const std::vector<float> init = values(shapes[k], 3.f);
+    vars.emplace_back(o::tensor(init, shapes[k]),
+                      tag + "_var" + std::to_string(k));
+    chainVars.push_back(o::tensor(init, shapes[k]));
+  }
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    const std::vector<float> av = a.dataSync(), bv = b.dataSync();
+    return av.size() == bv.size() &&
+           std::memcmp(av.data(), bv.data(), av.size() * sizeof(float)) == 0;
+  };
+  for (int step = 1; step <= 6; ++step) {
+    std::vector<std::pair<Variable, Tensor>> grads;
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      // The scalar variable's first gradient is -0.
+      std::vector<float> g = values(shapes[k], 2.f);
+      if (shapes[k].rank() == 0 && step == 1) g[0] = -0.f;
+      grads.emplace_back(vars[k], o::tensor(g, shapes[k]));
+    }
+    opt.applyGradients(grads);
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      Tensor next = chain(chainVars[k], grads[k].second, chainSlots[k], step);
+      chainVars[k].dispose();
+      chainVars[k] = next;
+      const std::string at = tag + " step " + std::to_string(step) +
+                             " variable " + std::to_string(k);
+      EXPECT_TRUE(same(vars[k].value(), next)) << at;
+      for (const std::string& name : slotNames) {
+        EXPECT_TRUE(same(opt.slot(vars[k], name), chainSlots[k][name]))
+            << at << " slot " << name;
+      }
+      grads[k].second.dispose();
+    }
+  }
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    vars[k].dispose();
+    chainVars[k].dispose();
+    for (auto& [name, t] : chainSlots[k]) t.dispose();
+  }
+}
+
+TEST_F(OptimizerTest, UpdatesMatchOpChainBitwise) {
+  static const bool registered = [] {
+    Engine::get().registerBackend(
+        "ref", [] { return std::make_unique<backends::RefBackend>(); },
+        /*priority=*/0);
+    backends::webgl::WebGLOptions unpacked;
+    unpacked.packed = false;
+    backends::webgl::registerBackendVariant("webgl-unpacked", unpacked);
+    return true;
+  }();
+  (void)registered;
+  const float lr = 0.05f;
+  for (const char* backend :
+       {"ref", "cpu", "native", "webgl", "webgl-unpacked"}) {
+    setBackend(backend);
+    const std::string b = backend;
+    {
+      Exposed<ad::SGDOptimizer> sgd(lr);
+      expectUpdatesMatchChain(
+          b + " sgd", sgd, {},
+          [&](const Tensor& v, const Tensor& g, Slots&, int) {
+            return tidy([&] { return o::sub(v, o::mulScalar(g, lr)); });
+          });
+    }
+    {
+      Exposed<ad::MomentumOptimizer> momentum(lr, 0.9f);
+      expectUpdatesMatchChain(
+          b + " momentum", momentum, {"m"},
+          [&](const Tensor& v, const Tensor& g, Slots& slots, int) {
+            const Tensor m =
+                slotOr(slots, "m", [&] { return o::zerosLike(v); });
+            Tensor newM =
+                tidy([&] { return o::add(o::mulScalar(m, 0.9f), g); });
+            Tensor next =
+                tidy([&] { return o::sub(v, o::mulScalar(newM, lr)); });
+            replaceSlot(slots, "m", newM);
+            return next;
+          });
+    }
+    {
+      Exposed<ad::RMSPropOptimizer> rmsprop(lr);
+      expectUpdatesMatchChain(
+          b + " rmsprop", rmsprop, {"ms"},
+          [&](const Tensor& v, const Tensor& g, Slots& slots, int) {
+            const Tensor ms =
+                slotOr(slots, "ms", [&] { return o::zerosLike(v); });
+            Tensor newMs = tidy([&] {
+              return o::add(o::mulScalar(ms, 0.9f),
+                            o::mulScalar(o::square(g), 1.0f - 0.9f));
+            });
+            Tensor next = tidy([&] {
+              return o::sub(v, o::div(o::mulScalar(g, lr),
+                                      o::sqrt(o::addScalar(newMs, 1e-7f))));
+            });
+            replaceSlot(slots, "ms", newMs);
+            return next;
+          });
+    }
+    {
+      Exposed<ad::AdamOptimizer> adam(lr);
+      expectUpdatesMatchChain(
+          b + " adam", adam, {"m", "v"},
+          [&](const Tensor& v, const Tensor& g, Slots& slots, int step) {
+            const float beta1 = 0.9f, beta2 = 0.999f;
+            const float c1 = 1.0f - std::pow(beta1, static_cast<float>(step));
+            const float c2 = 1.0f - std::pow(beta2, static_cast<float>(step));
+            const Tensor m =
+                slotOr(slots, "m", [&] { return o::zerosLike(v); });
+            const Tensor vv =
+                slotOr(slots, "v", [&] { return o::zerosLike(v); });
+            Tensor newM = tidy([&] {
+              return o::add(o::mulScalar(m, beta1),
+                            o::mulScalar(g, 1.0f - beta1));
+            });
+            Tensor newV = tidy([&] {
+              return o::add(o::mulScalar(vv, beta2),
+                            o::mulScalar(o::square(g), 1.0f - beta2));
+            });
+            Tensor next = tidy([&] {
+              Tensor mHat = o::divScalar(newM, c1);
+              Tensor vHat = o::divScalar(newV, c2);
+              return o::sub(v, o::div(o::mulScalar(mHat, lr),
+                                      o::addScalar(o::sqrt(vHat), 1e-7f)));
+            });
+            replaceSlot(slots, "m", newM);
+            replaceSlot(slots, "v", newV);
+            return next;
+          });
+    }
+    {
+      Exposed<ad::AdagradOptimizer> adagrad(lr);
+      expectUpdatesMatchChain(
+          b + " adagrad", adagrad, {"acc"},
+          [&](const Tensor& v, const Tensor& g, Slots& slots, int) {
+            const Tensor acc = slotOr(slots, "acc",
+                                      [&] { return o::fill(v.shape(), 0.1f); });
+            Tensor newAcc = tidy([&] { return o::add(acc, o::square(g)); });
+            Tensor next = tidy([&] {
+              return o::sub(v, o::div(o::mulScalar(g, lr),
+                                      o::addScalar(o::sqrt(newAcc), 1e-7f)));
+            });
+            replaceSlot(slots, "acc", newAcc);
+            return next;
+          });
+    }
+  }
+  setBackend("native");
 }
 
 }  // namespace

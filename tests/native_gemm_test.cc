@@ -858,7 +858,9 @@ TEST_F(NativeGemmTest, DepthwiseBackpropMatchesOracle) {
 }
 
 /// Pooling geometries: overlapping windows (stride < filter), SAME padding
-/// on every edge, and VALID.
+/// on every edge, and VALID; windows that tile the input exactly (2x2/2
+/// VALID, and SAME over odd sizes, whose last window is clipped), and
+/// disjoint windows that skip cells (filter < stride).
 struct PoolCase {
   int h, w, filter, stride;
   PadMode pad;
@@ -867,7 +869,9 @@ constexpr PoolCase kPoolCases[] = {{9, 11, 3, 1, PadMode::kSame},
                                    {10, 13, 3, 2, PadMode::kSame},
                                    {8, 8, 2, 2, PadMode::kValid},
                                    {7, 12, 4, 3, PadMode::kSame},
-                                   {11, 9, 3, 2, PadMode::kValid}};
+                                   {11, 9, 3, 2, PadMode::kValid},
+                                   {7, 9, 2, 2, PadMode::kSame},
+                                   {9, 10, 2, 3, PadMode::kValid}};
 
 /// A [2, h, w, C] pooling input: values on a half-integer grid (ties), NaN
 /// every 17th element, and in image 1's even channels a 5x5 block of -inf,
@@ -926,7 +930,9 @@ TEST_F(NativeGemmTest, Pool2dMatchesReference) {
 // Pool backprop: bitwise RefBackend — the same argmax (first strictly
 // greater value, taps in (fy, fx) order) and the same adds into each input
 // element in (oy, ox) order, over poolInput's ties, NaN and all -inf
-// windows (max routes nothing there).
+// windows (max routes nothing there), with -0 gradients mixed in
+// (RefBackend's +0 + -0 leaves +0 in dX, also where tiling windows write
+// each element once).
 TEST_F(NativeGemmTest, PoolBackpropMatchesReference) {
   tfjs::backends::RefBackend ref;
   for (const PoolCase& cs : kPoolCases) {
@@ -936,7 +942,8 @@ TEST_F(NativeGemmTest, PoolBackpropMatchesReference) {
           xs, cs.filter, cs.filter, cs.stride, cs.stride, cs.pad);
       const Shape ys{pi.batch, pi.outH, pi.outW, pi.channels};
       const std::vector<float> xData = poolInput(cs, C);
-      const auto dyData = randomData(ys.size(), 62);
+      auto dyData = randomData(ys.size(), 62);
+      for (std::size_t e = 2; e < dyData.size(); e += 7) dyData[e] = -0.f;
       const auto wantMax = ref.read(ref.maxPoolBackprop(
           TensorSpec{ref.write(dyData, ys), ys, tfjs::DType::f32},
           TensorSpec{ref.write(xData, xs), xs, tfjs::DType::f32}, pi));

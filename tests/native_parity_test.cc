@@ -20,6 +20,7 @@
 //    guarantee of the thread pool is the *bitwise* one above.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -331,21 +332,66 @@ TEST_F(NativeParityTest, ElementwiseUnaryOddCount) {
 }
 
 TEST_F(NativeParityTest, ReduceSumMeanRowParallel) {
-  // 77 rows of 1023: rows chunk by 16, inner length not a multiple of the
+  // 77 rows of 1023: rows chunk by 16, the row length not a multiple of the
   // 4-way accumulator split. runBoth() asserts the bitwise parallel==serial
   // guarantee; against ref only closeness holds (the 4-accumulator order
   // differs from ref's strictly sequential sum — a pre-existing property of
   // the native backend, not introduced by parallelisation).
-  const std::size_t outer = 77, inner = 1023;
-  const Shape shape{static_cast<int>(outer), static_cast<int>(inner)};
-  const auto xData = randomData(outer * inner, 19);
+  const std::size_t outer = 77, n = 1023;
+  const Shape shape{static_cast<int>(outer), static_cast<int>(n)};
+  const auto xData = randomData(outer * n, 19);
   for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMean}) {
     auto [par, ref] = runBoth([&](tfjs::Backend& be) {
-      return be.read(be.reduce(op, put(be, xData, shape), outer, inner));
+      return be.read(be.reduce(op, put(be, xData, shape), outer, n, 1));
     });
     ASSERT_EQ(par.size(), ref.size());
     for (std::size_t i = 0; i < par.size(); ++i) {
       EXPECT_NEAR(par[i], ref[i], 1e-3f) << "at row " << i;
+    }
+  }
+}
+
+TEST_F(NativeParityTest, ReduceColumnSumsParallel) {
+  // Column sums of [outer, n, inner] views: inner 37 leaves a masked tail
+  // block of 5 (AVX-512), 5 (AVX) or 1 (SSE) lanes, and n = 1023 a tail
+  // after the 4-way split. The units chunk over (outer, column block), so
+  // 4 threads must match 1 bitwise; each column's chain must also equal
+  // the row sum of the same values laid out as a row (the split is per
+  // lane).
+  for (const auto& [outer, n, inner] :
+       {std::array<std::size_t, 3>{1, 1023, 37},
+        std::array<std::size_t, 3>{3, 300, 37},
+        std::array<std::size_t, 3>{2, 7, 100}}) {
+    const Shape shape{static_cast<int>(outer), static_cast<int>(n),
+                      static_cast<int>(inner)};
+    const auto xData = randomData(outer * n * inner, 23);
+    // The same values with the middle axis last, reduced as rows.
+    std::vector<float> rows(xData.size());
+    for (std::size_t o = 0; o < outer; ++o) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < inner; ++j) {
+          rows[(o * inner + j) * n + i] = xData[(o * n + i) * inner + j];
+        }
+      }
+    }
+    const Shape rowShape{static_cast<int>(outer * inner), static_cast<int>(n)};
+    for (const ReduceOp op : {ReduceOp::kSum, ReduceOp::kMean}) {
+      SCOPED_TRACE(shape.toString());
+      auto [par, ref] = runBoth([&](tfjs::Backend& be) {
+        return be.read(be.reduce(op, put(be, xData, shape), outer, n, inner));
+      });
+      ThreadPool::get().setNumThreads(1);
+      const TensorSpec asRowsIn = put(native_, rows, rowShape);
+      const std::vector<float> asRows =
+          native_.read(native_.reduce(op, asRowsIn, outer * inner, n, 1));
+      ASSERT_EQ(par.size(), outer * inner);
+      ASSERT_EQ(asRows.size(), par.size());
+      EXPECT_EQ(std::memcmp(par.data(), asRows.data(),
+                            par.size() * sizeof(float)),
+                0);
+      for (std::size_t i = 0; i < par.size(); ++i) {
+        EXPECT_NEAR(par[i], ref[i], 1e-3f) << "at output " << i;
+      }
     }
   }
 }

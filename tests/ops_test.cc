@@ -8,8 +8,10 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -771,9 +773,34 @@ INSTANTIATE_TEST_SUITE_P(Backends, RegionOracleTest,
                          });
 
 TEST_P(RegionOracleTest, EveryUnaryOpCode) {
-  for (const Shape& shape :
-       {Shape{3, 5}, Shape{}, Shape{700}, Shape{0}, Shape{4, 0, 2}}) {
-    const OracleInput x{shape, oracleData(shape, 1, -3.f, 3.f)};
+  // Shape{3, 29} cycles through special values (±0, ±inf, NaN, negatives,
+  // denormals, the extremes) in whole vectors and in a ragged tail.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.f,
+                            -0.f,
+                            kInf,
+                            -kInf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -1.f,
+                            -2.5f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-40f,
+                            -3e-39f,
+                            std::numeric_limits<float>::min(),
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max(),
+                            0.5f,
+                            4.f,
+                            -0.25f};
+  for (const Shape& shape : {Shape{3, 5}, Shape{}, Shape{700}, Shape{0},
+                             Shape{4, 0, 2}, Shape{3, 29}}) {
+    OracleInput x{shape, oracleData(shape, 1, -3.f, 3.f)};
+    if (shape == Shape{3, 29}) {
+      for (std::size_t i = 0; i < x.data.size(); ++i) {
+        x.data[i] = specials[i % std::size(specials)];
+      }
+    }
     for (int op = 0; op <= static_cast<int>(UnaryOp::kMulScalar); ++op) {
       SCOPED_TRACE("unary op " + std::to_string(op) + " over " +
                    shape.toString());
@@ -1071,6 +1098,94 @@ TEST_P(RegionOracleTest, DataMovementMatchesIndexOracle) {
       }
     });
     if (HasFailure()) return;
+  }
+}
+
+// ----------------------------------------------------- reduce oracle
+//
+// Every reduce is one Backend::reduce over x viewed as [outer, n, inner]
+// with the reduced axes as the middle block. This holds all seven ops, for
+// every axis subset of ranks 0-5 with size-1 and zero-size dims, bit for
+// bit to the transpose-then-reduce path: the reduced axes moved last on
+// the host, then the backend's reduce of rows (inner = 1).
+
+TEST_P(RegionOracleTest, ReduceMatchesTransposeOracle) {
+  using Fn = Tensor (*)(const Tensor&, std::span<const int>, bool);
+  const std::pair<ReduceOp, Fn> kOps[] = {
+      {ReduceOp::kSum, &o::sum},   {ReduceOp::kMean, &o::mean},
+      {ReduceOp::kProd, &o::prod}, {ReduceOp::kMax, &o::max},
+      {ReduceOp::kMin, &o::min},   {ReduceOp::kAny, &o::any},
+      {ReduceOp::kAll, &o::all}};
+  Backend& be = Engine::get().backend();
+  std::uint32_t seed = 4242u;
+  const auto next = [&seed](int bound) {
+    seed = seed * 1664525u + 1013904223u;
+    return static_cast<int>((seed >> 8) % static_cast<std::uint32_t>(bound));
+  };
+  for (int rank = 0; rank <= 5; ++rank) {
+    // Two shapes per rank (dims 1-4), the second with a zero-size dim.
+    for (int variant = rank == 0 ? 1 : 0; variant < 2; ++variant) {
+      std::vector<int> dims(static_cast<std::size_t>(rank));
+      for (int& d : dims) d = 1 + next(4);
+      if (variant == 0) dims[static_cast<std::size_t>(next(rank))] = 0;
+      const Shape shape(dims);
+      const std::vector<float> data =
+          oracleData(shape, 40u + static_cast<std::uint32_t>(rank), -2.f, 2.f);
+      // Rank 0 reduces its empty axis set (the ops read it as all axes).
+      for (unsigned mask = rank == 0 ? 0u : 1u; mask < (1u << rank); ++mask) {
+        std::vector<int> axes, perm;
+        for (int d = 0; d < rank; ++d) {
+          if (!(mask >> d & 1u)) perm.push_back(d);
+        }
+        for (int d = 0; d < rank; ++d) {
+          if (mask >> d & 1u) axes.push_back(d);
+        }
+        perm.insert(perm.end(), axes.begin(), axes.end());
+        std::vector<int> tDims;
+        std::size_t outer = 1, n = 1;
+        for (std::size_t k = 0; k < perm.size(); ++k) {
+          const int d = dims[static_cast<std::size_t>(perm[k])];
+          tDims.push_back(d);
+          (k + axes.size() < perm.size() ? outer : n) *=
+              static_cast<std::size_t>(d);
+        }
+        // The transposed copy: element t of it is x at the permuted coords.
+        std::vector<float> transposed(data.size());
+        std::vector<int> xc(static_cast<std::size_t>(rank));
+        for (std::size_t t = 0; t < transposed.size(); ++t) {
+          const std::vector<int> tc = unravelCoords(t, tDims);
+          for (std::size_t k = 0; k < perm.size(); ++k) {
+            xc[static_cast<std::size_t>(perm[k])] = tc[k];
+          }
+          transposed[t] = data[ravelCoords(xc, dims)];
+        }
+        for (const auto& [op, fn] : kOps) {
+          SCOPED_TRACE("reduce op " + std::to_string(static_cast<int>(op)) +
+                       " of " + shape.toString() + " over mask " +
+                       std::to_string(mask));
+          const TensorSpec spec{be.write(transposed, Shape(tDims)),
+                                Shape(tDims), DType::f32};
+          const DataId id = be.reduce(op, spec, outer, n, 1);
+          const std::vector<float> want = be.read(id);
+          be.disposeData(id);
+          be.disposeData(spec.id);
+          tidyVoid([&] {
+            const Tensor y = fn(o::tensor(data, shape), axes, false);
+            test::expectShape(y, util::reducedShape(shape, axes, false));
+            const std::vector<float> got = y.dataSync();
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                        std::bit_cast<std::uint32_t>(want[i]))
+                  << "flat index " << i << ": got " << got[i] << ", want "
+                  << want[i];
+            }
+          });
+          if (HasFailure()) return;
+        }
+      }
+    }
   }
 }
 

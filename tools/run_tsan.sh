@@ -12,8 +12,10 @@
 # each parallel chunk (TSan, ASan), partial tail tiles use masked loads and
 # stores and a padded bias row (ASan, UBSan), and the backward kernels
 # borrow im2col/col2im scratch per chunk (ASan). autodiff_test runs on the
-# ASan leg: it drives those backward kernels through the tape, whose
-# pullbacks now skip the gradients of unwatched operands.
+# ASan and UBSan legs: it drives those backward kernels through the tape,
+# whose pullbacks skip the gradients of unwatched operands, and the
+# optimizers' update regions, whose instructions are built from enum codes
+# the sanitizer's enum check watches, next to the op chains they replace.
 # async_test covers the multi-producer EventLoop::postTask path,
 # serving_test the whole client-threads/scheduler-thread serving stack, and
 # quant_test the quantized kernels whose packed-weight cache is shared
@@ -81,7 +83,7 @@ extended_fuzz build-asan
 cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined
 cmake --build build-ubsan -j --target quant_test native_parity_test \
   native_gemm_test serving_test graph_fuzz_test fusion_test graph_test \
-  graph_executor_test ops_test
+  graph_executor_test ops_test autodiff_test
 ctest --test-dir build-ubsan --output-on-failure \
-  -R 'quant_test|native_parity_test|native_gemm_test|serving_test|graph_fuzz_test|fusion_test|graph_test|graph_executor_test|ops_test'
+  -R 'quant_test|native_parity_test|native_gemm_test|serving_test|graph_fuzz_test|fusion_test|graph_test|graph_executor_test|ops_test|autodiff_test'
 extended_fuzz build-ubsan

@@ -233,9 +233,101 @@ std::vector<float> RefBackend::allocFilled(std::size_t n, float value) {
 
 // ---------------------------------------------------------------- kernels
 
+// The int8 weight path of matMul and conv2d.
+
+bool RefBackend::int8Weights(const TensorSpec& w, int k, int n) {
+  const QuantParams& wq = *w.quant;
+  wq.validate();
+  TFJS_ARG_CHECK(!wq.perChannel() ||
+                     wq.channels() == static_cast<std::size_t>(n),
+                 "int8 weight scales must have one entry per output channel");
+  return wq.symmetric() && k <= qmath::kMaxAccumK;
+}
+
+DataId dequantizeWeights(Backend& be, const TensorSpec& w) {
+  const QuantParams& wq = *w.quant;
+  wq.validate();
+  // One parameter per channel (the last axis), or one for the tensor.
+  const Shape params =
+      wq.perChannel() ? Shape{w.shape[w.shape.rank() - 1]} : Shape{};
+  TFJS_ARG_CHECK(wq.channels() == params.size(),
+                 "int8 weights need one scale per output channel");
+  // `codes op params` as one region over the weight shape.
+  const auto binary = [&](BinaryOp op, DataId codes,
+                          std::span<const float> values) {
+    const DataId p = be.write(values, params);
+    const RegionInstr instr =
+        RegionInstr::binary(op, RegionInstr::input(0), RegionInstr::input(1));
+    const TensorSpec ins[] = {{codes, w.shape, DType::f32},
+                              {p, params, DType::f32}};
+    const DataId y = be.fusedRegion({&instr, 1}, ins, w.shape, 0);
+    be.disposeData(p);
+    return y;
+  };
+  DataId centered = w.id;
+  if (!wq.symmetric()) {
+    const std::vector<float> zps(wq.zeroPoint.begin(), wq.zeroPoint.end());
+    centered = binary(BinaryOp::kSub, w.id, zps);
+  }
+  const DataId y = binary(BinaryOp::kMul, centered, wq.scale);
+  if (centered != w.id) be.disposeData(centered);
+  return y;
+}
+
+namespace {
+/// The int8 oracle over `rows` GEMM rows of length k into out[rows, n]:
+/// `row(r, scratch)` returns row r (a conv builds its patch row in the
+/// k-float scratch). Each row is quantized, dotted against the weight codes
+/// with exact i32 accumulation and finished by quantEpilogue.
+template <typename Row>
+void int8Gemm(const std::vector<float>& codes, const QuantParams& wq, int k,
+              int n, std::size_t rows, const float* bias, FusedActivation act,
+              float* out, Row row) {
+  std::vector<std::int8_t> w8(static_cast<std::size_t>(k) * n);
+  qmath::weightsToInt8(codes.data(), w8.size(), w8.data());
+  std::vector<std::int32_t> cs(static_cast<std::size_t>(n));
+  qmath::colSums(w8.data(), k, n, cs.data());
+  std::vector<float> scratch(static_cast<std::size_t>(k));
+  std::vector<std::uint8_t> qrow(static_cast<std::size_t>(k));
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* x = row(r, scratch.data());
+    const qmath::RowQuant rq = qmath::chooseRowQuant(x, k);
+    qmath::quantizeRow(x, k, rq, qrow.data());
+    float* o = out + r * n;
+    for (int j = 0; j < n; ++j) {
+      std::int32_t acc = 0;
+      for (int p = 0; p < k; ++p) {
+        acc += static_cast<std::int32_t>(qrow[p]) *
+               w8[static_cast<std::size_t>(p) * n + j];
+      }
+      o[j] = qmath::quantEpilogue(acc, rq, cs[j], wq.scaleFor(j), bias, j, act);
+    }
+  }
+}
+}  // namespace
+
 DataId RefBackend::matMul(const TensorSpec& a, const TensorSpec& b,
                           bool transposeA, bool transposeB,
                           const TensorSpec* bias, FusedActivation act) {
+  if (b.quant != nullptr) {
+    const int k = a.shape[2], n = b.shape[2];
+    const auto& av = buf(a.id);
+    if (!transposeA && !transposeB && b.shape[0] == 1 &&
+        int8Weights(b, k, n) && qmath::allFinite(av.data(), av.size())) {
+      KernelTimer t(kernelMs_);
+      const std::size_t rows =
+          static_cast<std::size_t>(a.shape[0]) * a.shape[1];
+      std::vector<float> out = allocBuffer(rows * n);
+      int8Gemm(buf(b.id), *b.quant, k, n, rows,
+               bias != nullptr ? buf(bias->id).data() : nullptr, act,
+               out.data(),
+               [&](std::size_t r, float*) { return av.data() + r * k; });
+      return store(std::move(out));
+    }
+    return withDequantizedWeights(*this, b, [&](const TensorSpec& bf) {
+      return matMul(a, bf, transposeA, transposeB, bias, act);
+    });
+  }
   KernelTimer t(kernelMs_);
   // Inputs are rank-3: [batch, m, k] x [batch, k, n] (batch broadcasts).
   const int bA = a.shape[0], bB = b.shape[0];
@@ -275,6 +367,47 @@ DataId RefBackend::matMul(const TensorSpec& a, const TensorSpec& b,
 DataId RefBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
                           const Conv2DInfo& ci, const TensorSpec* bias,
                           FusedActivation act) {
+  if (filter.quant != nullptr) {
+    const int patch = ci.filterH * ci.filterW * ci.inC;
+    const auto& xv = buf(x.id);
+    if (int8Weights(filter, patch, ci.outC) &&
+        qmath::allFinite(xv.data(), xv.size())) {
+      KernelTimer t(kernelMs_);
+      const std::size_t rows =
+          static_cast<std::size_t>(ci.batch) * ci.outH * ci.outW;
+      std::vector<float> out = allocBuffer(rows * ci.outC);
+      // Each output pixel materializes its full im2col patch row (zeros for
+      // out-of-bounds taps) — exactly what the native backend's chunked
+      // im2col quantizes, so results match bitwise.
+      const auto patchRow = [&](std::size_t r, float* prow) {
+        const int ox = static_cast<int>(r % ci.outW);
+        const int oy = static_cast<int>(r / ci.outW % ci.outH);
+        const std::size_t b = r / ci.outW / ci.outH;
+        std::fill(prow, prow + patch, 0.f);
+        for (int fy = 0; fy < ci.filterH; ++fy) {
+          const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
+          if (iy < 0 || iy >= ci.inH) continue;
+          for (int fx = 0; fx < ci.filterW; ++fx) {
+            const int ix = ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
+            if (ix < 0 || ix >= ci.inW) continue;
+            const std::size_t tap =
+                static_cast<std::size_t>(fy) * ci.filterW + fx;
+            std::memcpy(prow + tap * ci.inC,
+                        xv.data() + ((b * ci.inH + iy) * ci.inW + ix) * ci.inC,
+                        static_cast<std::size_t>(ci.inC) * sizeof(float));
+          }
+        }
+        return static_cast<const float*>(prow);
+      };
+      int8Gemm(buf(filter.id), *filter.quant, patch, ci.outC, rows,
+               bias != nullptr ? buf(bias->id).data() : nullptr, act,
+               out.data(), patchRow);
+      return store(std::move(out));
+    }
+    return withDequantizedWeights(*this, filter, [&](const TensorSpec& ff) {
+      return conv2d(x, ff, ci, bias, act);
+    });
+  }
   KernelTimer t(kernelMs_);
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);
@@ -968,8 +1101,7 @@ DataId RefBackend::oneHot(const TensorSpec& indices, int depth, float onValue,
 }
 
 namespace {
-/// Indices of the k largest elements of row, sorted by descending value
-/// (ties broken by lower index, matching TensorFlow).
+/// Indices of the k largest elements of row in Backend::topk's order.
 std::vector<std::size_t> topkOrder(const float* row, std::size_t inner,
                                    int k) {
   std::vector<std::size_t> idx(inner);
@@ -977,43 +1109,30 @@ std::vector<std::size_t> topkOrder(const float* row, std::size_t inner,
   const auto kk = static_cast<std::size_t>(k);
   std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(kk),
                     idx.end(), [row](std::size_t a, std::size_t b) {
-                      if (row[a] != row[b]) return row[a] > row[b];
-                      return a < b;
+                      return topkBefore(row[a], a, row[b], b);
                     });
   idx.resize(kk);
   return idx;
 }
 }  // namespace
 
-DataId RefBackend::topkValues(const TensorSpec& x, std::size_t outer,
-                              std::size_t inner, int k) {
+std::pair<DataId, DataId> RefBackend::topk(const TensorSpec& x,
+                                           std::size_t outer,
+                                           std::size_t inner, int k) {
   KernelTimer t(kernelMs_);
   const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(outer * static_cast<std::size_t>(k));
+  const std::size_t kk = static_cast<std::size_t>(k);
+  std::vector<float> values = allocBuffer(outer * kk);
+  std::vector<float> indices = allocBuffer(outer * kk);
   for (std::size_t o = 0; o < outer; ++o) {
     const float* row = xv.data() + o * inner;
     const auto order = topkOrder(row, inner, k);
-    for (int i = 0; i < k; ++i) {
-      out[o * static_cast<std::size_t>(k) + static_cast<std::size_t>(i)] =
-          row[order[static_cast<std::size_t>(i)]];
+    for (std::size_t i = 0; i < kk; ++i) {
+      values[o * kk + i] = row[order[i]];
+      indices[o * kk + i] = static_cast<float>(order[i]);
     }
   }
-  return store(std::move(out));
-}
-
-DataId RefBackend::topkIndices(const TensorSpec& x, std::size_t outer,
-                               std::size_t inner, int k) {
-  KernelTimer t(kernelMs_);
-  const auto& xv = buf(x.id);
-  std::vector<float> out = allocBuffer(outer * static_cast<std::size_t>(k));
-  for (std::size_t o = 0; o < outer; ++o) {
-    const auto order = topkOrder(xv.data() + o * inner, inner, k);
-    for (int i = 0; i < k; ++i) {
-      out[o * static_cast<std::size_t>(k) + static_cast<std::size_t>(i)] =
-          static_cast<float>(order[static_cast<std::size_t>(i)]);
-    }
-  }
-  return store(std::move(out));
+  return {store(std::move(values)), store(std::move(indices))};
 }
 
 RegionAccess classifyRegionInput(const Shape& s, const Shape& out) {
@@ -1112,185 +1231,6 @@ void RefBackend::applyEpilogue(std::vector<float>& out, std::size_t n,
     if (bv != nullptr) v += bv[i % n];
     out[i] = applyFusedActivation(act, v);
   }
-}
-
-// ------------------------------------------------- quantized kernels (int8)
-
-bool RefBackend::quantFastPathOk(const QuantParams& wq, int k) {
-  return wq.symmetric() && k <= qmath::kMaxAccumK;
-}
-
-DataId RefBackend::dequantizedWeights(const TensorSpec& w,
-                                      const QuantParams& wq) {
-  KernelTimer t(kernelMs_);
-  const std::size_t n = static_cast<std::size_t>(w.shape[w.shape.rank() - 1]);
-  const auto& wv = buf(w.id);
-  std::vector<float> wf = allocBuffer(wv.size());
-  for (std::size_t i = 0; i < wv.size(); ++i) {
-    const std::size_t j = i % n;
-    wf[i] = (wv[i] - static_cast<float>(wq.zeroPointFor(j))) * wq.scaleFor(j);
-  }
-  return store(std::move(wf));
-}
-
-DataId RefBackend::quantizedMatMulFallback(const TensorSpec& a,
-                                           const TensorSpec& b,
-                                           const QuantParams& wq,
-                                           const TensorSpec* bias,
-                                           FusedActivation act) {
-  const TensorSpec bf{dequantizedWeights(b, wq), b.shape, DType::f32};
-  const DataId y = matMul(a, bf, false, false, bias, act);
-  disposeData(bf.id);
-  return y;
-}
-
-DataId RefBackend::quantizedConv2dFallback(const TensorSpec& x,
-                                           const TensorSpec& filter,
-                                           const Conv2DInfo& ci,
-                                           const QuantParams& wq,
-                                           const TensorSpec* bias,
-                                           FusedActivation act) {
-  const TensorSpec ff{dequantizedWeights(filter, wq), filter.shape,
-                      DType::f32};
-  const DataId y = conv2d(x, ff, ci, bias, act);
-  disposeData(ff.id);
-  return y;
-}
-
-DataId RefBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
-                                   const QuantParams& wq,
-                                   const TensorSpec* bias,
-                                   FusedActivation act) {
-  wq.validate();
-  const int batch = a.shape[0];
-  const int m = a.shape[1], k = a.shape[2];
-  const int n = b.shape[2];
-  TFJS_ARG_CHECK(b.shape[0] == 1 && b.shape[1] == k,
-                 "quantizedMatMul expects weights [1, k, n] matching a's k");
-  TFJS_ARG_CHECK(!wq.perChannel() ||
-                     wq.channels() == static_cast<std::size_t>(n),
-                 "quantizedMatMul weight scales must have one entry per "
-                 "output channel");
-  {
-    KernelTimer t(kernelMs_);
-    const auto& av = buf(a.id);
-    if (!qmath::allFinite(av.data(), av.size()) || !quantFastPathOk(wq, k)) {
-      // Fall through to the f32 path outside the timer scope.
-    } else {
-      const auto& bv = buf(b.id);
-      std::vector<std::int8_t> w8(static_cast<std::size_t>(k) * n);
-      qmath::weightsToInt8(bv.data(), w8.size(), w8.data());
-      std::vector<std::int32_t> cs(static_cast<std::size_t>(n));
-      qmath::colSums(w8.data(), k, n, cs.data());
-      const float* biasv = bias != nullptr ? buf(bias->id).data() : nullptr;
-      std::vector<float> out =
-          allocBuffer(static_cast<std::size_t>(batch) * m * n);
-      std::vector<std::uint8_t> qrow(static_cast<std::size_t>(k));
-      for (int bi = 0; bi < batch; ++bi) {
-        for (int i = 0; i < m; ++i) {
-          const float* Arow =
-              av.data() + (static_cast<std::size_t>(bi) * m + i) * k;
-          const qmath::RowQuant rq = qmath::chooseRowQuant(Arow, k);
-          qmath::quantizeRow(Arow, k, rq, qrow.data());
-          float* Crow =
-              out.data() + (static_cast<std::size_t>(bi) * m + i) * n;
-          for (int j = 0; j < n; ++j) {
-            std::int32_t acc = 0;
-            for (int p = 0; p < k; ++p) {
-              acc += static_cast<std::int32_t>(qrow[p]) *
-                     static_cast<std::int32_t>(
-                         w8[static_cast<std::size_t>(p) * n + j]);
-            }
-            Crow[j] = qmath::quantEpilogue(acc, rq, cs[j], wq.scaleFor(j),
-                                           biasv, j, act);
-          }
-        }
-      }
-      return store(std::move(out));
-    }
-  }
-  return quantizedMatMulFallback(a, b, wq, bias, act);
-}
-
-DataId RefBackend::quantizedConv2d(const TensorSpec& x,
-                                   const TensorSpec& filter,
-                                   const Conv2DInfo& ci, const QuantParams& wq,
-                                   const TensorSpec* bias,
-                                   FusedActivation act) {
-  wq.validate();
-  const int patch = ci.filterH * ci.filterW * ci.inC;
-  const int n = ci.outC;
-  TFJS_ARG_CHECK(!wq.perChannel() ||
-                     wq.channels() == static_cast<std::size_t>(n),
-                 "quantizedConv2d weight scales must have one entry per "
-                 "output channel");
-  {
-    KernelTimer t(kernelMs_);
-    const auto& xv = buf(x.id);
-    if (!qmath::allFinite(xv.data(), xv.size()) ||
-        !quantFastPathOk(wq, patch)) {
-      // Fall through to the f32 path outside the timer scope.
-    } else {
-      const auto& fv = buf(filter.id);
-      std::vector<std::int8_t> w8(static_cast<std::size_t>(patch) * n);
-      qmath::weightsToInt8(fv.data(), w8.size(), w8.data());
-      std::vector<std::int32_t> cs(static_cast<std::size_t>(n));
-      qmath::colSums(w8.data(), patch, n, cs.data());
-      const float* biasv = bias != nullptr ? buf(bias->id).data() : nullptr;
-      std::vector<float> out = allocBuffer(
-          static_cast<std::size_t>(ci.batch) * ci.outH * ci.outW * n);
-      // Each output pixel materializes its full im2col patch row (zeros for
-      // out-of-bounds taps) and quantizes it as one GEMM row — exactly what
-      // the native backend's chunked im2col does, so results match bitwise.
-      std::vector<float> prow(static_cast<std::size_t>(patch));
-      std::vector<std::uint8_t> qrow(static_cast<std::size_t>(patch));
-      for (int b = 0; b < ci.batch; ++b) {
-        for (int oy = 0; oy < ci.outH; ++oy) {
-          for (int ox = 0; ox < ci.outW; ++ox) {
-            std::fill(prow.begin(), prow.end(), 0.f);
-            for (int fy = 0; fy < ci.filterH; ++fy) {
-              const int iy = oy * ci.strideH - ci.padTop + fy * ci.dilationH;
-              if (iy < 0 || iy >= ci.inH) continue;
-              for (int fx = 0; fx < ci.filterW; ++fx) {
-                const int ix =
-                    ox * ci.strideW - ci.padLeft + fx * ci.dilationW;
-                if (ix < 0 || ix >= ci.inW) continue;
-                std::memcpy(
-                    prow.data() +
-                        (static_cast<std::size_t>(fy) * ci.filterW + fx) *
-                            ci.inC,
-                    xv.data() + ((static_cast<std::size_t>(b) * ci.inH + iy) *
-                                     ci.inW +
-                                 ix) *
-                                    ci.inC,
-                    static_cast<std::size_t>(ci.inC) * sizeof(float));
-              }
-            }
-            const qmath::RowQuant rq =
-                qmath::chooseRowQuant(prow.data(), prow.size());
-            qmath::quantizeRow(prow.data(), prow.size(), rq, qrow.data());
-            float* oRow =
-                out.data() + ((static_cast<std::size_t>(b) * ci.outH + oy) *
-                                  ci.outW +
-                              ox) *
-                                 n;
-            for (int oc = 0; oc < n; ++oc) {
-              std::int32_t acc = 0;
-              for (int p = 0; p < patch; ++p) {
-                acc += static_cast<std::int32_t>(qrow[p]) *
-                       static_cast<std::int32_t>(
-                           w8[static_cast<std::size_t>(p) * n + oc]);
-              }
-              oRow[oc] = qmath::quantEpilogue(acc, rq, cs[oc], wq.scaleFor(oc),
-                                              biasv, oc, act);
-            }
-          }
-        }
-      }
-      return store(std::move(out));
-    }
-  }
-  return quantizedConv2dFallback(x, filter, ci, wq, bias, act);
 }
 
 DataId RefBackend::cumsum(const TensorSpec& x, std::size_t outer,

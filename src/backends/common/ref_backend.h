@@ -14,6 +14,7 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -50,19 +51,12 @@ class RefBackend : public Backend {
   DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
-  /// Scalar int8 oracle: u8 dynamic per-row activation codes x s8 weight
-  /// codes, exact i32 accumulation, shared scalar epilogue
-  /// (backends/common/quant_math.h). Derived backends' SIMD kernels must
-  /// match it bitwise. Falls back to the dequantized f32 fused path (via the
-  /// virtual matMul/conv2d) when k could overflow i32, the
-  /// activations are non-finite, or the weights are not symmetric.
-  DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
-                         const QuantParams& wq, const TensorSpec* bias,
-                         FusedActivation act) override;
-  DataId quantizedConv2d(const TensorSpec& x, const TensorSpec& filter,
-                         const Conv2DInfo& info, const QuantParams& wq,
-                         const TensorSpec* bias,
-                         FusedActivation act) override;
+  /// With an int8 weight (`quant` set) matMul and conv2d run the scalar
+  /// int8 oracle when Backend::matMul's conditions hold: per GEMM row (a
+  /// conv's per-pixel im2col patch row), u8 dynamic activation codes x s8
+  /// weight codes, exact i32 accumulation and the shared scalar epilogue
+  /// (backends/common/quant_math.h). Derived backends' int8 kernels must
+  /// match it bitwise. Otherwise they dequantize the weight and recurse.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB, const TensorSpec* bias,
                 FusedActivation act) override;
@@ -103,10 +97,9 @@ class RefBackend : public Backend {
   DataId copyStrided(std::span<const TensorSpec> inputs,
                      std::span<const CopyAxis> axes, const Shape& outShape,
                      float fillValue) override;
-  DataId topkValues(const TensorSpec& x, std::size_t outer, std::size_t inner,
-                    int k) override;
-  DataId topkIndices(const TensorSpec& x, std::size_t outer,
-                     std::size_t inner, int k) override;
+  /// Sorts each row's index order once, for both outputs.
+  std::pair<DataId, DataId> topk(const TensorSpec& x, std::size_t outer,
+                                 std::size_t inner, int k) override;
   DataId cumsum(const TensorSpec& x, std::size_t outer, std::size_t inner,
                 bool exclusive, bool reverse) override;
 
@@ -130,21 +123,13 @@ class RefBackend : public Backend {
   void applyEpilogue(std::vector<float>& out, std::size_t n,
                      const TensorSpec* bias, FusedActivation act) const;
 
-  // Shared f32 fallback of the quantized kernels: dequantizes the weight
-  // codes (channel = last axis) and dispatches the backend's own (virtual)
-  // matMul/conv2d with the epilogue. Also the reason a quantized kernel's
-  // fallback stays bit-identical across backends that share an f32 GEMM
-  // accumulation order.
-  DataId dequantizedWeights(const TensorSpec& w, const QuantParams& wq);
-  DataId quantizedMatMulFallback(const TensorSpec& a, const TensorSpec& b,
-                                 const QuantParams& wq, const TensorSpec* bias,
-                                 FusedActivation act);
-  DataId quantizedConv2dFallback(const TensorSpec& x, const TensorSpec& filter,
-                                 const Conv2DInfo& info, const QuantParams& wq,
-                                 const TensorSpec* bias, FusedActivation act);
-  /// True when the quantized fast path applies: symmetric weights and an
-  /// inner dimension short enough for exact i32 accumulation.
-  static bool quantFastPathOk(const QuantParams& wq, int k);
+  /// True when the int8 kernels take the weight `w` of a GEMM with inner
+  /// dimension k and n output columns: symmetric parameters and k short
+  /// enough for exact i32 accumulation. Throws unless per-channel
+  /// parameters have one entry per column. The caller checks that the
+  /// activations are finite, and matMul that neither operand is transposed
+  /// and `w` is one [1, k, n] matrix.
+  static bool int8Weights(const TensorSpec& w, int k, int n);
 
   // Pooled allocation (core::BufferPool). allocBuffer's contents are
   // unspecified on a pool hit — only kernels that overwrite every element
@@ -182,6 +167,36 @@ class RefBackend : public Backend {
   DataId nextId_ = 1;
   std::size_t bytes_ = 0;
 };
+
+/// The one dequantize fallback of the int8 weight path, on every backend:
+/// f32 weights from the int8 codes of `w` (`w.quant` set) through the
+/// backend's own write + fusedRegion kernels: `codes - zp` when the
+/// parameters are asymmetric, then `* scale`, each against an uploaded row
+/// of per-channel parameters (last axis) or a per-tensor scalar. Bitwise
+/// `(code - zp[c]) * scale[c]`, since x - 0 == x for every float. The
+/// caller disposes the result.
+DataId dequantizeWeights(Backend& be, const TensorSpec& w);
+
+/// Runs `kernel(wf)` on the dequantized f32 weights of `w` and disposes
+/// them: the f32 fallback of matMul/conv2d for an int8 weight.
+template <typename Kernel>
+DataId withDequantizedWeights(Backend& be, const TensorSpec& w,
+                              Kernel kernel) {
+  const TensorSpec wf{dequantizeWeights(be, w), w.shape, DType::f32};
+  const DataId y = kernel(wf);
+  be.disposeData(wf.id);
+  return y;
+}
+
+/// Backend::topk's order: (v, m) ranks before (e, j) when v is greater,
+/// NaN being greater than every number, or when the two are equal (or both
+/// NaN) and m < j.
+inline bool topkBefore(float v, std::size_t m, float e, std::size_t j) {
+  const bool vNan = std::isnan(v), eNan = std::isnan(e);
+  if (vNan != eNan) return vNan;
+  if (!vNan && v != e) return v > e;
+  return m < j;
+}
 
 /// Scalar semantics of each BinaryOp / UnaryOp — shared by every backend so
 /// they cannot drift apart (the WebGL "shader" bodies call these too).

@@ -48,6 +48,9 @@ const std::vector<Instr>& macProgram() {
 DataId PlainCpuBackend::matMul(const TensorSpec& a, const TensorSpec& b,
                                bool transposeA, bool transposeB,
                                const TensorSpec* bias, FusedActivation act) {
+  if (b.quant != nullptr) {
+    return RefBackend::matMul(a, b, transposeA, transposeB, bias, act);
+  }
   KernelTimer t(kernelMs_, "cpu.matMul");
   const int bA = a.shape[0], bB = b.shape[0];
   const int m = transposeA ? a.shape[2] : a.shape[1];
@@ -84,6 +87,9 @@ DataId PlainCpuBackend::matMul(const TensorSpec& a, const TensorSpec& b,
 DataId PlainCpuBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
                                const Conv2DInfo& ci, const TensorSpec* bias,
                                FusedActivation act) {
+  if (filter.quant != nullptr) {
+    return RefBackend::conv2d(x, filter, ci, bias, act);
+  }
   KernelTimer t(kernelMs_, "cpu.conv2d");
   const auto& xv = buf(x.id);
   const auto& fv = buf(filter.id);

@@ -45,7 +45,8 @@ class PlainCpuBackend : public RefBackend {
   // region interpreter: compiled scalar formulas, not the ScalarVM.
   // matMul/conv2d/depthwiseConv2d accumulate through the ScalarVM, then run
   // RefBackend's bias/activation epilogue, keeping fused results
-  // bit-identical to this backend's unfused chain.
+  // bit-identical to this backend's unfused chain. An int8 weight goes to
+  // RefBackend's int8 oracle, whose fallback dequantizes and comes back here.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB, const TensorSpec* bias,
                 FusedActivation act) override;

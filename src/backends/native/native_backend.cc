@@ -1009,6 +1009,9 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
 DataId NativeBackend::matMul(const TensorSpec& a, const TensorSpec& b,
                              bool transposeA, bool transposeB,
                              const TensorSpec* bias, FusedActivation act) {
+  if (b.quant != nullptr) {
+    return int8MatMul(a, b, transposeA, transposeB, bias, act);
+  }
   KernelTimer t(kernelMs_, "native.matMul");
   const float* biasv = bias != nullptr ? buf(bias->id).data() : nullptr;
   const int bA = a.shape[0], bB = b.shape[0];
@@ -1039,6 +1042,7 @@ DataId NativeBackend::matMul(const TensorSpec& a, const TensorSpec& b,
 DataId NativeBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
                              const Conv2DInfo& ci, const TensorSpec* bias,
                              FusedActivation act) {
+  if (filter.quant != nullptr) return int8Conv2d(x, filter, ci, bias, act);
   KernelTimer t(kernelMs_, "native.conv2d");
   const float* biasv = bias != nullptr ? buf(bias->id).data() : nullptr;
   const auto& xv = buf(x.id);

@@ -60,6 +60,7 @@ class NativeBackend : public RefBackend {
   /// after the full k accumulation — bit-identical to matMul + add + act.
   /// Their GEMMs overwrite the output (each chain starts from +0 in
   /// registers), so the output buffer is never zero-filled or reloaded.
+  /// An int8 weight runs int8MatMul / int8Conv2d.
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB, const TensorSpec* bias,
                 FusedActivation act) override;
@@ -75,21 +76,6 @@ class NativeBackend : public RefBackend {
   DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
-  /// SIMD int8 GEMM (AVX-512 VNNI / AVX2 / scalar dot body, chosen at
-  /// compile time) over fixed chunks of whole MR-row blocks: each chunk
-  /// quantizes its rows, then one register-tiled micro-kernel per MR x 64
-  /// output tile runs the full k loop and applies the epilogue from its
-  /// accumulators (masked stores past n, shorter tiles past the last row
-  /// block). All variants accumulate the same exact i32 values and apply
-  /// the reference oracle's epilogue formulas lane by lane, so results are
-  /// bit-identical to RefBackend::quantizedMatMul at any thread count.
-  DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
-                         const QuantParams& wq, const TensorSpec* bias,
-                         FusedActivation act) override;
-  DataId quantizedConv2d(const TensorSpec& x, const TensorSpec& filter,
-                         const Conv2DInfo& info, const QuantParams& wq,
-                         const TensorSpec* bias,
-                         FusedActivation act) override;
   /// channelMult 1: per output row, interior pixels 8, 4 or 2 at a time
   /// with their accumulators in registers across every tap, each output
   /// stored once; the remaining pixels run one at a time over their
@@ -182,6 +168,23 @@ class NativeBackend : public RefBackend {
   /// 1. Shared by the f32 and int8 convolutions.
   static void im2col(const float* x, const Conv2DInfo& ci, std::size_t rBegin,
                      std::size_t rEnd, float* col);
+
+  /// The int8 weight path of matMul and conv2d. When Backend::matMul's
+  /// conditions hold: a SIMD int8 GEMM (AVX-512 VNNI / AVX2 / scalar dot
+  /// body, chosen at compile time) over fixed chunks of whole MR-row
+  /// blocks; each chunk quantizes its rows, then one register-tiled
+  /// micro-kernel per MR x 64 output tile runs the full k loop and applies
+  /// the epilogue from its accumulators (masked stores past n, shorter
+  /// tiles past the last row block). All variants accumulate the same exact
+  /// i32 values and apply the reference oracle's epilogue formulas lane by
+  /// lane, so results are bit-identical to RefBackend's int8 oracle at any
+  /// thread count. Otherwise the weight is dequantized for the f32 kernel.
+  DataId int8MatMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
+                    bool transposeB, const TensorSpec* bias,
+                    FusedActivation act);
+  DataId int8Conv2d(const TensorSpec& x, const TensorSpec& filter,
+                    const Conv2DInfo& info, const TensorSpec* bias,
+                    FusedActivation act);
 
   /// Returns the cached panel packing of the [k, n] weight codes stored
   /// under `id`, building it on first use. Weight tensors are Variables the

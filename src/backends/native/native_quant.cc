@@ -535,31 +535,22 @@ void NativeBackend::disposeData(DataId id) {
   RefBackend::disposeData(id);
 }
 
-DataId NativeBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
-                                      const QuantParams& wq,
-                                      const TensorSpec* bias,
-                                      FusedActivation act) {
-  wq.validate();
-  const int batch = a.shape[0];
-  const int m = a.shape[1], k = a.shape[2];
-  const int n = b.shape[2];
-  TFJS_ARG_CHECK(b.shape[0] == 1 && b.shape[1] == k,
-                 "quantizedMatMul expects weights [1, k, n] matching a's k");
-  TFJS_ARG_CHECK(!wq.perChannel() ||
-                     wq.channels() == static_cast<std::size_t>(n),
-                 "quantizedMatMul weight scales must have one entry per "
-                 "output channel");
-  {
+DataId NativeBackend::int8MatMul(const TensorSpec& a, const TensorSpec& b,
+                                 bool transposeA, bool transposeB,
+                                 const TensorSpec* bias, FusedActivation act) {
+  const int k = a.shape[2], n = b.shape[2];
+  if (!transposeA && !transposeB && b.shape[0] == 1 &&
+      int8Weights(b, k, n)) {
     KernelTimer t(kernelMs_, "native.quantizedMatMul");
     const auto& av = buf(a.id);
-    if (allFiniteFast(av.data(), av.size()) && quantFastPathOk(wq, k)) {
+    if (allFiniteFast(av.data(), av.size())) {
       auto pw = packedWeights(b.id, k, n);
-      const CallEpilogue ep(*pw, wq,
+      const CallEpilogue ep(*pw, *b.quant,
                             bias != nullptr ? buf(bias->id).data() : nullptr,
                             act);
-      std::vector<float> out =
-          allocBuffer(static_cast<std::size_t>(batch) * m * n);
-      const std::size_t rows = static_cast<std::size_t>(batch) * m;
+      const std::size_t rows =
+          static_cast<std::size_t>(a.shape[0]) * a.shape[1];
+      std::vector<float> out = allocBuffer(rows * n);
       ThreadPool::get().parallelFor(
           rows, quantGrain(k, n), [&](std::size_t begin, std::size_t end) {
             quantGemmRows(*pw, ep.args, av.data() + begin * k, end - begin,
@@ -568,28 +559,23 @@ DataId NativeBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
       return store(std::move(out));
     }
   }
-  return quantizedMatMulFallback(a, b, wq, bias, act);
+  return withDequantizedWeights(*this, b, [&](const TensorSpec& bf) {
+    return matMul(a, bf, transposeA, transposeB, bias, act);
+  });
 }
 
-DataId NativeBackend::quantizedConv2d(const TensorSpec& x,
-                                      const TensorSpec& filter,
-                                      const Conv2DInfo& ci,
-                                      const QuantParams& wq,
-                                      const TensorSpec* bias,
-                                      FusedActivation act) {
-  wq.validate();
+DataId NativeBackend::int8Conv2d(const TensorSpec& x,
+                                 const TensorSpec& filter,
+                                 const Conv2DInfo& ci, const TensorSpec* bias,
+                                 FusedActivation act) {
   const int patch = ci.filterH * ci.filterW * ci.inC;
   const int n = ci.outC;
-  TFJS_ARG_CHECK(!wq.perChannel() ||
-                     wq.channels() == static_cast<std::size_t>(n),
-                 "quantizedConv2d weight scales must have one entry per "
-                 "output channel");
-  {
+  if (int8Weights(filter, patch, n)) {
     KernelTimer t(kernelMs_, "native.quantizedConv2d");
     const auto& xv = buf(x.id);
-    if (allFiniteFast(xv.data(), xv.size()) && quantFastPathOk(wq, patch)) {
+    if (allFiniteFast(xv.data(), xv.size())) {
       auto pw = packedWeights(filter.id, patch, n);
-      const CallEpilogue ep(*pw, wq,
+      const CallEpilogue ep(*pw, *filter.quant,
                             bias != nullptr ? buf(bias->id).data() : nullptr,
                             act);
       const std::size_t outSpatial =
@@ -635,7 +621,9 @@ DataId NativeBackend::quantizedConv2d(const TensorSpec& x,
       return store(std::move(out));
     }
   }
-  return quantizedConv2dFallback(x, filter, ci, wq, bias, act);
+  return withDequantizedWeights(*this, filter, [&](const TensorSpec& ff) {
+    return conv2d(x, ff, ci, bias, act);
+  });
 }
 
 }  // namespace tfjs::backends::native

@@ -175,6 +175,11 @@ DataId WebGLBackend::fusedRegion(std::span<const RegionInstr> program,
 DataId WebGLBackend::matMul(const TensorSpec& a, const TensorSpec& b,
                             bool transposeA, bool transposeB,
                             const TensorSpec* bias, FusedActivation act) {
+  if (b.quant != nullptr) {
+    return withDequantizedWeights(*this, b, [&](const TensorSpec& bf) {
+      return matMul(a, bf, transposeA, transposeB, bias, act);
+    });
+  }
   const int bA = a.shape[0], bB = b.shape[0];
   const int m = transposeA ? a.shape[2] : a.shape[1];
   const int k = transposeA ? a.shape[1] : a.shape[2];
@@ -221,6 +226,11 @@ DataId WebGLBackend::matMul(const TensorSpec& a, const TensorSpec& b,
 DataId WebGLBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
                             const Conv2DInfo& ci, const TensorSpec* bias,
                             FusedActivation act) {
+  if (filter.quant != nullptr) {
+    return withDequantizedWeights(*this, filter, [&](const TensorSpec& ff) {
+      return conv2d(x, ff, ci, bias, act);
+    });
+  }
   const Shape outShape{ci.batch, ci.outH, ci.outW, ci.outC};
   auto [id, outTex] = makeOutput(outShape);
   ShaderRun r;
@@ -258,63 +268,6 @@ DataId WebGLBackend::conv2d(const TensorSpec& x, const TensorSpec& filter,
   r.cost.reusable = true;
   run(std::move(r));
   return id;
-}
-
-DataId WebGLBackend::dequantizeWeights(const TensorSpec& w,
-                                       const QuantParams& wq) {
-  wq.validate();
-  // One parameter per channel (the last axis), or one for the tensor.
-  const Shape params =
-      wq.perChannel() ? Shape{w.shape[w.shape.rank() - 1]} : Shape{};
-  TFJS_ARG_CHECK(wq.channels() == params.size(),
-                 "quantized weights need one scale per output channel");
-  // `codes op params` as one region shader over the weight shape.
-  const auto binary = [&](BinaryOp op, DataId codes,
-                          std::span<const float> values) {
-    const DataId p = write(values, params);
-    const RegionInstr instr{.kind = RegionInstr::Kind::kBinary,
-                            .op = static_cast<int>(op),
-                            .a = -1,
-                            .b = -2};
-    const TensorSpec ins[] = {{codes, w.shape, DType::f32},
-                              {p, params, DType::f32}};
-    const DataId y = fusedRegion({&instr, 1}, ins, w.shape, 0);
-    disposeData(p);
-    return y;
-  };
-  DataId centered = w.id;
-  if (!wq.symmetric()) {
-    // ops::dequantize adds -zp per tensor; IEEE defines x - zp as exactly
-    // x + (-zp), so one subtraction serves both cases.
-    const std::vector<float> zps(wq.zeroPoint.begin(), wq.zeroPoint.end());
-    centered = binary(BinaryOp::kSub, w.id, zps);
-  }
-  const DataId y = binary(BinaryOp::kMul, centered, wq.scale);
-  if (centered != w.id) disposeData(centered);
-  return y;
-}
-
-DataId WebGLBackend::quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
-                                     const QuantParams& wq,
-                                     const TensorSpec* bias,
-                                     FusedActivation act) {
-  const TensorSpec wf{dequantizeWeights(b, wq), b.shape, DType::f32};
-  const DataId y = matMul(a, wf, false, false, bias, act);
-  disposeData(wf.id);
-  return y;
-}
-
-DataId WebGLBackend::quantizedConv2d(const TensorSpec& x,
-                                     const TensorSpec& filter,
-                                     const Conv2DInfo& info,
-                                     const QuantParams& wq,
-                                     const TensorSpec* bias,
-                                     FusedActivation act) {
-  const TensorSpec ff{dequantizeWeights(filter, wq), filter.shape,
-                      DType::f32};
-  const DataId y = conv2d(x, ff, info, bias, act);
-  disposeData(ff.id);
-  return y;
 }
 
 DataId WebGLBackend::conv2dBackpropInput(const TensorSpec& dy,
@@ -948,9 +901,10 @@ DataId WebGLBackend::oneHot(const TensorSpec& indices, int depth,
 }
 
 namespace {
-/// Rank-selection shader body shared by the two topk kernels: finds the
-/// element of rank `want` (0 = largest) in a row by counting, per output —
-/// the shared-memory-free formulation a fragment shader is limited to.
+/// Rank-selection shader body of the two topk shaders: finds the element
+/// of rank `want` (0 = first in Backend::topk's order) in a row by
+/// counting, per output — the shared-memory-free formulation a fragment
+/// shader is limited to.
 struct RankSelect {
   std::size_t inner;
   int k;
@@ -964,8 +918,7 @@ struct RankSelect {
       const float e = ctx.getFlat(0, base + j);
       std::size_t rank = 0;
       for (std::size_t m = 0; m < inner; ++m) {
-        const float v = ctx.getFlat(0, base + m);
-        if (v > e || (v == e && m < j)) ++rank;
+        if (topkBefore(ctx.getFlat(0, base + m), m, e, j)) ++rank;
       }
       if (rank == want) return {e, j};
     }
@@ -974,46 +927,33 @@ struct RankSelect {
 };
 }  // namespace
 
-DataId WebGLBackend::topkValues(const TensorSpec& x, std::size_t outer,
-                                std::size_t inner, int k) {
+std::pair<DataId, DataId> WebGLBackend::topk(const TensorSpec& x,
+                                             std::size_t outer,
+                                             std::size_t inner, int k) {
   const Shape outShape{static_cast<int>(outer), k};
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "topkValues";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.inputs = {input(x)};
-  r.squeeze = opts_.squeeze;
   const RankSelect select{inner, k};
-  r.main = [select](ShaderContext& ctx) { ctx.setOutput(select(ctx).first); };
-  r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation =
-      static_cast<double>(inner) * static_cast<double>(inner) * fetchScale();
-  r.cost.flopsPerInvocation = static_cast<double>(inner) * inner;
-  run(std::move(r));
-  return id;
-}
-
-DataId WebGLBackend::topkIndices(const TensorSpec& x, std::size_t outer,
-                                 std::size_t inner, int k) {
-  const Shape outShape{static_cast<int>(outer), k};
-  auto [id, outTex] = makeOutput(outShape);
-  ShaderRun r;
-  r.name = "topkIndices";
-  r.outputShape = outShape;
-  r.output = outTex;
-  r.inputs = {input(x)};
-  r.squeeze = opts_.squeeze;
-  const RankSelect select{inner, k};
-  r.main = [select](ShaderContext& ctx) {
-    ctx.setOutput(static_cast<float>(select(ctx).second));
+  // One shader per output: the values, then the indices.
+  const auto shader = [&](const char* name, bool indices) {
+    auto [id, outTex] = makeOutput(outShape);
+    ShaderRun r;
+    r.name = name;
+    r.outputShape = outShape;
+    r.output = outTex;
+    r.inputs = {input(x)};
+    r.squeeze = opts_.squeeze;
+    r.main = [select, indices](ShaderContext& ctx) {
+      const auto [value, index] = select(ctx);
+      ctx.setOutput(indices ? static_cast<float>(index) : value);
+    };
+    r.cost.invocations = outShape.size();
+    r.cost.fetchesPerInvocation =
+        static_cast<double>(inner) * static_cast<double>(inner) * fetchScale();
+    r.cost.flopsPerInvocation = static_cast<double>(inner) * inner;
+    run(std::move(r));
+    return id;
   };
-  r.cost.invocations = outShape.size();
-  r.cost.fetchesPerInvocation =
-      static_cast<double>(inner) * static_cast<double>(inner) * fetchScale();
-  r.cost.flopsPerInvocation = static_cast<double>(inner) * inner;
-  run(std::move(r));
-  return id;
+  const DataId values = shader("topkValues", false);
+  return {values, shader("topkIndices", true)};
 }
 
 DataId WebGLBackend::cumsum(const TensorSpec& x, std::size_t outer,

@@ -56,7 +56,9 @@ class WebGLBackend : public Backend {
 
   // ---- kernels
   /// The Listing-2 shader; bias and activation run before setOutput, each
-  /// interior value rounded as a texture store would round it.
+  /// interior value rounded as a texture store would round it. No int8
+  /// shader: an int8 weight goes through backends::dequantizeWeights on the
+  /// device first, so the result equals the f32 kernel on dequantize(w).
   DataId matMul(const TensorSpec& a, const TensorSpec& b, bool transposeA,
                 bool transposeB, const TensorSpec* bias,
                 FusedActivation act) override;
@@ -72,16 +74,6 @@ class WebGLBackend : public Backend {
   DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
-  /// No int8 shader: the weight codes are dequantized on the device
-  /// (dequantizeWeights) and the fused matMul/conv2d shader runs on them, so
-  /// the result equals fusedMatMul/fusedConv2d on ops::dequantize(weights).
-  DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
-                         const QuantParams& wq, const TensorSpec* bias,
-                         FusedActivation act) override;
-  DataId quantizedConv2d(const TensorSpec& x, const TensorSpec& filter,
-                         const Conv2DInfo& info, const QuantParams& wq,
-                         const TensorSpec* bias,
-                         FusedActivation act) override;
   DataId conv2dBackpropInput(const TensorSpec& dy, const TensorSpec& filter,
                              const Conv2DInfo& info) override;
   DataId conv2dBackpropFilter(const TensorSpec& x, const TensorSpec& dy,
@@ -116,10 +108,9 @@ class WebGLBackend : public Backend {
   DataId copyStrided(std::span<const TensorSpec> inputs,
                      std::span<const CopyAxis> axes, const Shape& outShape,
                      float fillValue) override;
-  DataId topkValues(const TensorSpec& x, std::size_t outer, std::size_t inner,
-                    int k) override;
-  DataId topkIndices(const TensorSpec& x, std::size_t outer,
-                     std::size_t inner, int k) override;
+  /// Two shaders: the values, then the indices.
+  std::pair<DataId, DataId> topk(const TensorSpec& x, std::size_t outer,
+                                 std::size_t inner, int k) override;
   DataId cumsum(const TensorSpec& x, std::size_t outer, std::size_t inner,
                 bool exclusive, bool reverse) override;
 
@@ -152,12 +143,6 @@ class WebGLBackend : public Backend {
       const Shape& logical);
   ShaderRun::Input input(const TensorSpec& spec) const;
   DataId run(ShaderRun run);
-  /// f32 weights from the int8 codes `w` through the region shaders
-  /// ops::dequantize dispatches: `codes - zp` (asymmetric only), then
-  /// `* scale`, each against an uploaded row of per-channel parameters
-  /// (last axis) or a per-tensor scalar. The caller disposes the result.
-  DataId dequantizeWeights(const TensorSpec& w, const QuantParams& wq);
-
   WebGLOptions opts_;
   TextureManager textures_;
   GPGPUContext ctx_;

@@ -17,6 +17,7 @@
 #include <ostream>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/conv_util.h"
@@ -34,6 +35,9 @@ struct TensorSpec {
   DataId id = 0;
   Shape shape;
   DType dtype = DType::f32;
+  /// The int8 codes' dequantization parameters; null unless dtype is i8 and
+  /// the tensor carries them (an int8 weight, see matMul).
+  const QuantParams* quant = nullptr;
 };
 
 enum class BinaryOp {
@@ -175,11 +179,23 @@ class Backend {
   /// vector, or nullptr) and applies `act`. Results must be bit-identical to
   /// matMul + broadcast add + activation dispatched op by op on the same
   /// backend.
+  ///
+  /// int8 is a dtype of the weight `b`: when `b.quant` is set, `b` holds
+  /// int8 codes and the backend decides how to run it. A backend's int8
+  /// kernel quantizes `a` dynamically per GEMM row (u8 codes, exact i32
+  /// accumulation) and runs the epilogue on the dequantized f32 value; every
+  /// int8 kernel is bit-identical to RefBackend's scalar oracle. It applies
+  /// when neither operand is transposed, `b` is one [1, k, n] matrix with
+  /// symmetric parameters, k fits the i32 accumulator and `a` is all
+  /// finite. Otherwise (and on a backend without an int8 kernel) the weight
+  /// is dequantized by backends::dequantizeWeights and the f32 kernel runs
+  /// on it. Output is f32 either way.
   virtual DataId matMul(const TensorSpec& a, const TensorSpec& b,
                         bool transposeA, bool transposeB,
                         const TensorSpec* bias, FusedActivation act) = 0;
   /// NHWC conv2d with the same fused epilogue contract (`bias` length =
-  /// outC).
+  /// outC) and the same int8 weight contract (GEMM rows are im2col patch
+  /// rows; padding quantizes exactly to the row's zero point).
   virtual DataId conv2d(const TensorSpec& x, const TensorSpec& filter,
                         const Conv2DInfo& info, const TensorSpec* bias,
                         FusedActivation act) = 0;
@@ -224,13 +240,13 @@ class Backend {
                                 bool alignCorners) = 0;
   virtual DataId oneHot(const TensorSpec& indices, int depth, float onValue,
                         float offValue) = 0;
-  /// Top-k values (sorted descending) of each trailing `inner` segment of x
-  /// viewed as [outer, inner]; output is [outer, k].
-  virtual DataId topkValues(const TensorSpec& x, std::size_t outer,
-                            std::size_t inner, int k) = 0;
-  /// Indices (as floats) matching topkValues.
-  virtual DataId topkIndices(const TensorSpec& x, std::size_t outer,
-                             std::size_t inner, int k) = 0;
+  /// Top-k of each trailing `inner` segment of x viewed as [outer, inner]:
+  /// returns {values, indices as floats}, each [outer, k], sorted
+  /// descending. NaN ranks above every number, and equal values (NaN
+  /// included) keep ascending index order.
+  virtual std::pair<DataId, DataId> topk(const TensorSpec& x,
+                                         std::size_t outer, std::size_t inner,
+                                         int k) = 0;
   /// Prefix sum along the trailing `inner` dimension of [outer, inner].
   virtual DataId cumsum(const TensorSpec& x, std::size_t outer,
                         std::size_t inner, bool exclusive, bool reverse) = 0;
@@ -259,29 +275,6 @@ class Backend {
   virtual DataId fusedRegion(std::span<const RegionInstr> program,
                              std::span<const TensorSpec> inputs,
                              const Shape& outShape, DataId dst) = 0;
-
-  // ---- quantized kernels (int8 inference path) -------------------------
-  /// matMul against int8 weights: `a` is f32 [batch, m, k]; `b` holds int8
-  /// codes [1, k, n] whose per-channel (or per-tensor) parameters are `wq`.
-  /// Activations are quantized dynamically per GEMM row inside the kernel
-  /// (u8 codes, i32 accumulators); the bias + activation epilogue runs on
-  /// the dequantized f32 value per output panel. Output is f32. A backend
-  /// with no int8 kernel, and an int8 kernel whose k would overflow the i32
-  /// accumulator or whose `a` holds non-finite values, dequantizes the
-  /// weights and runs its own fused matMul instead. Every backend must
-  /// compute bit-identical results for the same inputs on the int8 path
-  /// (shared scalar epilogue + exact integer accumulation), and its fused
-  /// f32 contract on the dequantized one.
-  virtual DataId quantizedMatMul(const TensorSpec& a, const TensorSpec& b,
-                                 const QuantParams& wq, const TensorSpec* bias,
-                                 FusedActivation act) = 0;
-  /// conv2d against an int8 HWIO filter, same contract as quantizedMatMul
-  /// (GEMM rows are im2col patch rows; padding quantizes exactly to the
-  /// row's zero point).
-  virtual DataId quantizedConv2d(const TensorSpec& x, const TensorSpec& filter,
-                                 const Conv2DInfo& info, const QuantParams& wq,
-                                 const TensorSpec* bias,
-                                 FusedActivation act) = 0;
 
   /// Smallest additive constant guaranteed distinguishable from zero in the
   /// backend's arithmetic. The WebGL-sim backend returns a larger value on

@@ -277,7 +277,8 @@ TensorSpec Engine::prepareInput(const Tensor& t) {
     c.dataId = active.write(host, info.shape);
     c.backend = &active;
   }
-  return TensorSpec{c.dataId, info.shape, info.dtype};
+  return TensorSpec{c.dataId, info.shape, info.dtype,
+                    info.dtype == DType::i8 ? info.quant.get() : nullptr};
 }
 
 // ----------------------------------------------------------------- scopes

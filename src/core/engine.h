@@ -164,7 +164,8 @@ class Engine {
   Tensor reuseInputAsOutput(const Tensor& t, const Shape& shape, DType dtype);
 
   /// Ensures `t`'s data lives on the active backend, migrating (download +
-  /// upload) if it was created on another backend.
+  /// upload) if it was created on another backend. An int8 tensor's spec
+  /// points at its quantization parameters, which live as long as `t`.
   TensorSpec prepareInput(const Tensor& t);
 
   // ---- scopes (tidy) ---------------------------------------------------

@@ -23,25 +23,24 @@ TopK topk(const Tensor& x, int k, bool sorted) {
   const TensorSpec sx = E().prepareInput(x);
   const std::size_t inner = static_cast<std::size_t>(lastDim);
   const std::size_t outer = x.size() / inner;
+  const auto [values, indices] = E().backend().topk(sx, outer, inner, k);
 
   std::vector<int> outDims = x.shape().dims();
   outDims.back() = k;
   const Shape outShape(outDims);
-
+  const auto shaped = [&](DataId id, DType dtype) {
+    Tensor flat = E().makeTensorFromDataId(
+        id, Shape{static_cast<int>(outer), k}, dtype);
+    Tensor t = flat.reshape(outShape);
+    flat.dispose();
+    return t;
+  };
+  // One kernel, two op spans: the values, then the indices.
   TopK result;
-  const DataId values = E().backend().topkValues(sx, outer, inner, k);
-  Tensor valuesFlat = E().makeTensorFromDataId(
-      values, Shape{static_cast<int>(outer), k}, DType::f32);
-  result.values = valuesFlat.reshape(outShape);
-  valuesFlat.dispose();
+  result.values = shaped(values, DType::f32);
   kvScope.notify(result.values);
-
   internal::KernelScope kiScope("topkIndices");
-  const DataId indices = E().backend().topkIndices(sx, outer, inner, k);
-  Tensor indicesFlat = E().makeTensorFromDataId(
-      indices, Shape{static_cast<int>(outer), k}, DType::i32);
-  result.indices = indicesFlat.reshape(outShape);
-  indicesFlat.dispose();
+  result.indices = shaped(indices, DType::i32);
   kiScope.notify(result.indices);
   return result;
 }

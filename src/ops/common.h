@@ -28,8 +28,8 @@ inline Engine& E() { return Engine::get(); }
 inline thread_local int captureDepth = 0;
 
 /// RAII nesting marker opened by every observed public op. Placed AFTER an
-/// op's delegation branches (e.g. matMul routing int8 weights to
-/// quantizedMatMul) so the delegate records itself as the node.
+/// op's delegation branches (e.g. depthwiseConv2d dequantizing an int8
+/// filter first) so the delegate records itself as the node.
 class CaptureFrame {
  public:
   CaptureFrame() { ++captureDepth; }
@@ -162,10 +162,10 @@ inline Tensor to3d(const Tensor& t) {
 /// and depthwiseConv2d call it with an undefined bias and kNone, the fused
 /// ops with theirs, and the graph executor with a node's epilogue; `name`
 /// is the caller's op span and tape name (depthwise opens the span
-/// "depthwiseConv2d" under either name). Routes int8 weights (quantized op,
-/// or dequantize first), checks every shape before any tensor is made, runs
-/// the backend kernel with its epilogue, and records one graph node and the
-/// pullback.
+/// "depthwiseConv2d" under either name, an int8 weight "quantizedMatMul" /
+/// "quantizedConv2d"). Checks every shape before any tensor is made, runs
+/// the backend kernel with its epilogue, and records one graph node and,
+/// for an f32 weight, the pullback.
 Tensor fusedMatMul(const char* name, const Tensor& a, const Tensor& b,
                    const Tensor& bias, FusedActivation act, bool transposeA,
                    bool transposeB);

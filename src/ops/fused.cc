@@ -2,10 +2,11 @@
 // add + activation epilogue, mirroring tf.fused.matMul / the upstream fused
 // conv paths that Layers' Dense, Conv2D and DepthwiseConv2D emit. One body
 // per producer kernel serves the plain op (no bias, kNone), the fused op and
-// the graph executor; it routes int8 weights, runs the backend kernel with
-// its epilogue, records one graph node (attrs ending in {act, hasBias}) and
-// the pullback. The int8 ops quantizedMatMul/quantizedConv2d share its
-// kernel dispatch and record the same node, without a pullback. Every
+// the graph executor; it runs the backend kernel with its epilogue, records
+// one graph node (attrs ending in {act, hasBias}) and the pullback. An int8
+// weight is a dtype of the same kernel: the backend decides between its
+// int8 kernel and the dequantized f32 one (core/backend.h), the op span
+// reads quantizedMatMul/quantizedConv2d, and no pullback is recorded. Every
 // backend runs the epilogue inside its matMul/conv2d/depthwiseConv2d
 // kernel; the result is bit-identical to the unfused chain on the active
 // backend — the epilogue applies exactly the same scalar formulas after the
@@ -75,13 +76,14 @@ Tensor activationGrad(FusedActivation act, const Tensor& dy, const Tensor& y) {
 /// under `name`: dL/d(pre-activation) from the output, then
 /// `operandGrads(dt)` for the two operands and, with a bias, the bias's
 /// reduced gradient. Builds no closure when no tape is recording (every
-/// plain matMul and conv2d runs through here).
+/// plain matMul and conv2d runs through here) or the weight is int8
+/// (inference only).
 template <typename OperandGrads>
 void finishFused(OpId id, const char* name, const Tensor& x, const Tensor& w,
                  const Tensor& bias, const Tensor& y, FusedActivation act,
                  std::span<const double> layout, OperandGrads operandGrads) {
   internal::observeProducer(id, x, w, bias, y, act, layout);
-  if (E().tape() == nullptr) return;
+  if (E().tape() == nullptr || int8Weights(w)) return;
   const auto pullback = [bias, y, act,
                          operandGrads = std::move(operandGrads)](
                             const Tensor& dy) {
@@ -99,11 +101,10 @@ void finishFused(OpId id, const char* name, const Tensor& x, const Tensor& w,
   }
 }
 
-/// The matMul kernel dispatch of the f32 and the int8 op: checks ranks,
-/// inner and batch dims and the bias (rank 1, length n) before any tensor
-/// is made, views both operands as rank 3, runs `kernel(sa, sb, biasSpec)`
-/// under the op span `name` and returns the [batch, m, n] product, rank 2
-/// for rank-2 operands.
+/// The matMul kernel dispatch: checks ranks, inner and batch dims and the
+/// bias (rank 1, length n) before any tensor is made, views both operands
+/// as rank 3, runs `kernel(sa, sb, biasSpec)` under the op span `name` and
+/// returns the [batch, m, n] product, rank 2 for rank-2 operands.
 template <typename Kernel>
 Tensor matMulDispatch(const char* name, const Tensor& a, const Tensor& b,
                       bool transposeA, bool transposeB, const Tensor& bias,
@@ -157,9 +158,9 @@ Tensor matMulDispatch(const char* name, const Tensor& a, const Tensor& b,
   return y;
 }
 
-/// The conv kernel dispatch of conv2d, depthwiseConv2d and the int8 conv:
-/// checks the bias (rank 1, length outC), runs `kernel(sx, sf, biasSpec)`
-/// under the op span `name` and wraps the NHWC output.
+/// The conv kernel dispatch of conv2d and depthwiseConv2d: checks the bias
+/// (rank 1, length outC), runs `kernel(sx, sf, biasSpec)` under the op span
+/// `name` and wraps the NHWC output.
 template <typename Kernel>
 Tensor convDispatch(const char* name, const Tensor& x, const Tensor& filter,
                     const Tensor& bias, const Conv2DInfo& info,
@@ -204,21 +205,10 @@ Tensor internal::fusedMatMul(const char* name, const Tensor& a,
                              const Tensor& b, const Tensor& bias,
                              FusedActivation act, bool transposeA,
                              bool transposeB) {
-  // Int8 weights route to the quantized kernel (inference-only; the
-  // transposed cases fall back to dequantized f32 weights).
-  if (int8Weights(b)) {
-    if (!transposeA && !transposeB) return quantizedMatMul(a, b, bias, act);
-    Tensor bf = dequantize(b);
-    Tensor y = fusedMatMul(name, a, bf, bias, act, transposeA, transposeB);
-    bf.dispose();
-    return y;
-  }
-
-  // The frame opens after the int8 routing so the quantized op records
-  // itself; from here on this op is the recorded node.
   CaptureFrame frame;
   Tensor y = matMulDispatch(
-      name, a, b, transposeA, transposeB, bias,
+      int8Weights(b) ? "quantizedMatMul" : name, a, b, transposeA, transposeB,
+      bias,
       [&](const TensorSpec& sa, const TensorSpec& sb, const TensorSpec* sbias) {
         return E().backend().matMul(sa, sb, transposeA, transposeB, sbias,
                                     act);
@@ -238,17 +228,12 @@ Tensor internal::fusedConv2d(const char* name, const Tensor& x,
                              const Tensor& filter, const Tensor& bias,
                              FusedActivation act, int strideH, int strideW,
                              PadMode pad, int dilationH, int dilationW) {
-  if (int8Weights(filter)) {
-    return quantizedConv2d(x, filter, bias, act, strideH, strideW, pad,
-                           dilationH, dilationW);
-  }
-
   const Conv2DInfo info = conv_util::computeConv2DInfo(
       x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
       /*depthwise=*/false);
   CaptureFrame frame;
   Tensor y = convDispatch(
-      name, x, filter, bias, info,
+      int8Weights(filter) ? "quantizedConv2d" : name, x, filter, bias, info,
       [&](const TensorSpec& sx, const TensorSpec& sf, const TensorSpec* sbias) {
         return E().backend().conv2d(sx, sf, info, sbias, act);
       });
@@ -316,54 +301,6 @@ Tensor fusedDepthwiseConv2d(const Tensor& x, const Tensor& filter,
   return internal::fusedDepthwiseConv2d("fusedDepthwiseConv2d", x, filter,
                                         bias, act, strideH, strideW, pad,
                                         dilationH, dilationW);
-}
-
-Tensor quantizedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
-                       FusedActivation act) {
-  TFJS_ARG_CHECK(a.dtype() == DType::f32,
-                 "quantizedMatMul expects f32 activations, got "
-                     << dtypeName(a.dtype()));
-  TFJS_ARG_CHECK(int8Weights(b),
-                 "quantizedMatMul expects int8 weights with attached "
-                 "quantization parameters");
-  TFJS_SHAPE_CHECK(b.rank() != 3 || b.shape()[0] == 1,
-                   "quantizedMatMul weights cannot be batched");
-  internal::CaptureFrame frame;
-  Tensor y = matMulDispatch(
-      "quantizedMatMul", a, b, false, false, bias,
-      [&](const TensorSpec& sa, const TensorSpec& sb, const TensorSpec* sbias) {
-        return E().backend().quantizedMatMul(sa, sb, *b.quantParams(), sbias,
-                                             act);
-      });
-  const double layout[] = {0, 0};  // {transposeA, transposeB}
-  internal::observeProducer(OpId::kMatMul, a, b, bias, y, act, layout);
-  return y;
-}
-
-Tensor quantizedConv2d(const Tensor& x, const Tensor& filter,
-                       const Tensor& bias, FusedActivation act, int strideH,
-                       int strideW, PadMode pad, int dilationH,
-                       int dilationW) {
-  TFJS_ARG_CHECK(x.dtype() == DType::f32,
-                 "quantizedConv2d expects f32 activations, got "
-                     << dtypeName(x.dtype()));
-  TFJS_ARG_CHECK(int8Weights(filter),
-                 "quantizedConv2d expects an int8 filter with attached "
-                 "quantization parameters");
-  const Conv2DInfo info = conv_util::computeConv2DInfo(
-      x.shape(), filter.shape(), strideH, strideW, pad, dilationH, dilationW,
-      /*depthwise=*/false);
-  internal::CaptureFrame frame;
-  Tensor y = convDispatch(
-      "quantizedConv2d", x, filter, bias, info,
-      [&](const TensorSpec& sx, const TensorSpec& sf, const TensorSpec* sbias) {
-        return E().backend().quantizedConv2d(sx, sf, info,
-                                             *filter.quantParams(), sbias, act);
-      });
-  internal::observeProducer(
-      OpId::kConv2d, x, filter, bias, y, act,
-      internal::convLayout(strideH, strideW, pad, dilationH, dilationW));
-  return y;
 }
 
 }  // namespace tfjs::ops

@@ -18,8 +18,8 @@
 //                                                     inputs: x, f[, bias]
 //                 The producer nodes: act is the FusedActivation epilogue,
 //                 hasBias says whether the bias input is present. An int8
-//                 weight input replays through the quantized kernel, as
-//                 eager routes it. Ids 7, 8, 10, 11 and 26 (the former
+//                 weight input replays through the same kernel, which
+//                 takes its int8 path as eager does. Ids 7, 8, 10, 11 and 26 (the former
 //                 fused and quantized twins) are retired; never reuse them.
 //   kPool         {PoolMode code, kH, kW, sH, sW, pad}
 //   kReduce       {ReduceOp code, keepDims, out DType code, axes...}

@@ -153,8 +153,7 @@ Tensor clipByValue(Tensor&& x, float lo, float hi);
 
 /// Matrix product. Rank-2 inputs multiply directly; rank-3 inputs are
 /// treated as batched with broadcasting batch dims, mirroring tf.matMul.
-/// fusedMatMul with no bias and no activation (one op body, one graph node;
-/// an int8 `b` routes to quantizedMatMul).
+/// fusedMatMul with no bias and no activation (one op body, one graph node).
 Tensor matMul(const Tensor& a, const Tensor& b, bool transposeA = false,
               bool transposeB = false);
 /// Dot product of two 1-D tensors.
@@ -164,7 +163,7 @@ Tensor outerProduct(const Tensor& a, const Tensor& b);
 // ----------------------------------------------------------- convolutions
 
 /// 2-D convolution over NHWC input with HWIO filter: fusedConv2d with no
-/// bias and no activation (an int8 filter routes to quantizedConv2d).
+/// bias and no activation.
 Tensor conv2d(const Tensor& x, const Tensor& filter, int strideH, int strideW,
               PadMode pad, int dilationH = 1, int dilationW = 1);
 /// fusedDepthwiseConv2d with no bias and no activation.
@@ -192,13 +191,18 @@ std::optional<FusedActivation> fusibleActivation(const std::string& name);
 /// one kernel on every backend, bit-identical to matMul -> add ->
 /// activation on the active backend, including gradients. Throws ShapeError
 /// for any other bias shape. Pass a default-constructed Tensor as `bias` to
-/// skip the bias add.
+/// skip the bias add. An int8 `b` (quantizePerChannel, or an int8 weight
+/// load) runs the backend's int8 kernel when it applies and the f32 kernel
+/// on the dequantized weight otherwise (core/backend.h): activations are
+/// quantized dynamically per GEMM row, the output is f32, the op span reads
+/// "quantizedMatMul" and no gradient is recorded.
 Tensor fusedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
                    FusedActivation act, bool transposeA = false,
                    bool transposeB = false);
 
 /// conv2d + optional bias add (rank-1, length outC) + activation epilogue;
-/// same contract as fusedMatMul.
+/// same contract as fusedMatMul, an int8 filter included (op span
+/// "quantizedConv2d").
 Tensor fusedConv2d(const Tensor& x, const Tensor& filter, const Tensor& bias,
                    FusedActivation act, int strideH, int strideW, PadMode pad,
                    int dilationH = 1, int dilationW = 1);
@@ -247,23 +251,6 @@ Tensor quantize(const Tensor& x, float scale, std::int32_t zeroPoint = 0);
 /// f32 values from an int8 tensor and its attached parameters:
 /// real = (code - zeroPoint[c]) * scale[c].
 Tensor dequantize(const Tensor& q);
-
-/// matMul of an f32 activation against int8 weights with a fused bias +
-/// activation epilogue. Activations are quantized dynamically per GEMM row
-/// inside the kernel (u8 codes, i32 accumulators); the output is f32.
-/// Backends without int8 kernels (and kernels hitting a fallback condition
-/// — see core/backend.h) compute the dequantized f32 fused path instead.
-/// Inference-only: no gradient is recorded. Records the same graph node as
-/// the f32 op; fusedMatMul / matMul route here automatically when their
-/// weight argument is an int8 tensor.
-Tensor quantizedMatMul(const Tensor& a, const Tensor& b, const Tensor& bias,
-                       FusedActivation act = FusedActivation::kNone);
-
-/// conv2d against an int8 HWIO filter; same contract as quantizedMatMul.
-Tensor quantizedConv2d(const Tensor& x, const Tensor& filter,
-                       const Tensor& bias, FusedActivation act, int strideH,
-                       int strideW, PadMode pad, int dilationH = 1,
-                       int dilationW = 1);
 
 // -------------------------------------------------------------- reductions
 

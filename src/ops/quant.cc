@@ -1,6 +1,6 @@
 // Quantization ops: the int8 weight/activation codecs (DESIGN.md
-// "Quantized execution"); the quantized matMul/conv2d ops live with their
-// f32 producer ops in fused.cc.
+// "Quantized execution"). matMul/conv2d take an int8 weight as a dtype of
+// their one op body (fused.cc).
 //
 // Weight quantization runs on the host (it happens once, at conversion or
 // load time); dequantize composes on-device ops so device backends keep

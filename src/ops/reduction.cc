@@ -119,52 +119,30 @@ Tensor dispatchReduce(const char* name, ReduceOp op, const Tensor& x,
 
 }  // namespace
 
-Tensor sum(const Tensor& x, std::span<const int> axes, bool keepDims) {
-  Tensor y = dispatchReduce("sum", ReduceOp::kSum, x, axes, keepDims,
-                            x.dtype() == DType::b8 ? DType::i32 : x.dtype());
-  // Empty `axes` means all axes; recompute for the gradient closure.
-  std::vector<int> allAxes = axes.empty()
-                                 ? [&] {
-                                     std::vector<int> v;
-                                     for (int i = 0; i < x.rank(); ++i)
-                                       v.push_back(i);
-                                     return v;
-                                   }()
-                                 : util::normalizeAxes(axes, x.rank());
-  const Shape keep = util::reducedShape(x.shape(), allAxes, true);
-  record("sum", {x}, y, [x, keep](const Tensor& dy) {
-    Tensor dyK = dy.reshape(keep);
-    Tensor dx = mul(dyK, onesLike(x));
-    dyK.dispose();
-    return std::vector<Tensor>{dx};
-  });
-  return y;
-}
-
-Tensor mean(const Tensor& x, std::span<const int> axes, bool keepDims) {
-  Tensor y = dispatchReduce("mean", ReduceOp::kMean, x, axes, keepDims,
-                            DType::f32);
-  std::vector<int> allAxes = axes.empty()
-                                 ? [&] {
-                                     std::vector<int> v;
-                                     for (int i = 0; i < x.rank(); ++i)
-                                       v.push_back(i);
-                                     return v;
-                                   }()
-                                 : util::normalizeAxes(axes, x.rank());
-  const Shape keep = util::reducedShape(x.shape(), allAxes, true);
-  const float n = static_cast<float>(x.size() / std::max<std::size_t>(
-                                                    keep.size(), 1));
-  record("mean", {x}, y, [x, keep, n](const Tensor& dy) {
-    Tensor dyK = dy.reshape(keep);
-    Tensor dx = mul(divScalar(dyK, n), onesLike(x));
-    dyK.dispose();
-    return std::vector<Tensor>{dx};
-  });
-  return y;
-}
-
 namespace {
+/// x's shape with the reduced axes (empty `axes` = all) kept as 1s.
+Shape keepDimsShape(const Tensor& x, std::span<const int> axes) {
+  std::vector<int> all = util::normalizeAxes(axes, x.rank());
+  if (axes.empty()) {
+    for (int i = 0; i < x.rank(); ++i) all.push_back(i);
+  }
+  return util::reducedShape(x.shape(), all, true);
+}
+
+/// dy (viewed as `keep`) repeated along the reduced axes to x's shape: one
+/// copy kernel whose reduced axes read their single element, bitwise
+/// dy * onesLike(x).
+Tensor broadcastGrad(const Tensor& dy, const Shape& keep, const Shape& x) {
+  Tensor dyK = dy.reshape(keep);
+  std::vector<CopyAxis> axes;
+  for (int d = 0; d < x.rank(); ++d) {
+    axes.push_back({.inAxis = d, .extent = x[d]});
+  }
+  Tensor dx = internal::copyKernel("tile", {&dyK, 1}, axes, x, dyK.dtype());
+  dyK.dispose();
+  return dx;
+}
+
 /// Shared gradient for max/min: route dy to the extremal positions.
 GradFunc extremeGrad(const Tensor& x, const Tensor& y, const Shape& keep) {
   return [x, y, keep](const Tensor& dy) {
@@ -180,35 +158,42 @@ GradFunc extremeGrad(const Tensor& x, const Tensor& y, const Shape& keep) {
 }
 }  // namespace
 
+Tensor sum(const Tensor& x, std::span<const int> axes, bool keepDims) {
+  Tensor y = dispatchReduce("sum", ReduceOp::kSum, x, axes, keepDims,
+                            x.dtype() == DType::b8 ? DType::i32 : x.dtype());
+  record("sum", {x}, y, [keep = keepDimsShape(x, axes), shape = x.shape()](
+                            const Tensor& dy) {
+    return std::vector<Tensor>{broadcastGrad(dy, keep, shape)};
+  });
+  return y;
+}
+
+Tensor mean(const Tensor& x, std::span<const int> axes, bool keepDims) {
+  Tensor y = dispatchReduce("mean", ReduceOp::kMean, x, axes, keepDims,
+                            DType::f32);
+  const Shape keep = keepDimsShape(x, axes);
+  const float n = static_cast<float>(x.size() / std::max<std::size_t>(
+                                                    keep.size(), 1));
+  record("mean", {x}, y, [keep, n, shape = x.shape()](const Tensor& dy) {
+    Tensor scaled = divScalar(dy, n);
+    Tensor dx = broadcastGrad(scaled, keep, shape);
+    scaled.dispose();
+    return std::vector<Tensor>{dx};
+  });
+  return y;
+}
+
 Tensor max(const Tensor& x, std::span<const int> axes, bool keepDims) {
   Tensor y =
       dispatchReduce("max", ReduceOp::kMax, x, axes, keepDims, x.dtype());
-  std::vector<int> allAxes = axes.empty()
-                                 ? [&] {
-                                     std::vector<int> v;
-                                     for (int i = 0; i < x.rank(); ++i)
-                                       v.push_back(i);
-                                     return v;
-                                   }()
-                                 : util::normalizeAxes(axes, x.rank());
-  const Shape keep = util::reducedShape(x.shape(), allAxes, true);
-  record("max", {x}, y, extremeGrad(x, y, keep));
+  record("max", {x}, y, extremeGrad(x, y, keepDimsShape(x, axes)));
   return y;
 }
 
 Tensor min(const Tensor& x, std::span<const int> axes, bool keepDims) {
   Tensor y =
       dispatchReduce("min", ReduceOp::kMin, x, axes, keepDims, x.dtype());
-  std::vector<int> allAxes = axes.empty()
-                                 ? [&] {
-                                     std::vector<int> v;
-                                     for (int i = 0; i < x.rank(); ++i)
-                                       v.push_back(i);
-                                     return v;
-                                   }()
-                                 : util::normalizeAxes(axes, x.rank());
-  const Shape keep = util::reducedShape(x.shape(), allAxes, true);
-  record("min", {x}, y, extremeGrad(x, y, keep));
+  record("min", {x}, y, extremeGrad(x, y, keepDimsShape(x, axes)));
   return y;
 }
 

@@ -237,68 +237,49 @@ void InferenceServer::runBatch(std::vector<internal::Request>& group) {
   const int batch = static_cast<int>(group.size());
   const Shape& example = group.front().exampleShape;
 
-  Engine& engine = Engine::get();
-  // One tensor per request, concatenated along the batch axis — the batch
-  // concat / output slice pair is the serving hot path. Everything that can
-  // throw (a request shape the model rejects, a kernel failure) stays
-  // inside the try: an exception escaping the scheduler's std::thread would
-  // std::terminate the whole server, so a failed pass must reject only this
-  // group's promises and leave the scheduler serving other tenants.
-  std::vector<Tensor> inputs;
+  // The group's inputs are copied into one [batch, ...] host buffer: one
+  // upload, one forward pass, one readback whose rows are split on the
+  // host. Everything that can throw (a request shape the model rejects, a
+  // kernel failure) stays inside the try: an exception escaping the
+  // scheduler's std::thread would std::terminate the whole server, so a
+  // failed pass must reject only this group's promises and leave the
+  // scheduler serving other tenants.
   Tensor batched;
   Tensor out;
   try {
-    inputs.reserve(static_cast<std::size_t>(batch));
-    for (auto& req : group) {
-      inputs.push_back(
-          engine.makeTensorFromHost(req.input, batchShape(example, 1)));
+    std::vector<float> host;
+    host.reserve(group.front().input.size() * group.size());
+    for (const auto& req : group) {
+      host.insert(host.end(), req.input.begin(), req.input.end());
     }
-    batched = inputs.size() == 1 ? inputs.front() : o::concat(inputs, 0);
-
+    batched =
+        Engine::get().makeTensorFromHost(host, batchShape(example, batch));
     out = model_->predict(batched);
+    const std::vector<float> values = out.dataSync();
 
-    std::vector<int> sliceSize = out.shape().dims();
-    sliceSize[0] = 1;
-    const Shape exampleOut{std::vector<int>(sliceSize)};
-    for (int i = 0; i < batch; ++i) {
-      std::vector<int> begin(static_cast<std::size_t>(out.rank()), 0);
-      begin[0] = i;
+    std::vector<int> exampleDims = out.shape().dims();
+    exampleDims[0] = 1;
+    const Shape exampleOut{std::move(exampleDims)};
+    const std::size_t rowSize = values.size() / static_cast<std::size_t>(batch);
+    for (std::size_t i = 0; i < group.size(); ++i) {
       InferenceResult res;
-      if (batch == 1) {
-        // Single-request pass: the output is already this request's result;
-        // skipping the slice keeps the unbatched path allocation-minimal.
-        res.values = out.dataSync();
-      } else {
-        Tensor s = o::slice(out, begin, sliceSize);
-        res.values = s.dataSync();
-        s.dispose();
-      }
+      res.values.assign(values.begin() + i * rowSize,
+                        values.begin() + (i + 1) * rowSize);
       res.shape = exampleOut;
       res.batchSize = batch;
-      res.queueMs = msBetween(group[static_cast<std::size_t>(i)].submitted,
-                              formed);
-      res.totalMs = msBetween(group[static_cast<std::size_t>(i)].submitted,
-                              Clock::now());
+      res.queueMs = msBetween(group[i].submitted, formed);
+      res.totalMs = msBetween(group[i].submitted, Clock::now());
       queueHist.observe(res.queueMs);
-      fulfill(group[static_cast<std::size_t>(i)], std::move(res));
+      fulfill(group[i], std::move(res));
     }
   } catch (...) {
     if (out.defined()) out.dispose();
-    if (inputs.size() > 1 && batched.defined()) batched.dispose();
-    for (Tensor& t : inputs) {
-      if (t.defined()) t.dispose();
-    }
+    if (batched.defined()) batched.dispose();
     failGroup(group, std::current_exception());
     return;
   }
-
   out.dispose();
-  if (inputs.size() > 1) {
-    batched.dispose();
-    for (Tensor& t : inputs) t.dispose();
-  } else {
-    batched.dispose();  // same handle as inputs.front()
-  }
+  batched.dispose();
 
   batches_.fetch_add(1, std::memory_order_relaxed);
   served_.fetch_add(static_cast<std::uint64_t>(batch),

@@ -6,8 +6,8 @@
 // bounded MPSC RequestQueue; one scheduler thread coalesces shape-
 // compatible requests into a single batched forward pass over one shared
 // set of loaded weights (batching amortizes per-op dispatch overhead — the
-// reason TF Eager keeps per-request dispatch cheap), then slices the
-// batched output back into per-request results.
+// reason TF Eager keeps per-request dispatch cheap): one upload of the
+// group's inputs, one pass, one readback split into per-request results.
 //
 // Threading contract:
 //  * all tensor/op work happens on the scheduler thread (the engine's op
@@ -26,7 +26,7 @@
 // Batching policy: requests are bucketed by example shape (no cross-shape
 // padding — a [32,32,3] image never pays for a [224,224,3] neighbour). The
 // scheduler takes the oldest request, lingers up to batchDelayMs for
-// shape-mates (up to maxBatch), runs one forward pass, and slices.
+// shape-mates (up to maxBatch), runs one forward pass, and splits its rows.
 // Backpressure: the queue is bounded; Session::infer blocks when it is
 // full, Session::tryInfer sheds load instead.
 #pragma once

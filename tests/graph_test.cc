@@ -612,8 +612,8 @@ TEST(GraphExec, Int8RoutedWeightsStayBitwise) {
   Tensor b = o::randomNormal(Shape{7}, 0, 1, 72);
   Tensor x = o::randomNormal(Shape{3, 5}, 0, 1, 73);
   auto fn = [&](const std::vector<Tensor>& ins) {
-    // int8 weights: matMul routes to the quantized kernel; the capture
-    // must preserve that routing (and its quantization parameters).
+    // int8 weights: matMul runs the backend's int8 kernel; the capture
+    // must keep the weight int8 (and its quantization parameters).
     return std::vector<Tensor>{o::add(o::matMul(ins[0], w8), b)};
   };
 
@@ -647,10 +647,10 @@ const Node* soleProducer(const Graph& g) {
 }
 
 TEST(GraphExec, ProducerOpsCaptureAsOneNodeEach) {
-  // Plain, fused and quantized producer ops all record their kernel's one
-  // node: the op's layout followed by {act, hasBias}. An int8 weight is a
-  // property of the weight input, and replay routes it to the quantized
-  // kernel as eager does.
+  // Plain and fused producer ops, with f32 or int8 weights, all record
+  // their kernel's one node: the op's layout followed by {act, hasBias}. An
+  // int8 weight is a property of the weight input, and replay runs the
+  // kernel's int8 path as eager does.
   ensureRefRegistered();
   setBackend("cpu");
   Tensor xm = o::randomNormal(Shape{3, 5}, 0, 1, 81);
@@ -679,9 +679,9 @@ TEST(GraphExec, ProducerOpsCaptureAsOneNodeEach) {
       {"fusedMatMul", xm,
        [&](const Tensor& x) { return o::fusedMatMul(x, wm, bm, Act::kRelu); },
        OpId::kMatMul, {0, 0, code(Act::kRelu), 1}},
-      {"quantizedMatMul", xm,
+      {"fusedMatMul, int8 weights", xm,
        [&](const Tensor& x) {
-         return o::quantizedMatMul(x, wm8, bm, Act::kSigmoid);
+         return o::fusedMatMul(x, wm8, bm, Act::kSigmoid);
        },
        OpId::kMatMul, {0, 0, code(Act::kSigmoid), 1}},
       {"matMul, int8 weights", xm,
@@ -695,10 +695,10 @@ TEST(GraphExec, ProducerOpsCaptureAsOneNodeEach) {
          return o::fusedConv2d(x, wc, bc, Act::kRelu6, 1, 1, PadMode::kSame);
        },
        OpId::kConv2d, {1, 1, same, 1, 1, code(Act::kRelu6), 1}},
-      {"quantizedConv2d", xc,
+      {"fusedConv2d, int8 weights", xc,
        [&](const Tensor& x) {
-         return o::quantizedConv2d(x, wc8, Tensor(), Act::kRelu, 1, 1,
-                                   PadMode::kValid);
+         return o::fusedConv2d(x, wc8, Tensor(), Act::kRelu, 1, 1,
+                               PadMode::kValid);
        },
        OpId::kConv2d, {1, 1, valid, 1, 1, code(Act::kRelu), 0}},
       {"depthwiseConv2d", xc,
@@ -740,12 +740,11 @@ TEST(GraphExec, ProducerOpsCaptureAsOneNodeEach) {
   }
 
   // An int8 producer absorbs its bias add and activation like an f32 one:
-  // the quantized epilogue runs the same scalar formulas on the
-  // dequantized value, so the fused node stays bitwise equal.
+  // the int8 epilogue runs the same scalar formulas on the dequantized
+  // value, so the fused node stays bitwise equal.
   const auto chain = [&](const std::vector<Tensor>& ins) {
     return std::vector<Tensor>{o::relu(o::add(
-        o::quantizedConv2d(ins[0], wc8, Tensor(), Act::kNone, 1, 1,
-                           PadMode::kSame),
+        o::conv2d(ins[0], wc8, 1, 1, PadMode::kSame),
         bc))};
   };
   for (const char* backend : backends) {

@@ -578,24 +578,6 @@ TEST_P(OpsTest, DropoutZeroRateIsIdentityAndScaling) {
 
 // ------------------------------------------------------------ advanced ops
 
-TEST_P(OpsTest, TopK) {
-  tidyVoid([] {
-    Tensor x = o::tensor({3, 9, 4, 8, 2, 5}, Shape{2, 3});
-    o::TopK top = o::topk(x, 2);
-    test::expectShape(top.values, Shape{2, 2});
-    test::expectValues(top.values, {9, 4, 8, 5});
-    test::expectValues(top.indices, {1, 2, 0, 2});
-    EXPECT_EQ(top.indices.dtype(), DType::i32);
-    // k == lastDim returns a full descending sort.
-    o::TopK full = o::topk(x, 3);
-    test::expectValues(full.values, {9, 4, 3, 8, 5, 2});
-    // Ties break toward the lower index (TensorFlow convention).
-    Tensor ties = o::tensor({7, 7, 1}, Shape{1, 3});
-    test::expectValues(o::topk(ties, 2).indices, {0, 1});
-    EXPECT_THROW(o::topk(x, 4), InvalidArgumentError);
-  });
-}
-
 TEST_P(OpsTest, Cumsum) {
   tidyVoid([] {
     Tensor x = o::tensor({1, 2, 3, 4}, Shape{4});
@@ -771,6 +753,59 @@ INSTANTIATE_TEST_SUITE_P(Backends, RegionOracleTest,
                            std::erase(name, '-');
                            return name;
                          });
+
+// topk is one Backend::topk kernel returning values and indices. Its order
+// is the same on every backend: descending, NaN above every number, equal
+// values (NaN and ±0 included) in ascending index order.
+using TopKTest = RegionOracleTest;
+
+INSTANTIATE_TEST_SUITE_P(Backends, TopKTest,
+                         ::testing::Values("ref", "cpu", "native", "webgl",
+                                           "webgl-unpacked"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::erase(name, '-');
+                           return name;
+                         });
+
+TEST_P(TopKTest, TiesAndNaNBitwise) {
+  tidyVoid([] {
+    Tensor x = o::tensor({3, 9, 4, 8, 2, 5}, Shape{2, 3});
+    o::TopK top = o::topk(x, 2);
+    test::expectShape(top.values, Shape{2, 2});
+    test::expectValues(top.values, {9, 4, 8, 5});
+    test::expectValues(top.indices, {1, 2, 0, 2});
+    EXPECT_EQ(top.indices.dtype(), DType::i32);
+    // k == lastDim returns a full descending sort.
+    o::TopK full = o::topk(x, 3);
+    test::expectValues(full.values, {9, 4, 3, 8, 5, 2});
+    EXPECT_THROW(o::topk(x, 4), InvalidArgumentError);
+
+    constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    Tensor special = o::tensor({3, kNaN, 7, 7, kNaN, -kInf,  //
+                                0, -0.f, 2, 2, -1, 5},
+                               Shape{2, 6});
+    const auto expectBits = [](const Tensor& t,
+                               const std::vector<float>& want) {
+      const std::vector<float> got = t.dataSync();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(want[i]))
+            << "element " << i << ": got " << got[i] << ", want " << want[i];
+      }
+    };
+    o::TopK part = o::topk(special, 4);
+    expectBits(part.values, {kNaN, kNaN, 7, 7, 5, 2, 2, 0});
+    expectBits(part.indices, {1, 4, 2, 3, 5, 2, 3, 0});
+    o::TopK sorted = o::topk(special, 6);
+    expectBits(sorted.values,
+               {kNaN, kNaN, 7, 7, 3, -kInf, 5, 2, 2, 0, -0.f, -1});
+    expectBits(sorted.indices, {1, 4, 2, 3, 0, 5, 5, 2, 3, 0, 1, 4});
+  });
+}
 
 TEST_P(RegionOracleTest, EveryUnaryOpCode) {
   // Shape{3, 29} cycles through special values (±0, ±inf, NaN, negatives,

@@ -105,7 +105,7 @@ TEST_F(QuantTest, DeadChannelScaleZeroProducesExactZeros) {
     EXPECT_GT(q.quantParams()->scale[1], 0.f);
 
     Tensor a = o::tensor(randomData(4 * 3, 3), Shape{4, 3});
-    const auto y = o::quantizedMatMul(a, q, Tensor{}).dataSync();
+    const auto y = o::matMul(a, q).dataSync();
     for (std::size_t i = 0; i < y.size(); i += 2) {
       EXPECT_EQ(y[i], 0.f) << "dead channel must dequantize to exactly 0";
     }
@@ -114,7 +114,8 @@ TEST_F(QuantTest, DeadChannelScaleZeroProducesExactZeros) {
 
 // ------------------------------------------------------- ref<->native parity
 
-/// Runs quantizedMatMul on the given backend; returns its values.
+/// Runs fusedMatMul with int8 weights on the given backend; returns its
+/// values.
 std::vector<float> matMulOn(const char* backend, int m, int k, int n,
                             FusedActivation act) {
   setBackend(backend);
@@ -127,7 +128,7 @@ std::vector<float> matMulOn(const char* backend, int m, int k, int n,
     Tensor bias = o::tensor(randomData(static_cast<std::size_t>(n), 9),
                             Shape{n});
     Tensor q = o::quantizePerChannel(w);
-    out = o::quantizedMatMul(a, q, bias, act).dataSync();
+    out = o::fusedMatMul(a, q, bias, act).dataSync();
   });
   return out;
 }
@@ -163,8 +164,8 @@ std::vector<float> convOn(const char* backend, int size, int inC, int outC,
     Tensor bias = o::tensor(randomData(static_cast<std::size_t>(outC), 25),
                             Shape{outC});
     Tensor q = o::quantizePerChannel(f);
-    out = o::quantizedConv2d(x, q, bias, FusedActivation::kRelu6, stride,
-                             stride, pad)
+    out = o::fusedConv2d(x, q, bias, FusedActivation::kRelu6, stride, stride,
+                         pad)
               .dataSync();
   });
   return out;
@@ -195,7 +196,7 @@ TEST_F(QuantTest, QuantizedMatMulTracksF32) {
     Tensor w = o::tensor(randomData(static_cast<std::size_t>(k) * n, 33),
                          Shape{k, n});
     Tensor q = o::quantizePerChannel(w);
-    Tensor yq = o::quantizedMatMul(a, q, Tensor{});
+    Tensor yq = o::matMul(a, q);
     Tensor yf = o::matMul(a, w);
     // Error budget: one half-step of activation plus weight quantization
     // noise per accumulated term; random errors mostly cancel, the bound
@@ -219,7 +220,7 @@ TEST_F(QuantTest, OverflowGuardHugeKMatchesDequantizedPath) {
     Tensor q = o::quantizePerChannel(w);
     Tensor bias = o::tensor({0.1f, -0.2f, 0.3f}, Shape{3});
     const auto viaQuant =
-        o::quantizedMatMul(a, q, bias, FusedActivation::kRelu).dataSync();
+        o::fusedMatMul(a, q, bias, FusedActivation::kRelu).dataSync();
     Tensor wDeq = o::dequantize(q);
     const auto viaF32 =
         o::fusedMatMul(a, wDeq, bias, FusedActivation::kRelu).dataSync();
@@ -234,7 +235,7 @@ TEST_F(QuantTest, NaNActivationFallsBackToF32) {
     Tensor a = o::tensor(av, Shape{2, 8});
     Tensor w = o::tensor(randomData(8 * 4, 53), Shape{8, 4});
     Tensor q = o::quantizePerChannel(w);
-    const auto viaQuant = o::quantizedMatMul(a, q, Tensor{}).dataSync();
+    const auto viaQuant = o::matMul(a, q).dataSync();
     Tensor wDeq = o::dequantize(q);
     const auto viaF32 = o::matMul(a, wDeq).dataSync();
     expectBitwiseEqual(viaQuant, viaF32);
@@ -272,9 +273,11 @@ class QuantTileParityTest : public ::testing::Test {
   struct Pair {
     TensorSpec ref, nat;
   };
-  Pair put(const std::vector<float>& v, const Shape& shape, DType dtype) {
-    return {TensorSpec{ref_.write(v, shape), shape, dtype},
-            TensorSpec{native_.write(v, shape), shape, dtype}};
+  /// Writes v to both backends; int8 weights carry `quant`.
+  Pair put(const std::vector<float>& v, const Shape& shape, DType dtype,
+           const QuantParams* quant = nullptr) {
+    return {TensorSpec{ref_.write(v, shape), shape, dtype, quant},
+            TensorSpec{native_.write(v, shape), shape, dtype, quant}};
   }
   void dispose(const Pair& p) {
     ref_.disposeData(p.ref.id);
@@ -354,7 +357,7 @@ TEST_F(QuantTileParityTest, MatMulMatchesRefAcrossTileEdges) {
     for (const int n : kSweepNs) {
       const auto [codes, wq] =
           int8Weights(static_cast<std::size_t>(k) * n, n, k * 31 + n);
-      const Pair w = put(codes, Shape{1, k, n}, DType::i8);
+      const Pair w = put(codes, Shape{1, k, n}, DType::i8, &wq);
       const Pair bias = put(randomData(static_cast<std::size_t>(n), n + 3),
                             Shape{n}, DType::f32);
       for (int rows = 1; rows <= kSweepRows; ++rows) {
@@ -362,12 +365,12 @@ TEST_F(QuantTileParityTest, MatMulMatchesRefAcrossTileEdges) {
                            Shape{1, rows, k}, DType::f32);
         const bool withBias = rows % 2 == 0;
         sweepEpilogues(
-            "quantizedMatMul rows=" + std::to_string(rows) +
+            "int8 matMul rows=" + std::to_string(rows) +
                 " k=" + std::to_string(k) + " n=" + std::to_string(n) +
                 (withBias ? " bias" : ""),
             [&](Backend& be, bool nat, FusedActivation act) {
-              return be.quantizedMatMul(
-                  nat ? a.nat : a.ref, nat ? w.nat : w.ref, wq,
+              return be.matMul(
+                  nat ? a.nat : a.ref, nat ? w.nat : w.ref, false, false,
                   withBias ? (nat ? &bias.nat : &bias.ref) : nullptr, act);
             });
         dispose(a);
@@ -392,7 +395,7 @@ TEST_F(QuantTileParityTest, ConvMatchesRefAcrossTileEdges) {
     for (const int n : kSweepNs) {
       const Shape fShape{fs.size, fs.size, fs.inC, n};
       const auto [codes, wq] = int8Weights(fShape.size(), n, k * 17 + n);
-      const Pair f = put(codes, fShape, DType::i8);
+      const Pair f = put(codes, fShape, DType::i8, &wq);
       const Pair bias = put(randomData(static_cast<std::size_t>(n), n + 5),
                             Shape{n}, DType::f32);
       // Output pixels = GEMM rows: a one-row image of width `rows`, then
@@ -411,12 +414,12 @@ TEST_F(QuantTileParityTest, ConvMatchesRefAcrossTileEdges) {
                 xShape, DType::f32);
         const bool withBias = xShape[2] % 2 == 0;
         sweepEpilogues(
-            "quantizedConv2d x=" + xShape.toString() +
+            "int8 conv2d x=" + xShape.toString() +
                 " f=" + fShape.toString() + " stride=" +
                 std::to_string(stride) + (withBias ? " bias" : ""),
             [&](Backend& be, bool nat, FusedActivation act) {
-              return be.quantizedConv2d(
-                  nat ? x.nat : x.ref, nat ? f.nat : f.ref, ci, wq,
+              return be.conv2d(
+                  nat ? x.nat : x.ref, nat ? f.nat : f.ref, ci,
                   withBias ? (nat ? &bias.nat : &bias.ref) : nullptr, act);
             });
         dispose(x);
@@ -428,15 +431,19 @@ TEST_F(QuantTileParityTest, ConvMatchesRefAcrossTileEdges) {
   }
 }
 
-// ------------------------------------------------------ webgl-sim kernels
+// ------------------------------------------------- backend-level int8 path
 //
-// webgl-sim has no int8 shader: its quantized kernels dequantize the codes
-// on the device with the region shaders ops::dequantize dispatches, then
-// run the fused f32 shader — bitwise fusedMatMul/fusedConv2d on
-// dequantize(q), fp16 texture rounding and unpacked layouts included.
+// int8 is a dtype of Backend::matMul/conv2d's weight. These call the kernels
+// directly with the tensors' specs (an int8 spec carries its parameters)
+// and memcmp against the f32 kernel on dequantize(q).
 
-void ensureWebglVariantsRegistered() {
+/// test_main registers cpu/native/webgl; ref and the webgl variants are
+/// added here.
+void ensureBackendsRegistered() {
   static const bool once = [] {
+    Engine::get().registerBackend(
+        "ref", [] { return std::make_unique<backends::RefBackend>(); },
+        /*priority=*/0);
     backends::webgl::WebGLOptions fp16;
     fp16.precision = backends::webgl::TexPrecision::fp16;
     backends::webgl::registerBackendVariant("webgl-fp16", fp16);
@@ -448,13 +455,50 @@ void ensureWebglVariantsRegistered() {
   (void)once;
 }
 
-class QuantWebglTest : public ::testing::TestWithParam<const char*> {
+class QuantBackendTest : public ::testing::TestWithParam<const char*> {
  protected:
   void SetUp() override {
-    ensureWebglVariantsRegistered();
+    ensureBackendsRegistered();
     setBackend(GetParam());
   }
 };
+
+/// Runs `kernel(backend, spec...)` on the active backend over the specs of
+/// `ins` (an undefined tensor passes a null spec) and returns its output.
+template <typename Kernel>
+std::vector<float> runKernel(std::initializer_list<Tensor> ins,
+                             Kernel kernel) {
+  Engine& engine = Engine::get();
+  std::vector<TensorSpec> specs;
+  for (const Tensor& t : ins) {
+    specs.push_back(t.defined() ? engine.prepareInput(t) : TensorSpec{});
+  }
+  Backend& be = engine.backend();
+  const DataId y = kernel(be, specs);
+  std::vector<float> out = be.read(y);
+  be.disposeData(y);
+  return out;
+}
+
+/// Backend::matMul over rank-3 a and b with an optional bias.
+std::vector<float> matMulKernel(const Tensor& a, const Tensor& b, bool tA,
+                                bool tB, const Tensor& bias,
+                                FusedActivation act) {
+  return runKernel({a, b, bias}, [&](Backend& be, const auto& s) {
+    return be.matMul(s[0], s[1], tA, tB, bias.defined() ? &s[2] : nullptr,
+                     act);
+  });
+}
+
+/// Backend::conv2d with stride 2 and SAME padding.
+std::vector<float> conv2dKernel(const Tensor& x, const Tensor& f,
+                                const Tensor& bias, FusedActivation act) {
+  const Conv2DInfo ci = conv_util::computeConv2DInfo(x.shape(), f.shape(), 2,
+                                                     2, PadMode::kSame);
+  return runKernel({x, f, bias}, [&](Backend& be, const auto& s) {
+    return be.conv2d(s[0], s[1], ci, bias.defined() ? &s[2] : nullptr, act);
+  });
+}
 
 /// The int8 weight encodings the kernels must dequantize: symmetric and
 /// asymmetric per channel (last axis), and per tensor with a zero point.
@@ -469,10 +513,16 @@ std::vector<Tensor> int8Encodings(const Tensor& w) {
   return {perChannel, asymmetric, o::quantize(w, 0.01f, 5)};
 }
 
+// webgl-sim has no int8 shader: matMul/conv2d dequantize the codes on the
+// device through backends::dequantizeWeights, then run the fused f32
+// shader — bitwise the f32 kernel on dequantize(q), fp16 texture rounding
+// and unpacked layouts included.
+using QuantWebglTest = QuantBackendTest;
+
 TEST_P(QuantWebglTest, QuantizedKernelsEqualFusedOnDequantizedWeights) {
   tidyVoid([] {
-    Tensor a = o::tensor(randomData(5 * 12, 71), Shape{5, 12});
-    Tensor w = o::tensor(randomData(12 * 6, 73), Shape{12, 6});
+    Tensor a = o::tensor(randomData(5 * 12, 71), Shape{1, 5, 12});
+    Tensor w = o::tensor(randomData(12 * 6, 73), Shape{1, 12, 6});
     Tensor x = o::tensor(randomData(7 * 7 * 4, 75), Shape{1, 7, 7, 4});
     Tensor f = o::tensor(randomData(3 * 3 * 4 * 6, 77), Shape{3, 3, 4, 6});
     Tensor bias = o::tensor(randomData(6, 79), Shape{6});
@@ -486,14 +536,10 @@ TEST_P(QuantWebglTest, QuantizedKernelsEqualFusedOnDequantizedWeights) {
           SCOPED_TRACE("encoding " + std::to_string(e) + " act " +
                        std::to_string(static_cast<int>(act)) +
                        (b.defined() ? " bias" : ""));
-          expectBitwiseEqual(
-              o::quantizedMatMul(a, ws[e], b, act).dataSync(),
-              o::fusedMatMul(a, wf, b, act).dataSync());
-          expectBitwiseEqual(
-              o::quantizedConv2d(x, fs[e], b, act, 2, 2, PadMode::kSame)
-                  .dataSync(),
-              o::fusedConv2d(x, ff, b, act, 2, 2, PadMode::kSame)
-                  .dataSync());
+          expectBitwiseEqual(matMulKernel(a, ws[e], false, false, b, act),
+                             matMulKernel(a, wf, false, false, b, act));
+          expectBitwiseEqual(conv2dKernel(x, fs[e], b, act),
+                             conv2dKernel(x, ff, b, act));
         }
       }
     }
@@ -504,6 +550,60 @@ INSTANTIATE_TEST_SUITE_P(Webgl, QuantWebglTest,
                          ::testing::Values("webgl", "webgl-fp16",
                                            "webgl-unpacked"));
 
+// Each condition under which a backend's int8 kernel must not run, once:
+// the result is the f32 kernel on the dequantized weight, bitwise. The
+// shapes keep a mistaken int8 run in bounds (n > k > m), so it shows as a
+// wrong-sized or wrong-valued output rather than a crash.
+TEST_P(QuantBackendTest, FallbackConditionsEqualF32OnDequantizedWeights) {
+  tidyVoid([] {
+    const int m = 3, k = 8, n = 10;
+    const int hugeK = backends::qmath::kMaxAccumK + 1;
+    const auto rand = [](const Shape& s, std::uint32_t seed) {
+      return o::tensor(randomData(s.size(), seed), s);
+    };
+    auto nanValues = randomData(static_cast<std::size_t>(m) * k, 95);
+    nanValues[5] = std::nanf("");
+    Tensor a = rand(Shape{1, m, k}, 91);
+    Tensor w = rand(Shape{1, k, n}, 92);
+    Tensor bias = rand(Shape{n}, 93);
+    struct Case {
+      const char* what;
+      Tensor a, q;
+      bool tA = false, tB = false;
+    };
+    const Case cases[] = {
+        {"transposeA", rand(Shape{1, k, m}, 94), o::quantizePerChannel(w),
+         true},
+        {"transposeB", a, o::quantizePerChannel(rand(Shape{1, n, k}, 96)),
+         false, true},
+        {"asymmetric per-tensor zero point", a, o::quantize(w, 0.01f, 5)},
+        {"NaN activation", o::tensor(nanValues, Shape{1, m, k}),
+         o::quantizePerChannel(w)},
+        {"k > kMaxAccumK", rand(Shape{1, 1, hugeK}, 97),
+         o::quantizePerChannel(rand(Shape{1, hugeK, n}, 98))},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.what);
+      Tensor wf = o::dequantize(c.q);
+      expectBitwiseEqual(
+          matMulKernel(c.a, c.q, c.tA, c.tB, bias, FusedActivation::kRelu),
+          matMulKernel(c.a, wf, c.tA, c.tB, bias, FusedActivation::kRelu));
+    }
+    // The conv's NaN fallback.
+    auto xv = randomData(2 * 5 * 5 * 3, 99);
+    xv[17] = std::nanf("");
+    Tensor x = o::tensor(xv, Shape{2, 5, 5, 3});
+    Tensor q = o::quantizePerChannel(rand(Shape{3, 3, 3, n}, 100));
+    Tensor qf = o::dequantize(q);
+    expectBitwiseEqual(conv2dKernel(x, q, bias, FusedActivation::kRelu6),
+                       conv2dKernel(x, qf, bias, FusedActivation::kRelu6));
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, QuantBackendTest,
+                         ::testing::Values("ref", "cpu", "native", "webgl",
+                                           "webgl-fp16"));
+
 // --------------------------------------------------------------- routing
 
 TEST_F(QuantTest, MatMulRoutesInt8Weights) {
@@ -511,10 +611,15 @@ TEST_F(QuantTest, MatMulRoutesInt8Weights) {
     Tensor a = o::tensor(randomData(3 * 16, 61), Shape{3, 16});
     Tensor w = o::tensor(randomData(16 * 5, 63), Shape{16, 5});
     Tensor q = o::quantizePerChannel(w);
-    // matMul with an int8 weight routes through quantizedMatMul.
-    const auto routed = o::matMul(a, q).dataSync();
-    const auto direct = o::quantizedMatMul(a, q, Tensor{}).dataSync();
-    expectBitwiseEqual(routed, direct);
+    // matMul with an int8 weight is the int8 kernel, under its own op span.
+    Tensor routed;
+    const ProfileInfo info = profile([&] { routed = o::matMul(a, q); });
+    ASSERT_EQ(info.kernels.size(), 1u);
+    EXPECT_EQ(info.kernels[0].name, "quantizedMatMul");
+    const auto direct =
+        matMulKernel(a.reshape(Shape{1, 3, 16}), q.reshape(Shape{1, 16, 5}),
+                     false, false, Tensor{}, FusedActivation::kNone);
+    expectBitwiseEqual(routed.dataSync(), direct);
   });
 }
 

@@ -13,6 +13,7 @@
 #include "core/engine.h"
 #include "core/event_loop.h"
 #include "core/metrics.h"
+#include "core/trace.h"
 #include "layers/conv_layers.h"
 #include "layers/core_layers.h"
 #include "layers/quantize.h"
@@ -186,6 +187,41 @@ TEST(ServingTest, BatchedOutputsBitIdenticalToUnbatched) {
         << "request " << i << " (batchSize "
         << results[static_cast<std::size_t>(i)].batchSize << ")";
   }
+}
+
+TEST(ServingTest, BatchedPassIsOneUploadAndOneReadback) {
+  // The group's inputs become one tensor and the output is split on the
+  // host: no concat or slice kernel runs on the scheduler.
+  trace::Recorder& recorder = trace::Recorder::get();
+  recorder.setCapacity(1 << 16);
+  recorder.clear();
+  recorder.setEnabled(true);
+  ServerOptions opts;
+  opts.backend = "native";
+  opts.maxBatch = 8;
+  opts.batchDelayMs = 100;
+  InferenceServer server(makeMlp(), opts);
+  auto session = server.createSession();
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(session->infer(
+        randomInput(4, 200 + static_cast<std::uint32_t>(i)), Shape{4}));
+  }
+  for (auto& f : futures) f.get();
+  server.stop();
+  recorder.setEnabled(false);
+  const std::vector<trace::Event> events = recorder.snapshot();
+  recorder.clear();
+
+  EXPECT_GE(server.stats().maxBatchSize, 2);
+  int ops = 0;
+  for (const trace::Event& e : events) {
+    if (std::string(e.category) != "op") continue;
+    ++ops;
+    EXPECT_NE(e.name, "concat");
+    EXPECT_NE(e.name, "slice");
+  }
+  EXPECT_GT(ops, 0) << "the forward passes recorded no op spans";
 }
 
 TEST(ServingTest, TwoSessionsShareWeightsBitIdenticalToSequential) {

@@ -5,7 +5,8 @@
 # oracles, ops_test's per-element region oracle included, autodiff_test
 # holding the native backward kernels to the cpu backend, and the graph
 # differential fuzzer replaying the SSE2 kernels' fused epilogues, the
-# depthwise one included, against eager), then the
+# depthwise one included, against eager, graph_test and serving_test running
+# captured and served int8 through the non-VNNI dot bodies), then the
 # sanitizer legs (tools/run_tsan.sh: TSan, ASan, UBSan over the
 # threading/memory/int8-sensitive subset plus the graph differential
 # fuzzer, each followed by a fixed-seed extended fuzzer block). Mirrors
@@ -63,9 +64,10 @@ fi
 echo "== portable leg (TFJS_NATIVE_ARCH=OFF) =="
 cmake -B build-portable -S . -DTFJS_NATIVE_ARCH=OFF
 cmake --build build-portable -j --target native_gemm_test native_parity_test \
-  fusion_test quant_test ops_test autodiff_test graph_fuzz_test
+  fusion_test quant_test ops_test autodiff_test graph_fuzz_test graph_test \
+  serving_test
 ctest --test-dir build-portable --output-on-failure \
-  -R 'native_gemm_test|native_parity_test|fusion_test|quant_test|ops_test|autodiff_test|graph_fuzz_test'
+  -R 'native_gemm_test|native_parity_test|fusion_test|quant_test|ops_test|autodiff_test|graph_fuzz_test|graph_test|serving_test'
 
 echo "== sanitizer legs =="
 tools/run_tsan.sh

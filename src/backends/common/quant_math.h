@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "backends/common/ref_backend.h"  // applyFusedActivation
 #include "core/backend.h"
 #include "core/quant.h"
 
@@ -115,15 +114,6 @@ inline float dequantAcc(std::int32_t acc, const RowQuant& rq,
       static_cast<std::int64_t>(acc) -
       static_cast<std::int64_t>(rq.zp) * static_cast<std::int64_t>(colSum);
   return static_cast<float>(centered) * (rq.scale * wScale);
-}
-
-/// Full scalar epilogue of a quantized GEMM output element.
-inline float quantEpilogue(std::int32_t acc, const RowQuant& rq,
-                           std::int32_t colSum, float wScale, const float* bias,
-                           int j, FusedActivation act) {
-  float v = dequantAcc(acc, rq, colSum, wScale);
-  if (bias != nullptr) v += bias[j];
-  return applyFusedActivation(act, v);
 }
 
 }  // namespace tfjs::backends::qmath

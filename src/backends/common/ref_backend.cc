@@ -15,102 +15,14 @@ namespace tfjs::backends {
 
 namespace {
 constexpr float kInf = std::numeric_limits<float>::infinity();
-
-/// Floored modulo, matching TensorFlow's tf.mod semantics.
-inline float floorMod(float a, float b) {
-  const float r = std::fmod(a, b);
-  return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
-}
 }  // namespace
 
 float applyBinary(BinaryOp op, float a, float b) {
-  switch (op) {
-    case BinaryOp::kAdd: return a + b;
-    case BinaryOp::kSub: return a - b;
-    case BinaryOp::kMul: return a * b;
-    case BinaryOp::kDiv: return a / b;
-    case BinaryOp::kFloorDiv: return std::floor(a / b);
-    case BinaryOp::kMod: return floorMod(a, b);
-    case BinaryOp::kPow: return std::pow(a, b);
-    case BinaryOp::kMaximum: return std::max(a, b);
-    case BinaryOp::kMinimum: return std::min(a, b);
-    case BinaryOp::kSquaredDiff: return (a - b) * (a - b);
-    case BinaryOp::kAtan2: return std::atan2(a, b);
-    case BinaryOp::kEqual: return a == b ? 1.f : 0.f;
-    case BinaryOp::kNotEqual: return a != b ? 1.f : 0.f;
-    case BinaryOp::kGreater: return a > b ? 1.f : 0.f;
-    case BinaryOp::kGreaterEqual: return a >= b ? 1.f : 0.f;
-    case BinaryOp::kLess: return a < b ? 1.f : 0.f;
-    case BinaryOp::kLessEqual: return a <= b ? 1.f : 0.f;
-    case BinaryOp::kLogicalAnd: return (a != 0 && b != 0) ? 1.f : 0.f;
-    case BinaryOp::kLogicalOr: return (a != 0 || b != 0) ? 1.f : 0.f;
-    case BinaryOp::kLogicalXor: return ((a != 0) != (b != 0)) ? 1.f : 0.f;
-  }
-  throw InternalError("Unhandled BinaryOp");
+  return binaryFormula(op, a, b);
 }
 
 float applyUnary(UnaryOp op, float x, float alpha, float beta) {
-  switch (op) {
-    case UnaryOp::kNeg: return -x;
-    case UnaryOp::kAbs: return std::fabs(x);
-    case UnaryOp::kExp: return std::exp(x);
-    case UnaryOp::kExpm1: return std::expm1(x);
-    case UnaryOp::kLog: return std::log(x);
-    case UnaryOp::kLog1p: return std::log1p(x);
-    case UnaryOp::kSqrt: return std::sqrt(x);
-    case UnaryOp::kRsqrt: return 1.0f / std::sqrt(x);
-    case UnaryOp::kSquare: return x * x;
-    case UnaryOp::kReciprocal: return 1.0f / x;
-    case UnaryOp::kFloor: return std::floor(x);
-    case UnaryOp::kCeil: return std::ceil(x);
-    case UnaryOp::kRound: return std::nearbyint(x);
-    case UnaryOp::kSign: return x > 0 ? 1.f : (x < 0 ? -1.f : 0.f);
-    case UnaryOp::kTrunc: return std::trunc(x);
-    case UnaryOp::kSin: return std::sin(x);
-    case UnaryOp::kCos: return std::cos(x);
-    case UnaryOp::kTan: return std::tan(x);
-    case UnaryOp::kAsin: return std::asin(x);
-    case UnaryOp::kAcos: return std::acos(x);
-    case UnaryOp::kAtan: return std::atan(x);
-    case UnaryOp::kSinh: return std::sinh(x);
-    case UnaryOp::kCosh: return std::cosh(x);
-    case UnaryOp::kTanh: return std::tanh(x);
-    case UnaryOp::kRelu: return x > 0 ? x : 0;
-    case UnaryOp::kRelu6: return std::min(std::max(x, 0.f), 6.f);
-    case UnaryOp::kSigmoid: return 1.0f / (1.0f + std::exp(-x));
-    case UnaryOp::kSoftplus: return std::log1p(std::exp(-std::fabs(x))) +
-                                    std::max(x, 0.f);
-    case UnaryOp::kElu: return x >= 0 ? x : std::expm1(x);
-    case UnaryOp::kSelu: {
-      constexpr float kAlpha = 1.6732632423543772f;
-      constexpr float kScale = 1.0507009873554805f;
-      return x >= 0 ? kScale * x : kScale * kAlpha * std::expm1(x);
-    }
-    case UnaryOp::kErf: return std::erf(x);
-    case UnaryOp::kLogicalNot: return x == 0 ? 1.f : 0.f;
-    case UnaryOp::kIsNan: return std::isnan(x) ? 1.f : 0.f;
-    case UnaryOp::kIsFinite: return std::isfinite(x) ? 1.f : 0.f;
-    case UnaryOp::kNotZero: return x != 0 ? 1.f : 0.f;
-    case UnaryOp::kLeakyRelu: return x >= 0 ? x : alpha * x;
-    case UnaryOp::kClipByValue:
-      return std::min(std::max(x, alpha), beta);
-    case UnaryOp::kStep: return x > 0 ? 1.f : (x < 0 ? 0.f : alpha);
-    case UnaryOp::kPowScalar: return std::pow(x, alpha);
-    case UnaryOp::kAddScalar: return x + alpha;
-    case UnaryOp::kMulScalar: return x * alpha;
-  }
-  throw InternalError("Unhandled UnaryOp");
-}
-
-float applyFusedActivation(FusedActivation act, float v) {
-  switch (act) {
-    case FusedActivation::kNone: return v;
-    case FusedActivation::kRelu: return applyUnary(UnaryOp::kRelu, v, 0, 0);
-    case FusedActivation::kRelu6: return applyUnary(UnaryOp::kRelu6, v, 0, 0);
-    case FusedActivation::kSigmoid:
-      return applyUnary(UnaryOp::kSigmoid, v, 0, 0);
-  }
-  throw InternalError("Unhandled FusedActivation");
+  return unaryFormula(op, x, alpha, beta);
 }
 
 bool broadcastsAsSuffix(const Shape& s, const Shape& out) {
@@ -278,7 +190,7 @@ namespace {
 /// The int8 oracle over `rows` GEMM rows of length k into out[rows, n]:
 /// `row(r, scratch)` returns row r (a conv builds its patch row in the
 /// k-float scratch). Each row is quantized, dotted against the weight codes
-/// with exact i32 accumulation and finished by quantEpilogue.
+/// with exact i32 accumulation, dequantized and finished by fusedEpilogue.
 template <typename Row>
 void int8Gemm(const std::vector<float>& codes, const QuantParams& wq, int k,
               int n, std::size_t rows, const float* bias, FusedActivation act,
@@ -300,7 +212,8 @@ void int8Gemm(const std::vector<float>& codes, const QuantParams& wq, int k,
         acc += static_cast<std::int32_t>(qrow[p]) *
                w8[static_cast<std::size_t>(p) * n + j];
       }
-      o[j] = qmath::quantEpilogue(acc, rq, cs[j], wq.scaleFor(j), bias, j, act);
+      o[j] = fusedEpilogue(qmath::dequantAcc(acc, rq, cs[j], wq.scaleFor(j)),
+                           bias, static_cast<std::size_t>(j), act);
     }
   }
 }
@@ -1026,11 +939,12 @@ DataId RefBackend::gather(const TensorSpec& x, const TensorSpec& indices,
   std::vector<float> out = allocBuffer(outShape.size());
   for (std::size_t o = 0; o < outer; ++o) {
     for (std::size_t j = 0; j < iv.size(); ++j) {
-      const auto idx = static_cast<std::size_t>(iv[j]);
-      TFJS_ARG_CHECK(idx < axisDim, "gather index " << iv[j]
-                                        << " out of range [0, " << axisDim
-                                        << ")");
-      std::copy_n(xv.data() + (o * axisDim + idx) * inner, inner,
+      const std::int64_t idx = indexAt(iv[j], axisDim);
+      TFJS_ARG_CHECK(idx >= 0, "gather index " << iv[j] << " out of range [0, "
+                                               << axisDim << ")");
+      std::copy_n(xv.data() + (o * axisDim + static_cast<std::size_t>(idx)) *
+                                  inner,
+                  inner,
                   out.data() + (o * iv.size() + j) * inner);
     }
   }
@@ -1091,8 +1005,8 @@ DataId RefBackend::oneHot(const TensorSpec& indices, int depth, float onValue,
   std::vector<float> out =
       allocFilled(iv.size() * static_cast<std::size_t>(depth), offValue);
   for (std::size_t i = 0; i < iv.size(); ++i) {
-    const int idx = static_cast<int>(iv[i]);
-    if (idx >= 0 && idx < depth) {
+    const std::int64_t idx = indexAt(iv[i], static_cast<std::size_t>(depth));
+    if (idx >= 0) {
       out[i * static_cast<std::size_t>(depth) +
           static_cast<std::size_t>(idx)] = onValue;
     }
@@ -1142,54 +1056,50 @@ RegionAccess classifyRegionInput(const Shape& s, const Shape& out) {
   return RegionAccess::kGeneric;
 }
 
+RefBackend::RegionIO RefBackend::regionIO(std::span<const TensorSpec> inputs,
+                                          const Shape& outShape, DataId dst) {
+  RegionIO io;
+  io.ins.resize(inputs.size());
+  int dstMatches = 0;
+  bool dstDense = false;
+  for (std::size_t j = 0; j < inputs.size(); ++j) {
+    const TensorSpec& s = inputs[j];
+    const auto& v = buf(s.id);
+    io.ins[j] = {v.data(), v.size(), classifyRegionInput(s.shape, outShape),
+                 &s.shape};
+    io.anyGeneric |= io.ins[j].mode == RegionAccess::kGeneric;
+    if (dst != 0 && s.id == dst) {
+      ++dstMatches;
+      dstDense = io.ins[j].mode == RegionAccess::kDense;
+    }
+  }
+  if (dstMatches == 1 && dstDense) {
+    io.inPlace = dst;
+    io.out = mutableBuf(dst).data();
+  } else {
+    io.fresh = allocBuffer(outShape.size());
+    io.out = io.fresh.data();
+  }
+  return io;
+}
+
 DataId RefBackend::fusedRegion(std::span<const RegionInstr> program,
                                std::span<const TensorSpec> inputs,
                                const Shape& outShape, DataId dst) {
   if (program.empty()) throw BackendError("fusedRegion: empty program");
   KernelTimer t(kernelMs_);
   const std::size_t n = outShape.size();
-
-  struct In {
-    const float* p;
-    std::size_t span;
-    RegionAccess mode;
-    const Shape* shape;
-  };
-  std::vector<In> ins(inputs.size());
-  bool anyGeneric = false;
-  int dstMatches = 0;
-  bool dstDense = false;
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    const auto& v = buf(inputs[j].id);
-    ins[j] = {v.data(), v.size(), classifyRegionInput(inputs[j].shape, outShape),
-              &inputs[j].shape};
-    anyGeneric |= ins[j].mode == RegionAccess::kGeneric;
-    if (dst != 0 && inputs[j].id == dst) {
-      ++dstMatches;
-      dstDense = ins[j].mode == RegionAccess::kDense;
-    }
-  }
-
-  // In-place only when dst aliases exactly one input and that input is
-  // dense: a second spec sharing the id (an alias view) or a broadcast
-  // operand would re-read indices the loop already overwrote.
-  const bool inPlace = dstMatches == 1 && dstDense;
-  std::vector<float> fresh;
-  float* o;
-  if (inPlace) {
-    o = mutableBuf(dst).data();
-  } else {
-    fresh = allocBuffer(n);
-    o = fresh.data();
-  }
+  RegionIO io = regionIO(inputs, outShape, dst);
+  const auto& ins = io.ins;
+  float* o = io.out;
 
   std::vector<int> coords(static_cast<std::size_t>(outShape.rank()));
   std::vector<float> inVals(inputs.size());
   std::vector<float> vals(program.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (anyGeneric) util::unravelIndex(i, outShape, coords);
+    if (io.anyGeneric) util::unravelIndex(i, outShape, coords);
     for (std::size_t j = 0; j < ins.size(); ++j) {
-      const In& in = ins[j];
+      const RegionIO::In& in = ins[j];
       switch (in.mode) {
         case RegionAccess::kDense: inVals[j] = in.p[i]; break;
         case RegionAccess::kScalar: inVals[j] = in.p[0]; break;
@@ -1199,26 +1109,10 @@ DataId RefBackend::fusedRegion(std::span<const RegionInstr> program,
           break;
       }
     }
-    const auto arg = [&](int r) { return r < 0 ? inVals[-1 - r] : vals[r]; };
-    for (std::size_t k = 0; k < program.size(); ++k) {
-      const RegionInstr& si = program[k];
-      switch (si.kind) {
-        case RegionInstr::Kind::kUnary:
-          vals[k] = applyUnary(static_cast<UnaryOp>(si.op), arg(si.a),
-                               si.alpha, si.beta);
-          break;
-        case RegionInstr::Kind::kBinary:
-          vals[k] =
-              applyBinary(static_cast<BinaryOp>(si.op), arg(si.a), arg(si.b));
-          break;
-        case RegionInstr::Kind::kSelect:
-          vals[k] = arg(si.a) != 0 ? arg(si.b) : arg(si.c);
-          break;
-      }
-    }
-    o[i] = vals.back();
+    o[i] = runProgram(program, inVals.data(), vals.data(),
+                      [](float v) { return v; });
   }
-  return inPlace ? dst : store(std::move(fresh));
+  return finishRegion(io);
 }
 
 void RefBackend::applyEpilogue(std::vector<float>& out, std::size_t n,
@@ -1227,9 +1121,7 @@ void RefBackend::applyEpilogue(std::vector<float>& out, std::size_t n,
   if (bias == nullptr && act == FusedActivation::kNone) return;
   const float* bv = bias != nullptr ? buf(bias->id).data() : nullptr;
   for (std::size_t i = 0; i < out.size(); ++i) {
-    float v = out[i];
-    if (bv != nullptr) v += bv[i % n];
-    out[i] = applyFusedActivation(act, v);
+    out[i] = fusedEpilogue(out[i], bv, i % n, act);
   }
 }
 

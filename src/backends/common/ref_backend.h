@@ -15,14 +15,24 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "backends/common/elementwise.h"
 #include "core/backend.h"
 
 namespace tfjs::backends {
+
+/// How a region input's element maps to the output's flat index i: dense
+/// (i), scalar (0), a repeated trailing block (i % size) or, otherwise,
+/// util::broadcastIndex of i's coordinates. Each is an exact index
+/// computation, so every class loads the element the naive
+/// unravel/broadcastIndex loop would (tests/ops_test.cc holds each class to
+/// that oracle on every backend).
+enum class RegionAccess { kDense, kScalar, kSuffix, kGeneric };
 
 class RefBackend : public Backend {
  public:
@@ -46,8 +56,8 @@ class RefBackend : public Backend {
   /// The elementwise interpreter, one output element at a time. Every
   /// scalar step goes through applyUnary/applyBinary (select:
   /// `c != 0 ? a : b`), so the value at each output element is
-  /// bit-identical to the op-by-op chain on any backend sharing those
-  /// scalar formulas — which is all of them, by construction.
+  /// bit-identical to the op-by-op chain on any backend evaluating the
+  /// formulas of backends/common/elementwise.h — which is all of them.
   DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
@@ -116,12 +126,36 @@ class RefBackend : public Backend {
 
   /// The fused epilogue of matMul/conv2d/depthwiseConv2d, run on the
   /// accumulated output whose channel (innermost) dimension is `n`:
-  /// out[i] = act(out[i] + bias[i % n]) — the scalar formulas of the
-  /// standalone add and activation kernels, in the same order, so a backend
-  /// that accumulates its own way and then calls this stays bit-identical
-  /// to its own op-by-op chain. A no-op without bias and activation.
+  /// out[i] = fusedEpilogue(out[i], bias, i % n, act), the standalone add
+  /// and activation kernels' formulas in their order, so a backend that
+  /// accumulates its own way and then calls this stays bit-identical to its
+  /// own op-by-op chain. A no-op without bias and activation.
   void applyEpilogue(std::vector<float>& out, std::size_t n,
                      const TensorSpec* bias, FusedActivation act) const;
+
+  /// A fusedRegion's inputs classified against its output, and the buffer
+  /// it writes: dst's own when dst aliases exactly one input and that input
+  /// is dense (a second spec sharing the id, or a broadcast operand, would
+  /// re-read indices the kernel already overwrote), a fresh one otherwise.
+  struct RegionIO {
+    struct In {
+      const float* p;
+      std::size_t span;  ///< elements stored
+      RegionAccess mode;
+      const Shape* shape;
+    };
+    std::vector<In> ins;
+    bool anyGeneric = false;
+    DataId inPlace = 0;  ///< dst when writing there
+    std::vector<float> fresh;
+    float* out = nullptr;
+  };
+  RegionIO regionIO(std::span<const TensorSpec> inputs, const Shape& outShape,
+                    DataId dst);
+  /// The id of the region's output: dst, or the fresh buffer, stored.
+  DataId finishRegion(RegionIO& io) {
+    return io.inPlace != 0 ? io.inPlace : store(std::move(io.fresh));
+  }
 
   /// True when the int8 kernels take the weight `w` of a GEMM with inner
   /// dimension k and n output columns: symmetric parameters and k short
@@ -188,6 +222,17 @@ DataId withDequantizedWeights(Backend& be, const TensorSpec& w,
   return y;
 }
 
+/// The element an index names along an axis of `size` elements (index
+/// tensors hold floats, see core/dtype.h): v truncated toward zero, or -1
+/// when that lies outside [0, size), NaN and ±inf included. Truncating and
+/// range-checking in float first keeps the integer conversion defined.
+inline std::int64_t indexAt(float v, std::size_t size) {
+  const float t = std::trunc(v);
+  if (!(t >= 0 && t < static_cast<float>(size))) return -1;
+  const auto i = static_cast<std::size_t>(t);
+  return i < size ? static_cast<std::int64_t>(i) : -1;
+}
+
 /// Backend::topk's order: (v, m) ranks before (e, j) when v is greater,
 /// NaN being greater than every number, or when the two are equal (or both
 /// NaN) and m < j.
@@ -198,13 +243,42 @@ inline bool topkBefore(float v, std::size_t m, float e, std::size_t j) {
   return m < j;
 }
 
-/// Scalar semantics of each BinaryOp / UnaryOp — shared by every backend so
-/// they cannot drift apart (the WebGL "shader" bodies call these too).
+/// binaryFormula / unaryFormula (backends/common/elementwise.h) with the op
+/// chosen at run time, out of line: the per-element switch that
+/// RefBackend's interpreter, webgl-sim's shader bodies and the cpu
+/// backend's ScalarVM run. The native region kernel instantiates the same
+/// formulas per op instead (unaryOf / binaryOf).
 float applyBinary(BinaryOp op, float a, float b);
 float applyUnary(UnaryOp op, float x, float alpha, float beta);
-/// Fused-epilogue activation, defined as the matching applyUnary formula so
-/// fused and unfused results cannot drift apart bitwise.
-float applyFusedActivation(FusedActivation act, float v);
+
+/// One output element of a region program, interpreted: instruction k's
+/// value (applyUnary, applyBinary or `c != 0 ? a : b` on its operands) goes
+/// through `stored` into vals[k], and the last one is returned. `ins` holds
+/// the element's input values; `stored` is webgl-sim's texture precision,
+/// the identity on the reference interpreter.
+template <typename Stored>
+float runProgram(std::span<const RegionInstr> program, const float* ins,
+                 float* vals, Stored stored) {
+  const auto arg = [&](int r) { return r < 0 ? ins[-1 - r] : vals[r]; };
+  for (std::size_t k = 0; k < program.size(); ++k) {
+    const RegionInstr& si = program[k];
+    float v = 0;
+    switch (si.kind) {
+      case RegionInstr::Kind::kUnary:
+        v = applyUnary(static_cast<UnaryOp>(si.op), arg(si.a), si.alpha,
+                       si.beta);
+        break;
+      case RegionInstr::Kind::kBinary:
+        v = applyBinary(static_cast<BinaryOp>(si.op), arg(si.a), arg(si.b));
+        break;
+      case RegionInstr::Kind::kSelect:
+        v = arg(si.a) != 0 ? arg(si.b) : arg(si.c);
+        break;
+    }
+    vals[k] = stored(v);
+  }
+  return vals[program.size() - 1];
+}
 
 /// True when broadcasting `s` against `out` replicates s's elements as a
 /// contiguous trailing block (e.g. a [C] bias against an NHWC tensor):
@@ -213,13 +287,7 @@ float applyFusedActivation(FusedActivation act, float v);
 /// row loop — same scalar op per element, so values are unchanged.
 bool broadcastsAsSuffix(const Shape& s, const Shape& out);
 
-/// How a region input's element maps to the output's flat index i: dense
-/// (i), scalar (0), a repeated trailing block (i % size) or, otherwise,
-/// util::broadcastIndex of i's coordinates. Each is an exact index
-/// computation, so every class loads the element the naive
-/// unravel/broadcastIndex loop would (tests/ops_test.cc holds each class to
-/// that oracle on every backend).
-enum class RegionAccess { kDense, kScalar, kSuffix, kGeneric };
+/// How an input of shape `s` broadcasts in a region over `out`.
 RegionAccess classifyRegionInput(const Shape& s, const Shape& out);
 
 }  // namespace tfjs::backends

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -145,10 +144,13 @@ inline void copyRun(float* dst, const float* src, std::size_t n) {
 /// `a > b ? a : b` per lane. x86's max instruction is exactly this select
 /// (it returns its second operand when the compare is false: NaN or equal
 /// zeros), so it is one instruction where the generic select is a compare
-/// and a blend.
+/// and a blend. Under AVX-512 all lanes go through the zero-masking form:
+/// GCC 12 flags the unmasked one's placeholder operand as
+/// maybe-uninitialized.
 inline Vec selectMax(Vec a, Vec b) {
 #if defined(__AVX512F__)
-  return Vec(_mm512_max_ps(__m512(a), __m512(b)));
+  return Vec(_mm512_maskz_max_ps(static_cast<__mmask16>(0xFFFF), __m512(a),
+                                 __m512(b)));
 #elif defined(__AVX__)
   return Vec(_mm256_max_ps(__m256(a), __m256(b)));
 #elif defined(__SSE__)
@@ -161,7 +163,8 @@ inline Vec selectMax(Vec a, Vec b) {
 /// `a < b ? a : b` per lane, x86's min instruction likewise.
 inline Vec selectMin(Vec a, Vec b) {
 #if defined(__AVX512F__)
-  return Vec(_mm512_min_ps(__m512(a), __m512(b)));
+  return Vec(_mm512_maskz_min_ps(static_cast<__mmask16>(0xFFFF), __m512(a),
+                                 __m512(b)));
 #elif defined(__AVX__)
   return Vec(_mm256_min_ps(__m256(a), __m256(b)));
 #elif defined(__SSE__)
@@ -171,35 +174,24 @@ inline Vec selectMin(Vec a, Vec b) {
 #endif
 }
 
-/// Per-lane square root. The x86 instructions are correctly rounded (and
-/// give NaN below -0), so they equal std::sqrt, which GCC will not
-/// vectorize while sqrt may set errno.
-inline Vec sqrtVec(Vec a) {
-#if defined(__AVX512F__)
-  // All lanes through the zero-masking form: GCC 12 flags the unmasked
-  // one's placeholder operand as maybe-uninitialized.
-  return Vec(_mm512_maskz_sqrt_ps(static_cast<__mmask16>(0xFFFF), __m512(a)));
-#elif defined(__AVX__)
-  return Vec(_mm256_sqrt_ps(__m256(a)));
-#elif defined(__SSE__)
-  return Vec(_mm_sqrt_ps(__m128(a)));
-#else
-  for (int i = 0; i < kLanes; ++i) a[i] = std::sqrt(a[i]);
-  return a;
-#endif
+/// Whether `act` runs on stored values, bias included (fusedEpilogue per
+/// element), rather than in epilogueTile's registers: sigmoid, whose exp
+/// has no vector form here.
+inline bool storedActivation(FusedActivation act) {
+  return act == FusedActivation::kSigmoid;
 }
 
 /// The register half of a fused epilogue on an R x C tile of finished
 /// chains whose column j holds channels [j * kLanes, (j + 1) * kLanes) of
 /// `bias` (null for none): `x + bias`, then the relu or relu6 select. The
-/// selects are applyUnary's formulas written per lane — `x > 0 ? x : 0`,
-/// and std::min(std::max(x, 0.f), 6.f) spelled `0 > x ? 0 : x` then
-/// `6 < t ? 6 : t` — so NaN and -0 come out as in the scalar path. Any
-/// other activation (sigmoid) is left to applyFusedActivation after the
-/// store (see storedActivation).
+/// selects are the relu and relu6 formulas of elementwise.h written per
+/// lane — `x > 0 ? x : 0`, and `x < 0 ? 0 : (6 < x ? 6 : x)` spelled
+/// `0 > x ? 0 : x` then `6 < t ? 6 : t` — so NaN and -0 come out as in the
+/// scalar path. A stored activation leaves the tile as it is.
 template <int R, int C>
 inline void epilogueTile(Vec (&acc)[R][C], const float* bias,
                          FusedActivation act) {
+  if (storedActivation(act)) return;
   if (bias != nullptr) {
     for (int j = 0; j < C; ++j) {
       const Vec bv = loadVec(bias + j * kLanes);
@@ -218,12 +210,6 @@ inline void epilogueTile(Vec (&acc)[R][C], const float* bias,
   }
 }
 
-/// Whether `act` runs on stored values (applyFusedActivation) rather than
-/// in epilogueTile's registers.
-inline bool storedActivation(FusedActivation act) {
-  return act == FusedActivation::kSigmoid;
-}
-
 /// A fused epilogue: bias, then the activation. The GEMM's runs on its last
 /// k block, with the bias already offset to the tile's first column (kNR
 /// entries readable); the depthwise kernel's indexes the bias by channel.
@@ -233,7 +219,8 @@ struct Epilogue {
 };
 
 /// C[0:MR, 0:cols] (row stride ldc) = (`loadC` ? C : +0) + A[0:MR, 0:kc] *
-/// B[0:kc, 0:cols], then `ep` when non-null (epilogueTile on the registers).
+/// B[0:kc, 0:cols], then `ep` when non-null (epilogueTile on the registers;
+/// a stored activation runs fusedEpilogue on C after the store).
 /// B is a panel kNR columns wide (row stride ldb), zero-padded past `cols`
 /// (1..kNR); C is only read and written below `cols`, and read not at all
 /// without `loadC`. A is stored [MR, kc] with row stride lda, or with
@@ -278,7 +265,8 @@ void microKernel(int kc, const float* __restrict A, std::size_t lda,
   if (ep != nullptr && storedActivation(ep->act)) {
     for (int r = 0; r < MR; ++r) {
       for (int j = 0; j < cols; ++j) {
-        C[r * ldc + j] = applyFusedActivation(ep->act, C[r * ldc + j]);
+        float& c = C[r * ldc + j];
+        c = fusedEpilogue(c, ep->bias, static_cast<std::size_t>(j), ep->act);
       }
     }
   }
@@ -520,12 +508,6 @@ void depthwiseGroup(const float* xImg, const float* f, const Conv2DInfo& ci,
   }
 }
 
-/// The fused epilogue's scalar formulas on one finished value of channel
-/// c: the tails of the register epilogues.
-inline float epilogueScalar(float v, const Epilogue& ep, std::size_t c) {
-  return applyFusedActivation(ep.act, ep.bias != nullptr ? v + ep.bias[c] : v);
-}
-
 /// Depthwise convolution with channelMult 1 over output rows [rBegin, rEnd)
 /// of the batch×outH space. Per row, interior pixels (every fx tap inside
 /// the input row) go 8, then 4, then 2 at a time; the rest, and pixels
@@ -567,7 +549,10 @@ void depthwiseRows(const float* x, const float* f, const Conv2DInfo& ci,
       for (int p = ox; p < ox + PX; ++p) {
         if (storedActivation(ep.act)) {
           float* o = oRow + p * Cs;
-          for (c = 0; c < cVec; ++c) o[c] = applyFusedActivation(ep.act, o[c]);
+          for (c = 0; c < cVec; ++c) {
+            o[c] = fusedEpilogue(o[c], ep.bias, static_cast<std::size_t>(c),
+                                 ep.act);
+          }
         }
         for (c = cVec; c < C; ++c) {
           float acc = 0.f;
@@ -582,7 +567,8 @@ void depthwiseRows(const float* x, const float* f, const Conv2DInfo& ci,
                        c];
             }
           }
-          oRow[p * Cs + c] = epilogueScalar(acc, ep, c);
+          oRow[p * Cs + c] =
+              fusedEpilogue(acc, ep.bias, static_cast<std::size_t>(c), ep.act);
         }
       }
     };
@@ -728,45 +714,60 @@ void NativeBackend::gemm(const float* A, const float* B, float* C, int m,
           GemmOut::kAccumulate);
 }
 
+namespace {
+// One instruction of a region over a block of c elements, R[i] = op(A[i])
+// or op(A[i], B[i]): a loop per op code, instantiated from the op's formula
+// in backends/common/elementwise.h. R may be A or B itself (an in-place
+// terminal), which a same-index loop reads before it writes.
+using UnaryRowFn = void (*)(const float*, float*, std::size_t, float, float);
+using BinaryRowFn = void (*)(const float*, const float*, float*,
+                             std::size_t);
+
+template <UnaryOp Op>
+void unaryRow(const float* A, float* R, std::size_t c, float alpha,
+              float beta) {
+  for (std::size_t i = 0; i < c; ++i) R[i] = unaryOf<Op>(A[i], alpha, beta);
+}
+
+template <BinaryOp Op>
+void binaryRow(const float* A, const float* B, float* R, std::size_t c) {
+  for (std::size_t i = 0; i < c; ++i) R[i] = binaryOf<Op>(A[i], B[i]);
+}
+
+template <std::size_t... I>
+constexpr std::array<UnaryRowFn, sizeof...(I)> unaryRows(
+    std::index_sequence<I...>) {
+  return {&unaryRow<static_cast<UnaryOp>(I)>...};
+}
+template <std::size_t... I>
+constexpr std::array<BinaryRowFn, sizeof...(I)> binaryRows(
+    std::index_sequence<I...>) {
+  return {&binaryRow<static_cast<BinaryOp>(I)>...};
+}
+/// Indexed by the UnaryOp / BinaryOp code.
+constexpr auto kUnaryRows = unaryRows(std::make_index_sequence<kNumUnaryOps>{});
+constexpr auto kBinaryRows =
+    binaryRows(std::make_index_sequence<kNumBinaryOps>{});
+}  // namespace
+
 DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
                                   std::span<const TensorSpec> inputs,
                                   const Shape& outShape, DataId dst) {
   if (instrs.empty()) throw BackendError("fusedRegion: empty program");
-  KernelTimer t(kernelMs_, "native.fusedRegion");
-  const std::size_t n = outShape.size();
-  struct In {
-    const float* p;
-    std::size_t span;
-    RegionAccess mode;
-    const Shape* shape;
-  };
-  std::vector<In> ins(inputs.size());
-  bool anyGeneric = false;
-  int dstMatches = 0;
-  bool dstDense = false;
-  for (std::size_t j = 0; j < inputs.size(); ++j) {
-    const TensorSpec& s = inputs[j];
-    const auto& v = buf(s.id);
-    ins[j] = {v.data(), v.size(), classifyRegionInput(s.shape, outShape),
-              &s.shape};
-    anyGeneric |= ins[j].mode == RegionAccess::kGeneric;
-    if (dst != 0 && s.id == dst) {
-      ++dstMatches;
-      dstDense = ins[j].mode == RegionAccess::kDense;
+  for (const RegionInstr& si : instrs) {
+    const int codes = si.kind == RegionInstr::Kind::kUnary    ? kNumUnaryOps
+                      : si.kind == RegionInstr::Kind::kBinary ? kNumBinaryOps
+                                                              : 0;
+    if (codes != 0 && (si.op < 0 || si.op >= codes)) {
+      throw InternalError("fusedRegion: unhandled op code");
     }
   }
-  // Same in-place guard as the reference kernel: dst must alias exactly one
-  // input, and that input must be dense (each block then only overwrites
-  // indices it has already read).
-  const bool inPlace = dstMatches == 1 && dstDense;
-  std::vector<float> fresh;
-  float* o = nullptr;
-  if (inPlace) {
-    o = mutableBuf(dst).data();
-  } else {
-    fresh = allocBuffer(n);
-    o = fresh.data();
-  }
+  KernelTimer t(kernelMs_, "native.fusedRegion");
+  const std::size_t n = outShape.size();
+  // In place, each block only overwrites indices it has already read.
+  RegionIO io = regionIO(inputs, outShape, dst);
+  const auto& ins = io.ins;
+  float* o = io.out;
 
   // Strip-mined interpretation: each block resolves every input to a row
   // pointer (dense inputs, and long suffixes within one repeat, alias
@@ -780,9 +781,10 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
   const std::size_t numIns = inputs.size();
   // A lone instruction over dense inputs (the common standalone unary or
   // binary) needs no scratch rows, so each chunk runs as one long block.
-  const bool allDense = std::all_of(ins.begin(), ins.end(), [](const In& in) {
-    return in.mode == RegionAccess::kDense;
-  });
+  const bool allDense =
+      std::all_of(ins.begin(), ins.end(), [](const RegionIO::In& in) {
+        return in.mode == RegionAccess::kDense;
+      });
   const std::size_t block = numInstrs == 1 && allDense ? kElemGrain : kBlock;
   ThreadPool::get().parallelFor(
       n, kElemGrain, [&](std::size_t begin, std::size_t end) {
@@ -797,14 +799,14 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
         float* inRows = scratch.data();
         float* valRows = scratch.data() + 2 * numIns * kBlock;
         std::vector<int> coords(
-            anyGeneric ? static_cast<std::size_t>(outShape.rank()) : 0);
+            io.anyGeneric ? static_cast<std::size_t>(outShape.rank()) : 0);
         // Once per chunk: a scalar fills one row, and a suffix no longer
         // than a block is replicated span by span into a row of
         // `rowLen + span` floats, so every block below just points at
         // `row + b0 % span` instead of re-filling a wrapped copy.
         const std::size_t rowLen = std::min(kBlock, end - begin);
         for (std::size_t j = 0; j < numIns; ++j) {
-          const In& in = ins[j];
+          const RegionIO::In& in = ins[j];
           float* r = inRows + 2 * j * kBlock;
           if (in.mode == RegionAccess::kScalar) {
             std::fill(r, r + rowLen, in.p[0]);
@@ -819,7 +821,7 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
         for (std::size_t b0 = begin; b0 < end; b0 += block) {
           const std::size_t c = std::min(block, end - b0);
           for (std::size_t j = 0; j < numIns; ++j) {
-            const In& in = ins[j];
+            const RegionIO::In& in = ins[j];
             float* r = inRows + 2 * j * kBlock;
             switch (in.mode) {
               case RegionAccess::kDense:
@@ -864,133 +866,14 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
             // the output; everything else lands in its scratch row.
             float* R = k + 1 == numInstrs ? o + b0 : valRows + k * kBlock;
             switch (si.kind) {
-              case RegionInstr::Kind::kUnary: {
-                const auto op = static_cast<UnaryOp>(si.op);
-                // Autovectorized forms of the hottest ops; the formulas are
-                // exactly applyUnary's.
-                switch (op) {
-                  case UnaryOp::kRelu:
-                    for (std::size_t i = 0; i < c; ++i) {
-                      R[i] = A[i] > 0 ? A[i] : 0;
-                    }
-                    break;
-                  case UnaryOp::kRelu6:
-                    for (std::size_t i = 0; i < c; ++i) {
-                      R[i] = std::min(std::max(A[i], 0.f), 6.f);
-                    }
-                    break;
-                  case UnaryOp::kNeg:
-                    for (std::size_t i = 0; i < c; ++i) R[i] = -A[i];
-                    break;
-                  case UnaryOp::kSquare:
-                    for (std::size_t i = 0; i < c; ++i) R[i] = A[i] * A[i];
-                    break;
-                  case UnaryOp::kAddScalar:
-                    for (std::size_t i = 0; i < c; ++i) R[i] = A[i] + si.alpha;
-                    break;
-                  case UnaryOp::kMulScalar:
-                    for (std::size_t i = 0; i < c; ++i) R[i] = A[i] * si.alpha;
-                    break;
-                  case UnaryOp::kLeakyRelu:
-                    for (std::size_t i = 0; i < c; ++i) {
-                      R[i] = A[i] >= 0 ? A[i] : si.alpha * A[i];
-                    }
-                    break;
-                  case UnaryOp::kClipByValue:
-                    for (std::size_t i = 0; i < c; ++i) {
-                      R[i] = std::min(std::max(A[i], si.alpha), si.beta);
-                    }
-                    break;
-                  case UnaryOp::kStep: {
-                    const float atZero = si.alpha;
-                    for (std::size_t i = 0; i < c; ++i) {
-                      R[i] = A[i] > 0 ? 1.f : (A[i] < 0 ? 0.f : atZero);
-                    }
-                    break;
-                  }
-                  case UnaryOp::kSqrt:
-                  case UnaryOp::kRsqrt: {
-                    // rsqrt is 1 / sqrt(x), two correctly rounded steps.
-                    const bool recip = op == UnaryOp::kRsqrt;
-                    std::size_t i = 0;
-                    for (; i + kLanes <= c; i += kLanes) {
-                      const Vec r = sqrtVec(loadVec(A + i));
-                      storeVec(R + i, recip ? 1.f / r : r);
-                    }
-                    for (; i < c; ++i) R[i] = applyUnary(op, A[i], 0, 0);
-                    break;
-                  }
-                  default:
-                    for (std::size_t i = 0; i < c; ++i) {
-                      R[i] = applyUnary(op, A[i], si.alpha, si.beta);
-                    }
-                }
+              case RegionInstr::Kind::kUnary:
+                kUnaryRows[static_cast<std::size_t>(si.op)](A, R, c, si.alpha,
+                                                            si.beta);
                 break;
-              }
-              case RegionInstr::Kind::kBinary: {
-                const auto op = static_cast<BinaryOp>(si.op);
-                const float* B = row(si.b);
-                // Same for the four arithmetic ops and the comparisons and
-                // logical ops (applyBinary's formulas; the logical ones
-                // evaluate both operands, which cannot change a value).
-                const auto compare = [&](auto pred) {
-                  for (std::size_t i = 0; i < c; ++i) {
-                    R[i] = pred(A[i], B[i]) ? 1.f : 0.f;
-                  }
-                };
-                switch (op) {
-                  case BinaryOp::kAdd:
-                    for (std::size_t i = 0; i < c; ++i) R[i] = A[i] + B[i];
-                    break;
-                  case BinaryOp::kSub:
-                    for (std::size_t i = 0; i < c; ++i) R[i] = A[i] - B[i];
-                    break;
-                  case BinaryOp::kMul:
-                    for (std::size_t i = 0; i < c; ++i) R[i] = A[i] * B[i];
-                    break;
-                  case BinaryOp::kDiv:
-                    for (std::size_t i = 0; i < c; ++i) R[i] = A[i] / B[i];
-                    break;
-                  case BinaryOp::kEqual:
-                    compare(std::equal_to<float>{});
-                    break;
-                  case BinaryOp::kNotEqual:
-                    compare(std::not_equal_to<float>{});
-                    break;
-                  case BinaryOp::kGreater:
-                    compare(std::greater<float>{});
-                    break;
-                  case BinaryOp::kGreaterEqual:
-                    compare(std::greater_equal<float>{});
-                    break;
-                  case BinaryOp::kLess:
-                    compare(std::less<float>{});
-                    break;
-                  case BinaryOp::kLessEqual:
-                    compare(std::less_equal<float>{});
-                    break;
-                  case BinaryOp::kLogicalAnd:
-                    compare([](float a, float b) {
-                      return (a != 0) & (b != 0);
-                    });
-                    break;
-                  case BinaryOp::kLogicalOr:
-                    compare([](float a, float b) {
-                      return (a != 0) | (b != 0);
-                    });
-                    break;
-                  case BinaryOp::kLogicalXor:
-                    compare([](float a, float b) {
-                      return (a != 0) != (b != 0);
-                    });
-                    break;
-                  default:
-                    for (std::size_t i = 0; i < c; ++i) {
-                      R[i] = applyBinary(op, A[i], B[i]);
-                    }
-                }
+              case RegionInstr::Kind::kBinary:
+                kBinaryRows[static_cast<std::size_t>(si.op)](A, row(si.b), R,
+                                                             c);
                 break;
-              }
               case RegionInstr::Kind::kSelect: {
                 const float* B = row(si.b);
                 const float* C = row(si.c);
@@ -1003,7 +886,7 @@ DataId NativeBackend::fusedRegion(std::span<const RegionInstr> instrs,
           }
         }
       });
-  return inPlace ? dst : store(std::move(fresh));
+  return finishRegion(io);
 }
 
 DataId NativeBackend::matMul(const TensorSpec& a, const TensorSpec& b,
@@ -1156,7 +1039,8 @@ DataId NativeBackend::depthwiseConv2d(const TensorSpec& x,
             }
             if (ep.bias != nullptr || act != FusedActivation::kNone) {
               for (int c = 0; c < ci.outC; ++c) {
-                oRow[c] = epilogueScalar(oRow[c], ep, c);
+                oRow[c] = fusedEpilogue(oRow[c], ep.bias,
+                                        static_cast<std::size_t>(c), act);
               }
             }
           }

@@ -68,11 +68,13 @@ class NativeBackend : public RefBackend {
                 const Conv2DInfo& info, const TensorSpec* bias,
                 FusedActivation act) override;
   /// Strip-mined fused-region interpreter: per block of output elements,
-  /// inputs load once into dense rows, then each instruction runs as a
-  /// dense (autovectorizable) loop over the block, instruction by
-  /// instruction — the per-element op order is unchanged, so values are
-  /// bit-identical to the reference per-element interpreter. Parallelised
-  /// with the fixed kElemGrain partition.
+  /// inputs load once into dense rows, then each instruction runs as one
+  /// row loop over the block, picked by op code from a table of loops
+  /// instantiated from the formulas of backends/common/elementwise.h (one
+  /// per UnaryOp and BinaryOp code; the compiler vectorizes each it can).
+  /// The per-element op order and formulas are the reference interpreter's,
+  /// so values are bit-identical to it. Parallelised with the fixed
+  /// kElemGrain partition.
   DataId fusedRegion(std::span<const RegionInstr> program,
                      std::span<const TensorSpec> inputs, const Shape& outShape,
                      DataId dst) override;
@@ -154,9 +156,9 @@ class NativeBackend : public RefBackend {
   static void gemm(const float* A, const float* B, float* C, int m, int k,
                    int n);
   /// GEMM with an optional fused epilogue: once an element's chain is
-  /// complete, adds bias[j] (when non-null) and applies `act` — the scalar
-  /// formulas of applyBinary(kAdd) and applyUnary, evaluated on the register
-  /// tile before its single store.
+  /// complete, adds bias[j] (when non-null) and applies `act` — fusedEpilogue
+  /// (backends/common/elementwise.h), evaluated on the register tile before
+  /// its single store (a sigmoid on the stored value).
   static void gemm(const float* A, const float* B, float* C, int m, int k,
                    int n, const float* bias, FusedActivation act);
 

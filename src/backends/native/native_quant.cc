@@ -91,10 +91,37 @@ bool allFiniteFast(const float* x, std::size_t n) {
 }
 
 #if defined(__AVX512F__)
+/// Every lane. The min, max, round and convert intrinsics below take their
+/// zero-masking forms with all lanes set: the unmasked forms pass GCC 12 an
+/// undefined placeholder operand that it flags as maybe-uninitialized.
+constexpr __mmask16 kAllLanes = 0xffff;
+
 /// Mask of the first `count` lanes (count may exceed 16).
 __mmask16 laneMask(int count) {
   return count >= 16 ? __mmask16{0xffff}
                      : static_cast<__mmask16>((1u << count) - 1u);
+}
+
+/// _mm512_reduce_max_ps (Max) or _mm512_reduce_min_ps, step for step (the
+/// same halving order, so even the sign of a zero result is theirs), with
+/// both halves extracted through the zero-masking form.
+template <bool Max>
+float reduceLanes(__m512 a) {
+  const auto op256 = [](__m256 x, __m256 y) {
+    return Max ? _mm256_max_ps(x, y) : _mm256_min_ps(x, y);
+  };
+  const auto op128 = [](__m128 x, __m128 y) {
+    return Max ? _mm_max_ps(x, y) : _mm_min_ps(x, y);
+  };
+  const __m512d d = _mm512_castps_pd(a);
+  const __m256 t3 =
+      op256(_mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xff, d, 1)),
+            _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xff, d, 0)));
+  const __m128 t6 =
+      op128(_mm256_extractf128_ps(t3, 1), _mm256_castps256_ps128(t3));
+  const __m128 t8 = op128(t6, _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(
+      op128(t8, _mm_shuffle_ps(t8, t8, _MM_SHUFFLE(0, 1, 0, 1))));
 }
 #endif
 
@@ -119,11 +146,11 @@ void chooseRowQuants(const float* A, int k, std::size_t rows,
       __m512 lov = zero, hiv = zero;
       for (int i = 0; i < k; i += 16) {
         const __m512 v = _mm512_maskz_loadu_ps(laneMask(k - i), row + i);
-        lov = _mm512_min_ps(lov, v);
-        hiv = _mm512_max_ps(hiv, v);
+        lov = _mm512_maskz_min_ps(kAllLanes, lov, v);
+        hiv = _mm512_maskz_max_ps(kAllLanes, hiv, v);
       }
-      lo[t] = _mm512_reduce_min_ps(lov);
-      hi[t] = _mm512_reduce_max_ps(hiv);
+      lo[t] = reduceLanes<false>(lov);
+      hi[t] = reduceLanes<true>(hiv);
     }
     const __mmask16 m = laneMask(count);
     const __m512 lov = _mm512_maskz_load_ps(m, lo);
@@ -135,16 +162,18 @@ void chooseRowQuants(const float* A, int k, std::size_t rows,
         _mm512_xor_si512(_mm512_castps_si512(lov),
                          _mm512_castps_si512(_mm512_set1_ps(-0.f))));
     const __m512 t = _mm512_div_ps(negLo, s);
-    const __m512 tr =
-        _mm512_roundscale_ps(t, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
-    __m512i z = _mm512_cvttps_epi32(tr);
+    const __m512 tr = _mm512_maskz_roundscale_ps(
+        kAllLanes, t, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+    __m512i z = _mm512_maskz_cvttps_epi32(kAllLanes, tr);
     z = _mm512_mask_add_epi32(
         z,
         _mm512_cmp_ps_mask(_mm512_sub_ps(t, tr), _mm512_set1_ps(0.5f),
                            _CMP_GE_OQ),
         z, _mm512_set1_epi32(1));
-    z = _mm512_min_epi32(_mm512_max_epi32(z, _mm512_setzero_si512()),
-                         _mm512_set1_epi32(255));
+    z = _mm512_maskz_min_epi32(
+        kAllLanes,
+        _mm512_maskz_max_epi32(kAllLanes, z, _mm512_setzero_si512()),
+        _mm512_set1_epi32(255));
     _mm512_store_ps(scale, s);
     _mm512_store_ps(inv, _mm512_div_ps(_mm512_set1_ps(1.f), s));
     _mm512_store_si512(zp, z);
@@ -171,12 +200,15 @@ void quantizeRowFast(const float* row, int k, const qmath::RowQuant& rq,
   const __m512i zpv = _mm512_set1_epi32(rq.zp);
   for (int i = 0; i < k; i += 16) {
     const __mmask16 m = laneMask(k - i);
-    const __m512 t = _mm512_min_ps(
-        _mm512_max_ps(_mm512_mul_ps(_mm512_maskz_loadu_ps(m, row + i), inv),
-                      lov),
+    const __m512 t = _mm512_maskz_min_ps(
+        kAllLanes,
+        _mm512_maskz_max_ps(
+            kAllLanes,
+            _mm512_mul_ps(_mm512_maskz_loadu_ps(m, row + i), inv), lov),
         hiv);
     _mm512_mask_cvtepi32_storeu_epi8(
-        q + i, m, _mm512_add_epi32(_mm512_cvtps_epi32(t), zpv));
+        q + i, m,
+        _mm512_add_epi32(_mm512_maskz_cvtps_epi32(kAllLanes, t), zpv));
   }
 #else
   qmath::quantizeRow(row, static_cast<std::size_t>(k), rq, q);
@@ -213,45 +245,50 @@ struct Cols16 {
   return c;
 }
 
-/// qmath::quantEpilogue on one row's 16 columns, straight from the i32
-/// accumulator register; stores the lanes inside n to dst. Lane-exact
-/// against the scalar helper:
+/// fusedEpilogue(qmath::dequantAcc(...)) on one row's 16 columns, straight
+/// from the i32 accumulator register; stores the lanes inside n to dst.
+/// Lane-exact against the scalar helpers:
 ///   * centered = acc - zp*colSum in 32-bit wraparound arithmetic — the
 ///     true value fits i32 (kMaxAccumK guard), so the wrap is harmless and
 ///     cvtepi32_ps equals the scalar i64->float conversion;
 ///   * the float chain mirrors dequantAcc's association exactly:
 ///     float(centered) * (rq.scale * wScale[j]), then + bias, activation
-///     via min/max in applyUnary's operand order. No FMA (this TU:
-///     -ffp-contract=off).
-/// kSigmoid is transcendental: this stores its input (dequant + bias), and
-/// sigmoidTail finishes the tile with the scalar helpers. Always inlined, so
-/// the tile's other accumulators stay in registers.
+///     via min/max in the relu / relu6 formulas' operand order. No FMA
+///     (this TU: -ffp-contract=off).
+/// kSigmoid is transcendental: this stores the dequantized value, and
+/// storedEpilogue finishes the tile with the scalar fusedEpilogue. Always
+/// inlined, so the tile's other accumulators stay in registers.
 [[gnu::always_inline]] inline void epilogue16(__m512i acc,
                                               const qmath::RowQuant& rq,
                                               const EpilogueArgs& ep,
                                               const Cols16& c, float* dst) {
   const __m512i centered = _mm512_sub_epi32(
       acc, _mm512_mullo_epi32(_mm512_set1_epi32(rq.zp), c.colSums));
-  __m512 v = _mm512_mul_ps(_mm512_cvtepi32_ps(centered),
+  __m512 v = _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(kAllLanes, centered),
                            _mm512_mul_ps(_mm512_set1_ps(rq.scale), c.wScale));
-  if (ep.bias != nullptr) v = _mm512_add_ps(v, c.bias);
+  if (ep.bias != nullptr && ep.act != FusedActivation::kSigmoid) {
+    v = _mm512_add_ps(v, c.bias);
+  }
   const __m512 zero = _mm512_setzero_ps();
   if (ep.act == FusedActivation::kRelu) {
-    v = _mm512_max_ps(v, zero);  // x > 0 ? x : 0
+    v = _mm512_maskz_max_ps(kAllLanes, v, zero);  // x > 0 ? x : 0
   } else if (ep.act == FusedActivation::kRelu6) {
-    v = _mm512_min_ps(_mm512_set1_ps(6.f),
-                      _mm512_max_ps(zero, v));  // min(max(x,0),6)
+    // 0 > x ? 0 : x, then 6 < t ? 6 : t
+    v = _mm512_maskz_min_ps(kAllLanes, _mm512_set1_ps(6.f),
+                            _mm512_maskz_max_ps(kAllLanes, zero, v));
   }
   _mm512_mask_storeu_ps(dst, c.m, v);
 }
 
-/// Finishes a kSigmoid tile of `rows` x `cols` outputs at `out` (row stride
-/// ldo) whose epilogue stored dequant + bias: the activation, per element
-/// with the reference's scalar helper.
-void sigmoidTail(int rows, int cols, float* out, std::size_t ldo) {
+/// Finishes a kSigmoid tile of `rows` x `cols` outputs from column j0 of
+/// `out` (row stride ldo), whose epilogue16 stored the dequantized values:
+/// bias and activation per element, by the scalar fusedEpilogue.
+void storedEpilogue(const EpilogueArgs& ep, int rows, int j0, int cols,
+                    float* out, std::size_t ldo) {
   for (int r = 0; r < rows; ++r) {
-    for (float* o = out + r * ldo; o != out + r * ldo + cols; ++o) {
-      *o = applyFusedActivation(FusedActivation::kSigmoid, *o);
+    for (int j = j0; j < j0 + cols; ++j) {
+      float& o = out[r * ldo + j];
+      o = fusedEpilogue(o, ep.bias, static_cast<std::size_t>(j), ep.act);
     }
   }
 }
@@ -314,7 +351,7 @@ void quantTile(const PackedQuantWeights& pw, const std::uint8_t* q,
     }
   }
   if (ep.act == FusedActivation::kSigmoid) {
-    sigmoidTail(MR, std::min(NV * kPanelN, ep.n - j0), out + j0, ldo);
+    storedEpilogue(ep, MR, j0, std::min(NV * kPanelN, ep.n - j0), out, ldo);
   }
 #else
   constexpr int kCols = NV * kPanelN;
@@ -374,15 +411,15 @@ void quantTile(const PackedQuantWeights& pw, const std::uint8_t* q,
     }
   }
   if (ep.act == FusedActivation::kSigmoid) {
-    sigmoidTail(MR, cols, out + j0, ldo);
+    storedEpilogue(ep, MR, j0, cols, out, ldo);
   }
 #else
   for (int r = 0; r < MR; ++r) {
     for (int c = 0; c < cols; ++c) {
       const int j = j0 + c;
-      out[r * ldo + j] =
-          qmath::quantEpilogue(acc[r][c], rqs[r], ep.colSums[j], ep.wScale[j],
-                               ep.bias, j, ep.act);
+      out[r * ldo + j] = fusedEpilogue(
+          qmath::dequantAcc(acc[r][c], rqs[r], ep.colSums[j], ep.wScale[j]),
+          ep.bias, static_cast<std::size_t>(j), ep.act);
     }
   }
 #endif

@@ -138,28 +138,8 @@ DataId WebGLBackend::fusedRegion(std::span<const RegionInstr> program,
               : util::broadcastIndex(ctx.outputCoords(), inShapes[j], oShape);
       ins[j] = ctx.getFlat(static_cast<int>(j), at);
     }
-    const auto arg = [&](int ref) {
-      return ref < 0 ? ins[static_cast<std::size_t>(-1 - ref)]
-                     : vals[static_cast<std::size_t>(ref)];
-    };
-    for (std::size_t k = 0; k < instrs.size(); ++k) {
-      const RegionInstr& si = instrs[k];
-      float v = 0;
-      switch (si.kind) {
-        case RegionInstr::Kind::kUnary:
-          v = applyUnary(static_cast<UnaryOp>(si.op), arg(si.a), si.alpha,
-                         si.beta);
-          break;
-        case RegionInstr::Kind::kBinary:
-          v = applyBinary(static_cast<BinaryOp>(si.op), arg(si.a), arg(si.b));
-          break;
-        case RegionInstr::Kind::kSelect:
-          v = arg(si.a) != 0 ? arg(si.b) : arg(si.c);
-          break;
-      }
-      vals[k] = ctx.stored(v);
-    }
-    ctx.setOutput(vals.back());
+    ctx.setOutput(runProgram(instrs, ins.data(), vals.data(),
+                             [&](float v) { return ctx.stored(v); }));
   };
   // One dispatch per program: one fetch per input, and per invocation one
   // ALU op per instruction (four when packed) plus each input's index math.
@@ -814,12 +794,15 @@ DataId WebGLBackend::gather(const TensorSpec& x, const TensorSpec& indices,
   r.squeeze = opts_.squeeze;
   const Shape xShape = x.shape;
   const int rank = xShape.rank();
-  r.main = [axis, rank](ShaderContext& ctx) {
+  const auto axisDim = static_cast<std::size_t>(xShape[axis]);
+  r.main = [axis, rank, axisDim](ShaderContext& ctx) {
     std::array<int, 8> c{};
     for (int d = 0; d < rank; ++d) c[static_cast<std::size_t>(d)] = ctx.coord(d);
-    const auto idx = static_cast<int>(
-        ctx.getFlat(1, static_cast<std::size_t>(ctx.coord(axis))));
-    c[static_cast<std::size_t>(axis)] = idx;
+    const float v = ctx.getFlat(1, static_cast<std::size_t>(ctx.coord(axis)));
+    const std::int64_t idx = indexAt(v, axisDim);
+    TFJS_ARG_CHECK(idx >= 0, "gather index " << v << " out of range [0, "
+                                             << axisDim << ")");
+    c[static_cast<std::size_t>(axis)] = static_cast<int>(idx);
     ctx.setOutput(ctx.get(
         0, std::span<const int>(c.data(), static_cast<std::size_t>(rank))));
   };
@@ -888,9 +871,10 @@ DataId WebGLBackend::oneHot(const TensorSpec& indices, int depth,
   r.output = outTex;
   r.inputs = {input(indices)};
   r.squeeze = opts_.squeeze;
-  r.main = [onValue, offValue](ShaderContext& ctx) {
-    const auto idx = static_cast<int>(
-        ctx.getFlat(0, static_cast<std::size_t>(ctx.coord(0))));
+  r.main = [onValue, offValue, depth](ShaderContext& ctx) {
+    const std::int64_t idx =
+        indexAt(ctx.getFlat(0, static_cast<std::size_t>(ctx.coord(0))),
+                static_cast<std::size_t>(depth));
     ctx.setOutput(idx == ctx.coord(1) ? onValue : offValue);
   };
   r.cost.invocations = outShape.size();

@@ -234,6 +234,8 @@ class Backend {
   /// Index of max/min over the trailing `inner` elements, as float values.
   virtual DataId arg(ArgOp op, const TensorSpec& x, std::size_t outer,
                      std::size_t inner) = 0;
+  /// Indices truncate toward zero (backends::indexAt). One outside the
+  /// axis, NaN and ±inf included, throws; in oneHot it gives an all-off row.
   virtual DataId gather(const TensorSpec& x, const TensorSpec& indices,
                         int axis, const Shape& outShape) = 0;
   virtual DataId resizeBilinear(const TensorSpec& x, int newH, int newW,

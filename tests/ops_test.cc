@@ -474,17 +474,30 @@ TEST_P(OpsTest, PadGatherTileReverse) {
 }
 
 TEST_P(OpsTest, GatherOutOfRangeThrows) {
-  Tensor x = o::tensor({1, 2}, Shape{2});
-  Tensor idx = o::tensor({5}, Shape{1}, DType::i32);
-  EXPECT_THROW(
-      {
-        Tensor y = o::gather(x, idx, 0);
-        y.dataSync();  // webgl validates lazily at execution
-        y.dispose();
-      },
-      Error);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Tensor x = o::tensor({1, 2, 3, 4, 5, 6}, Shape{2, 3});
+  // Each index out of range of either axis, the ones a float-to-integer
+  // cast cannot represent included (a 2^31 or 1e10 index on axis 1 of a
+  // [2, 3] tensor would alias a valid element after wrapping).
+  for (const float bad : {5.f, 3.f, -1.f, -1.5f, kInf, -kInf, 2147483648.f,
+                          1e10f, std::numeric_limits<float>::quiet_NaN()}) {
+    SCOPED_TRACE(bad);
+    Tensor idx = o::tensor({0, bad}, Shape{2}, DType::i32);
+    EXPECT_THROW(
+        {
+          Tensor y = o::gather(x, idx, 1);
+          y.dataSync();  // webgl validates lazily at execution
+          y.dispose();
+        },
+        Error);
+    idx.dispose();
+  }
+  // In range, an index truncates toward zero.
+  tidyVoid([&] {
+    Tensor idx = o::tensor({-0.5f, 2.7f, 1.f}, Shape{3}, DType::i32);
+    test::expectValues(o::gather(x, idx, 1), {1, 3, 2, 4, 6, 5});
+  });
   x.dispose();
-  idx.dispose();
 }
 
 TEST_P(OpsTest, ExpandSqueezeOneHot) {
@@ -497,6 +510,18 @@ TEST_P(OpsTest, ExpandSqueezeOneHot) {
     Tensor idx = o::tensor({0, 2}, Shape{2}, DType::i32);
     test::expectValues(o::oneHot(idx, 3), {1, 0, 0, 0, 0, 1});
     test::expectValues(o::oneHot(idx, 3, 5, -5), {5, -5, -5, -5, -5, 5});
+
+    // Indices truncate toward zero; one outside [0, depth), NaN and ±inf
+    // included, gives an all-off row.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    Tensor odd = o::tensor({-0.5f, 2.7f, -1.f, 3.f, 2147483648.f, 1e10f,
+                            std::numeric_limits<float>::quiet_NaN(), kInf,
+                            -kInf},
+                           Shape{9}, DType::i32);
+    std::vector<float> want(27, -5);
+    want[0] = 5;      // -0.5 -> 0
+    want[3 + 2] = 5;  // 2.7 -> 2
+    test::expectValues(o::oneHot(odd, 3, 5, -5), want);
   });
 }
 
@@ -718,22 +743,30 @@ class RegionOracleTest : public ::testing::TestWithParam<const char*> {
     setBackend(GetParam());
   }
 
-  /// Runs `instr` over `inputs` on the active backend and checks every
+  /// Runs `program` over `inputs` on the active backend and checks every
   /// output element bitwise against `oracle(i)` (two NaNs compare equal:
-  /// their payloads are not part of any op's contract).
+  /// their payloads are not part of any op's contract). With `inPlace` the
+  /// first input's buffer is offered as the destination.
   template <typename Oracle>
-  void expectMatchesOracle(const RegionInstr& instr,
+  void expectMatchesOracle(std::span<const RegionInstr> program,
                            const std::vector<OracleInput>& inputs,
-                           const Shape& out, Oracle oracle) {
+                           const Shape& out, Oracle oracle,
+                           bool inPlace = false) {
     Backend& be = Engine::get().backend();
     std::vector<TensorSpec> specs;
     for (const OracleInput& in : inputs) {
       specs.push_back({be.write(in.data, in.shape), in.shape, DType::f32});
     }
-    const DataId id = be.fusedRegion({&instr, 1}, specs, out, 0);
+    const DataId dst = inPlace ? specs[0].id : 0;
+    const DataId id = be.fusedRegion(program, specs, out, dst);
+    if (inPlace && !std::string(GetParam()).starts_with("webgl")) {
+      EXPECT_EQ(id, dst) << "the CPU backends write in place";
+    }
     const std::vector<float> got = be.read(id);
     be.disposeData(id);
-    for (const TensorSpec& s : specs) be.disposeData(s.id);
+    for (const TensorSpec& s : specs) {
+      if (s.id != id) be.disposeData(s.id);
+    }
     ASSERT_EQ(got.size(), out.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       const float want = oracle(i);
@@ -845,7 +878,7 @@ TEST_P(RegionOracleTest, EveryUnaryOpCode) {
                               .a = -1,
                               .alpha = -0.25f,
                               .beta = 0.5f};
-      expectMatchesOracle(instr, {x}, shape, [&](std::size_t i) {
+      expectMatchesOracle({&instr, 1}, {x}, shape, [&](std::size_t i) {
         return backends::applyUnary(static_cast<UnaryOp>(op),
                                     oracleLoad(x, shape, i), -0.25f, 0.5f);
       });
@@ -881,11 +914,69 @@ TEST_P(RegionOracleTest, EveryBinaryOpCodeOverBroadcastClasses) {
                    aShape.toString() + " x " + bShape.toString());
       const RegionInstr instr{
           .kind = RegionInstr::Kind::kBinary, .op = op, .a = -1, .b = -2};
-      expectMatchesOracle(instr, {a, b}, out, [&](std::size_t i) {
+      expectMatchesOracle({&instr, 1}, {a, b}, out, [&](std::size_t i) {
         return backends::applyBinary(static_cast<BinaryOp>(op),
                                      oracleLoad(a, out, i),
                                      oracleLoad(b, out, i));
       });
+    }
+  }
+}
+
+// Every op code twice more: as the interior instruction of a two-instruction
+// program (native's scratch-row path; a negation, exact for every value,
+// reads it back) and as a one-instruction program offered its first input
+// as the destination (the in-place path), at lengths on both sides of
+// native's 512-element block and of its 32768-element parallel grain.
+TEST_P(RegionOracleTest, EveryOpCodeInteriorAndInPlace) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.f, -0.f, kInf, -kInf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::max(), -2.5f};
+  const RegionInstr neg = RegionInstr::unary(UnaryOp::kNeg, 0);
+  const auto negate = [](float v) {
+    return backends::applyUnary(UnaryOp::kNeg, v, 0, 0);
+  };
+  for (const int len : {511, 513, 32767, 32769}) {
+    const Shape shape{len};
+    OracleInput a{shape, oracleData(shape, 7, -3.f, 3.f)};
+    OracleInput b{shape, oracleData(shape, 8, -2.f, 2.f)};
+    for (std::size_t i = 0; i < a.data.size(); i += 11) {
+      a.data[i] = specials[i / 11 % std::size(specials)];
+      b.data[i] = specials[i / 11 * 3 % std::size(specials)];
+    }
+    for (int op = 0; op <= static_cast<int>(UnaryOp::kMulScalar); ++op) {
+      SCOPED_TRACE("unary op " + std::to_string(op) + " over " +
+                   std::to_string(len));
+      const RegionInstr instr{.kind = RegionInstr::Kind::kUnary,
+                              .op = op,
+                              .a = -1,
+                              .alpha = -0.25f,
+                              .beta = 0.5f};
+      const auto want = [&](std::size_t i) {
+        return backends::applyUnary(static_cast<UnaryOp>(op), a.data[i],
+                                    -0.25f, 0.5f);
+      };
+      const RegionInstr interior[] = {instr, neg};
+      expectMatchesOracle(interior, {a}, shape,
+                          [&](std::size_t i) { return negate(want(i)); });
+      expectMatchesOracle({&instr, 1}, {a}, shape, want, /*inPlace=*/true);
+    }
+    for (int op = 0; op <= static_cast<int>(BinaryOp::kLogicalXor); ++op) {
+      SCOPED_TRACE("binary op " + std::to_string(op) + " over " +
+                   std::to_string(len));
+      const RegionInstr instr = RegionInstr::binary(static_cast<BinaryOp>(op),
+                                                    RegionInstr::input(0),
+                                                    RegionInstr::input(1));
+      const auto want = [&](std::size_t i) {
+        return backends::applyBinary(static_cast<BinaryOp>(op), a.data[i],
+                                     b.data[i]);
+      };
+      const RegionInstr interior[] = {instr, neg};
+      expectMatchesOracle(interior, {a, b}, shape,
+                          [&](std::size_t i) { return negate(want(i)); });
+      expectMatchesOracle({&instr, 1}, {a, b}, shape, want, /*inPlace=*/true);
     }
   }
 }
@@ -920,7 +1011,7 @@ TEST_P(RegionOracleTest, SelectOverBroadcastClasses) {
                  cs.b.toString());
     const RegionInstr instr{
         .kind = RegionInstr::Kind::kSelect, .a = -1, .b = -2, .c = -3};
-    expectMatchesOracle(instr, {c, a, b}, out, [&](std::size_t i) {
+    expectMatchesOracle({&instr, 1}, {c, a, b}, out, [&](std::size_t i) {
       return oracleLoad(c, out, i) != 0 ? oracleLoad(a, out, i)
                                         : oracleLoad(b, out, i);
     });

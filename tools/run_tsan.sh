@@ -6,7 +6,8 @@
 # drives the native region kernel, behind every native elementwise op, over
 # its prefilled scratch rows and every broadcast class), and finally the
 # int8 kernels under UndefinedBehaviorSanitizer (narrowing conversions,
-# shifts and overflow in the quantization math). native_gemm_test runs on
+# float-to-integer casts, shifts and overflow in the quantization math; the
+# index kernels' casts through ops_test), any report failing the leg. native_gemm_test runs on
 # every leg: the f32 GEMM's packed B block is written by the calling thread
 # and read by every pool worker (TSan), im2col convs pack B again inside
 # each parallel chunk (TSan, ASan), partial tail tiles use masked loads and
@@ -80,7 +81,12 @@ ctest --test-dir build-asan --output-on-failure \
   -R 'buffer_pool_test|fusion_test|quant_test|serving_test|graph_fuzz_test|native_parity_test|native_gemm_test|webgl_test|graph_test|graph_executor_test|autodiff_test|ops_test'
 extended_fuzz build-asan
 
-cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined
+# GCC's -fsanitize=undefined leaves out float-cast-overflow (a NaN or
+# out-of-range float converted to an integer), and by default a report
+# neither aborts nor changes the exit code: name the check and make every
+# report fatal, so the leg fails on one.
+cmake -B build-ubsan -S . -DTFJS_SANITIZE=undefined,float-cast-overflow \
+  -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all
 cmake --build build-ubsan -j --target quant_test native_parity_test \
   native_gemm_test serving_test graph_fuzz_test fusion_test graph_test \
   graph_executor_test ops_test autodiff_test
